@@ -1,6 +1,8 @@
 package sbd
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +27,46 @@ func fanInSpec(t *testing.T, nReads, tailLen int, iters uint64) *spec.Spec {
 	prev := b.Read("small", 1, reads...)
 	for i := 1; i < tailLen; i++ {
 		prev = b.Read("small", 1, prev)
+	}
+	return b.MustBuild()
+}
+
+// randomSpec builds a seeded random single-loop spec: 2–7 groups, about a
+// third of them off-chip (2-cycle accesses), 4–14 accesses with random
+// earlier-access dependences, and up to three branch tags mixed with
+// unconditional code. The same seed always yields the same spec.
+func randomSpec(seed int64) *spec.Spec {
+	rng := rand.New(rand.NewSource(seed))
+	b := spec.NewBuilder(fmt.Sprintf("rand%d", seed))
+	ng := 2 + rng.Intn(6)
+	for g := 0; g < ng; g++ {
+		words := int64(16) << rng.Intn(8)
+		if rng.Intn(3) == 0 {
+			words = offWords
+		}
+		b.Group(fmt.Sprintf("g%d", g), words, 8<<rng.Intn(2))
+	}
+	b.Loop("l", 1+uint64(rng.Intn(1000)))
+	n := 4 + rng.Intn(11)
+	nbr := rng.Intn(4)
+	for i := 0; i < n; i++ {
+		tag := ""
+		if nbr > 0 && rng.Intn(2) == 0 {
+			tag = fmt.Sprintf("br%d", rng.Intn(nbr))
+		}
+		b.Branch(tag)
+		var deps []int
+		for j := 0; j < i && len(deps) < 3; j++ {
+			if rng.Intn(4) == 0 {
+				deps = append(deps, j)
+			}
+		}
+		grp := fmt.Sprintf("g%d", rng.Intn(ng))
+		if rng.Intn(3) == 0 {
+			b.Write(grp, 1, deps...)
+		} else {
+			b.Read(grp, 1, deps...)
+		}
 	}
 	return b.MustBuild()
 }
