@@ -450,8 +450,10 @@ func TestClusterInternalEndpoints404Solo(t *testing.T) {
 // --- cluster metrics exposition ---
 
 func TestClusterMetricsFamilies(t *testing.T) {
+	// A long hedge floor: on a loaded host a forward slower than the default
+	// 50 ms would fall back to local compute and never count as routed.
 	tc := newTestCluster(t, 2, func(int) ServeOptions { return ServeOptions{Obs: obs.New()} },
-		ClusterOptions{SubtreeMinGroups: -1})
+		ClusterOptions{SubtreeMinGroups: -1, HedgeDelay: 2 * time.Second})
 	// Drive enough traffic that at least one request routes each way.
 	for seed := int64(40); seed < 46; seed++ {
 		resp, body := postURL(t, tc.urls[0], "/v1/explore", randClusterSpec(t, seed))
@@ -539,17 +541,17 @@ func TestRetryAfterSeconds(t *testing.T) {
 		typical         time.Duration
 		want            int
 	}{
-		{0, 1, time.Second, 1},                  // empty queue: one typical wait
-		{0, 4, time.Second, 1},                  // wide server, empty queue
-		{3, 1, time.Second, 4},                  // 3 queued + us = 4 waves
-		{3, 4, time.Second, 1},                  // 4 slots drain all 4 in one wave
-		{8, 2, 500 * time.Millisecond, 3},       // ceil(ceil(9/2)=5 waves * 0.5s)
-		{10, 4, 2 * time.Second, 6},             // ceil(11/4)=3 waves * 2s
-		{0, 1, 0, 1},                            // no latency signal: flat second
-		{0, 0, time.Second, 1},                  // degenerate concurrency clamps
-		{100, 1, 50 * time.Millisecond, 6},      // long queue, fast requests
-		{5, 2, 10 * time.Millisecond, 1},        // sub-second rounds up to 1
-		{2, 1, 1500 * time.Millisecond, 5},      // fractional seconds: ceil(3*1.5)
+		{0, 1, time.Second, 1},             // empty queue: one typical wait
+		{0, 4, time.Second, 1},             // wide server, empty queue
+		{3, 1, time.Second, 4},             // 3 queued + us = 4 waves
+		{3, 4, time.Second, 1},             // 4 slots drain all 4 in one wave
+		{8, 2, 500 * time.Millisecond, 3},  // ceil(ceil(9/2)=5 waves * 0.5s)
+		{10, 4, 2 * time.Second, 6},        // ceil(11/4)=3 waves * 2s
+		{0, 1, 0, 1},                       // no latency signal: flat second
+		{0, 0, time.Second, 1},             // degenerate concurrency clamps
+		{100, 1, 50 * time.Millisecond, 6}, // long queue, fast requests
+		{5, 2, 10 * time.Millisecond, 1},   // sub-second rounds up to 1
+		{2, 1, 1500 * time.Millisecond, 5}, // fractional seconds: ceil(3*1.5)
 	}
 	for _, c := range cases {
 		if got := retryAfterSeconds(c.queued, c.maxConc, c.typical); got != c.want {

@@ -145,8 +145,8 @@ type Assignment struct {
 type problem struct {
 	tech   *memlib.Tech
 	p      Params
-	s      *spec.Spec    // source spec, kept for the Distribute hook's wire format
-	pats   []sbd.Pattern // source patterns, same reason
+	s      *spec.Spec        // source spec, kept for the Distribute hook's wire format
+	pats   []sbd.Pattern     // source patterns, same reason
 	groups []spec.BasicGroup // the groups being partitioned
 	acc    []uint64          // accesses per frame, per group
 	patVec [][]int           // group -> per-pattern multiplicity

@@ -13,13 +13,13 @@ func TestHistogramBucketIndex(t *testing.T) {
 		want int
 	}{
 		{-5, 0}, {0, 0}, {1, 0}, // bucket 0: <= 1µs
-		{2, 1},                  // (1, 2]
-		{3, 2}, {4, 2},          // (2, 4]
+		{2, 1},         // (1, 2]
+		{3, 2}, {4, 2}, // (2, 4]
 		{5, 3}, {8, 3},
 		{1024, 10}, {1025, 11},
-		{1 << 35, histBuckets - 1},      // largest finite bound, inclusive
-		{1<<35 + 1, histBuckets},        // first overflow value
-		{int64(1) << 40, histBuckets},   // deep overflow
+		{1 << 35, histBuckets - 1},    // largest finite bound, inclusive
+		{1<<35 + 1, histBuckets},      // first overflow value
+		{int64(1) << 40, histBuckets}, // deep overflow
 	}
 	for _, c := range cases {
 		us := c.us

@@ -67,7 +67,7 @@ func TestPromHistogramSeries(t *testing.T) {
 		t.Fatalf("missing TYPE line:\n%s", out)
 	}
 	for _, want := range []string{
-		`dtse_request_duration_seconds_bucket{le="1e-06"} 1`,   // 1µs bound
+		`dtse_request_duration_seconds_bucket{le="1e-06"} 1`,    // 1µs bound
 		`dtse_request_duration_seconds_bucket{le="1.048576"} 2`, // 2^20µs bound
 		`dtse_request_duration_seconds_bucket{le="+Inf"} 2`,
 		`dtse_request_duration_seconds_sum 1.000001`,

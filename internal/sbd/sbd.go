@@ -323,15 +323,32 @@ func groupsOf(s *spec.Spec) map[string]spec.BasicGroup {
 // spans one initiation interval and accesses wrap around it.
 //
 // The inner loop (trialCost during placement and local search) runs millions
-// of times per exploration sweep, so the working state is fully dense: the
-// loop's distinct groups and branch tags are enumerated once at
-// construction, the occupancy table is a flat counter array indexed by
-// (cycle, branch, group), and the conflict penalties are precomputed into
-// per-group and pairwise tables. No map is touched while scheduling — not
-// even at construction: group and branch tags resolve by linear scan over
-// the (few) distinct names, and all dense working state is carved from a
-// pooled scratch arena, so building and discarding a scheduler allocates
-// only the start slice that outlives it in the returned LoopSchedule.
+// of times per exploration sweep, so the working state is dense, cached and
+// sparse where it is read:
+//
+//   - Dense: the loop's distinct groups and branch tags are enumerated once
+//     at construction (linear scans over the few distinct names, no map), the
+//     occupancy table is a flat counter array indexed by (slot, branch,
+//     group), and the conflict penalties are precomputed into per-group and
+//     pairwise tables. All of it is carved from a pooled scratch arena, so
+//     building and discarding a scheduler allocates only the start slice that
+//     outlives it in the returned LoopSchedule.
+//   - Sparse: next to every (slot, branch) counter row, nz keeps the
+//     ascending list of its nonzero gids (act holds the list length). A row
+//     rarely has more than one or two, so a pattern is priced by merging two
+//     short lists instead of scanning every group.
+//   - Cached: scen holds the price of every active branch scenario (common ⊎
+//     branch) and cyc the resulting cycle cost — the worst active scenario,
+//     or the common part alone when no branch is active. A count change in
+//     branch b re-prices only scenario b; a change in the common row
+//     re-prices the active scenarios once. Reading a cycle's cost is a load,
+//     and trialCost takes its placement back by restoring the values place
+//     saved instead of re-pricing.
+//
+// Every cached value is recomputed from the counters by the same sequence of
+// float additions the dense definition performs (zero terms add nothing), and
+// cost receives the same subtract-then-add sequence per touched slot, so the
+// balanced schedules and their cost bits do not depend on the caching.
 type scheduler struct {
 	l      *spec.Loop
 	groups map[string]spec.BasicGroup
@@ -352,15 +369,20 @@ type scheduler struct {
 	self       []float64 // per gid: same-group overlap penalty
 	structW    []float64 // per gid: self[gid] × StructuralWeight
 	pair       []float64 // gid × gid (row stride ng): distinct-pair penalty
-	cnt        []int     // occupancy counters, [cycle][bid][gid] flattened
-	act        []int     // nonzero-group count per [cycle][bid]
-	merged     []int     // scratch: common ⊎ branch pattern, len ng
+	cnt        []int     // occupancy counters, [slot][bid][gid] flattened
+	act        []int     // nonzero-group count per [slot][bid]
+	nz         []int     // [slot][bid][:act] ascending nonzero gids (row stride ng)
+	scen       []float64 // [slot][bid], bid > 0: price of common ⊎ branch while active
+	cyc        []float64 // per slot: cycle cost
+	mg, mk     []int     // scratch: merged scenario gids / counts, len ng
+	saved      []float64 // scratch: place's saved [scen row, cyc] per touched slot
+	savedSlot  []int     // scratch: the slot of each saved row, -1 once restored
 	structured []int     // scratch for structuralCost, len ng
 }
 
 // succs returns the successor IDs of access id.
 func (s *scheduler) succs(id int) []int {
-	return s.succ[s.succOff[id] : s.succOff[id+1] : s.succOff[id+1]]
+	return s.succ[s.succOff[id]:s.succOff[id+1]:s.succOff[id+1]]
 }
 
 // newScheduler builds the dense working state on the given arena (nil falls
@@ -401,9 +423,13 @@ func newScheduler(l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p
 	s.gnames = ar.Strings(n)[:0]
 	bnames := ar.Strings(n + 1)[:0]
 	bnames = append(bnames, "")
+	maxDur := 1
 	for i := range l.Accesses {
 		a := &l.Accesses[i]
 		s.dur[i] = p.Duration(groups[a.Group])
+		if s.dur[i] > maxDur {
+			maxDur = s.dur[i]
+		}
 		s.start[i] = -1
 		for _, d := range a.Deps {
 			s.succ[cur[d]] = a.ID
@@ -452,63 +478,104 @@ func newScheduler(l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p
 	}
 	s.cnt = ar.Ints(budget * s.nb * s.ng)
 	s.act = ar.Ints(budget * s.nb)
-	s.merged = ar.Ints(s.ng)
+	s.nz = ar.Ints(budget * s.nb * s.ng)
+	s.scen = ar.Float64s(budget * s.nb)
+	s.cyc = ar.Float64s(budget)
+	s.mg = ar.Ints(s.ng)
+	s.mk = ar.Ints(s.ng)
+	s.saved = ar.Float64s(maxDur * (s.nb + 1))
+	s.savedSlot = ar.Ints(maxDur)
 	s.structured = ar.Ints(s.ng)
 	return s
 }
 
-// patternCost prices one effective access pattern (counts per gid).
-// Same-group overlap is priced superlinearly: every extra port on a memory
-// costs more than the previous one, so the balancer prefers two cycles with
-// doubled accesses over one cycle with quadrupled accesses.
-func (s *scheduler) patternCost(cnt []int) float64 {
-	var c float64
-	for i, k := range cnt {
-		if k == 0 {
-			continue
+// price prices one effective access pattern of a slot: the common row alone
+// (b == 0) or the common row plus branch b. Same-group overlap is priced
+// superlinearly: every extra port on a memory costs more than the previous
+// one, so the balancer prefers two cycles with doubled accesses over one
+// cycle with quadrupled accesses. Only the nonzero groups are visited —
+// the two rows' ascending nonzero lists merged — and their terms are added
+// in the dense order: ascending i, its self term, then its pair terms in
+// ascending j.
+func (s *scheduler) price(slot, b int) float64 {
+	row := slot * s.nb
+	cb := row * s.ng
+	common := s.nz[cb : cb+s.act[row]]
+	m := 0
+	if b == 0 {
+		for _, g := range common {
+			s.mg[m], s.mk[m] = g, s.cnt[cb+g]
+			m++
 		}
-		if k > 1 {
+	} else {
+		bb := (row + b) * s.ng
+		br := s.nz[bb : bb+s.act[row+b]]
+		x, y := 0, 0
+		for x < len(common) || y < len(br) {
+			var g int
+			switch {
+			case y == len(br) || (x < len(common) && common[x] < br[y]):
+				g = common[x]
+				x++
+			case x == len(common) || br[y] < common[x]:
+				g = br[y]
+				y++
+			default:
+				g = common[x]
+				x++
+				y++
+			}
+			s.mg[m], s.mk[m] = g, s.cnt[cb+g]+s.cnt[bb+g]
+			m++
+		}
+	}
+	var c float64
+	for x := 0; x < m; x++ {
+		i := s.mg[x]
+		if k := s.mk[x]; k > 1 {
 			c += float64((k-1)*(k-1)) * s.self[i]
 		}
-		row := s.pair[i*s.ng : (i+1)*s.ng]
-		for j := i + 1; j < len(cnt); j++ {
-			if cnt[j] != 0 {
-				c += row[j]
-			}
+		pr := s.pair[i*s.ng : (i+1)*s.ng]
+		for _, j := range s.mg[x+1 : m] {
+			c += pr[j]
 		}
 	}
 	return c
 }
 
-// cycleCost prices one cycle: the worst case over its branch scenarios.
-// Accesses under different branch tags are mutually exclusive, so the
-// effective pattern is the common part plus one branch (common-only is
-// pointwise-dominated whenever any branch is active).
-func (s *scheduler) cycleCost(slot int) float64 {
-	base := slot * s.nb * s.ng
-	common := s.cnt[base : base+s.ng]
+// reprice refreshes a slot's cached costs after a count change in branch b.
+// A cycle costs the worst case over its branch scenarios: accesses under
+// different branch tags are mutually exclusive, so the effective pattern is
+// the common part plus one branch (common-only is pointwise-dominated
+// whenever any branch is active).
+func (s *scheduler) reprice(slot, b int) {
+	row := slot * s.nb
+	if b > 0 {
+		if s.act[row+b] > 0 {
+			s.scen[row+b] = s.price(slot, b)
+		}
+	} else {
+		for bb := 1; bb < s.nb; bb++ {
+			if s.act[row+bb] > 0 {
+				s.scen[row+bb] = s.price(slot, bb)
+			}
+		}
+	}
 	worst := 0.0
 	anyBranch := false
-	for b := 1; b < s.nb; b++ {
-		if s.act[slot*s.nb+b] == 0 {
+	for bb := 1; bb < s.nb; bb++ {
+		if s.act[row+bb] == 0 {
 			continue
 		}
 		anyBranch = true
-		br := s.cnt[base+b*s.ng : base+(b+1)*s.ng]
-		for g := range s.merged {
-			s.merged[g] = common[g] + br[g]
-		}
-		if c := s.patternCost(s.merged); c > worst {
+		if c := s.scen[row+bb]; c > worst {
 			worst = c
 		}
 	}
 	if !anyBranch {
-		if s.act[slot*s.nb] == 0 {
-			return 0
-		}
-		return s.patternCost(common)
+		worst = s.price(slot, 0) // 0 for an empty slot
 	}
-	return worst
+	s.cyc[slot] = worst
 }
 
 // slot maps an absolute cycle to an occupancy slot: identity in linear
@@ -520,18 +587,50 @@ func (s *scheduler) slot(k int) int {
 	return k
 }
 
-// place puts access id at cycle c, updating occupancy and cost.
+// inc adds one occupancy of group g under branch b to a slot, keeping the
+// row's nonzero list sorted.
+func (s *scheduler) inc(slot, b, g int) {
+	row := slot*s.nb + b
+	if s.cnt[row*s.ng+g]++; s.cnt[row*s.ng+g] == 1 {
+		list := s.nz[row*s.ng : row*s.ng+s.act[row]+1]
+		j := len(list) - 1
+		for ; j > 0 && list[j-1] > g; j-- {
+			list[j] = list[j-1]
+		}
+		list[j] = g
+		s.act[row]++
+	}
+}
+
+// dec removes one occupancy of group g under branch b from a slot.
+func (s *scheduler) dec(slot, b, g int) {
+	row := slot*s.nb + b
+	if s.cnt[row*s.ng+g]--; s.cnt[row*s.ng+g] == 0 {
+		list := s.nz[row*s.ng : row*s.ng+s.act[row]]
+		j := 0
+		for list[j] != g {
+			j++
+		}
+		copy(list[j:], list[j+1:])
+		s.act[row]--
+	}
+}
+
+// place puts access id at cycle c, updating occupancy and cost. It saves
+// each touched slot's cached costs before changing them, for undoPlace.
 func (s *scheduler) place(id, c int) {
 	g, b := s.gid[id], s.bid[id]
-	for k := c; k < c+s.dur[id]; k++ {
-		slot := s.slot(k)
-		s.cost -= s.cycleCost(slot)
-		i := (slot*s.nb+b)*s.ng + g
-		if s.cnt[i] == 0 {
-			s.act[slot*s.nb+b]++
-		}
-		s.cnt[i]++
-		s.cost += s.cycleCost(slot)
+	w := s.nb + 1
+	for i := 0; i < s.dur[id]; i++ {
+		slot := s.slot(c + i)
+		sv := s.saved[i*w : (i+1)*w]
+		copy(sv, s.scen[slot*s.nb:(slot+1)*s.nb])
+		sv[s.nb] = s.cyc[slot]
+		s.savedSlot[i] = slot
+		s.cost -= s.cyc[slot]
+		s.inc(slot, b, g)
+		s.reprice(slot, b)
+		s.cost += s.cyc[slot]
 	}
 	s.start[id] = c
 }
@@ -542,12 +641,38 @@ func (s *scheduler) unplace(id int) {
 	c := s.start[id]
 	for k := c; k < c+s.dur[id]; k++ {
 		slot := s.slot(k)
-		s.cost -= s.cycleCost(slot)
-		i := (slot*s.nb+b)*s.ng + g
-		if s.cnt[i]--; s.cnt[i] == 0 {
-			s.act[slot*s.nb+b]--
+		s.cost -= s.cyc[slot]
+		s.dec(slot, b, g)
+		s.reprice(slot, b)
+		s.cost += s.cyc[slot]
+	}
+	s.start[id] = -1
+}
+
+// undoPlace is unplace for the access placed by the latest place call: it
+// restores the cached costs place saved instead of re-pricing. The counters
+// return to exactly the saved states, so the restored values are the ones
+// re-pricing would compute. A pipelined access longer than the interval
+// visits one slot more than once; each removal step restores the latest
+// save of that slot not yet restored, which is the slot's state one count
+// lower.
+func (s *scheduler) undoPlace(id int) {
+	g, b := s.gid[id], s.bid[id]
+	w := s.nb + 1
+	d := s.dur[id]
+	for i := 0; i < d; i++ {
+		slot := s.slot(s.start[id] + i)
+		s.cost -= s.cyc[slot]
+		s.dec(slot, b, g)
+		j := d - 1
+		for s.savedSlot[j] != slot {
+			j--
 		}
-		s.cost += s.cycleCost(slot)
+		s.savedSlot[j] = -1
+		sv := s.saved[j*w : (j+1)*w]
+		copy(s.scen[slot*s.nb:(slot+1)*s.nb], sv)
+		s.cyc[slot] = sv[s.nb]
+		s.cost += s.cyc[slot]
 	}
 	s.start[id] = -1
 }
@@ -556,7 +681,7 @@ func (s *scheduler) unplace(id int) {
 func (s *scheduler) trialCost(id, c int) float64 {
 	s.place(id, c)
 	v := s.cost
-	s.unplace(id)
+	s.undoPlace(id)
 	return v
 }
 

@@ -2,6 +2,7 @@ package sbd
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -639,5 +640,135 @@ func TestQuickScheduleValidity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// denseRef is an independent, from-scratch model of the scheduler's cost
+// accounting: plain [slot][branch][group] counters priced by the dense
+// definition on every read, with no cached or sparse state.
+type denseRef struct {
+	s    *scheduler // penalty tables and ids only
+	cnt  []int
+	cost float64
+}
+
+// patternCost is the dense pattern price: every group scanned, self term
+// then pair terms for ascending i, pair terms in ascending j.
+func (r *denseRef) patternCost(cnt []int) float64 {
+	var c float64
+	for i, k := range cnt {
+		if k == 0 {
+			continue
+		}
+		if k > 1 {
+			c += float64((k-1)*(k-1)) * r.s.self[i]
+		}
+		row := r.s.pair[i*r.s.ng : (i+1)*r.s.ng]
+		for j := i + 1; j < len(cnt); j++ {
+			if cnt[j] != 0 {
+				c += row[j]
+			}
+		}
+	}
+	return c
+}
+
+// cycleCost is the worst branch scenario of a slot, or the common pattern
+// when no branch is active.
+func (r *denseRef) cycleCost(slot int) float64 {
+	ng, nb := r.s.ng, r.s.nb
+	base := slot * nb * ng
+	common := r.cnt[base : base+ng]
+	merged := make([]int, ng)
+	worst, anyBranch := 0.0, false
+	for b := 1; b < nb; b++ {
+		br := r.cnt[base+b*ng : base+(b+1)*ng]
+		active := false
+		for g := range merged {
+			merged[g] = common[g] + br[g]
+			active = active || br[g] != 0
+		}
+		if !active {
+			continue
+		}
+		anyBranch = true
+		if c := r.patternCost(merged); c > worst {
+			worst = c
+		}
+	}
+	if !anyBranch {
+		return r.patternCost(common)
+	}
+	return worst
+}
+
+// move adds delta occupancies of access id starting at cycle c, with the
+// scheduler's subtract-then-add cost sequence per touched slot.
+func (r *denseRef) move(id, c, delta int) {
+	s := r.s
+	for k := c; k < c+s.dur[id]; k++ {
+		slot := s.slot(k)
+		r.cost -= r.cycleCost(slot)
+		r.cnt[(slot*s.nb+s.bid[id])*s.ng+s.gid[id]] += delta
+		r.cost += r.cycleCost(slot)
+	}
+}
+
+// TestCachedCostsMatchDense drives random place/unplace/trialCost
+// sequences through the scheduler and a dense from-scratch reference, and
+// requires the running cost, every trial value and every cached cycle cost
+// to agree bit for bit. The loops carry branches and off-chip groups of
+// 2–4 cycles; pipelined budgets go below the access duration, so one access
+// wraps onto the same slot more than once.
+func TestCachedCostsMatchDense(t *testing.T) {
+	for seed := int64(1); seed <= 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sp := randomSpec(seed)
+		l := &sp.Loops[0]
+		p := Params{OffChipCycles: 2 + rng.Intn(3), Pipelined: rng.Intn(2) == 0}
+		p.normalize()
+		budget := 1 + rng.Intn(6)
+		if !p.Pipelined {
+			budget = WeightedCP(l, groupsMap(sp), p) + rng.Intn(4)
+		}
+		s := newScheduler(l, groupsMap(sp), budget, p, nil)
+		ref := &denseRef{s: s, cnt: make([]int, len(s.cnt))}
+		randCycle := func(id int) int {
+			if p.Pipelined {
+				return rng.Intn(2 * budget)
+			}
+			return rng.Intn(budget - s.dur[id] + 1)
+		}
+		for op := 0; op < 400; op++ {
+			id := rng.Intn(len(l.Accesses))
+			switch {
+			case s.start[id] >= 0:
+				ref.move(id, s.start[id], -1)
+				s.unplace(id)
+			case rng.Intn(3) == 0:
+				c := randCycle(id)
+				ref.move(id, c, +1)
+				s.place(id, c)
+			default:
+				c := randCycle(id)
+				ref.move(id, c, +1)
+				want := ref.cost
+				ref.move(id, c, -1)
+				if got := s.trialCost(id, c); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d op %d: trialCost(%d, %d) = %v, dense %v", seed, op, id, c, got, want)
+				}
+				if s.start[id] != -1 {
+					t.Fatalf("seed %d op %d: trialCost left access %d placed", seed, op, id)
+				}
+			}
+			if math.Float64bits(s.cost) != math.Float64bits(ref.cost) {
+				t.Fatalf("seed %d op %d: cost %v, dense %v", seed, op, s.cost, ref.cost)
+			}
+			for slot := 0; slot < budget; slot++ {
+				if want := ref.cycleCost(slot); math.Float64bits(s.cyc[slot]) != math.Float64bits(want) {
+					t.Fatalf("seed %d op %d: cyc[%d] = %v, dense %v", seed, op, slot, s.cyc[slot], want)
+				}
+			}
+		}
 	}
 }

@@ -119,7 +119,7 @@ type Server struct {
 	memo    *memo.Cache
 	workers *pool.Pool
 	mux     *http.ServeMux
-	warm    *warmIndex // nearest-neighbour seeds; nil when disabled
+	warm    *warmIndex    // nearest-neighbour seeds; nil when disabled
 	cluster *clusterState // nil outside cluster mode (see cluster_server.go)
 
 	// baseCtx parents every request context; Abort cancels it, degrading
