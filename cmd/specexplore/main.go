@@ -243,6 +243,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if collector != nil {
 		fmt.Fprintf(stderr, "\nExploration telemetry:\n%s", obs.StatsTable(collector.Records()))
 		fmt.Fprintf(stderr, "\nStage latency histograms:\n%s", obs.HistTable(observer.Snapshot()))
+		fmt.Fprintf(stderr, "\nCounters:\n%s", obs.CounterTable(observer.Snapshot()))
 	}
 	if *stats {
 		fmt.Fprintf(stderr, "\nEvaluation cache (-cache=%s):\n%s", *cache, ep.Memo.StatsString())

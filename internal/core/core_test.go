@@ -468,7 +468,8 @@ func TestRunAllTelemetrySpans(t *testing.T) {
 
 	counters := c.Counters()
 	for _, name := range []string{"core.evaluations", "assign.nodes",
-		"sbd.balance_calls", "reuse.analyzed_accesses", "reuse.plans"} {
+		"sbd.balance_calls", "sbd.trials", "sbd.trials_conflict_free",
+		"reuse.analyzed_accesses", "reuse.plans"} {
 		if counters[name] <= 0 {
 			t.Fatalf("counter %q = %d, want > 0 (have %v)", name, counters[name], counters)
 		}

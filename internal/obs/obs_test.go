@@ -262,6 +262,29 @@ func TestStatsTable(t *testing.T) {
 	}
 }
 
+func TestCounterTable(t *testing.T) {
+	o := New()
+	if got := CounterTable(o.Snapshot()); got != "(no counters recorded)\n" {
+		t.Fatalf("empty snapshot: %q", got)
+	}
+	o.Counter("sbd.trials").Add(40)
+	o.Counter("sbd.trials_conflict_free").Add(33)
+	o.Gauge("pool.workers").Set(2)
+	out := CounterTable(o.Snapshot())
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("want a header and 3 rows:\n%s", out)
+	}
+	for i, want := range []string{"counter", "sbd.trials ", "sbd.trials_conflict_free ", "pool.workers "} {
+		if !strings.HasPrefix(lines[i], want) {
+			t.Fatalf("line %d = %q, want prefix %q", i, lines[i], want)
+		}
+	}
+	if !strings.HasSuffix(lines[2], " 33") {
+		t.Fatalf("row %q does not end in its value", lines[2])
+	}
+}
+
 func TestFmtHelpers(t *testing.T) {
 	if got := fmtBytes(512); got != "512B" {
 		t.Fatalf("fmtBytes(512) = %q", got)

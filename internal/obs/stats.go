@@ -110,6 +110,23 @@ func HistTable(snap Snapshot) string {
 	return b.String()
 }
 
+// CounterTable renders every counter and gauge of a snapshot, one sorted
+// row each: the search effort behind the times above (branch-and-bound
+// nodes, balancer passes and trial placements, cache traffic).
+func CounterTable(snap Snapshot) string {
+	if len(snap.Counters)+len(snap.Gauges) == 0 {
+		return "(no counters recorded)\n"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-44s %14s\n", "counter", "value")
+	for _, m := range []map[string]int64{snap.Counters, snap.Gauges} {
+		for _, n := range sortedKeys(m) {
+			fmt.Fprintf(&b, "%-44s %14d\n", n, m[n])
+		}
+	}
+	return b.String()
+}
+
 func fmtUS(us int64) string {
 	return time.Duration(us * int64(time.Microsecond)).Round(10 * time.Microsecond).String()
 }

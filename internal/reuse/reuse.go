@@ -102,7 +102,7 @@ func AnalyzeContext(ctx context.Context, addrs []int32) *Profile {
 		return s
 	}
 	done := ctx.Done()
-	last := make(map[int32]int, 1024)
+	last := newLastSeen(addrs)
 	for t, a := range addrs {
 		if done != nil && t > 0 && t%analyzeCheckInterval == 0 {
 			select {
@@ -112,7 +112,7 @@ func AnalyzeContext(ctx context.Context, addrs []int32) *Profile {
 			default:
 			}
 		}
-		if lt, seen := last[a]; seen {
+		if lt := last.swap(a, t); lt >= 0 {
 			// Distinct addresses touched strictly between lt and t, plus
 			// the element's own stack slot.
 			d := int(sum(t-1)-sum(lt)) + 1
@@ -122,9 +122,51 @@ func AnalyzeContext(ctx context.Context, addrs []int32) *Profile {
 			p.cold++
 		}
 		add(t, 1)
-		last[a] = t
 	}
 	return p
+}
+
+// denseSpanFactor bounds the dense last-seen table: it is used while the
+// trace's address span is at most this many times the trace length.
+const denseSpanFactor = 4
+
+// lastSeen maps each address to the trace position of its latest access.
+// Address traces are mostly dense ranges (image rows, buffers), so the
+// table is a slice indexed by address - min holding position + 1 (0 for
+// unseen); a sparse trace whose span exceeds denseSpanFactor × its length
+// falls back to a map.
+type lastSeen struct {
+	min   int64
+	dense []int
+	byMap map[int32]int
+}
+
+func newLastSeen(addrs []int32) lastSeen {
+	lo, hi := addrs[0], addrs[0]
+	for _, a := range addrs {
+		lo, hi = min(lo, a), max(hi, a)
+	}
+	if span := int64(hi) - int64(lo) + 1; span <= denseSpanFactor*int64(len(addrs)) {
+		return lastSeen{min: int64(lo), dense: make([]int, span)}
+	}
+	return lastSeen{byMap: make(map[int32]int, 1024)}
+}
+
+// swap records position t for address a and returns a's previous position,
+// or -1 on its first access.
+func (l *lastSeen) swap(a int32, t int) int {
+	if l.byMap == nil {
+		i := int64(a) - l.min
+		prev := l.dense[i] - 1
+		l.dense[i] = t + 1
+		return prev
+	}
+	prev, seen := l.byMap[a]
+	l.byMap[a] = t
+	if !seen {
+		return -1
+	}
+	return prev
 }
 
 func (p *Profile) record(d int) {

@@ -115,21 +115,49 @@ func naiveMissRatio(addrs []int32, size int) float64 {
 	return float64(misses) / float64(len(addrs))
 }
 
-// Property: the Fenwick analysis agrees with a naive LRU simulation.
+// Property: the Fenwick analysis agrees with a naive LRU simulation, on
+// small dense traces, traces of negative addresses (down to MinInt32),
+// sparse traces and traces spanning the whole int32 range — so both the
+// dense last-seen table and its map fallback are checked.
 func TestQuickMatchesNaiveLRU(t *testing.T) {
-	f := func(raw []byte, sizeSeed uint8) bool {
+	var dense, sparse int
+	f := func(raw []byte, shape, sizeSeed uint8) bool {
 		addrs := make([]int32, len(raw))
 		for i, b := range raw {
-			addrs[i] = int32(b % 16)
+			v := int32(b % 16)
+			switch shape % 4 {
+			case 0: // small dense range
+				addrs[i] = v
+			case 1: // negative, at the bottom of the int32 range
+				addrs[i] = math.MinInt32 + v*int32(1+shape%3)
+			case 2: // sparse: far apart addresses
+				addrs[i] = (v - 8) * 1_000_003
+			case 3: // the whole int32 range
+				addrs[i] = []int32{math.MinInt32, -1, 0, 1, math.MaxInt32, 7}[b%6] + v%2
+			}
 		}
-		size := int(sizeSeed)%12 + 1
+		if len(addrs) > 0 {
+			if newLastSeen(addrs).byMap == nil {
+				dense++
+			} else {
+				sparse++
+			}
+		}
 		p := Analyze(addrs)
-		got := p.MissRatio(int64(size))
-		want := naiveMissRatio(addrs, size)
-		return math.Abs(got-want) < 1e-9
+		size := int(sizeSeed)%12 + 1
+		for s := 1; s <= size; s++ {
+			if got, want := p.MissRatio(int64(s)), naiveMissRatio(addrs, s); math.Abs(got-want) >= 1e-9 {
+				t.Logf("trace %v size %d: MissRatio %v, naive LRU %v", addrs, s, got, want)
+				return false
+			}
+		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Fatal(err)
+	}
+	if dense == 0 || sparse == 0 {
+		t.Fatalf("last-seen table paths: %d dense, %d map; want both exercised", dense, sparse)
 	}
 }
 

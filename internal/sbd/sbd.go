@@ -318,86 +318,47 @@ func groupsOf(s *spec.Spec) map[string]spec.BasicGroup {
 	return m
 }
 
-// scheduler is the working state for balancing one loop body. In linear
-// mode the occupancy table spans the budget; in pipelined (modulo) mode it
-// spans one initiation interval and accesses wrap around it.
-//
-// The inner loop (trialCost during placement and local search) runs millions
-// of times per exploration sweep, so the working state is dense, cached and
-// sparse where it is read:
-//
-//   - Dense: the loop's distinct groups and branch tags are enumerated once
-//     at construction (linear scans over the few distinct names, no map), the
-//     occupancy table is a flat counter array indexed by (slot, branch,
-//     group), and the conflict penalties are precomputed into per-group and
-//     pairwise tables. All of it is carved from a pooled scratch arena, so
-//     building and discarding a scheduler allocates only the start slice that
-//     outlives it in the returned LoopSchedule.
-//   - Sparse: next to every (slot, branch) counter row, nz keeps the
-//     ascending list of its nonzero gids (act holds the list length). A row
-//     rarely has more than one or two, so a pattern is priced by merging two
-//     short lists instead of scanning every group.
-//   - Cached: scen holds the price of every active branch scenario (common ⊎
-//     branch) and cyc the resulting cycle cost — the worst active scenario,
-//     or the common part alone when no branch is active. A count change in
-//     branch b re-prices only scenario b; a change in the common row
-//     re-prices the active scenarios once. Reading a cycle's cost is a load,
-//     and trialCost takes its placement back by restoring the values place
-//     saved instead of re-pricing.
-//
-// Every cached value is recomputed from the counters by the same sequence of
-// float additions the dense definition performs (zero terms add nothing), and
-// cost receives the same subtract-then-add sequence per touched slot, so the
-// balanced schedules and their cost bits do not depend on the caching.
-type scheduler struct {
-	l      *spec.Loop
-	groups map[string]spec.BasicGroup
-	p      Params
-	ar     *scratch.Arena
-	budget int   // linear budget, or the initiation interval when pipelined
-	dur    []int // per access
-	start  []int // per access, -1 = unplaced (heap: escapes via LoopSchedule)
-	order  []int // one topological order, shared by windows and placement
-	cost   float64
-
+// loopBody is the budget-independent part of a loop's balancing state: one
+// topological order, the successor lists, the access durations, the dense
+// group and branch ids and the penalty tables. A loop's cost curve balances
+// it at every budget from its critical path up, so the distributor builds
+// the body once per curve and only the occupancy state once per point.
+type loopBody struct {
+	l       *spec.Loop
+	p       Params
+	dur     []int // per access
+	maxDur  int
+	order   []int // one topological order, shared by windows and placement
 	succ    []int // successor lists in CSR form: succ[succOff[i]:succOff[i+1]]
 	succOff []int
 
-	ng, nb     int       // distinct groups / branch tags (slot 0 = common)
-	gnames     []string  // gid -> group name, in first-appearance order
-	gid, bid   []int     // per access -> group / branch index
-	self       []float64 // per gid: same-group overlap penalty
-	structW    []float64 // per gid: self[gid] × StructuralWeight
-	pair       []float64 // gid × gid (row stride ng): distinct-pair penalty
-	cnt        []int     // occupancy counters, [slot][bid][gid] flattened
-	act        []int     // nonzero-group count per [slot][bid]
-	nz         []int     // [slot][bid][:act] ascending nonzero gids (row stride ng)
-	scen       []float64 // [slot][bid], bid > 0: price of common ⊎ branch while active
-	cyc        []float64 // per slot: cycle cost
-	mg, mk     []int     // scratch: merged scenario gids / counts, len ng
-	saved      []float64 // scratch: place's saved [scen row, cyc] per touched slot
-	savedSlot  []int     // scratch: the slot of each saved row, -1 once restored
-	structured []int     // scratch for structuralCost, len ng
+	ng, nb   int       // distinct groups / branch tags (slot 0 = common)
+	gid, bid []int     // per access -> group / branch index
+	self     []float64 // per gid: same-group overlap penalty
+	structW  []float64 // per gid: self[gid] × StructuralWeight
+	pair     []float64 // gid × gid (row stride ng): distinct-pair penalty
+	conf     []uint64  // per gid: groupBit of the group and of every group with a nonzero pair penalty
 }
 
-// succs returns the successor IDs of access id.
-func (s *scheduler) succs(id int) []int {
-	return s.succ[s.succOff[id]:s.succOff[id+1]:s.succOff[id+1]]
-}
+// groupBit is the bit of gid g in a group mask. Loops with more than 64
+// groups share bits modulo 64: a shared bit can only make a mask test
+// report a conflict that is not there, never hide one.
+func groupBit(g int) uint64 { return 1 << (uint(g) & 63) }
 
-// newScheduler builds the dense working state on the given arena (nil falls
+// newLoopBody enumerates the loop's groups and branch tags (linear scans over
+// the few distinct names, no map) and precomputes everything the balancer
+// reads that does not depend on the budget, on the given arena (nil falls
 // back to plain allocation, for tests).
-func newScheduler(l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p Params, ar *scratch.Arena) *scheduler {
+func newLoopBody(l *spec.Loop, groups map[string]spec.BasicGroup, p Params, ar *scratch.Arena) loopBody {
 	n := len(l.Accesses)
-	s := &scheduler{
-		l: l, groups: groups, p: p, ar: ar, budget: budget,
-		dur:   ar.Ints(n),
-		start: make([]int, n),
-		gid:   ar.Ints(n),
-		bid:   ar.Ints(n),
-		nb:    1,
+	b := loopBody{
+		l: l, p: p,
+		dur:    ar.Ints(n),
+		maxDur: 1,
+		gid:    ar.Ints(n),
+		bid:    ar.Ints(n),
 	}
-	s.order = dfg.TopoOrderScratch(l, ar)
+	b.order = dfg.TopoOrderScratch(l, ar)
 	// Successor lists, CSR: count per node, prefix-sum, fill. The fill
 	// visits accesses in slice order, so each node's successors appear in
 	// the same order the old per-node append produced.
@@ -405,8 +366,8 @@ func newScheduler(l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p
 	for i := range l.Accesses {
 		edges += len(l.Accesses[i].Deps)
 	}
-	s.succOff = ar.Ints(n + 1)
-	s.succ = ar.Ints(edges)
+	b.succOff = ar.Ints(n + 1)
+	b.succ = ar.Ints(edges)
 	cur := ar.Ints(n)
 	for i := range l.Accesses {
 		for _, d := range l.Accesses[i].Deps {
@@ -415,38 +376,36 @@ func newScheduler(l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p
 	}
 	sum := 0
 	for i := 0; i < n; i++ {
-		s.succOff[i] = sum
+		b.succOff[i] = sum
 		sum += cur[i]
-		cur[i] = s.succOff[i]
+		cur[i] = b.succOff[i]
 	}
-	s.succOff[n] = sum
-	s.gnames = ar.Strings(n)[:0]
+	b.succOff[n] = sum
+	gnames := ar.Strings(n)[:0]
 	bnames := ar.Strings(n + 1)[:0]
 	bnames = append(bnames, "")
-	maxDur := 1
 	for i := range l.Accesses {
 		a := &l.Accesses[i]
-		s.dur[i] = p.Duration(groups[a.Group])
-		if s.dur[i] > maxDur {
-			maxDur = s.dur[i]
+		b.dur[i] = p.Duration(groups[a.Group])
+		if b.dur[i] > b.maxDur {
+			b.maxDur = b.dur[i]
 		}
-		s.start[i] = -1
 		for _, d := range a.Deps {
-			s.succ[cur[d]] = a.ID
+			b.succ[cur[d]] = a.ID
 			cur[d]++
 		}
 		gi := -1
-		for j, gn := range s.gnames {
+		for j, gn := range gnames {
 			if gn == a.Group {
 				gi = j
 				break
 			}
 		}
 		if gi < 0 {
-			gi = len(s.gnames)
-			s.gnames = append(s.gnames, a.Group)
+			gi = len(gnames)
+			gnames = append(gnames, a.Group)
 		}
-		s.gid[i] = gi
+		b.gid[i] = gi
 		bi := -1
 		for j, bn := range bnames {
 			if bn == a.Branch {
@@ -458,46 +417,129 @@ func newScheduler(l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p
 			bi = len(bnames)
 			bnames = append(bnames, a.Branch)
 		}
-		s.bid[i] = bi
+		b.bid[i] = bi
 	}
-	s.nb = len(bnames)
-	s.ng = len(s.gnames)
-	s.self = ar.Float64s(s.ng)
-	s.structW = ar.Float64s(s.ng)
-	s.pair = ar.Float64s(s.ng * s.ng)
-	for i, gn := range s.gnames {
+	b.nb = len(bnames)
+	b.ng = len(gnames)
+	b.self = ar.Float64s(b.ng)
+	b.structW = ar.Float64s(b.ng)
+	b.pair = ar.Float64s(b.ng * b.ng)
+	b.conf = ar.Uint64s(b.ng)
+	for i, gn := range gnames {
 		g := groups[gn]
-		s.self[i] = p.selfPenalty(g)
-		s.structW[i] = s.self[i] * p.StructuralWeight
+		b.self[i] = p.selfPenalty(g)
+		b.structW[i] = b.self[i] * p.StructuralWeight
+		b.conf[i] |= groupBit(i)
 	}
-	for i := 0; i < s.ng; i++ {
-		for j := i + 1; j < s.ng; j++ {
-			v := p.pairPenalty(groups[s.gnames[i]], groups[s.gnames[j]])
-			s.pair[i*s.ng+j], s.pair[j*s.ng+i] = v, v
+	for i := 0; i < b.ng; i++ {
+		for j := i + 1; j < b.ng; j++ {
+			v := p.pairPenalty(groups[gnames[i]], groups[gnames[j]])
+			b.pair[i*b.ng+j], b.pair[j*b.ng+i] = v, v
+			if v != 0 {
+				b.conf[i] |= groupBit(j)
+				b.conf[j] |= groupBit(i)
+			}
 		}
+	}
+	return b
+}
+
+// succs returns the successor IDs of access id.
+func (b *loopBody) succs(id int) []int {
+	return b.succ[b.succOff[id]:b.succOff[id+1]:b.succOff[id+1]]
+}
+
+// scheduler is the working state for balancing one loop body at one budget.
+// In linear mode the occupancy table spans the budget; in pipelined (modulo)
+// mode it spans one initiation interval and accesses wrap around it.
+//
+// The inner loop — trialCost, during placement and local search — runs
+// millions of times per exploration sweep. The state it reads is dense,
+// sparse and cached, and a trial writes none of it:
+//
+//   - Dense: the loop body (ids, durations, penalty tables) is built once per
+//     cost curve; the occupancy table is a flat counter array indexed by
+//     (slot, branch, group). All of it is carved from pooled scratch arenas,
+//     so building and discarding a scheduler allocates only the start slice
+//     that outlives it in the returned LoopSchedule.
+//   - Sparse: next to every (slot, branch) counter row, nz keeps the
+//     ascending list of its nonzero gids (act holds the list length). A row
+//     rarely has more than one or two, so a scenario is priced by merging
+//     short lists instead of scanning every group.
+//   - Cached: scen holds the price of every active branch scenario (common ⊎
+//     branch), cyc the resulting cycle cost — the worst active scenario, or
+//     the common part alone when no branch is active — and mask the groups
+//     present in each (slot, branch) row. A count change in branch b
+//     re-prices only scenario b; a change in the common row re-prices the
+//     active scenarios once.
+//
+// A trial computes each touched slot's new cycle cost without changing any
+// state: peekCyc re-prices exactly the scenarios reprice would after the
+// count change, with the access merged into the price (priceWith). Most
+// trials need no pricing at all. When no group present in the scenarios the
+// placement re-prices is the access's own group or one it has a nonzero pair
+// penalty with (scenMask & conf[g] == 0), the new cycle cost equals the old
+// one bit for bit: the access adds only +0 terms (a count of one has no self term) to
+// sums of non-negative terms, which leaves every partial sum unchanged; and a
+// branch scenario it newly activates prices like the common part alone,
+// which never exceeds an active scenario's price and equals the common-only
+// cost when none was active.
+//
+// The returned trial cost, and cost itself, carry the rounding of the
+// historical place-then-remove sequence, which the pinned schedules depend
+// on: a trial replays on cost, per touched slot in order, cost -= old;
+// cost += new, reads cost, then per slot in order cost -= new; cost += old.
+// An access longer than the initiation interval visits one slot twice and
+// takes the real place and unplace instead; unplace re-prices to the bits
+// the slot held before.
+//
+// Every cached value is recomputed from the counters by the same sequence of
+// float additions the dense definition performs (zero terms add nothing), so
+// the balanced schedules and their cost bits do not depend on the caching.
+type scheduler struct {
+	loopBody
+	ar     *scratch.Arena
+	budget int   // linear budget, or the initiation interval when pipelined
+	start  []int // per access, -1 = unplaced (heap: escapes via LoopSchedule)
+	cost   float64
+
+	cnt        []int     // occupancy counters, [slot][bid][gid] flattened
+	act        []int     // nonzero-group count per [slot][bid]
+	nz         []int     // [slot][bid][:act] ascending nonzero gids (row stride ng)
+	scen       []float64 // [slot][bid], bid > 0: price of common ⊎ branch while active
+	cyc        []float64 // per slot: cycle cost
+	mask       []uint64  // per [slot][bid]: groupBit of every group present in the row
+	mg, mk     []int     // scratch: merged scenario gids / counts, len ng
+	fresh      []float64 // scratch: a trial's new cycle cost per touched slot, len maxDur
+	structured []int     // scratch for structuralCost, len ng
+
+	trials, freeTrials int // trialCost calls, and those no slot of which needed pricing
+}
+
+// newScheduler builds the per-budget working state for the body on the
+// given arena (nil falls back to plain allocation, for tests).
+func (b *loopBody) newScheduler(budget int, ar *scratch.Arena) *scheduler {
+	s := &scheduler{loopBody: *b, ar: ar, budget: budget, start: make([]int, len(b.dur))}
+	for i := range s.start {
+		s.start[i] = -1
 	}
 	s.cnt = ar.Ints(budget * s.nb * s.ng)
 	s.act = ar.Ints(budget * s.nb)
 	s.nz = ar.Ints(budget * s.nb * s.ng)
 	s.scen = ar.Float64s(budget * s.nb)
 	s.cyc = ar.Float64s(budget)
+	s.mask = ar.Uint64s(budget * s.nb)
 	s.mg = ar.Ints(s.ng)
 	s.mk = ar.Ints(s.ng)
-	s.saved = ar.Float64s(maxDur * (s.nb + 1))
-	s.savedSlot = ar.Ints(maxDur)
+	s.fresh = ar.Float64s(s.maxDur)
 	s.structured = ar.Ints(s.ng)
 	return s
 }
 
-// price prices one effective access pattern of a slot: the common row alone
-// (b == 0) or the common row plus branch b. Same-group overlap is priced
-// superlinearly: every extra port on a memory costs more than the previous
-// one, so the balancer prefers two cycles with doubled accesses over one
-// cycle with quadrupled accesses. Only the nonzero groups are visited —
-// the two rows' ascending nonzero lists merged — and their terms are added
-// in the dense order: ascending i, its self term, then its pair terms in
-// ascending j.
-func (s *scheduler) price(slot, b int) float64 {
+// merge fills mg/mk with the ascending gids and counts of one effective
+// access pattern of a slot — the common row alone (b == 0) or the common row
+// plus branch b — and returns their number.
+func (s *scheduler) merge(slot, b int) int {
 	row := slot * s.nb
 	cb := row * s.ng
 	common := s.nz[cb : cb+s.act[row]]
@@ -507,28 +549,37 @@ func (s *scheduler) price(slot, b int) float64 {
 			s.mg[m], s.mk[m] = g, s.cnt[cb+g]
 			m++
 		}
-	} else {
-		bb := (row + b) * s.ng
-		br := s.nz[bb : bb+s.act[row+b]]
-		x, y := 0, 0
-		for x < len(common) || y < len(br) {
-			var g int
-			switch {
-			case y == len(br) || (x < len(common) && common[x] < br[y]):
-				g = common[x]
-				x++
-			case x == len(common) || br[y] < common[x]:
-				g = br[y]
-				y++
-			default:
-				g = common[x]
-				x++
-				y++
-			}
-			s.mg[m], s.mk[m] = g, s.cnt[cb+g]+s.cnt[bb+g]
-			m++
-		}
+		return m
 	}
+	bb := (row + b) * s.ng
+	br := s.nz[bb : bb+s.act[row+b]]
+	x, y := 0, 0
+	for x < len(common) || y < len(br) {
+		var g int
+		switch {
+		case y == len(br) || (x < len(common) && common[x] < br[y]):
+			g = common[x]
+			x++
+		case x == len(common) || br[y] < common[x]:
+			g = br[y]
+			y++
+		default:
+			g = common[x]
+			x++
+			y++
+		}
+		s.mg[m], s.mk[m] = g, s.cnt[cb+g]+s.cnt[bb+g]
+		m++
+	}
+	return m
+}
+
+// sum prices the pattern merge left in mg/mk[:m]. Same-group overlap is
+// priced superlinearly: every extra port on a memory costs more than the
+// previous one, so the balancer prefers two cycles with doubled accesses
+// over one cycle with quadrupled accesses. Terms are added in the dense
+// order: ascending i, its self term, then its pair terms in ascending j.
+func (s *scheduler) sum(m int) float64 {
 	var c float64
 	for x := 0; x < m; x++ {
 		i := s.mg[x]
@@ -541,6 +592,29 @@ func (s *scheduler) price(slot, b int) float64 {
 		}
 	}
 	return c
+}
+
+// price prices one effective access pattern of a slot: the common row alone
+// (b == 0) or the common row plus branch b.
+func (s *scheduler) price(slot, b int) float64 { return s.sum(s.merge(slot, b)) }
+
+// priceWith is price with one more access of group x in the pattern — the
+// value price returns after that count change — computed without making it.
+func (s *scheduler) priceWith(slot, b, x int) float64 {
+	m := s.merge(slot, b)
+	j := 0
+	for j < m && s.mg[j] < x {
+		j++
+	}
+	if j < m && s.mg[j] == x {
+		s.mk[j]++
+	} else {
+		copy(s.mg[j+1:m+1], s.mg[j:m])
+		copy(s.mk[j+1:m+1], s.mk[j:m])
+		s.mg[j], s.mk[j] = x, 1
+		m++
+	}
+	return s.sum(m)
 }
 
 // reprice refreshes a slot's cached costs after a count change in branch b.
@@ -578,6 +652,45 @@ func (s *scheduler) reprice(slot, b int) {
 	s.cyc[slot] = worst
 }
 
+// peekCyc returns the cycle cost a slot would have with one more access of
+// group x under branch b: the value inc followed by reprice would leave in
+// cyc, from the same scenario prices compared in the same order.
+func (s *scheduler) peekCyc(slot, b, x int) float64 {
+	row := slot * s.nb
+	worst := 0.0
+	if b > 0 {
+		for bb := 1; bb < s.nb; bb++ {
+			var c float64
+			switch {
+			case bb == b:
+				c = s.priceWith(slot, b, x)
+			case s.act[row+bb] > 0:
+				c = s.scen[row+bb]
+			default:
+				continue
+			}
+			if c > worst {
+				worst = c
+			}
+		}
+		return worst
+	}
+	anyBranch := false
+	for bb := 1; bb < s.nb; bb++ {
+		if s.act[row+bb] == 0 {
+			continue
+		}
+		anyBranch = true
+		if c := s.priceWith(slot, bb, x); c > worst {
+			worst = c
+		}
+	}
+	if !anyBranch {
+		worst = s.priceWith(slot, 0, x)
+	}
+	return worst
+}
+
 // slot maps an absolute cycle to an occupancy slot: identity in linear
 // mode, modulo the initiation interval when pipelined.
 func (s *scheduler) slot(k int) int {
@@ -599,6 +712,7 @@ func (s *scheduler) inc(slot, b, g int) {
 		}
 		list[j] = g
 		s.act[row]++
+		s.mask[row] |= groupBit(g)
 	}
 }
 
@@ -613,20 +727,34 @@ func (s *scheduler) dec(slot, b, g int) {
 		}
 		copy(list[j:], list[j+1:])
 		s.act[row]--
+		// g may share its bit with another group of the row: rebuild.
+		var m uint64
+		for _, h := range list[:len(list)-1] {
+			m |= groupBit(h)
+		}
+		s.mask[row] = m
 	}
 }
 
-// place puts access id at cycle c, updating occupancy and cost. It saves
-// each touched slot's cached costs before changing them, for undoPlace.
+// scenMask returns the groups present in the scenarios a count change in
+// branch b of a slot re-prices: common ⊎ b, or every row when b == 0.
+func (s *scheduler) scenMask(slot, b int) uint64 {
+	row := slot * s.nb
+	if b > 0 {
+		return s.mask[row] | s.mask[row+b]
+	}
+	var m uint64
+	for r := row; r < row+s.nb; r++ {
+		m |= s.mask[r]
+	}
+	return m
+}
+
+// place puts access id at cycle c, updating occupancy and cost.
 func (s *scheduler) place(id, c int) {
 	g, b := s.gid[id], s.bid[id]
-	w := s.nb + 1
-	for i := 0; i < s.dur[id]; i++ {
-		slot := s.slot(c + i)
-		sv := s.saved[i*w : (i+1)*w]
-		copy(sv, s.scen[slot*s.nb:(slot+1)*s.nb])
-		sv[s.nb] = s.cyc[slot]
-		s.savedSlot[i] = slot
+	for k := c; k < c+s.dur[id]; k++ {
+		slot := s.slot(k)
 		s.cost -= s.cyc[slot]
 		s.inc(slot, b, g)
 		s.reprice(slot, b)
@@ -649,39 +777,42 @@ func (s *scheduler) unplace(id int) {
 	s.start[id] = -1
 }
 
-// undoPlace is unplace for the access placed by the latest place call: it
-// restores the cached costs place saved instead of re-pricing. The counters
-// return to exactly the saved states, so the restored values are the ones
-// re-pricing would compute. A pipelined access longer than the interval
-// visits one slot more than once; each removal step restores the latest
-// save of that slot not yet restored, which is the slot's state one count
-// lower.
-func (s *scheduler) undoPlace(id int) {
-	g, b := s.gid[id], s.bid[id]
-	w := s.nb + 1
-	d := s.dur[id]
-	for i := 0; i < d; i++ {
-		slot := s.slot(s.start[id] + i)
-		s.cost -= s.cyc[slot]
-		s.dec(slot, b, g)
-		j := d - 1
-		for s.savedSlot[j] != slot {
-			j--
-		}
-		s.savedSlot[j] = -1
-		sv := s.saved[j*w : (j+1)*w]
-		copy(s.scen[slot*s.nb:(slot+1)*s.nb], sv)
-		s.cyc[slot] = sv[s.nb]
-		s.cost += s.cyc[slot]
-	}
-	s.start[id] = -1
-}
-
-// trialCost returns the cost after hypothetically placing id at c.
+// trialCost returns the cost after hypothetically placing the unplaced
+// access id at c. It leaves the occupancy and cached prices untouched and
+// cost as place followed by unplace would (see the scheduler comment).
 func (s *scheduler) trialCost(id, c int) float64 {
-	s.place(id, c)
+	s.trials++
+	g, b, d := s.gid[id], s.bid[id], s.dur[id]
+	if d > s.budget { // pipelined: the access wraps onto a slot twice
+		s.place(id, c)
+		v := s.cost
+		s.unplace(id)
+		return v
+	}
+	fresh := s.fresh[:d]
+	conf := s.conf[g]
+	free := true
+	for i := range fresh {
+		slot := s.slot(c + i)
+		if s.scenMask(slot, b)&conf == 0 {
+			fresh[i] = s.cyc[slot]
+		} else {
+			fresh[i] = s.peekCyc(slot, b, g)
+			free = false
+		}
+	}
+	if free {
+		s.freeTrials++
+	}
+	for i, nv := range fresh {
+		s.cost -= s.cyc[s.slot(c+i)]
+		s.cost += nv
+	}
 	v := s.cost
-	s.undoPlace(id)
+	for i, nv := range fresh {
+		s.cost -= nv
+		s.cost += s.cyc[s.slot(c+i)]
+	}
 	return v
 }
 
@@ -805,7 +936,15 @@ func BalanceLoopContext(ctx context.Context, l *spec.Loop, groups map[string]spe
 	}
 	ar := scratch.Get()
 	defer scratch.Put(ar)
-	s := newScheduler(l, groups, budget, p, ar)
+	body := newLoopBody(l, groups, p, ar)
+	return body.balance(ctx, budget, ar)
+}
+
+// balance is BalanceLoopContext for a prepared body and a budget of at least
+// one; the per-budget state is carved from ar.
+func (b *loopBody) balance(ctx context.Context, budget int, ar *scratch.Arena) (*LoopSchedule, error) {
+	l, p := b.l, b.p
+	s := b.newScheduler(budget, ar)
 	var asap, alap []int
 	var err error
 	if p.Pipelined {
@@ -878,6 +1017,8 @@ func BalanceLoopContext(ctx context.Context, l *spec.Loop, groups map[string]spe
 		o.Counter("sbd.balance_calls").Add(1)
 		o.Counter("sbd.balance_passes").Add(int64(passes))
 		o.Counter("sbd.balance_moves").Add(int64(moves))
+		o.Counter("sbd.trials").Add(int64(s.trials))
+		o.Counter("sbd.trials_conflict_free").Add(int64(s.freeTrials))
 	}
 	weighted := s.cost * float64(l.Iterations)
 	structural := s.structuralCost()
@@ -1266,6 +1407,8 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		max    int             // budget beyond which cost is zero anyway
 		scheds []*LoopSchedule // index: budget - min
 		chosen int             // index into scheds
+		body   loopBody        // built on the first curve point not cached
+		built  bool
 	}
 	curves := make([]*curve, 0, len(s.Loops))
 	fpNames := ar.Strings(16)[:0]
@@ -1333,15 +1476,23 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		err error
 	}
 	kb := ar.Buf(1024)
+	compute := func(cv *curve, b int) (*LoopSchedule, error) {
+		if !cv.built {
+			cv.body, cv.built = newLoopBody(cv.loop, groups, p, ar), true
+		}
+		pa := scratch.Get()
+		defer scratch.Put(pa)
+		return cv.body.balance(ctx, b, pa)
+	}
 	balance := func(cv *curve, b int) (*LoopSchedule, error) {
 		if p.Memo == nil {
-			return BalanceLoopContext(ctx, cv.loop, groups, b, p)
+			return compute(cv, b)
 		}
 		kb = append(kb[:0], cv.fp...)
 		kb = append(kb, '#')
 		kb = strconv.AppendInt(kb, int64(b), 10)
 		r := p.Memo.DoKey(memo.Schedule, kb, func() (any, bool) {
-			sc, err := BalanceLoopContext(ctx, cv.loop, groups, b, p)
+			sc, err := compute(cv, b)
 			return schedResult{sc, err}, err != nil || !sc.Degraded
 		}).(schedResult)
 		return r.sc, r.err

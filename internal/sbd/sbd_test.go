@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -37,9 +38,21 @@ func fanInSpec(t *testing.T, nReads, tailLen int, iters uint64) *spec.Spec {
 // earlier-access dependences, and up to three branch tags mixed with
 // unconditional code. The same seed always yields the same spec.
 func randomSpec(seed int64) *spec.Spec {
+	return genSpec(fmt.Sprintf("rand%d", seed), seed, 2, 6, 4, 11)
+}
+
+// wideSpec is randomSpec with 65–80 groups and 30–59 accesses: more groups
+// than a mask has bits, so some groups share one.
+func wideSpec(seed int64) *spec.Spec {
+	return genSpec(fmt.Sprintf("wide%d", seed), seed, 65, 16, 30, 30)
+}
+
+// genSpec draws minGroups + [0, groupSpan) groups and minAcc + [0, accSpan)
+// accesses from the seed.
+func genSpec(name string, seed int64, minGroups, groupSpan, minAcc, accSpan int) *spec.Spec {
 	rng := rand.New(rand.NewSource(seed))
-	b := spec.NewBuilder(fmt.Sprintf("rand%d", seed))
-	ng := 2 + rng.Intn(6)
+	b := spec.NewBuilder(name)
+	ng := minGroups + rng.Intn(groupSpan)
 	for g := 0; g < ng; g++ {
 		words := int64(16) << rng.Intn(8)
 		if rng.Intn(3) == 0 {
@@ -48,7 +61,7 @@ func randomSpec(seed int64) *spec.Spec {
 		b.Group(fmt.Sprintf("g%d", g), words, 8<<rng.Intn(2))
 	}
 	b.Loop("l", 1+uint64(rng.Intn(1000)))
-	n := 4 + rng.Intn(11)
+	n := minAcc + rng.Intn(accSpan)
 	nbr := rng.Intn(4)
 	for i := 0; i < n; i++ {
 		tag := ""
@@ -380,7 +393,8 @@ func bruteForceBalance(t *testing.T, l *spec.Loop, groups map[string]spec.BasicG
 	var rec func(i int)
 	rec = func(i int) {
 		if i == n {
-			s := newScheduler(l, groups, budget, p, nil)
+			body := newLoopBody(l, groups, p, nil)
+			s := body.newScheduler(budget, nil)
 			for id, st := range starts {
 				s.place(id, st)
 			}
@@ -714,16 +728,40 @@ func (r *denseRef) move(id, c, delta int) {
 	}
 }
 
+// liveState snapshots the scheduler state a trial must leave untouched: the
+// counters, the live prefix of every nonzero list, the price of every active
+// branch scenario, the cycle costs and the group masks. Entries past a
+// list's length and prices of inactive scenarios are dead and never read.
+func liveState(s *scheduler) string {
+	var b strings.Builder
+	fmt.Fprint(&b, s.cnt, s.act, s.cyc, s.mask)
+	for r, n := range s.act {
+		fmt.Fprint(&b, s.nz[r*s.ng:r*s.ng+n])
+		if r%s.nb != 0 && n > 0 {
+			fmt.Fprintf(&b, "%x", math.Float64bits(s.scen[r]))
+		}
+	}
+	return b.String()
+}
+
 // TestCachedCostsMatchDense drives random place/unplace/trialCost
 // sequences through the scheduler and a dense from-scratch reference, and
-// requires the running cost, every trial value and every cached cycle cost
-// to agree bit for bit. The loops carry branches and off-chip groups of
-// 2–4 cycles; pipelined budgets go below the access duration, so one access
-// wraps onto the same slot more than once.
+// requires the running cost, every trial value, every cached cycle cost and
+// every row's group mask to agree bit for bit. The loops carry branches and
+// off-chip groups of 2–4 cycles; pipelined budgets go below the access
+// duration, so one access wraps onto the same slot more than once. Every
+// trial must leave the scheduler's occupancy and cached prices as it found
+// them, and all three trial paths — closed form on conflict-free slots,
+// priced, and the wrap fallback — must be exercised. The last seeds use
+// loops with more than 64 groups, whose masks share bits.
 func TestCachedCostsMatchDense(t *testing.T) {
-	for seed := int64(1); seed <= 150; seed++ {
+	var free, priced, wrapped int
+	for seed := int64(1); seed <= 160; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sp := randomSpec(seed)
+		if seed > 150 {
+			sp = wideSpec(seed)
+		}
 		l := &sp.Loops[0]
 		p := Params{OffChipCycles: 2 + rng.Intn(3), Pipelined: rng.Intn(2) == 0}
 		p.normalize()
@@ -731,7 +769,8 @@ func TestCachedCostsMatchDense(t *testing.T) {
 		if !p.Pipelined {
 			budget = WeightedCP(l, groupsMap(sp), p) + rng.Intn(4)
 		}
-		s := newScheduler(l, groupsMap(sp), budget, p, nil)
+		body := newLoopBody(l, groupsMap(sp), p, nil)
+		s := body.newScheduler(budget, nil)
 		ref := &denseRef{s: s, cnt: make([]int, len(s.cnt))}
 		randCycle := func(id int) int {
 			if p.Pipelined {
@@ -754,11 +793,24 @@ func TestCachedCostsMatchDense(t *testing.T) {
 				ref.move(id, c, +1)
 				want := ref.cost
 				ref.move(id, c, -1)
+				before, freeBefore := liveState(s), s.freeTrials
 				if got := s.trialCost(id, c); math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("seed %d op %d: trialCost(%d, %d) = %v, dense %v", seed, op, id, c, got, want)
 				}
 				if s.start[id] != -1 {
 					t.Fatalf("seed %d op %d: trialCost left access %d placed", seed, op, id)
+				}
+				if after := liveState(s); after != before {
+					t.Fatalf("seed %d op %d: trialCost(%d, %d) changed the scheduler state:\n%s\n%s",
+						seed, op, id, c, before, after)
+				}
+				switch {
+				case s.dur[id] > budget:
+					wrapped++
+				case s.freeTrials > freeBefore:
+					free++
+				default:
+					priced++
 				}
 			}
 			if math.Float64bits(s.cost) != math.Float64bits(ref.cost) {
@@ -769,6 +821,21 @@ func TestCachedCostsMatchDense(t *testing.T) {
 					t.Fatalf("seed %d op %d: cyc[%d] = %v, dense %v", seed, op, slot, s.cyc[slot], want)
 				}
 			}
+			for row := range s.mask {
+				var mask uint64
+				for g, k := range ref.cnt[row*s.ng : (row+1)*s.ng] {
+					if k != 0 {
+						mask |= groupBit(g)
+					}
+				}
+				if s.mask[row] != mask {
+					t.Fatalf("seed %d op %d: mask[%d] = %#x, dense %#x", seed, op, row, s.mask[row], mask)
+				}
+			}
 		}
+	}
+	t.Logf("trials: %d conflict-free, %d priced, %d wrapped", free, priced, wrapped)
+	if free == 0 || priced == 0 || wrapped == 0 {
+		t.Fatalf("a trial path went unexercised: %d conflict-free, %d priced, %d wrapped", free, priced, wrapped)
 	}
 }

@@ -88,6 +88,7 @@ func (c *chunked[T]) poison(v T) {
 type Arena struct {
 	ints  chunked[int]
 	f64s  chunked[float64]
+	u64s  chunked[uint64]
 	bytes chunked[byte]
 	strs  chunked[string]
 }
@@ -106,6 +107,14 @@ func (a *Arena) Float64s(n int) []float64 {
 		return make([]float64, n)
 	}
 	return a.f64s.grab(n)
+}
+
+// Uint64s returns a zeroed []uint64 of length n, valid until Reset.
+func (a *Arena) Uint64s(n int) []uint64 {
+	if a == nil {
+		return make([]uint64, n)
+	}
+	return a.u64s.grab(n)
 }
 
 // Bytes returns a zeroed []byte of length n, valid until Reset.
@@ -145,6 +154,7 @@ func (a *Arena) Reset() {
 	}
 	a.ints.reset()
 	a.f64s.reset()
+	a.u64s.reset()
 	a.bytes.reset()
 	a.strs.reset()
 }
@@ -158,6 +168,7 @@ func (a *Arena) Poison() {
 	}
 	a.ints.poison(-0x5a5a5a5a)
 	a.f64s.poison(math.NaN())
+	a.u64s.poison(0x5a5a5a5a5a5a5a5a)
 	a.bytes.poison(0xa5)
 	a.strs.poison("POISON")
 }

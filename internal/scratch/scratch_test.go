@@ -35,6 +35,9 @@ func TestNilArenaFallsBackToHeap(t *testing.T) {
 	if got := a.Float64s(3); len(got) != 3 {
 		t.Fatalf("nil arena Float64s: len %d, want 3", len(got))
 	}
+	if got := a.Uint64s(2); len(got) != 2 {
+		t.Fatalf("nil arena Uint64s: len %d, want 2", len(got))
+	}
 	if got := a.Buf(16); len(got) != 0 || cap(got) < 16 {
 		t.Fatalf("nil arena Buf: len %d cap %d", len(got), cap(got))
 	}
@@ -54,7 +57,7 @@ func TestPoisonedRecycledArenaIsReset(t *testing.T) {
 		// Use the arena with arbitrary grab patterns and scribble on them.
 		for g := 0; g < 1+rng.Intn(8); g++ {
 			n := 1 + rng.Intn(3000)
-			switch rng.Intn(4) {
+			switch rng.Intn(5) {
 			case 0:
 				s := a.Ints(n)
 				for i := range s {
@@ -73,6 +76,11 @@ func TestPoisonedRecycledArenaIsReset(t *testing.T) {
 				for i := range s {
 					s[i] = "garbage"
 				}
+			case 4:
+				s := a.Uint64s(n)
+				for i := range s {
+					s[i] = rng.Uint64()
+				}
 			}
 		}
 		// Corrupt everything the arena holds, then recycle it.
@@ -88,6 +96,11 @@ func TestPoisonedRecycledArenaIsReset(t *testing.T) {
 		for i, v := range a.Float64s(n) {
 			if v != 0 || math.Signbit(v) {
 				t.Fatalf("round %d: recycled Float64s[%d] = %v, want +0", round, i, v)
+			}
+		}
+		for i, v := range a.Uint64s(n) {
+			if v != 0 {
+				t.Fatalf("round %d: recycled Uint64s[%d] = %#x, want 0", round, i, v)
 			}
 		}
 		for i, v := range a.Bytes(n) {

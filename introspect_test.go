@@ -130,28 +130,30 @@ func TestMetricsPromStableNames(t *testing.T) {
 	}
 
 	required := map[string]string{
-		"dtse_http_requests_total":           "counter",
-		"dtse_http_responses_total":          "counter",
-		"dtse_http_inflight":                 "gauge",
-		"dtse_http_queued":                   "gauge",
-		"dtse_http_draining":                 "gauge",
-		"dtse_explorations_open":             "gauge",
-		"dtse_flightrecorder_recorded_total": "counter",
-		"dtse_flightrecorder_entries":        "gauge",
-		"dtse_request_duration_seconds":      "histogram",
-		"dtse_memo_hits_total":               "counter",
-		"dtse_memo_misses_total":             "counter",
-		"dtse_memo_inflight_waits_total":     "counter",
-		"dtse_memo_contended_total":          "counter",
-		"dtse_memo_entries":                  "gauge",
-		"dtse_memo_lookup_seconds":           "histogram",
-		"dtse_pool_task_seconds":             "histogram",
-		"dtse_stage_duration_seconds":        "histogram",
-		"dtse_server_requests_total":         "counter",
-		"dtse_go_heap_alloc_bytes":           "gauge",
-		"dtse_go_mallocs_total":              "counter",
-		"dtse_go_gc_cycles_total":            "counter",
-		"dtse_go_gc_last_pause_seconds":      "gauge",
+		"dtse_http_requests_total":            "counter",
+		"dtse_http_responses_total":           "counter",
+		"dtse_http_inflight":                  "gauge",
+		"dtse_http_queued":                    "gauge",
+		"dtse_http_draining":                  "gauge",
+		"dtse_explorations_open":              "gauge",
+		"dtse_flightrecorder_recorded_total":  "counter",
+		"dtse_flightrecorder_entries":         "gauge",
+		"dtse_request_duration_seconds":       "histogram",
+		"dtse_memo_hits_total":                "counter",
+		"dtse_memo_misses_total":              "counter",
+		"dtse_memo_inflight_waits_total":      "counter",
+		"dtse_memo_contended_total":           "counter",
+		"dtse_memo_entries":                   "gauge",
+		"dtse_memo_lookup_seconds":            "histogram",
+		"dtse_pool_task_seconds":              "histogram",
+		"dtse_stage_duration_seconds":         "histogram",
+		"dtse_server_requests_total":          "counter",
+		"dtse_sbd_trials_total":               "counter",
+		"dtse_sbd_trials_conflict_free_total": "counter",
+		"dtse_go_heap_alloc_bytes":            "gauge",
+		"dtse_go_mallocs_total":               "counter",
+		"dtse_go_gc_cycles_total":             "counter",
+		"dtse_go_gc_last_pause_seconds":       "gauge",
 	}
 	for name, typ := range required {
 		if got, ok := families[name]; !ok {
