@@ -296,7 +296,10 @@ type LoopSchedule struct {
 	Start  []int // access ID -> start cycle
 	// WeightedCost is the occurrence conflict cost × loop iterations;
 	// StructuralCost prices the worst per-group multiplicity the schedule
-	// forces, independent of iterations. Cost is their sum.
+	// forces, independent of iterations. Cost is their sum. None of the
+	// three is ever negative: a conflict cost is a sum of non-negative
+	// terms, and the balancer clamps the rounding drift of its running
+	// total at zero (the distributor's early stop depends on it).
 	WeightedCost   float64
 	StructuralCost float64
 	Cost           float64
@@ -1020,7 +1023,11 @@ func (b *loopBody) balance(ctx context.Context, budget int, ar *scratch.Arena) (
 		o.Counter("sbd.trials").Add(int64(s.trials))
 		o.Counter("sbd.trials_conflict_free").Add(int64(s.freeTrials))
 	}
-	weighted := s.cost * float64(l.Iterations)
+	// The running cost is a sum of non-negative cycle costs kept by
+	// subtract-then-add updates, so rounding can leave it a few ulps below
+	// zero where the true cost is 0. Clamp it: a schedule never costs less
+	// than nothing, and the distributor's early stop relies on that.
+	weighted := max(s.cost, 0) * float64(l.Iterations)
 	structural := s.structuralCost()
 	return &LoopSchedule{
 		Loop:           l.Name,
