@@ -2,6 +2,7 @@ package sbd_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"math"
@@ -10,12 +11,15 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/bgstruct"
 	"repro/internal/core"
+	"repro/internal/memo"
+	"repro/internal/reuse"
 	"repro/internal/sbd"
 	"repro/internal/spec"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/schedules.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // goldenBudgets lists the budgets a loop is balanced at: the weighted
 // critical path, one cycle above it and halfway to the serial schedule in
@@ -109,12 +113,19 @@ func TestSchedulesGolden(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		appendGolden(t, &buf, sbd.RandomSpec(seed), 64*1024)
 	}
-	golden := filepath.Join("testdata", "schedules.golden")
+	checkGolden(t, "schedules.golden", buf.Bytes())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update, and reports the first differing line.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -123,15 +134,99 @@ func TestSchedulesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	got := buf.Bytes()
 	if bytes.Equal(got, want) {
 		return
 	}
 	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("line %d differs:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			t.Fatalf("%s line %d differs:\n got %s\nwant %s", name, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("line count differs: got %d, want %d", len(gl), len(wl))
+	t.Fatalf("%s line count differs: got %d, want %d", name, len(gl), len(wl))
+}
+
+// TestDistributionsGolden pins the budget distributor's committed output on
+// the specs the methodology distributes: the 256×256 demonstrator spec, its
+// ridge-compacted and ridge/pyr-merged structuring variants, and the three
+// layered hierarchy variants of the merged spec, each at every budget
+// fraction of the linear and the pipelined Table 3 sweep, with the
+// methodology's scaled sbd parameters. One line per (spec, budget, mode)
+// gives the committed per-loop budgets, Used, Degraded, the exact bits of
+// Cost, and the number of conflict patterns with a SHA-256 prefix of their
+// FingerprintPatterns (or the error of an infeasible budget). Regenerate with -update only after a deliberate
+// change to the distributions.
+func TestDistributionsGolden(t *testing.T) {
+	d, err := core.BuildDemonstrator(core.DemoConfig{Size: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted, err := bgstruct.Compact(d.Spec, "ridge", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := bgstruct.Merge(d.Spec, "ridge", "pyr", "pyrridge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type variant struct {
+		name string
+		s    *spec.Spec
+	}
+	variants := []variant{{"untouched", d.Spec}, {"ridge-compacted", compacted}, {"pyr-ridge-merged", merged}}
+	ylocal, yhier := core.HierarchyLayers(d.Config.Size)
+	for _, h := range []struct {
+		name   string
+		layers []reuse.Layer
+	}{
+		{"merged+yhier", []reuse.Layer{yhier}},
+		{"merged+ylocal", []reuse.Layer{ylocal}},
+		{"merged+ylocal+yhier", []reuse.Layer{ylocal, yhier}},
+	} {
+		plan, err := reuse.Plan("image", h.layers, d.ImageProfile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		applied, err := reuse.Apply(merged, plan, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		variants = append(variants, variant{h.name, applied})
+	}
+	base := core.DefaultEvalParams().ScaleTo(d.Config.Size).SBD
+	sweeps := []struct {
+		mode  string
+		fracs []float64
+	}{
+		{"linear", []float64{1.0, 0.95, 0.90, 0.85, 0.82, 0.80, 0.78, 0.75, 0.72, 0.70, 0.68}},
+		{"pipelined", []float64{0.68, 0.60, 0.52, 0.45, 0.40, 0.34, 0.30, 0.26, 0.22}},
+	}
+	var buf bytes.Buffer
+	for _, v := range variants {
+		for _, sw := range sweeps {
+			p := base
+			p.Pipelined = sw.mode == "pipelined"
+			p.Memo = memo.New() // shared across the sweep, as in the methodology
+			for _, f := range sw.fracs {
+				budget := uint64(float64(d.CycleBudget) * f)
+				fmt.Fprintf(&buf, "%s %s budget=%d", v.name, sw.mode, budget)
+				dist, err := sbd.Distribute(v.s, budget, p)
+				if err != nil {
+					fmt.Fprintf(&buf, " error=%q\n", err)
+					continue
+				}
+				buf.WriteString(" loops=")
+				for i, ls := range dist.Loops {
+					if i > 0 {
+						buf.WriteByte(',')
+					}
+					fmt.Fprintf(&buf, "%s:%d", ls.Loop, ls.Budget)
+				}
+				fp := sha256.Sum256([]byte(sbd.FingerprintPatterns(dist.Patterns)))
+				fmt.Fprintf(&buf, " used=%d degraded=%t cost=%016x patterns=%d/%x\n",
+					dist.Used, dist.Degraded, math.Float64bits(dist.Cost), len(dist.Patterns), fp[:8])
+			}
+		}
+	}
+	checkGolden(t, "distributions.golden", buf.Bytes())
 }
