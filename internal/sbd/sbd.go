@@ -324,8 +324,8 @@ func groupsOf(s *spec.Spec) map[string]spec.BasicGroup {
 // loopBody is the budget-independent part of a loop's balancing state: one
 // topological order, the successor lists, the access durations, the dense
 // group and branch ids and the penalty tables. A loop's cost curve balances
-// it at every budget from its critical path up, so the distributor builds
-// the body once per curve and only the occupancy state once per point.
+// it at successive budgets from its critical path up, so the distributor
+// builds the body once per curve and only the occupancy state once per point.
 type loopBody struct {
 	l       *spec.Loop
 	p       Params
@@ -1397,6 +1397,19 @@ func Distribute(s *spec.Spec, totalBudget uint64, p Params) (*Distribution, erro
 // when ctx expires the remaining curve points and budget moves are skipped
 // with Degraded=true. Real infeasibility (budget below the weighted MACP)
 // still errors regardless of the context.
+//
+// Cost curves are built on demand. Each curve starts with its minimum-budget
+// point; the marginal-gain greedy balances point j of a curve only when its
+// scan reaches j, the spend still fits the remaining budget, and the point
+// could still win the round. That last test is exact, not a heuristic:
+// schedule costs are never negative, and IEEE subtraction and division are
+// monotone, so with c0 the cost at the chosen point, point j's gain c0 - c_j
+// is at most c0 and its ratio at most c0/spend_j. That bound only falls as j
+// (and so spend_j) grows, and the round's best ratio only rises, so once
+// c0/spend_j <= bestRatio+1e-12 no later point of the curve can beat the
+// round's best. Every round therefore picks exactly the point a scan over
+// fully built curves picks, and the committed distribution is the same; the
+// points past the bound are never balanced.
 func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p Params) (*Distribution, error) {
 	p.normalize()
 	sp := p.Obs.Child("sbd.distribute")
@@ -1412,7 +1425,8 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		fp     []byte          // schedule-cache fingerprint (when p.Memo is set)
 		min    int             // weighted critical path
 		max    int             // budget beyond which cost is zero anyway
-		scheds []*LoopSchedule // index: budget - min
+		scheds []*LoopSchedule // index: budget - min; the points built so far
+		ended  bool            // scheds holds the whole curve
 		chosen int             // index into scheds
 		body   loopBody        // built on the first curve point not cached
 		built  bool
@@ -1504,46 +1518,63 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		}).(schedResult)
 		return r.sc, r.err
 	}
-	// Build cost curves lazily up to max, then monotonize: a schedule found
+	// extend appends the curve's next point, monotonized: a schedule found
 	// at a smaller budget is valid (and committed) at any larger one. The
-	// minimum-budget point is always built — it is what keeps a degraded
-	// distribution feasible — so cancellation only trims the looser points.
-	for _, cv := range curves {
-		for b := cv.min; b <= cv.max; b++ {
-			if b > cv.min && canceled() {
-				degraded = true
-				break
-			}
-			sc, err := balance(cv, b)
-			if err != nil {
-				return nil, err
-			}
-			cv.scheds = append(cv.scheds, sc)
-			if sc.Cost == 0 {
-				cv.max = b // no point in exploring looser budgets
-				break
-			}
+	// curve ends at the first conflict-free point or at max. It reports
+	// false when the curve has no next point, or cancellation stopped it.
+	extend := func(cv *curve) (bool, error) {
+		if cv.ended {
+			return false, nil
 		}
-		for j := 1; j < len(cv.scheds); j++ {
-			if cv.scheds[j].Cost >= cv.scheds[j-1].Cost {
-				cv.scheds[j] = cv.scheds[j-1]
-			}
+		b := cv.min + len(cv.scheds)
+		if len(cv.scheds) > 0 && canceled() {
+			degraded = true
+			return false, nil
+		}
+		sc, err := balance(cv, b)
+		if err != nil {
+			return false, err
+		}
+		cv.ended = sc.Cost == 0 || b >= cv.max
+		if j := len(cv.scheds); j > 0 && sc.Cost >= cv.scheds[j-1].Cost {
+			sc = cv.scheds[j-1]
+		}
+		cv.scheds = append(cv.scheds, sc)
+		return true, nil
+	}
+	// The minimum-budget point is always built, whatever the context: it is
+	// what keeps a degraded distribution feasible.
+	for _, cv := range curves {
+		if _, err := extend(cv); err != nil {
+			return nil, err
 		}
 	}
 	remaining := totalBudget - minTotal
 	// Marginal-gain allocation with look-ahead (the cost curves need not be
 	// convex): repeatedly advance the loop whose next profitable curve
-	// point buys the largest cost reduction per global cycle spent.
+	// point buys the largest cost reduction per global cycle spent. Points
+	// are balanced as the scan reaches them, until the ratio bound c0/spend
+	// shows that none further along can win the round (see the doc comment).
 	for {
 		best, bestJ := -1, 0
 		bestRatio := 0.0
 		for i, cv := range curves {
-			for j := cv.chosen + 1; j < len(cv.scheds); j++ {
+			c0 := cv.scheds[cv.chosen].Cost
+			for j := cv.chosen + 1; ; j++ {
 				spend := uint64(j-cv.chosen) * cv.loop.Iterations
-				if spend > remaining {
+				if spend > remaining || c0/float64(spend) <= bestRatio+1e-12 {
 					break
 				}
-				gain := cv.scheds[cv.chosen].Cost - cv.scheds[j].Cost
+				if j == len(cv.scheds) {
+					ok, err := extend(cv)
+					if err != nil {
+						return nil, err
+					}
+					if !ok {
+						break
+					}
+				}
+				gain := c0 - cv.scheds[j].Cost
 				if gain <= 0 {
 					continue
 				}
@@ -1586,7 +1617,7 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 			points += len(cv.scheds)
 		}
 		sp.SetInt("loops", int64(len(curves)))
-		sp.SetInt("curve_points", int64(points))
+		sp.SetInt("curve_points", int64(points)) // the points built, not the curves' lengths
 		sp.SetInt("patterns", int64(len(d.Patterns)))
 		sp.SetInt("conflict_groups", int64(len(RequiredPortsCached(p.Memo, d.Patterns))))
 		sp.SetInt("used", int64(d.Used))

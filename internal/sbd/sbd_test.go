@@ -1,6 +1,7 @@
 package sbd
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/memo"
+	"repro/internal/obs"
 	"repro/internal/spec"
 )
 
@@ -837,5 +840,280 @@ func TestCachedCostsMatchDense(t *testing.T) {
 	t.Logf("trials: %d conflict-free, %d priced, %d wrapped", free, priced, wrapped)
 	if free == 0 || priced == 0 || wrapped == 0 {
 		t.Fatalf("a trial path went unexercised: %d conflict-free, %d priced, %d wrapped", free, priced, wrapped)
+	}
+}
+
+// multiLoopSpec builds a seeded random spec of 1–8 loops sharing 2–8
+// groups: iteration counts from 1 to 65 536 spread over every magnitude,
+// group widths of 2–20 bits (irrational penalty proxies, so the running
+// cost drifts by rounding), about a third of the groups off-chip,
+// fractional access counts, random earlier-access dependences and up to
+// three branch tags per loop.
+func multiLoopSpec(seed int64) *spec.Spec {
+	rng := rand.New(rand.NewSource(seed))
+	b := spec.NewBuilder(fmt.Sprintf("multi%d", seed))
+	ng := 2 + rng.Intn(7)
+	for g := 0; g < ng; g++ {
+		words := int64(16) << rng.Intn(8)
+		if rng.Intn(3) == 0 {
+			words = offWords
+		}
+		b.Group(fmt.Sprintf("g%d", g), words, 2+rng.Intn(19))
+	}
+	nl := 1 + rng.Intn(8)
+	for li := 0; li < nl; li++ {
+		b.Loop(fmt.Sprintf("l%d", li), uint64(1+rng.Intn(1<<uint(rng.Intn(17)))))
+		n := 2 + rng.Intn(9)
+		nbr := rng.Intn(4)
+		for i := 0; i < n; i++ {
+			tag := ""
+			if nbr > 0 && rng.Intn(2) == 0 {
+				tag = fmt.Sprintf("br%d", rng.Intn(nbr))
+			}
+			b.Branch(tag)
+			var deps []int
+			for j := 0; j < i && len(deps) < 3; j++ {
+				if rng.Intn(4) == 0 {
+					deps = append(deps, j)
+				}
+			}
+			grp := fmt.Sprintf("g%d", rng.Intn(ng))
+			count := float64(1+rng.Intn(8)) / float64(1+rng.Intn(4))
+			if rng.Intn(3) == 0 {
+				b.Write(grp, count, deps...)
+			} else {
+				b.Read(grp, count, deps...)
+			}
+		}
+		b.Branch("")
+	}
+	return b.MustBuild()
+}
+
+// distributeEager is the reference distributor the demand-driven curves
+// must reproduce: it balances every point of every cost curve up front
+// (each curve from its minimum budget to its first conflict-free point or
+// its serial schedule, monotonized), then runs the marginal-gain greedy
+// over the complete curves. It returns the number of points it balanced.
+func distributeEager(s *spec.Spec, totalBudget uint64, p Params) (*Distribution, int, error) {
+	p.normalize()
+	p.Obs, p.Memo, p.Progress = nil, nil, nil
+	groups := groupsOf(s)
+	type curve struct {
+		loop   *spec.Loop
+		scheds []*LoopSchedule
+		chosen int
+	}
+	var curves []*curve
+	var minTotal uint64
+	points := 0
+	for i := range s.Loops {
+		l := &s.Loops[i]
+		if len(l.Accesses) == 0 {
+			continue
+		}
+		lo, hi := WeightedCP(l, groups, p), 0
+		if p.Pipelined {
+			lo = 1
+		}
+		for _, a := range l.Accesses {
+			d := p.Duration(groups[a.Group])
+			hi += d
+			if p.Pipelined && d > lo {
+				lo = d
+			}
+		}
+		hi = max(hi, lo)
+		minTotal += uint64(lo) * l.Iterations
+		cv := &curve{loop: l}
+		for b := lo; b <= hi; b++ {
+			sc, err := BalanceLoop(l, groups, b, p)
+			if err != nil {
+				return nil, 0, err
+			}
+			points++
+			raw := sc
+			if n := len(cv.scheds); n > 0 && sc.Cost >= cv.scheds[n-1].Cost {
+				sc = cv.scheds[n-1]
+			}
+			cv.scheds = append(cv.scheds, sc)
+			if raw.Cost == 0 {
+				break
+			}
+		}
+		curves = append(curves, cv)
+	}
+	if minTotal > totalBudget {
+		return nil, 0, fmt.Errorf("budget %d below weighted MACP %d", totalBudget, minTotal)
+	}
+	remaining := totalBudget - minTotal
+	for {
+		best, bestJ := -1, 0
+		bestRatio := 0.0
+		for i, cv := range curves {
+			for j := cv.chosen + 1; j < len(cv.scheds); j++ {
+				spend := uint64(j-cv.chosen) * cv.loop.Iterations
+				if spend > remaining {
+					break
+				}
+				gain := cv.scheds[cv.chosen].Cost - cv.scheds[j].Cost
+				if gain <= 0 {
+					continue
+				}
+				if ratio := gain / float64(spend); ratio > bestRatio+1e-12 {
+					best, bestJ, bestRatio = i, j, ratio
+				}
+			}
+		}
+		if best < 0 {
+			break
+		}
+		remaining -= uint64(bestJ-curves[best].chosen) * curves[best].loop.Iterations
+		curves[best].chosen = bestJ
+	}
+	d := &Distribution{TotalBudget: totalBudget}
+	for _, cv := range curves {
+		sc := cv.scheds[cv.chosen]
+		d.Degraded = d.Degraded || sc.Degraded
+		d.Loops = append(d.Loops, sc)
+		d.Used += uint64(sc.Budget) * cv.loop.Iterations
+		d.Cost += sc.Cost
+	}
+	d.Patterns = PatternsOf(s, d.Loops, p)
+	return d, points, nil
+}
+
+// distributePoints runs DistributeContext under a collecting observer and
+// returns the distribution with the number of curve points it built.
+func distributePoints(t *testing.T, ctx context.Context, s *spec.Spec, budget uint64, p Params) (*Distribution, int) {
+	t.Helper()
+	c := obs.NewCollector()
+	root := obs.New(c).Start("test")
+	p.Obs = root
+	d, err := DistributeContext(ctx, s, budget, p)
+	if err != nil {
+		t.Fatalf("%s budget %d: %v", s.Name, budget, err)
+	}
+	root.End()
+	recs := c.Find("sbd.distribute")
+	if len(recs) != 1 {
+		t.Fatalf("%d sbd.distribute spans, want 1", len(recs))
+	}
+	return d, int(recs[0].Fields["curve_points"].(int64))
+}
+
+// sameDistribution reports the first difference between two distributions
+// in the committed output: Used, the Cost bits, Degraded, every loop's
+// budget and start cycles, and the conflict patterns.
+func sameDistribution(got, want *Distribution) string {
+	switch {
+	case got.Used != want.Used:
+		return fmt.Sprintf("used %d, want %d", got.Used, want.Used)
+	case math.Float64bits(got.Cost) != math.Float64bits(want.Cost):
+		return fmt.Sprintf("cost %v, want %v", got.Cost, want.Cost)
+	case got.Degraded != want.Degraded:
+		return fmt.Sprintf("degraded %t, want %t", got.Degraded, want.Degraded)
+	case len(got.Loops) != len(want.Loops):
+		return fmt.Sprintf("%d loops, want %d", len(got.Loops), len(want.Loops))
+	}
+	for i, g := range got.Loops {
+		w := want.Loops[i]
+		if g.Loop != w.Loop || g.Budget != w.Budget || fmt.Sprint(g.Start) != fmt.Sprint(w.Start) {
+			return fmt.Sprintf("loop %s: budget %d start %v, want %s budget %d start %v",
+				g.Loop, g.Budget, g.Start, w.Loop, w.Budget, w.Start)
+		}
+	}
+	if g, w := FingerprintPatterns(got.Patterns), FingerprintPatterns(want.Patterns); g != w {
+		return fmt.Sprintf("patterns %s, want %s", g, w)
+	}
+	return ""
+}
+
+// TestDistributeMatchesEager requires the demand-driven distributor to
+// commit bit for bit what the eager reference commits, on random multi-loop
+// specs in both scheduling modes, at budgets from the weighted MACP to 1.5×
+// of it, with no session cache and with one cache shared across the
+// budgets. It fails unless some case built fewer curve points than the
+// reference, so it cannot pass with the demand-driven path switched off.
+func TestDistributeMatchesEager(t *testing.T) {
+	cases, fewer, built, eager := 0, 0, 0, 0
+	for seed := int64(1); seed <= 200; seed++ {
+		s := multiLoopSpec(seed)
+		groups := groupsOf(s)
+		var macp uint64
+		for i := range s.Loops {
+			macp += uint64(WeightedCP(&s.Loops[i], groups, Params{})) * s.Loops[i].Iterations
+		}
+		rng := rand.New(rand.NewSource(seed))
+		budgets := []uint64{macp, macp + macp/2}
+		for k := 0; k < 3; k++ {
+			budgets = append(budgets, macp+uint64(rng.Int63n(int64(macp/2)+1)))
+		}
+		for _, pipelined := range []bool{false, true} {
+			session := memo.New()
+			for _, budget := range budgets {
+				p := Params{Pipelined: pipelined}
+				want, points, err := distributeEager(s, budget, p)
+				if err != nil {
+					t.Fatalf("%s budget %d: %v", s.Name, budget, err)
+				}
+				got, n := distributePoints(t, context.Background(), s, budget, p)
+				if diff := sameDistribution(got, want); diff != "" {
+					t.Fatalf("%s pipelined=%t budget %d: %s", s.Name, pipelined, budget, diff)
+				}
+				p.Memo = session
+				cached, _ := distributePoints(t, context.Background(), s, budget, p)
+				if diff := sameDistribution(cached, want); diff != "" {
+					t.Fatalf("%s pipelined=%t budget %d, shared cache: %s", s.Name, pipelined, budget, diff)
+				}
+				cases++
+				built += n
+				eager += points
+				if n < points {
+					fewer++
+				}
+			}
+		}
+	}
+	t.Logf("%d cases: %d built fewer points than the eager reference (%d vs %d points in all)",
+		cases, fewer, built, eager)
+	if fewer == 0 {
+		t.Fatal("no case built fewer curve points than the eager reference")
+	}
+}
+
+// TestDistributeCanceledBuildsMinimumPoints: under a dead context only the
+// minimum-budget point of each curve is built and committed, the result is
+// flagged Degraded, and its cost is never below the full run's.
+func TestDistributeCanceledBuildsMinimumPoints(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for seed := int64(1); seed <= 20; seed++ {
+		s := multiLoopSpec(seed)
+		groups := groupsOf(s)
+		var macp uint64
+		for i := range s.Loops {
+			macp += uint64(WeightedCP(&s.Loops[i], groups, Params{})) * s.Loops[i].Iterations
+		}
+		budget := macp + macp/2
+		d, points := distributePoints(t, ctx, s, budget, Params{})
+		if points != len(s.Loops) {
+			t.Fatalf("%s: canceled run built %d curve points for %d loops", s.Name, points, len(s.Loops))
+		}
+		if !d.Degraded {
+			t.Fatalf("%s: canceled run not flagged Degraded", s.Name)
+		}
+		for i, ls := range d.Loops {
+			if cp := WeightedCP(&s.Loops[i], groups, Params{}); ls.Budget != cp {
+				t.Fatalf("%s: loop %s committed budget %d, want its minimum %d", s.Name, ls.Loop, ls.Budget, cp)
+			}
+		}
+		full, err := Distribute(s, budget, Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Cost < full.Cost {
+			t.Fatalf("%s: canceled cost %v below the full run's %v", s.Name, d.Cost, full.Cost)
+		}
 	}
 }
