@@ -394,7 +394,8 @@ func TestWalkLength(t *testing.T) {
 
 // TestRunAllTelemetrySpans runs the full methodology with a collector
 // observer and checks the span tree: one run_all root, the six methodology
-// steps (plus the profiling stage) as direct children, engine spans
+// steps (plus the profiling stage) as direct children, the reuse analysis
+// as a direct child beside them, engine spans
 // (sbd/assign/reuse) underneath, counters populated, and the step wall
 // times bounded by the end-to-end wall time.
 func TestRunAllTelemetrySpans(t *testing.T) {
@@ -435,6 +436,11 @@ func TestRunAllTelemetrySpans(t *testing.T) {
 	// end-to-end wall time (they run sequentially under the root).
 	if stepsWallUS > root.WallUS {
 		t.Fatalf("step wall sum %dus exceeds run_all wall %dus", stepsWallUS, root.WallUS)
+	}
+	// The image reuse analysis runs beside step.structuring, directly under
+	// the root, outside the sequential steps.
+	if recs := c.Find("reuse.analyze"); len(recs) != 1 || recs[0].Parent != root.ID {
+		t.Fatalf("want one reuse.analyze span directly under run_all, got %d", len(recs))
 	}
 
 	// Engine spans must appear underneath the steps.

@@ -17,7 +17,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -69,21 +68,22 @@ type Demonstrator struct {
 // exactly the paper's §4.1 flow (manual pruning skeleton + automatic
 // instrumentation counts).
 func BuildDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
-	return buildDemonstratorObs(cfg, nil)
+	d, err := profileDemonstrator(cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	d.ImageProfile = reuse.Analyze(d.Rec.Addresses("image"))
+	return d, nil
 }
 
-// buildDemonstratorObs is BuildDemonstrator with telemetry: the profiling
-// encode, the reuse analysis, and the spec derivation each get a child span
-// under parent (nil parent disables all of it).
-func buildDemonstratorObs(cfg DemoConfig, parent *obs.Span) (*Demonstrator, error) {
-	return buildDemonstratorObsContext(context.Background(), cfg, parent)
-}
-
-// buildDemonstratorObsContext adds cancellation support: the reuse analysis
-// truncates its trace when ctx expires. The profiling encode itself is not
-// cancelable (the codec has no cancellation points); use small image sizes
-// when operating under tight deadlines.
-func buildDemonstratorObsContext(ctx context.Context, cfg DemoConfig, parent *obs.Span) (*Demonstrator, error) {
+// profileDemonstrator is BuildDemonstrator without the reuse analysis: it
+// runs the profiling encode and derives the pruned specification, each in a
+// child span under parent (nil parent disables the telemetry), and leaves
+// ImageProfile nil. Only the memory hierarchy step reads the profile, so
+// RunAllContext analyzes the image trace beside the structuring step. The
+// encode is not cancelable (the codec has no cancellation points); use small
+// image sizes when operating under tight deadlines.
+func profileDemonstrator(cfg DemoConfig, parent *obs.Span) (*Demonstrator, error) {
 	cfg.normalize()
 	rec := trace.NewRecorder()
 	rec.EnableAddressTrace("image")
@@ -98,7 +98,6 @@ func buildDemonstratorObsContext(ctx context.Context, cfg DemoConfig, parent *ob
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling encode failed: %w", err)
 	}
-	prof := reuse.AnalyzeObservedContext(ctx, rec.Addresses("image"), parent)
 	ssp := parent.Child("profile.spec")
 	s, err := buildPrunedSpec(cfg, rec, stats)
 	if err != nil {
@@ -111,12 +110,11 @@ func buildDemonstratorObsContext(ctx context.Context, cfg DemoConfig, parent *ob
 	}
 	ssp.End()
 	return &Demonstrator{
-		Config:       cfg,
-		Spec:         s,
-		ImageProfile: prof,
-		Rec:          rec,
-		Stats:        stats,
-		CycleBudget:  uint64(CyclesPerPixel) * uint64(cfg.Size) * uint64(cfg.Size),
+		Config:      cfg,
+		Spec:        s,
+		Rec:         rec,
+		Stats:       stats,
+		CycleBudget: uint64(CyclesPerPixel) * uint64(cfg.Size) * uint64(cfg.Size),
 	}, nil
 }
 

@@ -46,13 +46,13 @@ func RunAll(cfg DemoConfig, ep EvalParams) (*Results, error) {
 // their reference row, searches return their incumbents flagged
 // Optimal=false) and a complete, valid Results is still produced. The
 // profiling encode itself is not cancelable; the context takes effect from
-// the reuse analysis onward.
+// the reuse analysis and the structuring step onward.
 func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results, error) {
 	root, ep := ep.startSpan("run_all")
 	defer root.End()
 
 	psp := root.Child("profile")
-	demo, err := buildDemonstratorObsContext(ctx, cfg, psp)
+	demo, err := profileDemonstrator(cfg, psp)
 	psp.End()
 	if err != nil {
 		return nil, err
@@ -70,10 +70,24 @@ func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results
 	msp.End()
 
 	// Step 1: basic group structuring (Table 1). Decision: total power.
-	r.Structuring, err = ExploreStructuringContext(ctx, demo, ep)
+	// Structuring reads only the spec and the cycle budget; the image
+	// array's reuse profile is first read by the hierarchy step, so the
+	// analysis runs beside it. The pool runs both items even under a dead
+	// ctx: the analysis then truncates, and the structuring baseline is
+	// always evaluated.
+	addrs := demo.Rec.Addresses("image")
+	var prof *reuse.Profile
+	ep.Workers.ForEach(context.Background(), 2, func(i int) {
+		if i == 0 {
+			prof = reuse.AnalyzeObservedContext(ctx, addrs, root)
+			return
+		}
+		r.Structuring, err = ExploreStructuringContext(ctx, demo, ep)
+	})
 	if err != nil {
 		return nil, err
 	}
+	demo.ImageProfile = prof
 	r.StructChoice = minPower(r.Structuring)
 
 	// Step 2: memory hierarchy (Table 2).
