@@ -452,13 +452,23 @@ func TestClusterInternalEndpoints404Solo(t *testing.T) {
 func TestClusterMetricsFamilies(t *testing.T) {
 	// A long hedge floor: on a loaded host a forward slower than the default
 	// 50 ms would fall back to local compute and never count as routed.
-	tc := newTestCluster(t, 2, func(int) ServeOptions { return ServeOptions{Obs: obs.New()} },
-		ClusterOptions{SubtreeMinGroups: -1, HedgeDelay: 2 * time.Second})
-	// Drive enough traffic that at least one request routes each way.
-	for seed := int64(40); seed < 46; seed++ {
+	o := obs.New()
+	tc := newTestCluster(t, 2, func(i int) ServeOptions {
+		if i == 0 {
+			return ServeOptions{Obs: o}
+		}
+		return ServeOptions{Obs: obs.New()}
+	}, ClusterOptions{SubtreeMinGroups: -1, HedgeDelay: 2 * time.Second})
+	// Drive traffic until at least one request routed each way. Ownership
+	// hashes the random-port URLs, so a fixed handful of specs can all land
+	// on one side.
+	for seed := int64(40); seed < 40+64; seed++ {
 		resp, body := postURL(t, tc.urls[0], "/v1/explore", randClusterSpec(t, seed))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("seed %d: status %d: %s", seed, resp.StatusCode, body)
+		}
+		if c := o.Counters(); c["cluster.routed"] > 0 && c["cluster.local"] > 0 {
+			break
 		}
 	}
 	resp, err := http.Get(tc.urls[0] + "/metrics")

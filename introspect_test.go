@@ -221,11 +221,13 @@ func parseRequestDuration(t *testing.T, text string) promHistogram {
 // and that counts are monotone across scrapes. Run with -race.
 func TestMetricsPromConcurrentScrapes(t *testing.T) {
 	_, specJSON, budget := serviceSpec(t)
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	const n = 8
+	// Queue room for every client: the default queue (2 × GOMAXPROCS) is
+	// smaller than the burst on a small host and would answer 429.
+	srv := NewServer(ServeOptions{Obs: NewObserver(), MaxQueue: n})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	const n = 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	scrapeErr := make(chan error, 1)
