@@ -154,7 +154,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // methodology's scaled sbd parameters. One line per (spec, budget, mode)
 // gives the committed per-loop budgets, Used, Degraded, the exact bits of
 // Cost, and the number of conflict patterns with a SHA-256 prefix of their
-// FingerprintPatterns (or the error of an infeasible budget). Regenerate with -update only after a deliberate
+// FingerprintPatterns. Regenerate with -update only after a deliberate
 // change to the distributions.
 func TestDistributionsGolden(t *testing.T) {
 	d, err := core.BuildDemonstrator(core.DemoConfig{Size: 256})
@@ -209,13 +209,11 @@ func TestDistributionsGolden(t *testing.T) {
 			p.Memo = memo.New() // shared across the sweep, as in the methodology
 			for _, f := range sw.fracs {
 				budget := uint64(float64(d.CycleBudget) * f)
-				fmt.Fprintf(&buf, "%s %s budget=%d", v.name, sw.mode, budget)
 				dist, err := sbd.Distribute(v.s, budget, p)
 				if err != nil {
-					fmt.Fprintf(&buf, " error=%q\n", err)
-					continue
+					t.Fatalf("%s %s budget %d: %v", v.name, sw.mode, budget, err)
 				}
-				buf.WriteString(" loops=")
+				fmt.Fprintf(&buf, "%s %s budget=%d loops=", v.name, sw.mode, budget)
 				for i, ls := range dist.Loops {
 					if i > 0 {
 						buf.WriteByte(',')

@@ -1029,6 +1029,17 @@ func sameDistribution(got, want *Distribution) string {
 	return ""
 }
 
+// weightedMACP is the smallest total budget a linear distribution of s
+// accepts: every loop's weighted critical path times its iterations.
+func weightedMACP(s *spec.Spec) uint64 {
+	groups := groupsOf(s)
+	var macp uint64
+	for i := range s.Loops {
+		macp += uint64(WeightedCP(&s.Loops[i], groups, Params{})) * s.Loops[i].Iterations
+	}
+	return macp
+}
+
 // TestDistributeMatchesEager requires the demand-driven distributor to
 // commit bit for bit what the eager reference commits, on random multi-loop
 // specs in both scheduling modes, at budgets from the weighted MACP to 1.5×
@@ -1039,11 +1050,7 @@ func TestDistributeMatchesEager(t *testing.T) {
 	cases, fewer, built, eager := 0, 0, 0, 0
 	for seed := int64(1); seed <= 200; seed++ {
 		s := multiLoopSpec(seed)
-		groups := groupsOf(s)
-		var macp uint64
-		for i := range s.Loops {
-			macp += uint64(WeightedCP(&s.Loops[i], groups, Params{})) * s.Loops[i].Iterations
-		}
+		macp := weightedMACP(s)
 		rng := rand.New(rand.NewSource(seed))
 		budgets := []uint64{macp, macp + macp/2}
 		for k := 0; k < 3; k++ {
@@ -1091,11 +1098,7 @@ func TestDistributeCanceledBuildsMinimumPoints(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		s := multiLoopSpec(seed)
 		groups := groupsOf(s)
-		var macp uint64
-		for i := range s.Loops {
-			macp += uint64(WeightedCP(&s.Loops[i], groups, Params{})) * s.Loops[i].Iterations
-		}
-		budget := macp + macp/2
+		budget := weightedMACP(s) * 3 / 2
 		d, points := distributePoints(t, ctx, s, budget, Params{})
 		if points != len(s.Loops) {
 			t.Fatalf("%s: canceled run built %d curve points for %d loops", s.Name, points, len(s.Loops))
