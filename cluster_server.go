@@ -10,40 +10,21 @@ package dtse
 // can answer the receiving node serves it locally — a dead cluster
 // degrades to N independent single nodes, never to failed requests.
 //
-// Two internal endpoints make the cluster more than a router:
-//
-//	POST /v1/internal/incumbent   best-effort cross-node incumbent costs
-//	                              (cluster.Board); loss-tolerant, monotone
-//	POST /v1/internal/subtree     one contiguous branch-and-bound prefix
-//	                              range of a distributed search
-//	                              (assign.SolveSubtree)
-//
-// Both are marked internal by header and are never re-forwarded, so no
-// request loops are possible. Determinism: completed searches return
-// byte-identical bodies at any node count — shared incumbents prune with
-// strict > only, and the distributed merge is ordered by (cost bits,
-// canonical subproblem index), both independent of which node computed
-// what (see internal/assign/subtree.go).
+// Node-to-node requests are marked internal by header and are never
+// re-forwarded, so no request loops are possible. Determinism: every node
+// runs the same exploration code, so a completed search's body is
+// byte-identical whichever node computes it, at any node count.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/assign"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/memlib"
 	"repro/internal/memo"
-	"repro/internal/sbd"
-	"repro/internal/spec"
 )
 
 // clusterInternalHeader marks node-to-node requests. A request carrying it
@@ -70,10 +51,6 @@ type ClusterOptions struct {
 	// for EjectFor; zero values use the internal/cluster defaults.
 	EjectAfter int
 	EjectFor   time.Duration
-	// SubtreeMinGroups gates branch-and-bound subtree distribution: a
-	// search over fewer groups is too small to amortize a network hop.
-	// 0 means defaultSubtreeMinGroups; negative disables distribution.
-	SubtreeMinGroups int
 	// Seeds are member URLs to contact via /v1/internal/join after the
 	// listener is up (JoinSeeds). Unlike Peers they need not be the full
 	// member set — the handshake returns the seed's membership digest and
@@ -91,7 +68,6 @@ type ClusterOptions struct {
 }
 
 const (
-	defaultSubtreeMinGroups  = 10
 	defaultGossipInterval    = time.Second
 	defaultSuspicionTimeout  = 10 * time.Second
 	gossipRequestTimeout     = 2 * time.Second
@@ -101,10 +77,7 @@ const (
 
 // clusterState is the per-server cluster runtime.
 type clusterState struct {
-	router    *cluster.Router
-	board     *cluster.Board
-	bcast     chan boardUpdate
-	minGroups int // <0 disables subtree distribution
+	router *cluster.Router
 
 	// Dynamic membership: the SWIM-lite table feeding the ring, and the
 	// mutex serializing ring swaps + handoff launches against each other.
@@ -113,11 +86,6 @@ type clusterState struct {
 	suspectFor  time.Duration
 	topoMu      sync.Mutex
 	handoffs    sync.WaitGroup // in-flight outbound handoff streams
-}
-
-type boardUpdate struct {
-	key  string
-	bits uint64
 }
 
 // JoinCluster puts the server in cluster mode. Call once, after NewServer
@@ -137,15 +105,7 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 	if err != nil {
 		return err
 	}
-	cs := &clusterState{router: router, bcast: make(chan boardUpdate, 256)}
-	switch {
-	case opts.SubtreeMinGroups < 0:
-		cs.minGroups = -1
-	case opts.SubtreeMinGroups == 0:
-		cs.minGroups = defaultSubtreeMinGroups
-	default:
-		cs.minGroups = opts.SubtreeMinGroups
-	}
+	cs := &clusterState{router: router}
 	// Membership starts as the static config (Peers ∪ Seeds) and evolves
 	// from there via join handshakes, gossip digests, and suspicion expiry.
 	cs.members = cluster.NewMembership(opts.Self, append(append([]string{}, opts.Peers...), opts.Seeds...))
@@ -157,16 +117,6 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 	if cs.suspectFor <= 0 {
 		cs.suspectFor = defaultSuspicionTimeout
 	}
-	// The broadcast hook must never block the search hot path: improvements
-	// beyond the channel's buffer are dropped (the board is a hint store —
-	// a lost bound only costs pruning power).
-	cs.board = cluster.NewBoard(0, func(key string, bits uint64) {
-		select {
-		case cs.bcast <- boardUpdate{key, bits}:
-		default:
-			s.obs.Counter("cluster.incumbent_dropped").Add(1)
-		}
-	})
 	s.cluster = cs
 	// Shard discipline for warm starts: a node must never seed from a
 	// fingerprint it does not own right now, or a ring change would leak
@@ -180,7 +130,6 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 	// Align the ring with the initial membership view (Peers ∪ Seeds): a
 	// seed is a member we trust to exist before the first handshake.
 	router.SetMembers(cs.members.Alive())
-	go s.broadcastLoop()
 	if cs.gossipEvery > 0 {
 		go s.gossipLoop()
 	}
@@ -328,352 +277,5 @@ func (s *Server) forwardBatchGroup(ctx context.Context, peerID string, idxs []in
 		b := append([]byte(nil), it.Body...)
 		results[i] = &servedResponse{status: it.Status, body: append(b, '\n'), degraded: it.Degraded}
 		tids[i] = it.TraceID
-	}
-}
-
-// --- incumbent exchange ---
-
-// incumbentWire is the POST /v1/internal/incumbent body. Bits is the cost's
-// math.Float64bits as a decimal string: a uint64 above 2^53 silently loses
-// precision as a JSON number.
-type incumbentWire struct {
-	Key  string `json:"key"`
-	Bits string `json:"bits"`
-}
-
-func (s *Server) handleIncumbent(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil {
-		http.NotFound(w, r)
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var u incumbentWire
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&u); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid incumbent body: "+err.Error())
-		return
-	}
-	bits, err := strconv.ParseUint(u.Bits, 10, 64)
-	if err != nil || u.Key == "" {
-		s.writeError(w, http.StatusBadRequest, "invalid incumbent key/bits")
-		return
-	}
-	if s.cluster.board.Merge(u.Key, bits) {
-		s.obs.Counter("cluster.incumbent_merged").Add(1)
-	}
-	w.WriteHeader(http.StatusNoContent)
-	s.countStatus(http.StatusNoContent)
-}
-
-// broadcastLoop fans local incumbent improvements out to the alive peers.
-// Strictly best-effort: short per-peer timeout, errors ignored — the board
-// protocol tolerates arbitrary loss.
-func (s *Server) broadcastLoop() {
-	cs := s.cluster
-	for {
-		select {
-		case <-s.baseCtx.Done():
-			return
-		case u := <-cs.bcast:
-			body, err := json.Marshal(incumbentWire{Key: u.key, Bits: strconv.FormatUint(u.bits, 10)})
-			if err != nil {
-				continue
-			}
-			for _, peer := range cs.router.AlivePeers() {
-				pctx, cancel := context.WithTimeout(s.baseCtx, 500*time.Millisecond)
-				req, err := http.NewRequestWithContext(pctx, http.MethodPost,
-					peer.ID()+"/v1/internal/incumbent", bytes.NewReader(body))
-				if err == nil {
-					req.Header = internalHeaders("")
-					if resp, err := cs.router.Client().Do(req); err == nil {
-						io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-						resp.Body.Close()
-					}
-				}
-				cancel()
-			}
-			s.obs.Counter("cluster.incumbent_broadcast").Add(1)
-		}
-	}
-}
-
-// --- subtree distribution ---
-
-// subtreeWire is the POST /v1/internal/subtree body: the problem identity
-// (spec + knobs + patterns) plus the assign.SubtreeJob and the prefix
-// range. SeedBits crosses as a decimal string for the same uint64-in-JSON
-// reason as incumbentWire.Bits.
-type subtreeWire struct {
-	Spec        json.RawMessage `json:"spec"`
-	Params      *paramsRequest  `json:"params,omitempty"`
-	Patterns    []patternWire   `json:"patterns"`
-	OnChipCount int             `json:"onchip_count"`
-	Depth       int             `json:"depth"`
-	NumPrefixes int             `json:"num_prefixes"`
-	SeedBits    string          `json:"seed_bits"`
-	NodeBudget  int             `json:"node_budget"`
-	ShareKey    string          `json:"share_key,omitempty"`
-	From        int             `json:"from"`
-	To          int             `json:"to"`
-}
-
-type patternWire struct {
-	Access map[string]int `json:"access"`
-	Weight uint64         `json:"weight"`
-}
-
-type subtreeResultWire struct {
-	Found    bool   `json:"found"`
-	CostBits string `json:"cost_bits"`
-	BestSub  int    `json:"best_sub"`
-	Assign   []int  `json:"assign,omitempty"`
-	Nodes    int64  `json:"nodes"`
-	Optimal  bool   `json:"optimal"`
-}
-
-func (rw *subtreeResultWire) toResult() (assign.SubtreeResult, error) {
-	bits, err := strconv.ParseUint(rw.CostBits, 10, 64)
-	if err != nil {
-		return assign.SubtreeResult{}, fmt.Errorf("invalid cost_bits: %v", err)
-	}
-	return assign.SubtreeResult{
-		Found:    rw.Found,
-		CostBits: bits,
-		BestSub:  rw.BestSub,
-		Assign:   rw.Assign,
-		Nodes:    rw.Nodes,
-		Optimal:  rw.Optimal,
-	}, nil
-}
-
-// subtreeTech rebuilds the evaluation technology exactly as Server.explore
-// does, so both sides of a distributed search price identically.
-func subtreeTech(threshold int64, frame float64, interconnect bool) *memlib.Tech {
-	tech := *memlib.Default()
-	tech.OnChipMaxWords = threshold
-	tech.FramePeriod = frame
-	if interconnect {
-		tech.Bus = tech.WithInterconnect().Bus
-	}
-	return &tech
-}
-
-// handleSubtree solves one prefix range of a peer's distributed search.
-// It deliberately takes no admission slot: the caller is already holding
-// its own slot on its node, and gating here could deadlock a cluster whose
-// slots are all held by distributing searches. Work is bounded by the
-// job's node budget instead.
-func (s *Server) handleSubtree(w http.ResponseWriter, r *http.Request) {
-	if s.cluster == nil {
-		http.NotFound(w, r)
-		return
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	tid := r.Header.Get("X-Trace-Id")
-	if tid == "" {
-		tid = fmt.Sprintf("%s-%06d", s.runID, s.nextTrace.Add(1))
-	}
-	w.Header().Set("X-Trace-Id", tid)
-	var wire subtreeWire
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody)).Decode(&wire); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid subtree body: "+err.Error())
-		return
-	}
-	sp2, err := spec.ReadJSON(bytes.NewReader(wire.Spec))
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid subtree spec: "+err.Error())
-		return
-	}
-	_, threshold, frame, inplace, interconnect, err := specParams(wire.Params)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	seedBits, err := strconv.ParseUint(wire.SeedBits, 10, 64)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid seed_bits: "+err.Error())
-		return
-	}
-	pats := make([]sbd.Pattern, len(wire.Patterns))
-	for i, pw := range wire.Patterns {
-		pats[i] = sbd.Pattern{Access: pw.Access, Weight: pw.Weight}
-	}
-	job := assign.SubtreeJob{
-		OnChipCount: wire.OnChipCount,
-		Depth:       wire.Depth,
-		NumPrefixes: wire.NumPrefixes,
-		SeedBits:    seedBits,
-		NodeBudget:  wire.NodeBudget,
-		ShareKey:    wire.ShareKey,
-	}
-	p := assign.Params{
-		OnChipMaxWords: threshold,
-		InPlace:        inplace,
-		Workers:        s.workers,
-		Share:          s.cluster.board,
-	}
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	span := s.obs.Start("serve.subtree")
-	span.SetStr("trace_id", tid)
-	span.SetStr("peer", s.cluster.router.Self())
-	res, err := assign.SolveSubtree(ctx, sp2, pats, subtreeTech(threshold, frame, interconnect), p, job, wire.From, wire.To)
-	if err != nil {
-		span.SetInt("status", http.StatusUnprocessableEntity)
-		span.End()
-		s.writeError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	span.SetInt("nodes", res.Nodes)
-	span.SetInt("status", http.StatusOK)
-	span.End()
-	s.obs.Counter("cluster.subtree_served").Add(1)
-	body := mustMarshal(subtreeResultWire{
-		Found:    res.Found,
-		CostBits: strconv.FormatUint(res.CostBits, 10),
-		BestSub:  res.BestSub,
-		Assign:   res.Assign,
-		Nodes:    res.Nodes,
-		Optimal:  res.Optimal,
-	})
-	s.writeResponse(w, &servedResponse{status: http.StatusOK, body: append(body, '\n')})
-}
-
-// clusterizeAssign wires cross-node incumbent sharing and subtree
-// distribution into a spec exploration's assign parameters. Demo
-// explorations stay local-only: their many small sub-searches would lose
-// more to network hops than they gain, and keeping them out of the
-// exchange keeps their cacheability rule unchanged.
-func (s *Server) clusterizeAssign(ep *core.EvalParams, p *parsedRequest, tid string,
-	onchip int, threshold int64, frame float64, inplace, interconnect bool) {
-	cs := s.cluster
-	ep.Assign.Share = cs.board
-	ep.Assign.ShareKey = p.key
-	if cs.minGroups < 0 {
-		return
-	}
-	ep.Assign.DistributeWidth = len(cs.router.Members())
-	wireParams := &paramsRequest{OnChip: onchip, Threshold: &threshold, Frame: frame, InPlace: inplace, Interconnect: interconnect}
-	// The local-fallback params mirror what EvaluateContext hands
-	// AssignContext, minus telemetry (a fallback range solve attaches no
-	// span) and minus Distribute (a subtree never re-distributes).
-	fallback := assign.Params{
-		OnChipMaxWords: threshold,
-		InPlace:        inplace,
-		Workers:        s.workers,
-		Share:          cs.board,
-	}
-	ep.Assign.Distribute = s.distributorFor(wireParams, fallback, tid)
-}
-
-// distributorFor builds the assign.DistributeFunc for one exploration:
-// split the prefix frontier into contiguous ranges, one per cluster
-// member, solve our own range locally while peers solve theirs, and merge.
-// Any peer failure is recomputed locally, so distribution can slow a
-// search down but never lose a range.
-func (s *Server) distributorFor(wireParams *paramsRequest, fallback assign.Params, tid string) assign.DistributeFunc {
-	cs := s.cluster
-	return func(ctx context.Context, sp2 *spec.Spec, pats []sbd.Pattern, job assign.SubtreeJob) ([]assign.SubtreeResult, bool) {
-		if len(sp2.Groups) < cs.minGroups {
-			return nil, false
-		}
-		peers := cs.router.AlivePeers()
-		if len(peers) == 0 {
-			return nil, false
-		}
-		nodes := len(peers) + 1
-		if job.NumPrefixes < nodes {
-			return nil, false
-		}
-		var specBuf bytes.Buffer
-		if sp2.WriteJSON(&specBuf) != nil {
-			return nil, false
-		}
-		pw := make([]patternWire, len(pats))
-		for i, pt := range pats {
-			pw[i] = patternWire{Access: pt.Access, Weight: pt.Weight}
-		}
-		tech := subtreeTech(fallback.OnChipMaxWords, wireParams.Frame, wireParams.Interconnect)
-		type rng struct{ from, to int }
-		rngs := make([]rng, nodes)
-		per, rem, at := job.NumPrefixes/nodes, job.NumPrefixes%nodes, 0
-		for i := range rngs {
-			sz := per
-			if i < rem {
-				sz++
-			}
-			rngs[i] = rng{at, at + sz}
-			at += sz
-		}
-		results := make([]assign.SubtreeResult, nodes)
-		okFlags := make([]bool, nodes)
-		solveLocal := func(i int) {
-			res, err := assign.SolveSubtree(ctx, sp2, pats, tech, fallback, job, rngs[i].from, rngs[i].to)
-			if err == nil {
-				results[i], okFlags[i] = res, true
-			}
-		}
-		var wg sync.WaitGroup
-		for i := 1; i < nodes; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				wire := subtreeWire{
-					Spec:        specBuf.Bytes(),
-					Params:      wireParams,
-					Patterns:    pw,
-					OnChipCount: job.OnChipCount,
-					Depth:       job.Depth,
-					NumPrefixes: job.NumPrefixes,
-					SeedBits:    strconv.FormatUint(job.SeedBits, 10),
-					NodeBudget:  job.NodeBudget,
-					ShareKey:    job.ShareKey,
-					From:        rngs[i].from,
-					To:          rngs[i].to,
-				}
-				body, err := json.Marshal(wire)
-				if err != nil {
-					solveLocal(i)
-					return
-				}
-				peer := peers[(i-1)%len(peers)]
-				res, ok := cs.router.ForwardAny(ctx, peer.ID(), http.MethodPost, "/v1/internal/subtree", body, internalHeaders(tid))
-				if !ok || res.Status != http.StatusOK {
-					s.obs.Counter("cluster.subtree_fallback").Add(1)
-					solveLocal(i)
-					return
-				}
-				var rw subtreeResultWire
-				if json.Unmarshal(res.Body, &rw) != nil {
-					solveLocal(i)
-					return
-				}
-				sr, err := rw.toResult()
-				if err != nil {
-					solveLocal(i)
-					return
-				}
-				results[i], okFlags[i] = sr, true
-				s.obs.Counter("cluster.subtree_routed").Add(1)
-			}(i)
-		}
-		solveLocal(0)
-		wg.Wait()
-		for _, ok := range okFlags {
-			if !ok {
-				return nil, false
-			}
-		}
-		return results, true
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -69,30 +68,49 @@ func newTestCluster(t *testing.T, n int, optsFor func(i int) ServeOptions, copts
 func plainOpts(int) ServeOptions { return ServeOptions{} }
 
 // randClusterSpec builds a deterministic random spec request body with
-// enough on-chip groups to clear the subtree-distribution gate.
+// five to seven on-chip groups and a budget drawn per seed.
 func randClusterSpec(t *testing.T, seed int64) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	b := NewSpec(fmt.Sprintf("cl%d", seed))
-	nGroups := 5 + rng.Intn(3)
-	names := make([]string, nGroups)
+	s := randSingleLoopSpec(rng, fmt.Sprintf("cl%d", seed), 5, 7)
+	return specRequest(t, s, 200_000+rng.Intn(100_000))
+}
+
+// largeClusterSpec builds a seeded single-loop spec with ten to thirteen
+// on-chip groups and a 20 M budget, the shape of the ring_batch benchmark's
+// largest specs; every search over them completes.
+func largeClusterSpec(t *testing.T, seed int64) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	return specRequest(t, randSingleLoopSpec(rng, fmt.Sprintf("big%d", seed), 10, 13), 20_000_000)
+}
+
+// randSingleLoopSpec draws lo to hi groups of random on-chip sizes and
+// widths, all read (and half of them written) in one loop.
+func randSingleLoopSpec(rng *rand.Rand, name string, lo, hi int) *Spec {
+	b := NewSpec(name)
+	names := make([]string, lo+rng.Intn(hi-lo+1))
 	for i := range names {
 		names[i] = fmt.Sprintf("g%d", i)
 		b.Group(names[i], int64(128<<uint(rng.Intn(4))), 4+2*rng.Intn(6))
 	}
 	b.Loop("body", 2048+uint64(rng.Intn(2048)))
-	for _, name := range names {
-		b.Read(name, float64(1+rng.Intn(2)))
+	for _, g := range names {
+		b.Read(g, float64(1+rng.Intn(2)))
 		if rng.Intn(2) == 0 {
-			b.Write(name, 1)
+			b.Write(g, 1)
 		}
 	}
-	s := b.MustBuild()
+	return b.MustBuild()
+}
+
+func specRequest(t *testing.T, s *Spec, budget int) string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := WriteSpecJSON(s, &buf); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf(`{"spec": %s, "budget": %d}`, buf.Bytes(), 200_000+rng.Intn(100_000))
+	return fmt.Sprintf(`{"spec": %s, "budget": %d}`, buf.Bytes(), budget)
 }
 
 func postURL(t *testing.T, url, path, body string) (*http.Response, []byte) {
@@ -111,29 +129,33 @@ func postURL(t *testing.T, url, path, body string) (*http.Response, []byte) {
 
 // --- determinism at any node count ---
 
-// TestClusterDeterminismAnyNodeCount is the acceptance pin: for random
-// specs and a demo run, every front node of a 3-node cluster (routing,
-// hedging, incumbent sharing, and subtree distribution all live) returns
-// byte-identical response bodies to a plain single node.
+// TestClusterDeterminismAnyNodeCount is the acceptance pin: for a demo
+// run, small random specs and 10–13-group specs shaped like the ring_batch
+// benchmark's, every front node of a 3-node cluster (routing and hedging
+// live) returns byte-identical response bodies to a plain single node.
 func TestClusterDeterminismAnyNodeCount(t *testing.T) {
 	solo := NewServer(ServeOptions{})
 	soloTS := httptest.NewServer(solo.Handler())
 	defer soloTS.Close()
 	defer solo.Abort()
 
-	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{
-		HedgeDelay:       20 * time.Millisecond,
-		SubtreeMinGroups: 4, // exercise distribution on the small test specs
-	})
+	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{HedgeDelay: 20 * time.Millisecond})
 
 	bodies := []string{`{"demo": {"size": 16, "seed": 9}}`}
 	for seed := int64(0); seed < 5; seed++ {
 		bodies = append(bodies, randClusterSpec(t, seed))
 	}
+	firstLarge := len(bodies)
+	for seed := int64(0); seed < 4; seed++ {
+		bodies = append(bodies, largeClusterSpec(t, seed))
+	}
 	for bi, body := range bodies {
 		resp, ref := postURL(t, soloTS.URL, "/v1/explore", body)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("body %d: solo status %d: %s", bi, resp.StatusCode, ref)
+		}
+		if bi >= firstLarge && !bytes.Contains(ref, []byte(`"optimal":true`)) {
+			t.Fatalf("body %d: large spec search did not complete: %s", bi, ref)
 		}
 		for ni, url := range tc.urls {
 			resp, got := postURL(t, url, "/v1/explore", body)
@@ -156,7 +178,7 @@ func TestClusterBatchRouting(t *testing.T) {
 	defer soloTS.Close()
 	defer solo.Abort()
 
-	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{SubtreeMinGroups: -1})
+	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{})
 
 	var items []string
 	for seed := int64(10); seed < 18; seed++ {
@@ -215,10 +237,9 @@ func TestClusterPeerKillZeroFailures(t *testing.T) {
 	defer solo.Abort()
 
 	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{
-		HedgeDelay:       15 * time.Millisecond,
-		EjectAfter:       1,
-		EjectFor:         time.Hour,
-		SubtreeMinGroups: -1,
+		HedgeDelay: 15 * time.Millisecond,
+		EjectAfter: 1,
+		EjectFor:   time.Hour,
 	})
 
 	var bodies, refs []string
@@ -261,10 +282,9 @@ func TestClusterHedgedCompletion(t *testing.T) {
 	defer nodeTS.Close()
 	defer node.Abort()
 	if err := node.JoinCluster(ClusterOptions{
-		Self:             nodeTS.URL,
-		Peers:            []string{stub.URL},
-		HedgeDelay:       10 * time.Millisecond,
-		SubtreeMinGroups: -1,
+		Self:       nodeTS.URL,
+		Peers:      []string{stub.URL},
+		HedgeDelay: 10 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +353,7 @@ func TestClusterTracePropagation(t *testing.T) {
 	tc := newTestCluster(t, 2, func(i int) ServeOptions {
 		sinks[i] = &spanSink{}
 		return ServeOptions{Obs: obs.New(sinks[i])}
-	}, ClusterOptions{SubtreeMinGroups: -1})
+	}, ClusterOptions{})
 
 	// Find a spec that node 0 does not own, so posting it to node 0 forwards.
 	var body string
@@ -383,66 +403,34 @@ func TestClusterTracePropagation(t *testing.T) {
 	}
 }
 
-// --- incumbent exchange over the wire ---
+// --- internal endpoints ---
 
-func TestClusterIncumbentEndpointAndBroadcast(t *testing.T) {
-	tc := newTestCluster(t, 2, plainOpts, ClusterOptions{SubtreeMinGroups: -1})
-
-	// Direct merge through the wire endpoint.
-	key := "spec|test|bb|shared-key"
-	post := func(url string, bits uint64) int {
-		body := fmt.Sprintf(`{"key": %q, "bits": "%d"}`, key, bits)
-		req, _ := http.NewRequest(http.MethodPost, url+"/v1/internal/incumbent", strings.NewReader(body))
-		req.Header.Set(clusterInternalHeader, "1")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if st := post(tc.urls[1], math.Float64bits(42)); st != http.StatusNoContent {
-		t.Fatalf("incumbent post status %d", st)
-	}
-	if bits, ok := tc.servers[1].cluster.board.Best(key); !ok || math.Float64frombits(bits) != 42 {
-		t.Fatalf("board after merge: %v %v", bits, ok)
-	}
-	if st := post(tc.urls[1], math.Float64bits(50)); st != http.StatusNoContent {
-		t.Fatalf("worse incumbent post status %d", st)
-	}
-	if bits, _ := tc.servers[1].cluster.board.Best(key); math.Float64frombits(bits) != 42 {
-		t.Fatal("a worse remote cost must not raise the board")
-	}
-
-	// A local publish on node 0 broadcasts to node 1 (best-effort, so poll).
-	tc.servers[0].cluster.board.Publish(key, math.Float64bits(7))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if bits, ok := tc.servers[1].cluster.board.Best(key); ok && math.Float64frombits(bits) == 7 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("published incumbent never reached the peer board")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
+// TestClusterInternalEndpoints404Solo: no node serves an incumbent or
+// subtree endpoint; both paths answer 404 on a solo server and on a
+// clustered node alike.
 func TestClusterInternalEndpoints404Solo(t *testing.T) {
 	solo := NewServer(ServeOptions{})
 	ts := httptest.NewServer(solo.Handler())
 	defer ts.Close()
 	defer solo.Abort()
-	for _, path := range []string{"/v1/internal/incumbent", "/v1/internal/subtree"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{}"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s on a solo server: status %d, want 404", path, resp.StatusCode)
+	tc := newTestCluster(t, 2, plainOpts, ClusterOptions{})
+	for _, url := range []string{ts.URL, tc.urls[0]} {
+		for _, path := range []string{"/v1/internal/incumbent", "/v1/internal/subtree"} {
+			req, err := http.NewRequest(http.MethodPost, url+path, strings.NewReader("{}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set(clusterInternalHeader, "1")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s%s: status %d, want 404", url, path, resp.StatusCode)
+			}
 		}
 	}
 }
@@ -458,7 +446,7 @@ func TestClusterMetricsFamilies(t *testing.T) {
 			return ServeOptions{Obs: o}
 		}
 		return ServeOptions{Obs: obs.New()}
-	}, ClusterOptions{SubtreeMinGroups: -1, HedgeDelay: 2 * time.Second})
+	}, ClusterOptions{HedgeDelay: 2 * time.Second})
 	// Drive traffic until at least one request routed each way. Ownership
 	// hashes the random-port URLs, so a fixed handful of specs can all land
 	// on one side.
@@ -479,10 +467,19 @@ func TestClusterMetricsFamilies(t *testing.T) {
 	prom, _ := io.ReadAll(resp.Body)
 	for _, family := range []string{
 		"dtse_cluster_routed_total", "dtse_cluster_local_total", "dtse_cluster_peer_rtt",
-		"dtse_cluster_peers 1", "dtse_cluster_peers_alive 1", "dtse_cluster_incumbents",
+		"dtse_cluster_peers 1", "dtse_cluster_peers_alive 1",
 	} {
 		if !strings.Contains(string(prom), family) {
 			t.Fatalf("/metrics missing %s after cluster traffic:\n%s", family, prom)
+		}
+	}
+	// No family of the deleted incumbent board or subtree distribution.
+	for _, family := range []string{
+		"dtse_cluster_incumbents", "dtse_cluster_incumbent_", "dtse_cluster_subtree_",
+		"dtse_assign_pruned_external", "dtse_assign_distributed_searches",
+	} {
+		if strings.Contains(string(prom), family) {
+			t.Fatalf("/metrics still has %s after cluster traffic:\n%s", family, prom)
 		}
 	}
 }

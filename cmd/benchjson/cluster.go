@@ -100,9 +100,9 @@ func clusterWorkload() ([]string, error) {
 		}
 		// The budget must be generous enough for every search to complete
 		// optimally: in cluster mode a cut-short (non-optimal) result is
-		// volatile — cross-node bounds make it history-dependent — so it
-		// would never be cached and the sweep would measure recompute on
-		// every leg.
+		// volatile — which node computed it, and when, can change its
+		// bytes — so it would never be cached and the sweep would measure
+		// recompute on every leg.
 		bodies = append(bodies, fmt.Sprintf(`{"spec": %s, "budget": 20000000}`, buf.String()))
 	}
 	return bodies, nil

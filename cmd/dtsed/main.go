@@ -17,9 +17,9 @@
 // accepts any request, routes it to the consistent-hash owner of its
 // canonical fingerprint (so each node's caches and warm index stay hot for
 // its shard), hedges to the next ring node when the owner is slower than
-// its p99 (-hedge-ms floors the delay), ejects unhealthy peers, shares
-// branch-and-bound incumbents best-effort, and distributes large subtree
-// searches. Responses are byte-identical at any node count.
+// its p99 (-hedge-ms floors the delay), and ejects unhealthy peers. Every
+// search runs whole on the node that serves it. Responses are
+// byte-identical at any node count.
 //
 // Membership is dynamic: -join URLs are seed nodes handshaked once the
 // listener is up — the seed's digest supplies the rest of the member set,

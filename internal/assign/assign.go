@@ -75,26 +75,6 @@ type Params struct {
 	// every on-chip group, use a different memory count, or violate a port
 	// constraint here are rejected (counted as assign.seed_rejected).
 	Seed map[string]int
-	// Share, together with ShareKey, exchanges incumbent costs with
-	// concurrent searches of the same keyed problem — hedged duplicates on
-	// other cluster nodes, distributed subtree ranges. External bounds
-	// prune with strict > only (the shared-bound rule of parallel.go), so
-	// the exchange tightens searches without ever changing which
-	// organization a completed search returns. Nil disables it.
-	Share BoundShare
-	// ShareKey namespaces the Share exchange, typically the serving
-	// layer's canonical request key; the search appends its own problem
-	// discriminators (see problem.shareKey). Empty disables the exchange.
-	ShareKey string
-	// Distribute, when set, offers large branch-and-bound searches to the
-	// serving layer for cross-node subtree distribution (see subtree.go).
-	// The hook may decline; the search then runs locally. Results of
-	// completed searches are byte-identical either way.
-	Distribute DistributeFunc
-	// DistributeWidth is the node count Distribute can spread over, sizing
-	// the split frontier (~4 subproblems per node). < 2 disables
-	// distribution.
-	DistributeWidth int
 }
 
 func (p *Params) normalize() {
@@ -145,8 +125,6 @@ type Assignment struct {
 type problem struct {
 	tech   *memlib.Tech
 	p      Params
-	s      *spec.Spec        // source spec, kept for the Distribute hook's wire format
-	pats   []sbd.Pattern     // source patterns, same reason
 	groups []spec.BasicGroup // the groups being partitioned
 	acc    []uint64          // accesses per frame, per group
 	patVec [][]int           // group -> per-pattern multiplicity
@@ -159,7 +137,7 @@ type problem struct {
 }
 
 func buildProblem(s *spec.Spec, groups []spec.BasicGroup, pats []sbd.Pattern, tech *memlib.Tech, p Params) *problem {
-	pr := &problem{tech: tech, p: p, s: s, pats: pats, groups: groups, nPat: len(pats), nLoops: len(s.Loops)}
+	pr := &problem{tech: tech, p: p, groups: groups, nPat: len(pats), nLoops: len(s.Loops)}
 	pr.acc = make([]uint64, len(groups))
 	pr.patVec = make([][]int, len(groups))
 	pr.patIdx = make([][]int, len(groups))
@@ -811,11 +789,6 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 	if maxMem > n {
 		maxMem = n
 	}
-	if pr.p.Distribute != nil && n >= minParallelGroups && pr.p.NodeBudget >= minParallelBudget {
-		if binds, area, power, optimal, handled, err := branchAndBoundDistributed(ctx, pr, maxMem, sp); handled {
-			return binds, area, power, optimal, err
-		}
-	}
 	if wp := pr.p.Workers; wp.Workers() > 1 && n >= minParallelGroups && pr.p.NodeBudget >= minParallelBudget {
 		return branchAndBoundParallel(ctx, pr, maxMem, sp, wp)
 	}
@@ -840,37 +813,10 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 	bestAssign := make([]int, n) // group index -> memory
 	curAssign := make([]int, n)
 
-	// Cross-search incumbent exchange (cluster mode): publish the feasible
-	// costs this search finds, prune with strict > against the best cost any
-	// concurrent search of the same keyed problem published. Strict > keeps
-	// completed results byte-identical (see parallel.go rule 2); the
-	// exchange only shrinks the visited node count.
-	shareKey := ""
-	if pr.p.Share != nil {
-		shareKey = pr.shareKey(maxMem)
-	}
-	extBound := math.Inf(1)
-	refreshExt := func() {
-		if shareKey == "" {
-			return
-		}
-		if bits, ok := pr.p.Share.Best(shareKey); ok {
-			if v := math.Float64frombits(bits); v < extBound {
-				extBound = v
-			}
-		}
-	}
-	publish := func(c float64) {
-		if shareKey != "" {
-			pr.p.Share.Publish(shareKey, math.Float64bits(c))
-		}
-	}
-
 	if gAssign, gCost, ok := greedyIncumbent(pr, maxMem, &pre); ok {
 		bestCost = gCost
 		copy(bestAssign, gAssign)
 		prog.SetIncumbent(gCost)
-		publish(gCost)
 	}
 	seeded := false
 	if pr.p.Seed != nil {
@@ -883,17 +829,14 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 				copy(bestAssign, sAssign)
 				seeded = true
 				prog.SetIncumbent(sCost)
-				publish(sCost)
 			}
 		}
 	}
-	refreshExt()
 
 	// Search-effort counters: plain locals inside the hot loop, emitted once
 	// at the end so the instrumented search runs at full speed.
 	nodes := 0
 	prunedLB := 0
-	prunedExt := 0
 	portRejects := 0
 	exhausted := false
 	stopped := false // ctx deadline/cancellation hit (vs. node-budget exhaustion)
@@ -921,7 +864,6 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 		}
 		if nodes%cancelCheckInterval == 0 {
 			prog.AddNodes(cancelCheckInterval)
-			refreshExt()
 			if done != nil {
 				cancelChecks++
 				select {
@@ -937,17 +879,12 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 				bestCost = curCost
 				copy(bestAssign, curAssign)
 				prog.SetIncumbent(bestCost)
-				publish(curCost)
 			}
 			return
 		}
 		v := curCost + lbTail[step] + float64(emptyCnt)*emptyTerm
 		if v >= bestCost {
 			prunedLB++
-			return
-		}
-		if v > extBound {
-			prunedExt++
 			return
 		}
 		gi := order[step]
@@ -1001,9 +938,6 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 		o.Counter("assign.nodes").Add(int64(nodes))
 		o.Counter("assign.pruned_bound").Add(int64(prunedLB))
 		o.Counter("assign.port_rejections").Add(int64(portRejects))
-		if prunedExt > 0 {
-			o.Counter("assign.pruned_external").Add(int64(prunedExt))
-		}
 		if cancelChecks > 0 {
 			o.Counter("assign.cancel_points").Add(int64(cancelChecks))
 		}

@@ -78,14 +78,6 @@ type bbShared struct {
 	nodes   atomic.Int64 // nodes visited session-wide, flushed in batches
 	state   atomic.Uint32
 	nextSub atomic.Int64 // next subproblem index to hand out
-
-	// share/key, when set, connect this search to the cross-node incumbent
-	// exchange: global improvements are published, and external bounds fold
-	// into bound at the flush points. bound already prunes with strict >
-	// only, so external costs obey the same determinism rule as every other
-	// worker's progress.
-	share BoundShare
-	key   string
 }
 
 // setState ORs a stop bit into the shared state (CAS loop; the atomic Or
@@ -103,40 +95,18 @@ func (sh *bbShared) setState(bit uint32) {
 }
 
 // tighten lowers the shared incumbent bound to c if c is smaller, counting
-// the CAS retries lost to concurrent improvements. It reports whether this
-// call improved the bound (the publish trigger of the cross-node exchange).
-func (sh *bbShared) tighten(c float64) bool {
+// the CAS retries lost to concurrent improvements.
+func (sh *bbShared) tighten(c float64) {
 	bits := math.Float64bits(c)
 	for {
 		cur := sh.bound.Load()
 		if bits >= cur {
-			return false
+			return
 		}
 		if sh.bound.CompareAndSwap(cur, bits) {
-			return true
+			return
 		}
 		sh.races.Add(1)
-	}
-}
-
-// refreshExternal folds the exchange's best known cost into the shared
-// bound. Called at worker flush points; a no-op without a share.
-func (sh *bbShared) refreshExternal() {
-	if sh.share == nil {
-		return
-	}
-	bits, ok := sh.share.Best(sh.key)
-	if !ok {
-		return
-	}
-	for {
-		cur := sh.bound.Load()
-		if bits >= cur {
-			return
-		}
-		if sh.bound.CompareAndSwap(cur, bits) {
-			return
-		}
 	}
 }
 
@@ -330,7 +300,6 @@ func (w *bbWorker) dfs(step, subIdx int) {
 		}
 		w.prog.AddNodes(w.unflushed)
 		w.unflushed = 0
-		w.sh.refreshExternal()
 		if w.sh.state.Load() != 0 {
 			w.halted = true
 			return
@@ -352,9 +321,7 @@ func (w *bbWorker) dfs(step, subIdx int) {
 			copy(w.bestAssign, w.curAssign)
 			w.bestSub = subIdx
 			w.found = true
-			if w.sh.tighten(w.curCost) && w.sh.share != nil {
-				w.sh.share.Publish(w.sh.key, math.Float64bits(w.curCost))
-			}
+			w.sh.tighten(w.curCost)
 			w.prog.SetIncumbent(math.Float64frombits(w.sh.bound.Load()))
 		}
 		return
@@ -417,13 +384,11 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 	// incumbent and the shared CAS bound — the same places the greedy cost
 	// already flows — so determinism is unchanged.
 	warmed := false
-	warmCost := math.Inf(1)
 	var wAssign []int
 	if pr.p.Seed != nil {
 		if a, sCost, ok := seedIncumbent(pr, maxMem, &pre); ok {
 			if sb := math.Nextafter(sCost, math.Inf(1)); sb < seed {
 				seed, wAssign, warmed = sb, a, true
-				warmCost = sCost
 				prog.SetIncumbent(sCost)
 			}
 		}
@@ -452,21 +417,6 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 	sh := &bbShared{}
 	sh.bound.Store(math.Float64bits(seed))
 	sh.nodes.Store(int64(visited))
-	if pr.p.Share != nil {
-		if k := pr.shareKey(maxMem); k != "" {
-			sh.share, sh.key = pr.p.Share, k
-			// Seed the exchange with this search's entry incumbents (both
-			// are feasible costs of the keyed problem), then fold in
-			// whatever concurrent searches already published.
-			if gOK {
-				sh.share.Publish(k, math.Float64bits(gCost))
-			}
-			if warmed {
-				sh.share.Publish(k, math.Float64bits(warmCost))
-			}
-			sh.refreshExternal()
-		}
-	}
 	exhausted := visited > pr.p.NodeBudget
 	nw := wp.Workers()
 	if nw > len(prefixes) {

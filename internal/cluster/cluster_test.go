@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -375,58 +374,5 @@ func TestOwnershipShiftsWithLiveness(t *testing.T) {
 	r.peers["http://b.invalid"].fail(1, time.Hour, now)
 	if !r.Owns(key) {
 		t.Fatal("self should inherit the key once every preceding walk member is down")
-	}
-}
-
-// --- board ---
-
-func TestBoardMonotoneMerge(t *testing.T) {
-	b := NewBoard(0, nil)
-	key := "k"
-	if !b.Merge(key, math.Float64bits(10)) {
-		t.Fatal("first merge should improve")
-	}
-	if b.Merge(key, math.Float64bits(11)) {
-		t.Fatal("a worse cost should not improve the board")
-	}
-	if !b.Merge(key, math.Float64bits(9)) {
-		t.Fatal("a better cost should improve the board")
-	}
-	bits, ok := b.Best(key)
-	if !ok || math.Float64frombits(bits) != 9 {
-		t.Fatalf("best = %v,%v; want 9", math.Float64frombits(bits), ok)
-	}
-	if b.Merge(key, math.Float64bits(math.NaN())) {
-		t.Fatal("NaN must be rejected")
-	}
-}
-
-func TestBoardNotifyOnPublishOnly(t *testing.T) {
-	var notified atomic.Int64
-	b := NewBoard(0, func(string, uint64) { notified.Add(1) })
-	b.Publish("k", math.Float64bits(5))
-	if notified.Load() != 1 {
-		t.Fatalf("publish notified %d times, want 1", notified.Load())
-	}
-	b.Publish("k", math.Float64bits(6)) // no improvement: no notify
-	b.Merge("k", math.Float64bits(1))   // remote merge: never notifies (no echo)
-	if notified.Load() != 1 {
-		t.Fatalf("notified %d times total, want 1", notified.Load())
-	}
-}
-
-func TestBoardBounded(t *testing.T) {
-	b := NewBoard(4, nil)
-	for i := 0; i < 10; i++ {
-		b.Merge(fmt.Sprintf("k%d", i), math.Float64bits(float64(i+1)))
-	}
-	if len(b.best) != 4 || len(b.order) != 4 {
-		t.Fatalf("board holds %d/%d entries, want 4", len(b.best), len(b.order))
-	}
-	if _, ok := b.Best("k0"); ok {
-		t.Fatal("oldest entry should have been evicted")
-	}
-	if _, ok := b.Best("k9"); !ok {
-		t.Fatal("newest entry should be present")
 	}
 }

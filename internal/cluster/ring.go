@@ -1,8 +1,7 @@
 // Package cluster implements the multi-node serving layer: a consistent-hash
 // ring that shards request keys across dtsed nodes, a router that forwards
 // requests to their ring owner with hedged retries and health-gated peer
-// ejection, and a bounded incumbent board for best-effort cross-node
-// branch-and-bound bound sharing.
+// ejection, and SWIM-style membership with shard handoff.
 //
 // The ring hashes with memo.Fingerprint64, the same FNV-1a the session cache
 // shards with, so a key's ring owner is also the node whose session/disk

@@ -503,8 +503,8 @@ func (r *Router) PreferredPeer(key uint64) (string, bool) {
 
 // ForwardAny forwards to primary first, hedging across every other alive
 // peer in id order. Any node can serve any request — ownership only
-// optimizes cache affinity — so batch sub-groups and subtree jobs may fail
-// over to an arbitrary peer rather than walking the ring.
+// optimizes cache affinity — so batch sub-groups may fail over to an
+// arbitrary peer rather than walking the ring.
 func (r *Router) ForwardAny(ctx context.Context, primary, method, path string, body []byte, hdr http.Header) (*PeerResult, bool) {
 	_, peers := r.snapshot()
 	cands := make([]*Peer, 0, len(peers))
@@ -543,7 +543,7 @@ func (r *Router) AlivePeers() []*Peer {
 }
 
 // Client exposes the pooled forwarding client for auxiliary traffic
-// (incumbent broadcasts).
+// (membership gossip, joins, goodbyes, shard handoff).
 func (r *Router) Client() *http.Client { return r.client }
 
 func (r *Router) forwardList(ctx context.Context, cands []*Peer, method, path string, body []byte, hdr http.Header) (*PeerResult, bool) {

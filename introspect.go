@@ -230,7 +230,6 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 		p.Gauge("cluster.peers", int64(len(cs.router.Peers())))
 		p.Gauge("cluster.peers_alive", int64(len(cs.router.AlivePeers())))
 		p.Gauge("cluster.members", int64(len(cs.router.Members())))
-		p.Gauge("cluster.incumbents", int64(cs.board.Len()))
 	}
 	p.HistogramSeries("request_duration", "", s.reqHist.Snapshot())
 

@@ -228,8 +228,6 @@ func NewServer(opts ServeOptions) *Server {
 	s.mux.HandleFunc("/debug/explorations", s.handleExplorations)
 	s.mux.HandleFunc("/debug/flightrecorder", s.handleFlightRecorder)
 	// Cluster-internal endpoints; 404 until JoinCluster.
-	s.mux.HandleFunc("/v1/internal/incumbent", s.handleIncumbent)
-	s.mux.HandleFunc("/v1/internal/subtree", s.handleSubtree)
 	s.mux.HandleFunc("/v1/internal/join", s.handleClusterJoin)
 	s.mux.HandleFunc("/v1/internal/gossip", s.handleClusterGossip)
 	s.mux.HandleFunc("/v1/internal/handoff", s.handleHandoff)
@@ -943,7 +941,7 @@ func (s *Server) runExploration(ctx context.Context, p *parsedRequest, tid strin
 		capture = s.obs.CaptureSubtree(sp)
 		before = s.obs.Snapshot()
 	}
-	resp := s.dedup(ctx, p, tid, sp, prog)
+	resp := s.dedup(ctx, p, sp, prog)
 	sp.SetInt("status", int64(resp.status))
 	sp.End()
 	if s.flight != nil {
@@ -995,12 +993,12 @@ func (s *Server) maybeRecordFlight(tid string, p *parsedRequest, resp *servedRes
 // Abort) publishes uncacheable, so it is returned only to the request that
 // ran it — concurrent duplicates with live deadlines take over and
 // recompute rather than inherit a degraded response.
-func (s *Server) dedup(ctx context.Context, p *parsedRequest, tid string, sp *obs.Span, prog *obs.Progress) *servedResponse {
+func (s *Server) dedup(ctx context.Context, p *parsedRequest, sp *obs.Span, prog *obs.Progress) *servedResponse {
 	hit := true
 	prog.SetStage("dedup")
 	v := s.memo.Do(memo.Requests, p.key, func() (any, bool) {
 		hit = false
-		resp := s.explore(ctx, p, tid, sp, prog)
+		resp := s.explore(ctx, p, sp, prog)
 		cacheable := resp.status == http.StatusOK && ctx.Err() == nil && !resp.volatile
 		return resp, cacheable
 	})
@@ -1014,7 +1012,7 @@ func (s *Server) dedup(ctx context.Context, p *parsedRequest, tid string, sp *ob
 // explore runs the exploration and serializes the response. The body is a
 // deterministic function of the parsed request (trace IDs and timing live
 // in headers and telemetry only), which is what makes caching sound.
-func (s *Server) explore(ctx context.Context, p *parsedRequest, tid string, sp *obs.Span, prog *obs.Progress) *servedResponse {
+func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, prog *obs.Progress) *servedResponse {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	s.obs.Gauge("server.inflight").Set(s.inflight.Load())
@@ -1064,9 +1062,6 @@ func (s *Server) explore(ctx context.Context, p *parsedRequest, tid string, sp *
 				s.obs.Counter("server.warm_seeds").Add(1)
 			}
 		}
-		if s.cluster != nil {
-			s.clusterizeAssign(&ep, p, tid, onchip, threshold, frame, inplace, interconnect)
-		}
 		v, err := core.EvaluateContext(ctx, p.spec, p.req.Budget, p.spec.Name, ep)
 		if err != nil {
 			return errResponse(http.StatusUnprocessableEntity, err)
@@ -1075,9 +1070,10 @@ func (s *Server) explore(ctx context.Context, p *parsedRequest, tid string, sp *
 		// A seeded search that was cut short (node budget) returns its best
 		// incumbent, which the seed may have improved — a valid anytime
 		// answer, but dependent on session history, so it must not be cached.
-		// Cross-node incumbent sharing has the same shape: a cut-short search
-		// may return a bound a peer published, so in cluster mode non-optimal
-		// spec responses are volatile too.
+		// In cluster mode a key can be computed on several nodes (owner,
+		// hedge target, local fallback), and a cut-short parallel search is
+		// timing-dependent, so non-optimal spec responses are volatile there
+		// too: every cached body in the ring is a completed search.
 		volatile = (seeded || s.cluster != nil) && !env.Variant.Optimal
 		if s.warm != nil && ctx.Err() == nil {
 			s.warm.record(p.canon, seedFromWire(env.Variant))
