@@ -217,47 +217,82 @@ func TestClusterLeaveMidRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWarmIndexRefusesSeedsAfterLiveRingChange wires the warm index to a
-// real Router's live ring (exactly as JoinCluster does) and checks the
-// satellite property: a fingerprint recorded while owned goes silent the
-// moment a membership change moves its ownership away, and wakes up when
-// ownership returns.
-func TestWarmIndexRefusesSeedsAfterLiveRingChange(t *testing.T) {
-	router, err := cluster.New(cluster.Config{Self: "http://self.test"})
-	if err != nil {
-		t.Fatal(err)
+// newHandoffNode builds a cluster node that shares the ring with one fake
+// peer. Gossip is off, so the peer is never contacted: it only splits the
+// keyspace, which makes the receiver's ownership gate refuse some keys.
+func newHandoffNode(tb testing.TB) *Server {
+	tb.Helper()
+	s := NewServer(ServeOptions{Obs: obs.New()})
+	if err := s.JoinCluster(ClusterOptions{
+		Self:           "http://self.test",
+		Peers:          []string{"http://peer.test"},
+		GossipInterval: -1,
+	}); err != nil {
+		tb.Fatal(err)
 	}
-	wi := newWarmIndex()
-	wi.setOwns(func(c string) bool { return router.Owns(memo.Fingerprint64(c)) })
+	tb.Cleanup(s.Abort)
+	return s
+}
 
-	canon := `{"name":"probe"}`
-	wi.record(canon, map[string]int{"g": 0})
-	if wi.lookup(canon) == nil {
-		t.Fatal("sole member must own and serve its own fingerprint")
-	}
-
-	// Find a peer whose arrival takes ownership of canon.
-	fp := memo.Fingerprint64(canon)
-	peer := ""
-	for i := 0; i < 1000; i++ {
-		cand := fmt.Sprintf("http://peer-%d.test", i)
-		if cluster.NewRing([]string{"http://self.test", cand}).Owner(fp) == cand {
-			peer = cand
-			break
+// handoffKeys returns one Requests key the node owns and one it does not.
+func handoffKeys(tb testing.TB, s *Server) (owned, foreign string) {
+	tb.Helper()
+	for size := 16; owned == "" || foreign == ""; size++ {
+		if size > 4096 {
+			tb.Fatal("no demo key on one side of the ring; vnode layout changed?")
+		}
+		key := fmt.Sprintf("demo|%d|1|1", size)
+		if s.cluster.router.Owns(routeKeyOfCacheKey(key)) {
+			owned = key
+		} else {
+			foreign = key
 		}
 	}
-	if peer == "" {
-		t.Fatal("no candidate peer takes ownership; vnode layout changed?")
-	}
+	return owned, foreign
+}
 
-	router.SetMembers([]string{peer})
-	if got := wi.lookup(canon); got != nil {
-		t.Fatalf("lookup served a seed for a fingerprint that moved away: %v", got)
+// postHandoff drives handleHandoff with one raw body.
+func postHandoff(s *Server, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/v1/internal/handoff", bytes.NewReader(body))
+	req.Header = internalHeaders("")
+	s.Handler().ServeHTTP(rec, req)
+	return rec
+}
+
+// TestHandoffIgnoresLegacySeeds pins mixed-version handoff: a peer built
+// before warm starts were removed still sends a "seeds" array next to its
+// records. The receiver must ignore it, answer 204 and import the records
+// it owns.
+func TestHandoffIgnoresLegacySeeds(t *testing.T) {
+	s := newHandoffNode(t)
+	owned, foreign := handoffKeys(t, s)
+	val, _ := encodeServed(&servedResponse{status: http.StatusOK, body: []byte("{}\n")})
+	body := mustMarshal(map[string]any{
+		"from": "http://peer.test",
+		"records": []handoffRec{
+			{Key: owned, Val: val},
+			{Key: foreign, Val: val},
+		},
+		"seeds": []map[string]any{
+			{"canon": `{"name":"old"}`, "assign": map[string]int{"g": 0}},
+		},
+	})
+	if rec := postHandoff(s, body); rec.Code != http.StatusNoContent {
+		t.Fatalf("legacy handoff: status %d: %s", rec.Code, rec.Body)
 	}
-	wi.record(canon, map[string]int{"g": 1}) // recording is refused too
-	router.SetMembers(nil)                   // peer leaves; ownership returns
-	got := wi.lookup(canon)
-	if got == nil || got["g"] != 0 {
-		t.Fatalf("seed must wake up unchanged when ownership returns, got %v", got)
+	if n := s.obs.Counter("cluster.handoff_entries").Value(); n != 1 {
+		t.Fatalf("handoff_entries = %d, want 1", n)
+	}
+	if n := s.obs.Counter("cluster.handoff_refused").Value(); n != 1 {
+		t.Fatalf("handoff_refused = %d, want 1", n)
+	}
+	var keys []string
+	s.memo.Range(memo.Requests, func(key string, _ any) bool {
+		keys = append(keys, key)
+		return true
+	})
+	if len(keys) != 1 || keys[0] != owned {
+		t.Fatalf("imported keys = %q, want only the owned %q", keys, owned)
 	}
 }

@@ -473,70 +473,17 @@ func TestClusterMetricsFamilies(t *testing.T) {
 			t.Fatalf("/metrics missing %s after cluster traffic:\n%s", family, prom)
 		}
 	}
-	// No family of the deleted incumbent board or subtree distribution.
+	// No family of the deleted incumbent board, subtree distribution or
+	// warm-start seeding.
 	for _, family := range []string{
 		"dtse_cluster_incumbents", "dtse_cluster_incumbent_", "dtse_cluster_subtree_",
 		"dtse_assign_pruned_external", "dtse_assign_distributed_searches",
+		"dtse_server_warm_seeds", "dtse_assign_incumbent_seeded",
+		"dtse_assign_seed_rejected", "dtse_cluster_handoff_seeds",
 	} {
 		if strings.Contains(string(prom), family) {
 			t.Fatalf("/metrics still has %s after cluster traffic:\n%s", family, prom)
 		}
-	}
-}
-
-// --- warm index shard ownership ---
-
-// TestWarmIndexShardOwnership pins the boundary rule: with an ownership
-// predicate installed, the index must not record foreign fingerprints, must
-// not serve an exact hit that moved to another shard, and must skip
-// unowned entries during longest-prefix matching.
-func TestWarmIndexShardOwnership(t *testing.T) {
-	owned := map[string]bool{}
-	wi := newWarmIndex()
-	wi.setOwns(func(c string) bool { return owned[c] })
-
-	seedA := map[string]int{"a": 0}
-	seedB := map[string]int{"b": 1}
-
-	// Key naming: the two entries share no prefix with each other, so the
-	// only candidate neighbour for an AAAA-family probe is the AAAA entry.
-	const (
-		fpA = "AAAAAAAAAAAA-1"
-		fpB = "BBBBBBBBBBBB-1"
-		// probe shares 13 chars with fpA, 0 with fpB.
-		probe = "AAAAAAAAAAAA-2"
-	)
-
-	// Recording is gated.
-	wi.record(fpA, seedA)
-	if len(wi.seeds) != 0 {
-		t.Fatal("recorded a fingerprint the node does not own")
-	}
-	owned[fpA] = true
-	owned[fpB] = true
-	wi.record(fpA, seedA)
-	wi.record(fpB, seedB)
-
-	// Exact hit while owned.
-	if got := wi.lookup(fpA); got == nil || got["a"] != 0 {
-		t.Fatalf("owned exact lookup = %v", got)
-	}
-	// Exact entry present but ownership moved away (ring change): no seed.
-	owned[fpA] = false
-	if got := wi.lookup(fpA); got != nil {
-		t.Fatalf("unowned exact lookup must miss, got %v", got)
-	}
-	// Prefix matching skips unowned entries: the probe's only neighbour is
-	// the (unowned) fpA entry, so the lookup must miss rather than seed
-	// from another shard's fingerprint.
-	owned[probe] = true
-	if got := wi.lookup(probe); got != nil {
-		t.Fatalf("prefix lookup leaked an unowned shard's seed: %v", got)
-	}
-	// Ownership moving back revives the entry.
-	owned[fpA] = true
-	if got := wi.lookup(probe); got == nil || got["a"] != 0 {
-		t.Fatalf("re-owned prefix lookup = %v, want the fpA seed", got)
 	}
 }
 

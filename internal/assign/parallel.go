@@ -222,7 +222,7 @@ type bbWorker struct {
 	halted       bool
 }
 
-func newBBWorker(pr *problem, pre *bbPre, sh *bbShared, maxMem int, seed float64, done <-chan struct{}) *bbWorker {
+func newBBWorker(pr *problem, pre *bbPre, sh *bbShared, maxMem int, bound float64, done <-chan struct{}) *bbWorker {
 	n := len(pr.groups)
 	return &bbWorker{
 		pr: pr, pre: pre, sh: sh, maxMem: maxMem, n: n,
@@ -232,7 +232,7 @@ func newBBWorker(pr *problem, pre *bbPre, sh *bbShared, maxMem int, seed float64
 		mems:       newMemStates(pr, maxMem),
 		memCost:    make([]float64, maxMem),
 		curAssign:  make([]int, n),
-		bestCost:   seed,
+		bestCost:   bound,
 		bestAssign: make([]int, n),
 		bestSub:    math.MaxInt,
 	}
@@ -374,24 +374,10 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 	prog := pr.p.Progress
 	prog.SetBound(pre.lbTail[0] + float64(maxMem)*pre.emptyTerm)
 	gAssign, gCost, gOK := greedyIncumbent(pr, maxMem, &pre)
-	seed := math.Inf(1)
+	bound := math.Inf(1)
 	if gOK {
-		seed = gCost
+		bound = gCost
 		prog.SetIncumbent(gCost)
-	}
-	// Warm start: the re-priced neighbour assignment, one ulp above its own
-	// cost (see seedIncumbent), feeds the split bound, every worker's local
-	// incumbent and the shared CAS bound — the same places the greedy cost
-	// already flows — so determinism is unchanged.
-	warmed := false
-	var wAssign []int
-	if pr.p.Seed != nil {
-		if a, sCost, ok := seedIncumbent(pr, maxMem, &pre); ok {
-			if sb := math.Nextafter(sCost, math.Inf(1)); sb < seed {
-				seed, wAssign, warmed = sb, a, true
-				prog.SetIncumbent(sCost)
-			}
-		}
 	}
 
 	stopped := false
@@ -411,11 +397,11 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 	var prefixes [][]int16
 	depth, visited := 0, 0
 	if !stopped {
-		prefixes, depth, visited = chooseSplit(pr, maxMem, &pre, seed, wp.Workers())
+		prefixes, depth, visited = chooseSplit(pr, maxMem, &pre, bound, wp.Workers())
 	}
 
 	sh := &bbShared{}
-	sh.bound.Store(math.Float64bits(seed))
+	sh.bound.Store(math.Float64bits(bound))
 	sh.nodes.Store(int64(visited))
 	exhausted := visited > pr.p.NodeBudget
 	nw := wp.Workers()
@@ -425,7 +411,7 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 	workers := make([]*bbWorker, nw)
 	if nw > 0 && !stopped && !exhausted {
 		for i := range workers {
-			workers[i] = newBBWorker(pr, &pre, sh, maxMem, seed, done)
+			workers[i] = newBBWorker(pr, &pre, sh, maxMem, bound, done)
 		}
 		wp.ForEach(ctx, nw, func(i int) { workers[i].run(prefixes) })
 	}
@@ -438,12 +424,6 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 	bestSub := math.MaxInt
 	if gOK {
 		bestCost, bestAssign, bestSub = gCost, gAssign, -1
-	}
-	if warmed {
-		// Workers only record strict improvements below the seed bound, so
-		// any worker candidate beats this by cost alone; the index never
-		// breaks a tie against it.
-		bestCost, bestAssign, bestSub = seed, wAssign, math.MaxInt
 	}
 	nodes := int64(visited)
 	prog.AddNodes(int64(visited))
@@ -489,13 +469,6 @@ func branchAndBoundParallel(ctx context.Context, pr *problem, maxMem int, sp *ob
 		}
 		if stopped {
 			o.Counter("assign.deadline_fallbacks").Add(1)
-		}
-		if pr.p.Seed != nil {
-			if warmed {
-				o.Counter("assign.incumbent_seeded").Add(1)
-			} else {
-				o.Counter("assign.seed_rejected").Add(1)
-			}
 		}
 	}
 	if math.IsInf(bestCost, 1) {

@@ -94,10 +94,11 @@ type ServeOptions struct {
 	// restarts, answered as disk-tier hits by a fresh process. The caller
 	// owns the tier and must Close it after shutdown. Ignored with NoCache.
 	Disk *memo.DiskTier
-	// NoWarmStart disables nearest-neighbour incumbent seeding: by default
-	// a spec exploration's branch-and-bound starts from the best cached
-	// neighbour assignment (re-priced, so completed results are unchanged —
-	// the search just starts with a tighter bound).
+	// NoWarmStart is ignored: the server never seeds a search from cached
+	// neighbours.
+	//
+	// Deprecated: warm starts were removed; the field is kept so existing
+	// callers still compile.
 	NoWarmStart bool
 	// FlightRecorder bounds the flight-recorder ring: the last N slow,
 	// degraded, or errored requests kept with their span trees and counter
@@ -119,7 +120,6 @@ type Server struct {
 	memo    *memo.Cache
 	workers *pool.Pool
 	mux     *http.ServeMux
-	warm    *warmIndex    // nearest-neighbour seeds; nil when disabled
 	cluster *clusterState // nil outside cluster mode (see cluster_server.go)
 
 	// baseCtx parents every request context; Abort cancels it, degrading
@@ -179,32 +179,6 @@ func NewServer(opts ServeOptions) *Server {
 		}
 		if opts.Disk != nil {
 			s.memo.AttachDisk(memo.Requests, opts.Disk, encodeServed, decodeServed)
-		}
-	}
-	if !opts.NoWarmStart {
-		s.warm = newWarmIndex()
-		if opts.Disk != nil {
-			// Restart semantics: warm starts survive the process — rebuild
-			// the neighbour index from the persisted responses, which carry
-			// each winning organization's group->memory bindings.
-			opts.Disk.Range(memo.Requests, func(key string, val []byte) bool {
-				canon, ok := canonOfKey(key)
-				if !ok {
-					return true
-				}
-				v, ok := decodeServed(val)
-				if !ok {
-					return true
-				}
-				var env exploreResponse
-				if json.Unmarshal(v.(*servedResponse).body, &env) != nil {
-					return true
-				}
-				if a := seedFromWire(env.Variant); a != nil {
-					s.warm.record(canon, a)
-				}
-				return true
-			})
 		}
 	}
 	// Opt-in duration histograms: wired here, at construction, before any
@@ -309,7 +283,7 @@ type parsedRequest struct {
 	req   *exploreRequest
 	spec  *spec.Spec // spec mode only
 	key   string     // canonical dedup key (deadline excluded)
-	canon string     // canonical spec JSON (spec mode): the warm-start fingerprint
+	canon string     // canonical spec JSON (spec mode): the routing fingerprint
 	mode  string     // "spec" or "demo", for introspection
 	label string     // spec name or demo size, for introspection
 	peer  string     // serving cluster node, when routed here by a peer
@@ -415,10 +389,9 @@ func specParams(pr *paramsRequest) (onchip int, threshold int64, frame float64, 
 // status and body bytes of one deterministic response. degraded marks a
 // best-effort response computed under an expired deadline or abort; such
 // responses are never cached, so cached entries are never degraded.
-// volatile marks a completed response whose content still depends on
-// session history — a warm-started search that exhausted its node budget
-// returns the best incumbent, which the seed may have improved — so it,
-// too, is served once and never cached.
+// volatile marks a completed response whose content may depend on which
+// node computed it (a cut-short search in cluster mode, see explore), so
+// it, too, is served once and never cached.
 type servedResponse struct {
 	status   int
 	body     []byte
@@ -464,151 +437,6 @@ func canonOfKey(key string) (string, bool) {
 		return "", false
 	}
 	return parts[7], true
-}
-
-// seedFromWire flattens a variant's on-chip bindings into the warm-start
-// seed form: group name -> memory slot.
-func seedFromWire(v *core.VariantWire) map[string]int {
-	if v == nil || len(v.OnChip) == 0 {
-		return nil
-	}
-	m := make(map[string]int)
-	for i := range v.OnChip {
-		for _, g := range v.OnChip[i].Groups {
-			m[g] = i
-		}
-	}
-	return m
-}
-
-// warmIndex maps canonical spec fingerprints to their best-known on-chip
-// assignment, for seeding the branch-and-bound of neighbouring requests.
-// Bounded FIFO (warmIndexCap entries): this is a hint store, not a cache —
-// a dropped or stale entry only costs the tighter initial bound, never
-// correctness, because every seed is re-priced on the problem it seeds.
-type warmIndex struct {
-	mu    sync.Mutex
-	seeds map[string]map[string]int
-	order []string
-	// owns, when set (cluster mode), is the live shard predicate: the index
-	// refuses to record or serve seeds for fingerprints this node does not
-	// own right now, so a ring change (peer ejected or rejoined) can never
-	// leak another shard's neighbourhood into this node's seeding. Entries
-	// recorded while owned are kept but go silent when ownership moves away,
-	// and wake up if it moves back.
-	owns func(canon string) bool
-}
-
-const (
-	warmIndexCap = 512
-	// warmMinPrefix is the minimum shared fingerprint prefix for a
-	// non-exact neighbour match. Purely an efficiency filter: an unrelated
-	// seed would be rejected (or strictly improve the incumbent) anyway.
-	warmMinPrefix = 8
-)
-
-func newWarmIndex() *warmIndex {
-	return &warmIndex{seeds: make(map[string]map[string]int)}
-}
-
-// record stores (or refreshes) the seed for one fingerprint. The assign
-// map is stored as-is and must never be mutated afterwards.
-// setOwns installs the shard-ownership predicate (cluster mode).
-func (wi *warmIndex) setOwns(owns func(canon string) bool) {
-	if wi == nil {
-		return
-	}
-	wi.mu.Lock()
-	wi.owns = owns
-	wi.mu.Unlock()
-}
-
-func (wi *warmIndex) record(canon string, assign map[string]int) {
-	if wi == nil || canon == "" || len(assign) == 0 {
-		return
-	}
-	wi.mu.Lock()
-	defer wi.mu.Unlock()
-	if wi.owns != nil && !wi.owns(canon) {
-		return
-	}
-	if _, ok := wi.seeds[canon]; !ok {
-		if len(wi.order) >= warmIndexCap {
-			delete(wi.seeds, wi.order[0])
-			wi.order = wi.order[1:]
-		}
-		wi.order = append(wi.order, canon)
-	}
-	wi.seeds[canon] = assign
-}
-
-// lookup returns the nearest neighbour's seed: the exact fingerprint when
-// recorded, else the recorded fingerprint sharing the longest common
-// prefix (earliest recorded wins ties, so the choice is deterministic for
-// a given index state). Nil when nothing is close enough.
-func (wi *warmIndex) lookup(canon string) map[string]int {
-	if wi == nil {
-		return nil
-	}
-	wi.mu.Lock()
-	defer wi.mu.Unlock()
-	if wi.owns != nil && !wi.owns(canon) {
-		// Not our shard: serving a neighbour here would seed searches from a
-		// fingerprint whose traffic (and index freshness) lives on a peer.
-		return nil
-	}
-	if a, ok := wi.seeds[canon]; ok {
-		return a
-	}
-	bestLen := warmMinPrefix - 1
-	var best map[string]int
-	for _, c := range wi.order {
-		if wi.owns != nil && !wi.owns(c) {
-			continue
-		}
-		if l := commonPrefixLen(c, canon); l > bestLen {
-			bestLen, best = l, wi.seeds[c]
-		}
-	}
-	return best
-}
-
-// rangeSeeds calls fn for every recorded seed until fn returns false — the
-// exporting side of a shard handoff. The assign maps are shared and must
-// not be mutated. No ownership filter here: the handoff caller applies its
-// own moved-range predicate, which is about the *new* ring, not ours.
-func (wi *warmIndex) rangeSeeds(fn func(canon string, assign map[string]int) bool) {
-	if wi == nil {
-		return
-	}
-	wi.mu.Lock()
-	canons := append([]string(nil), wi.order...)
-	assigns := make([]map[string]int, len(canons))
-	for i, c := range canons {
-		assigns[i] = wi.seeds[c]
-	}
-	wi.mu.Unlock()
-	for i := range canons {
-		if assigns[i] == nil {
-			continue
-		}
-		if !fn(canons[i], assigns[i]) {
-			return
-		}
-	}
-}
-
-func commonPrefixLen(a, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
@@ -1050,34 +878,17 @@ func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, pr
 		ep.Assign.OnChipMaxWords = threshold
 		ep.Assign.InPlace = inplace
 		ep.OnChipCount = onchip
-		// Warm start: seed the branch-and-bound incumbent from the nearest
-		// cached neighbour. The seed is re-priced inside the search, so a
-		// completed exploration returns byte-identical results — only the
-		// initial bound tightens.
-		seeded := false
-		if s.warm != nil {
-			if seed := s.warm.lookup(p.canon); seed != nil {
-				ep.Assign.Seed = seed
-				seeded = true
-				s.obs.Counter("server.warm_seeds").Add(1)
-			}
-		}
 		v, err := core.EvaluateContext(ctx, p.spec, p.req.Budget, p.spec.Name, ep)
 		if err != nil {
 			return errResponse(http.StatusUnprocessableEntity, err)
 		}
 		env.Variant = v.Wire()
-		// A seeded search that was cut short (node budget) returns its best
-		// incumbent, which the seed may have improved — a valid anytime
-		// answer, but dependent on session history, so it must not be cached.
 		// In cluster mode a key can be computed on several nodes (owner,
-		// hedge target, local fallback), and a cut-short parallel search is
-		// timing-dependent, so non-optimal spec responses are volatile there
-		// too: every cached body in the ring is a completed search.
-		volatile = (seeded || s.cluster != nil) && !env.Variant.Optimal
-		if s.warm != nil && ctx.Err() == nil {
-			s.warm.record(p.canon, seedFromWire(env.Variant))
-		}
+		// hedge target, local fallback), and a search cut short by its node
+		// budget is timing-dependent under the parallel engine, so
+		// non-optimal spec responses are volatile there: every cached body
+		// in the ring is a completed search.
+		volatile = s.cluster != nil && !env.Variant.Optimal
 	}
 	body, err := json.Marshal(env)
 	if err != nil {
