@@ -16,96 +16,29 @@ import (
 	dtse "repro"
 )
 
-// buildSwitch describes a 16-port shared-buffer switch processing cells.
-// Each cell: header lookup in the routing table, VC accounting
-// read-modify-write, payload enqueue (12 words of 32 bit) and dequeue.
-func buildSwitch(name string, sharedBuffer bool) *dtse.Spec {
-	const (
-		cellsPerFrame = 400_000 // ~OC-3 line rate over one exploration frame
-		payloadWords  = 12      // 48-byte payload as 32-bit words
-	)
-	b := dtse.NewSpec(name)
-	if sharedBuffer {
-		b.Group("cellbuf", 128*1024, 32) // one shared pool
-	} else {
-		// Partitioned per port group: four quarter-size pools.
-		for i := 0; i < 4; i++ {
-			b.Group(fmt.Sprintf("cellbuf%d", i), 32*1024, 32)
-		}
+// buildSwitch builds the 16-port switch spec (workloads.ATMSwitch) and
+// returns it with its real-time context.
+func buildSwitch(name string, sharedBuffer bool) (*dtse.Spec, dtse.WorkloadContext) {
+	s, ctx, err := dtse.ATMSwitchWorkload(name, sharedBuffer)
+	if err != nil {
+		log.Fatalf("%s: %v", name, err)
 	}
-	b.Group("route", 4096, 14) // VPI/VCI -> output port + new header
-	b.Group("vcacct", 4096, 20)
-	b.Group("freelist", 8192, 13)
-
-	enqueue := func(pool string) {
-		r := b.Read("route", 1)
-		a := b.Read("vcacct", 1, r)
-		b.Write("vcacct", 1, a)
-		f := b.Read("freelist", 1, r)
-		prev := f
-		for w := 0; w < payloadWords; w++ {
-			prev = b.Write(pool, 1, prev)
-		}
-	}
-	dequeue := func(pool string) {
-		f := b.Read("freelist", 1)
-		prev := f
-		for w := 0; w < payloadWords; w++ {
-			prev = b.Read(pool, 1, prev)
-		}
-		b.Write("freelist", 1, prev)
-	}
-
-	if sharedBuffer {
-		b.Loop("enqueue", cellsPerFrame)
-		enqueue("cellbuf")
-		b.Loop("dequeue", cellsPerFrame)
-		dequeue("cellbuf")
-	} else {
-		// Traffic spreads over the four pools; the pools are alternative
-		// targets per cell (branch-tagged: a cell lands in exactly one).
-		b.Loop("enqueue", cellsPerFrame)
-		r := b.Read("route", 1)
-		a := b.Read("vcacct", 1, r)
-		b.Write("vcacct", 1, a)
-		f := b.Read("freelist", 1, r)
-		for i := 0; i < 4; i++ {
-			b.Branch(fmt.Sprintf("pool%d", i))
-			prev := f
-			for w := 0; w < payloadWords; w++ {
-				prev = b.Write(fmt.Sprintf("cellbuf%d", i), 0.25, prev)
-			}
-			b.Branch("")
-		}
-		b.Loop("dequeue", cellsPerFrame)
-		f2 := b.Read("freelist", 1)
-		for i := 0; i < 4; i++ {
-			b.Branch(fmt.Sprintf("pool%d", i))
-			prev := f2
-			for w := 0; w < payloadWords; w++ {
-				prev = b.Read(fmt.Sprintf("cellbuf%d", i), 0.25, prev)
-			}
-			b.Branch("")
-		}
-		b.Write("freelist", 1, f2)
-	}
-	return b.MustBuild()
+	return s, ctx
 }
 
 func main() {
+	partitioned, wctx := buildSwitch("partitioned", false)
 	ep := dtse.DefaultParams()
 	// Cell buffers are large SRAM pools: allow them on chip.
 	tech := *ep.Tech
-	tech.OnChipMaxWords = 192 * 1024
-	tech.SRAM.MaxWords = 192 * 1024
-	tech.FramePeriod = 0.4 // 400k cells over 0.4 s
+	tech.OnChipMaxWords = wctx.OnChipMaxWords
+	tech.SRAM.MaxWords = wctx.OnChipMaxWords
+	tech.FramePeriod = wctx.FramePeriod
 	ep.Tech = &tech
 	ep.SBD.OnChipMaxWords = tech.OnChipMaxWords
 	ep.Assign.OnChipMaxWords = tech.OnChipMaxWords
 	ep.OnChipCount = 4
-
-	const budgetPerCell = 34 // storage cycles per cell (enqueue + dequeue)
-	budget := uint64(budgetPerCell) * 400_000
+	budget := wctx.CycleBudget
 
 	fmt.Println("ATM shared-buffer switch: memory organization feedback")
 	for _, cfg := range []struct {
@@ -115,7 +48,7 @@ func main() {
 		{"one shared 128K cell pool", true},
 		{"four partitioned 32K pools", false},
 	} {
-		s := buildSwitch(cfg.label, cfg.shared)
+		s, _ := buildSwitch(cfg.label, cfg.shared)
 		v, err := dtse.Explore(s, budget, ep)
 		if err != nil {
 			log.Fatalf("%s: %v", cfg.label, err)
@@ -135,7 +68,7 @@ func main() {
 	// rebalancing the payload accumulation chains) shorten the MACP, and
 	// the exploration continues.
 	fmt.Println("\ncycle budget sweep (partitioned pools):")
-	s := buildSwitch("partitioned", false)
+	s := partitioned
 	for _, frac := range []float64{1.0, 0.9, 0.8, 0.7, 0.6} {
 		bgt := uint64(float64(budget) * frac)
 		cand := s

@@ -164,3 +164,82 @@ func FIRFilter(samples, taps int) (*spec.Spec, Context, error) {
 	}
 	return s, ctx, nil
 }
+
+// ATMSwitch builds a 16-port shared-buffer ATM switch processing cells —
+// the DTSE papers' network-component domain (Slock et al.). Each cell does
+// a header lookup in the routing table, a per-VC accounting
+// read-modify-write, and a payload enqueue and dequeue (12 words of 32
+// bit). sharedBuffer selects one shared 128K-word cell pool; otherwise the
+// cells spread over four partitioned 32K-word pools, modeled as mutually
+// exclusive branches (a cell lands in exactly one).
+func ATMSwitch(name string, sharedBuffer bool) (*spec.Spec, Context, error) {
+	const (
+		cellsPerFrame = 400_000 // ~OC-3 line rate over one exploration frame
+		payloadWords  = 12      // 48-byte payload as 32-bit words
+		budgetPerCell = 34      // storage cycles per cell (enqueue + dequeue)
+	)
+	b := spec.NewBuilder(name)
+	if sharedBuffer {
+		b.Group("cellbuf", 128*1024, 32) // one shared pool
+	} else {
+		// Partitioned per port group: four quarter-size pools.
+		for i := 0; i < 4; i++ {
+			b.Group(fmt.Sprintf("cellbuf%d", i), 32*1024, 32)
+		}
+	}
+	b.Group("route", 4096, 14) // VPI/VCI -> output port + new header
+	b.Group("vcacct", 4096, 20)
+	b.Group("freelist", 8192, 13)
+
+	if sharedBuffer {
+		b.Loop("enqueue", cellsPerFrame)
+		r := b.Read("route", 1)
+		a := b.Read("vcacct", 1, r)
+		b.Write("vcacct", 1, a)
+		prev := b.Read("freelist", 1, r)
+		for w := 0; w < payloadWords; w++ {
+			prev = b.Write("cellbuf", 1, prev)
+		}
+		b.Loop("dequeue", cellsPerFrame)
+		prev = b.Read("freelist", 1)
+		for w := 0; w < payloadWords; w++ {
+			prev = b.Read("cellbuf", 1, prev)
+		}
+		b.Write("freelist", 1, prev)
+	} else {
+		b.Loop("enqueue", cellsPerFrame)
+		r := b.Read("route", 1)
+		a := b.Read("vcacct", 1, r)
+		b.Write("vcacct", 1, a)
+		f := b.Read("freelist", 1, r)
+		for i := 0; i < 4; i++ {
+			b.Branch(fmt.Sprintf("pool%d", i))
+			prev := f
+			for w := 0; w < payloadWords; w++ {
+				prev = b.Write(fmt.Sprintf("cellbuf%d", i), 0.25, prev)
+			}
+			b.Branch("")
+		}
+		b.Loop("dequeue", cellsPerFrame)
+		f2 := b.Read("freelist", 1)
+		for i := 0; i < 4; i++ {
+			b.Branch(fmt.Sprintf("pool%d", i))
+			prev := f2
+			for w := 0; w < payloadWords; w++ {
+				prev = b.Read(fmt.Sprintf("cellbuf%d", i), 0.25, prev)
+			}
+			b.Branch("")
+		}
+		b.Write("freelist", 1, f2)
+	}
+	s, err := b.Build()
+	if err != nil {
+		return nil, Context{}, err
+	}
+	ctx := Context{
+		CycleBudget:    budgetPerCell * cellsPerFrame,
+		FramePeriod:    0.4,        // 400k cells over 0.4 s
+		OnChipMaxWords: 192 * 1024, // the cell pools are large SRAMs: allow them on chip
+	}
+	return s, ctx, nil
+}

@@ -193,3 +193,32 @@ func TestWorkloadAccessArithmetic(t *testing.T) {
 		t.Fatalf("mv accesses = %d, want %d", got, blocks)
 	}
 }
+
+func TestATMSwitchAccessArithmetic(t *testing.T) {
+	shared, ctx, err := ATMSwitch("shared", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.CycleBudget != 34*400_000 {
+		t.Fatalf("cycle budget = %d", ctx.CycleBudget)
+	}
+	// Every cell writes and reads its 12 payload words once.
+	if got := shared.AccessesPerFrame("cellbuf"); got != 24*400_000 {
+		t.Fatalf("shared cellbuf accesses = %d, want %d", got, 24*400_000)
+	}
+	parted, _, err := ATMSwitch("partitioned", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The four pools are alternatives: each sees a quarter of the cells.
+	for i := 0; i < 4; i++ {
+		g := "cellbuf" + string(rune('0'+i))
+		if got := parted.AccessesPerFrame(g); got != 6*400_000 {
+			t.Fatalf("%s accesses = %d, want %d", g, got, 6*400_000)
+		}
+	}
+	if shared.TotalAccesses() != parted.TotalAccesses() {
+		t.Fatalf("organizations disagree on traffic: %d vs %d",
+			shared.TotalAccesses(), parted.TotalAccesses())
+	}
+}
