@@ -56,12 +56,14 @@ func specEqual(a, b *Spec) bool {
 }
 
 // FuzzSpecJSONRoundTrip feeds arbitrary bytes to ReadJSON: it must either
-// error cleanly or produce a specification that validates and survives a
-// WriteJSON → ReadJSON round trip unchanged.
+// error cleanly or produce a specification that validates, serializes to
+// exactly the reflective reference bytes, and survives a WriteJSON →
+// ReadJSON round trip unchanged.
 func FuzzSpecJSONRoundTrip(f *testing.F) {
 	f.Add([]byte(handWrittenJSON))
 	f.Add([]byte(`{"name":"empty","groups":[],"loops":[]}`))
 	f.Add([]byte(`{"name":"x","groups":[{"name":"g","words":1,"bits":1}],"loops":[{"name":"l","iterations":1,"accesses":[{"group":"g","count":0.5,"site":"s","branch":"b"}]}]}`))
+	f.Add([]byte(`{"name":"<\u2028>&\ud800","groups":[{"name":"\u0000\b","words":1,"bits":1}],"loops":[{"name":"l","iterations":1,"accesses":[{"group":"\u0000\b","count":1e-7,"deps":[]},{"group":"\u0000\b","count":1e-300}]}]}`))
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{"name":"bad","groups":[{"name":"g","words":-3,"bits":99}],"loops":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -72,6 +74,7 @@ func FuzzSpecJSONRoundTrip(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("ReadJSON accepted a spec that does not validate: %v", err)
 		}
+		checkMatchesReflect(t, s)
 		var buf strings.Builder
 		if err := s.WriteJSON(&buf); err != nil {
 			t.Fatalf("WriteJSON failed on an accepted spec: %v", err)

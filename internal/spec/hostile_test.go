@@ -44,7 +44,10 @@ func hostileFloat(rng *rand.Rand) float64 {
 	case 0:
 		return hostileFloats[rng.Intn(len(hostileFloats))]
 	case 1:
-		return rng.Float64() * math.Pow(10, float64(rng.Intn(640)-330))
+		if f := rng.Float64() * math.Pow(10, float64(rng.Intn(640)-330)); !math.IsInf(f, 0) {
+			return f
+		}
+		return 0.25
 	default:
 		f := math.Float64frombits(rng.Uint64())
 		if math.IsNaN(f) || math.IsInf(f, 0) {
