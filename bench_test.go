@@ -7,7 +7,10 @@
 package dtse
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -477,6 +480,52 @@ func BenchmarkDistribute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sbd.Distribute(demo.Spec, demo.CycleBudget, ep.SBD); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// specHotBodies builds n seeded spec-mode request bodies shaped like the
+// dtsebench spec_hot traffic: a compact single-loop spec of 8 to 12
+// on-chip groups, each read once or twice and written half the time, plus
+// a budget.
+func specHotBodies(n int) [][]byte {
+	rng := rand.New(rand.NewSource(7))
+	bodies := make([][]byte, n)
+	for i := range bodies {
+		b := NewSpec(fmt.Sprintf("hot%d", i))
+		names := make([]string, 8+rng.Intn(5))
+		for j := range names {
+			names[j] = fmt.Sprintf("g%d", j)
+			b.Group(names[j], int64(128<<uint(rng.Intn(4))), 4+2*rng.Intn(6))
+		}
+		b.Loop("body", 2048+uint64(rng.Intn(2048)))
+		for _, name := range names {
+			b.Read(name, float64(1+rng.Intn(2)))
+			if rng.Intn(2) == 0 {
+				b.Write(name, 1)
+			}
+		}
+		var indented, compact bytes.Buffer
+		if err := WriteSpecJSON(b.MustBuild(), &indented); err != nil {
+			panic(err)
+		}
+		if err := json.Compact(&compact, indented.Bytes()); err != nil {
+			panic(err)
+		}
+		bodies[i] = fmt.Appendf(nil, `{"spec":%s,"budget":20000000}`, compact.Bytes())
+	}
+	return bodies
+}
+
+// BenchmarkParseExplore measures the request parse layer alone: decoding a
+// spec_hot-shaped body, validating the spec and deriving its dedup key.
+func BenchmarkParseExplore(b *testing.B) {
+	bodies := specHotBodies(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := parseExplore(bytes.NewReader(bodies[i%len(bodies)])); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -303,6 +303,10 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
 	}
+	// A JSON null spec is an absent spec, like a null demo.
+	if string(req.Spec) == "null" {
+		req.Spec = nil
+	}
 	if (req.Spec == nil) == (req.Demo == nil) {
 		return nil, fmt.Errorf("exactly one of spec or demo must be set")
 	}
@@ -329,7 +333,7 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 	if req.Budget == 0 {
 		return nil, fmt.Errorf("budget is required with spec")
 	}
-	sp, err := spec.ReadJSON(bytes.NewReader(req.Spec))
+	sp, err := spec.ParseJSON(req.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("invalid spec: %v", err)
 	}
@@ -338,18 +342,34 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The key pins every input that shapes the response — the spec in its
-	// canonical serialization (request-side whitespace and field order must
-	// not defeat deduplication), the budget, and the tool knobs. The
-	// deadline is deliberately excluded: only completed explorations are
-	// cached, and a completed result is valid under any deadline.
-	var canon bytes.Buffer
-	if err := sp.WriteJSON(&canon); err != nil {
+	// The key pins every input that shapes the response — the budget, the
+	// tool knobs, and the spec in its canonical serialization (request-side
+	// whitespace and field order must not defeat deduplication):
+	//
+	//	spec|budget|onchip|threshold|frame|inplace|interconnect|canonical spec
+	//
+	// The deadline is deliberately excluded: only completed explorations
+	// are cached, and a completed result is valid under any deadline.
+	key := make([]byte, 0, 128+5*len(req.Spec)/2)
+	key = append(key, "spec|"...)
+	key = strconv.AppendUint(key, req.Budget, 10)
+	key = append(key, '|')
+	key = strconv.AppendInt(key, int64(onchip), 10)
+	key = append(key, '|')
+	key = strconv.AppendInt(key, threshold, 10)
+	key = append(key, '|')
+	key = strconv.AppendFloat(key, frame, 'g', -1, 64)
+	key = append(key, '|')
+	key = strconv.AppendBool(key, inplace)
+	key = append(key, '|')
+	key = strconv.AppendBool(key, interconnect)
+	key = append(key, '|')
+	prefix := len(key)
+	if key, err = spec.AppendJSON(key, sp); err != nil {
 		return nil, fmt.Errorf("invalid spec: %v", err)
 	}
-	p.key = fmt.Sprintf("spec|%d|%d|%d|%g|%t|%t|%s",
-		req.Budget, onchip, threshold, frame, inplace, interconnect, canon.String())
-	p.canon = canon.String()
+	p.key = string(key)
+	p.canon = p.key[prefix:]
 	p.mode = "spec"
 	p.label = sp.Name
 	return p, nil

@@ -147,6 +147,54 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// TestExploreNullSpec: a JSON null spec is an absent spec. Alone with a
+// budget it is the missing-mode error; beside a demo it is the demo.
+func TestExploreNullSpec(t *testing.T) {
+	srv := NewServer(ServeOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	_, demoBody := postExplore(t, ts, `{"demo":{"size":64}}`)
+	cases := []struct {
+		body   string
+		status int
+		want   string
+	}{
+		{`{"spec":null,"budget":5}`, http.StatusBadRequest,
+			`{"error":"exactly one of spec or demo must be set"}` + "\n"},
+		{`{"spec":null,"demo":{"size":64}}`, http.StatusOK, string(demoBody)},
+	}
+	for _, c := range cases {
+		resp, body := postExplore(t, ts, c.body)
+		if resp.StatusCode != c.status || string(body) != c.want {
+			t.Errorf("%s: status %d, body %.200q; want %d, %.200q",
+				c.body, resp.StatusCode, body, c.status, c.want)
+		}
+	}
+}
+
+// parseAllocsCeiling is the committed allocation ceiling of one
+// parseExplore call on a spec_hot-shaped body: the measured 75 plus about
+// 10 %. The parse that re-scanned and reflectively re-encoded the spec
+// made 126.
+const parseAllocsCeiling = 83
+
+// TestParseExploreAllocs pins the parse layer's allocation count.
+func TestParseExploreAllocs(t *testing.T) {
+	bodies := specHotBodies(16)
+	perBody := testing.AllocsPerRun(20, func() {
+		for _, b := range bodies {
+			if _, err := parseExplore(bytes.NewReader(b)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(len(bodies))
+	t.Logf("parseExplore: %.1f allocs per spec_hot-shaped body", perBody)
+	if perBody > parseAllocsCeiling {
+		t.Errorf("parseExplore makes %.1f allocs per body, ceiling %d", perBody, parseAllocsCeiling)
+	}
+}
+
 // TestServerOverload: with every exploration slot taken and the admission
 // queue full, the server answers 429 with a Retry-After hint instead of
 // queueing unboundedly.
