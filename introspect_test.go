@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -433,9 +434,17 @@ func TestSSEExplore(t *testing.T) {
 
 // TestSSECancelMidExploration: a client that disconnects mid-stream cancels
 // its exploration; the server drains and the degraded result is not cached,
-// so a later identical request recomputes.
+// so a later identical request recomputes. The first exploration is held
+// until its context is done, so the disconnect always lands mid-exploration
+// however fast the host runs the demo.
 func TestSSECancelMidExploration(t *testing.T) {
 	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	var held atomic.Bool
+	srv.holdExplore = func(ctx context.Context) {
+		if held.CompareAndSwap(false, true) {
+			<-ctx.Done()
+		}
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

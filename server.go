@@ -147,6 +147,11 @@ type Server struct {
 
 	liveMu sync.Mutex
 	live   map[string]*liveEntry // in-flight explorations by trace id
+
+	// holdExplore is a test seam: when set, every exploration calls it with
+	// its context before computing, so a test can hold one until its
+	// client is gone.
+	holdExplore func(ctx context.Context)
 }
 
 // NewServer builds a Server with its session state. The caller owns opts.Obs
@@ -864,6 +869,9 @@ func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, pr
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	s.obs.Gauge("server.inflight").Set(s.inflight.Load())
+	if s.holdExplore != nil {
+		s.holdExplore(ctx)
+	}
 
 	ep := core.DefaultEvalParams()
 	ep.Obs = s.obs
