@@ -336,9 +336,3 @@ func WaveletWorkload(w, h, levels int) (*Spec, WorkloadContext, error) {
 func FIRWorkload(samples, taps int) (*Spec, WorkloadContext, error) {
 	return workloads.FIRFilter(samples, taps)
 }
-
-// ATMSwitchWorkload builds a shared-buffer ATM switch spec, with one shared
-// cell pool or four partitioned ones.
-func ATMSwitchWorkload(name string, sharedBuffer bool) (*Spec, WorkloadContext, error) {
-	return workloads.ATMSwitch(name, sharedBuffer)
-}

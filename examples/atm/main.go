@@ -14,12 +14,13 @@ import (
 	"log"
 
 	dtse "repro"
+	"repro/internal/workloads"
 )
 
-// buildSwitch builds the 16-port switch spec (workloads.ATMSwitch) and
-// returns it with its real-time context.
+// buildSwitch builds the 16-port switch spec and returns it with its
+// real-time context.
 func buildSwitch(name string, sharedBuffer bool) (*dtse.Spec, dtse.WorkloadContext) {
-	s, ctx, err := dtse.ATMSwitchWorkload(name, sharedBuffer)
+	s, ctx, err := workloads.ATMSwitch(name, sharedBuffer)
 	if err != nil {
 		log.Fatalf("%s: %v", name, err)
 	}
