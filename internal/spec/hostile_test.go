@@ -107,7 +107,7 @@ func hostileSpec(rng *rand.Rand) *Spec {
 // and every hostile float as an access count, so each edge is pinned
 // regardless of what the seeded draws hit.
 func edgeSpec() *Spec {
-	s := &Spec{Name: "edges<&> "}
+	s := &Spec{Name: "edges<&>\u2028"}
 	l := Loop{Name: "edge\x00loop", Iterations: math.MaxUint64}
 	for i, name := range hostileStrings {
 		s.Groups = append(s.Groups, BasicGroup{Name: name, Words: math.MaxInt64 - int64(i), Bits: i - 1})

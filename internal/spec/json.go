@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -266,19 +265,9 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// MarshalJSON implements json.Marshaler with the compact form of the
-// canonical serialization.
-func (s *Spec) MarshalJSON() ([]byte, error) {
-	b, err := AppendJSON(nil, s)
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, b); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// MarshalJSON implements json.Marshaler with the canonical serialization
+// (encoding/json compacts or re-indents it to the caller's layout).
+func (s *Spec) MarshalJSON() ([]byte, error) { return AppendJSON(nil, s) }
 
 // UnmarshalJSON implements json.Unmarshaler through ParseJSON: the result
 // is validated.

@@ -355,20 +355,8 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 	//
 	// The deadline is deliberately excluded: only completed explorations
 	// are cached, and a completed result is valid under any deadline.
-	key := make([]byte, 0, 128+5*len(req.Spec)/2)
-	key = append(key, "spec|"...)
-	key = strconv.AppendUint(key, req.Budget, 10)
-	key = append(key, '|')
-	key = strconv.AppendInt(key, int64(onchip), 10)
-	key = append(key, '|')
-	key = strconv.AppendInt(key, threshold, 10)
-	key = append(key, '|')
-	key = strconv.AppendFloat(key, frame, 'g', -1, 64)
-	key = append(key, '|')
-	key = strconv.AppendBool(key, inplace)
-	key = append(key, '|')
-	key = strconv.AppendBool(key, interconnect)
-	key = append(key, '|')
+	key := fmt.Appendf(make([]byte, 0, 128+5*len(req.Spec)/2), "spec|%d|%d|%d|%g|%t|%t|",
+		req.Budget, onchip, threshold, frame, inplace, interconnect)
 	prefix := len(key)
 	if key, err = spec.AppendJSON(key, sp); err != nil {
 		return nil, fmt.Errorf("invalid spec: %v", err)

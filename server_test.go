@@ -174,10 +174,10 @@ func TestExploreNullSpec(t *testing.T) {
 }
 
 // parseAllocsCeiling is the committed allocation ceiling of one
-// parseExplore call on a spec_hot-shaped body: the measured 75 plus about
+// parseExplore call on a spec_hot-shaped body: the measured 78.5 plus about
 // 10 %. The parse that re-scanned and reflectively re-encoded the spec
 // made 126.
-const parseAllocsCeiling = 83
+const parseAllocsCeiling = 86
 
 // TestParseExploreAllocs pins the parse layer's allocation count.
 func TestParseExploreAllocs(t *testing.T) {
