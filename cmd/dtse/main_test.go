@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -83,6 +85,41 @@ func TestRunWorkersDeterministic(t *testing.T) {
 	if outputs[0] != outputs[1] {
 		t.Fatalf("-workers=1 and -workers=3 outputs differ:\n--- workers=1\n%s\n--- workers=3\n%s",
 			outputs[0], outputs[1])
+	}
+}
+
+// TestRunDigests pins the exact stdout bytes of whole methodology runs by
+// their SHA-256: every table, figure and decision line at the small scale,
+// with ablations and with in-place mapping, plus the paper-scale 1024² runs
+// outside -short. Any change to an assignment, a schedule or a rendered
+// number shows up here. Update a digest only after a deliberate change to
+// the results, and say which output changed.
+func TestRunDigests(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		long   bool
+		sha256 string
+	}{
+		{[]string{"-size", "64"}, false, "126eb2af22b02ce6f082d3b329a121ee5996f9f6718f76ebaafb77e4343db188"},
+		{[]string{"-size", "64", "-ablations"}, false, "5c7f077d3172b367837c5ff958d080a461edcd1f934fa6b6ad29dcc6a5008881"},
+		{[]string{"-size", "64", "-inplace"}, false, "bea47b820d7726b81d74305260b8d519cdb6b2e6c11f8b78b90ccfa379c63b8a"},
+		{[]string{"-size", "1024"}, true, "807d6e9ace15ebf10fb62b50c231d3f29a68db0275b5930c8e2fb783eb6bb113"},
+		{[]string{"-size", "1024", "-inplace"}, true, "5dbea17f02b377937a898236a4a1563976b7d8a0d0e1b5bb3c058e49ac39af9e"},
+	} {
+		name := strings.Join(c.args, " ")
+		t.Run(name, func(t *testing.T) {
+			if c.long && testing.Short() {
+				t.Skip("paper-scale run skipped in -short mode")
+			}
+			var stdout, stderr bytes.Buffer
+			if code := run(c.args, &stdout, &stderr); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+			}
+			sum := sha256.Sum256(stdout.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != c.sha256 {
+				t.Fatalf("stdout sha256 = %s, want %s\n%s", got, c.sha256, stdout.String())
+			}
+		})
 	}
 }
 

@@ -2,8 +2,6 @@ package assign
 
 import (
 	"context"
-	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -13,47 +11,6 @@ import (
 	"repro/internal/sbd"
 	"repro/internal/spec"
 )
-
-// randomInstance builds a random assignment problem: 4..8 on-chip groups
-// and 0/4/5 off-chip groups with varied sizes, widths, access
-// multiplicities, and random conflict patterns. Deterministic per seed.
-func randomInstance(seed int64) (*spec.Spec, []sbd.Pattern) {
-	rng := rand.New(rand.NewSource(seed))
-	b := spec.NewBuilder(fmt.Sprintf("rand%d", seed))
-	nOn := 4 + rng.Intn(5)
-	nOff := []int{0, 4, 5}[rng.Intn(3)]
-	var names []string
-	for i := 0; i < nOn; i++ {
-		name := fmt.Sprintf("on%d", i)
-		names = append(names, name)
-		b.Group(name, int64(64<<uint(rng.Intn(5))), 2+2*rng.Intn(12))
-	}
-	for i := 0; i < nOff; i++ {
-		name := fmt.Sprintf("off%d", i)
-		names = append(names, name)
-		b.Group(name, offWords<<uint(rng.Intn(2)), 4+4*rng.Intn(6))
-	}
-	b.Loop("l", 50_000+uint64(rng.Intn(100_000)))
-	for _, name := range names {
-		b.Read(name, float64(1+rng.Intn(4)))
-		if rng.Intn(2) == 0 {
-			b.Write(name, float64(1+rng.Intn(2)))
-		}
-	}
-	var pats []sbd.Pattern
-	for p := rng.Intn(3); p > 0; p-- {
-		acc := map[string]int{}
-		for _, name := range names {
-			if rng.Intn(3) == 0 {
-				acc[name] = 1 + rng.Intn(2)
-			}
-		}
-		if len(acc) >= 2 {
-			pats = append(pats, sbd.Pattern{Access: acc, Weight: uint64(100 + rng.Intn(2000))})
-		}
-	}
-	return b.MustBuild(), pats
-}
 
 // TestParallelAssignMatchesSequential is the determinism property test of
 // the tentpole: over random instances, the parallel search at every worker
