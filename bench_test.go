@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/sbd"
 )
@@ -388,20 +389,21 @@ func BenchmarkExploreUncached(b *testing.B) {
 	}
 }
 
-// BenchmarkAssignParallel measures the assignment search alone — the
-// branch-and-bound over on-chip/off-chip bindings — with the worker pool
-// width following GOMAXPROCS, so
+// BenchmarkAssign measures the assignment search alone — the
+// branch-and-bound over on-chip/off-chip bindings of the chosen budget
+// point, retrying larger allocations exactly as the methodology does — and
+// reports the search nodes expanded per op from the observer's
+// assign.nodes counter.
 //
-//	go test -bench=AssignParallel -cpu 1,2,4,8
-//
-// produces the kernel-level scaling curve. The assignment is byte-identical
-// at every width; only the wall time may change.
-func BenchmarkAssignParallel(b *testing.B) {
+//	go test -run '^$' -bench '^BenchmarkAssign$' -benchmem .
+func BenchmarkAssign(b *testing.B) {
 	_, res := benchFixture(b)
 	ep := core.DefaultEvalParams().ScaleTo(benchSize)
 	pats := sbd.PrunePatternsCached(nil, res.BudgetChoice.Dist.Patterns)
+	o := obs.New()
+	sp := o.Start("bench")
 	ap := ep.Assign
-	ap.Workers = pool.New(0) // width = GOMAXPROCS, i.e. the -cpu value
+	ap.Obs = sp
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -419,6 +421,9 @@ func BenchmarkAssignParallel(b *testing.B) {
 			b.ReportMetric(a.Cost.OnChipPower, "onchip-mW")
 		}
 	}
+	b.StopTimer()
+	sp.End()
+	b.ReportMetric(float64(o.Counters()["assign.nodes"])/float64(b.N), "nodes/op")
 }
 
 // BenchmarkExploreWorkers is BenchmarkExplore with the session worker pool

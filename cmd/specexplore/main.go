@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := fs.Bool("stats", false, "print the per-step telemetry summary to stderr")
 	cache := fs.String("cache", "on", "cross-variant evaluation cache: on or off (results are identical either way)")
 	cacheDir := fs.String("cache-dir", "", "persist completed results to an append-only log in this directory; identical later runs are answered from it")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool width for the parallel search (results are identical at any width)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool width (one spec is one sequential search, so the width changes nothing)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/inplace"
 	"repro/internal/memlib"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/sbd"
 	"repro/internal/spec"
 )
@@ -60,12 +59,6 @@ type Params struct {
 	// endpoints. The search never reads it back, so results are identical
 	// with or without it.
 	Progress *obs.Progress
-	// Workers is the session's bounded worker pool. When it is wider than
-	// one worker, the branch-and-bound and the off-chip partition scan split
-	// their search trees into independent subproblems solved in parallel
-	// with a shared incumbent bound; results are byte-identical at any
-	// width. Nil (or a 1-wide pool) runs the sequential search.
-	Workers *pool.Pool
 }
 
 func (p *Params) normalize() {
@@ -200,8 +193,7 @@ type memState struct {
 }
 
 // reset clears the aggregate for reuse, keeping the vec/live backing — the
-// allocation-free counterpart of `*m = memState{}` for states handed out by
-// newMemStates.
+// allocation-free counterpart of `*m = memState{}`.
 func (m *memState) reset() {
 	clear(m.vec)
 	clear(m.live)
@@ -211,9 +203,8 @@ func (m *memState) reset() {
 // newMemStates allocates the per-search memory aggregates as one block —
 // a single memState array, one flat multiplicity matrix and (in in-place
 // mode) one flat live-words matrix — instead of two to three heap objects
-// per memory per restart. Callers reuse the states across restarts via
-// reset; the full slice expressions keep neighbouring rows from bleeding
-// into each other under append.
+// per memory. The full slice expressions keep neighbouring rows from
+// bleeding into each other under append.
 func newMemStates(pr *problem, maxMem int) []*memState {
 	mems := make([]*memState, maxMem)
 	states := make([]memState, maxMem)
@@ -459,9 +450,6 @@ func bestOffChip(ctx context.Context, pr *problem, sp *obs.Span) ([]Binding, flo
 	if n > 8 {
 		return nil, 0, false, fmt.Errorf("assign: %d off-chip groups exceed the partition-search limit", n)
 	}
-	if wp := pr.p.Workers; wp.Workers() > 1 && n >= minParallelOffChip {
-		return bestOffChipParallel(ctx, pr, sp, wp)
-	}
 	bestPower := math.Inf(1)
 	var bestParts [][]int
 	partitions := 0
@@ -527,9 +515,7 @@ func bestOffChip(ctx context.Context, pr *problem, sp *obs.Span) ([]Binding, flo
 
 // partitionPower prices one complete partition (assignTo maps each group to
 // a memory in [0,used)), returning the member lists and total power.
-// feasible is false when any part's port demand exceeds the cap. Both
-// off-chip search modes price partitions through this one function, so the
-// accumulation order — and the float result — is identical.
+// feasible is false when any part's port demand exceeds the cap.
 func (pr *problem) partitionPower(assignTo []int, used int) (parts [][]int, total float64, feasible bool) {
 	parts = make([][]int, used)
 	for gi, m := range assignTo {
@@ -591,18 +577,16 @@ func offChipBinds(pr *problem, bestParts [][]int) ([]Binding, error) {
 // components separate.
 const areaWeight = 0.3
 
-// bbPre is the search-independent precomputation shared by the sequential
-// and parallel branch-and-bound: the decision order, the admissible
-// lower-bound tail sums, and the per-empty-memory bound term. Both search
-// modes derive it from the same code so their float arithmetic — and hence
-// their pruning decisions and costs — is bitwise identical.
+// bbPre is the search-independent precomputation of the branch-and-bound:
+// the decision order, the admissible lower-bound tail sums, and the
+// per-empty-memory bound term.
 type bbPre struct {
 	order     []int     // decision order: group indices, decreasing weight
 	lbTail    []float64 // lbTail[i]: lower bound of groups order[i:]
 	emptyTerm float64   // bound contribution of each still-empty memory
 }
 
-// bbPrecompute builds the shared precomputation.
+// bbPrecompute builds the precomputation.
 //
 // Groups are ordered by decreasing weight (accesses × width): decide the
 // expensive groups first for stronger pruning.
@@ -654,8 +638,7 @@ func (pr *problem) bbPrecompute() bbPre {
 // decision order) goes to the memory with the minimal marginal cost, forced
 // to leave room so every allocated memory ends up used. It returns the
 // assignment (group index -> memory) and its cost; ok is false when greedy
-// finds no feasible placement. Both search modes seed their incumbent from
-// this one function, so the baseline cost is bitwise identical.
+// finds no feasible placement.
 func greedyIncumbent(pr *problem, maxMem int, pre *bbPre) (assign []int, cost float64, ok bool) {
 	n := len(pr.groups)
 	mems := newMemStates(pr, maxMem)
@@ -705,11 +688,9 @@ func greedyIncumbent(pr *problem, maxMem int, pre *bbPre) (assign []int, cost fl
 // the exact search starts, so when ctx is already done the exact search is
 // skipped entirely, and when ctx expires mid-search (polled every
 // cancelCheckInterval nodes) the best incumbent found so far is returned.
-// Both cases report optimal=false.
-//
-// With a worker pool wider than one, a large enough problem is handed to
-// branchAndBoundParallel, which splits the search tree into independent
-// subproblems and returns byte-identical results for completed searches.
+// Both cases report optimal=false, and so does a search that runs out of
+// node budget: it stops on node NodeBudget+1, which it counts but does not
+// expand.
 func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) ([]Binding, float64, float64, bool, error) {
 	n := len(pr.groups)
 	if n == 0 {
@@ -717,9 +698,6 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 	}
 	if maxMem > n {
 		maxMem = n
-	}
-	if wp := pr.p.Workers; wp.Workers() > 1 && n >= minParallelGroups && pr.p.NodeBudget >= minParallelBudget {
-		return branchAndBoundParallel(ctx, pr, maxMem, sp, wp)
 	}
 	pre := pr.bbPrecompute()
 	order, lbTail, emptyTerm := pre.order, pre.lbTail, pre.emptyTerm
@@ -922,11 +900,8 @@ func materializeOnChip(pr *problem, maxMem int, bestAssign []int) ([]Binding, fl
 // Greedy returns the greedy-only assignment (the baseline a designer
 // without the optimizing tool would reach by first-fit reasoning).
 func Greedy(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, onChipCount int, p Params) (*Assignment, error) {
-	p.normalize()
-	saveNB := p.NodeBudget
 	p.NodeBudget = 1 // force the search to stop immediately after greedy
 	a, err := Assign(s, pats, tech, onChipCount, p)
-	p.NodeBudget = saveNB
 	if err != nil {
 		return nil, err
 	}

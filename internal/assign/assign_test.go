@@ -1,10 +1,12 @@
 package assign
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/memlib"
+	"repro/internal/obs"
 	"repro/internal/sbd"
 	"repro/internal/spec"
 )
@@ -288,17 +290,49 @@ func TestUnaccessedGroupIgnored(t *testing.T) {
 	}
 }
 
+// TestNodeBudgetFallsBackToGreedy: a search that runs out of node budget
+// returns its incumbent with Optimal=false, and the budget is exact — the
+// search stops on node budget+1, so assign.nodes reads exactly that. The
+// 12-group instance needs about 11k nodes to complete, far above every
+// budget in the table.
 func TestNodeBudgetFallsBackToGreedy(t *testing.T) {
-	s := mixedSpec(t)
-	a, err := Assign(s, nil, memlib.Default(), 3, Params{NodeBudget: 1})
-	if err != nil {
-		t.Fatal(err)
+	b := spec.NewBuilder("budget")
+	for i := 0; i < 12; i++ {
+		b.Group(fmt.Sprintf("g%02d", i), int64(256<<uint(i%3)), 4+2*(i%7))
 	}
-	if a.Optimal {
-		t.Fatal("budget-capped search claims optimality")
+	b.Loop("l", 100_000)
+	for i := 0; i < 12; i++ {
+		b.Read(fmt.Sprintf("g%02d", i), float64(1+i%3))
 	}
-	if len(a.OnChip) == 0 {
-		t.Fatal("no solution despite greedy incumbent")
+	s := b.MustBuild()
+	tech := memlib.Default()
+	run := func(t *testing.T, budget int) (*Assignment, int64) {
+		t.Helper()
+		o := obs.New()
+		sp := o.Start("test")
+		a, err := Assign(s, nil, tech, 4, Params{NodeBudget: budget, Obs: sp})
+		sp.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, o.Counters()["assign.nodes"]
+	}
+	if a, nodes := run(t, 0); !a.Optimal || nodes <= 1001 {
+		t.Fatalf("unbounded search: optimal=%v after %d nodes, want a completed search above 1001 nodes", a.Optimal, nodes)
+	}
+	for _, budget := range []int{1, 10, 100, 1000} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			a, nodes := run(t, budget)
+			if a.Optimal {
+				t.Fatal("budget-capped search claims optimality")
+			}
+			if len(a.OnChip) == 0 {
+				t.Fatal("no solution despite greedy incumbent")
+			}
+			if nodes != int64(budget)+1 {
+				t.Fatalf("assign.nodes = %d, want budget+1 = %d", nodes, budget+1)
+			}
+		})
 	}
 }
 

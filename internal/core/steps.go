@@ -50,13 +50,12 @@ type EvalParams struct {
 
 	// Workers is the session-wide bounded worker pool shared by every
 	// parallel stage: the hierarchy/budget/allocation sweeps fan their
-	// candidates out on it, and the assignment search splits its
-	// branch-and-bound subtrees on it. One pool bounds the whole session's
-	// concurrency, and its inline-run fallback keeps the nesting
-	// deadlock-free. DefaultEvalParams attaches a GOMAXPROCS-wide pool; nil
-	// (or a 1-wide pool) runs everything sequentially. Results are
-	// byte-identical at any width — the sweeps collect by index and the
-	// search merges deterministically.
+	// candidates out on it, and each candidate's assignment search runs
+	// sequentially on the worker that evaluates it. One pool bounds the
+	// whole session's concurrency, and its inline-run fallback keeps nested
+	// sweeps deadlock-free. DefaultEvalParams attaches a GOMAXPROCS-wide
+	// pool; nil (or a 1-wide pool) runs everything sequentially. Results are
+	// byte-identical at any width — the sweeps collect by index.
 	Workers *pool.Pool
 }
 
@@ -165,7 +164,6 @@ func EvaluateContext(ctx context.Context, s *spec.Spec, budget uint64, label str
 	}
 	asgnP := ep.Assign
 	asgnP.Obs = ep.Span
-	asgnP.Workers = ep.Workers
 	asgnP.Progress = ep.Progress
 	var asgn *assign.Assignment
 	retries := 0
@@ -432,7 +430,6 @@ func ExploreAllocationsContext(ctx context.Context, s *spec.Spec, dist *sbd.Dist
 	ep.Workers.ForEach(ctx, len(counts), func(i int) {
 		ap := ep.Assign
 		ap.Obs = ep.Span
-		ap.Workers = ep.Workers
 		if a, err := assign.AssignContext(ctx, s, pats, ep.Tech, counts[i], ap); err == nil {
 			asgns[i] = a
 		}

@@ -130,7 +130,7 @@ type entry struct {
 }
 
 // shardCount is the number of map+mutex shards per keyspace. 64 shards keep
-// the parallel search's cache hits from funnelling through one mutex; the
+// the parallel sweeps' cache hits from funnelling through one mutex; the
 // power of two makes the hash fold a mask.
 const shardCount = 64
 

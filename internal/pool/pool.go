@@ -1,16 +1,16 @@
 // Package pool provides the session-wide bounded worker pool of the
 // exploration engine.
 //
-// The exploration pipeline parallelizes at several nesting levels at once:
-// the hierarchy/budget/allocation sweeps fan out over their candidates, and
-// each candidate's branch-and-bound fans out over search subtrees. Spawning
-// one goroutine per item at every level multiplies — a budget sweep of 11
-// points, each retrying up to 7 allocations, each splitting its search 32
-// ways would burst into thousands of goroutines on a machine with 8 cores.
-// The pool caps the whole session at a fixed number of workers instead and
-// stays safe under nesting by construction: a task that cannot get a worker
-// slot runs inline on the goroutine that submitted it, so saturation can
-// never deadlock and the caller always makes progress.
+// The exploration pipeline parallelizes at the level of its candidates: the
+// structuring step overlaps with the reuse analysis, and the
+// hierarchy/budget/allocation sweeps fan out over their candidates, each of
+// which runs its assignment search sequentially. A server session runs many
+// such explorations at once on one shared pool, so spawning one goroutine
+// per item per request would burst into far more goroutines than the
+// machine has cores. The pool caps the whole session at a fixed number of
+// workers instead and stays safe under nesting by construction: a task that
+// cannot get a worker slot runs inline on the goroutine that submitted it,
+// so saturation can never deadlock and the caller always makes progress.
 //
 // The caller counts as one of the workers: a pool of W workers hands out at
 // most W-1 helper slots, so -workers=1 means strictly sequential execution

@@ -901,9 +901,9 @@ func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, pr
 		env.Variant = v.Wire()
 		// In cluster mode a key can be computed on several nodes (owner,
 		// hedge target, local fallback), and a search cut short by its node
-		// budget is timing-dependent under the parallel engine, so
-		// non-optimal spec responses are volatile there: every cached body
-		// in the ring is a completed search.
+		// budget is not a proven optimum, so non-optimal spec responses are
+		// volatile there: every cached body in the ring is a completed
+		// search.
 		volatile = s.cluster != nil && !env.Variant.Optimal
 	}
 	body, err := json.Marshal(env)
