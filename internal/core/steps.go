@@ -52,10 +52,11 @@ type EvalParams struct {
 	// parallel stage: the hierarchy/budget/allocation sweeps fan their
 	// candidates out on it, and each candidate's assignment search runs
 	// sequentially on the worker that evaluates it. One pool bounds the
-	// whole session's concurrency, and its inline-run fallback keeps nested
-	// sweeps deadlock-free. DefaultEvalParams attaches a GOMAXPROCS-wide
-	// pool; nil (or a 1-wide pool) runs everything sequentially. Results are
-	// byte-identical at any width — the sweeps collect by index.
+	// whole session's concurrency, and its inline-run fallback keeps it
+	// deadlock-free however callers share or nest it. DefaultEvalParams
+	// attaches a GOMAXPROCS-wide pool; nil (or a 1-wide pool) runs
+	// everything sequentially. Results are byte-identical at any width —
+	// the sweeps collect by index.
 	Workers *pool.Pool
 }
 
