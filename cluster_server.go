@@ -2,24 +2,29 @@ package dtse
 
 // Cluster mode: scale-out serving over a consistent-hash ring. Every node
 // runs the same code with the same member list; any node accepts any
-// request. A request whose canonical fingerprint hashes to a peer is
-// forwarded there (with hedged retries down the ring walk, see
-// internal/cluster), so each node's session cache and disk tier stay hot for
-// its shard of the keyspace. When the owner is down or slow the request
-// falls through to the next ring member, and when no peer can answer the
-// receiving node serves it locally — a dead cluster degrades to N
-// independent single nodes, never to failed requests.
+// request. The items of a request — one for a single POST, up to 64 for a
+// batch — are grouped by the peer their canonical fingerprints hash to,
+// and each group goes to its peer as one internal sub-batch (hedged retries
+// down the ring walk of the group's first key, see internal/cluster), so
+// each node's session cache and disk tier stay hot for its shard of the
+// keyspace. When the owner is down or slow the group falls through to the
+// next ring member, and when no peer can answer the receiving node
+// computes the items itself — a dead cluster degrades to N independent
+// single nodes, never to failed requests.
 //
-// Node-to-node requests are marked internal by header and are never
-// re-forwarded, so no request loops are possible. Determinism: every node
-// runs the same exploration code, so a completed search's body is
-// byte-identical whichever node computes it, at any node count.
+// Node-to-node requests are marked internal by header, are never
+// re-forwarded (no request loops are possible) and are never admitted (the
+// origin's slot accounts for them). Determinism: every node runs the same
+// exploration code, so a completed search's body is byte-identical
+// whichever node computes it, at any node count.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -152,120 +157,79 @@ func internalHeaders(tid string) http.Header {
 // isInternal reports whether the request came from a cluster peer.
 func isInternal(r *http.Request) bool { return r.Header.Get(clusterInternalHeader) != "" }
 
-// routeExplore forwards the request to its ring owner when that is a live
-// peer. served=false means the caller runs it locally: we own the key, or
-// no peer could answer (fallback).
-func (s *Server) routeExplore(ctx context.Context, p *parsedRequest, raw []byte, tid string) (resp *servedResponse, served bool) {
-	cs := s.cluster
-	key := routeKey(p)
-	if cs.router.Owns(key) {
-		s.obs.Counter("cluster.local").Add(1)
-		return nil, false
+// batchGroup is one peer's share of a request: the items it owns.
+type batchGroup struct {
+	owner string
+	idxs  []int
+}
+
+// planBatch groups a request's parsed items by preferred remote owner, in
+// owner order, and marks them remote. The items this node owns stay local
+// and count cluster.local.
+func (s *Server) planBatch(items []exploreItem) []batchGroup {
+	var groups []batchGroup
+	for i := range items {
+		it := &items[i]
+		if it.p == nil {
+			continue
+		}
+		owner, remote := s.cluster.router.PreferredPeer(routeKey(it.p))
+		if !remote {
+			s.obs.Counter("cluster.local").Add(1)
+			continue
+		}
+		it.remote = true
+		g, found := slices.BinarySearchFunc(groups, owner, func(g batchGroup, o string) int { return strings.Compare(g.owner, o) })
+		if !found {
+			groups = slices.Insert(groups, g, batchGroup{owner: owner})
+		}
+		groups[g].idxs = append(groups[g].idxs, i)
 	}
+	return groups
+}
+
+// forwardBatchGroup sends one owner's items as a sub-batch down the ring
+// walk of its first item's key (Router.Forward hedges to the next member),
+// under a serve.forward span named by the group's trace id. Forwarded
+// items that errored, degraded or ran slow go to the flight recorder with
+// the peer that answered. On any failure the items stay unanswered and
+// serveItems recomputes them locally, so a mid-request peer death costs
+// latency, never failed items.
+func (s *Server) forwardBatchGroup(ctx context.Context, g batchGroup, gtid string, items []exploreItem) {
 	start := time.Now()
 	sp := s.obs.Start("serve.forward")
-	sp.SetStr("trace_id", tid)
-	fctx := ctx
-	if d := s.effectiveTimeout(p.req.TimeoutMS); d > 0 {
-		// Give the peer its full deadline plus slack for the hop; the peer
-		// applies the real deadline itself and answers anytime-best-effort.
-		var cancel context.CancelFunc
-		fctx, cancel = context.WithTimeout(ctx, d+5*time.Second)
-		defer cancel()
+	sp.SetStr("trace_id", gtid)
+	defer sp.End()
+	sub := batchRequest{Items: make([]json.RawMessage, len(g.idxs))}
+	for j, i := range g.idxs {
+		sub.Items[j] = items[i].raw
 	}
-	res, ok := cs.router.Forward(fctx, key, http.MethodPost, "/v1/explore", raw, internalHeaders(tid))
-	if !ok {
+	var res *cluster.PeerResult
+	ok := false
+	if body, err := json.Marshal(sub); err == nil {
+		res, ok = s.cluster.router.Forward(ctx, routeKey(items[g.idxs[0]].p),
+			http.MethodPost, "/v1/explore/batch", body, internalHeaders(gtid))
+	}
+	var env batchResponse
+	if !ok || res.Status != http.StatusOK || json.Unmarshal(res.Body, &env) != nil || len(env.Items) != len(g.idxs) {
 		sp.SetStr("outcome", "fallback_local")
-		sp.End()
 		s.obs.Counter("cluster.fallback_local").Add(1)
-		return nil, false
+		return
 	}
 	sp.SetStr("peer", res.Peer)
 	if res.Hedged {
 		sp.SetInt("hedged", 1)
 	}
 	sp.SetInt("status", int64(res.Status))
-	sp.End()
 	s.obs.Counter("cluster.routed").Add(1)
-	if s.flight != nil {
-		dur := time.Since(start)
-		reason := ""
-		switch {
-		case res.Status >= 400:
-			reason = "error"
-		case s.opts.SlowRequest > 0 && dur >= s.opts.SlowRequest:
-			reason = "slow"
+	s.obs.Counter("cluster.routed_items").Add(int64(len(g.idxs)))
+	for j, i := range g.idxs {
+		pit, it := env.Items[j], &items[i]
+		it.tid = pit.TraceID
+		it.resp = &servedResponse{status: pit.Status, body: append(append([]byte(nil), pit.Body...), '\n'), degraded: pit.Degraded}
+		if e := s.flightEntry(it.tid, it.p, it.resp, start); e != nil {
+			e.Peer = res.Peer
+			s.flight.add(e)
 		}
-		if reason != "" {
-			s.flight.add(&FlightEntry{
-				TraceID:    tid,
-				Start:      start,
-				Reason:     reason,
-				Status:     res.Status,
-				DurationMS: float64(dur.Microseconds()) / 1e3,
-				Mode:       p.mode,
-				Label:      p.label,
-				Peer:       res.Peer,
-			})
-		}
-	}
-	return &servedResponse{status: res.Status, body: res.Body}, true
-}
-
-// planBatch groups a batch's items by preferred remote owner. Items this
-// node owns (or whose owners are all down) stay local and are not in the
-// map.
-func (s *Server) planBatch(parsed []*parsedRequest, errs []error) map[string][]int {
-	var remote map[string][]int
-	for i, p := range parsed {
-		if errs[i] != nil || p == nil {
-			continue
-		}
-		key := routeKey(p)
-		if s.cluster.router.Owns(key) {
-			continue
-		}
-		owner, ok := s.cluster.router.PreferredPeer(key)
-		if !ok {
-			continue
-		}
-		if remote == nil {
-			remote = make(map[string][]int)
-		}
-		remote[owner] = append(remote[owner], i)
-	}
-	return remote
-}
-
-// forwardBatchGroup sends one owner's items as a sub-batch. On any failure
-// it leaves the items' results nil — the caller's second local pass picks
-// them up, so a mid-batch peer death costs latency, never failed items.
-func (s *Server) forwardBatchGroup(ctx context.Context, peerID string, idxs []int,
-	items []json.RawMessage, subTid string, results []*servedResponse, tids []string) {
-	sub := batchRequest{Items: make([]json.RawMessage, len(idxs))}
-	for j, i := range idxs {
-		sub.Items[j] = items[i]
-	}
-	body, err := json.Marshal(sub)
-	if err != nil {
-		return
-	}
-	res, ok := s.cluster.router.ForwardAny(ctx, peerID, http.MethodPost, "/v1/explore/batch", body, internalHeaders(subTid))
-	if !ok || res.Status != http.StatusOK {
-		s.obs.Counter("cluster.fallback_local").Add(1)
-		return
-	}
-	var env batchResponse
-	if json.Unmarshal(res.Body, &env) != nil || len(env.Items) != len(idxs) {
-		s.obs.Counter("cluster.fallback_local").Add(1)
-		return
-	}
-	s.obs.Counter("cluster.routed").Add(1)
-	s.obs.Counter("cluster.routed_items").Add(int64(len(idxs)))
-	for j, i := range idxs {
-		it := env.Items[j]
-		b := append([]byte(nil), it.Body...)
-		results[i] = &servedResponse{status: it.Status, body: append(b, '\n'), degraded: it.Degraded}
-		tids[i] = it.TraceID
 	}
 }

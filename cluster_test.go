@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -541,5 +542,72 @@ func TestRetryAfterQueueDepthOnServer(t *testing.T) {
 	// default timeout (3s) per wave, two waves.
 	if want := retryAfterSeconds(1, 1, 3*time.Second); ra != want {
 		t.Fatalf("Retry-After %d, want %d (queue-depth-aware)", ra, want)
+	}
+}
+
+// TestClusterBatchRoutingForwardSpans: a batch over a 3-node ring records
+// on the front one serve.forward span per sub-batch, named <tid>.p<seq> in
+// owner order and tagged with the peer that answered, and counts the items
+// the front owns as cluster.local.
+func TestClusterBatchRoutingForwardSpans(t *testing.T) {
+	sink := &spanSink{}
+	o := obs.New(sink)
+	tc := newTestCluster(t, 3, func(i int) ServeOptions {
+		if i == 0 {
+			return ServeOptions{Obs: o}
+		}
+		return ServeOptions{}
+	}, ClusterOptions{HedgeDelay: 2 * time.Second})
+
+	// Pick specs until the front owns one and each peer owns one.
+	router := tc.servers[0].cluster.router
+	var items []string
+	owners := map[string]bool{}
+	for seed := int64(900); len(owners) < 3; seed++ {
+		if seed > 1200 {
+			t.Fatalf("no spec set covering every node; owners %v", owners)
+		}
+		b := randClusterSpec(t, seed)
+		p, err := parseExplore(strings.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner := router.Self()
+		if !router.Owns(routeKey(p)) {
+			owner, _ = router.PreferredPeer(routeKey(p))
+		}
+		if !owners[owner] || len(items) < 6 {
+			owners[owner] = true
+			items = append(items, b)
+		}
+	}
+	resp, body := postURL(t, tc.urls[0], "/v1/explore/batch", batchBody(items...))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	tid := resp.Header.Get("X-Trace-Id")
+
+	peers := []string{}
+	for owner := range owners {
+		if owner != router.Self() {
+			peers = append(peers, owner)
+		}
+	}
+	sort.Strings(peers)
+	fwd := sink.find("serve.forward")
+	if len(fwd) != len(peers) {
+		t.Fatalf("front recorded %d serve.forward spans for %d sub-batches", len(fwd), len(peers))
+	}
+	got := map[string]string{}
+	for _, r := range fwd {
+		got[fmt.Sprint(r.Fields["trace_id"])] = fmt.Sprint(r.Fields["peer"])
+	}
+	for seq, peer := range peers {
+		if g := got[fmt.Sprintf("%s.p%d", tid, seq+1)]; g != peer {
+			t.Errorf("sub-batch %d: span peer %q, want %q (spans %v)", seq+1, g, peer, got)
+		}
+	}
+	if c := o.Counters(); c["cluster.local"] == 0 || c["cluster.routed"] != int64(len(peers)) {
+		t.Errorf("cluster.local %d, cluster.routed %d; want > 0 and %d", c["cluster.local"], c["cluster.routed"], len(peers))
 	}
 }

@@ -7,7 +7,7 @@
 //	specexplore -budget 20000000 [-onchip 4] [-threshold 65536]
 //	            [-frame 1.0] [-timeout 30s] [-inplace] [-interconnect]
 //	            [-lifetimes] [-trace out.jsonl] [-stats] [-cache on|off]
-//	            [-cache-dir DIR] [-workers N] spec.json
+//	            [-cache-dir DIR] spec.json
 //
 // With -cache-dir, a proven-optimal run's output is persisted to an
 // append-only log in DIR and identical later invocations replay it
@@ -29,14 +29,12 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 
 	"repro/internal/core"
 	"repro/internal/inplace"
 	"repro/internal/memo"
 	"repro/internal/obs"
-	"repro/internal/pool"
 	"repro/internal/spec"
 )
 
@@ -47,8 +45,8 @@ func main() {
 // validateFlags rejects parameter values that would otherwise produce
 // silent nonsense downstream (a zero-memory allocation, a negative
 // threshold classifying everything off-chip, a non-positive frame period
-// breaking every access rate, a zero-width worker pool).
-func validateFlags(onchip int, threshold int64, frame float64, workers int) error {
+// breaking every access rate).
+func validateFlags(onchip int, threshold int64, frame float64) error {
 	if onchip <= 0 {
 		return fmt.Errorf("specexplore: -onchip %d out of range (must be >= 1)", onchip)
 	}
@@ -57,9 +55,6 @@ func validateFlags(onchip int, threshold int64, frame float64, workers int) erro
 	}
 	if frame <= 0 {
 		return fmt.Errorf("specexplore: -frame %g out of range (must be > 0)", frame)
-	}
-	if workers < 1 {
-		return fmt.Errorf("specexplore: -workers %d out of range (must be >= 1)", workers)
 	}
 	return nil
 }
@@ -79,12 +74,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stats := fs.Bool("stats", false, "print the per-step telemetry summary to stderr")
 	cache := fs.String("cache", "on", "cross-variant evaluation cache: on or off (results are identical either way)")
 	cacheDir := fs.String("cache-dir", "", "persist completed results to an append-only log in this directory; identical later runs are answered from it")
-	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool width (one spec is one sequential search, so the width changes nothing)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if err := validateFlags(*onchip, *threshold, *frame, *workers); err != nil {
+	if err := validateFlags(*onchip, *threshold, *frame); err != nil {
 		fmt.Fprintln(stderr, err)
 		fs.Usage()
 		return 2
@@ -195,7 +189,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *cache == "off" {
 		ep.Memo = nil
 	}
-	ep.Workers = pool.New(*workers)
 	tech := *ep.Tech
 	tech.OnChipMaxWords = *threshold
 	tech.FramePeriod = *frame

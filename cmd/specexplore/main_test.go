@@ -34,21 +34,18 @@ func TestValidateFlags(t *testing.T) {
 		onchip    int
 		threshold int64
 		frame     float64
-		workers   int
 		wantErr   bool
 	}{
-		{"defaults", 4, 64 * 1024, 1.0, 1, false},
-		{"one memory, zero threshold", 1, 0, 0.001, 8, false},
-		{"zero onchip", 0, 1024, 1.0, 1, true},
-		{"negative onchip", -3, 1024, 1.0, 1, true},
-		{"negative threshold", 4, -1, 1.0, 1, true},
-		{"zero frame", 4, 1024, 0, 1, true},
-		{"negative frame", 4, 1024, -2.5, 1, true},
-		{"zero workers", 4, 1024, 1.0, 0, true},
-		{"negative workers", 4, 1024, 1.0, -2, true},
+		{"defaults", 4, 64 * 1024, 1.0, false},
+		{"one memory, zero threshold", 1, 0, 0.001, false},
+		{"zero onchip", 0, 1024, 1.0, true},
+		{"negative onchip", -3, 1024, 1.0, true},
+		{"negative threshold", 4, -1, 1.0, true},
+		{"zero frame", 4, 1024, 0, true},
+		{"negative frame", 4, 1024, -2.5, true},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.onchip, c.threshold, c.frame, c.workers)
+		err := validateFlags(c.onchip, c.threshold, c.frame)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: err = %v, wantErr %v", c.name, err, c.wantErr)
 		}
@@ -116,8 +113,6 @@ func TestRunUsageErrors(t *testing.T) {
 		{"negative threshold", []string{"-budget", "50000", "-threshold", "-1", sp}},
 		{"zero frame", []string{"-budget", "50000", "-frame", "0", sp}},
 		{"negative frame", []string{"-budget", "50000", "-frame", "-1.5", sp}},
-		{"zero workers", []string{"-budget", "50000", "-workers", "0", sp}},
-		{"negative workers", []string{"-budget", "50000", "-workers", "-8", sp}},
 		{"negative timeout", []string{"-budget", "50000", "-timeout", "-1s", sp}},
 		{"no spec file", []string{"-budget", "50000"}},
 		{"two spec files", []string{"-budget", "50000", sp, sp}},

@@ -27,9 +27,8 @@ type FlightEntry struct {
 	Mode       string  `json:"mode"`            // "spec" or "demo"
 	Label      string  `json:"label,omitempty"` // spec name or demo size
 	Degraded   bool    `json:"degraded"`
-	// Peer is the cluster member that served a forwarded request, recorded
-	// when a routed capture errored or ran slow — the first question about
-	// a bad forwarded request is "which node".
+	// Peer is the cluster member that answered a forwarded item — the
+	// first question about a bad forwarded request is "which node".
 	Peer string `json:"peer,omitempty"`
 
 	// Search is the exploration's final introspection snapshot: last stage

@@ -182,11 +182,18 @@ func reflectCanonical(s *spec.Spec) (string, error) {
 // explore handler. parseExplore must agree with the reference parser on
 // every body: the same dedup key, routing fingerprint, mode and label, or
 // the same client-facing error. Posting the body must never panic or answer
-// 5xx. Requests that would run a long demo are parsed but not posted.
+// 5xx. A body that is one JSON value is also posted as a one-item batch to
+// a second server, and the item must carry the single POST's status and
+// body whenever neither request ran long enough for the deadline to cut
+// it. Requests that would run a long demo are parsed but not posted.
 func FuzzExploreRequest(f *testing.F) {
-	srv := NewServer(ServeOptions{MaxTimeout: 50 * time.Millisecond})
+	const deadline = 50 * time.Millisecond
+	srv := NewServer(ServeOptions{MaxTimeout: deadline})
 	f.Cleanup(srv.Abort)
 	h := srv.Handler()
+	bsrv := NewServer(ServeOptions{MaxTimeout: deadline})
+	f.Cleanup(bsrv.Abort)
+	bh := bsrv.Handler()
 	for _, b := range specHotBodies(2) {
 		f.Add(b)
 	}
@@ -223,10 +230,30 @@ func FuzzExploreRequest(f *testing.F) {
 		if err == nil && got.mode == "demo" && (got.req.Demo.Size == 0 || got.req.Demo.Size > 32) {
 			return // a valid demo this large is minutes of profiling
 		}
+		start := time.Now()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explore", bytes.NewReader(body)))
+		single := time.Since(start)
 		if rec.Code >= 500 {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		if !json.Valid(body) {
+			return // not one JSON value, so it cannot be a batch item
+		}
+		start = time.Now()
+		brec := httptest.NewRecorder()
+		bh.ServeHTTP(brec, httptest.NewRequest(http.MethodPost, "/v1/explore/batch",
+			bytes.NewReader(mustMarshal(batchRequest{Items: []json.RawMessage{body}}))))
+		batched := time.Since(start)
+		var env batchResponse
+		if brec.Code != http.StatusOK || json.Unmarshal(brec.Body.Bytes(), &env) != nil || len(env.Items) != 1 {
+			t.Fatalf("one-item batch: status %d: %s", brec.Code, brec.Body.Bytes())
+		}
+		if single >= deadline || batched >= deadline {
+			return // the deadline may have cut either answer
+		}
+		if it := env.Items[0]; it.Status != rec.Code || string(it.Body)+"\n" != rec.Body.String() {
+			t.Fatalf("one-item batch answered %d %q; single POST %d %q", it.Status, it.Body, rec.Code, rec.Body.Bytes())
 		}
 	})
 }

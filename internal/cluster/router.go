@@ -319,20 +319,28 @@ func (r *Router) ProbeAllowed(id string) bool {
 // Owns reports whether this node should serve key right now: self is the
 // first *alive* member in the key's ring walk. Liveness shifts ownership —
 // when a peer is ejected its keys fall through to the next walk member —
-// and shifts it back on rejoin, which is exactly the predicate the warm
-// index uses to refuse seeds from fingerprints it no longer owns.
+// and shifts it back on rejoin.
 func (r *Router) Owns(key uint64) bool {
+	_, remote := r.PreferredPeer(key)
+	return !remote
+}
+
+// PreferredPeer returns the first alive remote peer in key's ring walk
+// before self, if any: the owner a request's items are grouped by. Unlike
+// Forward it never claims a down peer's half-open probe, so planning a
+// request leaves the probe to the forward that follows.
+func (r *Router) PreferredPeer(key uint64) (string, bool) {
 	ring, peers := r.snapshot()
 	now := time.Now()
 	for _, m := range ring.Walk(key) {
 		if m == r.self {
-			return true
+			break
 		}
 		if p := peers[m]; p != nil && p.alive(now) {
-			return false
+			return m, true
 		}
 	}
-	return true
+	return "", false
 }
 
 // candidates returns the remote peers preceding self in key's ring walk
@@ -386,12 +394,6 @@ func (r *Router) Forward(ctx context.Context, key uint64, method, path string, b
 	if len(cands) == 0 {
 		return nil, false
 	}
-	return r.forwardCands(ctx, cands, method, path, body, hdr)
-}
-
-// forwardCands runs the hedged attempt loop over an explicit candidate
-// order.
-func (r *Router) forwardCands(ctx context.Context, cands []*Peer, method, path string, body []byte, hdr http.Header) (*PeerResult, bool) {
 	type attempt struct {
 		peer  *Peer
 		res   *PeerResult
@@ -491,39 +493,6 @@ func (r *Router) forwardCands(ctx context.Context, cands []*Peer, method, path s
 	return nil, false
 }
 
-// PreferredPeer returns the first alive remote peer in key's ring walk
-// before self, if any — the batch planner's grouping key.
-func (r *Router) PreferredPeer(key uint64) (string, bool) {
-	c := r.candidates(key)
-	if len(c) == 0 {
-		return "", false
-	}
-	return c[0].id, true
-}
-
-// ForwardAny forwards to primary first, hedging across every other alive
-// peer in id order. Any node can serve any request — ownership only
-// optimizes cache affinity — so batch sub-groups may fail over to an
-// arbitrary peer rather than walking the ring.
-func (r *Router) ForwardAny(ctx context.Context, primary, method, path string, body []byte, hdr http.Header) (*PeerResult, bool) {
-	_, peers := r.snapshot()
-	cands := make([]*Peer, 0, len(peers))
-	if p := peers[primary]; p != nil {
-		cands = append(cands, p)
-	}
-	ids := make([]string, 0, len(peers))
-	for id := range peers {
-		if id != primary {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		cands = append(cands, peers[id])
-	}
-	return r.forwardList(ctx, cands, method, path, body, hdr)
-}
-
 // AlivePeers returns the alive remote peers in id order.
 func (r *Router) AlivePeers() []*Peer {
 	_, peers := r.snapshot()
@@ -545,22 +514,3 @@ func (r *Router) AlivePeers() []*Peer {
 // Client exposes the pooled forwarding client for auxiliary traffic
 // (membership gossip, joins, goodbyes, shard handoff).
 func (r *Router) Client() *http.Client { return r.client }
-
-func (r *Router) forwardList(ctx context.Context, cands []*Peer, method, path string, body []byte, hdr http.Header) (*PeerResult, bool) {
-	// Deduplicate while preserving order; drop dead peers. probeAlive lets
-	// one caller carry the half-open probe to an expired-window peer.
-	now := time.Now()
-	seen := make(map[*Peer]bool, len(cands))
-	var live []*Peer
-	for _, p := range cands {
-		if p == nil || seen[p] || !p.probeAlive(now) {
-			continue
-		}
-		seen[p] = true
-		live = append(live, p)
-	}
-	if len(live) == 0 {
-		return nil, false
-	}
-	return r.forwardCands(ctx, live, method, path, body, hdr)
-}

@@ -143,8 +143,7 @@ func wantsSSE(r *http.Request) bool {
 // disconnect cancels the exploration through ctx — it degrades to its
 // anytime result (never cached), the stream just has no one left to read
 // it.
-func (s *Server) serveSSE(ctx context.Context, w http.ResponseWriter, r *http.Request,
-	p *parsedRequest, tid string, prog *obs.Progress) {
+func (s *Server) serveSSE(ctx context.Context, w http.ResponseWriter, p *parsedRequest, tid string, prog *obs.Progress) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		s.writeError(w, http.StatusNotImplemented, "response writer does not support streaming")

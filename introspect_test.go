@@ -668,36 +668,6 @@ func TestFlightRecorderSlowAndDisabled(t *testing.T) {
 	}
 }
 
-// TestLatencyRingSmallCounts pins the nearest-rank percentiles at the small
-// sample counts where the old floor(p*(k-1)) indexing under-reported.
-func TestLatencyRingSmallCounts(t *testing.T) {
-	cases := []struct {
-		samples  []int64
-		p50, p99 int64
-	}{
-		{[]int64{10}, 10, 10},
-		{[]int64{10, 20}, 10, 20},
-		{[]int64{10, 20, 30}, 20, 30},
-		{[]int64{10, 20, 30, 40}, 20, 40},
-		{[]int64{10, 20, 30, 40, 50}, 30, 50},
-	}
-	for _, c := range cases {
-		var l latencyRing
-		for _, s := range c.samples {
-			l.record(s)
-		}
-		n, p50, p99 := l.percentiles()
-		if n != int64(len(c.samples)) || p50 != c.p50 || p99 != c.p99 {
-			t.Errorf("n=%d samples: got (n=%d, p50=%d, p99=%d), want (p50=%d, p99=%d)",
-				len(c.samples), n, p50, p99, c.p50, c.p99)
-		}
-	}
-	var empty latencyRing
-	if n, p50, p99 := empty.percentiles(); n != 0 || p50 != 0 || p99 != 0 {
-		t.Errorf("empty ring: %d/%d/%d", n, p50, p99)
-	}
-}
-
 // TestHealthzContentType: the plain-text endpoints declare their type.
 func TestHealthzContentType(t *testing.T) {
 	srv := NewServer(ServeOptions{})

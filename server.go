@@ -11,7 +11,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,9 +38,9 @@ import (
 //	                            response is an SSE stream of progress events
 //	                            ending in the result (GET with ?request=
 //	                            works too, for EventSource clients)
-//	POST /v1/explore/batch      N explore requests under one admission slot,
-//	                            sharing the session cache and worker pool;
-//	                            per-item status/degraded/trace-id results
+//	POST /v1/explore/batch      up to 64 explore requests under one
+//	                            admission slot; per-item status/degraded/
+//	                            trace-id results
 //	GET  /healthz               liveness ("ok", or 503 while draining)
 //	GET  /metrics               Prometheus text exposition (or the JSON
 //	                            snapshot when Accept prefers application/json)
@@ -51,6 +50,13 @@ import (
 //	                            search nodes, incumbent cost, bound gap
 //	GET  /debug/flightrecorder  last N slow/degraded/errored requests with
 //	                            their span trees and counter deltas
+//
+// Both explore endpoints take one serving path, serveItems: a single POST
+// is a request of one item, a batch a request of N. It parses each item,
+// holds one admission slot for an external request's whole life, forwards
+// the items peers own in cluster mode and runs the rest on the session
+// worker pool. An SSE stream is a thin local wrapper over the same
+// exploration.
 //
 // Every response carries an X-Trace-Id header naming the request's root
 // span in the telemetry stream. Response bodies are deterministic functions
@@ -137,10 +143,10 @@ type Server struct {
 	nextTrace atomic.Uint64
 	runID     string
 
-	lat latencyRing
 	// reqHist is the request-latency histogram behind
-	// dtse_request_duration_seconds. Owned by the server (not the observer)
-	// so /metrics has latency data even with Obs == nil.
+	// dtse_request_duration_seconds, the /metrics.json latency fields and
+	// the Retry-After estimate. Owned by the server (not the observer) so
+	// /metrics has latency data even with Obs == nil.
 	reqHist *obs.Histogram
 
 	flight *flightRecorder // nil when disabled
@@ -452,41 +458,87 @@ func canonOfKey(key string) (string, bool) {
 	return parts[7], true
 }
 
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	// The trace id is assigned before any early exit, so every response —
-	// including 405, 400, 429, and 503 — is correlatable with telemetry and
-	// flight-recorder entries. A cluster-internal request adopts the
-	// forwarding node's trace id instead, so a routed request is one trace
-	// end to end (the marker gates adoption: external clients cannot pick
-	// their own ids).
-	internal := s.cluster != nil && isInternal(r)
-	tid := fmt.Sprintf("%s-%06d", s.runID, s.nextTrace.Add(1))
-	if internal {
-		if t := r.Header.Get("X-Trace-Id"); t != "" {
-			tid = t
-		}
+// beginRequest assigns the request's trace id before any early exit, so
+// every response — including 405, 400, 429, and 503 — is correlatable with
+// telemetry and flight-recorder entries. A cluster-internal request adopts
+// the forwarding node's trace id instead, so a routed request is one trace
+// end to end (the marker gates adoption: external clients cannot pick
+// their own ids). ok=false means the method was refused and the 405 is
+// written.
+func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request, allowed bool, notAllowed string) (tid string, internal, ok bool) {
+	internal = s.cluster != nil && isInternal(r)
+	tid = fmt.Sprintf("%s-%06d", s.runID, s.nextTrace.Add(1))
+	if t := r.Header.Get("X-Trace-Id"); internal && t != "" {
+		tid = t
 	}
 	w.Header().Set("X-Trace-Id", tid)
-	sse := wantsSSE(r)
-	if r.Method != http.MethodPost && !(r.Method == http.MethodGet && sse) {
+	if !allowed {
 		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed,
-			"POST only (GET is accepted with Accept: text/event-stream and ?request=)")
-		return
+		s.writeError(w, http.StatusMethodNotAllowed, notAllowed)
+		return tid, internal, false
 	}
 	s.requests.Add(1)
 	s.obs.Counter("server.requests").Add(1)
-	start := time.Now()
-	defer func() {
-		us := time.Since(start).Microseconds()
-		s.lat.record(us)
-		s.reqHist.ObserveUS(us)
-	}()
+	return tid, internal, true
+}
 
-	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
+// observeLatency records one request's latency in reqHist, the single
+// record behind /metrics, /metrics.json and the Retry-After estimate.
+func (s *Server) observeLatency(start time.Time) {
+	s.reqHist.ObserveUS(time.Since(start).Microseconds())
+}
+
+// refuseDraining answers 503 while the server drains.
+func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	s.writeError(w, http.StatusServiceUnavailable, "server is draining")
+	return true
+}
+
+// handleExplore serves POST /v1/explore as a request of one item: the item
+// runs through serveItems and its bare body is written under its trace id.
+// With Accept: text/event-stream the request streams instead (exploreSSE).
+func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
+	sse := wantsSSE(r)
+	tid, internal, ok := s.beginRequest(w, r, r.Method == http.MethodPost || (r.Method == http.MethodGet && sse),
+		"POST only (GET is accepted with Accept: text/event-stream and ?request=)")
+	if !ok {
 		return
 	}
+	defer s.observeLatency(time.Now())
+	if s.refuseDraining(w) {
+		return
+	}
+	if sse {
+		s.exploreSSE(w, r, tid)
+		return
+	}
+	// In cluster mode the body is buffered so that the item can be
+	// forwarded to its ring owner; elsewhere it is parsed off the wire.
+	it := exploreItem{body: r.Body}
+	if s.cluster != nil && !internal {
+		raw, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
+		if err != nil {
+			it.err = fmt.Errorf("read error: %v", err)
+		}
+		it.body, it.raw = bytes.NewReader(raw), raw
+	}
+	items := []exploreItem{it}
+	if s.serveItems(w, r, tid, internal, true, items) {
+		if items[0].tid != tid {
+			w.Header().Set("X-Trace-Id", items[0].tid)
+		}
+		s.writeResponse(w, items[0].resp)
+	}
+}
+
+// exploreSSE is the streaming form of a single request: a thin local
+// wrapper over runExploration under the same admission and deadline rules
+// as serveItems. Streams are never forwarded to a peer, since progress
+// events do not proxy usefully.
+func (s *Server) exploreSSE(w http.ResponseWriter, r *http.Request, tid string) {
 	body := io.Reader(r.Body)
 	if r.Method == http.MethodGet {
 		// EventSource clients cannot POST; they pass the request JSON in the
@@ -499,65 +551,169 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		}
 		body = strings.NewReader(q)
 	}
-	// In cluster mode the raw body is buffered so the request can be
-	// forwarded byte-for-byte to its ring owner. SSE streams stay local
-	// (progress events do not proxy usefully), and internal requests are
-	// served where they land — forwarding is one hop, never a loop.
-	var raw []byte
-	if s.cluster != nil && !internal && !sse && r.Method == http.MethodPost {
-		var err error
-		raw, err = io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
-		if err != nil {
-			s.obs.Counter("server.bad_requests").Add(1)
-			s.writeError(w, http.StatusBadRequest, "read error: "+err.Error())
-			return
-		}
-		body = bytes.NewReader(raw)
-	}
 	p, err := parseExplore(body)
 	if err != nil {
 		s.obs.Counter("server.bad_requests").Add(1)
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if internal {
-		p.peer = s.cluster.router.Self()
-	}
-	if raw != nil {
-		if resp, served := s.routeExplore(r.Context(), p, raw, tid); served {
-			s.writeResponse(w, resp)
-			return
-		}
-	}
-
-	// The exploration context: canceled by client disconnect, by Abort, and
-	// by the effective per-request deadline.
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-	if d := s.effectiveTimeout(p.req.TimeoutMS); d > 0 {
-		var tcancel context.CancelFunc
-		ctx, tcancel = context.WithTimeout(ctx, d)
-		defer tcancel()
-	}
-
-	release, ok := s.admit(ctx)
+	ctx, done, ok := s.admitRequest(w, r, true)
 	if !ok {
-		s.obs.Counter("server.rejected_overload").Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-		s.writeError(w, http.StatusTooManyRequests, "exploration queue is full")
 		return
 	}
-	defer release()
-
+	defer done()
+	ctx, cancel := s.itemContext(ctx, p)
+	defer cancel()
 	prog := s.registerLive(tid, p)
 	defer s.unregisterLive(tid)
-	if sse {
-		s.serveSSE(ctx, w, r, p, tid, prog)
+	s.serveSSE(ctx, w, p, tid, prog)
+}
+
+// --- the request core ---
+
+// exploreItem is one exploration of a request: a single POST carries one
+// item, a batch up to maxBatchItems.
+type exploreItem struct {
+	body   io.Reader // the item's request JSON
+	raw    []byte    // the same bytes, kept when the item may be forwarded
+	err    error     // the body could not be read or parsed: the item is a 400
+	p      *parsedRequest
+	remote bool   // forwarded to a peer by planBatch
+	tid    string // the item's trace id
+	resp   *servedResponse
+}
+
+// serveItems answers every item of one request. It parses each item; in
+// cluster mode it groups the items owned by live peers by owner
+// (planBatch) and forwards each group, runs the rest on the session pool,
+// and recomputes locally any item a peer failed to answer.
+//
+// An external request with anything to explore holds one admission slot
+// for its whole life, the time its items spend on peers included. An
+// internal request is never admitted: its origin's slot accounts for it,
+// and admitting it too could deadlock two fronts whose slots wait on each
+// other's forwarded groups.
+//
+// whole marks a request that is one exploration (a single POST, or a
+// peer's group of one): its item, and the group it may be forwarded as,
+// take the request's trace id. Otherwise item i is <tid>.<i> and the
+// group sent to a peer is <tid>.p<seq>, under which its items stay.
+//
+// serveItems returns false when the request could not be admitted; the
+// 429 is then written. Otherwise every item has its answer.
+func (s *Server) serveItems(w http.ResponseWriter, r *http.Request, tid string, internal, whole bool, items []exploreItem) bool {
+	anyValid := false
+	for i := range items {
+		it := &items[i]
+		it.tid = tid
+		if !whole {
+			it.tid = fmt.Sprintf("%s.%d", tid, i)
+		}
+		if it.err == nil {
+			it.p, it.err = parseExplore(it.body)
+		}
+		if it.err != nil {
+			s.obs.Counter("server.bad_requests").Add(1)
+			it.resp = errResponse(http.StatusBadRequest, it.err)
+			continue
+		}
+		if internal {
+			it.p.peer = s.cluster.router.Self()
+		}
+		anyValid = true
+	}
+	ctx, done, ok := s.admitRequest(w, r, anyValid && !internal)
+	if !ok {
+		return false
+	}
+	defer done()
+
+	var groups []batchGroup
+	if s.cluster != nil && !internal {
+		groups = s.planBatch(items)
+	}
+	local := unanswered(items, false)
+	var wg sync.WaitGroup
+	for seq, g := range groups {
+		gtid := tid
+		if !whole {
+			gtid = fmt.Sprintf("%s.p%d", tid, seq+1)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.forwardBatchGroup(ctx, g, gtid, items)
+		}()
+	}
+	s.runItems(ctx, items, local)
+	wg.Wait()
+	s.runItems(ctx, items, unanswered(items, true))
+
+	// ForEach stops launching items once ctx is done (client disconnect or
+	// server drain mid-request), leaving the unlaunched tail unanswered.
+	// Give those items a defined 503.
+	for i := range items {
+		if items[i].resp == nil {
+			items[i].resp = errResponse(http.StatusServiceUnavailable, errors.New("canceled before start"))
+		}
+	}
+	return true
+}
+
+// admitRequest derives a request's context, canceled by client disconnect
+// and by Abort, and with admit set takes one exploration slot. done
+// releases both. ok=false means the queue is full and the 429 is written.
+func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request, admit bool) (ctx context.Context, done func(), ok bool) {
+	ctx, cancel := context.WithCancel(r.Context())
+	stop := context.AfterFunc(s.baseCtx, cancel)
+	release := func() {}
+	if admit {
+		if release, ok = s.admit(ctx); !ok {
+			stop()
+			cancel()
+			s.obs.Counter("server.rejected_overload").Add(1)
+			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
+			s.writeError(w, http.StatusTooManyRequests, "exploration queue is full")
+			return nil, nil, false
+		}
+	}
+	return ctx, func() { release(); stop(); cancel() }, true
+}
+
+// unanswered lists the items still without an answer among those that
+// were forwarded to a peer (remote) or kept local.
+func unanswered(items []exploreItem, remote bool) []int {
+	var idxs []int
+	for i := range items {
+		if items[i].resp == nil && items[i].remote == remote {
+			idxs = append(idxs, i)
+		}
+	}
+	return idxs
+}
+
+// runItems explores the listed items on the session pool.
+func (s *Server) runItems(ctx context.Context, items []exploreItem, idxs []int) {
+	if len(idxs) == 0 {
 		return
 	}
-	s.writeResponse(w, s.runExploration(ctx, p, tid, prog))
+	s.workers.ForEach(ctx, len(idxs), func(j int) {
+		it := &items[idxs[j]]
+		ictx, cancel := s.itemContext(ctx, it.p)
+		defer cancel()
+		prog := s.registerLive(it.tid, it.p)
+		defer s.unregisterLive(it.tid)
+		it.resp = s.runExploration(ictx, it.p, it.tid, prog)
+	})
+}
+
+// itemContext applies the item's deadline, which starts when the item
+// starts exploring, not when its request joined the queue.
+func (s *Server) itemContext(ctx context.Context, p *parsedRequest) (context.Context, context.CancelFunc) {
+	if d := s.effectiveTimeout(p.req.TimeoutMS); d > 0 {
+		return context.WithTimeout(ctx, d)
+	}
+	return ctx, func() {}
 }
 
 // --- batched serving ---
@@ -590,38 +746,21 @@ type batchResponse struct {
 // each batch holds one exploration slot for its whole duration.
 const maxBatchItems = 64
 
-// handleExploreBatch runs N explorations under one admission slot, fanned
-// out on the shared session worker pool. Per-item failures (bad item JSON,
-// infeasible spec, expired per-item deadline) land in that item's result;
-// the envelope itself fails only on malformed batch JSON or overload. The
-// envelope is never cached — each item deduplicates individually, so a
-// batch overlapping earlier traffic gets per-item cache hits.
+// handleExploreBatch serves POST /v1/explore/batch as a request of N items
+// through serveItems and writes the envelope. Per-item failures (bad item
+// JSON, infeasible spec, expired per-item deadline) land in that item's
+// result; the envelope itself fails only on malformed batch JSON or
+// overload. The envelope is never cached — each item deduplicates
+// individually, so a batch overlapping earlier traffic gets per-item cache
+// hits.
 func (s *Server) handleExploreBatch(w http.ResponseWriter, r *http.Request) {
-	internal := s.cluster != nil && isInternal(r)
-	tid := fmt.Sprintf("%s-%06d", s.runID, s.nextTrace.Add(1))
-	if internal {
-		if t := r.Header.Get("X-Trace-Id"); t != "" {
-			tid = t
-		}
-	}
-	w.Header().Set("X-Trace-Id", tid)
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
+	tid, internal, ok := s.beginRequest(w, r, r.Method == http.MethodPost, "POST only")
+	if !ok {
 		return
 	}
-	s.requests.Add(1)
-	s.obs.Counter("server.requests").Add(1)
 	s.obs.Counter("server.batch_requests").Add(1)
-	start := time.Now()
-	defer func() {
-		us := time.Since(start).Microseconds()
-		s.lat.record(us)
-		s.reqHist.ObserveUS(us)
-	}()
-
-	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "server is draining")
+	defer s.observeLatency(time.Now())
+	if s.refuseDraining(w) {
 		return
 	}
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
@@ -644,118 +783,23 @@ func (s *Server) handleExploreBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d items exceed the batch limit %d", n, maxBatchItems))
 		return
 	}
-	// Parse every item up front: an invalid item becomes its own 400 result
-	// without costing the valid ones anything.
-	parsed := make([]*parsedRequest, n)
-	parseErrs := make([]error, n)
+	items := make([]exploreItem, n)
 	for i, raw := range breq.Items {
-		parsed[i], parseErrs[i] = parseExplore(bytes.NewReader(raw))
-		if internal && parsed[i] != nil {
-			parsed[i].peer = s.cluster.router.Self()
-		}
+		items[i] = exploreItem{body: bytes.NewReader(raw), raw: raw}
 	}
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel)
-	defer stop()
-
-	// A cluster-internal sub-batch is already accounted by the admission
-	// slot its origin node holds for the whole batch; admitting it here too
-	// could deadlock two fronts cross-forwarding sub-batches while their
-	// slots wait on each other. Work stays bounded: one internal batch per
-	// origin slot, cluster-wide.
-	if !internal {
-		release, ok := s.admit(ctx)
-		if !ok {
-			s.obs.Counter("server.rejected_overload").Add(1)
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-			s.writeError(w, http.StatusTooManyRequests, "exploration queue is full")
-			return
-		}
-		defer release()
+	if !s.serveItems(w, r, tid, internal, internal && n == 1, items) {
+		return
 	}
-
-	results := make([]*servedResponse, n)
-	tids := make([]string, n)
-	runLocal := func(i int) {
-		tids[i] = fmt.Sprintf("%s.%d", tid, i)
-		if parseErrs[i] != nil {
-			s.obs.Counter("server.bad_requests").Add(1)
-			results[i] = errResponse(http.StatusBadRequest, parseErrs[i])
-			return
-		}
-		ictx, icancel := ctx, context.CancelFunc(nil)
-		if d := s.effectiveTimeout(parsed[i].req.TimeoutMS); d > 0 {
-			ictx, icancel = context.WithTimeout(ctx, d)
-		}
-		prog := s.registerLive(tids[i], parsed[i])
-		results[i] = s.runExploration(ictx, parsed[i], tids[i], prog)
-		s.unregisterLive(tids[i])
-		if icancel != nil {
-			icancel()
-		}
-	}
-	// Cluster mode: items owned by live peers go out as sub-batches (trace
-	// ids "<tid>.p<seq>"), concurrently with the locally-owned items. A
-	// failed sub-batch leaves its items nil; the second local pass below
-	// recomputes them, so peer failures cost latency, never item failures.
-	remoteIdx := make([]bool, n)
-	var remoteWG sync.WaitGroup
-	if s.cluster != nil && !internal {
-		remote := s.planBatch(parsed, parseErrs)
-		owners := make([]string, 0, len(remote))
-		for owner := range remote {
-			owners = append(owners, owner)
-		}
-		sort.Strings(owners)
-		for seq, owner := range owners {
-			idxs := remote[owner]
-			for _, i := range idxs {
-				remoteIdx[i] = true
-			}
-			subTid := fmt.Sprintf("%s.p%d", tid, seq+1)
-			remoteWG.Add(1)
-			go func(owner string, idxs []int, subTid string) {
-				defer remoteWG.Done()
-				s.forwardBatchGroup(ctx, owner, idxs, breq.Items, subTid, results, tids)
-			}(owner, idxs, subTid)
-		}
-	}
-	s.workers.ForEach(ctx, n, func(i int) {
-		if remoteIdx[i] {
-			return
-		}
-		runLocal(i)
-	})
-	remoteWG.Wait()
-	s.workers.ForEach(ctx, n, func(i int) {
-		if remoteIdx[i] && results[i] == nil {
-			runLocal(i)
-		}
-	})
 	s.obs.Counter("server.batch_items").Add(int64(n))
 
-	// ForEach stops launching items once ctx is done (client disconnect or
-	// server drain mid-batch), leaving the unlaunched tail nil. Give those
-	// items a defined 503 result so the envelope below never dereferences a
-	// nil response.
-	for i := range results {
-		if results[i] == nil {
-			tids[i] = fmt.Sprintf("%s.%d", tid, i)
-			results[i] = errResponse(http.StatusServiceUnavailable,
-				errors.New("canceled before start"))
-		}
-	}
-
 	env := batchResponse{Items: make([]batchItem, n)}
-	for i, res := range results {
+	for i, it := range items {
 		env.Items[i] = batchItem{
 			Index:    i,
-			Status:   res.status,
-			Degraded: res.degraded,
-			TraceID:  tids[i],
-			Body:     json.RawMessage(bytes.TrimRight(res.body, "\n")),
+			Status:   it.resp.status,
+			Degraded: it.resp.degraded,
+			TraceID:  it.tid,
+			Body:     json.RawMessage(bytes.TrimRight(it.resp.body, "\n")),
 		}
 	}
 	body, err := json.Marshal(env)
@@ -787,15 +831,27 @@ func (s *Server) runExploration(ctx context.Context, p *parsedRequest, tid strin
 	sp.End()
 	if s.flight != nil {
 		s.obs.ReleaseSubtree(sp)
-		s.maybeRecordFlight(tid, p, resp, start, capture, before, prog)
+		if e := s.flightEntry(tid, p, resp, start); e != nil {
+			e.Search = prog.Snapshot()
+			if capture != nil {
+				e.Spans = capture.Records()
+				after := s.obs.Snapshot()
+				e.Counters = deltaCounters(before.Counters, after.Counters)
+				e.Gauges = after.Gauges
+			}
+			s.flight.add(e)
+		}
 	}
 	return resp
 }
 
-// maybeRecordFlight adds the finished request to the flight recorder when
-// it errored, degraded, or exceeded the slow threshold.
-func (s *Server) maybeRecordFlight(tid string, p *parsedRequest, resp *servedResponse,
-	start time.Time, capture *obs.Collector, before obs.Snapshot, prog *obs.Progress) {
+// flightEntry builds the flight-recorder entry of a finished exploration,
+// or returns nil when the recorder is off or the exploration neither
+// errored, degraded, nor exceeded the slow threshold.
+func (s *Server) flightEntry(tid string, p *parsedRequest, resp *servedResponse, start time.Time) *FlightEntry {
+	if s.flight == nil {
+		return nil
+	}
 	dur := time.Since(start)
 	var reason string
 	switch {
@@ -806,9 +862,9 @@ func (s *Server) maybeRecordFlight(tid string, p *parsedRequest, resp *servedRes
 	case s.opts.SlowRequest > 0 && dur >= s.opts.SlowRequest:
 		reason = "slow"
 	default:
-		return
+		return nil
 	}
-	e := &FlightEntry{
+	return &FlightEntry{
 		TraceID:    tid,
 		Start:      start,
 		Reason:     reason,
@@ -817,15 +873,7 @@ func (s *Server) maybeRecordFlight(tid string, p *parsedRequest, resp *servedRes
 		Mode:       p.mode,
 		Label:      p.label,
 		Degraded:   resp.degraded,
-		Search:     prog.Snapshot(),
 	}
-	if capture != nil {
-		e.Spans = capture.Records()
-		after := s.obs.Snapshot()
-		e.Counters = deltaCounters(before.Counters, after.Counters)
-		e.Gauges = after.Gauges
-	}
-	s.flight.add(e)
 }
 
 // dedup answers the request through the Requests keyspace: identical
@@ -1043,9 +1091,8 @@ type serverMetrics struct {
 	OK           int64 `json:"responses_2xx"`
 	ClientErrors int64 `json:"responses_4xx"`
 	ServerErrors int64 `json:"responses_5xx"`
-	// The latency ring percentiles are the bounded-window fallback view;
-	// LatencyHist is the lifetime histogram behind
-	// dtse_request_duration_seconds.
+	// The latency fields read the lifetime request histogram behind
+	// dtse_request_duration_seconds (LatencyHist in full).
 	LatencyCount int64                 `json:"latency_count"`
 	LatencyP50US int64                 `json:"latency_p50_us"`
 	LatencyP99US int64                 `json:"latency_p99_us"`
@@ -1067,7 +1114,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	n, p50, p99 := s.lat.percentiles()
+	lat := s.reqHist.Snapshot()
 	m := metricsResponse{
 		Server: serverMetrics{
 			Inflight:     s.inflight.Load(),
@@ -1076,10 +1123,10 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 			OK:           s.responses[2].Load(),
 			ClientErrors: s.responses[4].Load(),
 			ServerErrors: s.responses[5].Load(),
-			LatencyCount: n,
-			LatencyP50US: p50,
-			LatencyP99US: p99,
-			LatencyHist:  s.reqHist.Snapshot(),
+			LatencyCount: lat.Count,
+			LatencyP50US: lat.P50US,
+			LatencyP99US: lat.P99US,
+			LatencyHist:  lat,
 			Open:         s.openExplorations(),
 			Draining:     s.draining.Load(),
 		},
@@ -1105,55 +1152,4 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(body, '\n'))
-}
-
-// latencyRing keeps the last latencySamples request latencies for the
-// /metrics percentiles — a bounded window, so a long-running daemon reports
-// recent behaviour rather than its lifetime average.
-const latencySamples = 1024
-
-type latencyRing struct {
-	mu  sync.Mutex
-	buf [latencySamples]int64
-	n   atomic.Int64
-}
-
-func (l *latencyRing) record(us int64) {
-	i := l.n.Add(1) - 1
-	l.mu.Lock()
-	l.buf[i%latencySamples] = us
-	l.mu.Unlock()
-}
-
-// percentiles returns the sample count and the p50/p99 of the current
-// window (zeros when empty).
-func (l *latencyRing) percentiles() (n, p50, p99 int64) {
-	n = l.n.Load()
-	if n == 0 {
-		return 0, 0, 0
-	}
-	k := n
-	if k > latencySamples {
-		k = latencySamples
-	}
-	window := make([]int64, k)
-	l.mu.Lock()
-	copy(window, l.buf[:k])
-	l.mu.Unlock()
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	// Nearest-rank percentile: the smallest sample with at least p·k samples
-	// at or below it, i.e. window[ceil(p·k)-1]. The old floor(p·(k-1)) form
-	// under-reported at small counts — with two samples it returned the
-	// minimum as the p99.
-	idx := func(p float64) int64 {
-		i := int(math.Ceil(p*float64(k))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= int(k) {
-			i = int(k) - 1
-		}
-		return window[i]
-	}
-	return n, idx(0.50), idx(0.99)
 }

@@ -359,11 +359,14 @@ func TestServerConcurrentObserverSafety(t *testing.T) {
 	_, specJSON, budget := serviceSpec(t)
 	var buf syncBuffer
 	observer := NewObserver(NewJSONLSink(&buf))
-	srv := NewServer(ServeOptions{Obs: observer})
+	const n = 8
+	// A queue seat for every client: on a host with few CPUs the default
+	// queue (twice GOMAXPROCS) is smaller than n, and an overload 429 is
+	// not what this test is about.
+	srv := NewServer(ServeOptions{Obs: observer, MaxQueue: n})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	const n = 8
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -556,5 +559,81 @@ func TestServerDrainAndAbort(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("aborted exploration never completed")
+	}
+}
+
+// TestServerQueuedDeadlineStartsAtExploration: an item's timeout_ms starts
+// when the item starts exploring, not when its request joins the queue. A
+// single POST queued behind a held slot for longer than its own deadline
+// is answered 200 once the slot is released, not 429.
+func TestServerQueuedDeadlineStartsAtExploration(t *testing.T) {
+	_, specJSON, budget := serviceSpec(t)
+	srv := NewServer(ServeOptions{MaxConcurrent: 1, MaxQueue: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	srv.sem <- struct{}{}
+	type answer struct {
+		resp *http.Response
+		body []byte
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, body := postExploreRaw(ts.URL, specBody(specJSON, budget, `"timeout_ms": 20`))
+		done <- answer{resp, body}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.queued.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("request never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(100 * time.Millisecond) // five times the request's deadline
+	<-srv.sem
+	a := <-done
+	if a.resp == nil {
+		t.Fatalf("queued request failed: %s", a.body)
+	}
+	if a.resp.StatusCode != http.StatusOK {
+		t.Fatalf("queued request: status %d, want 200: %s", a.resp.StatusCode, a.body)
+	}
+}
+
+// TestServerInternalRequestNotAdmitted: a cluster-internal request is
+// never admitted, because the origin's slot accounts for it. A peer's
+// group of one is served while every slot and queue seat is held, and its
+// item takes the request's trace id.
+func TestServerInternalRequestNotAdmitted(t *testing.T) {
+	_, specJSON, budget := serviceSpec(t)
+	srv := NewServer(ServeOptions{MaxConcurrent: 1, MaxQueue: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Abort()
+	if err := srv.JoinCluster(ClusterOptions{Self: ts.URL, GossipInterval: -1}); err != nil {
+		t.Fatal(err)
+	}
+	srv.sem <- struct{}{}
+	srv.queued.Add(1)
+	defer func() { <-srv.sem; srv.queued.Add(-1) }()
+
+	item := specBody(specJSON, budget, "")
+	if resp, body := postExplore(t, ts, item); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("external request: status %d, want 429: %s", resp.StatusCode, body)
+	}
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/explore/batch", strings.NewReader(batchBody(item)))
+	req.Header.Set(clusterInternalHeader, "1")
+	req.Header.Set("X-Trace-Id", "front-000001.p1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env batchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("internal group: status %d, decode %v", resp.StatusCode, err)
+	}
+	if len(env.Items) != 1 || env.Items[0].Status != http.StatusOK || env.Items[0].TraceID != "front-000001.p1" {
+		t.Fatalf("internal group of one answered %+v", env.Items)
 	}
 }
