@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/knobs.golden from the current output")
 
 const testSpecJSON = `{
   "name": "hand",
@@ -135,5 +139,95 @@ func TestRunMissingFile(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-budget", "50000", filepath.Join(t.TempDir(), "nope.json")}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit %d, want 1", code)
+	}
+}
+
+// knobsSpecJSON is a frame-difference spec sized so that every knob moves
+// the answer: two frames above the default threshold, a mid-sized
+// difference buffer, and three small tables whose lifetimes are disjoint
+// enough for in-place sharing.
+const knobsSpecJSON = `{
+  "name": "knobs",
+  "groups": [
+    {"name": "cur", "words": 101376, "bits": 8},
+    {"name": "prev", "words": 101376, "bits": 8},
+    {"name": "diff", "words": 25344, "bits": 16},
+    {"name": "line", "words": 352, "bits": 8},
+    {"name": "coef", "words": 64, "bits": 12},
+    {"name": "hist", "words": 256, "bits": 16}
+  ],
+  "loops": [
+    {"name": "copy", "iterations": 25344, "accesses": [
+      {"group": "cur", "count": 4},
+      {"group": "line", "count": 1},
+      {"group": "line", "write": true, "count": 1, "deps": [0]},
+      {"group": "diff", "write": true, "count": 1, "deps": [0, 1]}
+    ]},
+    {"name": "filter", "iterations": 25344, "accesses": [
+      {"group": "line", "count": 3},
+      {"group": "coef", "count": 3},
+      {"group": "diff", "count": 1},
+      {"group": "diff", "write": true, "count": 1, "deps": [0, 1, 2]}
+    ]},
+    {"name": "hist", "iterations": 25344, "accesses": [
+      {"group": "diff", "count": 1},
+      {"group": "hist", "count": 1, "deps": [0]},
+      {"group": "hist", "write": true, "count": 1, "deps": [1]}
+    ]},
+    {"name": "update", "iterations": 101376, "accesses": [
+      {"group": "cur", "count": 1},
+      {"group": "prev", "count": 1},
+      {"group": "prev", "write": true, "count": 1, "deps": [0]}
+    ]}
+  ]
+}`
+
+// TestKnobsGolden pins stdout for one spec under the defaults and under
+// each spec-mode knob: -threshold 0 (which selects the default 64Ki),
+// -frame, the full knob row the server's golden corpus also posts, and a
+// nonzero threshold that moves groups off chip in both the budget
+// distribution and the assignment. Regenerate with -update only for a
+// deliberate output change.
+func TestKnobsGolden(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "knobs.json")
+	if err := os.WriteFile(p, []byte(knobsSpecJSON), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]string{
+		nil,
+		{"-threshold", "0", "-frame", "0.5"},
+		{"-onchip", "2", "-threshold", "0", "-frame", "0.5", "-inplace", "-interconnect"},
+		{"-onchip", "2", "-threshold", "300", "-inplace"},
+	}
+	var got bytes.Buffer
+	for _, row := range rows {
+		var stdout, stderr bytes.Buffer
+		args := append(append([]string{"-budget", "720000"}, row...), p)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", row, code, stderr.String())
+		}
+		name := strings.Join(row, " ")
+		if name == "" {
+			name = "defaults"
+		}
+		fmt.Fprintf(&got, "== %s\n%s", name, stdout.Bytes())
+	}
+
+	golden := filepath.Join("testdata", "knobs.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("stdout differs from %s (rerun with -update if intentional):\ngot:\n%s\nwant:\n%s", golden, got.Bytes(), want)
 	}
 }
