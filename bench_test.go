@@ -348,8 +348,6 @@ func BenchmarkWorkloadExploration(b *testing.B) {
 			tech.OnChipMaxWords = ctx.OnChipMaxWords
 			tech.FramePeriod = ctx.FramePeriod
 			ep.Tech = &tech
-			ep.SBD.OnChipMaxWords = ctx.OnChipMaxWords
-			ep.Assign.OnChipMaxWords = ctx.OnChipMaxWords
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v, err := core.Evaluate(s, ctx.CycleBudget, s.Name, ep)
@@ -402,8 +400,7 @@ func BenchmarkAssign(b *testing.B) {
 	pats := sbd.PrunePatternsCached(nil, res.BudgetChoice.Dist.Patterns)
 	o := obs.New()
 	sp := o.Start("bench")
-	ap := ep.Assign
-	ap.Obs = sp
+	ap := assign.Params{Obs: sp}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -484,7 +481,7 @@ func BenchmarkDistribute(b *testing.B) {
 	ep := core.DefaultEvalParams().ScaleTo(benchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sbd.Distribute(demo.Spec, demo.CycleBudget, ep.SBD); err != nil {
+		if _, err := sbd.Distribute(demo.Spec, demo.CycleBudget, sbd.Params{OnChipMaxWords: ep.Tech.OnChipMaxWords}); err != nil {
 			b.Fatal(err)
 		}
 	}

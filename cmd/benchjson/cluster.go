@@ -98,11 +98,9 @@ func clusterWorkload() ([]string, error) {
 		if err := dtse.WriteSpecJSON(s, &buf); err != nil {
 			return nil, err
 		}
-		// The budget must be generous enough for every search to complete
-		// optimally: in cluster mode a cut-short (non-optimal) result is
-		// volatile — which node computed it, and when, can change its
-		// bytes — so it would never be cached and the sweep would measure
-		// recompute on every leg.
+		// The cycle budget is generous so that every spec is feasible: an
+		// infeasible budget answers 422, which is never cached, and the
+		// sweep would measure recompute on every leg.
 		bodies = append(bodies, fmt.Sprintf(`{"spec": %s, "budget": 20000000}`, buf.String()))
 	}
 	return bodies, nil

@@ -220,7 +220,7 @@ func distributeBench(size int) (testing.BenchmarkResult, map[string]float64, map
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dist, err := sbd.Distribute(d.Spec, d.CycleBudget, ep.SBD)
+			dist, err := sbd.Distribute(d.Spec, d.CycleBudget, sbd.Params{OnChipMaxWords: ep.Tech.OnChipMaxWords})
 			if err != nil {
 				innerErr = err
 				b.Fatal(err)

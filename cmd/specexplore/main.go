@@ -184,22 +184,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		observer = obs.New(sinks...)
 	}
 
-	ep := core.DefaultEvalParams()
+	ep := core.DefaultEvalParams().WithSpecKnobs(core.SpecKnobs{
+		OnChip: *onchip, Threshold: *threshold, Frame: *frame,
+		InPlace: *inplaceF, Interconnect: *interconnect,
+	})
 	ep.Obs = observer
 	if *cache == "off" {
 		ep.Memo = nil
 	}
-	tech := *ep.Tech
-	tech.OnChipMaxWords = *threshold
-	tech.FramePeriod = *frame
-	if *interconnect {
-		tech.Bus = tech.WithInterconnect().Bus
-	}
-	ep.Tech = &tech
-	ep.SBD.OnChipMaxWords = *threshold
-	ep.Assign.OnChipMaxWords = *threshold
-	ep.Assign.InPlace = *inplaceF
-	ep.OnChipCount = *onchip
 
 	v, err := core.EvaluateContext(ctx, s, *budget, s.Name, ep)
 	if err != nil {

@@ -42,8 +42,6 @@ func TestFacadeExplore(t *testing.T) {
 	tech.OnChipMaxWords = 8 * 1024
 	tech.FramePeriod = float64(176*144) / 1e6
 	ep.Tech = &tech
-	ep.SBD.OnChipMaxWords = tech.OnChipMaxWords
-	ep.Assign.OnChipMaxWords = tech.OnChipMaxWords
 	ep.OnChipCount = 2
 
 	v, err := Explore(sp, uint64(18*176*144), ep)

@@ -36,8 +36,6 @@ func main() {
 	tech.SRAM.MaxWords = wctx.OnChipMaxWords
 	tech.FramePeriod = wctx.FramePeriod
 	ep.Tech = &tech
-	ep.SBD.OnChipMaxWords = tech.OnChipMaxWords
-	ep.Assign.OnChipMaxWords = tech.OnChipMaxWords
 	ep.OnChipCount = 4
 	budget := wctx.CycleBudget
 

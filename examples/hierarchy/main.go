@@ -94,8 +94,6 @@ func main() {
 	techCopy.OnChipMaxWords = 16 * 1024 // frames live off-chip at this scale
 	techCopy.FramePeriod = float64(w*h) / 1e6
 	ep.Tech = &techCopy
-	ep.SBD.OnChipMaxWords = techCopy.OnChipMaxWords
-	ep.Assign.OnChipMaxWords = techCopy.OnChipMaxWords
 
 	budget := uint64(30 * w * h)
 	options := []struct {

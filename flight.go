@@ -9,10 +9,9 @@ import (
 
 // The flight recorder: a bounded ring of the last N requests that came back
 // slow, degraded, or errored, each kept with enough context — the request's
-// full span tree, the counter deltas across its lifetime, and the final
-// search position — that "why was this request degraded" is answerable
-// after the fact without rerunning it. GET /debug/flightrecorder dumps the
-// ring, newest first.
+// full span tree and the final search position — that "why was this
+// request degraded" is answerable after the fact without rerunning it.
+// GET /debug/flightrecorder dumps the ring, newest first.
 
 // FlightEntry is one recorded request.
 type FlightEntry struct {
@@ -38,13 +37,6 @@ type FlightEntry struct {
 	// Spans is the request's full span tree (serve.explore and everything
 	// underneath), in end order — children before parents, as in traces.
 	Spans []*obs.SpanRecord `json:"spans,omitempty"`
-
-	// Counters holds the observer counter deltas over the request's lifetime
-	// (zero deltas omitted) and Gauges the gauge values at completion. Both
-	// are process-global — concurrent requests see each other's activity —
-	// the same caveat as span allocation deltas.
-	Counters map[string]int64 `json:"counter_deltas,omitempty"`
-	Gauges   map[string]int64 `json:"gauges,omitempty"`
 }
 
 // flightRecorder is the bounded ring. Writes are rare (only degraded or
@@ -94,18 +86,4 @@ func (f *flightRecorder) size() int {
 		}
 	}
 	return n
-}
-
-// deltaCounters subtracts two counter snapshots, keeping nonzero deltas.
-func deltaCounters(before, after map[string]int64) map[string]int64 {
-	var out map[string]int64
-	for name, v := range after {
-		if d := v - before[name]; d != 0 {
-			if out == nil {
-				out = make(map[string]int64)
-			}
-			out[name] = d
-		}
-	}
-	return out
 }

@@ -105,7 +105,7 @@ func parseExploreReference(body io.Reader) (*parsedRequest, error) {
 		return nil, fmt.Errorf("invalid spec: %v", err)
 	}
 	p.spec = &sp
-	onchip, threshold, frame, inplace, interconnect, err := specParams(req.Params)
+	k, err := specParams(req.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func parseExploreReference(body io.Reader) (*parsedRequest, error) {
 		return nil, fmt.Errorf("invalid spec: %v", err)
 	}
 	p.key = fmt.Sprintf("spec|%d|%d|%d|%g|%t|%t|%s",
-		req.Budget, onchip, threshold, frame, inplace, interconnect, canon)
+		req.Budget, k.OnChip, k.Threshold, k.Frame, k.InPlace, k.Interconnect, canon)
 	p.canon = canon
 	p.mode = "spec"
 	p.label = sp.Name

@@ -35,11 +35,11 @@ import (
 // and the deadline is still honored within a fraction of a millisecond.
 const cancelCheckInterval = 1024
 
-// Params configures the assignment.
+// Params configures the assignment. Within an exploration, core derives it
+// from core.EvalParams. The on/off-chip threshold is not a parameter:
+// Assign reads it from the technology it is given
+// (memlib.Tech.OnChipMaxWords), the value core also hands the budget step.
 type Params struct {
-	// OnChipMaxWords separates on-chip from off-chip groups. Must match the
-	// threshold used for the SCBD step. Default 64Ki.
-	OnChipMaxWords int64
 	// MaxPorts caps the ports of any single memory. Default 8 (tiny register
 	// files legitimately take many ports; the cost model prices them).
 	MaxPorts int
@@ -62,9 +62,6 @@ type Params struct {
 }
 
 func (p *Params) normalize() {
-	if p.OnChipMaxWords == 0 {
-		p.OnChipMaxWords = 64 * 1024
-	}
 	if p.MaxPorts == 0 {
 		p.MaxPorts = 8
 	}
@@ -346,13 +343,18 @@ func (pr *problem) offChipCost(m *memState) (power float64, err error) {
 		float64(m.acc)/pr.tech.FramePeriod)
 }
 
-// partition splits the spec's groups by the on/off-chip threshold.
-func partition(s *spec.Spec, p Params) (on, off []spec.BasicGroup) {
+// partition splits the spec's groups by the technology's on/off-chip
+// threshold; zero selects the default 64Ki, as in the budget step.
+func partition(s *spec.Spec, tech *memlib.Tech) (on, off []spec.BasicGroup) {
+	limit := tech.OnChipMaxWords
+	if limit == 0 {
+		limit = 64 * 1024
+	}
 	for _, g := range s.Groups {
 		if s.AccessesPerFrame(g.Name) == 0 {
 			continue // pruned away: never accessed
 		}
-		if g.Words > p.OnChipMaxWords {
+		if g.Words > limit {
 			off = append(off, g)
 		} else {
 			on = append(on, g)
@@ -382,7 +384,7 @@ func AssignContext(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *
 	sp := p.Obs.Child("assign")
 	defer sp.End()
 	p.Progress.SetStage("assign")
-	onG, offG := partition(s, p)
+	onG, offG := partition(s, tech)
 	sp.SetInt("count", int64(onChipCount))
 	sp.SetInt("groups_onchip", int64(len(onG)))
 	sp.SetInt("groups_offchip", int64(len(offG)))

@@ -415,7 +415,7 @@ func TestInPlaceSearchStateRestoration(t *testing.T) {
 	// Recompute each memory's words from scratch and compare.
 	for _, bind := range full.OnChip {
 		var st memState
-		pr := buildProblem(s, onGroups(s, bind.Groups), nil, memlib.Default(), Params{InPlace: true, OnChipMaxWords: 64 * 1024, MaxPorts: 8, NodeBudget: 1000})
+		pr := buildProblem(s, onGroups(s, bind.Groups), nil, memlib.Default(), Params{InPlace: true, MaxPorts: 8, NodeBudget: 1000})
 		members := make([]int, len(bind.Groups))
 		for i := range members {
 			members[i] = i
@@ -443,7 +443,7 @@ func onGroups(s *spec.Spec, names []string) []spec.BasicGroup {
 func bruteForceOnChip(t *testing.T, s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, maxMem int, p Params) (float64, bool) {
 	t.Helper()
 	p.normalize()
-	onG, _ := partition(s, p)
+	onG, _ := partition(s, tech)
 	if maxMem > len(onG) {
 		maxMem = len(onG)
 	}

@@ -48,7 +48,7 @@ func TestPushPopMatchesRecompute(t *testing.T) {
 	for _, inPlace := range []bool{false, true} {
 		p := Params{InPlace: inPlace}
 		p.normalize()
-		onG, _ := partition(s, p)
+		onG, _ := partition(s, memlib.Default())
 		pr := buildProblem(s, onG, pats, memlib.Default(), p)
 
 		var m memState
@@ -103,7 +103,7 @@ func TestSelfPortsFloor(t *testing.T) {
 	s, pats := conflictSpec(t)
 	p := Params{}
 	p.normalize()
-	onG, _ := partition(s, p)
+	onG, _ := partition(s, memlib.Default())
 	pr := buildProblem(s, onG, pats, memlib.Default(), p)
 	want := map[string]int{"a": 2, "b": 1, "c": 1, "d": 1, "e": 2}
 	for gi, g := range onG {

@@ -76,7 +76,7 @@ func AblationStructuralCost(d *Demonstrator, ep EvalParams) *AblationResult {
 		return res
 	}
 	res.With = with
-	ep.SBD.StructuralWeight = -1 // disabled
+	ep.structuralWeight = -1 // disabled
 	without, err := Evaluate(d.Spec, d.CycleBudget, "without structural", ep)
 	if err != nil {
 		res.WithoutErr = err
@@ -90,16 +90,16 @@ func AblationStructuralCost(d *Demonstrator, ep EvalParams) *AblationResult {
 // against the greedy-only baseline (the organization a designer without the
 // optimizing tool would reach) at the given allocation.
 func AblationGreedyAssignment(d *Demonstrator, ep EvalParams, onChip int) (*AblationResult, error) {
-	dist, err := sbd.Distribute(d.Spec, d.CycleBudget, ep.SBD)
+	dist, err := sbd.Distribute(d.Spec, d.CycleBudget, ep.sbdParams())
 	if err != nil {
 		return nil, err
 	}
 	pats := sbd.PrunePatterns(dist.Patterns)
-	opt, err := assign.Assign(d.Spec, pats, ep.Tech, onChip, ep.Assign)
+	opt, err := assign.Assign(d.Spec, pats, ep.Tech, onChip, ep.assignParams())
 	if err != nil {
 		return nil, err
 	}
-	gr, err := assign.Greedy(d.Spec, pats, ep.Tech, onChip, ep.Assign)
+	gr, err := assign.Greedy(d.Spec, pats, ep.Tech, onChip, ep.assignParams())
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func AblationGreedyAssignment(d *Demonstrator, ep EvalParams, onChip int) (*Abla
 // is ~zero savings: its large arrays live across the whole frame.
 func AblationInPlace(d *Demonstrator, ep EvalParams) (*AblationResult, error) {
 	with := ep
-	with.Assign.InPlace = true
+	with.InPlace = true
 	v1, err := Evaluate(d.Spec, d.CycleBudget, "in-place", with)
 	if err != nil {
 		return nil, err

@@ -17,12 +17,14 @@ import (
 )
 
 // EvalParams bundles the technology and tool parameters shared by all
-// evaluation calls of one exploration session.
+// evaluation calls of one exploration session. It is the only parameter
+// set callers fill: sbdParams and assignParams derive the engines'
+// parameters from it, so each knob has one home. Tech.OnChipMaxWords is
+// the on/off-chip threshold both engines read.
 type EvalParams struct {
 	Tech        *memlib.Tech
-	SBD         sbd.Params
-	Assign      assign.Params
-	OnChipCount int // allocation used for steps 1-3; Table 4 sweeps it
+	OnChipCount int  // allocation used for steps 1-3; Table 4 sweeps it
+	InPlace     bool // the in-place mapping extension in the assignment
 
 	// Obs is the telemetry session; nil (the default) disables all
 	// instrumentation at near-zero cost. Span is the current parent span the
@@ -58,6 +60,32 @@ type EvalParams struct {
 	// everything sequentially. Results are byte-identical at any width —
 	// the sweeps collect by index.
 	Workers *pool.Pool
+
+	// pipelined enables software pipelining in the budget step (the
+	// Table 3 extension sweep); structuralWeight is its sbd.Params
+	// namesake (-1: the structural-cost ablation). Only this package sets
+	// them.
+	pipelined        bool
+	structuralWeight float64
+}
+
+// sbdParams derives the storage-cycle-budget step's parameters: the
+// threshold from Tech, telemetry under the current span.
+func (ep EvalParams) sbdParams() sbd.Params {
+	return sbd.Params{
+		OnChipMaxWords:   ep.Tech.OnChipMaxWords,
+		StructuralWeight: ep.structuralWeight,
+		Obs:              ep.Span,
+		Progress:         ep.Progress,
+		Memo:             ep.Memo,
+		Pipelined:        ep.pipelined,
+	}
+}
+
+// assignParams derives the assignment step's parameters; the assignment
+// reads the threshold from the Tech it receives.
+func (ep EvalParams) assignParams() assign.Params {
+	return assign.Params{InPlace: ep.InPlace, Obs: ep.Span, Progress: ep.Progress}
 }
 
 // startSpan opens a telemetry span for one pipeline stage: a child of the
@@ -80,14 +108,10 @@ func (ep EvalParams) startSpan(name string) (*obs.Span, EvalParams) {
 }
 
 // DefaultEvalParams returns the calibrated defaults used throughout the
-// reproduction (thresholds kept consistent between the SCBD and assignment
-// steps).
+// reproduction.
 func DefaultEvalParams() EvalParams {
-	tech := memlib.Default()
 	return EvalParams{
-		Tech:        tech,
-		SBD:         sbd.Params{OnChipMaxWords: tech.OnChipMaxWords},
-		Assign:      assign.Params{OnChipMaxWords: tech.OnChipMaxWords},
+		Tech:        memlib.Default(),
 		OnChipCount: 4,
 		Memo:        memo.New(),
 		Workers:     pool.New(0),
@@ -112,8 +136,31 @@ func (ep EvalParams) ScaleTo(size int) EvalParams {
 	// with the pixel count and access rates stay size-independent.
 	tech.FramePeriod = float64(size) * float64(size) / 1e6
 	ep.Tech = &tech
-	ep.SBD.OnChipMaxWords = th
-	ep.Assign.OnChipMaxWords = th
+	return ep
+}
+
+// SpecKnobs are the spec-mode tool knobs: cmd/specexplore's flags and the
+// server's request "params". Callers validate them before applying.
+type SpecKnobs struct {
+	OnChip       int     // on-chip memories to allocate
+	Threshold    int64   // words above which a group lives off-chip; 0 selects 64Ki
+	Frame        float64 // frame period [s], for access rates
+	InPlace      bool    // the in-place mapping extension
+	Interconnect bool    // the bus interconnect model
+}
+
+// WithSpecKnobs returns ep with the spec-mode knobs applied to its
+// technology copy and allocation.
+func (ep EvalParams) WithSpecKnobs(k SpecKnobs) EvalParams {
+	tech := *ep.Tech
+	tech.OnChipMaxWords = k.Threshold
+	tech.FramePeriod = k.Frame
+	if k.Interconnect {
+		tech.Bus = tech.WithInterconnect().Bus
+	}
+	ep.Tech = &tech
+	ep.OnChipCount = k.OnChip
+	ep.InPlace = k.InPlace
 	return ep
 }
 
@@ -150,11 +197,7 @@ func EvaluateContext(ctx context.Context, s *spec.Spec, budget uint64, label str
 		sp.SetInt("budget", int64(budget))
 		sp.Observer().Counter("core.evaluations").Add(1)
 	}
-	sbdP := ep.SBD
-	sbdP.Obs = ep.Span
-	sbdP.Memo = ep.Memo
-	sbdP.Progress = ep.Progress
-	dist, err := sbd.DistributeContext(ctx, s, budget, sbdP)
+	dist, err := sbd.DistributeContext(ctx, s, budget, ep.sbdParams())
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", label, err)
 	}
@@ -163,9 +206,7 @@ func EvaluateContext(ctx context.Context, s *spec.Spec, budget uint64, label str
 		sp.SetInt("patterns", int64(len(dist.Patterns)))
 		sp.SetInt("patterns_pruned", int64(len(dist.Patterns)-len(pats)))
 	}
-	asgnP := ep.Assign
-	asgnP.Obs = ep.Span
-	asgnP.Progress = ep.Progress
+	asgnP := ep.assignParams()
 	var asgn *assign.Assignment
 	retries := 0
 	for count := ep.OnChipCount; count <= ep.OnChipCount+6; count++ {
@@ -349,7 +390,7 @@ func ExploreBudgetsPipelined(s *spec.Spec, fullBudget uint64, ep EvalParams) ([]
 // ExploreBudgetsPipelinedContext is ExploreBudgetsPipelined with
 // cancellation support (see ExploreBudgetsContext).
 func ExploreBudgetsPipelinedContext(ctx context.Context, s *spec.Spec, fullBudget uint64, ep EvalParams) ([]*BudgetPoint, error) {
-	ep.SBD.Pipelined = true
+	ep.pipelined = true
 	fracs := []float64{0.68, 0.60, 0.52, 0.45, 0.40, 0.34, 0.30, 0.26, 0.22}
 	return budgetSweep(ctx, s, fullBudget, fracs, ep)
 }
@@ -360,7 +401,7 @@ func budgetSweep(ctx context.Context, s *spec.Spec, fullBudget uint64, fracs []f
 	if sp != nil {
 		sp.SetInt("points", int64(len(fracs)))
 		pipelined := int64(0)
-		if ep.SBD.Pipelined {
+		if ep.pipelined {
 			pipelined = 1
 		}
 		sp.SetInt("pipelined", pipelined)
@@ -428,9 +469,8 @@ func ExploreAllocationsContext(ctx context.Context, s *spec.Spec, dist *sbd.Dist
 	// derivation into a lookup.
 	pats := sbd.PrunePatternsCached(ep.Memo, dist.Patterns)
 	asgns := make([]*assign.Assignment, len(counts))
+	ap := ep.assignParams()
 	ep.Workers.ForEach(ctx, len(counts), func(i int) {
-		ap := ep.Assign
-		ap.Obs = ep.Span
 		if a, err := assign.AssignContext(ctx, s, pats, ep.Tech, counts[i], ap); err == nil {
 			asgns[i] = a
 		}
@@ -472,9 +512,10 @@ func AnalyzeMACP(s *spec.Spec, budget uint64, ep EvalParams) MACPReport {
 	for _, g := range s.Groups {
 		groups[g.Name] = g
 	}
+	p := ep.sbdParams()
 	var weighted uint64
 	for i := range s.Loops {
-		weighted += uint64(sbd.WeightedCP(&s.Loops[i], groups, ep.SBD)) * s.Loops[i].Iterations
+		weighted += uint64(sbd.WeightedCP(&s.Loops[i], groups, p)) * s.Loops[i].Iterations
 	}
 	return MACPReport{
 		UnitMACP:     dfg.MACP(s),

@@ -171,7 +171,10 @@ type Tech struct {
 	// 1-Mpixel image) makes this 1 s.
 	FramePeriod float64
 	// OnChipMaxWords is the allocation threshold: basic groups larger than
-	// this must live off-chip.
+	// this must live off-chip. It is the threshold's one home within an
+	// exploration: the budget step schedules accesses to larger groups as
+	// multi-cycle off-chip accesses and the assignment packs the rest on
+	// chip. Zero selects the default 64Ki.
 	OnChipMaxWords int64
 	// Bus models the interconnect. The paper's estimators exclude it ("the
 	// estimation models … don't include area and power cost of the

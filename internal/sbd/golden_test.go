@@ -193,7 +193,7 @@ func TestDistributionsGolden(t *testing.T) {
 		}
 		variants = append(variants, variant{h.name, applied})
 	}
-	base := core.DefaultEvalParams().ScaleTo(d.Config.Size).SBD
+	base := sbd.Params{OnChipMaxWords: core.DefaultEvalParams().ScaleTo(d.Config.Size).Tech.OnChipMaxWords}
 	sweeps := []struct {
 		mode  string
 		fracs []float64

@@ -39,10 +39,13 @@ import (
 	"repro/internal/spec"
 )
 
-// Params configures the balancer and the cost model it optimizes.
+// Params configures the balancer and the cost model it optimizes. Within
+// an exploration, core derives it from core.EvalParams; callers of core
+// never fill it.
 type Params struct {
 	// OnChipMaxWords separates on-chip from off-chip groups for the access
-	// duration and penalty models. Default 64Ki.
+	// duration and penalty models. Default 64Ki. core copies it from
+	// memlib.Tech.OnChipMaxWords, the value the assignment partitions by.
 	OnChipMaxWords int64
 	// OffChipCycles is the duration of one off-chip access in storage
 	// cycles (an EDO DRAM access spans multiple 20 MHz cycles). Default 2.

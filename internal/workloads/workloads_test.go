@@ -29,8 +29,6 @@ func paramsFor(ctx Context) core.EvalParams {
 	tech.OnChipMaxWords = ctx.OnChipMaxWords
 	tech.FramePeriod = ctx.FramePeriod
 	ep.Tech = &tech
-	ep.SBD.OnChipMaxWords = ctx.OnChipMaxWords
-	ep.Assign.OnChipMaxWords = ctx.OnChipMaxWords
 	return ep
 }
 

@@ -49,7 +49,7 @@ import (
 //	GET  /debug/explorations    in-flight request registry: stage, elapsed,
 //	                            search nodes, incumbent cost, bound gap
 //	GET  /debug/flightrecorder  last N slow/degraded/errored requests with
-//	                            their span trees and counter deltas
+//	                            their span trees and search positions
 //
 // Both explore endpoints take one serving path, serveItems: a single POST
 // is a request of one item, a batch a request of N. It parses each item,
@@ -107,8 +107,8 @@ type ServeOptions struct {
 	// callers still compile.
 	NoWarmStart bool
 	// FlightRecorder bounds the flight-recorder ring: the last N slow,
-	// degraded, or errored requests kept with their span trees and counter
-	// deltas for /debug/flightrecorder. 0 means 64; negative disables the
+	// degraded, or errored requests kept with their span trees and final
+	// search position for /debug/flightrecorder. 0 means 64; negative disables the
 	// recorder.
 	FlightRecorder int
 	// SlowRequest records completed requests at least this slow in the
@@ -292,12 +292,13 @@ type errorResponse struct {
 // its deduplication key derived.
 type parsedRequest struct {
 	req   *exploreRequest
-	spec  *spec.Spec // spec mode only
-	key   string     // canonical dedup key (deadline excluded)
-	canon string     // canonical spec JSON (spec mode): the routing fingerprint
-	mode  string     // "spec" or "demo", for introspection
-	label string     // spec name or demo size, for introspection
-	peer  string     // serving cluster node, when routed here by a peer
+	spec  *spec.Spec     // spec mode only
+	key   string         // canonical dedup key (deadline excluded)
+	canon string         // canonical spec JSON (spec mode): the routing fingerprint
+	mode  string         // "spec" or "demo", for introspection
+	label string         // spec name or demo size, for introspection
+	peer  string         // serving cluster node, when routed here by a peer
+	knobs core.SpecKnobs // spec mode: the resolved tool knobs
 }
 
 const maxRequestBody = 8 << 20
@@ -349,10 +350,11 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 		return nil, fmt.Errorf("invalid spec: %v", err)
 	}
 	p.spec = sp
-	onchip, threshold, frame, inplace, interconnect, err := specParams(req.Params)
+	k, err := specParams(req.Params)
 	if err != nil {
 		return nil, err
 	}
+	p.knobs = k
 	// The key pins every input that shapes the response — the budget, the
 	// tool knobs, and the spec in its canonical serialization (request-side
 	// whitespace and field order must not defeat deduplication):
@@ -362,7 +364,7 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 	// The deadline is deliberately excluded: only completed explorations
 	// are cached, and a completed result is valid under any deadline.
 	key := fmt.Appendf(make([]byte, 0, 128+5*len(req.Spec)/2), "spec|%d|%d|%d|%g|%t|%t|",
-		req.Budget, onchip, threshold, frame, inplace, interconnect)
+		req.Budget, k.OnChip, k.Threshold, k.Frame, k.InPlace, k.Interconnect)
 	prefix := len(key)
 	if key, err = spec.AppendJSON(key, sp); err != nil {
 		return nil, fmt.Errorf("invalid spec: %v", err)
@@ -376,28 +378,28 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 
 // specParams resolves the spec-mode knobs to their cmd/specexplore
 // defaults and validates them.
-func specParams(pr *paramsRequest) (onchip int, threshold int64, frame float64, inplace, interconnect bool, err error) {
-	onchip, threshold, frame = 4, 64*1024, 1.0
+func specParams(pr *paramsRequest) (k core.SpecKnobs, err error) {
+	k = core.SpecKnobs{OnChip: 4, Threshold: 64 * 1024, Frame: 1.0}
 	if pr == nil {
 		return
 	}
 	if pr.OnChip != 0 {
-		onchip = pr.OnChip
+		k.OnChip = pr.OnChip
 	}
 	if pr.Threshold != nil {
-		threshold = *pr.Threshold
+		k.Threshold = *pr.Threshold
 	}
 	if pr.Frame != 0 {
-		frame = pr.Frame
+		k.Frame = pr.Frame
 	}
-	inplace, interconnect = pr.InPlace, pr.Interconnect
+	k.InPlace, k.Interconnect = pr.InPlace, pr.Interconnect
 	switch {
-	case onchip < 1:
-		err = fmt.Errorf("params.onchip %d out of range (must be >= 1)", onchip)
-	case threshold < 0:
-		err = fmt.Errorf("params.threshold %d out of range (must be >= 0)", threshold)
-	case frame <= 0:
-		err = fmt.Errorf("params.frame %g out of range (must be > 0)", frame)
+	case k.OnChip < 1:
+		err = fmt.Errorf("params.onchip %d out of range (must be >= 1)", k.OnChip)
+	case k.Threshold < 0:
+		err = fmt.Errorf("params.threshold %d out of range (must be >= 0)", k.Threshold)
+	case k.Frame <= 0:
+		err = fmt.Errorf("params.frame %g out of range (must be > 0)", k.Frame)
 	}
 	return
 }
@@ -408,14 +410,10 @@ func specParams(pr *paramsRequest) (onchip int, threshold int64, frame float64, 
 // status and body bytes of one deterministic response. degraded marks a
 // best-effort response computed under an expired deadline or abort; such
 // responses are never cached, so cached entries are never degraded.
-// volatile marks a completed response whose content may depend on which
-// node computed it (a cut-short search in cluster mode, see explore), so
-// it, too, is served once and never cached.
 type servedResponse struct {
 	status   int
 	body     []byte
 	degraded bool
-	volatile bool
 }
 
 // CacheBytes implements memo.Sized: the retained footprint of a cached
@@ -423,12 +421,12 @@ type servedResponse struct {
 func (r *servedResponse) CacheBytes() int { return len(r.body) + 64 }
 
 // encodeServed/decodeServed are the Requests keyspace's disk codec:
-// [4B status][body]. Only clean 200s are persisted — degraded and volatile
-// responses never reach the encoder via the cacheability rule, but the
-// guard stands on its own.
+// [4B status][body]. Only clean 200s are persisted — degraded responses
+// never reach the encoder via the cacheability rule, but the guard stands
+// on its own.
 func encodeServed(v any) ([]byte, bool) {
 	r, ok := v.(*servedResponse)
-	if !ok || r.status != http.StatusOK || r.degraded || r.volatile {
+	if !ok || r.status != http.StatusOK || r.degraded {
 		return nil, false
 	}
 	b := make([]byte, 4+len(r.body))
@@ -811,8 +809,7 @@ func (s *Server) handleExploreBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // runExploration runs one admitted exploration under its telemetry span,
-// capturing the span subtree and counter deltas when the flight recorder
-// might want them.
+// capturing the span subtree when the flight recorder might want it.
 func (s *Server) runExploration(ctx context.Context, p *parsedRequest, tid string, prog *obs.Progress) *servedResponse {
 	start := time.Now()
 	sp := s.obs.Start("serve.explore")
@@ -821,10 +818,8 @@ func (s *Server) runExploration(ctx context.Context, p *parsedRequest, tid strin
 		sp.SetStr("peer", p.peer)
 	}
 	var capture *obs.Collector
-	var before obs.Snapshot
 	if s.flight != nil {
 		capture = s.obs.CaptureSubtree(sp)
-		before = s.obs.Snapshot()
 	}
 	resp := s.dedup(ctx, p, sp, prog)
 	sp.SetInt("status", int64(resp.status))
@@ -833,11 +828,8 @@ func (s *Server) runExploration(ctx context.Context, p *parsedRequest, tid strin
 		s.obs.ReleaseSubtree(sp)
 		if e := s.flightEntry(tid, p, resp, start); e != nil {
 			e.Search = prog.Snapshot()
-			if capture != nil {
+			if capture != nil { // nil without an observer
 				e.Spans = capture.Records()
-				after := s.obs.Snapshot()
-				e.Counters = deltaCounters(before.Counters, after.Counters)
-				e.Gauges = after.Gauges
 			}
 			s.flight.add(e)
 		}
@@ -888,7 +880,7 @@ func (s *Server) dedup(ctx context.Context, p *parsedRequest, sp *obs.Span, prog
 	v := s.memo.Do(memo.Requests, p.key, func() (any, bool) {
 		hit = false
 		resp := s.explore(ctx, p, sp, prog)
-		cacheable := resp.status == http.StatusOK && ctx.Err() == nil && !resp.volatile
+		cacheable := resp.status == http.StatusOK && ctx.Err() == nil
 		return resp, cacheable
 	})
 	if hit {
@@ -917,7 +909,6 @@ func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, pr
 	ep.Progress = prog
 
 	env := &exploreResponse{}
-	volatile := false
 	if p.req.Demo != nil {
 		d := p.req.Demo
 		res, err := core.RunAllContext(ctx, core.DemoConfig{Size: d.Size, Seed: d.Seed, Quant: d.Quant}, ep)
@@ -930,29 +921,11 @@ func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, pr
 		}
 		env.Results = wire
 	} else {
-		onchip, threshold, frame, inplace, interconnect, _ := specParams(p.req.Params)
-		tech := *ep.Tech
-		tech.OnChipMaxWords = threshold
-		tech.FramePeriod = frame
-		if interconnect {
-			tech.Bus = tech.WithInterconnect().Bus
-		}
-		ep.Tech = &tech
-		ep.SBD.OnChipMaxWords = threshold
-		ep.Assign.OnChipMaxWords = threshold
-		ep.Assign.InPlace = inplace
-		ep.OnChipCount = onchip
-		v, err := core.EvaluateContext(ctx, p.spec, p.req.Budget, p.spec.Name, ep)
+		v, err := core.EvaluateContext(ctx, p.spec, p.req.Budget, p.spec.Name, ep.WithSpecKnobs(p.knobs))
 		if err != nil {
 			return errResponse(http.StatusUnprocessableEntity, err)
 		}
 		env.Variant = v.Wire()
-		// In cluster mode a key can be computed on several nodes (owner,
-		// hedge target, local fallback), and a search cut short by its node
-		// budget is not a proven optimum, so non-optimal spec responses are
-		// volatile there: every cached body in the ring is a completed
-		// search.
-		volatile = s.cluster != nil && !env.Variant.Optimal
 	}
 	body, err := json.Marshal(env)
 	if err != nil {
@@ -960,7 +933,7 @@ func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, pr
 	}
 	// Degraded mirrors the cacheability rule: a 200 computed under a dead
 	// context is the anytime best-effort answer, not the full exploration.
-	return &servedResponse{status: http.StatusOK, body: append(body, '\n'), degraded: ctx.Err() != nil, volatile: volatile}
+	return &servedResponse{status: http.StatusOK, body: append(body, '\n'), degraded: ctx.Err() != nil}
 }
 
 func errResponse(status int, err error) *servedResponse {
