@@ -397,7 +397,7 @@ func BenchmarkExploreUncached(b *testing.B) {
 func BenchmarkAssign(b *testing.B) {
 	_, res := benchFixture(b)
 	ep := core.DefaultEvalParams().ScaleTo(benchSize)
-	pats := sbd.PrunePatternsCached(nil, res.BudgetChoice.Dist.Patterns)
+	pats := sbd.PrunePatterns(res.BudgetChoice.Dist.Patterns)
 	o := obs.New()
 	sp := o.Start("bench")
 	ap := assign.Params{Obs: sp}

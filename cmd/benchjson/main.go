@@ -80,12 +80,11 @@ type Delta struct {
 
 // CacheStats mirrors memo.Stats for the JSON report.
 type CacheStats struct {
-	Hits      int64   `json:"hits"`
-	Misses    int64   `json:"misses"`
-	Waits     int64   `json:"inflight_waits"`
-	Contended int64   `json:"contended"`
-	Entries   int     `json:"entries"`
-	HitRate   float64 `json:"hit_rate"`
+	Hits    int64   `json:"hits"`
+	Misses  int64   `json:"misses"`
+	Waits   int64   `json:"inflight_waits"`
+	Entries int     `json:"entries"`
+	HitRate float64 `json:"hit_rate"`
 }
 
 // ScalingPoint is one width of the -cpus sweep.
@@ -123,14 +122,14 @@ func cacheStats(c *memo.Cache) map[string]CacheStats {
 		return nil
 	}
 	out := make(map[string]CacheStats)
-	for _, sp := range []memo.Space{memo.Schedule, memo.LoopPatterns, memo.PrunedPatterns, memo.Ports} {
+	for _, sp := range memo.Spaces {
 		st := c.Stats(sp)
 		if st.Hits+st.Misses == 0 {
 			continue
 		}
 		out[sp.String()] = CacheStats{
 			Hits: st.Hits, Misses: st.Misses, Waits: st.InflightWaits,
-			Contended: st.Contended, Entries: st.Entries, HitRate: st.HitRate(),
+			Entries: st.Entries, HitRate: st.HitRate(),
 		}
 	}
 	return out

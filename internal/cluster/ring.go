@@ -3,9 +3,9 @@
 // requests to their ring owner with hedged retries and health-gated peer
 // ejection, and SWIM-style membership with shard handoff.
 //
-// The ring hashes with memo.Fingerprint64, the same FNV-1a the session cache
-// shards with, so a key's ring owner is also the node whose session/disk
-// cache and warm-start index stay hot for that key's neighbourhood.
+// The ring hashes with memo.Fingerprint64, the session cache's canonical
+// key fingerprint, so a key's ring owner is also the node whose session and
+// disk cache stay hot for that key.
 package cluster
 
 import (

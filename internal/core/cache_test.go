@@ -142,7 +142,7 @@ func TestBoundedCacheRunMatchesUnbounded(t *testing.T) {
 		t.Fatal("DefaultEvalParams did not attach a session cache")
 	}
 	const cap = 16 << 10 // tight: the demo workload far exceeds 16 KiB of entries
-	for sp := memo.Space(0); sp <= memo.Requests; sp++ {
+	for _, sp := range memo.Spaces {
 		epBounded.Memo.Bound(sp, cap)
 	}
 	bounded, err := RunAll(DemoConfig{Size: 64}, epBounded)
@@ -150,7 +150,7 @@ func TestBoundedCacheRunMatchesUnbounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	evictions, held := int64(0), int64(0)
-	for sp := memo.Space(0); sp <= memo.Requests; sp++ {
+	for _, sp := range memo.Spaces {
 		st := epBounded.Memo.Stats(sp)
 		evictions += st.Evictions
 		if st.BytesHeld > held {

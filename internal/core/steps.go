@@ -41,8 +41,7 @@ type EvalParams struct {
 	Progress *obs.Progress
 
 	// Memo is the session's cross-variant evaluation cache: loop schedules
-	// and conflict-pattern derivations are memoized by canonical
-	// fingerprints, so sweeps that re-evaluate nearly identical subproblems
+	// are memoized by canonical fingerprints, so sweeps that re-evaluate nearly identical subproblems
 	// (structuring and hierarchy variants that leave most loops untouched,
 	// budget points that clamp a loop to its minimum) pay for each distinct
 	// subproblem once. DefaultEvalParams attaches a fresh cache; set to nil
@@ -201,7 +200,7 @@ func EvaluateContext(ctx context.Context, s *spec.Spec, budget uint64, label str
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", label, err)
 	}
-	pats := sbd.PrunePatternsCached(ep.Memo, dist.Patterns)
+	pats := sbd.PrunePatterns(dist.Patterns)
 	if sp != nil {
 		sp.SetInt("patterns", int64(len(dist.Patterns)))
 		sp.SetInt("patterns_pruned", int64(len(dist.Patterns)-len(pats)))
@@ -464,10 +463,7 @@ func ExploreAllocationsContext(ctx context.Context, s *spec.Spec, dist *sbd.Dist
 	sp, ep := ep.startSpan("step.allocation")
 	defer sp.End()
 	sp.SetInt("counts", int64(len(counts)))
-	// The budget step already pruned this distribution's patterns when it
-	// evaluated the chosen point; the session cache turns this duplicate
-	// derivation into a lookup.
-	pats := sbd.PrunePatternsCached(ep.Memo, dist.Patterns)
+	pats := sbd.PrunePatterns(dist.Patterns)
 	asgns := make([]*assign.Assignment, len(counts))
 	ap := ep.assignParams()
 	ep.Workers.ForEach(ctx, len(counts), func(i int) {

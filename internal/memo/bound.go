@@ -1,17 +1,16 @@
 package memo
 
-// Bounded tier: per-keyspace byte caps with CLOCK (second-chance) eviction.
+// Bounded tier: per-keyspace byte caps with second-chance eviction.
 //
 // An unbounded session cache OOMs a long-lived daemon under sustained
 // diverse traffic — every distinct spec, budget point and schedule stays
 // resident forever. Bound caps one keyspace at a byte budget; when a new
 // cacheable result would push the space over its cap, resident entries are
-// evicted (least-recently-referenced first, by CLOCK approximation) until
-// it fits. Two invariants hold, both pinned by property tests:
+// evicted (entries hit since the last sweep get a second chance) until it
+// fits. Two invariants hold, both pinned by property tests:
 //
 //   - bytesHeld never exceeds capBytes, at any instant: room is made
-//     *before* the new entry's bytes are accounted, and every increment
-//     happens under evictMu.
+//     *before* the new entry's bytes are accounted, under the space mutex.
 //   - an in-flight singleflight entry is never evicted: the sweep skips
 //     entries whose bytes are still 0 (bytes is written by retain, before
 //     done is closed), so waiters can never lose the computation they are
@@ -33,7 +32,7 @@ type Sized interface {
 const entryOverhead = 160
 
 // defaultValueSize is the estimate for values that are neither Sized nor a
-// byte/string payload (schedules, pattern sets, port maps).
+// byte/string payload (schedules).
 const defaultValueSize = 256
 
 func sizeOf(key string, val any) int64 {
@@ -49,19 +48,18 @@ func sizeOf(key string, val any) int64 {
 	return n + defaultValueSize
 }
 
-// Bound caps the bytes one keyspace may retain; entries are evicted
-// CLOCK-wise to stay under the cap. maxBytes <= 0 leaves the space
-// unbounded. Call before the cache is used concurrently (like Observe);
-// safe on a nil Cache.
+// Bound caps the bytes one keyspace may retain; entries are evicted to
+// stay under the cap. maxBytes <= 0 leaves the space unbounded. Call before
+// the cache is used concurrently (like Observe); safe on a nil Cache.
 func (c *Cache) Bound(sp Space, maxBytes int64) {
 	if c == nil || maxBytes <= 0 {
 		return
 	}
-	c.spaces[sp].capBytes = maxBytes
+	c.space(sp).capBytes = maxBytes
 }
 
-// touch marks an entry recently used (the CLOCK reference bit). Only
-// bounded spaces pay the atomic store.
+// touch marks an entry recently used (the reference bit). Only bounded
+// spaces pay the atomic store.
 func (s *space) touch(e *entry) {
 	if s.capBytes > 0 {
 		e.ref.Store(true)
@@ -74,68 +72,58 @@ func (s *space) touch(e *entry) {
 // than the cap, or everything resident is in flight — the entry is removed
 // from the map instead: waiters still read its value (ok is true), later
 // callers recompute. No-op for unbounded spaces.
-func (s *space) retain(sh *shard, key string, e *entry) {
+func (s *space) retain(key string, e *entry) {
 	if s.capBytes <= 0 {
 		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.admit(key, e) && s.m[key] == e {
+		delete(s.m, key)
+	}
+}
+
+// admit accounts entry e against the byte cap, making room first. Called
+// under mu on a bounded space. Returns false, counting an oversize drop,
+// when room cannot be made; the caller must then not keep e resident.
+func (s *space) admit(key string, e *entry) bool {
 	size := sizeOf(key, e.val)
-	s.evictMu.Lock()
-	if s.makeRoom(size) {
-		e.bytes = size
-		s.bytesHeld.Add(size)
-		s.evictMu.Unlock()
-		return
+	if !s.makeRoom(size) {
+		s.oversize++
+		return false
 	}
-	s.evictMu.Unlock()
-	s.oversize.Add(1)
-	s.lock(sh)
-	if sh.m[key] == e {
-		delete(sh.m, key)
-	}
-	sh.mu.Unlock()
+	e.bytes = size
+	s.bytesHeld += size
+	return true
 }
 
 // makeRoom evicts resident entries until need more bytes fit under the
-// cap. Called under evictMu. The CLOCK sweep walks the shards from the
-// hand; a set reference bit buys the entry one more pass, in-flight
-// entries (bytes still 0) are never candidates. Three full passes bound
-// the sweep: the first two give every resident entry its second chance,
-// the third catches entries re-referenced mid-sweep. Returns false when
-// the space still cannot fit need bytes (then the caller must not account
-// the entry).
+// cap. Called under mu. The sweep walks the map; a set reference bit buys
+// the entry one more pass, in-flight entries (bytes still 0) are never
+// candidates. Three full passes bound the sweep: the first two give every
+// resident entry its second chance, the third catches entries
+// re-referenced mid-sweep. Returns false when the space still cannot fit
+// need bytes (then the caller must not account the entry).
 func (s *space) makeRoom(need int64) bool {
 	if need > s.capBytes {
 		return false
 	}
 	target := s.capBytes - need
-	if s.bytesHeld.Load() <= target {
-		return true
-	}
-	for pass := 0; pass < 3; pass++ {
-		for i := 0; i < shardCount; i++ {
-			sh := &s.shards[s.hand]
-			s.hand = (s.hand + 1) % shardCount
-			s.lock(sh)
-			for k, e := range sh.m {
-				if e.bytes == 0 {
-					continue // in flight: never evict a singleflight target
-				}
-				if e.ref.CompareAndSwap(true, false) {
-					continue // recently used: second chance
-				}
-				delete(sh.m, k)
-				s.bytesHeld.Add(-e.bytes)
-				s.evictions.Add(1)
-				if s.bytesHeld.Load() <= target {
-					sh.mu.Unlock()
-					return true
-				}
+	for pass := 0; pass < 3 && s.bytesHeld > target; pass++ {
+		for k, e := range s.m {
+			if e.bytes == 0 {
+				continue // in flight: never evict a singleflight target
 			}
-			sh.mu.Unlock()
-		}
-		if s.bytesHeld.Load() <= target {
-			return true
+			if e.ref.CompareAndSwap(true, false) {
+				continue // recently used: second chance
+			}
+			delete(s.m, k)
+			s.bytesHeld -= e.bytes
+			s.evictions++
+			if s.bytesHeld <= target {
+				return true
+			}
 		}
 	}
-	return s.bytesHeld.Load() <= target
+	return s.bytesHeld <= target
 }

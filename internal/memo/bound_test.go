@@ -42,10 +42,10 @@ func (s sizedVal) CacheBytes() int { return s.n }
 
 func TestBoundSizedValuesUseReportedBytes(t *testing.T) {
 	c := New()
-	c.Bound(Ports, 1<<20)
-	c.Do(Ports, "k", func() (any, bool) { return sizedVal{n: 1000}, true })
+	c.Bound(Requests, 1<<20)
+	c.Do(Requests, "k", func() (any, bool) { return sizedVal{n: 1000}, true })
 	want := int64(len("k")) + entryOverhead + 1000
-	if st := c.Stats(Ports); st.BytesHeld != want {
+	if st := c.Stats(Requests); st.BytesHeld != want {
 		t.Fatalf("BytesHeld = %d, want Sized-reported %d", st.BytesHeld, want)
 	}
 }
@@ -60,12 +60,12 @@ func TestBoundEvictionKeepsAccountingConsistent(t *testing.T) {
 	val := make([]byte, 100)
 	per := sizeOf(key(0), val)
 	cap := 20 * per
-	c.Bound(LoopPatterns, cap)
+	c.Bound(Schedule, cap)
 	const n = 200
 	for i := 0; i < n; i++ {
-		c.Do(LoopPatterns, key(i), func() (any, bool) { return val, true })
+		c.Do(Schedule, key(i), func() (any, bool) { return val, true })
 	}
-	st := c.Stats(LoopPatterns)
+	st := c.Stats(Schedule)
 	if st.BytesHeld > cap {
 		t.Fatalf("BytesHeld %d exceeds cap %d", st.BytesHeld, cap)
 	}
@@ -110,8 +110,8 @@ func TestQuickBytesHeldNeverExceedsCap(t *testing.T) {
 
 // TestBoundCapHeldUnderConcurrency is the concurrent version: a sampler
 // goroutine asserts the invariant at every instant while writers hammer the
-// space. Room is made before bytes are accounted (all under evictMu), so no
-// interleaving may show bytes_held > cap.
+// space. Room is made before bytes are accounted (all under the space
+// mutex), so no interleaving may show bytes_held > cap.
 func TestBoundCapHeldUnderConcurrency(t *testing.T) {
 	c := New()
 	const cap = 8192
@@ -207,19 +207,19 @@ func TestBoundEvictionNeverDropsInflight(t *testing.T) {
 
 func TestBoundOversizeValueServedButNotRetained(t *testing.T) {
 	c := New()
-	c.Bound(Ports, 512)
+	c.Bound(Requests, 512)
 	calls := 0
 	big := func() (any, bool) { calls++; return make([]byte, 4096), true }
-	v := c.Do(Ports, "big", big)
+	v := c.Do(Requests, "big", big)
 	if b, ok := v.([]byte); !ok || len(b) != 4096 {
 		t.Fatalf("oversize Do = %T(%v), want the 4096-byte value", v, v)
 	}
-	st := c.Stats(Ports)
+	st := c.Stats(Requests)
 	if st.OversizeDrops != 1 || st.Entries != 0 || st.BytesHeld != 0 {
 		t.Fatalf("stats = %+v, want 1 oversize drop, nothing resident", st)
 	}
 	// Not retained: the next call recomputes.
-	c.Do(Ports, "big", big)
+	c.Do(Requests, "big", big)
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2 (oversize value must not be retained)", calls)
 	}
@@ -256,7 +256,7 @@ func TestBoundNilAndNonPositiveAreNoOps(t *testing.T) {
 
 	c := New()
 	c.Bound(Schedule, 0)
-	c.Bound(Ports, -1)
+	c.Bound(Requests, -1)
 	for i := 0; i < 100; i++ {
 		c.Do(Schedule, fmt.Sprintf("k%d", i), func() (any, bool) { return make([]byte, 1024), true })
 	}

@@ -74,8 +74,8 @@ type DiskTier struct {
 	path string
 	f    *os.File
 
-	mu    sync.RWMutex // guards index
-	index [numSpaces]map[string]recordRef
+	mu    sync.RWMutex                   // guards index
+	index map[Space]map[string]recordRef // one map per live keyspace
 
 	writeCh chan diskRecord
 	writerD chan struct{} // closed when the background writer exits
@@ -106,9 +106,9 @@ func OpenDiskTier(dir string) (*DiskTier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memo: cache log: %w", err)
 	}
-	d := &DiskTier{path: path, f: f}
-	for i := range d.index {
-		d.index[i] = make(map[string]recordRef)
+	d := &DiskTier{path: path, f: f, index: make(map[Space]map[string]recordRef, len(Spaces))}
+	for _, sp := range Spaces {
+		d.index[sp] = make(map[string]recordRef)
 	}
 	if err := d.replay(); err != nil {
 		f.Close()
@@ -181,7 +181,7 @@ func parsePayload(p []byte) (sp Space, key string, val []byte, ok bool) {
 		return 0, "", nil, false
 	}
 	sp = Space(p[0])
-	if sp < 0 || sp >= numSpaces {
+	if !sp.live() {
 		return 0, "", nil, false
 	}
 	kn := binary.LittleEndian.Uint32(p[1:payloadMin])
@@ -370,8 +370,8 @@ func (d *DiskTier) Stats() DiskStats {
 	}
 	n := 0
 	d.mu.RLock()
-	for i := range d.index {
-		n += len(d.index[i])
+	for _, m := range d.index {
+		n += len(m)
 	}
 	d.mu.RUnlock()
 	return DiskStats{
@@ -422,5 +422,5 @@ func (c *Cache) AttachDisk(sp Space, d *DiskTier, enc func(val any) ([]byte, boo
 	if c == nil || d == nil || enc == nil || dec == nil {
 		return
 	}
-	c.spaces[sp].disk = &diskCodec{tier: d, enc: enc, dec: dec}
+	c.space(sp).disk = &diskCodec{tier: d, enc: enc, dec: dec}
 }

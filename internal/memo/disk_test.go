@@ -211,7 +211,7 @@ func TestCacheCorpusReplay(t *testing.T) {
 			}
 			// The recovered log stays appendable, and the append survives a
 			// second replay alongside the recovered records.
-			if !d.Put(Ports, "post-recovery", []byte("pr")) {
+			if !d.Put(Requests, "post-recovery", []byte("pr")) {
 				t.Fatal("Put on recovered log refused")
 			}
 			if err := d.Close(); err != nil {
@@ -222,7 +222,7 @@ func TestCacheCorpusReplay(t *testing.T) {
 				t.Fatalf("reopen after recovery+append: %v", err)
 			}
 			defer d2.Close()
-			if v, ok := d2.Get(Ports, "post-recovery"); !ok || string(v) != "pr" {
+			if v, ok := d2.Get(Requests, "post-recovery"); !ok || string(v) != "pr" {
 				t.Fatal("record appended after recovery was lost")
 			}
 			for sp, kv := range c.live {
@@ -429,13 +429,13 @@ func TestAttachDiskPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New()
-	c.AttachDisk(Ports, d, enc, dec)
+	c.AttachDisk(Requests, d, enc, dec)
 	computes := 0
-	v := c.Do(Ports, "k", func() (any, bool) { computes++; return []byte("hello"), true })
+	v := c.Do(Requests, "k", func() (any, bool) { computes++; return []byte("hello"), true })
 	if string(v.([]byte)) != "hello" || computes != 1 {
 		t.Fatalf("first Do = %q (computes %d)", v, computes)
 	}
-	if st := c.Stats(Ports); st.DiskWrites != 1 {
+	if st := c.Stats(Requests); st.DiskWrites != 1 {
 		t.Fatalf("DiskWrites = %d, want 1", st.DiskWrites)
 	}
 	if err := d.Close(); err != nil {
@@ -449,22 +449,22 @@ func TestAttachDiskPromotion(t *testing.T) {
 	}
 	defer d2.Close()
 	c2 := New()
-	c2.AttachDisk(Ports, d2, enc, dec)
-	v2 := c2.Do(Ports, "k", func() (any, bool) {
+	c2.AttachDisk(Requests, d2, enc, dec)
+	v2 := c2.Do(Requests, "k", func() (any, bool) {
 		t.Error("compute ran despite a disk record")
 		return nil, false
 	})
 	if string(v2.([]byte)) != "hello" {
 		t.Fatalf("disk-tier Do = %q, want hello", v2)
 	}
-	st := c2.Stats(Ports)
+	st := c2.Stats(Requests)
 	if st.DiskHits != 1 || st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("stats %+v, want 1 disk hit under 1 memory miss", st)
 	}
 	// Promoted: the next Do is a pure memory hit, no disk read.
 	before := d2.Stats().Hits
-	c2.Do(Ports, "k", func() (any, bool) { t.Error("recompute after promotion"); return nil, false })
-	if st := c2.Stats(Ports); st.Hits != 1 {
+	c2.Do(Requests, "k", func() (any, bool) { t.Error("recompute after promotion"); return nil, false })
+	if st := c2.Stats(Requests); st.Hits != 1 {
 		t.Fatalf("after promotion: Hits = %d, want 1", st.Hits)
 	}
 	if after := d2.Stats().Hits; after != before {

@@ -28,7 +28,7 @@ func FuzzCacheLogReplay(f *testing.F) {
 		if err != nil {
 			return // rejecting a foreign file is fine; panicking is not
 		}
-		for sp := Space(0); sp < numSpaces; sp++ {
+		for _, sp := range Spaces {
 			d.Range(sp, func(key string, val []byte) bool {
 				got, ok := d.Get(sp, key)
 				if !ok {

@@ -51,25 +51,20 @@ func (c *Cache) Seed(sp Space, key string, val any) bool {
 	if c == nil {
 		return false
 	}
-	s := &c.spaces[sp]
-	sh := s.shardFor(key)
+	s := c.space(sp)
 	e := &entry{done: make(chan struct{}), val: val, ok: true}
 	close(e.done)
-	s.lock(sh)
-	if _, exists := sh.m[key]; exists {
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, exists := s.m[key]; exists {
 		return false
 	}
-	sh.m[key] = e
-	sh.mu.Unlock()
+	if s.capBytes > 0 && !s.admit(key, e) {
+		return false
+	}
 	s.touch(e)
-	s.retain(sh, key, e)
-	// retain deletes the entry instead of accounting it when it cannot fit
-	// under the space's byte cap; report that as a declined seed.
-	s.lock(sh)
-	installed := sh.m[key] == e
-	sh.mu.Unlock()
-	return installed
+	s.m[key] = e
+	return true
 }
 
 // Range calls fn for every completed cacheable entry of one keyspace until
@@ -81,29 +76,26 @@ func (c *Cache) Range(sp Space, fn func(key string, val any) bool) {
 	if c == nil {
 		return
 	}
-	s := &c.spaces[sp]
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.lock(sh)
-		keys := make([]string, 0, len(sh.m))
-		entries := make([]*entry, 0, len(sh.m))
-		for k, e := range sh.m {
-			keys = append(keys, k)
-			entries = append(entries, e)
+	s := c.space(sp)
+	s.mu.Lock()
+	keys := make([]string, 0, len(s.m))
+	entries := make([]*entry, 0, len(s.m))
+	for k, e := range s.m {
+		keys = append(keys, k)
+		entries = append(entries, e)
+	}
+	s.mu.Unlock()
+	for j, e := range entries {
+		select {
+		case <-e.done:
+		default:
+			continue // in flight
 		}
-		sh.mu.Unlock()
-		for j, e := range entries {
-			select {
-			case <-e.done:
-			default:
-				continue // in flight
-			}
-			if !e.ok {
-				continue
-			}
-			if !fn(keys[j], e.val) {
-				return
-			}
+		if !e.ok {
+			continue
+		}
+		if !fn(keys[j], e.val) {
+			return
 		}
 	}
 }

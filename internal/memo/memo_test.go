@@ -1,8 +1,6 @@
 package memo
 
 import (
-	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -24,7 +22,7 @@ func TestDoCachesPerSpaceAndKey(t *testing.T) {
 		t.Fatalf("second Do = %v, want cached 1", v)
 	}
 	// Same key in a different space is a distinct slot.
-	if v := c.Do(Ports, "k", compute); v != 2 {
+	if v := c.Do(Requests, "k", compute); v != 2 {
 		t.Fatalf("other-space Do = %v, want fresh 2", v)
 	}
 	st := c.Stats(Schedule)
@@ -219,46 +217,6 @@ func TestDoAllUncacheableChain(t *testing.T) {
 	}
 }
 
-// TestShardDistribution: keys spread over multiple shards, and per-shard
-// entries sum to the space's entry count.
-func TestShardDistribution(t *testing.T) {
-	c := New()
-	const keys = 512
-	for i := 0; i < keys; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		c.Do(Ports, k, func() (any, bool) { return i, true })
-	}
-	if st := c.Stats(Ports); st.Entries != keys {
-		t.Fatalf("entries = %d, want %d", st.Entries, keys)
-	}
-	s := &c.spaces[Ports]
-	used := 0
-	for i := range s.shards {
-		if len(s.shards[i].m) > 0 {
-			used++
-		}
-	}
-	if used < shardCount/2 {
-		t.Fatalf("%d keys landed in only %d/%d shards (bad hash spread)", keys, used, shardCount)
-	}
-}
-
-// TestShardForMatchesShardForBytes: the string and byte key paths must
-// address the same shard for equal key bytes, or Do and DoKey would not
-// singleflight against each other.
-func TestShardForMatchesShardForBytes(t *testing.T) {
-	c := New()
-	s := &c.spaces[Ports]
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1024; i++ {
-		b := make([]byte, rng.Intn(64))
-		rng.Read(b)
-		if s.shardFor(string(b)) != s.shardForBytes(b) {
-			t.Fatalf("key %q: shardFor and shardForBytes disagree", b)
-		}
-	}
-}
-
 func TestNilCacheRuns(t *testing.T) {
 	var c *Cache
 	calls := 0
@@ -290,7 +248,7 @@ func TestPublishGauges(t *testing.T) {
 		t.Fatalf("misses gauge = %d, want 1", snap["memo.misses{space=schedule}"])
 	}
 	// Untouched spaces are skipped.
-	if _, ok := snap["memo.hits{space=ports}"]; ok {
+	if _, ok := snap["memo.hits{space=requests}"]; ok {
 		t.Fatal("untouched space published")
 	}
 	// Publishing twice must not double-count (gauges, not counters).
@@ -303,10 +261,10 @@ func TestPublishGauges(t *testing.T) {
 
 func TestStatsString(t *testing.T) {
 	c := New()
-	c.Do(PrunedPatterns, "a", func() (any, bool) { return 1, true })
-	c.Do(PrunedPatterns, "a", func() (any, bool) { return 1, true })
+	c.Do(Requests, "a", func() (any, bool) { return 1, true })
+	c.Do(Requests, "a", func() (any, bool) { return 1, true })
 	s := c.StatsString()
-	for _, want := range []string{"schedule", "loop_patterns", "pruned_patterns", "ports", "50.0%"} {
+	for _, want := range []string{"schedule", "requests", "50.0%"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("StatsString missing %q:\n%s", want, s)
 		}
@@ -314,10 +272,7 @@ func TestStatsString(t *testing.T) {
 }
 
 func TestSpaceString(t *testing.T) {
-	names := map[Space]string{
-		Schedule: "schedule", LoopPatterns: "loop_patterns",
-		PrunedPatterns: "pruned_patterns", Ports: "ports",
-	}
+	names := map[Space]string{Schedule: "schedule", Requests: "requests"}
 	for sp, want := range names {
 		if got := sp.String(); got != want {
 			t.Fatalf("Space(%d).String() = %q, want %q", sp, got, want)

@@ -65,9 +65,9 @@ type Params struct {
 	// results are identical with or without it.
 	Progress *obs.Progress
 	// Memo is the exploration session's cross-variant cache: loop
-	// schedules and conflict-pattern derivations are memoized by canonical
-	// fingerprints, so variants that leave a loop untouched re-use its
-	// balanced schedule instead of re-scheduling. Nil disables caching.
+	// schedules are memoized by canonical fingerprints, so variants that
+	// leave a loop untouched re-use its balanced schedule instead of
+	// re-scheduling. Nil disables caching.
 	Memo *memo.Cache
 	// Pipelined enables software pipelining (modulo scheduling): the
 	// per-iteration budget becomes an initiation interval, successive
@@ -139,42 +139,6 @@ func (p Params) pairPenalty(g, h spec.BasicGroup) float64 {
 type Pattern struct {
 	Access map[string]int // group -> simultaneous accesses
 	Weight uint64         // executions per frame
-}
-
-// key returns a canonical identity for merging.
-func (pt Pattern) key() string {
-	k, _ := appendPatternKey(nil, pt.Access, nil)
-	return string(k)
-}
-
-// sortStrings is an in-place insertion sort. The hot key builders sort a
-// handful of group names per call; sort.Strings would box the slice into an
-// interface and allocate on every call, which this avoids.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// appendPatternKey appends the canonical identity of an access multiset
-// ("name:count;" in sorted name order) to dst. names is a reusable scratch
-// slice for the sort; both are returned grown so callers can recycle their
-// backing across calls.
-func appendPatternKey(dst []byte, acc map[string]int, names []string) ([]byte, []string) {
-	names = names[:0]
-	for n := range acc {
-		names = append(names, n)
-	}
-	sortStrings(names)
-	for _, n := range names {
-		dst = append(dst, n...)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(acc[n]), 10)
-		dst = append(dst, ';')
-	}
-	return dst, names
 }
 
 // appendLoopFingerprint appends a canonical identity of everything a loop's
@@ -249,39 +213,6 @@ func appendLoopFingerprint(dst []byte, l *spec.Loop, groups map[string]spec.Basi
 // off the hot path.
 func loopFingerprint(l *spec.Loop, groups map[string]spec.BasicGroup, p Params) string {
 	b, _ := appendLoopFingerprint(nil, l, groups, p, nil)
-	return string(b)
-}
-
-// appendStarts canonically encodes a schedule's start cycles. It makes the
-// pattern-derivation keyspace safe for hand-built schedules too: the cache
-// key then pins the exact schedule, not just the problem that produced it.
-func appendStarts(dst []byte, start []int) []byte {
-	for _, v := range start {
-		dst = strconv.AppendInt(dst, int64(v), 10)
-		dst = append(dst, ',')
-	}
-	return dst
-}
-
-// appendPatternsFP appends a canonical identity of a conflict-pattern
-// sequence: every pattern's sorted access multiset plus its weight, in
-// sequence order (PatternsOf emits patterns in canonical sorted order, so
-// pipeline-produced sets are order-stable; keeping the order in the
-// fingerprint makes the cached result byte-identical to the uncached one
-// even for callers that pass patterns in a different order).
-func appendPatternsFP(dst []byte, pats []Pattern, names []string) ([]byte, []string) {
-	for i := range pats {
-		dst, names = appendPatternKey(dst, pats[i].Access, names)
-		dst = append(dst, '@')
-		dst = strconv.AppendUint(dst, pats[i].Weight, 10)
-		dst = append(dst, '|')
-	}
-	return dst, names
-}
-
-// FingerprintPatterns is the string form of appendPatternsFP.
-func FingerprintPatterns(pats []Pattern) string {
-	b, _ := appendPatternsFP(nil, pats, nil)
 	return string(b)
 }
 
@@ -1083,9 +1014,11 @@ func (s *scheduler) structuralCost() float64 {
 	return c
 }
 
-// loopPatterns derives the conflict-pattern contribution of one committed
-// loop schedule, merged and sorted by canonical key. The result is shared
-// through the session cache, so callers must treat it as immutable.
+// loopPatterns merges the conflict-pattern contribution of one committed
+// loop schedule into byKey, the caller's merge map keyed by each pattern's
+// canonical identity ("name:count;" in sorted name order): a pattern
+// already present gains the loop's iterations as weight, a new one is
+// added.
 //
 // The occupancy is accumulated in a dense (cycle, branch, group) counter
 // table on a pooled arena — the map-of-maps per cycle this replaces was one
@@ -1093,9 +1026,8 @@ func (s *scheduler) structuralCost() float64 {
 // access pattern is the common (unconditional) part plus one branch:
 // accesses under different branch tags are mutually exclusive, and the
 // common-only pattern is pointwise-dominated whenever any branch is active.
-// Only the distinct output patterns materialize maps, and those are fresh
-// heap values safe to share through the cache.
-func loopPatterns(l *spec.Loop, sc *LoopSchedule, groups map[string]spec.BasicGroup, p Params) []Pattern {
+// Only patterns new to byKey materialize maps.
+func loopPatterns(l *spec.Loop, sc *LoopSchedule, groups map[string]spec.BasicGroup, p Params, byKey map[string]*Pattern) {
 	ar := scratch.Get()
 	defer scratch.Put(ar)
 	n := len(l.Accesses)
@@ -1158,7 +1090,6 @@ func loopPatterns(l *spec.Loop, sc *LoopSchedule, groups map[string]spec.BasicGr
 	}
 	merged := ar.Ints(ng)
 	keyBuf := ar.Buf(256)
-	byKey := make(map[string]*Pattern)
 	emit := func(pat []int) {
 		keyBuf = keyBuf[:0]
 		nz := 0
@@ -1213,7 +1144,6 @@ func loopPatterns(l *spec.Loop, sc *LoopSchedule, groups map[string]spec.BasicGr
 			emit(common)
 		}
 	}
-	return sortedPatterns(byKey)
 }
 
 // sortedPatterns flattens a merge map into the canonical sorted order.
@@ -1230,26 +1160,18 @@ func sortedPatterns(byKey map[string]*Pattern) []Pattern {
 	return out
 }
 
-// PatternsOf derives the merged conflict patterns of a set of schedules.
-// With a session cache attached (p.Memo), each loop's contribution is
-// memoized by its structural fingerprint, budget, and exact start cycles,
-// so re-deriving the patterns of an unchanged loop costs a lookup.
+// PatternsOf derives the merged conflict patterns of a set of schedules,
+// in canonical sorted order.
 func PatternsOf(s *spec.Spec, scheds []*LoopSchedule, p Params) []Pattern {
 	p.normalize()
-	ar := scratch.Get()
-	defer scratch.Put(ar)
-	return patternsOf(s, scheds, groupsOf(s), p, ar)
+	return patternsOf(s, scheds, groupsOf(s), p)
 }
 
-// patternsOf is PatternsOf on caller-owned groups and arena (p already
-// normalized): the distributor calls it with the state it already built.
-// All fingerprint and merge keys are assembled in reusable arena buffers
-// and looked up bytewise, so a fully cached derivation allocates only the
-// merged output.
-func patternsOf(s *spec.Spec, scheds []*LoopSchedule, groups map[string]spec.BasicGroup, p Params, ar *scratch.Arena) []Pattern {
+// patternsOf is PatternsOf on caller-owned groups (p already normalized):
+// the distributor calls it with the state it already built. Every loop
+// merges into one map, which is sorted once.
+func patternsOf(s *spec.Spec, scheds []*LoopSchedule, groups map[string]spec.BasicGroup, p Params) []Pattern {
 	byKey := make(map[string]*Pattern)
-	kb := ar.Buf(1024)
-	names := ar.Strings(16)[:0]
 	for _, sc := range scheds {
 		var l *spec.Loop
 		for i := range s.Loops {
@@ -1261,32 +1183,7 @@ func patternsOf(s *spec.Spec, scheds []*LoopSchedule, groups map[string]spec.Bas
 		if l == nil || len(l.Accesses) == 0 {
 			continue
 		}
-		var lp []Pattern
-		if p.Memo != nil {
-			kb, names = appendLoopFingerprint(kb[:0], l, groups, p, names)
-			kb = append(kb, '#')
-			kb = strconv.AppendInt(kb, int64(sc.Budget), 10)
-			kb = append(kb, '#')
-			kb = appendStarts(kb, sc.Start)
-			lp = p.Memo.DoKey(memo.LoopPatterns, kb, func() (any, bool) {
-				return loopPatterns(l, sc, groups, p), true
-			}).([]Pattern)
-		} else {
-			lp = loopPatterns(l, sc, groups, p)
-		}
-		for i := range lp {
-			pt := &lp[i]
-			kb, names = appendPatternKey(kb[:0], pt.Access, names)
-			if ex := byKey[string(kb)]; ex != nil {
-				ex.Weight += pt.Weight
-			} else {
-				cp := Pattern{Access: make(map[string]int, len(pt.Access)), Weight: pt.Weight}
-				for g, c := range pt.Access {
-					cp.Access[g] = c
-				}
-				byKey[string(kb)] = &cp
-			}
-		}
+		loopPatterns(l, sc, groups, p, byKey)
 	}
 	return sortedPatterns(byKey)
 }
@@ -1321,38 +1218,6 @@ func PrunePatterns(pats []Pattern) []Pattern {
 		}
 	}
 	return out
-}
-
-// PrunePatternsCached is PrunePatterns through the session cache, keyed by
-// the pattern multiset. The evaluation pipeline prunes the same
-// distribution's patterns once per assignment sweep point; with the cache
-// every repeat costs one fingerprint and a lookup. The returned slice is
-// shared and must be treated as immutable. Safe with a nil cache.
-func PrunePatternsCached(c *memo.Cache, pats []Pattern) []Pattern {
-	if c == nil {
-		return PrunePatterns(pats)
-	}
-	ar := scratch.Get()
-	defer scratch.Put(ar)
-	kb, _ := appendPatternsFP(ar.Buf(1024), pats, ar.Strings(16)[:0])
-	return c.DoKey(memo.PrunedPatterns, kb, func() (any, bool) {
-		return PrunePatterns(pats), true
-	}).([]Pattern)
-}
-
-// RequiredPortsCached is RequiredPorts through the session cache, keyed by
-// the pattern multiset. The returned map is shared and must be treated as
-// immutable. Safe with a nil cache.
-func RequiredPortsCached(c *memo.Cache, pats []Pattern) map[string]int {
-	if c == nil {
-		return RequiredPorts(pats)
-	}
-	ar := scratch.Get()
-	defer scratch.Put(ar)
-	kb, _ := appendPatternsFP(ar.Buf(1024), pats, ar.Strings(16)[:0])
-	return c.DoKey(memo.Ports, kb, func() (any, bool) {
-		return RequiredPorts(pats), true
-	}).(map[string]int)
 }
 
 // RequiredPorts returns, per group, the maximum simultaneity the schedule
@@ -1613,7 +1478,7 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		d.Cost += sc.Cost
 	}
 	d.Degraded = degraded
-	d.Patterns = patternsOf(s, d.Loops, groups, p, ar)
+	d.Patterns = patternsOf(s, d.Loops, groups, p)
 	if sp != nil {
 		points := 0
 		for _, cv := range curves {
@@ -1622,7 +1487,7 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		sp.SetInt("loops", int64(len(curves)))
 		sp.SetInt("curve_points", int64(points)) // the points built, not the curves' lengths
 		sp.SetInt("patterns", int64(len(d.Patterns)))
-		sp.SetInt("conflict_groups", int64(len(RequiredPortsCached(p.Memo, d.Patterns))))
+		sp.SetInt("conflict_groups", int64(len(RequiredPorts(d.Patterns))))
 		sp.SetInt("used", int64(d.Used))
 		sp.SetFloat("conflict_cost", d.Cost)
 		sp.Observer().Counter(

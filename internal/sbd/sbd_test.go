@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -1086,6 +1087,73 @@ func TestDistributeMatchesEager(t *testing.T) {
 		cases, fewer, built, eager)
 	if fewer == 0 {
 		t.Fatal("no case built fewer curve points than the eager reference")
+	}
+}
+
+// patternsTwoStage is the reference derivation PatternsOf's one-pass merge
+// must reproduce: each loop's patterns are merged and sorted on their own,
+// then re-keyed by patternKey and merged across loops into copies.
+func patternsTwoStage(s *spec.Spec, scheds []*LoopSchedule, p Params) []Pattern {
+	p.normalize()
+	groups := groupsOf(s)
+	byKey := make(map[string]*Pattern)
+	for _, sc := range scheds {
+		var l *spec.Loop
+		for i := range s.Loops {
+			if s.Loops[i].Name == sc.Loop {
+				l = &s.Loops[i]
+				break
+			}
+		}
+		if l == nil || len(l.Accesses) == 0 {
+			continue
+		}
+		perLoop := make(map[string]*Pattern)
+		loopPatterns(l, sc, groups, p, perLoop)
+		for _, pt := range sortedPatterns(perLoop) {
+			k := patternKey(pt.Access)
+			if ex := byKey[k]; ex != nil {
+				ex.Weight += pt.Weight
+				continue
+			}
+			cp := Pattern{Access: make(map[string]int, len(pt.Access)), Weight: pt.Weight}
+			for g, c := range pt.Access {
+				cp.Access[g] = c
+			}
+			byKey[k] = &cp
+		}
+	}
+	return sortedPatterns(byKey)
+}
+
+// TestPatternsOfMatchesTwoStage requires PatternsOf to equal the two-stage
+// reference on random single- and multi-loop specs, at three budgets, in
+// both scheduling modes. Each distribution's schedules are also derived
+// twice over, so every pattern recurs across loops and the cross-loop
+// weight merge is exercised on every case.
+func TestPatternsOfMatchesTwoStage(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		for _, s := range []*spec.Spec{randomSpec(seed), multiLoopSpec(seed)} {
+			macp := weightedMACP(s)
+			for _, pipelined := range []bool{false, true} {
+				p := Params{Pipelined: pipelined}
+				for _, budget := range []uint64{macp, macp + macp/4, 2 * macp} {
+					d, err := Distribute(s, budget, p)
+					if err != nil {
+						t.Fatalf("%s budget %d: %v", s.Name, budget, err)
+					}
+					twice := append(append([]*LoopSchedule{}, d.Loops...), d.Loops...)
+					for _, scheds := range [][]*LoopSchedule{d.Loops, twice} {
+						got, want := PatternsOf(s, scheds, p), patternsTwoStage(s, scheds, p)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s pipelined=%t budget %d, %d schedules: patterns %s, want %s",
+								s.Name, pipelined, budget, len(scheds),
+								FingerprintPatterns(got), FingerprintPatterns(want))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

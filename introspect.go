@@ -233,9 +233,8 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	p.HistogramSeries("request_duration", "", s.reqHist.Snapshot())
 
 	if s.memo != nil {
-		spaces := []memo.Space{memo.Schedule, memo.LoopPatterns, memo.PrunedPatterns, memo.Ports, memo.Requests}
-		sort.Slice(spaces, func(i, j int) bool { return spaces[i].String() < spaces[j].String() })
-		stats := make([]memo.Stats, len(spaces))
+		spaces := memo.Spaces
+		var stats [len(spaces)]memo.Stats
 		for i, sp := range spaces {
 			stats[i] = s.memo.Stats(sp)
 		}
@@ -249,9 +248,6 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 		}
 		for i, sp := range spaces {
 			p.Counter(obs.Label("memo.inflight_waits", "space", sp.String()), stats[i].InflightWaits)
-		}
-		for i, sp := range spaces {
-			p.Counter(obs.Label("memo.contended", "space", sp.String()), stats[i].Contended)
 		}
 		for i, sp := range spaces {
 			p.Gauge(obs.Label("memo.entries", "space", sp.String()), int64(stats[i].Entries))

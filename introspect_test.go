@@ -143,7 +143,6 @@ func TestMetricsPromStableNames(t *testing.T) {
 		"dtse_memo_hits_total":                "counter",
 		"dtse_memo_misses_total":              "counter",
 		"dtse_memo_inflight_waits_total":      "counter",
-		"dtse_memo_contended_total":           "counter",
 		"dtse_memo_entries":                   "gauge",
 		"dtse_memo_lookup_seconds":            "histogram",
 		"dtse_pool_task_seconds":              "histogram",

@@ -184,7 +184,7 @@ func NewServer(opts ServeOptions) *Server {
 	if !opts.NoCache {
 		s.memo = memo.New()
 		if opts.CacheBytes > 0 {
-			for sp := memo.Space(0); sp <= memo.Requests; sp++ {
+			for _, sp := range memo.Spaces {
 				s.memo.Bound(sp, opts.CacheBytes)
 			}
 		}
@@ -1110,7 +1110,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.memo != nil {
 		m.Memo = make(map[string]memo.Stats)
-		for _, sp := range []memo.Space{memo.Schedule, memo.LoopPatterns, memo.PrunedPatterns, memo.Ports, memo.Requests} {
+		for _, sp := range memo.Spaces {
 			m.Memo[sp.String()] = s.memo.Stats(sp)
 		}
 	}
