@@ -41,10 +41,10 @@ type EvalParams struct {
 	Progress *obs.Progress
 
 	// Memo is the session's cross-variant evaluation cache: loop schedules
-	// are memoized by canonical fingerprints, so sweeps that re-evaluate nearly identical subproblems
-	// (structuring and hierarchy variants that leave most loops untouched,
-	// budget points that clamp a loop to its minimum) pay for each distinct
-	// subproblem once. DefaultEvalParams attaches a fresh cache; set to nil
+	// are memoized by canonical fingerprints, so sweeps that re-evaluate
+	// nearly identical subproblems (structuring and hierarchy variants that
+	// leave most loops untouched, budget points that clamp a loop to its
+	// minimum) pay for each distinct subproblem once. DefaultEvalParams attaches a fresh cache; set to nil
 	// to disable caching (the -cache=off path). Results are byte-identical
 	// either way — the cache only removes redundant work.
 	Memo *memo.Cache

@@ -323,9 +323,8 @@ func (d *DiskTier) append(rec diskRecord) {
 }
 
 // Range calls fn for every live record of one keyspace (the last write per
-// key, checksum-verified; order unspecified) until fn returns false. Used
-// to rebuild derived state — the server's warm-start index — at startup.
-// Safe on a nil tier.
+// key, checksum-verified; order unspecified) until fn returns false. Export
+// reads the handoff stream through it. Safe on a nil tier.
 func (d *DiskTier) Range(sp Space, fn func(key string, val []byte) bool) {
 	if d == nil {
 		return

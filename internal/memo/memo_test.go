@@ -34,6 +34,26 @@ func TestDoCachesPerSpaceAndKey(t *testing.T) {
 	}
 }
 
+// TestDoKeyMatchesDo: Do and DoKey with equal key bytes address the same
+// entry, so the string and byte paths share hits and singleflight.
+func TestDoKeyMatchesDo(t *testing.T) {
+	c := New()
+	calls := 0
+	compute := func() (any, bool) { calls++; return calls, true }
+	if v := c.Do(Schedule, "k", compute); v != 1 {
+		t.Fatalf("Do = %v, want 1", v)
+	}
+	if v := c.DoKey(Schedule, []byte("k"), compute); v != 1 {
+		t.Fatalf("DoKey after Do = %v, want cached 1", v)
+	}
+	if v := c.DoKey(Schedule, []byte("j"), compute); v != 2 {
+		t.Fatalf("DoKey on a new key = %v, want fresh 2", v)
+	}
+	if v := c.Do(Schedule, "j", compute); v != 2 {
+		t.Fatalf("Do after DoKey = %v, want cached 2", v)
+	}
+}
+
 func TestDoUncacheableIsNotStored(t *testing.T) {
 	c := New()
 	calls := 0

@@ -434,13 +434,16 @@ func TestSSEExplore(t *testing.T) {
 // TestSSECancelMidExploration: a client that disconnects mid-stream cancels
 // its exploration; the server drains and the degraded result is not cached,
 // so a later identical request recomputes. The first exploration is held
-// until its context is done, so the disconnect always lands mid-exploration
-// however fast the host runs the demo.
+// until its context is done, and the client hangs up only once it is held,
+// so the disconnect always lands mid-exploration however fast or slowly
+// the host schedules it.
 func TestSSECancelMidExploration(t *testing.T) {
 	srv := NewServer(ServeOptions{Obs: NewObserver()})
 	var held atomic.Bool
+	entered := make(chan struct{})
 	srv.holdExplore = func(ctx context.Context) {
 		if held.CompareAndSwap(false, true) {
+			close(entered)
 			<-ctx.Done()
 		}
 	}
@@ -457,10 +460,17 @@ func TestSSECancelMidExploration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Read the first progress event to know the exploration was admitted,
-	// then hang up.
+	// wait until it is held inside the exploration, then hang up. Hanging
+	// up earlier lets Inflight read 0 before the exploration starts, and
+	// the rerun below would then take the hold and never finish.
 	buf := make([]byte, 1)
 	if _, err := resp.Body.Read(buf); err != nil {
 		t.Fatalf("reading stream: %v", err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the exploration never started")
 	}
 	cancel()
 	resp.Body.Close()
