@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -80,5 +83,48 @@ func TestRunFlagErrors(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("run(%v) wrote output despite flag error:\n%s", args, out.String())
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the stdout goldens under testdata")
+
+// TestStdoutGolden pins memprof's stdout byte for byte, with and without
+// -scopes, at 256² and at the paper's 1024²: every array count, every
+// per-loop tally and the reuse summary of the image trace. A change to the
+// recorder or the reuse analysis that alters any profiled number shows up
+// here. Regenerate with -update only after a deliberate output change.
+func TestStdoutGolden(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		golden string
+	}{
+		{[]string{"-size", "256"}, "stdout_256.golden"},
+		{[]string{"-size", "256", "-scopes"}, "stdout_256_scopes.golden"},
+		{[]string{"-size", "1024"}, "stdout_1024.golden"},
+		{[]string{"-size", "1024", "-scopes"}, "stdout_1024_scopes.golden"},
+	} {
+		t.Run(c.golden, func(t *testing.T) {
+			var out, errB bytes.Buffer
+			if code := run(c.args, &out, &errB); code != 0 {
+				t.Fatalf("run(%v) = %d, stderr:\n%s", c.args, code, errB.String())
+			}
+			path := filepath.Join("testdata", c.golden)
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("run(%v) stdout differs from %s:\ngot:\n%s\nwant:\n%s", c.args, path, out.String(), want)
+			}
+		})
 	}
 }
