@@ -2,6 +2,8 @@ package btpc
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -490,6 +492,51 @@ func TestQuickLosslessRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTracedEncodeAllocs pins the cost of capturing the image address
+// trace: a traced 256² encode may allocate at most 10 % more than the
+// trace's own 4 bytes per address, plus one chunk, beyond a counts-only
+// encode. A trace buffer that regrows by doubling, or a copy of it, breaks
+// the bound.
+func TestTracedEncodeAllocs(t *testing.T) {
+	src := img.Synthetic(256, 256, 1)
+	// alloc returns the fewest bytes one encode allocated over three tries
+	// (a stray runtime allocation can only add), and the trace length.
+	alloc := func(traced bool) (uint64, int) {
+		best, n := uint64(math.MaxUint64), 0
+		for try := 0; try < 3; try++ {
+			rec := trace.NewRecorder()
+			if traced {
+				rec.EnableAddressTrace("image")
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, _, err := Encode(src, Params{}, rec); err != nil {
+				t.Fatal(err)
+			}
+			n = 0
+			for _, c := range rec.AddressChunks("image") {
+				n += len(c)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best, n
+	}
+	counted, _ := alloc(false)
+	traced, n := alloc(true)
+	if n == 0 {
+		t.Fatal("empty image address trace")
+	}
+	extra := int64(traced) - int64(counted)
+	limit := int64(1.1*4*float64(n)) + 4*trace.ChunkLen
+	t.Logf("trace %d addresses (%d B); traced encode allocates %d B more than counts only (limit %d B)",
+		n, 4*n, extra, limit)
+	if extra > limit {
+		t.Fatalf("traced encode allocates %d B more than counts only; limit %d B for a %d-address trace",
+			extra, limit, n)
+	}
+}
+
 func BenchmarkEncode256(b *testing.B) {
 	src := img.Synthetic(256, 256, 1)
 	b.ReportAllocs()
@@ -508,6 +555,31 @@ func BenchmarkEncodeProfiled256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := Encode(src, Params{}, trace.NewRecorder()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeTraced256 is the profiling encode the methodology runs:
+// access counts plus the image read-address trace, which is then read back
+// chunk by chunk. With BenchmarkEncode256 (bare) and
+// BenchmarkEncodeProfiled256 (counts only) it gives the three-way cost of
+// the instrumentation.
+func BenchmarkEncodeTraced256(b *testing.B) {
+	src := img.Synthetic(256, 256, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := trace.NewRecorder()
+		rec.EnableAddressTrace("image")
+		if _, _, err := Encode(src, Params{}, rec); err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for _, c := range rec.AddressChunks("image") {
+			n += len(c)
+		}
+		if n == 0 {
+			b.Fatal("empty image address trace")
 		}
 	}
 }

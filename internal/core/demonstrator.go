@@ -17,6 +17,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -72,17 +73,19 @@ func BuildDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.ImageProfile = reuse.Analyze(d.Rec.Addresses("image"))
+	d.ImageProfile = reuse.AnalyzeContext(context.Background(), d.Rec.AddressChunks("image"))
 	return d, nil
 }
 
 // profileDemonstrator is BuildDemonstrator without the reuse analysis: it
-// runs the profiling encode and derives the pruned specification, each in a
-// child span under parent (nil parent disables the telemetry), and leaves
-// ImageProfile nil. Only the memory hierarchy step reads the profile, so
-// RunAllContext analyzes the image trace beside the structuring step. The
-// encode is not cancelable (the codec has no cancellation points); use small
-// image sizes when operating under tight deadlines.
+// runs the profiling encode, which captures the image array's read
+// addresses in the recorder's chunked trace, and derives the pruned
+// specification, each in a child span under parent (nil parent disables the
+// telemetry). It leaves ImageProfile nil: only the memory hierarchy step
+// reads the profile, so RunAllContext analyzes the trace's chunks, uncopied,
+// beside the structuring step. The encode is not cancelable (the codec has
+// no cancellation points); use small image sizes when operating under tight
+// deadlines.
 func profileDemonstrator(cfg DemoConfig, parent *obs.Span) (*Demonstrator, error) {
 	cfg.normalize()
 	rec := trace.NewRecorder()
@@ -260,7 +263,7 @@ func BuildDecoderDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
 	if _, err := btpc.Decode(data, rec); err != nil {
 		return nil, fmt.Errorf("core: profiling decode failed: %w", err)
 	}
-	prof := reuse.Analyze(rec.Addresses("out"))
+	prof := reuse.AnalyzeContext(context.Background(), rec.AddressChunks("out"))
 	s, err := buildDecoderSpec(cfg, rec, stats)
 	if err != nil {
 		return nil, err

@@ -75,11 +75,11 @@ func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results
 	// analysis runs beside it. The pool runs both items even under a dead
 	// ctx: the analysis then truncates, and the structuring baseline is
 	// always evaluated.
-	addrs := demo.Rec.Addresses("image")
+	chunks := demo.Rec.AddressChunks("image")
 	var prof *reuse.Profile
 	ep.Workers.ForEach(context.Background(), 2, func(i int) {
 		if i == 0 {
-			prof = reuse.AnalyzeObservedContext(ctx, addrs, root)
+			prof = reuse.AnalyzeObservedContext(ctx, chunks, root)
 			return
 		}
 		r.Structuring, err = ExploreStructuringContext(ctx, demo, ep)

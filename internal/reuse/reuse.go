@@ -20,6 +20,7 @@ package reuse
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/obs"
 	"repro/internal/spec"
@@ -40,24 +41,20 @@ type Profile struct {
 // meaningful on-chip copy layers anyway.
 const maxTracked = 1 << 17
 
-// AnalyzeObserved is Analyze with telemetry: it wraps the stack-distance
-// computation in a "reuse.analyze" span under parent, recording the trace
-// length and cold-miss count. A nil parent reduces to plain Analyze.
-func AnalyzeObserved(addrs []int32, parent *obs.Span) *Profile {
-	return AnalyzeObservedContext(context.Background(), addrs, parent)
-}
-
-// AnalyzeObservedContext is AnalyzeObserved with cancellation support (see
-// AnalyzeContext for the truncation semantics).
-func AnalyzeObservedContext(ctx context.Context, addrs []int32, parent *obs.Span) *Profile {
+// AnalyzeObservedContext is AnalyzeContext with telemetry: it wraps the
+// stack-distance computation in a "reuse.analyze" span under parent,
+// recording the trace length and cold-miss count. A nil parent reduces to
+// plain AnalyzeContext.
+func AnalyzeObservedContext(ctx context.Context, chunks [][]int32, parent *obs.Span) *Profile {
 	sp := parent.Child("reuse.analyze")
 	defer sp.End()
-	p := AnalyzeContext(ctx, addrs)
+	p := AnalyzeContext(ctx, chunks)
 	if sp != nil {
-		sp.SetInt("trace_len", int64(len(addrs)))
+		n := traceLen(chunks)
+		sp.SetInt("trace_len", int64(n))
 		sp.SetInt("cold", int64(p.cold))
 		sp.SetInt("far", int64(p.far))
-		if p.total < uint64(len(addrs)) {
+		if p.total < uint64(n) {
 			sp.SetInt("truncated_at", int64(p.total))
 		}
 		sp.Observer().Counter("reuse.analyzed_accesses").Add(int64(p.total))
@@ -67,63 +64,90 @@ func AnalyzeObservedContext(ctx context.Context, addrs []int32, parent *obs.Span
 
 // analyzeCheckInterval is the cancellation-poll stride of the stack-distance
 // loop: with ~100 ns per position, 64Ki positions keep the deadline honored
-// within ~10 ms while the uncancelled path pays one mask per position.
+// within ~10 ms, and the loop between two polls runs unchecked.
 const analyzeCheckInterval = 64 * 1024
 
 // Analyze computes the reuse profile of a read address trace.
 func Analyze(addrs []int32) *Profile {
-	return AnalyzeContext(context.Background(), addrs)
+	return AnalyzeContext(context.Background(), [][]int32{addrs})
 }
 
-// AnalyzeContext is Analyze with cancellation support: when ctx expires
-// mid-trace, the profile of the prefix processed so far is returned (Total
-// reports the truncated length, so miss ratios stay consistent). Stack
-// distances are a property of the trace prefix, so a truncated profile is a
-// valid — just lower-confidence — reuse estimate.
-func AnalyzeContext(ctx context.Context, addrs []int32) *Profile {
-	p := &Profile{hist: make([]uint64, 1), cap: maxTracked, total: uint64(len(addrs))}
-	if len(addrs) == 0 {
+// AnalyzeContext computes the reuse profile of a read address trace given
+// as a list of chunks (trace.Recorder.AddressChunks), which together form
+// the trace in order; chunk boundaries do not affect the result. When ctx
+// expires mid-trace, the profile of the prefix processed so far is returned
+// (Total reports the truncated length, so miss ratios stay consistent).
+// Stack distances are a property of the trace prefix, so a truncated
+// profile is a valid — just lower-confidence — reuse estimate.
+func AnalyzeContext(ctx context.Context, chunks [][]int32) *Profile {
+	n := traceLen(chunks)
+	p := &Profile{hist: make([]uint64, 1), cap: maxTracked, total: uint64(n)}
+	if n == 0 {
 		return p
 	}
-	n := len(addrs)
 	// Fenwick tree over trace positions; a 1 marks the most recent
 	// occurrence of each distinct address.
-	bit := make([]int32, n+1)
-	add := func(i int, v int32) {
-		for i++; i <= n; i += i & (-i) {
-			bit[i] += v
-		}
-	}
-	sum := func(i int) int32 { // prefix sum over [0, i]
-		var s int32
-		for i++; i > 0; i -= i & (-i) {
-			s += bit[i]
-		}
-		return s
-	}
+	bit := make(fenwick, n+1)
 	done := ctx.Done()
-	last := newLastSeen(addrs)
-	for t, a := range addrs {
-		if done != nil && t > 0 && t%analyzeCheckInterval == 0 {
-			select {
-			case <-done:
-				p.total = uint64(t) // profile of the processed prefix
-				return p
-			default:
+	last := newLastSeen(chunks...)
+	base := 0 // trace position of the next chunk segment
+	for _, c := range chunks {
+		for len(c) > 0 {
+			if done != nil && base > 0 && base%analyzeCheckInterval == 0 {
+				select {
+				case <-done:
+					p.total = uint64(base) // profile of the processed prefix
+					return p
+				default:
+				}
 			}
+			// Run unchecked up to the next poll position or the chunk's end.
+			seg := c[:min(len(c), analyzeCheckInterval-base%analyzeCheckInterval)]
+			c = c[len(seg):]
+			for j, a := range seg {
+				t := base + j
+				if lt := last.swap(a, t); lt >= 0 {
+					// Distinct addresses touched strictly between lt and
+					// t, plus the element's own stack slot.
+					d := int(bit.sum(t-1)-bit.sum(lt)) + 1
+					p.record(d)
+					bit.add(lt, -1)
+				} else {
+					p.cold++
+				}
+				bit.add(t, 1)
+			}
+			base += len(seg)
 		}
-		if lt := last.swap(a, t); lt >= 0 {
-			// Distinct addresses touched strictly between lt and t, plus
-			// the element's own stack slot.
-			d := int(sum(t-1)-sum(lt)) + 1
-			p.record(d)
-			add(lt, -1)
-		} else {
-			p.cold++
-		}
-		add(t, 1)
 	}
 	return p
+}
+
+// traceLen returns the number of addresses in a chunk list.
+func traceLen(chunks [][]int32) int {
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	return n
+}
+
+// fenwick is a binary indexed tree over trace positions 0..len-2.
+type fenwick []int32
+
+func (f fenwick) add(i int, v int32) {
+	for i++; i < len(f); i += i & (-i) {
+		f[i] += v
+	}
+}
+
+// sum returns the prefix sum over positions [0, i].
+func (f fenwick) sum(i int) int32 {
+	var s int32
+	for i++; i > 0; i -= i & (-i) {
+		s += f[i]
+	}
+	return s
 }
 
 // denseSpanFactor bounds the dense last-seen table: it is used while the
@@ -141,12 +165,17 @@ type lastSeen struct {
 	byMap map[int32]int
 }
 
-func newLastSeen(addrs []int32) lastSeen {
-	lo, hi := addrs[0], addrs[0]
-	for _, a := range addrs {
-		lo, hi = min(lo, a), max(hi, a)
+// newLastSeen sizes the table for the trace formed by chunks, which must
+// hold at least one address.
+func newLastSeen(chunks ...[]int32) lastSeen {
+	n := traceLen(chunks)
+	var lo, hi int32 = math.MaxInt32, math.MinInt32
+	for _, c := range chunks {
+		for _, a := range c {
+			lo, hi = min(lo, a), max(hi, a)
+		}
 	}
-	if span := int64(hi) - int64(lo) + 1; span <= denseSpanFactor*int64(len(addrs)) {
+	if span := int64(hi) - int64(lo) + 1; span <= denseSpanFactor*int64(n) {
 		return lastSeen{min: int64(lo), dense: make([]int, span)}
 	}
 	return lastSeen{byMap: make(map[int32]int, 1024)}

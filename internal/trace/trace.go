@@ -34,49 +34,125 @@ func (c *Counts) Add(o Counts) {
 // ArrayStats aggregates the accesses to one array.
 type ArrayStats struct {
 	Counts
-	PerScope map[string]*Counts // scope label -> tally within that scope
+	per []Counts // tally within each scope, indexed by scope id
+}
+
+// ChunkLen is the number of addresses one chunk of an address trace holds.
+// A full chunk is handed over whole and a fresh one started, so capture
+// never regrows or copies a buffer.
+const ChunkLen = 16 * 1024
+
+// addressTrace is the read-address trace of one array. Addresses go into
+// the open chunk; when it is full, spill hands it to the sink (here the
+// in-memory chunk list) and the next access starts a fresh chunk.
+type addressTrace struct {
+	open   []int32   // chunk being filled, capacity ChunkLen; nil until the next access
+	chunks [][]int32 // the in-memory sink: every handed-over chunk, in trace order
+}
+
+func (t *addressTrace) add(a int32) {
+	if len(t.open) == cap(t.open) {
+		t.spill()
+	}
+	t.open = append(t.open, a)
+}
+
+func (t *addressTrace) spill() {
+	t.flush()
+	t.open = make([]int32, 0, ChunkLen)
+}
+
+// flush hands the partial tail chunk to the sink; the next access starts a
+// fresh chunk, so a chunk is never written after it has been handed over.
+func (t *addressTrace) flush() {
+	if len(t.open) > 0 {
+		t.chunks = append(t.chunks, t.open)
+		t.open = nil
+	}
+}
+
+// scopeKey names a pushed scope by its parent's id (-1 at the root) and its
+// own label.
+type scopeKey struct {
+	parent int32
+	label  string
 }
 
 // Recorder accumulates access counts. The zero value is not usable; call
 // NewRecorder. A nil *Recorder is valid everywhere and records nothing,
 // which lets instrumented code run at full speed when profiling is off.
+//
+// Every scope path is interned to a dense id when it is first pushed, and
+// each array keeps its per-scope tallies in a slice indexed by that id, so
+// recording an access is two increments.
 type Recorder struct {
-	arrays  map[string]*ArrayStats
-	scopes  []string            // scope stack; attribution goes to the top element
-	version uint64              // bumped on every Push/Pop; invalidates cached handles
-	addrs   map[string]*[]int32 // arrays with read-address tracing enabled
+	arrays map[string]*ArrayStats
+	ids    map[scopeKey]int32 // (parent id, label) -> scope id
+	byName map[string]int32   // full scope path -> scope id
+	names  []string           // scope id -> full scope path; id 0 is the root ""
+	stack  []int32            // enclosing scope ids of the active scope
+	cur    int32              // active scope id; attribution goes here
+	addrs  map[string]*addressTrace
 }
 
 // NewRecorder returns an empty Recorder with the root scope "" active.
 func NewRecorder() *Recorder {
-	return &Recorder{arrays: make(map[string]*ArrayStats), version: 1}
+	return &Recorder{
+		arrays: make(map[string]*ArrayStats),
+		ids:    make(map[scopeKey]int32),
+		byName: map[string]int32{"": 0},
+		names:  []string{""},
+	}
 }
 
 // EnableAddressTrace turns on read-address capture for the named array.
-// It must be called before the instrumented array is created. Address
-// traces feed the data-reuse analysis of the memory hierarchy step.
+// It must be called before the instrumented array is created; arrays
+// created earlier are not traced. Address traces feed the data-reuse
+// analysis of the memory hierarchy step.
 func (r *Recorder) EnableAddressTrace(array string) {
 	if r == nil {
 		return
 	}
 	if r.addrs == nil {
-		r.addrs = make(map[string]*[]int32)
+		r.addrs = make(map[string]*addressTrace)
 	}
 	if r.addrs[array] == nil {
-		buf := make([]int32, 0, 1024)
-		r.addrs[array] = &buf
+		r.addrs[array] = &addressTrace{}
 	}
 }
 
-// Addresses returns a copy of the captured read-address trace of the named
-// array (nil when tracing was not enabled). Returning a copy keeps the
-// caller from aliasing the live capture buffer, which continues to grow —
-// and may be reallocated — as the instrumented application keeps running.
-func (r *Recorder) Addresses(array string) []int32 {
-	if r == nil || r.addrs == nil || r.addrs[array] == nil {
+// AddressChunks returns the captured read-address trace of the named array
+// as its list of chunks, in trace order (nil when tracing was not enabled).
+// It first flushes the partial tail chunk. The chunks are shared with the
+// recorder, which never writes a chunk again once it has been handed over;
+// callers must not modify them. Reads recorded afterwards go into new
+// chunks that a later call returns.
+func (r *Recorder) AddressChunks(array string) [][]int32 {
+	if r == nil || r.addrs[array] == nil {
 		return nil
 	}
-	return append([]int32(nil), *r.addrs[array]...)
+	t := r.addrs[array]
+	t.flush()
+	return t.chunks[:len(t.chunks):len(t.chunks)]
+}
+
+// Addresses returns the captured read-address trace of the named array as
+// one flat slice (nil when tracing was not enabled). It is a copy the
+// caller owns; AddressChunks reads the same trace without copying it.
+func (r *Recorder) Addresses(array string) []int32 {
+	if r == nil || r.addrs[array] == nil {
+		return nil
+	}
+	chunks := r.AddressChunks(array)
+	n := 0
+	for _, c := range chunks {
+		n += len(c)
+	}
+	out := make([]int32, 0, n)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // Push enters a scope (e.g. a loop label). Scope names nest with "/".
@@ -84,12 +160,37 @@ func (r *Recorder) Push(label string) {
 	if r == nil {
 		return
 	}
-	full := label
-	if n := len(r.scopes); n > 0 {
-		full = r.scopes[n-1] + "/" + label
+	key := scopeKey{r.cur, label}
+	if len(r.stack) == 0 {
+		key.parent = -1 // the root: its children's paths carry no prefix
 	}
-	r.scopes = append(r.scopes, full)
-	r.version++
+	id, ok := r.ids[key]
+	if !ok {
+		id = r.intern(key)
+	}
+	r.stack = append(r.stack, r.cur)
+	r.cur = id
+}
+
+// intern assigns key its scope id. Keys that spell the same full path
+// ("a/b" pushed at the root, or "b" pushed inside "a") share one id; a new
+// id appends one tally slot to every array.
+func (r *Recorder) intern(key scopeKey) int32 {
+	full := key.label
+	if key.parent >= 0 {
+		full = r.names[key.parent] + "/" + key.label
+	}
+	id, ok := r.byName[full]
+	if !ok {
+		id = int32(len(r.names))
+		r.names = append(r.names, full)
+		r.byName[full] = id
+		for _, s := range r.arrays {
+			s.per = append(s.per, Counts{})
+		}
+	}
+	r.ids[key] = id
+	return id
 }
 
 // Pop leaves the innermost scope. Popping the root is an error in the
@@ -98,59 +199,36 @@ func (r *Recorder) Pop() {
 	if r == nil {
 		return
 	}
-	if len(r.scopes) == 0 {
+	n := len(r.stack)
+	if n == 0 {
 		panic("trace: scope stack underflow")
 	}
-	r.scopes = r.scopes[:len(r.scopes)-1]
-	r.version++
+	r.cur = r.stack[n-1]
+	r.stack = r.stack[:n-1]
 }
 
 // Scope returns the full label of the innermost active scope ("" at root).
 func (r *Recorder) Scope() string {
-	if r == nil || len(r.scopes) == 0 {
+	if r == nil {
 		return ""
 	}
-	return r.scopes[len(r.scopes)-1]
+	return r.names[r.cur]
 }
 
 func (r *Recorder) stats(array string) *ArrayStats {
 	s := r.arrays[array]
 	if s == nil {
-		s = &ArrayStats{PerScope: make(map[string]*Counts)}
+		s = &ArrayStats{per: make([]Counts, len(r.names))}
 		r.arrays[array] = s
 	}
 	return s
 }
 
-func (r *Recorder) scopeCounts(s *ArrayStats) *Counts {
-	label := r.Scope()
-	c := s.PerScope[label]
-	if c == nil {
-		c = &Counts{}
-		s.PerScope[label] = c
-	}
-	return c
-}
-
 // Read records one read of array.
-func (r *Recorder) Read(array string) {
-	if r == nil {
-		return
-	}
-	s := r.stats(array)
-	s.Reads++
-	r.scopeCounts(s).Reads++
-}
+func (r *Recorder) Read(array string) { r.ReadN(array, 1) }
 
 // Write records one write of array.
-func (r *Recorder) Write(array string) {
-	if r == nil {
-		return
-	}
-	s := r.stats(array)
-	s.Writes++
-	r.scopeCounts(s).Writes++
-}
+func (r *Recorder) Write(array string) { r.WriteN(array, 1) }
 
 // ReadN and WriteN record n accesses at once (bulk transfers).
 func (r *Recorder) ReadN(array string, n uint64) {
@@ -159,7 +237,7 @@ func (r *Recorder) ReadN(array string, n uint64) {
 	}
 	s := r.stats(array)
 	s.Reads += n
-	r.scopeCounts(s).Reads += n
+	s.per[r.cur].Reads += n
 }
 
 // WriteN records n writes of array.
@@ -169,7 +247,7 @@ func (r *Recorder) WriteN(array string, n uint64) {
 	}
 	s := r.stats(array)
 	s.Writes += n
-	r.scopeCounts(s).Writes += n
+	s.per[r.cur].Writes += n
 }
 
 // Array returns the tally for one array (zero Counts if never accessed).
@@ -188,12 +266,12 @@ func (r *Recorder) ArrayScope(name, scope string) Counts {
 	if r == nil {
 		return Counts{}
 	}
-	if s := r.arrays[name]; s != nil {
-		if c := s.PerScope[scope]; c != nil {
-			return *c
-		}
+	s := r.arrays[name]
+	id, ok := r.byName[scope]
+	if s == nil || !ok {
+		return Counts{}
 	}
-	return Counts{}
+	return s.per[id]
 }
 
 // Arrays returns the profiled array names, sorted.
@@ -245,15 +323,15 @@ func (r *Recorder) Report() string {
 	return b.String()
 }
 
-// Handle is a cached, low-overhead recording channel for one array. It
-// avoids the per-access map lookups of Recorder.Read/Write, which matters
-// when instrumenting an application that makes tens of millions of accesses
-// (the 1024×1024 BTPC profile). A nil *Handle records nothing.
+// Handle is a low-overhead recording channel for one array. It avoids the
+// per-access map lookup of Recorder.Read/Write, which matters when
+// instrumenting an application that makes tens of millions of accesses (the
+// 1024×1024 BTPC profile): a Handle access is one increment of the array's
+// total and one of its tally in the active scope. A nil *Handle records
+// nothing.
 type Handle struct {
 	rec   *Recorder
 	stats *ArrayStats
-	sc    *Counts // scope tally cached for scVer
-	scVer uint64
 }
 
 // NewHandle returns a recording handle for the named array, or nil when the
@@ -265,21 +343,13 @@ func (r *Recorder) NewHandle(array string) *Handle {
 	return &Handle{rec: r, stats: r.stats(array)}
 }
 
-func (h *Handle) scope() *Counts {
-	if h.scVer != h.rec.version {
-		h.sc = h.rec.scopeCounts(h.stats)
-		h.scVer = h.rec.version
-	}
-	return h.sc
-}
-
 // Read records n reads.
 func (h *Handle) Read(n uint64) {
 	if h == nil {
 		return
 	}
 	h.stats.Reads += n
-	h.scope().Reads += n
+	h.stats.per[h.rec.cur].Reads += n
 }
 
 // Write records n writes.
@@ -288,7 +358,7 @@ func (h *Handle) Write(n uint64) {
 		return
 	}
 	h.stats.Writes += n
-	h.scope().Writes += n
+	h.stats.per[h.rec.cur].Writes += n
 }
 
 // Array2D is an instrumented 2-D integer array bound to a Recorder.
@@ -298,7 +368,7 @@ type Array2D struct {
 	W, H int
 	data []int32
 	h    *Handle
-	addr *[]int32 // read-address capture, nil unless enabled
+	addr *addressTrace // read-address capture, nil unless enabled
 }
 
 // NewArray2D allocates an instrumented W×H array recording into rec
@@ -316,11 +386,12 @@ func NewArray2D(rec *Recorder, name string, w, h int) *Array2D {
 
 // Get reads element (x, y), recording one read access.
 func (a *Array2D) Get(x, y int) int32 {
+	i := y*a.W + x
 	a.h.Read(1)
 	if a.addr != nil {
-		*a.addr = append(*a.addr, int32(y*a.W+x))
+		a.addr.add(int32(i))
 	}
-	return a.data[y*a.W+x]
+	return a.data[i]
 }
 
 // Set writes element (x, y), recording one write access.

@@ -330,8 +330,8 @@ func TestQuickScopeSumsMatchTotal(t *testing.T) {
 			if s == nil {
 				continue
 			}
-			for _, c := range s.PerScope {
-				sum.Add(*c)
+			for _, c := range s.per {
+				sum.Add(c)
 			}
 			if sum != s.Counts {
 				return false
@@ -374,5 +374,122 @@ func TestAddressesReturnsCopy(t *testing.T) {
 	}
 	if got := r.Addresses("img"); len(got) != 3 || got[2] != 2 {
 		t.Fatalf("post-mutation trace = %v, want [0 1 2]", got)
+	}
+}
+
+// TestScopePathsShareTallies: scope tallies are keyed by the full path, so
+// the same path reached by different pushes ("a/b" at the root, or "b"
+// inside "a") shares one tally, and a child of an empty label nests under
+// "" rather than at the root.
+func TestScopePathsShareTallies(t *testing.T) {
+	r := NewRecorder()
+	r.Push("a/b")
+	r.Read("x")
+	r.Pop()
+	r.Push("a")
+	r.Push("b")
+	r.Read("x")
+	if r.Scope() != "a/b" {
+		t.Fatalf("scope = %q, want a/b", r.Scope())
+	}
+	r.Pop()
+	r.Pop()
+	if c := r.ArrayScope("x", "a/b"); c.Reads != 2 {
+		t.Fatalf("a/b reads = %d, want 2", c.Reads)
+	}
+	r.Push("")
+	r.Read("x") // scope "", shared with the root
+	r.Push("c")
+	r.Read("x") // scope "/c"
+	if r.Scope() != "/c" {
+		t.Fatalf("scope = %q, want /c", r.Scope())
+	}
+	r.Pop()
+	r.Pop()
+	r.Push("c")
+	r.Read("x") // scope "c"
+	r.Pop()
+	for scope, want := range map[string]uint64{"": 1, "/c": 1, "c": 1, "a": 0} {
+		if c := r.ArrayScope("x", scope); c.Reads != want {
+			t.Errorf("scope %q reads = %d, want %d", scope, c.Reads, want)
+		}
+	}
+}
+
+// TestScopeBeforeArray: an array first accessed after scopes were interned
+// still attributes to them, and scopes interned after a handle was made
+// reach that handle's array.
+func TestScopeBeforeArray(t *testing.T) {
+	r := NewRecorder()
+	r.Push("early")
+	r.Pop()
+	h := r.NewHandle("late")
+	r.Push("early")
+	h.Read(3)
+	r.Push("new")
+	h.Write(2)
+	r.Pop()
+	r.Pop()
+	if c := r.ArrayScope("late", "early"); c.Reads != 3 {
+		t.Fatalf("early reads = %d, want 3", c.Reads)
+	}
+	if c := r.ArrayScope("late", "early/new"); c.Writes != 2 {
+		t.Fatalf("early/new writes = %d, want 2", c.Writes)
+	}
+}
+
+// TestAddressChunks: a trace longer than one chunk is delivered as full
+// ChunkLen chunks plus the flushed tail, in order; a chunk handed out is
+// never written again; and every array created under a traced name feeds
+// the same trace.
+func TestAddressChunks(t *testing.T) {
+	r := NewRecorder()
+	r.EnableAddressTrace("m")
+	a := NewArray2D(r, "m", 64, 1024) // 64Ki elements
+	n := 2*ChunkLen + 5
+	for i := 0; i < n; i++ {
+		a.Get(i%64, i/64)
+	}
+	chunks := r.AddressChunks("m")
+	if len(chunks) != 3 || len(chunks[0]) != ChunkLen || len(chunks[1]) != ChunkLen || len(chunks[2]) != 5 {
+		lens := make([]int, len(chunks))
+		for i, c := range chunks {
+			lens[i] = len(c)
+		}
+		t.Fatalf("chunk lengths %v, want [%d %d 5]", lens, ChunkLen, ChunkLen)
+	}
+	want := int32(0)
+	for _, c := range chunks {
+		for _, v := range c {
+			if v != want {
+				t.Fatalf("address %d = %d", want, v)
+			}
+			want++
+		}
+	}
+	// Reads after the flush start a new chunk; the tail handed out above
+	// keeps its contents, including its spare capacity.
+	tail := chunks[2][:cap(chunks[2])]
+	b := NewArray2D(r, "m", 64, 1024) // same name: same trace
+	b.Get(7, 0)
+	a.Get(9, 0)
+	for i := 5; i < len(tail); i++ {
+		if tail[i] != 0 {
+			t.Fatalf("handed-out chunk written at %d after the flush", i)
+		}
+	}
+	again := r.AddressChunks("m")
+	if len(again) != 4 || len(again[3]) != 2 || again[3][0] != 7 || again[3][1] != 9 {
+		t.Fatalf("post-flush chunks: %d chunks, last %v; want 4, [7 9]", len(again), again[len(again)-1])
+	}
+	if got := r.Addresses("m"); len(got) != n+2 || got[n] != 7 || got[n+1] != 9 {
+		t.Fatalf("flat trace has %d addresses, want %d ending 7 9", len(got), n+2)
+	}
+	if r.AddressChunks("untraced") != nil {
+		t.Fatal("untraced array has chunks")
+	}
+	var nr *Recorder
+	if nr.AddressChunks("m") != nil {
+		t.Fatal("nil recorder has chunks")
 	}
 }
