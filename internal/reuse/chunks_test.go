@@ -149,6 +149,8 @@ func TestEncodeTraceChunkedMatchesFlat(t *testing.T) {
 	}
 }
 
+var benchProfile *Profile
+
 // BenchmarkAnalyzeEncode256 times the stack-distance analysis of the 256²
 // encode's image trace, read from the recorder's chunks.
 func BenchmarkAnalyzeEncode256(b *testing.B) {
@@ -156,6 +158,6 @@ func BenchmarkAnalyzeEncode256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AnalyzeContext(context.Background(), chunks)
+		benchProfile = AnalyzeContext(context.Background(), chunks)
 	}
 }
