@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/btpc"
@@ -48,11 +49,7 @@ func randomCuts(rng *rand.Rand, n, k int) []int {
 		}
 		cuts = append(cuts, min(max(c, 0), n))
 	}
-	for i := 1; i < len(cuts); i++ { // insertion sort: k is small
-		for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
-			cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
-		}
-	}
+	sort.Ints(cuts)
 	return cuts
 }
 
