@@ -2,210 +2,20 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
-// TestRunEmitsReport: a tiny Distribute-only run must produce valid JSON
-// with the measurement fields filled in.
-func TestRunEmitsReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-size", "32", "-bench", "^Distribute$", "-out", out}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run = %d, stderr:\n%s", code, stderr.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, data)
-	}
-	if rep.Size != 32 || len(rep.Results) != 1 {
-		t.Fatalf("report = %+v, want size 32 with 1 result", rep)
-	}
-	r := rep.Results[0]
-	if r.Name != "Distribute" || r.NsPerOp <= 0 || r.Iterations <= 0 {
-		t.Fatalf("result = %+v, want positive measurements for Distribute", r)
-	}
-	if r.Metrics["patterns"] <= 0 {
-		t.Fatalf("result metrics = %v, want a positive pattern count", r.Metrics)
-	}
-}
-
-// TestRunCachedReportsCacheStats: the cached budget sweep must include the
-// session cache accounting.
-func TestRunCachedReportsCacheStats(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-size", "32", "-bench", "^BudgetSweep$"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run = %d, stderr:\n%s", code, stderr.String())
-	}
-	var rep Report
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout.String())
-	}
-	if len(rep.Results) != 1 {
-		t.Fatalf("want 1 result, got %+v", rep.Results)
-	}
-	cs, ok := rep.Results[0].Cache["schedule"]
-	if !ok || cs.Hits+cs.Misses == 0 {
-		t.Fatalf("cached sweep missing schedule cache stats: %+v", rep.Results[0].Cache)
-	}
-}
-
-// TestRunBaseline: -baseline embeds the previous report so one artifact
-// carries the before/after comparison, and deeper history is trimmed.
-func TestRunBaseline(t *testing.T) {
-	old := filepath.Join(t.TempDir(), "old.json")
-	prev := Report{
-		Size:     32,
-		Results:  []Result{{Name: "Distribute", NsPerOp: 123456, Iterations: 1}},
-		Baseline: &Report{Size: 16},
-	}
-	data, err := json.Marshal(prev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(old, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-size", "32", "-bench", "^Distribute$", "-baseline", old}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run = %d, stderr:\n%s", code, stderr.String())
-	}
-	var rep Report
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout.String())
-	}
-	if rep.Baseline == nil || len(rep.Baseline.Results) != 1 || rep.Baseline.Results[0].NsPerOp != 123456 {
-		t.Fatalf("baseline not embedded: %+v", rep.Baseline)
-	}
-	if rep.Baseline.Baseline != nil {
-		t.Fatal("baseline history not trimmed to one level")
-	}
-	if len(rep.Results) != 1 || rep.Results[0].VsBaseline == nil {
-		t.Fatalf("results missing vs_baseline deltas: %+v", rep.Results)
-	}
-	d := rep.Results[0].VsBaseline
-	wantNs := 100 * float64(rep.Results[0].NsPerOp-123456) / 123456
-	if d.NsPct != wantNs {
-		t.Errorf("ns delta = %v, want %v", d.NsPct, wantNs)
-	}
-	// The synthetic baseline had zero allocs/bytes: no meaningful ratio.
-	if d.AllocsPct != 0 || d.BytesPct != 0 {
-		t.Errorf("zero-baseline deltas = %+v, want 0", d)
-	}
-	if !strings.Contains(stderr.String(), "vs baseline:") {
-		t.Errorf("stderr missing delta line:\n%s", stderr.String())
-	}
-
-	for _, bad := range [][]string{
-		{"-bench", "^Distribute$", "-baseline", filepath.Join(t.TempDir(), "missing.json")},
-		{"-bench", "^Distribute$", "-baseline", old + "x"},
-	} {
-		var so, se bytes.Buffer
-		if code := run(bad, &so, &se); code != 1 {
-			t.Errorf("run(%v) = %d, want 1 (stderr: %s)", bad, code, se.String())
-		}
-	}
-	garbled := filepath.Join(t.TempDir(), "garbled.json")
-	if err := os.WriteFile(garbled, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var so, se bytes.Buffer
-	if code := run([]string{"-bench", "^Distribute$", "-baseline", garbled}, &so, &se); code != 1 {
-		t.Errorf("garbled baseline: run = %d, want 1 (stderr: %s)", code, se.String())
-	}
-}
-
-// TestAttachDeltas: percent deltas attach only to results the baseline
-// also measured, computed as 100*(new-old)/old per measurement.
-func TestAttachDeltas(t *testing.T) {
-	rep := Report{
-		Results: []Result{
-			{Name: "Explore", NsPerOp: 150, AllocsPerOp: 50, BytesPerOp: 300},
-			{Name: "NewBench", NsPerOp: 10},
-		},
-		Baseline: &Report{Results: []Result{
-			{Name: "Explore", NsPerOp: 100, AllocsPerOp: 200, BytesPerOp: 400},
-		}},
-	}
-	attachDeltas(&rep)
-	d := rep.Results[0].VsBaseline
-	if d == nil || d.NsPct != 50 || d.AllocsPct != -75 || d.BytesPct != -25 {
-		t.Fatalf("Explore deltas = %+v, want +50/-75/-25", d)
-	}
-	if rep.Results[1].VsBaseline != nil {
-		t.Fatalf("NewBench has no baseline counterpart, got %+v", rep.Results[1].VsBaseline)
-	}
-	noBase := Report{Results: []Result{{Name: "Explore", NsPerOp: 1}}}
-	attachDeltas(&noBase)
-	if noBase.Results[0].VsBaseline != nil {
-		t.Fatal("deltas attached without a baseline")
-	}
-}
-
-// TestParseCPUList: the -cpus parser accepts comma-separated positive
-// widths and rejects everything else.
-func TestParseCPUList(t *testing.T) {
-	got, err := parseCPUList("1, 2,4,8")
-	if err != nil || len(got) != 4 || got[0] != 1 || got[3] != 8 {
-		t.Fatalf("parseCPUList = %v, %v", got, err)
-	}
-	if got, err := parseCPUList(""); err != nil || got != nil {
-		t.Fatalf("empty list = %v, %v, want nil, nil", got, err)
-	}
-	for _, bad := range []string{"0", "1,-2", "1,x", "1,,2"} {
-		if _, err := parseCPUList(bad); err == nil {
-			t.Errorf("parseCPUList(%q) = nil error, want error", bad)
-		}
-	}
-}
-
-// TestRunCPUSweep: -cpus embeds a scaling curve with a speedup anchored at
-// the 1-cpu point, alongside the host's hardware CPU count.
-func TestRunCPUSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scaling sweep skipped in -short mode")
-	}
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-size", "32", "-bench", "^Distribute$", "-cpus", "1,2"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run = %d, stderr:\n%s", code, stderr.String())
-	}
-	var rep Report
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, stdout.String())
-	}
-	if rep.HardwareCPUs < 1 {
-		t.Fatalf("hardware_cpus = %d, want >= 1", rep.HardwareCPUs)
-	}
-	if len(rep.Scaling) != 2 {
-		t.Fatalf("scaling = %+v, want 2 points", rep.Scaling)
-	}
-	for i, want := range []int{1, 2} {
-		p := rep.Scaling[i]
-		if p.CPUs != want || p.NsPerOp <= 0 || p.Iterations <= 0 || p.Speedup <= 0 {
-			t.Fatalf("scaling[%d] = %+v, want cpus=%d with positive measurements", i, p, want)
-		}
-	}
-	if rep.Scaling[0].Speedup != 1.0 {
-		t.Fatalf("1-cpu speedup = %v, want exactly 1.0", rep.Scaling[0].Speedup)
-	}
-}
-
-// TestRunFlagErrors: invalid flags exit 2.
+// TestRunFlagErrors: an unknown flag, a flag of the retired single-sample
+// report, or a stray argument exits 2 without running the sweep.
 func TestRunFlagErrors(t *testing.T) {
 	cases := [][]string{
-		{"-size", "1"},
-		{"-bench", "("},
-		{"-bench", "NoSuchBenchmark"},
 		{"-nosuchflag"},
-		{"-cpus", "0"},
-		{"-cpus", "1,nope"},
+		{"-cpus", "1"},
+		{"-bench", "x"},
+		{"extra"},
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
@@ -216,14 +26,21 @@ func TestRunFlagErrors(t *testing.T) {
 }
 
 // TestRunBadOutPath: an unwritable -out path is an I/O failure (exit 1),
-// reported after the benchmarks ran.
+// reported before any leg of the sweep runs.
 func TestRunBadOutPath(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-size", "32", "-bench", "^Distribute$", "-out", filepath.Join(t.TempDir(), "no", "such", "dir", "x.json")}, &stdout, &stderr)
+	start := time.Now()
+	code := run([]string{"-out", filepath.Join(t.TempDir(), "no", "such", "dir", "x.json")}, &stdout, &stderr)
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Errorf("run took %v; the bad path must fail before the sweep", elapsed)
+	}
 	if code != 1 {
 		t.Fatalf("run = %d, want 1 (stderr: %s)", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "benchjson:") {
 		t.Fatalf("stderr missing error prefix:\n%s", stderr.String())
+	}
+	if strings.Contains(stderr.String(), "running cluster leg") {
+		t.Fatalf("a cluster leg ran before the bad path failed:\n%s", stderr.String())
 	}
 }

@@ -100,6 +100,44 @@ func diffLines(want, got []byte) string {
 	return b.String()
 }
 
+// TestMetricsInflightSettles: once a request has completed, every inflight
+// gauge in the exposition reads 0 — no gauge may keep the value it had
+// while the request ran.
+func TestMetricsInflightSettles(t *testing.T) {
+	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if resp, body := postExplore(t, ts, `{"demo": {"size": 64}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("traffic request failed: %d %s", resp.StatusCode, body)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	text, _ := io.ReadAll(resp.Body)
+
+	gauges := map[string]bool{}
+	for _, line := range strings.Split(string(text), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" && f[3] == "gauge" && strings.HasSuffix(f[2], "_inflight") {
+			gauges[f[2]] = true
+		}
+	}
+	if !gauges["dtse_http_inflight"] {
+		t.Fatalf("dtse_http_inflight gauge missing from exposition:\n%s", text)
+	}
+	for _, line := range strings.Split(string(text), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 || !gauges[strings.SplitN(f[0], "{", 2)[0]] {
+			continue
+		}
+		if f[1] != "0" {
+			t.Errorf("%s after the request completed, want 0", line)
+		}
+	}
+}
+
 // TestMetricsPromStableNames scrapes after real traffic and checks the
 // metric-name contract: the families dashboards depend on exist, and every
 // family matches the naming convention.

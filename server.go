@@ -896,7 +896,6 @@ func (s *Server) dedup(ctx context.Context, p *parsedRequest, sp *obs.Span, prog
 func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, prog *obs.Progress) *servedResponse {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	s.obs.Gauge("server.inflight").Set(s.inflight.Load())
 	if s.holdExplore != nil {
 		s.holdExplore(ctx)
 	}
