@@ -18,15 +18,13 @@
 // and the branch-and-bound returns its incumbent, marked "(best-effort)" in
 // the tables — instead of aborting. -trace records the exploration
 // telemetry (span tree + counters) as JSON lines; -stats prints a per-step
-// wall-time/allocation summary to stderr; -pprof serves net/http/pprof and
-// the telemetry counters (expvar) on the given address for live profiling
-// of long explorations.
+// wall-time/allocation summary to stderr; -pprof serves net/http/pprof on
+// the given address for live profiling of long explorations.
 package main
 
 import (
 	"bytes"
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -74,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "bound the exploration; on expiry results degrade to best-effort (0 = none)")
 	traceOut := fs.String("trace", "", "write the exploration telemetry (JSONL spans + counters) to this file")
 	stats := fs.Bool("stats", false, "print the per-step telemetry summary to stderr")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof and expvar counters on this address (e.g. localhost:6060)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	cache := fs.String("cache", "on", "cross-variant evaluation cache: on or off (results are identical either way)")
 	cacheDir := fs.String("cache-dir", "", "persist completed results to an append-only log in this directory; identical later runs are answered from it")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool width for the parallel exploration (results are identical at any width)")
@@ -159,17 +157,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sinks = append(sinks, collector)
 	}
 	var observer *obs.Observer
-	if len(sinks) > 0 || *pprofAddr != "" {
+	if len(sinks) > 0 {
 		observer = obs.New(sinks...)
 	}
 	if *pprofAddr != "" {
-		expvar.Publish("dtse", expvar.Func(func() any { return observer.Counters() }))
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintln(stderr, "dtse: pprof server:", err)
 			}
 		}()
-		fmt.Fprintf(stderr, "(pprof and expvar counters on http://%s/debug/pprof/)\n", *pprofAddr)
+		fmt.Fprintf(stderr, "(pprof on http://%s/debug/pprof/)\n", *pprofAddr)
 	}
 
 	ep := core.DefaultEvalParams()

@@ -52,12 +52,11 @@
 //	                  per-item status/degraded/trace-id/body array
 //	GET  /healthz     liveness (503 while draining)
 //	GET  /metrics     Prometheus text exposition (request/stage latency
-//	                  histograms, counters, per-keyspace cache stats);
-//	                  JSON with Accept: application/json
-//	GET  /metrics.json          the JSON metrics snapshot
+//	                  histograms, counters, per-keyspace cache stats)
+//	GET  /metrics.json          the same metrics snapshot as JSON
 //	GET  /debug/explorations    in-flight requests: stage, nodes, bound gap
 //	GET  /debug/flightrecorder  last -flight slow/degraded/errored requests
-//	                  with their span trees and counter deltas
+//	                  with their span trees and search positions
 //
 // Explorations are anytime: a request whose deadline (-timeout, or its own
 // timeout_ms) expires gets its best-effort organization, flagged

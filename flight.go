@@ -75,15 +75,10 @@ func (f *flightRecorder) dump() (total int64, out []*FlightEntry) {
 	return f.total, out
 }
 
-// size returns how many entries are currently held.
-func (f *flightRecorder) size() int {
+// counts returns the lifetime record count and how many entries are held.
+// The ring fills in order and never empties, so no entry is visited.
+func (f *flightRecorder) counts() (total int64, held int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := 0
-	for _, e := range f.entries {
-		if e != nil {
-			n++
-		}
-	}
-	return n
+	return f.total, int(min(f.total, int64(len(f.entries))))
 }

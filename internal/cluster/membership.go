@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -139,7 +140,10 @@ func (m *Membership) Merge(entries []MemberEntry) bool {
 	changed := false
 	now := time.Now()
 	for _, e := range entries {
-		if e.ID == "" {
+		// Malformed rows are ignored: an empty id, a state outside alive,
+		// suspect and left, or an incarnation nobody could outbid (self's
+		// refutation would wrap it to 0).
+		if e.ID == "" || e.State < StateAlive || e.State > StateLeft || e.Incarnation == math.MaxUint64 {
 			continue
 		}
 		if e.ID == m.self {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -204,6 +205,55 @@ func TestMembershipConvergence(t *testing.T) {
 	for _, id := range ids {
 		if got := nodes[id].Alive(); len(got) != 5 {
 			t.Fatalf("node %s did not see E rejoin: %v", id, got)
+		}
+	}
+}
+
+// TestMembershipMergeIgnoresMaxIncarnation: a row at the largest
+// incarnation cannot be outbid, so Merge ignores it. A departure claim
+// about self at that incarnation used to wrap self's incarnation to 0.
+func TestMembershipMergeIgnoresMaxIncarnation(t *testing.T) {
+	a := NewMembership("A", nil)
+	if a.Merge([]MemberEntry{
+		{ID: "A", Incarnation: math.MaxUint64, State: StateLeft},
+		{ID: "B", Incarnation: math.MaxUint64, State: StateAlive},
+	}) {
+		t.Fatal("merging rows at the largest incarnation reported a change")
+	}
+	d := a.Digest()
+	if self, _ := entryFor(d, "A"); self.Incarnation != 1 || self.State != StateAlive {
+		t.Fatalf("self row = %+v, want alive at incarnation 1", self)
+	}
+	if _, ok := entryFor(d, "B"); ok {
+		t.Fatalf("B stored from a row at the largest incarnation: %+v", d)
+	}
+	// Self still refutes an ordinary claim.
+	if !a.Merge([]MemberEntry{{ID: "A", Incarnation: 5, State: StateSuspect}}) {
+		t.Fatal("a suspicion about self must still be refuted")
+	}
+	if self, _ := entryFor(a.Digest(), "A"); self.Incarnation <= 5 {
+		t.Fatalf("refutation must outbid the claim: %+v", self)
+	}
+}
+
+// TestMembershipMergeIgnoresUnknownState: a row whose state is not alive,
+// suspect or left is malformed; Merge must neither store it nor put its
+// member in the ring.
+func TestMembershipMergeIgnoresUnknownState(t *testing.T) {
+	a := NewMembership("A", []string{"B"})
+	if a.Merge([]MemberEntry{
+		{ID: "C", Incarnation: 1, State: 7},
+		{ID: "B", Incarnation: 2, State: -1},
+		{ID: "A", Incarnation: 3, State: 7},
+	}) {
+		t.Fatal("merging unknown states reported a change")
+	}
+	if got := a.Alive(); len(got) != 2 || got[0] != "A" || got[1] != "B" {
+		t.Fatalf("ring = %v, want [A B]", got)
+	}
+	for _, e := range a.Digest() {
+		if e.State != StateAlive || e.Incarnation > 1 {
+			t.Errorf("row %+v changed by an unknown state", e)
 		}
 	}
 }

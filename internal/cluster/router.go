@@ -304,18 +304,6 @@ func (r *Router) PeerFail(id string) {
 	}
 }
 
-// ProbeAllowed reports whether a caller about to contact member id may do
-// so: true for an up peer, and true exactly once per window for a down peer
-// whose ejection has expired (the caller then holds the half-open probe and
-// must report the outcome via PeerOK/PeerFail). Unknown ids are allowed.
-func (r *Router) ProbeAllowed(id string) bool {
-	p := r.peer(id)
-	if p == nil {
-		return true
-	}
-	return p.probeAlive(time.Now())
-}
-
 // Owns reports whether this node should serve key right now: self is the
 // first *alive* member in the key's ring walk. Liveness shifts ownership —
 // when a peer is ejected its keys fall through to the next walk member —

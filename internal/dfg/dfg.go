@@ -121,11 +121,6 @@ func MACP(s *spec.Spec) uint64 {
 	return total
 }
 
-// MinBudget returns the smallest per-iteration cycle budget of the loop:
-// identical to CriticalPath, exported under the budget vocabulary used by
-// the SCBD step.
-func MinBudget(l *spec.Loop) int { return CriticalPath(l) }
-
 // Window is the feasible cycle interval of one access under a body budget.
 type Window struct {
 	ASAP int // earliest feasible cycle (0-based)

@@ -17,7 +17,7 @@ import (
 // the writer emits each family's # TYPE header when the family changes.
 //
 // All output is deterministic for a given metric state: callers feed it
-// sorted name lists (WriteObserver does), so scrapes diff cleanly and the
+// sorted name lists (WriteSnapshot does), so scrapes diff cleanly and the
 // exposition golden test can pin the format.
 type Prom struct {
 	w          io.Writer
@@ -159,28 +159,15 @@ func (p *Prom) HistogramSeries(family, labels string, s HistogramSnapshot) {
 	p.printf("%s_count%s %d\n", fam, brace(labels), s.Count)
 }
 
-// WriteObserver writes the observer's full metric state — counters, gauges,
-// explicit histograms, and the per-stage span-duration histograms (as one
+// WriteSnapshot writes an observer snapshot — counters, gauges, explicit
+// histograms, and the per-stage span-duration histograms (as one
 // <ns>_stage_duration_seconds family labeled by stage) — in sorted,
-// deterministic order. skip, when non-nil, suppresses counters and gauges
-// whose dotted name it matches (the server uses it to drop gauges that
-// would duplicate families it exposes authoritatively). Safe on a nil
-// Observer (writes nothing).
-func (p *Prom) WriteObserver(o *Observer, skip func(name string) bool) {
-	if o == nil {
-		return
-	}
-	snap := o.Snapshot()
+// deterministic order.
+func (p *Prom) WriteSnapshot(snap Snapshot) {
 	for _, name := range sortedKeys(snap.Counters) {
-		if skip != nil && skip(name) {
-			continue
-		}
 		p.Counter(name, snap.Counters[name])
 	}
 	for _, name := range sortedKeys(snap.Gauges) {
-		if skip != nil && skip(name) {
-			continue
-		}
 		p.Gauge(name, snap.Gauges[name])
 	}
 	for _, name := range sortedKeys(snap.Histograms) {

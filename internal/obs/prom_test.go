@@ -100,7 +100,7 @@ func TestPromHistogramSeries(t *testing.T) {
 	}
 }
 
-func TestPromWriteObserverLabeledHistogramAndStages(t *testing.T) {
+func TestPromWriteSnapshotLabeledHistogramAndStages(t *testing.T) {
 	o := New()
 	o.Counter("server.requests").Add(2)
 	o.Gauge(Label("memo.entries", "space", "ports")).Set(4)
@@ -110,13 +110,13 @@ func TestPromWriteObserverLabeledHistogramAndStages(t *testing.T) {
 
 	var b strings.Builder
 	p := NewProm(&b, "dtse")
-	p.WriteObserver(o, func(name string) bool { return strings.HasPrefix(name, "memo.entries") })
+	p.WriteSnapshot(o.Snapshot())
 	out := b.String()
 	if !strings.Contains(out, "dtse_server_requests_total 2\n") {
 		t.Errorf("counter missing:\n%s", out)
 	}
-	if strings.Contains(out, "dtse_memo_entries") {
-		t.Errorf("skip filter did not suppress memo.entries:\n%s", out)
+	if !strings.Contains(out, `dtse_memo_entries{space="ports"} 4`) {
+		t.Errorf("labeled gauge missing:\n%s", out)
 	}
 	if !strings.Contains(out, `dtse_memo_lookup_seconds_count{space="ports"} 1`) {
 		t.Errorf("labeled histogram missing:\n%s", out)
@@ -124,9 +124,9 @@ func TestPromWriteObserverLabeledHistogramAndStages(t *testing.T) {
 	if !strings.Contains(out, `dtse_stage_duration_seconds_count{stage="sbd"} 1`) {
 		t.Errorf("stage histogram missing:\n%s", out)
 	}
-	// Nil observer writes nothing.
+	// The zero snapshot (a nil observer's) writes nothing.
 	var nb strings.Builder
-	NewProm(&nb, "dtse").WriteObserver(nil, nil)
+	NewProm(&nb, "dtse").WriteSnapshot((*Observer)(nil).Snapshot())
 	if nb.Len() != 0 {
 		t.Errorf("nil observer produced output: %q", nb.String())
 	}

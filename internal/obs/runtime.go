@@ -4,18 +4,19 @@ import "runtime"
 
 // RuntimeStats is a point-in-time snapshot of the Go runtime's memory and
 // GC state, read at scrape time by the serving layer and exposed as the
-// dtse_go_* Prometheus families. Allocation counters paired with the
-// request counters give allocs-per-request rates without a profiler
-// attached; the pause gauges surface GC pressure on the serving path.
+// dtse_go_* Prometheus families and the /metrics.json runtime object.
+// Allocation counters paired with the request counters give
+// allocs-per-request rates without a profiler attached; the pause gauges
+// surface GC pressure on the serving path.
 type RuntimeStats struct {
-	HeapAllocBytes  uint64 // live heap bytes
-	HeapSysBytes    uint64 // heap bytes obtained from the OS
-	TotalAllocBytes uint64 // cumulative bytes allocated (monotone)
-	Mallocs         uint64 // cumulative heap objects allocated (monotone)
-	GCCycles        uint32 // completed GC cycles
-	LastPauseNS     uint64 // most recent stop-the-world pause
-	PauseTotalNS    uint64 // cumulative stop-the-world pause time
-	Goroutines      int
+	HeapAllocBytes  uint64 `json:"heap_alloc_bytes"`  // live heap bytes
+	HeapSysBytes    uint64 `json:"heap_sys_bytes"`    // heap bytes obtained from the OS
+	TotalAllocBytes uint64 `json:"alloc_bytes"`       // cumulative bytes allocated (monotone)
+	Mallocs         uint64 `json:"mallocs"`           // cumulative heap objects allocated (monotone)
+	GCCycles        uint32 `json:"gc_cycles"`         // completed GC cycles
+	LastPauseNS     uint64 `json:"gc_last_pause_ns"`  // most recent stop-the-world pause
+	PauseTotalNS    uint64 `json:"gc_pause_total_ns"` // cumulative stop-the-world pause time
+	Goroutines      int    `json:"goroutines"`
 }
 
 // ReadRuntime snapshots the runtime state. runtime.ReadMemStats stops the

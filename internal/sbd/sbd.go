@@ -209,13 +209,6 @@ func appendLoopFingerprint(dst []byte, l *spec.Loop, groups map[string]spec.Basi
 	return dst, names
 }
 
-// loopFingerprint is the string form of appendLoopFingerprint, for callers
-// off the hot path.
-func loopFingerprint(l *spec.Loop, groups map[string]spec.BasicGroup, p Params) string {
-	b, _ := appendLoopFingerprint(nil, l, groups, p, nil)
-	return string(b)
-}
-
 // StructuralWeight converts a schedule's structural conflict severity (the
 // multiplicities it forces, regardless of how often the loop runs) into
 // cost units comparable with the iteration-weighted occurrence cost. It is

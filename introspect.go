@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -199,74 +200,76 @@ func (s *Server) serveSSE(ctx context.Context, w http.ResponseWriter, p *parsedR
 
 // --- Prometheus exposition ---
 
-// handleMetricsProm writes the Prometheus text exposition: the server's
-// HTTP-level families, the request-latency histogram, the authoritative
-// per-keyspace memo stats, and everything the observer holds (counters,
-// gauges, explicit histograms, per-stage duration histograms). Metric names
-// are a stable contract pinned by the exposition tests.
+// handleMetricsProm serves the metrics snapshot as the Prometheus text
+// exposition. The snapshot is read before the first byte is written, so a
+// write error can only be the client going away.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	var b bytes.Buffer
-	p := obs.NewProm(&b, "dtse")
+	m := s.metrics()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	m.writeProm(w)
+}
 
-	p.Counter("http.requests", s.requests.Load())
-	for c := 2; c <= 5; c++ {
-		p.Counter(obs.Label("http.responses", "class", fmt.Sprintf("%dxx", c)), s.responses[c].Load())
+// writeProm renders the snapshot, and nothing else, as the Prometheus text
+// exposition: the server's HTTP-level families, the request-latency
+// histogram, the per-keyspace memo stats, the disk tier, the pool, the Go
+// runtime, and the observer snapshot (counters, gauges, explicit
+// histograms, per-stage duration histograms). Metric names are a stable
+// contract pinned by the exposition tests.
+func (m *metricsResponse) writeProm(w io.Writer) {
+	p := obs.NewProm(w, "dtse")
+	sv := &m.Server
+	p.Counter("http.requests", sv.Requests)
+	for i, n := range []int64{sv.OK, sv.Redirects, sv.ClientErrors, sv.ServerErrors} {
+		p.Counter(obs.Label("http.responses", "class", fmt.Sprintf("%dxx", i+2)), n)
 	}
-	p.Gauge("http.inflight", s.inflight.Load())
-	p.Gauge("http.queued", s.queued.Load())
+	p.Gauge("http.inflight", sv.Inflight)
+	p.Gauge("http.queued", sv.Queued)
 	draining := int64(0)
-	if s.draining.Load() {
+	if sv.Draining {
 		draining = 1
 	}
 	p.Gauge("http.draining", draining)
-	p.Gauge("explorations.open", int64(s.openExplorations()))
-	if s.flight != nil {
-		total, _ := s.flight.dump()
-		p.Counter("flightrecorder.recorded", total)
-		p.Gauge("flightrecorder.entries", int64(s.flight.size()))
+	p.Gauge("explorations.open", int64(sv.Open))
+	if sv.Recorded != nil {
+		p.Counter("flightrecorder.recorded", *sv.Recorded)
+		p.Gauge("flightrecorder.entries", int64(sv.Flights))
 	}
-	if cs := s.cluster; cs != nil {
-		p.Gauge("cluster.peers", int64(len(cs.router.Peers())))
-		p.Gauge("cluster.peers_alive", int64(len(cs.router.AlivePeers())))
-		p.Gauge("cluster.members", int64(len(cs.router.Members())))
+	if c := m.Cluster; c != nil {
+		p.Gauge("cluster.peers", int64(c.Peers))
+		p.Gauge("cluster.peers_alive", int64(c.PeersAlive))
+		p.Gauge("cluster.members", int64(c.Members))
 	}
-	p.HistogramSeries("request_duration", "", s.reqHist.Snapshot())
+	p.HistogramSeries("request_duration", "", sv.LatencyHist)
 
-	if s.memo != nil {
-		spaces := memo.Spaces
-		var stats [len(spaces)]memo.Stats
-		for i, sp := range spaces {
-			stats[i] = s.memo.Stats(sp)
-		}
+	if m.Memo != nil {
 		// One family at a time: exposition requires a family's samples to be
 		// consecutive, so the loops go metric-major, space-minor.
-		for i, sp := range spaces {
-			p.Counter(obs.Label("memo.hits", "space", sp.String()), stats[i].Hits)
+		for _, sp := range memo.Spaces {
+			p.Counter(obs.Label("memo.hits", "space", sp.String()), m.Memo[sp.String()].Hits)
 		}
-		for i, sp := range spaces {
-			p.Counter(obs.Label("memo.misses", "space", sp.String()), stats[i].Misses)
+		for _, sp := range memo.Spaces {
+			p.Counter(obs.Label("memo.misses", "space", sp.String()), m.Memo[sp.String()].Misses)
 		}
-		for i, sp := range spaces {
-			p.Counter(obs.Label("memo.inflight_waits", "space", sp.String()), stats[i].InflightWaits)
+		for _, sp := range memo.Spaces {
+			p.Counter(obs.Label("memo.inflight_waits", "space", sp.String()), m.Memo[sp.String()].InflightWaits)
 		}
-		for i, sp := range spaces {
-			p.Gauge(obs.Label("memo.entries", "space", sp.String()), int64(stats[i].Entries))
+		for _, sp := range memo.Spaces {
+			p.Gauge(obs.Label("memo.entries", "space", sp.String()), int64(m.Memo[sp.String()].Entries))
 		}
-		for i, sp := range spaces {
-			p.Counter(obs.Label("memo.evictions", "space", sp.String()), stats[i].Evictions)
+		for _, sp := range memo.Spaces {
+			p.Counter(obs.Label("memo.evictions", "space", sp.String()), m.Memo[sp.String()].Evictions)
 		}
-		for i, sp := range spaces {
-			p.Gauge(obs.Label("memo.bytes_held", "space", sp.String()), stats[i].BytesHeld)
+		for _, sp := range memo.Spaces {
+			p.Gauge(obs.Label("memo.bytes_held", "space", sp.String()), m.Memo[sp.String()].BytesHeld)
 		}
-		for i, sp := range spaces {
-			p.Counter(obs.Label("memo.disk_hits", "space", sp.String()), stats[i].DiskHits)
+		for _, sp := range memo.Spaces {
+			p.Counter(obs.Label("memo.disk_hits", "space", sp.String()), m.Memo[sp.String()].DiskHits)
 		}
-		for i, sp := range spaces {
-			p.Counter(obs.Label("memo.disk_writes", "space", sp.String()), stats[i].DiskWrites)
+		for _, sp := range memo.Spaces {
+			p.Counter(obs.Label("memo.disk_writes", "space", sp.String()), m.Memo[sp.String()].DiskWrites)
 		}
 	}
-	if d := s.opts.Disk; d != nil {
-		ds := d.Stats()
+	if ds := m.Disk; ds != nil {
 		p.Gauge("diskcache.records", int64(ds.Records))
 		p.Counter("diskcache.replayed", ds.Replayed)
 		p.Counter("diskcache.truncated_bytes", ds.Truncated)
@@ -276,11 +279,14 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 		p.Counter("diskcache.dropped", ds.Dropped)
 		p.Counter("diskcache.read_errors", ds.ReadErrs)
 	}
+	p.Gauge("pool.workers", int64(m.Pool.Workers))
+	p.Gauge("pool.spawns", m.Pool.Spawns)
+	p.Gauge("pool.inline_runs", m.Pool.InlineRuns)
 
 	// Go runtime families (dtse_go_*): allocation counters to pair with the
 	// request counters (allocs per request without a profiler attached) and
-	// the GC pressure gauges. Read at scrape time, so values are current.
-	rt := obs.ReadRuntime()
+	// the GC pressure gauges.
+	rt := m.Runtime
 	p.Gauge("go.heap_alloc_bytes", int64(rt.HeapAllocBytes))
 	p.Gauge("go.heap_sys_bytes", int64(rt.HeapSysBytes))
 	p.Counter("go.alloc_bytes", int64(rt.TotalAllocBytes))
@@ -290,15 +296,5 @@ func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	p.GaugeF("go.gc_pause_total_seconds", float64(rt.PauseTotalNS)/1e9)
 	p.Gauge("go.goroutines", int64(rt.Goroutines))
 
-	// The observer's memo.* gauges (published by demo runs) duplicate the
-	// authoritative live stats above, so they are skipped here; everything
-	// else passes through.
-	p.WriteObserver(s.obs, func(name string) bool { return strings.HasPrefix(name, "memo.") })
-
-	if err := p.Err(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write(b.Bytes())
+	p.WriteSnapshot(m.Obs)
 }

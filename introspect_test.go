@@ -31,8 +31,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the exposition golden fil
 // server is fully deterministic (the opt-in memo/pool histograms register
 // eagerly at construction), so the golden is byte-exact: any change to
 // metric names, types, bucket bounds, or ordering shows up as a diff here.
+// The pool width is set, since dtse_pool_workers would otherwise read
+// GOMAXPROCS.
 func TestMetricsPromGolden(t *testing.T) {
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	srv := NewServer(ServeOptions{Obs: NewObserver(), Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -165,6 +167,9 @@ func TestMetricsPromStableNames(t *testing.T) {
 		if len(parts) != 4 {
 			t.Fatalf("malformed TYPE line %q", line)
 		}
+		if _, dup := families[parts[2]]; dup {
+			t.Errorf("family %s has two # TYPE lines", parts[2])
+		}
 		families[parts[2]] = parts[3]
 	}
 
@@ -185,7 +190,6 @@ func TestMetricsPromStableNames(t *testing.T) {
 		"dtse_memo_lookup_seconds":            "histogram",
 		"dtse_pool_task_seconds":              "histogram",
 		"dtse_stage_duration_seconds":         "histogram",
-		"dtse_server_requests_total":          "counter",
 		"dtse_sbd_trials_total":               "counter",
 		"dtse_sbd_trials_conflict_free_total": "counter",
 		"dtse_go_heap_alloc_bytes":            "gauge",
@@ -199,6 +203,10 @@ func TestMetricsPromStableNames(t *testing.T) {
 		} else if got != typ {
 			t.Errorf("family %s has type %s, want %s", name, got, typ)
 		}
+	}
+	// The observer's request counter duplicated dtse_http_requests_total.
+	if _, ok := families["dtse_server_requests_total"]; ok {
+		t.Error("dtse_server_requests_total is served; dtse_http_requests_total counts requests")
 	}
 	nameRE := regexp.MustCompile(`^dtse_[a-zA-Z0-9_:]+$`)
 	for name := range families {
@@ -681,7 +689,7 @@ func TestFlightRecorderDegraded(t *testing.T) {
 	if resp, body := postExplore(t, ts2, `{"demo": {"size": 64}}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthy request failed: %d %s", resp.StatusCode, body)
 	}
-	if n := srv2.flight.size(); n != 0 {
+	if _, n := srv2.flight.counts(); n != 0 {
 		t.Errorf("healthy request was flight-recorded (%d entries)", n)
 	}
 }
@@ -730,19 +738,17 @@ func TestHealthzContentType(t *testing.T) {
 		t.Errorf("/healthz Content-Type = %q", ct)
 	}
 
-	// Content negotiation on /metrics: JSON when asked for.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-	req.Header.Set("Accept", "application/json")
-	resp, err = http.DefaultClient.Do(req)
+	// The JSON snapshot has its own URL.
+	resp, err = http.Get(ts.URL + "/metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("/metrics with Accept: application/json returned %q", ct)
+		t.Errorf("/metrics.json returned %q", ct)
 	}
 	var m metricsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Errorf("negotiated JSON metrics not decodable: %v", err)
+		t.Errorf("JSON metrics not decodable: %v", err)
 	}
 }

@@ -42,10 +42,11 @@ import (
 //	                            admission slot; per-item status/degraded/
 //	                            trace-id results
 //	GET  /healthz               liveness ("ok", or 503 while draining)
-//	GET  /metrics               Prometheus text exposition (or the JSON
-//	                            snapshot when Accept prefers application/json)
-//	GET  /metrics.json          JSON snapshot of counters, gauges, histogram
-//	                            summaries, and latencies
+//	GET  /metrics               Prometheus text exposition of the metrics
+//	                            snapshot
+//	GET  /metrics.json          the same snapshot as JSON: server counters
+//	                            and latencies, observer, cache, disk tier,
+//	                            cluster, pool and Go runtime
 //	GET  /debug/explorations    in-flight request registry: stage, elapsed,
 //	                            search nodes, incumbent cost, bound gap
 //	GET  /debug/flightrecorder  last N slow/degraded/errored requests with
@@ -208,8 +209,8 @@ func NewServer(opts ServeOptions) *Server {
 	s.mux.HandleFunc("/v1/explore", s.handleExplore)
 	s.mux.HandleFunc("/v1/explore/batch", s.handleExploreBatch)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
+	s.mux.HandleFunc("/metrics", s.handleMetricsProm)
+	s.mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, s.metrics()) })
 	s.mux.HandleFunc("/debug/explorations", s.handleExplorations)
 	s.mux.HandleFunc("/debug/flightrecorder", s.handleFlightRecorder)
 	// Cluster-internal endpoints; 404 until JoinCluster.
@@ -476,7 +477,6 @@ func (s *Server) beginRequest(w http.ResponseWriter, r *http.Request, allowed bo
 		return tid, internal, false
 	}
 	s.requests.Add(1)
-	s.obs.Counter("server.requests").Add(1)
 	return tid, internal, true
 }
 
@@ -1046,14 +1046,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// metricsResponse is the GET /metrics.json body: the server's own gauges
-// and latency percentiles, the telemetry counter/gauge/histogram snapshot,
-// and the session cache accounting.
+// metricsResponse is the server's one read of every metric it serves
+// (Server.metrics): /metrics.json is its JSON encoding and /metrics its
+// Prometheus rendering (writeProm), so the two surfaces cannot disagree.
 type metricsResponse struct {
-	Server serverMetrics         `json:"server"`
-	Obs    obs.Snapshot          `json:"obs"`
-	Memo   map[string]memo.Stats `json:"memo,omitempty"`
-	Disk   *memo.DiskStats       `json:"disk,omitempty"`
+	Server  serverMetrics         `json:"server"`
+	Obs     obs.Snapshot          `json:"obs"`
+	Memo    map[string]memo.Stats `json:"memo,omitempty"`
+	Disk    *memo.DiskStats       `json:"disk,omitempty"`
+	Cluster *clusterMetrics       `json:"cluster,omitempty"`
+	Pool    poolMetrics           `json:"pool"`
+	Runtime obs.RuntimeStats      `json:"runtime"`
 }
 
 type serverMetrics struct {
@@ -1061,6 +1064,7 @@ type serverMetrics struct {
 	Queued       int64 `json:"queued"`
 	Requests     int64 `json:"requests_total"`
 	OK           int64 `json:"responses_2xx"`
+	Redirects    int64 `json:"responses_3xx"`
 	ClientErrors int64 `json:"responses_4xx"`
 	ServerErrors int64 `json:"responses_5xx"`
 	// The latency fields read the lifetime request histogram behind
@@ -1070,29 +1074,35 @@ type serverMetrics struct {
 	LatencyP99US int64                 `json:"latency_p99_us"`
 	LatencyHist  obs.HistogramSnapshot `json:"latency_hist"`
 	Flights      int                   `json:"flight_entries"`
+	Recorded     *int64                `json:"flight_recorded_total,omitempty"` // nil: recorder disabled
 	Open         int                   `json:"open_explorations"`
 	Draining     bool                  `json:"draining"`
 }
 
-// handleMetrics content-negotiates the exposition: Prometheus text by
-// default, the JSON snapshot when the client asks for application/json
-// (also always available at /metrics.json).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		s.handleMetricsJSON(w, r)
-		return
-	}
-	s.handleMetricsProm(w, r)
+type clusterMetrics struct {
+	Peers      int `json:"peers"`
+	PeersAlive int `json:"peers_alive"`
+	Members    int `json:"members"`
 }
 
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
+type poolMetrics struct {
+	Workers    int   `json:"workers"`
+	Spawns     int64 `json:"spawns"`
+	InlineRuns int64 `json:"inline_runs"`
+}
+
+// metrics reads every metric the server serves, once. The observer
+// snapshot drops its memo.* and pool.* counters and gauges: the cache and
+// pool, read live here, own those; the observer's are RunAll's stale copies.
+func (s *Server) metrics() *metricsResponse {
 	lat := s.reqHist.Snapshot()
-	m := metricsResponse{
+	m := &metricsResponse{
 		Server: serverMetrics{
 			Inflight:     s.inflight.Load(),
 			Queued:       s.queued.Load(),
 			Requests:     s.requests.Load(),
 			OK:           s.responses[2].Load(),
+			Redirects:    s.responses[3].Load(),
 			ClientErrors: s.responses[4].Load(),
 			ServerErrors: s.responses[5].Load(),
 			LatencyCount: lat.Count,
@@ -1102,10 +1112,28 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 			Open:         s.openExplorations(),
 			Draining:     s.draining.Load(),
 		},
-		Obs: s.obs.Snapshot(),
+		Obs:     s.obs.Snapshot(),
+		Pool:    poolMetrics{Workers: s.workers.Workers()},
+		Runtime: obs.ReadRuntime(),
 	}
+	for _, named := range []map[string]int64{m.Obs.Counters, m.Obs.Gauges} {
+		for name := range named {
+			if strings.HasPrefix(name, "memo.") || strings.HasPrefix(name, "pool.") {
+				delete(named, name)
+			}
+		}
+	}
+	m.Pool.Spawns, m.Pool.InlineRuns = s.workers.Stats()
 	if s.flight != nil {
-		m.Server.Flights = s.flight.size()
+		total, held := s.flight.counts()
+		m.Server.Recorded, m.Server.Flights = &total, held
+	}
+	if cs := s.cluster; cs != nil {
+		m.Cluster = &clusterMetrics{
+			Peers:      len(cs.router.Peers()),
+			PeersAlive: len(cs.router.AlivePeers()),
+			Members:    len(cs.router.Members()),
+		}
 	}
 	if s.memo != nil {
 		m.Memo = make(map[string]memo.Stats)
@@ -1117,11 +1145,5 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 		ds := s.opts.Disk.Stats()
 		m.Disk = &ds
 	}
-	body, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n'))
+	return m
 }
