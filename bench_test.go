@@ -8,6 +8,7 @@ package dtse
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -70,7 +71,7 @@ func BenchmarkTable1BasicGroupStructuring(b *testing.B) {
 	ep := core.DefaultEvalParams().ScaleTo(benchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vs, err := core.ExploreStructuring(demo, ep)
+		vs, err := core.ExploreStructuringContext(context.Background(), demo, ep)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func BenchmarkTable2MemoryHierarchy(b *testing.B) {
 	ep := core.DefaultEvalParams().ScaleTo(benchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vs, _, err := core.ExploreHierarchy(res.StructChoice.Spec, demo, ep)
+		vs, _, err := core.ExploreHierarchyContext(context.Background(), res.StructChoice.Spec, demo, ep)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func BenchmarkTable3CycleBudgets(b *testing.B) {
 	ep := core.DefaultEvalParams().ScaleTo(benchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := core.ExploreBudgets(res.HierChoice.Spec, demo.CycleBudget, ep)
+		pts, err := core.ExploreBudgetsContext(context.Background(), res.HierChoice.Spec, demo.CycleBudget, ep)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func BenchmarkTable4MemoryAllocations(b *testing.B) {
 	counts := []int{4, 5, 8, 10, 14}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vs, _, err := core.ExploreAllocations(res.BudgetChoice.Spec, res.BudgetChoice.Dist, counts, ep)
+		vs, _, err := core.ExploreAllocationsContext(context.Background(), res.BudgetChoice.Spec, res.BudgetChoice.Dist, counts, ep)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +215,7 @@ func BenchmarkTable3Pipelined(b *testing.B) {
 	ep := core.DefaultEvalParams().ScaleTo(benchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := core.ExploreBudgetsPipelined(res.HierChoice.Spec, demo.CycleBudget, ep)
+		pts, err := core.ExploreBudgetsPipelinedContext(context.Background(), res.HierChoice.Spec, demo.CycleBudget, ep)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,7 +237,7 @@ func BenchmarkTable4WithInterconnect(b *testing.B) {
 	counts := []int{4, 5, 8, 10, 14}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vs, okCounts, err := core.ExploreAllocations(res.BudgetChoice.Spec, res.BudgetChoice.Dist, counts, ep)
+		vs, okCounts, err := core.ExploreAllocationsContext(context.Background(), res.BudgetChoice.Spec, res.BudgetChoice.Dist, counts, ep)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -350,7 +351,7 @@ func BenchmarkWorkloadExploration(b *testing.B) {
 			ep.Tech = &tech
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v, err := core.Evaluate(s, ctx.CycleBudget, s.Name, ep)
+				v, err := core.EvaluateContext(context.Background(), s, ctx.CycleBudget, s.Name, ep)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -407,7 +408,7 @@ func BenchmarkAssign(b *testing.B) {
 		var a *assign.Assignment
 		var err error
 		for count := ep.OnChipCount; count <= ep.OnChipCount+6; count++ {
-			if a, err = assign.Assign(res.BudgetChoice.Spec, pats, ep.Tech, count, ap); err == nil {
+			if a, err = assign.AssignContext(context.Background(), res.BudgetChoice.Spec, pats, ep.Tech, count, ap); err == nil {
 				break
 			}
 		}
@@ -481,7 +482,7 @@ func BenchmarkDistribute(b *testing.B) {
 	ep := core.DefaultEvalParams().ScaleTo(benchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sbd.Distribute(demo.Spec, demo.CycleBudget, sbd.Params{OnChipMaxWords: ep.Tech.OnChipMaxWords}); err != nil {
+		if _, err := sbd.DistributeContext(context.Background(), demo.Spec, demo.CycleBudget, sbd.Params{OnChipMaxWords: ep.Tech.OnChipMaxWords}); err != nil {
 			b.Fatal(err)
 		}
 	}

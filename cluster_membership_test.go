@@ -217,12 +217,13 @@ func TestClusterLeaveMidRunByteIdentical(t *testing.T) {
 	}
 }
 
-// newHandoffNode builds a cluster node that shares the ring with one fake
-// peer. Gossip is off, so the peer is never contacted: it only splits the
-// keyspace, which makes the receiver's ownership gate refuse some keys.
-func newHandoffNode(tb testing.TB) *Server {
+// newHandoffNode builds a cluster node from opts that shares the ring with
+// one fake peer. Gossip is off, so the peer is never contacted: it only
+// splits the keyspace, which makes the receiver's ownership gate refuse
+// some keys.
+func newHandoffNode(tb testing.TB, opts ServeOptions) *Server {
 	tb.Helper()
-	s := NewServer(ServeOptions{Obs: obs.New()})
+	s := NewServer(opts)
 	if err := s.JoinCluster(ClusterOptions{
 		Self:           "http://self.test",
 		Peers:          []string{"http://peer.test"},
@@ -265,7 +266,7 @@ func postHandoff(s *Server, body []byte) *httptest.ResponseRecorder {
 // records. The receiver must ignore it, answer 204 and import the records
 // it owns.
 func TestHandoffIgnoresLegacySeeds(t *testing.T) {
-	s := newHandoffNode(t)
+	s := newHandoffNode(t, ServeOptions{Obs: obs.New()})
 	owned, foreign := handoffKeys(t, s)
 	val, _ := encodeServed(&servedResponse{status: http.StatusOK, body: []byte("{}\n")})
 	body := mustMarshal(map[string]any{

@@ -37,7 +37,8 @@
 // DIR/cache.log and survives restarts — a fresh process answers previously
 // seen requests byte-identically from disk. -cache-bytes caps each
 // in-memory keyspace, evicting cold entries CLOCK-wise; the disk tier
-// still holds everything appended.
+// still holds everything appended. The disk tier belongs to the session
+// cache, so -cache off with -cache-dir is a usage error.
 //
 // Endpoints:
 //
@@ -124,6 +125,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if *cache != "on" && *cache != "off" {
 		fmt.Fprintf(stderr, "dtsed: -cache %q invalid (want on or off)\n", *cache)
+		fs.Usage()
+		return 2
+	}
+	if *cache == "off" && *cacheDir != "" {
+		fmt.Fprintln(stderr, "dtsed: -cache-dir requires -cache on (the disk tier is a tier of the session cache)")
 		fs.Usage()
 		return 2
 	}

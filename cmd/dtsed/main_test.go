@@ -92,6 +92,7 @@ func post(t *testing.T, url, body string) (int, []byte) {
 func TestRunBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-cache", "maybe"},
+		{"-cache", "off", "-cache-dir", t.TempDir()}, // a disk tier without the cache
 		{"-concurrency", "0"},
 		{"-workers", "-1"},
 		{"-timeout", "-1s"},

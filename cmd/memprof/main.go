@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*size, *size, *quant, stats.BitsPerPixel())
 	fmt.Fprint(stdout, rec.Report())
 
-	prof := reuse.AnalyzeContext(context.Background(), rec.AddressChunks("image"))
+	prof := reuse.AnalyzeContext(context.Background(), rec.AddressChunks("image"), nil)
 	fmt.Fprintf(stdout, "\nimage array reuse (LRU miss ratio by buffer size):\n")
 	for _, s := range []int64{4, 12, 64, 256, 1024, 5 * int64(*size), 4 * int64(*size) * int64(*size) / 100} {
 		fmt.Fprintf(stdout, "  %8d words: %5.1f%%\n", s, 100*prof.MissRatio(s))

@@ -231,3 +231,34 @@ func TestKnobsGolden(t *testing.T) {
 		t.Fatalf("stdout differs from %s (rerun with -update if intentional):\ngot:\n%s\nwant:\n%s", golden, got.Bytes(), want)
 	}
 }
+
+// TestRunCacheDirReplay: with -cache-dir, a run cut short by -timeout is
+// not stored, so the next identical run explores; a third identical run is
+// replayed from the log, noted on stderr, with byte-identical stdout.
+func TestRunCacheDirReplay(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-budget", "50000", writeSpec(t)}
+	const note = "(result served from"
+	runOnce := func(extra ...string) (stdout, stderr string) {
+		t.Helper()
+		var out, errb bytes.Buffer
+		if code := run(append(append([]string{"-cache-dir", dir}, extra...), args...), &out, &errb); code != 0 {
+			t.Fatalf("exit %d, stderr: %s", code, errb.String())
+		}
+		return out.String(), errb.String()
+	}
+	if _, stderr := runOnce("-timeout", "1ns"); !strings.Contains(stderr, "best-effort") || strings.Contains(stderr, note) {
+		t.Fatalf("-timeout 1ns run: want an explored best-effort run, stderr: %s", stderr)
+	}
+	first, stderr := runOnce()
+	if strings.Contains(stderr, note) {
+		t.Fatalf("the run after a cut-short one was replayed; the degraded output was stored: %s", stderr)
+	}
+	second, stderr := runOnce()
+	if !strings.Contains(stderr, note) {
+		t.Fatalf("identical rerun was not replayed from the log, stderr: %s", stderr)
+	}
+	if first != second {
+		t.Fatalf("replayed stdout differs from the explored run:\n%s\nvs\n%s", first, second)
+	}
+}

@@ -170,7 +170,7 @@ func DefaultParams() EvalParams { return core.DefaultEvalParams() }
 // specification, returning the evaluated organization with its accurate
 // cost feedback.
 func Explore(s *Spec, cycleBudget uint64, ep EvalParams) (*Variant, error) {
-	return core.Evaluate(s, cycleBudget, s.Name, ep)
+	return ExploreContext(context.Background(), s, cycleBudget, ep)
 }
 
 // ExploreContext is Explore with deadline and cancellation support. The
@@ -195,12 +195,14 @@ func Merge(s *Spec, a, b, merged string) (*Spec, error) {
 }
 
 // AnalyzeReuse computes the LRU reuse profile of a read address trace.
-func AnalyzeReuse(addrs []int32) *ReuseProfile { return reuse.Analyze(addrs) }
+func AnalyzeReuse(addrs []int32) *ReuseProfile {
+	return reuse.AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+}
 
 // PlanHierarchy derives a memory hierarchy (with trace-driven miss ratios)
 // for the array from candidate copy layers, innermost first.
 func PlanHierarchy(array string, layers []Layer, prof *ReuseProfile) (*Hierarchy, error) {
-	return reuse.Plan(array, layers, prof)
+	return reuse.Plan(array, layers, prof, nil)
 }
 
 // ApplyHierarchy rewrites a specification for the hierarchy (§4.4).
@@ -218,27 +220,16 @@ func ReproduceBTPC(cfg DemoConfig) (*Results, error) {
 	return core.RunAll(cfg, core.DefaultEvalParams())
 }
 
-// ReproduceBTPCContext is ReproduceBTPC with deadline and cancellation
-// support: when ctx expires the remaining exploration degrades to
-// best-effort results (sweeps keep their reference rows, searches return
-// incumbents flagged non-optimal) and a complete Results is still returned.
-func ReproduceBTPCContext(ctx context.Context, cfg DemoConfig) (*Results, error) {
-	return core.RunAllContext(ctx, cfg, core.DefaultEvalParams())
-}
-
-// ReproduceBTPCObserved is ReproduceBTPC with exploration telemetry: spans
-// and counters are recorded into the observer's sinks (see NewObserver).
-func ReproduceBTPCObserved(cfg DemoConfig, o *Observer) (*Results, error) {
-	return ReproduceBTPCObservedContext(context.Background(), cfg, o)
-}
-
-// ReproduceBTPCObservedContext combines telemetry with deadline and
-// cancellation support: the obs counters (assign.deadline_fallbacks,
-// assign.cancel_points, sbd.deadline_fallbacks, assign.result{optimal=...})
-// record where the budget went when a run degrades.
-func ReproduceBTPCObservedContext(ctx context.Context, cfg DemoConfig, o *Observer) (*Results, error) {
-	ep := core.DefaultEvalParams()
-	ep.Obs = o
+// ReproduceBTPCContext runs the methodology of ReproduceBTPC under ep
+// (start from DefaultParams). When ctx expires the remaining exploration
+// degrades to best-effort results (sweeps keep their reference rows,
+// searches return incumbents flagged non-optimal) and a complete Results is
+// still returned. With ep.Obs set, spans and counters are recorded into the
+// observer's sinks (see NewObserver); the counters
+// assign.deadline_fallbacks, assign.cancel_points, sbd.deadline_fallbacks
+// and assign.result{optimal=...} record where the budget went when a run
+// degrades.
+func ReproduceBTPCContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results, error) {
 	return core.RunAllContext(ctx, cfg, ep)
 }
 

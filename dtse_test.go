@@ -1,6 +1,7 @@
 package dtse
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -176,6 +177,48 @@ func TestFacadeReproduceBTPCSmall(t *testing.T) {
 	} {
 		if !strings.Contains(s, "mm2") {
 			t.Fatal("table rendering broken")
+		}
+	}
+}
+
+// TestFacadeReproduceBTPCContextObserved: an observer travels as ep.Obs.
+// The run records one run_all root with the methodology steps under it,
+// and the telemetry leaves Tables 1-4 byte-equal to ReproduceBTPC's.
+func TestFacadeReproduceBTPCContextObserved(t *testing.T) {
+	cfg := DemoConfig{Size: 64}
+	plain, err := ReproduceBTPC(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollectorSink()
+	o := NewObserver(c)
+	ep := DefaultParams()
+	ep.Obs = o
+	observed, err := ReproduceBTPCContext(context.Background(), cfg, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	roots := c.Find("run_all")
+	if len(roots) != 1 || roots[0].Parent != 0 {
+		t.Fatalf("want one run_all root span, got %d", len(roots))
+	}
+	for _, name := range []string{"profile", "step.structuring", "step.hierarchy",
+		"step.budget", "step.allocation", "reuse.analyze"} {
+		if recs := c.Find(name); len(recs) != 1 || recs[0].Parent != roots[0].ID {
+			t.Fatalf("want one %q span directly under run_all, got %d", name, len(recs))
+		}
+	}
+	for i, pair := range [][2]string{
+		{plain.Table1().Render(), observed.Table1().Render()},
+		{plain.Table2().Render(), observed.Table2().Render()},
+		{plain.Table3().Render(), observed.Table3().Render()},
+		{plain.Table4().Render(), observed.Table4().Render()},
+	} {
+		if pair[0] != pair[1] {
+			t.Fatalf("Table %d differs with an observer:\n%s\nvs\n%s", i+1, pair[0], pair[1])
 		}
 	}
 }

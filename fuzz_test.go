@@ -20,7 +20,7 @@ import (
 // anything else a 204, and no key the live ring assigns to another node is
 // ever imported.
 func FuzzHandoffImport(f *testing.F) {
-	s := newHandoffNode(f)
+	s := newHandoffNode(f, ServeOptions{Obs: NewObserver()})
 	owned, foreign := handoffKeys(f, s)
 	val, _ := encodeServed(&servedResponse{status: http.StatusOK, body: []byte("{}\n")})
 	f.Add(mustMarshal(handoffWire{From: "http://peer.test", Records: []handoffRec{

@@ -186,19 +186,3 @@ func TestAssignContextAlreadyCanceledIsFast(t *testing.T) {
 		t.Fatal("no on-chip memories in incumbent")
 	}
 }
-
-// TestSweepContextStopsLaunching: once the context is canceled, the sweep
-// keeps its first feasible row and stops evaluating further counts.
-func TestSweepContextStopsLaunching(t *testing.T) {
-	s := mixedSpec(t)
-	tech := memlib.Default()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	asgns, counts, err := SweepContext(ctx, s, nil, tech, []int{1, 2, 3, 4}, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(asgns) != 1 || len(counts) != 1 || counts[0] != 1 {
-		t.Fatalf("canceled sweep returned counts %v, want just the first", counts)
-	}
-}

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func mixedSpec(t *testing.T) *spec.Spec {
 func TestAssignBasic(t *testing.T) {
 	s := mixedSpec(t)
 	tech := memlib.Default()
-	a, err := Assign(s, nil, tech, 2, Params{})
+	a, err := AssignContext(context.Background(), s, nil, tech, 2, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestOptimalNotWorseThanGreedy(t *testing.T) {
 	s := mixedSpec(t)
 	tech := memlib.Default()
 	for _, n := range []int{1, 2, 3, 4} {
-		opt, err := Assign(s, nil, tech, n, Params{})
+		opt, err := AssignContext(context.Background(), s, nil, tech, n, Params{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -99,11 +100,11 @@ func TestBitwidthWasteSeparation(t *testing.T) {
 	s := b.MustBuild()
 	tech := memlib.Default()
 
-	one, err := Assign(s, nil, tech, 1, Params{})
+	one, err := AssignContext(context.Background(), s, nil, tech, 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := Assign(s, nil, tech, 2, Params{})
+	two, err := AssignContext(context.Background(), s, nil, tech, 2, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,18 +134,18 @@ func TestConflictsForceSeparation(t *testing.T) {
 	pats := []sbd.Pattern{{Access: map[string]int{"a": 1, "b": 1}, Weight: 1000}}
 	tech := memlib.Default()
 
-	a2, err := Assign(s, pats, tech, 2, Params{MaxPorts: 1})
+	a2, err := AssignContext(context.Background(), s, pats, tech, 2, Params{MaxPorts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a2.GroupMem["a"] == a2.GroupMem["b"] {
 		t.Fatal("conflicting groups share a 1-port memory")
 	}
-	if _, err := Assign(s, pats, tech, 1, Params{MaxPorts: 1}); err == nil {
+	if _, err := AssignContext(context.Background(), s, pats, tech, 1, Params{MaxPorts: 1}); err == nil {
 		t.Fatal("1 memory with MaxPorts 1 should be infeasible")
 	}
 	// With 2 ports allowed, one memory becomes feasible but dual-ported.
-	a1, err := Assign(s, pats, tech, 1, Params{MaxPorts: 2})
+	a1, err := AssignContext(context.Background(), s, pats, tech, 1, Params{MaxPorts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestSelfConflictForcesMultiport(t *testing.T) {
 	b.Read("a", 1)
 	s := b.MustBuild()
 	pats := []sbd.Pattern{{Access: map[string]int{"a": 2}, Weight: 1000}}
-	a, err := Assign(s, pats, memlib.Default(), 1, Params{})
+	a, err := AssignContext(context.Background(), s, pats, memlib.Default(), 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestOffChipMergedWidthRounding(t *testing.T) {
 	b.Loop("l", 1000)
 	b.Read("merged", 1)
 	s := b.MustBuild()
-	a, err := Assign(s, nil, memlib.Default(), 1, Params{})
+	a, err := AssignContext(context.Background(), s, nil, memlib.Default(), 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,12 +198,12 @@ func TestOffChipPortPenalty(t *testing.T) {
 	b.Read("img", 5)
 	s := b.MustBuild()
 	tech := memlib.Default()
-	p1, err := Assign(s, nil, tech, 1, Params{})
+	p1, err := AssignContext(context.Background(), s, nil, tech, 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pats := []sbd.Pattern{{Access: map[string]int{"img": 2}, Weight: 1_000_000}}
-	p2, err := Assign(s, pats, tech, 1, Params{})
+	p2, err := AssignContext(context.Background(), s, pats, tech, 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +211,25 @@ func TestOffChipPortPenalty(t *testing.T) {
 		t.Fatalf("2-port off-chip power %.1f not >= 1.5x 1-port %.1f",
 			p2.Cost.OffChipPower, p1.Cost.OffChipPower)
 	}
+}
+
+// sweep assigns s at each on-chip count (Table 4's axis), skipping
+// infeasible counts, and returns the assignments with the counts they
+// belong to. It fails the test if no count is feasible.
+func sweep(t *testing.T, s *spec.Spec, tech *memlib.Tech, counts []int) ([]*Assignment, []int) {
+	t.Helper()
+	var as []*Assignment
+	var ok []int
+	for _, c := range counts {
+		if a, err := AssignContext(context.Background(), s, nil, tech, c, Params{}); err == nil {
+			as = append(as, a)
+			ok = append(ok, c)
+		}
+	}
+	if len(as) == 0 {
+		t.Fatalf("no feasible allocation in sweep %v", counts)
+	}
+	return as, ok
 }
 
 func TestSweepShapes(t *testing.T) {
@@ -231,10 +251,7 @@ func TestSweepShapes(t *testing.T) {
 	tech := memlib.Default()
 
 	counts := []int{1, 2, 4, 6, 8, 10}
-	as, ok, err := Sweep(s, nil, tech, counts, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	as, ok := sweep(t, s, tech, counts)
 	if len(ok) != len(counts) {
 		t.Fatalf("sweep dropped counts: %v", ok)
 	}
@@ -266,7 +283,7 @@ func groupName(i int) string {
 
 func TestAssignInvalidCount(t *testing.T) {
 	s := mixedSpec(t)
-	if _, err := Assign(s, nil, memlib.Default(), 0, Params{}); err == nil {
+	if _, err := AssignContext(context.Background(), s, nil, memlib.Default(), 0, Params{}); err == nil {
 		t.Fatal("zero on-chip count accepted")
 	}
 }
@@ -278,7 +295,7 @@ func TestUnaccessedGroupIgnored(t *testing.T) {
 	b.Loop("l", 10)
 	b.Read("live", 1)
 	s := b.MustBuild()
-	a, err := Assign(s, nil, memlib.Default(), 4, Params{})
+	a, err := AssignContext(context.Background(), s, nil, memlib.Default(), 4, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +327,7 @@ func TestNodeBudgetFallsBackToGreedy(t *testing.T) {
 		t.Helper()
 		o := obs.New()
 		sp := o.Start("test")
-		a, err := Assign(s, nil, tech, 4, Params{NodeBudget: budget, Obs: sp})
+		a, err := AssignContext(context.Background(), s, nil, tech, 4, Params{NodeBudget: budget, Obs: sp})
 		sp.End()
 		if err != nil {
 			t.Fatal(err)
@@ -351,11 +368,11 @@ func TestInPlaceSharesStorage(t *testing.T) {
 	s := b.MustBuild()
 	tech := memlib.Default()
 
-	plain, err := Assign(s, nil, tech, 1, Params{})
+	plain, err := AssignContext(context.Background(), s, nil, tech, 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip, err := Assign(s, nil, tech, 1, Params{InPlace: true})
+	ip, err := AssignContext(context.Background(), s, nil, tech, 1, Params{InPlace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +401,7 @@ func TestInPlaceOverlappingLifetimesNoSharing(t *testing.T) {
 	b.Read("x", 1)
 	b.Read("y", 1)
 	s := b.MustBuild()
-	ip, err := Assign(s, nil, memlib.Default(), 1, Params{InPlace: true})
+	ip, err := AssignContext(context.Background(), s, nil, memlib.Default(), 1, Params{InPlace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +425,7 @@ func TestInPlaceSearchStateRestoration(t *testing.T) {
 	b.Loop("p3", 100)
 	b.Read("c", 1)
 	s := b.MustBuild()
-	full, err := Assign(s, nil, memlib.Default(), 2, Params{InPlace: true})
+	full, err := AssignContext(context.Background(), s, nil, memlib.Default(), 2, Params{InPlace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +533,7 @@ func TestBranchAndBoundMatchesBruteForce(t *testing.T) {
 		}
 		for _, mem := range []int{1, 2, 3} {
 			want, feasible := bruteForceOnChip(t, s, pats, tech, mem, Params{})
-			a, err := Assign(s, pats, tech, mem, Params{})
+			a, err := AssignContext(context.Background(), s, pats, tech, mem, Params{})
 			if !feasible {
 				if err == nil {
 					t.Fatalf("seed %d mem %d: brute force infeasible but Assign succeeded", seed, mem)
@@ -557,10 +574,7 @@ func TestInterconnectMakesPowerMinimumInterior(t *testing.T) {
 	tech := memlib.Default().WithInterconnect()
 
 	counts := []int{1, 2, 4, 6, 8, 10, 12}
-	as, ok, err := Sweep(s, nil, tech, counts, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	as, ok := sweep(t, s, tech, counts)
 	minIdx := 0
 	for i, a := range as {
 		if a.Cost.OnChipPower < as[minIdx].Cost.OnChipPower {
@@ -575,10 +589,7 @@ func TestInterconnectMakesPowerMinimumInterior(t *testing.T) {
 		t.Fatalf("power minimum at boundary (count %d): %v over %v", ok[minIdx], powers, ok)
 	}
 	// Without the bus model the same sweep is monotone to the end.
-	plain, _, err := Sweep(s, nil, memlib.Default(), counts, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, _ := sweep(t, s, memlib.Default(), counts)
 	last := len(plain) - 1
 	if plain[last].Cost.OnChipPower > plain[0].Cost.OnChipPower {
 		t.Fatal("plain sweep should favor many memories")
@@ -607,7 +618,7 @@ func TestBusModel(t *testing.T) {
 
 func TestBindingNames(t *testing.T) {
 	s := mixedSpec(t)
-	a, err := Assign(s, nil, memlib.Default(), 2, Params{})
+	a, err := AssignContext(context.Background(), s, nil, memlib.Default(), 2, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

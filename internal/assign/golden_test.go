@@ -2,6 +2,7 @@ package assign
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -97,7 +98,7 @@ func offChipInstance(seed int64) (*spec.Spec, []sbd.Pattern) {
 
 // TestAssignGolden pins the exact bytes of the assignment step: for every
 // random instance (seeds 0–23), on-chip count 1–3 and in-place mode, the
-// Assign and Greedy results — every binding's memory, member groups and
+// AssignContext and Greedy results — every binding's memory, member groups and
 // the float64 bits of its power and area, each Cost field's bits and the
 // Optimal flag, or the error text of an infeasible case — and the same rows
 // for the off-chip corpus (seeds 0–23, one on-chip memory). Any change to the
@@ -112,7 +113,9 @@ func TestAssignGolden(t *testing.T) {
 		for _, mode := range []struct {
 			name string
 			fn   func(*spec.Spec, []sbd.Pattern, *memlib.Tech, int, Params) (*Assignment, error)
-		}{{"assign", Assign}, {"greedy", Greedy}} {
+		}{{"assign", func(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, count int, p Params) (*Assignment, error) {
+			return AssignContext(context.Background(), s, pats, tech, count, p)
+		}}, {"greedy", Greedy}} {
 			fmt.Fprintf(&buf, "%s count=%d inplace=%v %s", label, count, inPlace, mode.name)
 			a, err := mode.fn(s, pats, tech, count, p)
 			if err != nil {

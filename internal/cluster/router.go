@@ -50,9 +50,6 @@ type Config struct {
 	// Obs receives the dtse_cluster_* counters and per-peer latency
 	// histograms; nil disables that telemetry.
 	Obs *obs.Observer
-	// Client is the forwarding HTTP client; nil uses a default with
-	// connection pooling.
-	Client *http.Client
 }
 
 // Peer is one remote member's health and latency state.
@@ -182,17 +179,14 @@ func New(cfg Config) (*Router, error) {
 		cfg.EjectFor = defaultEjectFor
 	}
 	r := &Router{
-		cfg:    cfg,
-		self:   cfg.Self,
-		peers:  make(map[string]*Peer),
-		obs:    cfg.Obs,
-		client: cfg.Client,
-	}
-	if r.client == nil {
-		r.client = &http.Client{Transport: &http.Transport{
+		cfg:   cfg,
+		self:  cfg.Self,
+		peers: make(map[string]*Peer),
+		obs:   cfg.Obs,
+		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     90 * time.Second,
-		}}
+		}},
 	}
 	r.SetMembers(append([]string{cfg.Self}, cfg.Peers...))
 	return r, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/assign"
@@ -46,14 +47,14 @@ func AblationBranchExclusivity(d *Demonstrator, ep EvalParams) *AblationResult {
 		Name: "branch exclusivity",
 		Note: "without mutual exclusion the six Huffman coders count as co-executing",
 	}
-	with, err := Evaluate(d.Spec, d.CycleBudget, "with branches", ep)
+	with, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "with branches", ep)
 	if err != nil {
 		res.WithoutErr = err
 		return res
 	}
 	res.With = with
 	stripped := StripBranches(d.Spec)
-	without, err := Evaluate(stripped, d.CycleBudget, "without branches", ep)
+	without, err := EvaluateContext(context.Background(), stripped, d.CycleBudget, "without branches", ep)
 	if err != nil {
 		res.WithoutErr = err
 		return res
@@ -70,14 +71,14 @@ func AblationStructuralCost(d *Demonstrator, ep EvalParams) *AblationResult {
 		Name: "structural conflict cost",
 		Note: "without it, rarely-executed loops force multiport memories for free",
 	}
-	with, err := Evaluate(d.Spec, d.CycleBudget, "with structural", ep)
+	with, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "with structural", ep)
 	if err != nil {
 		res.WithoutErr = err
 		return res
 	}
 	res.With = with
 	ep.structuralWeight = -1 // disabled
-	without, err := Evaluate(d.Spec, d.CycleBudget, "without structural", ep)
+	without, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "without structural", ep)
 	if err != nil {
 		res.WithoutErr = err
 		return res
@@ -90,12 +91,12 @@ func AblationStructuralCost(d *Demonstrator, ep EvalParams) *AblationResult {
 // against the greedy-only baseline (the organization a designer without the
 // optimizing tool would reach) at the given allocation.
 func AblationGreedyAssignment(d *Demonstrator, ep EvalParams, onChip int) (*AblationResult, error) {
-	dist, err := sbd.Distribute(d.Spec, d.CycleBudget, ep.sbdParams())
+	dist, err := sbd.DistributeContext(context.Background(), d.Spec, d.CycleBudget, ep.sbdParams())
 	if err != nil {
 		return nil, err
 	}
 	pats := sbd.PrunePatterns(dist.Patterns)
-	opt, err := assign.Assign(d.Spec, pats, ep.Tech, onChip, ep.assignParams())
+	opt, err := assign.AssignContext(context.Background(), d.Spec, pats, ep.Tech, onChip, ep.assignParams())
 	if err != nil {
 		return nil, err
 	}
@@ -117,11 +118,11 @@ func AblationGreedyAssignment(d *Demonstrator, ep EvalParams, onChip int) (*Abla
 func AblationInPlace(d *Demonstrator, ep EvalParams) (*AblationResult, error) {
 	with := ep
 	with.InPlace = true
-	v1, err := Evaluate(d.Spec, d.CycleBudget, "in-place", with)
+	v1, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "in-place", with)
 	if err != nil {
 		return nil, err
 	}
-	v0, err := Evaluate(d.Spec, d.CycleBudget, "plain", ep)
+	v0, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "plain", ep)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -155,7 +156,7 @@ func TestOrderingsRobustToTechnologyScaling(t *testing.T) {
 		ep.Tech = ep.Tech.Scale(scale.area, scale.energy)
 		ep = ep.ScaleTo(128)
 
-		sv, err := ExploreStructuring(d, ep)
+		sv, err := ExploreStructuringContext(context.Background(), d, ep)
 		if err != nil {
 			t.Fatalf("%s: %v", scale.name, err)
 		}
@@ -165,7 +166,7 @@ func TestOrderingsRobustToTechnologyScaling(t *testing.T) {
 				sv[0].Cost.OffChipPower, sv[1].Cost.OffChipPower, sv[2].Cost.OffChipPower)
 		}
 
-		hv, _, err := ExploreHierarchy(sv[2].Spec, d, ep)
+		hv, _, err := ExploreHierarchyContext(context.Background(), sv[2].Spec, d, ep)
 		if err != nil {
 			t.Fatalf("%s: %v", scale.name, err)
 		}
@@ -187,15 +188,15 @@ func TestPipelinedSweepShowsOffChipJump(t *testing.T) {
 	}
 	d := ablationDemo(t)
 	ep := DefaultEvalParams().ScaleTo(128)
-	sv, err := ExploreStructuring(d, ep)
+	sv, err := ExploreStructuringContext(context.Background(), d, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hv, _, err := ExploreHierarchy(sv[2].Spec, d, ep)
+	hv, _, err := ExploreHierarchyContext(context.Background(), sv[2].Spec, d, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := ExploreBudgetsPipelined(hv[2].Spec, d.CycleBudget, ep)
+	pts, err := ExploreBudgetsPipelinedContext(context.Background(), hv[2].Spec, d.CycleBudget, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestShapesRobustToInputSeed(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		ep := DefaultEvalParams().ScaleTo(128)
-		sv, err := ExploreStructuring(d, ep)
+		sv, err := ExploreStructuringContext(context.Background(), d, ep)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -241,7 +242,7 @@ func TestShapesRobustToInputSeed(t *testing.T) {
 			t.Errorf("seed %d: merging no longer wins off-chip (%.1f vs %.1f)",
 				seed, sv[2].Cost.OffChipPower, sv[0].Cost.OffChipPower)
 		}
-		hv, _, err := ExploreHierarchy(sv[2].Spec, d, ep)
+		hv, _, err := ExploreHierarchyContext(context.Background(), sv[2].Spec, d, ep)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -264,7 +265,7 @@ func TestLossyProfileExplores(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := DefaultEvalParams().ScaleTo(128)
-	v, err := Evaluate(d.Spec, d.CycleBudget, "lossy", ep)
+	v, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "lossy", ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestDecoderDemonstratorExplores(t *testing.T) {
 		}
 	}
 	ep := DefaultEvalParams().ScaleTo(128)
-	v, err := Evaluate(d.Spec, d.CycleBudget, "decoder", ep)
+	v, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "decoder", ep)
 	if err != nil {
 		t.Fatal(err)
 	}

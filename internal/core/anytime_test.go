@@ -4,6 +4,9 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/pool"
+	"repro/internal/sbd"
 )
 
 // TestEvaluateContextCanceled: a canceled context must still produce a
@@ -84,5 +87,37 @@ func TestRunAllContextUncanceledMatchesRunAll(t *testing.T) {
 	}
 	if !a.Final.Asgn.Optimal || !b.Final.Asgn.Optimal {
 		t.Fatal("unconstrained run not proven optimal")
+	}
+}
+
+// TestExploreAllocationsContextCanceledKeepsFirst: the Table 4 sweep under
+// a canceled context launches no count after the first, on the sequential
+// path (no pool) and on a pool alike, and still returns that first row; a
+// live context evaluates every count, so the check is not vacuous.
+func TestExploreAllocationsContextCanceledKeepsFirst(t *testing.T) {
+	d, err := BuildDemonstrator(DemoConfig{Size: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := DefaultEvalParams().ScaleTo(64)
+	dist, err := sbd.DistributeContext(context.Background(), d.Spec, d.CycleBudget, ep.sbdParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := []int{4, 5, 8, 10}
+	if _, ok, err := ExploreAllocationsContext(context.Background(), d.Spec, dist, counts, ep); err != nil || len(ok) != len(counts) {
+		t.Fatalf("live sweep returned counts %v (err %v), want %v", ok, err, counts)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []*pool.Pool{nil, pool.New(4)} {
+		ep.Workers = workers
+		vs, ok, err := ExploreAllocationsContext(ctx, d.Spec, dist, counts, ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) != 1 || len(ok) != 1 || ok[0] != counts[0] {
+			t.Fatalf("canceled sweep (pool %v) returned counts %v, want just %d", workers != nil, ok, counts[0])
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"strings"
 	"sync"
@@ -122,11 +123,11 @@ func TestEvaluateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := DefaultEvalParams().ScaleTo(128)
-	a, err := Evaluate(d.Spec, d.CycleBudget, "a", ep)
+	a, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "a", ep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Evaluate(d.Spec, d.CycleBudget, "b", ep)
+	b, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "b", ep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func BuildDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.ImageProfile = reuse.AnalyzeContext(context.Background(), d.Rec.AddressChunks("image"))
+	d.ImageProfile = reuse.AnalyzeContext(context.Background(), d.Rec.AddressChunks("image"), nil)
 	return d, nil
 }
 
@@ -263,7 +263,7 @@ func BuildDecoderDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
 	if _, err := btpc.Decode(data, rec); err != nil {
 		return nil, fmt.Errorf("core: profiling decode failed: %w", err)
 	}
-	prof := reuse.AnalyzeContext(context.Background(), rec.AddressChunks("out"))
+	prof := reuse.AnalyzeContext(context.Background(), rec.AddressChunks("out"), nil)
 	s, err := buildDecoderSpec(cfg, rec, stats)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -41,12 +42,12 @@ func TestExploreAllocationsPublishesProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := DefaultEvalParams().ScaleTo(64)
-	v, err := Evaluate(d.Spec, d.CycleBudget, "base", ep)
+	v, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "base", ep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ep.Progress = new(obs.Progress)
-	if _, _, err := ExploreAllocations(v.Spec, v.Dist, []int{4, 5}, ep); err != nil {
+	if _, _, err := ExploreAllocationsContext(context.Background(), v.Spec, v.Dist, []int{4, 5}, ep); err != nil {
 		t.Fatal(err)
 	}
 	got := ep.Progress.Snapshot()

@@ -79,7 +79,7 @@ func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results
 	var prof *reuse.Profile
 	ep.Workers.ForEach(context.Background(), 2, func(i int) {
 		if i == 0 {
-			prof = reuse.AnalyzeObservedContext(ctx, chunks, root)
+			prof = reuse.AnalyzeContext(ctx, chunks, root)
 			return
 		}
 		r.Structuring, err = ExploreStructuringContext(ctx, demo, ep)

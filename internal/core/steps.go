@@ -90,7 +90,7 @@ func (ep EvalParams) assignParams() assign.Params {
 // startSpan opens a telemetry span for one pipeline stage: a child of the
 // current parent when one is set, else a root span on the observer. The
 // returned EvalParams copy carries the new span as parent, so nested
-// Evaluate calls nest their spans underneath. Nil-safe throughout.
+// EvaluateContext calls nest their spans underneath. Nil-safe throughout.
 func (ep EvalParams) startSpan(name string) (*obs.Span, EvalParams) {
 	var sp *obs.Span
 	if ep.Span != nil {
@@ -175,16 +175,11 @@ type Variant struct {
 	Cost  assign.Cost
 }
 
-// Evaluate runs the physical memory management stage on a specification:
-// storage cycle budget distribution followed by allocation and assignment.
-// If the requested allocation is infeasible (the conflict structure demands
-// more memories), nearby larger allocations are tried.
-func Evaluate(s *spec.Spec, budget uint64, label string, ep EvalParams) (*Variant, error) {
-	return EvaluateContext(context.Background(), s, budget, label, ep)
-}
-
-// EvaluateContext is Evaluate with deadline and cancellation support. The
-// evaluation is *anytime*: under an expired context both stages degrade
+// EvaluateContext runs the physical memory management stage on a
+// specification: storage cycle budget distribution followed by allocation
+// and assignment. If the requested allocation is infeasible (the conflict
+// structure demands more memories), nearby larger allocations are tried.
+// The evaluation is *anytime*: under an expired context both stages degrade
 // (sbd commits minimum-budget schedules, assign returns its greedy
 // incumbent with Optimal=false) rather than erroring, so a feasible
 // specification always yields a valid — if conservative — cost estimate.
@@ -231,16 +226,11 @@ func EvaluateContext(ctx context.Context, s *spec.Spec, budget uint64, label str
 	return &Variant{Label: label, Spec: s, Dist: dist, Asgn: asgn, Cost: asgn.Cost}, nil
 }
 
-// ExploreStructuring evaluates the basic group structuring alternatives of
-// §4.3 (Table 1): untouched, ridge compacted, and ridge+pyr merged.
-func ExploreStructuring(d *Demonstrator, ep EvalParams) ([]*Variant, error) {
-	return ExploreStructuringContext(context.Background(), d, ep)
-}
-
-// ExploreStructuringContext is ExploreStructuring with cancellation support:
-// the untouched variant is always evaluated (it is the baseline every other
-// step can fall back to); under an expired context the structured
-// alternatives are skipped.
+// ExploreStructuringContext evaluates the basic group structuring
+// alternatives of §4.3 (Table 1): untouched, ridge compacted, and ridge+pyr
+// merged. The untouched variant is always evaluated (it is the baseline
+// every other step can fall back to); under an expired context the
+// structured alternatives are skipped.
 func ExploreStructuringContext(ctx context.Context, d *Demonstrator, ep EvalParams) ([]*Variant, error) {
 	sp, ep := ep.startSpan("step.structuring")
 	defer sp.End()
@@ -289,14 +279,9 @@ func HierarchyLayers(size int) (ylocal, yhier reuse.Layer) {
 	return reuse.Layer{Name: "ylocal", Words: 12}, reuse.Layer{Name: "yhier", Words: words}
 }
 
-// ExploreHierarchy evaluates the four memory-hierarchy alternatives of
-// §4.4 (Table 2) on the given (already structured) specification.
-func ExploreHierarchy(s *spec.Spec, d *Demonstrator, ep EvalParams) ([]*Variant, []*reuse.Hierarchy, error) {
-	return ExploreHierarchyContext(context.Background(), s, d, ep)
-}
-
-// ExploreHierarchyContext is ExploreHierarchy with cancellation support:
-// candidates not launched before the context expired are dropped from the
+// ExploreHierarchyContext evaluates the four memory-hierarchy alternatives
+// of §4.4 (Table 2) on the given (already structured) specification.
+// Candidates not launched before the context expired are dropped from the
 // result (the no-hierarchy baseline is always evaluated).
 func ExploreHierarchyContext(ctx context.Context, s *spec.Spec, d *Demonstrator, ep EvalParams) ([]*Variant, []*reuse.Hierarchy, error) {
 	sp, ep := ep.startSpan("step.hierarchy")
@@ -317,7 +302,7 @@ func ExploreHierarchyContext(ctx context.Context, s *spec.Spec, d *Demonstrator,
 	errs := make([]error, len(options))
 	sp.SetInt("candidates", int64(len(options)))
 	ep.Workers.ForEach(ctx, len(options), func(i int) {
-		h, err := reuse.PlanObserved("image", options[i].layers, d.ImageProfile, ep.Span)
+		h, err := reuse.Plan("image", options[i].layers, d.ImageProfile, ep.Span)
 		if err != nil {
 			errs[i] = err
 			return
@@ -362,32 +347,21 @@ type BudgetPoint struct {
 	Extra  uint64 // cycles left for data-path scheduling (vs. the full budget)
 }
 
-// ExploreBudgets sweeps the storage cycle budget downward from the
-// real-time maximum (§4.5, Table 3). The sweep stops when the budget drops
-// below the weighted MACP.
-func ExploreBudgets(s *spec.Spec, fullBudget uint64, ep EvalParams) ([]*BudgetPoint, error) {
-	return ExploreBudgetsContext(context.Background(), s, fullBudget, ep)
-}
-
-// ExploreBudgetsContext is ExploreBudgets with cancellation support: budget
-// points not launched before the context expired are dropped (the full
-// budget — the sweep's reference row — is always evaluated).
+// ExploreBudgetsContext sweeps the storage cycle budget downward from the
+// real-time maximum (§4.5, Table 3). Budgets below the weighted MACP yield
+// no row. Points not launched before the context expired are dropped (the
+// full budget — the sweep's reference row — is always evaluated).
 func ExploreBudgetsContext(ctx context.Context, s *spec.Spec, fullBudget uint64, ep EvalParams) ([]*BudgetPoint, error) {
 	fracs := []float64{1.0, 0.95, 0.90, 0.85, 0.82, 0.80, 0.78, 0.75, 0.72, 0.70, 0.68}
 	return budgetSweep(ctx, s, fullBudget, fracs, ep)
 }
 
-// ExploreBudgetsPipelined extends the Table 3 sweep below the dependence
-// critical path by enabling software pipelining: iterations overlap, so
-// ever-tighter initiation intervals remain schedulable — at the price of
-// off-chip access overlap, which is where the paper's off-chip power jump
-// at the tightest budget comes from.
-func ExploreBudgetsPipelined(s *spec.Spec, fullBudget uint64, ep EvalParams) ([]*BudgetPoint, error) {
-	return ExploreBudgetsPipelinedContext(context.Background(), s, fullBudget, ep)
-}
-
-// ExploreBudgetsPipelinedContext is ExploreBudgetsPipelined with
-// cancellation support (see ExploreBudgetsContext).
+// ExploreBudgetsPipelinedContext extends the Table 3 sweep below the
+// dependence critical path by enabling software pipelining: iterations
+// overlap, so ever-tighter initiation intervals remain schedulable — at the
+// price of off-chip access overlap, which is where the paper's off-chip
+// power jump at the tightest budget comes from. Cancellation behaves as in
+// ExploreBudgetsContext.
 func ExploreBudgetsPipelinedContext(ctx context.Context, s *spec.Spec, fullBudget uint64, ep EvalParams) ([]*BudgetPoint, error) {
 	ep.pipelined = true
 	fracs := []float64{0.68, 0.60, 0.52, 0.45, 0.40, 0.34, 0.30, 0.26, 0.22}
@@ -450,14 +424,9 @@ func ChooseBudget(points []*BudgetPoint, powerTol, areaTol float64) *BudgetPoint
 	return best
 }
 
-// ExploreAllocations sweeps the number of allocated on-chip memories
-// (§4.6, Table 4) at a fixed budget distribution.
-func ExploreAllocations(s *spec.Spec, dist *sbd.Distribution, counts []int, ep EvalParams) ([]*Variant, []int, error) {
-	return ExploreAllocationsContext(context.Background(), s, dist, counts, ep)
-}
-
-// ExploreAllocationsContext is ExploreAllocations with cancellation support:
-// counts not launched before the context expired are dropped (the first
+// ExploreAllocationsContext sweeps the number of allocated on-chip memories
+// (§4.6, Table 4) at a fixed budget distribution, one count per pool item.
+// Counts not launched before the context expired are dropped (the first
 // count is always evaluated).
 func ExploreAllocationsContext(ctx context.Context, s *spec.Spec, dist *sbd.Distribution, counts []int, ep EvalParams) ([]*Variant, []int, error) {
 	sp, ep := ep.startSpan("step.allocation")

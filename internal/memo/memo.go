@@ -206,53 +206,36 @@ func (c *Cache) space(sp Space) *space {
 //
 // Safe on a nil Cache: compute runs unconditionally and nothing is
 // recorded.
+//
+//go:noinline
 func (c *Cache) Do(sp Space, key string, compute func() (val any, cacheable bool)) any {
-	if c == nil {
-		v, _ := compute()
-		return v
-	}
-	s := c.space(sp)
-	if h := s.hist; h != nil {
-		start := time.Now()
-		defer func() { h.Observe(time.Since(start)) }()
-	}
-
-	s.mu.Lock()
-	e, found := s.m[key]
-	if !found {
-		e = &entry{done: make(chan struct{})}
-		s.m[key] = e
-		s.mu.Unlock()
-		s.misses.Add(1)
-		return s.runCompute(key, e, compute)
-	}
-	select {
-	case <-e.done: // finished: a plain hit, or an uncacheable chain to walk
-		s.mu.Unlock()
-		if e.ok {
-			s.hits.Add(1)
-			s.touch(e)
-			return e.val
-		}
-	default: // in flight: register as waiter before releasing the lock, so
-		// the computer's handoff decision cannot miss us
-		e.waiters.Add(1)
-		s.mu.Unlock()
-		s.waits.Add(1)
-	}
-	return s.doSlow(key, e, compute)
+	return do(c, sp, key, compute)
 }
 
 // DoKey is Do with the key passed as bytes. The evaluation hot paths build
 // their canonical fingerprints into reusable scratch buffers; DoKey answers
-// a hit without ever materializing a string (the m[string(key)] lookup is
-// the compiler-recognized no-allocation form), and copies the bytes into a
+// a hit without ever materializing a string, and copies the bytes into a
 // map key only when an entry must be created. Key bytes are not retained:
 // the caller may reuse the buffer as soon as DoKey returns. Do and DoKey
 // with equal key bytes address the same entry.
 //
 // Safe on a nil Cache, like Do.
+//
+//go:noinline
 func (c *Cache) DoKey(sp Space, key []byte, compute func() (val any, cacheable bool)) any {
+	return do(c, sp, key, compute)
+}
+
+// do is the body of Do and DoKey, generic over the key form (methods cannot
+// be). The m[string(key)] lookup is the compiler-recognized no-allocation
+// form, so a hit on a byte key allocates nothing; string(key) is copied
+// into a map key only on the miss that creates the entry.
+//
+// Do and DoKey are noinline on purpose: inlined into a caller in another
+// package, they leave it calling this generic function, and the compiler
+// then moves its compute closure to the heap, one allocation per lookup.
+// Kept as calls, compute stays on the caller's stack (TestDoHitAllocs).
+func do[K ~string | ~[]byte](c *Cache, sp Space, key K, compute func() (val any, cacheable bool)) any {
 	if c == nil {
 		v, _ := compute()
 		return v
@@ -274,14 +257,15 @@ func (c *Cache) DoKey(sp Space, key []byte, compute func() (val any, cacheable b
 		return s.runCompute(ks, e, compute)
 	}
 	select {
-	case <-e.done:
+	case <-e.done: // finished: a plain hit, or an uncacheable chain to walk
 		s.mu.Unlock()
 		if e.ok {
 			s.hits.Add(1)
 			s.touch(e)
 			return e.val
 		}
-	default:
+	default: // in flight: register as waiter before releasing the lock, so
+		// the computer's handoff decision cannot miss us
 		e.waiters.Add(1)
 		s.mu.Unlock()
 		s.waits.Add(1)

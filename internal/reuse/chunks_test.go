@@ -84,8 +84,8 @@ func TestChunkedMatchesFlat(t *testing.T) {
 		}
 		flat := randomTrace(rng, n, i%4 == 3)
 		chunks := splitAt(flat, randomCuts(rng, n, rng.Intn(12)))
-		got := AnalyzeContext(context.Background(), chunks)
-		if want := Analyze(flat); !reflect.DeepEqual(got, want) {
+		got := AnalyzeContext(context.Background(), chunks, nil)
+		if want := AnalyzeContext(context.Background(), [][]int32{flat}, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: %d addresses in %d chunks: chunked profile %+v, flat %+v",
 				i, n, len(chunks), got, want)
 		}
@@ -102,12 +102,12 @@ func TestChunkedDeadContextIsPrefix(t *testing.T) {
 	for i, n := range []int{0, 1, 500, analyzeCheckInterval, analyzeCheckInterval + 1, 2*analyzeCheckInterval + 77} {
 		flat := randomTrace(rng, n, false)
 		chunks := splitAt(flat, randomCuts(rng, n, 6))
-		got := AnalyzeContext(ctx, chunks)
+		got := AnalyzeContext(ctx, chunks, nil)
 		done := min(n, analyzeCheckInterval)
 		if got.Total() != uint64(done) {
 			t.Fatalf("case %d: dead-context total %d, want %d", i, got.Total(), done)
 		}
-		if want := Analyze(flat[:done]); !reflect.DeepEqual(got, want) {
+		if want := AnalyzeContext(context.Background(), [][]int32{flat[:done]}, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: dead-context profile %+v, want the %d-address prefix's %+v", i, got, done, want)
 		}
 	}
@@ -136,8 +136,8 @@ func TestEncodeTraceChunkedMatchesFlat(t *testing.T) {
 				if len(chunks) < 2 {
 					t.Fatalf("trace is %d chunk(s); want several", len(chunks))
 				}
-				got := AnalyzeContext(context.Background(), chunks)
-				if want := Analyze(rec.Addresses("image")); !reflect.DeepEqual(got, want) {
+				got := AnalyzeContext(context.Background(), chunks, nil)
+				if want := AnalyzeContext(context.Background(), [][]int32{rec.Addresses("image")}, nil); !reflect.DeepEqual(got, want) {
 					t.Fatalf("chunked profile (total %d, cold %d) differs from flat (total %d, cold %d)",
 						got.Total(), got.Cold(), want.Total(), want.Cold())
 				}
@@ -155,6 +155,6 @@ func BenchmarkAnalyzeEncode256(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchProfile = AnalyzeContext(context.Background(), chunks)
+		benchProfile = AnalyzeContext(context.Background(), chunks, nil)
 	}
 }

@@ -41,14 +41,26 @@ type Profile struct {
 // meaningful on-chip copy layers anyway.
 const maxTracked = 1 << 17
 
-// AnalyzeObservedContext is AnalyzeContext with telemetry: it wraps the
-// stack-distance computation in a "reuse.analyze" span under parent,
-// recording the trace length and cold-miss count. A nil parent reduces to
-// plain AnalyzeContext.
-func AnalyzeObservedContext(ctx context.Context, chunks [][]int32, parent *obs.Span) *Profile {
+// analyzeCheckInterval is the cancellation-poll stride of the stack-distance
+// loop: with ~100 ns per position, 64Ki positions keep the deadline honored
+// within ~10 ms, and the loop between two polls runs unchecked.
+const analyzeCheckInterval = 64 * 1024
+
+// AnalyzeContext computes the reuse profile of a read address trace given
+// as a list of chunks (trace.Recorder.AddressChunks), which together form
+// the trace in order; chunk boundaries do not affect the result. When ctx
+// expires mid-trace, the profile of the prefix processed so far is returned
+// (Total reports the truncated length, so miss ratios stay consistent).
+// Stack distances are a property of the trace prefix, so a truncated
+// profile is a valid — just lower-confidence — reuse estimate.
+//
+// Under a non-nil parent the computation runs in a "reuse.analyze" span
+// recording the trace length and the cold and far counts; a nil parent
+// records nothing.
+func AnalyzeContext(ctx context.Context, chunks [][]int32, parent *obs.Span) *Profile {
 	sp := parent.Child("reuse.analyze")
 	defer sp.End()
-	p := AnalyzeContext(ctx, chunks)
+	p := analyze(ctx, chunks)
 	if sp != nil {
 		n := traceLen(chunks)
 		sp.SetInt("trace_len", int64(n))
@@ -62,24 +74,7 @@ func AnalyzeObservedContext(ctx context.Context, chunks [][]int32, parent *obs.S
 	return p
 }
 
-// analyzeCheckInterval is the cancellation-poll stride of the stack-distance
-// loop: with ~100 ns per position, 64Ki positions keep the deadline honored
-// within ~10 ms, and the loop between two polls runs unchecked.
-const analyzeCheckInterval = 64 * 1024
-
-// Analyze computes the reuse profile of a read address trace.
-func Analyze(addrs []int32) *Profile {
-	return AnalyzeContext(context.Background(), [][]int32{addrs})
-}
-
-// AnalyzeContext computes the reuse profile of a read address trace given
-// as a list of chunks (trace.Recorder.AddressChunks), which together form
-// the trace in order; chunk boundaries do not affect the result. When ctx
-// expires mid-trace, the profile of the prefix processed so far is returned
-// (Total reports the truncated length, so miss ratios stay consistent).
-// Stack distances are a property of the trace prefix, so a truncated
-// profile is a valid — just lower-confidence — reuse estimate.
-func AnalyzeContext(ctx context.Context, chunks [][]int32) *Profile {
+func analyze(ctx context.Context, chunks [][]int32) *Profile {
 	n := traceLen(chunks)
 	p := &Profile{hist: make([]uint64, 1), cap: maxTracked, total: uint64(n)}
 	if n == 0 {
@@ -251,13 +246,13 @@ type Hierarchy struct {
 	MissRatios []float64
 }
 
-// PlanObserved is Plan with telemetry: a "reuse.plan" span under parent
-// records the array, the candidate layer count, and the innermost miss
-// ratio. A nil parent reduces to plain Plan.
-func PlanObserved(array string, layers []Layer, prof *Profile, parent *obs.Span) (*Hierarchy, error) {
+// Plan derives a Hierarchy (with miss ratios) from a profile. Under a
+// non-nil parent a "reuse.plan" span records the array, the candidate layer
+// count and the innermost miss ratio; a nil parent records nothing.
+func Plan(array string, layers []Layer, prof *Profile, parent *obs.Span) (*Hierarchy, error) {
 	sp := parent.Child("reuse.plan")
 	defer sp.End()
-	h, err := Plan(array, layers, prof)
+	h, err := plan(array, layers, prof)
 	if sp != nil {
 		sp.SetStr("array", array)
 		sp.SetInt("layers", int64(len(layers)))
@@ -269,8 +264,7 @@ func PlanObserved(array string, layers []Layer, prof *Profile, parent *obs.Span)
 	return h, err
 }
 
-// Plan derives a Hierarchy (with miss ratios) from a profile.
-func Plan(array string, layers []Layer, prof *Profile) (*Hierarchy, error) {
+func plan(array string, layers []Layer, prof *Profile) (*Hierarchy, error) {
 	h := &Hierarchy{Array: array, Layers: layers}
 	prev := int64(0)
 	for _, l := range layers {

@@ -1,6 +1,7 @@
 package reuse
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,7 @@ import (
 )
 
 func TestAnalyzeEmpty(t *testing.T) {
-	p := Analyze(nil)
+	p := AnalyzeContext(context.Background(), [][]int32{nil}, nil)
 	if p.Total() != 0 || p.MissRatio(16) != 0 {
 		t.Fatalf("empty trace profile: total %d miss %.2f", p.Total(), p.MissRatio(16))
 	}
@@ -26,7 +27,7 @@ func TestCyclicTraceMissBoundary(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	p := Analyze(addrs)
+	p := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
 	if p.Cold() != k {
 		t.Fatalf("cold = %d, want %d", p.Cold(), k)
 	}
@@ -41,7 +42,7 @@ func TestCyclicTraceMissBoundary(t *testing.T) {
 
 func TestImmediateReuse(t *testing.T) {
 	addrs := []int32{5, 5, 5, 5}
-	p := Analyze(addrs)
+	p := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
 	if got := p.MissRatio(1); math.Abs(got-0.25) > 1e-9 {
 		t.Fatalf("MissRatio(1) = %v, want 0.25 (one cold access)", got)
 	}
@@ -52,7 +53,7 @@ func TestSequentialStreamAlwaysMisses(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = int32(i)
 	}
-	p := Analyze(addrs)
+	p := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
 	if got := p.MissRatio(64); got != 1.0 {
 		t.Fatalf("streaming MissRatio = %v, want 1.0", got)
 	}
@@ -65,7 +66,7 @@ func TestMissRatioMonotone(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		addrs = append(addrs, int32(i), int32(i/2), int32(i%37))
 	}
-	p := Analyze(addrs)
+	p := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
 	prev := 2.0
 	for _, s := range []int64{1, 2, 4, 8, 16, 64, 256, 1024, 4096} {
 		m := p.MissRatio(s)
@@ -80,7 +81,7 @@ func TestMissRatioMonotone(t *testing.T) {
 }
 
 func TestMissRatioEdgeSizes(t *testing.T) {
-	p := Analyze([]int32{1, 2, 1, 2})
+	p := AnalyzeContext(context.Background(), [][]int32{{1, 2, 1, 2}}, nil)
 	if p.MissRatio(0) != 1.0 {
 		t.Fatal("size 0 should always miss")
 	}
@@ -143,7 +144,7 @@ func TestQuickMatchesNaiveLRU(t *testing.T) {
 				sparse++
 			}
 		}
-		p := Analyze(addrs)
+		p := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
 		size := int(sizeSeed)%12 + 1
 		for s := 1; s <= size; s++ {
 			if got, want := p.MissRatio(int64(s)), naiveMissRatio(addrs, s); math.Abs(got-want) >= 1e-9 {
@@ -185,8 +186,8 @@ func TestPlanAndApplyTwoLayers(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	prof := Analyze(addrs)
-	h, err := Plan("image", []Layer{{"ylocal", 12}, {"yhier", 128}}, prof)
+	prof := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+	h, err := Plan("image", []Layer{{"ylocal", 12}, {"yhier", 128}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +232,8 @@ func TestApplySingleLayer(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	prof := Analyze(addrs)
-	h, err := Plan("image", []Layer{{"buf", 32}}, prof)
+	prof := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+	h, err := Plan("image", []Layer{{"buf", 32}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,23 +266,23 @@ func TestApplyNoHierarchyIsClone(t *testing.T) {
 }
 
 func TestPlanErrors(t *testing.T) {
-	prof := Analyze([]int32{1, 2, 3})
-	if _, err := Plan("x", []Layer{{"a", 64}, {"b", 32}}, prof); err == nil {
+	prof := AnalyzeContext(context.Background(), [][]int32{{1, 2, 3}}, nil)
+	if _, err := Plan("x", []Layer{{"a", 64}, {"b", 32}}, prof, nil); err == nil {
 		t.Fatal("non-increasing layer sizes accepted")
 	}
 }
 
 func TestApplyErrors(t *testing.T) {
 	s := imageSpec(t)
-	prof := Analyze([]int32{1, 2, 3})
-	h, err := Plan("ghost", []Layer{{"a", 64}}, prof)
+	prof := AnalyzeContext(context.Background(), [][]int32{{1, 2, 3}}, nil)
+	h, err := Plan("ghost", []Layer{{"a", 64}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Apply(s, h, 8); err == nil {
 		t.Fatal("unknown array accepted")
 	}
-	h2, _ := Plan("image", []Layer{{"small", 64}}, prof)
+	h2, _ := Plan("image", []Layer{{"small", 64}}, prof, nil)
 	if _, err := Apply(s, h2, 8); err == nil {
 		t.Fatal("layer name collision accepted")
 	}

@@ -37,7 +37,7 @@ func TestDistributeContextCanceled(t *testing.T) {
 	// Full exploration with the same generous budget reaches cost 0
 	// (TestDistributeSpendsWhereItHelps); the degraded result may be worse
 	// but must never be better than the optimum.
-	full, err := Distribute(s, 40_000, Params{})
+	full, err := DistributeContext(context.Background(), s, 40_000, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestDistributeContextIsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	if el := time.Since(start); el > 100*time.Millisecond {
-		t.Fatalf("canceled Distribute took %v, want < 100ms", el)
+		t.Fatalf("canceled DistributeContext took %v, want < 100ms", el)
 	}
 }
 
@@ -99,13 +99,13 @@ func TestDegradedScheduleDoesNotPoisonSession(t *testing.T) {
 	}
 
 	// 2. Full-budget exploration on the SAME session.
-	warm, err := Distribute(s, 40_000, Params{Memo: session})
+	warm, err := DistributeContext(context.Background(), s, 40_000, Params{Memo: session})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// 3. Reference: the same exploration with no cache at all.
-	plain, err := Distribute(s, 40_000, Params{})
+	plain, err := DistributeContext(context.Background(), s, 40_000, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

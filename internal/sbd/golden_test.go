@@ -2,6 +2,7 @@ package sbd_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -75,7 +76,7 @@ func appendGolden(t *testing.T, buf *bytes.Buffer, s *spec.Spec, onChip int64) {
 		for i := range s.Loops {
 			l := &s.Loops[i]
 			for _, b := range goldenBudgets(l, groups, p) {
-				sc, err := sbd.BalanceLoop(l, groups, b, p)
+				sc, err := sbd.BalanceLoopContext(context.Background(), l, groups, b, p)
 				if err != nil {
 					t.Fatalf("%s/%s %s budget %d: %v", s.Name, l.Name, mode, b, err)
 				}
@@ -183,7 +184,7 @@ func TestDistributionsGolden(t *testing.T) {
 		{"merged+ylocal", []reuse.Layer{ylocal}},
 		{"merged+ylocal+yhier", []reuse.Layer{ylocal, yhier}},
 	} {
-		plan, err := reuse.Plan("image", h.layers, d.ImageProfile)
+		plan, err := reuse.Plan("image", h.layers, d.ImageProfile, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +210,7 @@ func TestDistributionsGolden(t *testing.T) {
 			p.Memo = memo.New() // shared across the sweep, as in the methodology
 			for _, f := range sw.fracs {
 				budget := uint64(float64(d.CycleBudget) * f)
-				dist, err := sbd.Distribute(v.s, budget, p)
+				dist, err := sbd.DistributeContext(context.Background(), v.s, budget, p)
 				if err != nil {
 					t.Fatalf("%s %s budget %d: %v", v.name, sw.mode, budget, err)
 				}

@@ -56,7 +56,7 @@ type Params struct {
 	// StructuralWeight constant). Negative disables it; zero selects the
 	// default.
 	StructuralWeight float64
-	// Obs is the parent telemetry span Distribute and BalanceLoop attach
+	// Obs is the parent telemetry span DistributeContext and BalanceLoopContext attach
 	// their spans and counters to; nil disables instrumentation at
 	// near-zero cost.
 	Obs *obs.Span
@@ -844,18 +844,12 @@ func weightedCP(l *spec.Loop, groups map[string]spec.BasicGroup, p Params, ar *s
 	return longest
 }
 
-// BalanceLoop schedules one loop body within the given per-iteration budget
-// (the initiation interval when pipelining is enabled) and returns the
-// schedule with its conflict cost (already weighted by the loop's iteration
-// count).
-func BalanceLoop(l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p Params) (*LoopSchedule, error) {
-	return BalanceLoopContext(context.Background(), l, groups, budget, p)
-}
-
-// BalanceLoopContext is BalanceLoop with cancellation support: when ctx is
-// done, the local-search improvement passes stop early (checked once per
-// pass) and the current schedule — always complete and feasible after the
-// initial placement — is returned.
+// BalanceLoopContext schedules one loop body within the given
+// per-iteration budget (the initiation interval when pipelining is enabled)
+// and returns the schedule with its conflict cost (already weighted by the
+// loop's iteration count). When ctx is done, the local-search improvement
+// passes stop early (checked once per pass) and the current schedule —
+// always complete and feasible after the initial placement — is returned.
 func BalanceLoopContext(ctx context.Context, l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p Params) (*LoopSchedule, error) {
 	p.normalize()
 	if len(l.Accesses) == 0 {
@@ -1244,15 +1238,11 @@ type Distribution struct {
 // quantity the paper's Table 3 reports ("extra cycles for data-path").
 func (d *Distribution) ExtraCycles() uint64 { return d.TotalBudget - d.Used }
 
-// Distribute allocates the global storage cycle budget over the loop bodies
-// and balances each, minimizing total conflict cost. It fails if the budget
-// is below the specification's duration-weighted MACP (then only loop
-// transformations can help, §4.2).
-func Distribute(s *spec.Spec, totalBudget uint64, p Params) (*Distribution, error) {
-	return DistributeContext(context.Background(), s, totalBudget, p)
-}
-
-// DistributeContext is Distribute with deadline and cancellation support.
+// DistributeContext allocates the global storage cycle budget over the loop
+// bodies and balances each, minimizing total conflict cost. It fails if the
+// budget is below the specification's duration-weighted MACP (then only
+// loop transformations can help, §4.2).
+//
 // The distribution is *anytime*: every loop's minimum-budget schedule is
 // always built (so a feasible problem always yields a feasible result), and
 // when ctx expires the remaining curve points and budget moves are skipped

@@ -112,7 +112,7 @@ func TestBalanceRespectsDepsAndBudget(t *testing.T) {
 	p := Params{}
 	p.normalize()
 	for _, budget := range []int{WeightedCP(l, g, p), 14, 18, 25} {
-		sc, err := BalanceLoop(l, g, budget, p)
+		sc, err := BalanceLoopContext(context.Background(), l, g, budget, p)
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -137,7 +137,7 @@ func TestBalanceBudgetBelowCPFails(t *testing.T) {
 	s := fanInSpec(t, 4, 5, 1)
 	l := &s.Loops[0]
 	g := groupsMap(s)
-	if _, err := BalanceLoop(l, g, 6, Params{}); err == nil {
+	if _, err := BalanceLoopContext(context.Background(), l, g, 6, Params{}); err == nil {
 		t.Fatal("budget below weighted CP accepted")
 	}
 }
@@ -152,7 +152,7 @@ func TestTightBudgetForcesOffChipOverlap(t *testing.T) {
 	p := Params{}
 	p.normalize()
 
-	tight, err := BalanceLoop(l, g, 12, p)
+	tight, err := BalanceLoopContext(context.Background(), l, g, 12, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTightBudgetForcesOffChipOverlap(t *testing.T) {
 		t.Fatalf("tight budget: big needs %d ports, want >= 2", tightPorts["big"])
 	}
 
-	loose, err := BalanceLoop(l, g, 22, p)
+	loose, err := BalanceLoopContext(context.Background(), l, g, 22, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestCostWeightedByIterations(t *testing.T) {
 	s2 := fanInSpec(t, 5, 10, 1000)
 	g := groupsMap(s1)
 	p := Params{}
-	a, err := BalanceLoop(&s1.Loops[0], g, 12, p)
+	a, err := BalanceLoopContext(context.Background(), &s1.Loops[0], g, 12, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BalanceLoop(&s2.Loops[0], g, 12, p)
+	b, err := BalanceLoopContext(context.Background(), &s2.Loops[0], g, 12, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestCostWeightedByIterations(t *testing.T) {
 
 func TestEmptyLoop(t *testing.T) {
 	l := &spec.Loop{Name: "empty", Iterations: 5}
-	sc, err := BalanceLoop(l, nil, 3, Params{})
+	sc, err := BalanceLoopContext(context.Background(), l, nil, 3, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestPatternsMergeAndWeights(t *testing.T) {
 	p := Params{}
 	p.normalize()
 	// Budget 1 forces both accesses into the same (only) cycle.
-	sc, err := BalanceLoop(&s.Loops[0], g, 1, p)
+	sc, err := BalanceLoopContext(context.Background(), &s.Loops[0], g, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +249,10 @@ func TestRequiredPorts(t *testing.T) {
 func TestDistributeInfeasible(t *testing.T) {
 	s := fanInSpec(t, 4, 5, 1000)
 	// Weighted MACP = 7 * 1000.
-	if _, err := Distribute(s, 6999, Params{}); err == nil {
+	if _, err := DistributeContext(context.Background(), s, 6999, Params{}); err == nil {
 		t.Fatal("budget below MACP accepted")
 	}
-	if _, err := Distribute(s, 7000, Params{}); err != nil {
+	if _, err := DistributeContext(context.Background(), s, 7000, Params{}); err != nil {
 		t.Fatalf("budget at MACP rejected: %v", err)
 	}
 }
@@ -260,7 +260,7 @@ func TestDistributeInfeasible(t *testing.T) {
 func TestDistributeSpendsWhereItHelps(t *testing.T) {
 	s := fanInSpec(t, 5, 10, 1000)
 	// Generous budget: the hot loop should be relaxed until conflict-free.
-	d, err := Distribute(s, 40_000, Params{})
+	d, err := DistributeContext(context.Background(), s, 40_000, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestDistributeSpendsWhereItHelps(t *testing.T) {
 		t.Fatal("ExtraCycles inconsistent")
 	}
 	// Tight budget: cost must be higher.
-	dt, err := Distribute(s, 12_000, Params{})
+	dt, err := DistributeContext(context.Background(), s, 12_000, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestDistributeCostMonotoneInBudget(t *testing.T) {
 	s := fanInSpec(t, 5, 10, 100)
 	prev := -1.0
 	for _, b := range []uint64{1200, 1400, 1600, 2000, 2600} {
-		d, err := Distribute(s, b, Params{})
+		d, err := DistributeContext(context.Background(), s, b, Params{})
 		if err != nil {
 			t.Fatalf("budget %d: %v", b, err)
 		}
@@ -313,7 +313,7 @@ func TestDistributeUsedQuantizedByIterations(t *testing.T) {
 	b.Read("small", 1, c1)
 	s := b.MustBuild()
 
-	d, err := Distribute(s, 3_000_000, Params{})
+	d, err := DistributeContext(context.Background(), s, 3_000_000, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestBalanceNearOptimalOnTinyBodies(t *testing.T) {
 		l := &s.Loops[0]
 		for extra := 0; extra <= 3; extra++ {
 			budget := WeightedCP(l, g, p) + extra
-			got, err := BalanceLoop(l, g, budget, p)
+			got, err := BalanceLoopContext(context.Background(), l, g, budget, p)
 			if err != nil {
 				t.Fatalf("case %d budget %d: %v", ci, budget, err)
 			}
@@ -490,13 +490,13 @@ func TestPipelinedAllowsBudgetBelowCP(t *testing.T) {
 	cp := WeightedCP(l, g, linear)
 
 	// Linear scheduling rejects budgets below the critical path…
-	if _, err := BalanceLoop(l, g, cp-3, linear); err == nil {
+	if _, err := BalanceLoopContext(context.Background(), l, g, cp-3, linear); err == nil {
 		t.Fatal("linear balance accepted budget below CP")
 	}
 	// …modulo scheduling accepts them (iterations overlap).
 	pipe := Params{Pipelined: true}
 	pipe.normalize()
-	sc, err := BalanceLoop(l, g, cp-3, pipe)
+	sc, err := BalanceLoopContext(context.Background(), l, g, cp-3, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestPipelinedTightIIForcesOffChipPorts(t *testing.T) {
 
 	// 5 off-chip reads × 2 cycles = 10 busy cycles; II = 6 cannot host
 	// them on one port.
-	sc, err := BalanceLoop(l, g, 6, pipe)
+	sc, err := BalanceLoopContext(context.Background(), l, g, 6, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestPipelinedTightIIForcesOffChipPorts(t *testing.T) {
 		t.Fatalf("II 6 with 10 off-chip busy cycles: big needs %d ports, want >= 2", ports["big"])
 	}
 	// A relaxed II serializes them again.
-	sc2, err := BalanceLoop(l, g, 22, pipe)
+	sc2, err := BalanceLoopContext(context.Background(), l, g, 22, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func TestPipelinedPatternAccounting(t *testing.T) {
 	g := groupsMap(s)
 	pipe := Params{Pipelined: true}
 	pipe.normalize()
-	sc, err := BalanceLoop(l, g, 5, pipe)
+	sc, err := BalanceLoopContext(context.Background(), l, g, 5, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,10 +575,10 @@ func TestPipelinedDistributeBelowMACP(t *testing.T) {
 	s := fanInSpec(t, 4, 5, 1000)
 	// Weighted MACP = 7000; a linear distribute rejects 6000, a pipelined
 	// one accepts it (at a conflict price).
-	if _, err := Distribute(s, 6000, Params{}); err == nil {
+	if _, err := DistributeContext(context.Background(), s, 6000, Params{}); err == nil {
 		t.Fatal("linear distribute accepted budget below MACP")
 	}
-	d, err := Distribute(s, 6000, Params{Pipelined: true})
+	d, err := DistributeContext(context.Background(), s, 6000, Params{Pipelined: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +586,7 @@ func TestPipelinedDistributeBelowMACP(t *testing.T) {
 		t.Fatalf("pipelined distribute overran: %d", d.Used)
 	}
 	// Tighter budgets cost more.
-	d2, err := Distribute(s, 4000, Params{Pipelined: true})
+	d2, err := DistributeContext(context.Background(), s, 4000, Params{Pipelined: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +629,7 @@ func TestQuickScheduleValidity(t *testing.T) {
 		p.normalize()
 		l := &s.Loops[0]
 		budget := WeightedCP(l, g, p) + int(extra)%6
-		sc, err := BalanceLoop(l, g, budget, p)
+		sc, err := BalanceLoopContext(context.Background(), l, g, budget, p)
 		if err != nil {
 			return false
 		}
@@ -928,7 +928,7 @@ func distributeEager(s *spec.Spec, totalBudget uint64, p Params) (*Distribution,
 		minTotal += uint64(lo) * l.Iterations
 		cv := &curve{loop: l}
 		for b := lo; b <= hi; b++ {
-			sc, err := BalanceLoop(l, groups, b, p)
+			sc, err := BalanceLoopContext(context.Background(), l, groups, b, p)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -1138,7 +1138,7 @@ func TestPatternsOfMatchesTwoStage(t *testing.T) {
 			for _, pipelined := range []bool{false, true} {
 				p := Params{Pipelined: pipelined}
 				for _, budget := range []uint64{macp, macp + macp/4, 2 * macp} {
-					d, err := Distribute(s, budget, p)
+					d, err := DistributeContext(context.Background(), s, budget, p)
 					if err != nil {
 						t.Fatalf("%s budget %d: %v", s.Name, budget, err)
 					}
@@ -1179,7 +1179,7 @@ func TestDistributeCanceledBuildsMinimumPoints(t *testing.T) {
 				t.Fatalf("%s: loop %s committed budget %d, want its minimum %d", s.Name, ls.Loop, ls.Budget, cp)
 			}
 		}
-		full, err := Distribute(s, budget, Params{})
+		full, err := DistributeContext(context.Background(), s, budget, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -39,7 +40,7 @@ func TestMotionEstimationExplores(t *testing.T) {
 	}
 	ep := paramsFor(ctx)
 	v := explore(t, s, func() (*core.Variant, error) {
-		return core.Evaluate(s, ctx.CycleBudget, s.Name, ep)
+		return core.EvaluateContext(context.Background(), s, ctx.CycleBudget, s.Name, ep)
 	})
 	// Frames off-chip, tables on-chip.
 	foundOff := false
@@ -70,7 +71,7 @@ func TestMotionEstimationHierarchyHelps(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := paramsFor(ctx)
-	base, err := core.Evaluate(s, ctx.CycleBudget, "base", ep)
+	base, err := core.EvaluateContext(context.Background(), s, ctx.CycleBudget, "base", ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +88,8 @@ func TestMotionEstimationHierarchyHelps(t *testing.T) {
 			}
 		}
 	}
-	prof := reuse.Analyze(addrs)
-	h, err := reuse.Plan("ref", []reuse.Layer{{Name: "window", Words: int64(windowWords)}}, prof)
+	prof := reuse.AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+	h, err := reuse.Plan("ref", []reuse.Layer{{Name: "window", Words: int64(windowWords)}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestMotionEstimationHierarchyHelps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withWin, err := core.Evaluate(applied, ctx.CycleBudget, "window", ep)
+	withWin, err := core.EvaluateContext(context.Background(), applied, ctx.CycleBudget, "window", ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestWaveletExplores(t *testing.T) {
 		t.Fatalf("level iterations %d vs %d", s.Loops[1].Iterations, s.Loops[2].Iterations)
 	}
 	ep := paramsFor(ctx)
-	v, err := core.Evaluate(s, ctx.CycleBudget, s.Name, ep)
+	v, err := core.EvaluateContext(context.Background(), s, ctx.CycleBudget, s.Name, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestFIRExplores(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep := paramsFor(ctx)
-	v, err := core.Evaluate(s, ctx.CycleBudget, s.Name, ep)
+	v, err := core.EvaluateContext(context.Background(), s, ctx.CycleBudget, s.Name, ep)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,6 +170,10 @@ func NewServer(opts ServeOptions) *Server {
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = 2 * opts.MaxConcurrent
 	}
+	if opts.NoCache {
+		// The disk tier is a tier of the session cache: no cache, no tier.
+		opts.Disk = nil
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:    opts,

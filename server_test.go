@@ -637,3 +637,36 @@ func TestServerInternalRequestNotAdmitted(t *testing.T) {
 		t.Fatalf("internal group of one answered %+v", env.Items)
 	}
 }
+
+// TestServerNoCacheIgnoresDisk: with NoCache the disk tier is not wired in.
+// An owned handoff record is answered 204 but neither imported into the
+// tier nor counted, and /metrics.json carries no disk block.
+func TestServerNoCacheIgnoresDisk(t *testing.T) {
+	disk, err := memo.OpenDiskTier(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	s := newHandoffNode(t, ServeOptions{Obs: NewObserver(), NoCache: true, Disk: disk})
+	owned, _ := handoffKeys(t, s)
+	val, _ := encodeServed(&servedResponse{status: http.StatusOK, body: []byte("{}\n")})
+	body := mustMarshal(handoffWire{From: "http://peer.test", Records: []handoffRec{{Key: owned, Val: val}}})
+	if rec := postHandoff(s, body); rec.Code != http.StatusNoContent {
+		t.Fatalf("handoff: status %d: %s", rec.Code, rec.Body)
+	}
+	if n := disk.Stats().Imported; n != 0 {
+		t.Fatalf("disk tier imported %d record(s) under NoCache, want 0", n)
+	}
+	if n := s.obs.Counter("cluster.handoff_entries").Value(); n != 0 {
+		t.Fatalf("handoff_entries = %d under NoCache, want 0", n)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics.json", nil))
+	var snap map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := snap["disk"]; ok {
+		t.Fatalf("/metrics.json carries a disk block under NoCache: %s", snap["disk"])
+	}
+}
