@@ -283,8 +283,8 @@ func BenchmarkAblationStructuralCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := core.AblationStructuralCost(demo, ep)
 		if i == 0 && res.With != nil && res.Without != nil {
-			b.ReportMetric(float64(core.RequiredPortsOf(res.With)["image"]), "with-image-ports")
-			b.ReportMetric(float64(core.RequiredPortsOf(res.Without)["image"]), "without-image-ports")
+			b.ReportMetric(float64(sbd.RequiredPorts(res.With.Dist.Patterns)["image"]), "with-image-ports")
+			b.ReportMetric(float64(sbd.RequiredPorts(res.Without.Dist.Patterns)["image"]), "without-image-ports")
 		}
 	}
 }

@@ -27,6 +27,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *levels < 0 {
+		fmt.Fprintf(stderr, "btpcdec: -levels %d out of range (must be >= 0)\n", *levels)
+		fs.Usage()
+		return 2
+	}
 
 	var data []byte
 	var err error

@@ -77,6 +77,13 @@ func TestDecodeUsageAndRuntimeErrors(t *testing.T) {
 		t.Fatalf("unknown flag: exit %d, want 2", code)
 	}
 	stderr.Reset()
+	if code := run([]string{"-levels", "-1"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
+		t.Fatalf("-levels -1: exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "-levels -1 out of range") {
+		t.Fatalf("-levels -1: stderr %q lacks the range message", stderr.String())
+	}
+	stderr.Reset()
 	if code := run(nil, strings.NewReader("not a btpc stream"), &stdout, &stderr); code != 1 {
 		t.Fatalf("garbage stream: exit %d, want 1", code)
 	}

@@ -32,6 +32,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *synth < 1 {
+		fmt.Fprintf(stderr, "btpcenc: -synth %d out of range (must be >= 1)\n", *synth)
+		fs.Usage()
+		return 2
+	}
 
 	var src *img.Gray
 	var outName string

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/btpc"
@@ -67,6 +68,15 @@ func TestEncodeUsageErrors(t *testing.T) {
 	stderr.Reset()
 	if code := run([]string{"-nosuchflag"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("unknown flag: exit %d, want 2", code)
+	}
+	for _, synth := range []string{"0", "-1"} {
+		stderr.Reset()
+		if code := run([]string{"-synth", synth}, &stdout, &stderr); code != 2 {
+			t.Fatalf("-synth %s: exit %d, want 2", synth, code)
+		}
+		if !strings.Contains(stderr.String(), "-synth "+synth+" out of range") {
+			t.Fatalf("-synth %s: stderr %q lacks the range message", synth, stderr.String())
+		}
 	}
 	stderr.Reset()
 	if code := run([]string{filepath.Join(t.TempDir(), "missing.pgm")}, &stdout, &stderr); code != 1 {

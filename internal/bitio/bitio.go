@@ -50,14 +50,6 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteUnary appends v as a unary code: v ones followed by a zero.
-func (w *Writer) WriteUnary(v uint) {
-	for i := uint(0); i < v; i++ {
-		w.WriteBit(1)
-	}
-	w.WriteBit(0)
-}
-
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return len(w.buf)*8 + int(w.nCur) }
 
@@ -115,24 +107,3 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	}
 	return v, nil
 }
-
-// ReadUnary reads a unary code (count of ones before the terminating zero).
-func (r *Reader) ReadUnary() (uint, error) {
-	var v uint
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 0 {
-			return v, nil
-		}
-		v++
-	}
-}
-
-// Pos returns the current absolute bit position.
-func (r *Reader) Pos() int { return r.pos }
-
-// Remaining returns the number of unread bits.
-func (r *Reader) Remaining() int { return len(r.buf)*8 - r.pos }

@@ -81,35 +81,6 @@ func TestReadBitsPastEnd(t *testing.T) {
 	}
 }
 
-func TestUnaryRoundTrip(t *testing.T) {
-	w := NewWriter()
-	vals := []uint{0, 1, 2, 5, 13, 0, 31}
-	for _, v := range vals {
-		w.WriteUnary(v)
-	}
-	r := NewReader(w.Bytes())
-	for i, want := range vals {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatalf("unary %d: %v", i, err)
-		}
-		if got != want {
-			t.Errorf("unary %d = %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestUnaryTruncated(t *testing.T) {
-	w := NewWriter()
-	for i := 0; i < 8; i++ {
-		w.WriteBit(1) // ones with no terminator
-	}
-	r := NewReader(w.Bytes())
-	if _, err := r.ReadUnary(); err != ErrUnexpectedEOF {
-		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
-	}
-}
-
 func TestReset(t *testing.T) {
 	w := NewWriter()
 	w.WriteBits(0xFFFF, 16)
@@ -122,19 +93,6 @@ func TestReset(t *testing.T) {
 	v, err := r.ReadBits(3)
 	if err != nil || v != 5 {
 		t.Fatalf("got %d,%v want 5,nil", v, err)
-	}
-}
-
-func TestPosAndRemaining(t *testing.T) {
-	r := NewReader([]byte{0xAA, 0xBB})
-	if r.Remaining() != 16 {
-		t.Fatalf("Remaining = %d, want 16", r.Remaining())
-	}
-	if _, err := r.ReadBits(5); err != nil {
-		t.Fatal(err)
-	}
-	if r.Pos() != 5 || r.Remaining() != 11 {
-		t.Fatalf("Pos,Remaining = %d,%d want 5,11", r.Pos(), r.Remaining())
 	}
 }
 

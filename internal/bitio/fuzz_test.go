@@ -10,12 +10,11 @@ import (
 // round-trip invariant the entropy coders depend on.
 //
 // Script encoding (one op per chunk, self-delimiting):
-//   - byte%3 == 0: WriteBit of the byte's high bit
-//   - byte%3 == 1: WriteBits of the next 8 bytes (LE value), width next%65
-//   - byte%3 == 2: WriteUnary of next byte %64
+//   - byte%2 == 0: WriteBit of the byte's high bit
+//   - byte%2 == 1: WriteBits of the next 8 bytes (LE value), width next%65
 func FuzzBitioRoundTrip(f *testing.F) {
 	// Seeds shaped like the golden streams of the coder tests: single bits,
-	// a wide field, a unary run, and a mixed script.
+	// a wide field, a bit followed by a cut-off field, and a mixed script.
 	f.Add([]byte{0x80, 0x00, 0x03})
 	f.Add([]byte{0x01, 0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04, 0x21})
 	f.Add([]byte{0x02, 0x0b})
@@ -29,7 +28,7 @@ func FuzzBitioRoundTrip(f *testing.F) {
 		var ops []op
 		w := NewWriter()
 		for i := 0; i < len(script); {
-			switch k := script[i] % 3; k {
+			switch script[i] % 2 {
 			case 0:
 				bit := int(script[i] >> 7)
 				w.WriteBit(bit)
@@ -52,15 +51,6 @@ func FuzzBitioRoundTrip(f *testing.F) {
 				}
 				ops = append(ops, op{kind: 1, value: v & mask, width: n})
 				i += 10
-			case 2:
-				if i+1 >= len(script) {
-					i = len(script)
-					break
-				}
-				u := uint(script[i+1]) % 64
-				w.WriteUnary(u)
-				ops = append(ops, op{kind: 2, value: uint64(u)})
-				i += 2
 			}
 		}
 
@@ -71,8 +61,6 @@ func FuzzBitioRoundTrip(f *testing.F) {
 				bits++
 			case 1:
 				bits += int(o.width)
-			case 2:
-				bits += int(o.value) + 1
 			}
 		}
 		if w.Len() != bits {
@@ -102,24 +90,10 @@ func FuzzBitioRoundTrip(f *testing.F) {
 				if v != o.value {
 					t.Fatalf("op %d: ReadBits(%d) = %#x, want %#x", i, o.width, v, o.value)
 				}
-			case 2:
-				u, err := r.ReadUnary()
-				if err != nil {
-					t.Fatalf("op %d: ReadUnary: %v", i, err)
-				}
-				if uint64(u) != o.value {
-					t.Fatalf("op %d: ReadUnary = %d, want %d", i, u, o.value)
-				}
 			}
 		}
-		if r.Pos() != bits {
-			t.Fatalf("Pos() = %d after reading %d bits", r.Pos(), bits)
-		}
-		if rem := r.Remaining(); rem < 0 || rem > 7 {
-			t.Fatalf("Remaining() = %d after full read, want 0..7 padding bits", rem)
-		}
 		// The zero padding must read as zeros, then cleanly EOF.
-		for r.Remaining() > 0 {
+		for i := bits; i < len(buf)*8; i++ {
 			b, err := r.ReadBit()
 			if err != nil {
 				t.Fatalf("padding read: %v", err)

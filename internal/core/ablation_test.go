@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sbd"
 )
 
 var (
@@ -83,8 +85,8 @@ func TestAblationStructuralCostDirection(t *testing.T) {
 	if res.WithoutErr != nil {
 		t.Fatalf("ablation failed: %v", res.WithoutErr)
 	}
-	withPorts := RequiredPortsOf(res.With)
-	withoutPorts := RequiredPortsOf(res.Without)
+	withPorts := sbd.RequiredPorts(res.With.Dist.Patterns)
+	withoutPorts := sbd.RequiredPorts(res.Without.Dist.Patterns)
 	// Without the structural term, some group is allowed a higher port
 	// demand (or at best the same — then power must not be better).
 	worse := false

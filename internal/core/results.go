@@ -7,7 +7,6 @@ import (
 	"repro/internal/pareto"
 	"repro/internal/report"
 	"repro/internal/reuse"
-	"repro/internal/sbd"
 )
 
 // Results is the complete output of one methodology run: every explored
@@ -282,9 +281,4 @@ func PortsOf(v *Variant) map[string]int {
 		}
 	}
 	return ports
-}
-
-// RequiredPortsOf exposes the schedule-imposed minimum ports per group.
-func RequiredPortsOf(v *Variant) map[string]int {
-	return sbd.RequiredPorts(v.Dist.Patterns)
 }

@@ -1,7 +1,7 @@
 // Package dfg provides the flow-graph analysis underlying the paper's
 // critical-path step (§4.2) and the storage-cycle-budget distribution
-// (§4.5): topological ordering, the memory access critical path (MACP), and
-// ASAP/ALAP scheduling windows for the accesses of a loop body.
+// (§4.5): topological ordering of a loop body's accesses and the memory
+// access critical path (MACP).
 //
 // The model follows the paper's abstraction: every memory access occupies
 // one storage cycle, dependences between accesses of the same body demand
@@ -16,17 +16,12 @@ import (
 	"repro/internal/spec"
 )
 
-// TopoOrder returns the access IDs of l in a topological order of the
-// dependence DAG. The spec is assumed validated (acyclic).
-func TopoOrder(l *spec.Loop) []int {
-	return TopoOrderScratch(l, nil)
-}
-
-// TopoOrderScratch is TopoOrder with all working state (and the returned
-// order itself) carved from the arena, so the budget-distribution inner
-// loop — which re-derives orders constantly — allocates nothing. The
-// returned slice is only valid until the arena is reset; pass a nil arena
-// for plain heap allocation. The successor lists are built in flat CSR form
+// TopoOrderScratch returns the access IDs of l in a topological order of
+// the dependence DAG. The spec is assumed validated (acyclic). All working
+// state (and the returned order itself) is carved from the arena, so the
+// budget-distribution inner loop — which re-derives orders constantly —
+// allocates nothing. The returned slice is only valid until the arena is
+// reset; pass a nil arena for plain heap allocation. The successor lists are built in flat CSR form
 // (one edge array plus offsets) instead of per-node slices.
 func TopoOrderScratch(l *spec.Loop, a *scratch.Arena) []int {
 	n := len(l.Accesses)
@@ -119,67 +114,4 @@ func MACP(s *spec.Spec) uint64 {
 		total += uint64(CriticalPath(&s.Loops[i])) * s.Loops[i].Iterations
 	}
 	return total
-}
-
-// Window is the feasible cycle interval of one access under a body budget.
-type Window struct {
-	ASAP int // earliest feasible cycle (0-based)
-	ALAP int // latest feasible cycle
-}
-
-// Windows computes the ASAP/ALAP windows of every access of l for the given
-// per-iteration cycle budget. It fails if the budget is below the critical
-// path.
-func Windows(l *spec.Loop, budget int) ([]Window, error) {
-	cp := CriticalPath(l)
-	if budget < cp {
-		return nil, fmt.Errorf("dfg: loop %q: budget %d below critical path %d",
-			l.Name, budget, cp)
-	}
-	n := len(l.Accesses)
-	win := make([]Window, n)
-	order := TopoOrder(l)
-	// ASAP forward pass.
-	for _, id := range order {
-		asap := 0
-		for _, dep := range l.Accesses[id].Deps {
-			if win[dep].ASAP+1 > asap {
-				asap = win[dep].ASAP + 1
-			}
-		}
-		win[id].ASAP = asap
-	}
-	// ALAP backward pass.
-	succ := make([][]int, n)
-	for _, a := range l.Accesses {
-		for _, d := range a.Deps {
-			succ[d] = append(succ[d], a.ID)
-		}
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		alap := budget - 1
-		for _, s := range succ[id] {
-			if win[s].ALAP-1 < alap {
-				alap = win[s].ALAP - 1
-			}
-		}
-		win[id].ALAP = alap
-	}
-	return win, nil
-}
-
-// Slack returns the total scheduling freedom (Σ ALAP−ASAP) of the loop at
-// the given budget: a measure of how much room the balancer has to avoid
-// conflicts.
-func Slack(l *spec.Loop, budget int) (int, error) {
-	win, err := Windows(l, budget)
-	if err != nil {
-		return 0, err
-	}
-	s := 0
-	for _, w := range win {
-		s += w.ALAP - w.ASAP
-	}
-	return s, nil
 }

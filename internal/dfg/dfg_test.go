@@ -2,7 +2,6 @@ package dfg
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/spec"
 )
@@ -87,7 +86,7 @@ func TestMACPSumsLoops(t *testing.T) {
 
 func TestTopoOrderRespectsDeps(t *testing.T) {
 	s := diamondLoop(t)
-	order := TopoOrder(&s.Loops[0])
+	order := TopoOrderScratch(&s.Loops[0], nil)
 	pos := make(map[int]int)
 	for i, id := range order {
 		pos[id] = i
@@ -101,111 +100,5 @@ func TestTopoOrderRespectsDeps(t *testing.T) {
 	}
 	if len(order) != 4 {
 		t.Fatalf("order has %d entries", len(order))
-	}
-}
-
-func TestWindowsTightBudget(t *testing.T) {
-	s := diamondLoop(t)
-	win, err := Windows(&s.Loops[0], 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At a budget equal to the CP, every node is on a tight schedule.
-	want := []Window{{0, 0}, {1, 1}, {1, 1}, {2, 2}}
-	for i, w := range want {
-		if win[i] != w {
-			t.Fatalf("window[%d] = %+v, want %+v", i, win[i], w)
-		}
-	}
-}
-
-func TestWindowsRelaxedBudget(t *testing.T) {
-	s := diamondLoop(t)
-	win, err := Windows(&s.Loops[0], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if win[0].ASAP != 0 || win[0].ALAP != 2 {
-		t.Fatalf("source window = %+v, want {0 2}", win[0])
-	}
-	if win[3].ASAP != 2 || win[3].ALAP != 4 {
-		t.Fatalf("sink window = %+v, want {2 4}", win[3])
-	}
-}
-
-func TestWindowsBudgetBelowCP(t *testing.T) {
-	s := diamondLoop(t)
-	if _, err := Windows(&s.Loops[0], 2); err == nil {
-		t.Fatal("budget below CP accepted")
-	}
-}
-
-func TestSlackGrowsWithBudget(t *testing.T) {
-	s := diamondLoop(t)
-	l := &s.Loops[0]
-	s3, err := Slack(l, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s6, err := Slack(l, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s3 != 0 {
-		t.Fatalf("slack at CP = %d, want 0", s3)
-	}
-	if s6 <= s3 {
-		t.Fatalf("slack did not grow: %d -> %d", s3, s6)
-	}
-}
-
-// Property: windows are consistent (ASAP <= ALAP, deps separated) for
-// random DAGs and any feasible budget.
-func TestQuickWindowConsistency(t *testing.T) {
-	f := func(edges []uint16, extra uint8) bool {
-		const n = 10
-		b := spec.NewBuilder("q")
-		b.Group("g", 64, 8)
-		b.Loop("l", 1)
-		ids := make([]int, n)
-		depsOf := make([][]int, n)
-		for _, e := range edges {
-			from := int(e) % n
-			to := int(e>>4) % n
-			if from < to {
-				depsOf[to] = append(depsOf[to], from)
-			}
-		}
-		for i := 0; i < n; i++ {
-			ids[i] = b.Read("g", 1, depsOf[i]...)
-		}
-		s, err := b.Build()
-		if err != nil {
-			return false
-		}
-		l := &s.Loops[0]
-		budget := CriticalPath(l) + int(extra)%5
-		win, err := Windows(l, budget)
-		if err != nil {
-			return false
-		}
-		for _, a := range l.Accesses {
-			w := win[a.ID]
-			if w.ASAP > w.ALAP || w.ASAP < 0 || w.ALAP >= budget {
-				return false
-			}
-			for _, d := range a.Deps {
-				if win[d].ASAP >= w.ALAP && !(win[d].ASAP < w.ALAP || win[d].ALAP < w.ALAP) {
-					return false
-				}
-				if win[d].ALAP >= w.ALAP { // dep must be schedulable strictly before
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -267,10 +267,10 @@ func (c *Coder) swapNodes(i, j int) {
 	}
 }
 
-// CheckInvariants verifies the structural invariants of the coder and
-// returns a descriptive error on the first violation. It is exported for
-// use by tests (including property-based tests in dependent packages).
-func (c *Coder) CheckInvariants() error {
+// checkInvariants verifies the structural invariants of the coder and
+// returns a descriptive error on the first violation. The tests call it
+// after every update.
+func (c *Coder) checkInvariants() error {
 	// Weight ordering: non-increasing by index.
 	for i := 1; i < len(c.nodes); i++ {
 		if c.nodes[i].weight > c.nodes[i-1].weight {
@@ -320,22 +320,4 @@ func (c *Coder) CheckInvariants() error {
 		return fmt.Errorf("huffman: %d NYT nodes, want exactly 1", seenNYT)
 	}
 	return nil
-}
-
-// CodeLen returns the current code length in bits for sym, or the escape
-// length if sym has not been seen yet. Useful for rate estimation.
-func (c *Coder) CodeLen(sym int) int {
-	idx := c.leaf[sym]
-	if idx < 0 {
-		return c.depth(c.nyt) + int(c.escBit)
-	}
-	return c.depth(idx)
-}
-
-func (c *Coder) depth(idx int) int {
-	d := 0
-	for p := c.nodes[idx].parent; p != -1; p = c.nodes[p].parent {
-		d++
-	}
-	return d
 }

@@ -1,6 +1,7 @@
 package huffman
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -83,7 +84,7 @@ func TestInvariantsAfterEveryUpdate(t *testing.T) {
 			s = rng.Intn(3)
 		}
 		c.Encode(s, w)
-		if err := c.CheckInvariants(); err != nil {
+		if err := c.checkInvariants(); err != nil {
 			t.Fatalf("after %d symbols: %v", i+1, err)
 		}
 	}
@@ -106,7 +107,7 @@ func TestDecoderInvariants(t *testing.T) {
 		if s != syms[i] {
 			t.Fatalf("decode %d: got %d want %d", i, s, syms[i])
 		}
-		if err := c.CheckInvariants(); err != nil {
+		if err := c.checkInvariants(); err != nil {
 			t.Fatalf("decoder invariants after %d: %v", i+1, err)
 		}
 	}
@@ -132,22 +133,65 @@ func TestCompressionBeatsFixedWidthOnSkewedData(t *testing.T) {
 	}
 }
 
+// TestCodeLenShrinksForFrequentSymbol checks the emitted bits: once symbol
+// 7 dominates the stream, its code is a single bit.
 func TestCodeLenShrinksForFrequentSymbol(t *testing.T) {
 	c := New(32)
 	w := bitio.NewWriter()
 	for i := 0; i < 32; i++ {
 		c.Encode(i, w) // all symbols once
 	}
-	before := c.CodeLen(7)
+	before := w.Len()
+	c.Encode(7, w)
+	if first := w.Len() - before; first <= 1 {
+		t.Fatalf("first repeat of symbol 7 cost %d bits, want more than 1", first)
+	}
 	for i := 0; i < 200; i++ {
 		c.Encode(7, w)
 	}
-	after := c.CodeLen(7)
-	if after >= before {
-		t.Fatalf("CodeLen(7) went %d -> %d, want a decrease", before, after)
-	}
-	if after != 1 {
+	before = w.Len()
+	c.Encode(7, w)
+	if after := w.Len() - before; after != 1 {
 		t.Fatalf("dominant symbol code length = %d, want 1", after)
+	}
+}
+
+// TestAdaptiveApproachesEntropy: the adaptive coder (which needs neither a
+// first pass nor a transmitted table) must come within 6 % of the
+// empirical entropy sum f*log2(N/f) of the stream. No prefix code, and so
+// no two-pass static Huffman code, beats that bound; this is the property
+// that justifies BTPC's choice.
+func TestAdaptiveApproachesEntropy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 64
+	freqs := make([]int, n)
+	var syms []int
+	for i := 0; i < 30000; i++ {
+		s := rng.Intn(4)
+		if rng.Intn(4) == 0 {
+			s = rng.Intn(n)
+		}
+		syms = append(syms, s)
+		freqs[s]++
+	}
+	entropy := 0.0
+	for _, f := range freqs {
+		if f > 0 {
+			entropy += float64(f) * math.Log2(float64(len(syms))/float64(f))
+		}
+	}
+
+	ad := New(n)
+	w := bitio.NewWriter()
+	for _, s := range syms {
+		ad.Encode(s, w)
+	}
+	adaptiveBits := w.Len()
+
+	ratio := float64(adaptiveBits) / entropy
+	if ratio > 1.06 {
+		t.Fatalf("adaptive %d bits is %.1f%% above the entropy %.0f bits",
+			adaptiveBits, 100*(ratio-1), entropy)
 	}
 }
 
@@ -199,7 +243,7 @@ func TestReset(t *testing.T) {
 		c.Encode(i, w)
 	}
 	c.Reset()
-	if err := c.CheckInvariants(); err != nil {
+	if err := c.checkInvariants(); err != nil {
 		t.Fatalf("invariants after Reset: %v", err)
 	}
 	// A reset coder must exactly mirror a fresh one.
@@ -240,7 +284,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		for _, s := range syms {
 			enc.Encode(s, w)
 		}
-		if enc.CheckInvariants() != nil {
+		if enc.checkInvariants() != nil {
 			return false
 		}
 		dec := New(n)
@@ -251,7 +295,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return dec.CheckInvariants() == nil
+		return dec.checkInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -99,11 +99,6 @@ func SumWords(s *spec.Spec, members []string) int64 {
 	return sum
 }
 
-// Savings returns the words saved by in-place mapping for one member set.
-func Savings(s *spec.Spec, members []string) int64 {
-	return SumWords(s, members) - PeakWords(s, members)
-}
-
 // DisjointPairs lists the group pairs whose lifetimes do not overlap — the
 // sharing opportunities a designer would inspect.
 func DisjointPairs(s *spec.Spec) [][2]string {

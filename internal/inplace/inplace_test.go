@@ -75,9 +75,6 @@ func TestPeakVsSum(t *testing.T) {
 	if peak != 1500 {
 		t.Fatalf("PeakWords = %d, want 1500", peak)
 	}
-	if got := Savings(s, all); got != 800 {
-		t.Fatalf("Savings = %d, want 800", got)
-	}
 }
 
 func TestPeakSingleGroup(t *testing.T) {
@@ -85,7 +82,7 @@ func TestPeakSingleGroup(t *testing.T) {
 	if PeakWords(s, []string{"a"}) != 1000 {
 		t.Fatal("single-group peak must equal its size")
 	}
-	if Savings(s, []string{"a"}) != 0 {
+	if SumWords(s, []string{"a"}) != 1000 {
 		t.Fatal("single group cannot save")
 	}
 }
@@ -186,7 +183,7 @@ func TestQuickPeakBounds(t *testing.T) {
 			}
 		}
 		peak := PeakWords(s, members)
-		return peak <= sum && peak >= maxSize && Savings(s, members) >= 0
+		return peak <= sum && peak >= maxSize
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

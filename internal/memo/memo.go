@@ -37,8 +37,9 @@ type Space int
 // The keyspaces of the exploration session cache. Ids 1-3 belonged to
 // deleted keyspaces and stay unassigned.
 const (
-	// Schedule caches sbd.BalanceLoopContext results keyed by the loop's
-	// structural fingerprint and the per-iteration budget.
+	// Schedule caches the per-loop schedules sbd.DistributeContext
+	// computes, keyed by the loop's structural fingerprint and the
+	// per-iteration budget.
 	Schedule Space = 0
 	// Requests caches whole serving-path responses (rendered tables and
 	// figures, cost JSON) keyed by the canonical request body, so identical

@@ -151,7 +151,7 @@ func TestBalanceLoopContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	l := &s.Loops[0]
-	ls, err := BalanceLoopContext(ctx, l, groupsMap(s), len(l.Accesses)+4, Params{})
+	ls, err := balanceLoop(ctx, l, groupsMap(s), len(l.Accesses)+4, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,24 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/spec"
 )
 
 // RandomSpec exposes the seeded random-loop generator to the external
 // golden test.
 var RandomSpec = randomSpec
+
+// BalanceLoop exposes the single-loop scheduler to the external golden
+// test.
+var BalanceLoop = balanceLoop
+
+// patternsOfSpec derives the merged conflict patterns of a set of
+// schedules of s, in canonical sorted order.
+func patternsOfSpec(s *spec.Spec, scheds []*LoopSchedule, p Params) []Pattern {
+	p.normalize()
+	return patternsOf(s, scheds, groupsOf(s), p)
+}
 
 // patternKey is the canonical identity of an access multiset: "name:count;"
 // in sorted name order, the key loopPatterns merges by.

@@ -76,7 +76,7 @@ func appendGolden(t *testing.T, buf *bytes.Buffer, s *spec.Spec, onChip int64) {
 		for i := range s.Loops {
 			l := &s.Loops[i]
 			for _, b := range goldenBudgets(l, groups, p) {
-				sc, err := sbd.BalanceLoopContext(context.Background(), l, groups, b, p)
+				sc, err := sbd.BalanceLoop(context.Background(), l, groups, b, p)
 				if err != nil {
 					t.Fatalf("%s/%s %s budget %d: %v", s.Name, l.Name, mode, b, err)
 				}

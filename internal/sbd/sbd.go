@@ -56,9 +56,9 @@ type Params struct {
 	// StructuralWeight constant). Negative disables it; zero selects the
 	// default.
 	StructuralWeight float64
-	// Obs is the parent telemetry span DistributeContext and BalanceLoopContext attach
-	// their spans and counters to; nil disables instrumentation at
-	// near-zero cost.
+	// Obs is the parent telemetry span DistributeContext attaches its
+	// spans and counters to; nil disables instrumentation at near-zero
+	// cost.
 	Obs *obs.Span
 	// Progress, when non-nil, is told which stage the exploration is in
 	// (the serving layer's live-introspection side channel). Write-only:
@@ -844,13 +844,13 @@ func weightedCP(l *spec.Loop, groups map[string]spec.BasicGroup, p Params, ar *s
 	return longest
 }
 
-// BalanceLoopContext schedules one loop body within the given
+// balanceLoop schedules one loop body within the given
 // per-iteration budget (the initiation interval when pipelining is enabled)
 // and returns the schedule with its conflict cost (already weighted by the
 // loop's iteration count). When ctx is done, the local-search improvement
 // passes stop early (checked once per pass) and the current schedule —
 // always complete and feasible after the initial placement — is returned.
-func BalanceLoopContext(ctx context.Context, l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p Params) (*LoopSchedule, error) {
+func balanceLoop(ctx context.Context, l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p Params) (*LoopSchedule, error) {
 	p.normalize()
 	if len(l.Accesses) == 0 {
 		return &LoopSchedule{Loop: l.Name, Budget: budget}, nil
@@ -864,7 +864,7 @@ func BalanceLoopContext(ctx context.Context, l *spec.Loop, groups map[string]spe
 	return body.balance(ctx, budget, ar)
 }
 
-// balance is BalanceLoopContext for a prepared body and a budget of at least
+// balance is balanceLoop for a prepared body and a budget of at least
 // one; the per-budget state is carved from ar.
 func (b *loopBody) balance(ctx context.Context, budget int, ar *scratch.Arena) (*LoopSchedule, error) {
 	l, p := b.l, b.p
@@ -1147,16 +1147,10 @@ func sortedPatterns(byKey map[string]*Pattern) []Pattern {
 	return out
 }
 
-// PatternsOf derives the merged conflict patterns of a set of schedules,
-// in canonical sorted order.
-func PatternsOf(s *spec.Spec, scheds []*LoopSchedule, p Params) []Pattern {
-	p.normalize()
-	return patternsOf(s, scheds, groupsOf(s), p)
-}
-
-// patternsOf is PatternsOf on caller-owned groups (p already normalized):
-// the distributor calls it with the state it already built. Every loop
-// merges into one map, which is sorted once.
+// patternsOf derives the merged conflict patterns of a set of schedules,
+// in canonical sorted order, on caller-owned groups (p already
+// normalized): the distributor calls it with the state it already built.
+// Every loop merges into one map, which is sorted once.
 func patternsOf(s *spec.Spec, scheds []*LoopSchedule, groups map[string]spec.BasicGroup, p Params) []Pattern {
 	byKey := make(map[string]*Pattern)
 	for _, sc := range scheds {

@@ -112,7 +112,7 @@ func TestBalanceRespectsDepsAndBudget(t *testing.T) {
 	p := Params{}
 	p.normalize()
 	for _, budget := range []int{WeightedCP(l, g, p), 14, 18, 25} {
-		sc, err := BalanceLoopContext(context.Background(), l, g, budget, p)
+		sc, err := balanceLoop(context.Background(), l, g, budget, p)
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
@@ -137,7 +137,7 @@ func TestBalanceBudgetBelowCPFails(t *testing.T) {
 	s := fanInSpec(t, 4, 5, 1)
 	l := &s.Loops[0]
 	g := groupsMap(s)
-	if _, err := BalanceLoopContext(context.Background(), l, g, 6, Params{}); err == nil {
+	if _, err := balanceLoop(context.Background(), l, g, 6, Params{}); err == nil {
 		t.Fatal("budget below weighted CP accepted")
 	}
 }
@@ -152,20 +152,20 @@ func TestTightBudgetForcesOffChipOverlap(t *testing.T) {
 	p := Params{}
 	p.normalize()
 
-	tight, err := BalanceLoopContext(context.Background(), l, g, 12, p)
+	tight, err := balanceLoop(context.Background(), l, g, 12, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tightPorts := RequiredPorts(PatternsOf(s, []*LoopSchedule{tight}, p))
+	tightPorts := RequiredPorts(patternsOfSpec(s, []*LoopSchedule{tight}, p))
 	if tightPorts["big"] < 2 {
 		t.Fatalf("tight budget: big needs %d ports, want >= 2", tightPorts["big"])
 	}
 
-	loose, err := BalanceLoopContext(context.Background(), l, g, 22, p)
+	loose, err := balanceLoop(context.Background(), l, g, 22, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loosePorts := RequiredPorts(PatternsOf(s, []*LoopSchedule{loose}, p))
+	loosePorts := RequiredPorts(patternsOfSpec(s, []*LoopSchedule{loose}, p))
 	if loosePorts["big"] != 1 {
 		t.Fatalf("loose budget: big needs %d ports, want 1", loosePorts["big"])
 	}
@@ -179,11 +179,11 @@ func TestCostWeightedByIterations(t *testing.T) {
 	s2 := fanInSpec(t, 5, 10, 1000)
 	g := groupsMap(s1)
 	p := Params{}
-	a, err := BalanceLoopContext(context.Background(), &s1.Loops[0], g, 12, p)
+	a, err := balanceLoop(context.Background(), &s1.Loops[0], g, 12, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BalanceLoopContext(context.Background(), &s2.Loops[0], g, 12, p)
+	b, err := balanceLoop(context.Background(), &s2.Loops[0], g, 12, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestCostWeightedByIterations(t *testing.T) {
 
 func TestEmptyLoop(t *testing.T) {
 	l := &spec.Loop{Name: "empty", Iterations: 5}
-	sc, err := BalanceLoopContext(context.Background(), l, nil, 3, Params{})
+	sc, err := balanceLoop(context.Background(), l, nil, 3, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,11 @@ func TestPatternsMergeAndWeights(t *testing.T) {
 	p := Params{}
 	p.normalize()
 	// Budget 1 forces both accesses into the same (only) cycle.
-	sc, err := BalanceLoopContext(context.Background(), &s.Loops[0], g, 1, p)
+	sc, err := balanceLoop(context.Background(), &s.Loops[0], g, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pats := PatternsOf(s, []*LoopSchedule{sc}, p)
+	pats := patternsOfSpec(s, []*LoopSchedule{sc}, p)
 	if len(pats) != 1 {
 		t.Fatalf("%d patterns, want 1", len(pats))
 	}
@@ -460,7 +460,7 @@ func TestBalanceNearOptimalOnTinyBodies(t *testing.T) {
 		l := &s.Loops[0]
 		for extra := 0; extra <= 3; extra++ {
 			budget := WeightedCP(l, g, p) + extra
-			got, err := BalanceLoopContext(context.Background(), l, g, budget, p)
+			got, err := balanceLoop(context.Background(), l, g, budget, p)
 			if err != nil {
 				t.Fatalf("case %d budget %d: %v", ci, budget, err)
 			}
@@ -490,13 +490,13 @@ func TestPipelinedAllowsBudgetBelowCP(t *testing.T) {
 	cp := WeightedCP(l, g, linear)
 
 	// Linear scheduling rejects budgets below the critical path…
-	if _, err := BalanceLoopContext(context.Background(), l, g, cp-3, linear); err == nil {
+	if _, err := balanceLoop(context.Background(), l, g, cp-3, linear); err == nil {
 		t.Fatal("linear balance accepted budget below CP")
 	}
 	// …modulo scheduling accepts them (iterations overlap).
 	pipe := Params{Pipelined: true}
 	pipe.normalize()
-	sc, err := BalanceLoopContext(context.Background(), l, g, cp-3, pipe)
+	sc, err := balanceLoop(context.Background(), l, g, cp-3, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,20 +525,20 @@ func TestPipelinedTightIIForcesOffChipPorts(t *testing.T) {
 
 	// 5 off-chip reads × 2 cycles = 10 busy cycles; II = 6 cannot host
 	// them on one port.
-	sc, err := BalanceLoopContext(context.Background(), l, g, 6, pipe)
+	sc, err := balanceLoop(context.Background(), l, g, 6, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ports := RequiredPorts(PatternsOf(s, []*LoopSchedule{sc}, pipe))
+	ports := RequiredPorts(patternsOfSpec(s, []*LoopSchedule{sc}, pipe))
 	if ports["big"] < 2 {
 		t.Fatalf("II 6 with 10 off-chip busy cycles: big needs %d ports, want >= 2", ports["big"])
 	}
 	// A relaxed II serializes them again.
-	sc2, err := BalanceLoopContext(context.Background(), l, g, 22, pipe)
+	sc2, err := balanceLoop(context.Background(), l, g, 22, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ports2 := RequiredPorts(PatternsOf(s, []*LoopSchedule{sc2}, pipe))
+	ports2 := RequiredPorts(patternsOfSpec(s, []*LoopSchedule{sc2}, pipe))
 	if ports2["big"] != 1 {
 		t.Fatalf("relaxed II: big needs %d ports, want 1", ports2["big"])
 	}
@@ -552,7 +552,7 @@ func TestPipelinedPatternAccounting(t *testing.T) {
 	g := groupsMap(s)
 	pipe := Params{Pipelined: true}
 	pipe.normalize()
-	sc, err := BalanceLoopContext(context.Background(), l, g, 5, pipe)
+	sc, err := balanceLoop(context.Background(), l, g, 5, pipe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func TestPipelinedPatternAccounting(t *testing.T) {
 		busy += pipe.Duration(g[a.Group])
 	}
 	var acc uint64
-	for _, pt := range PatternsOf(s, []*LoopSchedule{sc}, pipe) {
+	for _, pt := range patternsOfSpec(s, []*LoopSchedule{sc}, pipe) {
 		for _, k := range pt.Access {
 			acc += uint64(k) * pt.Weight
 		}
@@ -629,7 +629,7 @@ func TestQuickScheduleValidity(t *testing.T) {
 		p.normalize()
 		l := &s.Loops[0]
 		budget := WeightedCP(l, g, p) + int(extra)%6
-		sc, err := BalanceLoopContext(context.Background(), l, g, budget, p)
+		sc, err := balanceLoop(context.Background(), l, g, budget, p)
 		if err != nil {
 			return false
 		}
@@ -649,7 +649,7 @@ func TestQuickScheduleValidity(t *testing.T) {
 		}
 		// Pattern accounting: Σ multiplicities × weight = Σ durations × iters.
 		var acc uint64
-		for _, pt := range PatternsOf(s, []*LoopSchedule{sc}, p) {
+		for _, pt := range patternsOfSpec(s, []*LoopSchedule{sc}, p) {
 			for _, k := range pt.Access {
 				acc += uint64(k) * pt.Weight
 			}
@@ -928,7 +928,7 @@ func distributeEager(s *spec.Spec, totalBudget uint64, p Params) (*Distribution,
 		minTotal += uint64(lo) * l.Iterations
 		cv := &curve{loop: l}
 		for b := lo; b <= hi; b++ {
-			sc, err := BalanceLoopContext(context.Background(), l, groups, b, p)
+			sc, err := balanceLoop(context.Background(), l, groups, b, p)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -980,7 +980,7 @@ func distributeEager(s *spec.Spec, totalBudget uint64, p Params) (*Distribution,
 		d.Used += uint64(sc.Budget) * cv.loop.Iterations
 		d.Cost += sc.Cost
 	}
-	d.Patterns = PatternsOf(s, d.Loops, p)
+	d.Patterns = patternsOfSpec(s, d.Loops, p)
 	return d, points, nil
 }
 
@@ -1090,7 +1090,7 @@ func TestDistributeMatchesEager(t *testing.T) {
 	}
 }
 
-// patternsTwoStage is the reference derivation PatternsOf's one-pass merge
+// patternsTwoStage is the reference derivation patternsOf's one-pass merge
 // must reproduce: each loop's patterns are merged and sorted on their own,
 // then re-keyed by patternKey and merged across loops into copies.
 func patternsTwoStage(s *spec.Spec, scheds []*LoopSchedule, p Params) []Pattern {
@@ -1126,7 +1126,7 @@ func patternsTwoStage(s *spec.Spec, scheds []*LoopSchedule, p Params) []Pattern 
 	return sortedPatterns(byKey)
 }
 
-// TestPatternsOfMatchesTwoStage requires PatternsOf to equal the two-stage
+// TestPatternsOfMatchesTwoStage requires patternsOf to equal the two-stage
 // reference on random single- and multi-loop specs, at three budgets, in
 // both scheduling modes. Each distribution's schedules are also derived
 // twice over, so every pattern recurs across loops and the cross-loop
@@ -1144,7 +1144,7 @@ func TestPatternsOfMatchesTwoStage(t *testing.T) {
 					}
 					twice := append(append([]*LoopSchedule{}, d.Loops...), d.Loops...)
 					for _, scheds := range [][]*LoopSchedule{d.Loops, twice} {
-						got, want := PatternsOf(s, scheds, p), patternsTwoStage(s, scheds, p)
+						got, want := patternsOfSpec(s, scheds, p), patternsTwoStage(s, scheds, p)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s pipelined=%t budget %d, %d schedules: patterns %s, want %s",
 								s.Name, pipelined, budget, len(scheds),

@@ -13,7 +13,7 @@
 // Safety model: every grab returns a zeroed slice, unconditionally — the
 // zeroing happens at grab time, not at Reset time, so a recycled arena whose
 // memory still holds a previous evaluation's state (or deliberate garbage;
-// see Poison) can never leak values into the next user. Grabs are valid
+// see poison) can never leak values into the next user. Grabs are valid
 // until the arena is Reset or Put; they must not be retained beyond that,
 // and must never be returned to callers outside the arena's scope. An Arena
 // is single-goroutine state: share nothing, Get one per worker.
@@ -159,10 +159,10 @@ func (a *Arena) Reset() {
 	a.strs.reset()
 }
 
-// Poison fills all backing memory with non-zero garbage (without resetting
+// poison fills all backing memory with non-zero garbage (without resetting
 // the cursors). It exists for tests: a poisoned, Reset arena must still hand
 // out fully zeroed grabs, proving that no stale state can survive recycling.
-func (a *Arena) Poison() {
+func (a *Arena) poison() {
 	if a == nil {
 		return
 	}

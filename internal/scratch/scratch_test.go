@@ -42,7 +42,7 @@ func TestNilArenaFallsBackToHeap(t *testing.T) {
 		t.Fatalf("nil arena Buf: len %d cap %d", len(got), cap(got))
 	}
 	a.Reset()  // must not panic
-	a.Poison() // must not panic
+	a.poison() // must not panic
 	Put(nil)   // must not panic
 }
 
@@ -84,7 +84,7 @@ func TestPoisonedRecycledArenaIsReset(t *testing.T) {
 			}
 		}
 		// Corrupt everything the arena holds, then recycle it.
-		a.Poison()
+		a.poison()
 		a.Reset()
 		// Every post-recycle grab must be zero in every element.
 		n := 1 + rng.Intn(3000)
@@ -125,7 +125,7 @@ func TestPoolRoundTrip(t *testing.T) {
 	for i := range s {
 		s[i] = 7
 	}
-	a.Poison()
+	a.poison()
 	Put(a)
 	b := Get() // may or may not be the same arena; both must be clean
 	for i, v := range b.Ints(256) {

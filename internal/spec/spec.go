@@ -222,89 +222,6 @@ func hasCycle(l *Loop) bool {
 	return false
 }
 
-// RemoveGroup deletes a basic group and every access to it. It is the
-// mechanical half of transformations that fold one group into another.
-func (s *Spec) RemoveGroup(name string) {
-	out := s.Groups[:0]
-	for _, g := range s.Groups {
-		if g.Name != name {
-			out = append(out, g)
-		}
-	}
-	s.Groups = out
-	for li := range s.Loops {
-		s.filterAccesses(li, func(a Access) bool { return a.Group != name })
-	}
-}
-
-// filterAccesses keeps only accesses satisfying keep, remapping IDs and
-// dependence edges. Dependences of removed accesses are transitively
-// re-attached to their predecessors so the ordering constraints survive.
-func (s *Spec) filterAccesses(li int, keep func(Access) bool) {
-	l := &s.Loops[li]
-	// Transitive predecessor sets for removed nodes.
-	removed := make(map[int]bool)
-	for _, a := range l.Accesses {
-		if !keep(a) {
-			removed[a.ID] = true
-		}
-	}
-	if len(removed) == 0 {
-		return
-	}
-	// Rewire: replace a dep on a removed node with that node's deps,
-	// repeated to fixpoint (the DAG is small).
-	resolve := func(deps []int) []int {
-		seen := make(map[int]bool)
-		var out []int
-		var expand func(d int)
-		expand = func(d int) {
-			if removed[d] {
-				for _, dd := range l.Accesses[d].Deps {
-					expand(dd)
-				}
-				return
-			}
-			if !seen[d] {
-				seen[d] = true
-				out = append(out, d)
-			}
-		}
-		for _, d := range deps {
-			expand(d)
-		}
-		sort.Ints(out)
-		return out
-	}
-	var kept []Access
-	remap := make(map[int]int)
-	for _, a := range l.Accesses {
-		if removed[a.ID] {
-			continue
-		}
-		a.Deps = resolve(a.Deps)
-		remap[a.ID] = len(kept)
-		kept = append(kept, a)
-	}
-	for i := range kept {
-		kept[i].ID = remap[kept[i].ID]
-		for j, d := range kept[i].Deps {
-			kept[i].Deps[j] = remap[d]
-		}
-		sort.Ints(kept[i].Deps)
-	}
-	l.Accesses = kept
-}
-
-// FilterAccesses applies keep to every loop body (exported wrapper used by
-// the transformation packages).
-func (s *Spec) FilterAccesses(keep func(loop string, a Access) bool) {
-	for li := range s.Loops {
-		name := s.Loops[li].Name
-		s.filterAccesses(li, func(a Access) bool { return keep(name, a) })
-	}
-}
-
 // Builder assembles a Spec with dense access IDs and early validation.
 type Builder struct {
 	s      *Spec

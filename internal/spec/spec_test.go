@@ -100,52 +100,6 @@ func TestBuilderAccessOutsideLoopPanics(t *testing.T) {
 	NewBuilder("x").Group("a", 1, 1).Read("a", 1)
 }
 
-func TestRemoveGroup(t *testing.T) {
-	s := buildSmall(t)
-	s.RemoveGroup("b")
-	if _, ok := s.Group("b"); ok {
-		t.Fatal("b still present")
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("spec invalid after RemoveGroup: %v", err)
-	}
-	for _, a := range s.Loops[0].Accesses {
-		if a.Group == "b" {
-			t.Fatal("access to removed group survived")
-		}
-	}
-	// The write depended on both reads; the dependence on the surviving
-	// read must remain.
-	w := s.Loops[0].Accesses[1]
-	if !w.Write || len(w.Deps) != 1 || w.Deps[0] != 0 {
-		t.Fatalf("rewired write access = %+v", w)
-	}
-}
-
-func TestFilterAccessesRewiresTransitively(t *testing.T) {
-	b := NewBuilder("chain")
-	b.Group("a", 16, 8).Group("tmp", 16, 8)
-	b.Loop("l", 10)
-	r := b.Read("a", 1)
-	m := b.Write("tmp", 1, r)
-	m2 := b.Read("tmp", 1, m)
-	b.Write("a", 1, m2)
-	s := b.MustBuild()
-	// Drop the tmp accesses: the final write must now depend on the first
-	// read via the collapsed chain.
-	s.FilterAccesses(func(_ string, a Access) bool { return a.Group != "tmp" })
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Loops[0].Accesses) != 2 {
-		t.Fatalf("%d accesses left, want 2", len(s.Loops[0].Accesses))
-	}
-	w := s.Loops[0].Accesses[1]
-	if len(w.Deps) != 1 || w.Deps[0] != 0 {
-		t.Fatalf("transitive rewiring failed: %+v", w)
-	}
-}
-
 func TestGroupNamesOrder(t *testing.T) {
 	s := buildSmall(t)
 	names := s.GroupNames()
@@ -197,37 +151,6 @@ func TestQuickCloneFaithful(t *testing.T) {
 			c.AccessesPerFrame("g") == s.AccessesPerFrame("g")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: FilterAccesses never breaks validity or creates cycles.
-func TestQuickFilterKeepsValidity(t *testing.T) {
-	f := func(keepMask uint16) bool {
-		b := NewBuilder("q")
-		b.Group("a", 16, 8).Group("b", 16, 8)
-		b.Loop("l", 5)
-		ids := make([]int, 8)
-		for i := range ids {
-			grp := "a"
-			if i%2 == 1 {
-				grp = "b"
-			}
-			var deps []int
-			if i >= 2 {
-				deps = []int{ids[i-1], ids[i-2]}
-			} else if i == 1 {
-				deps = []int{ids[0]}
-			}
-			ids[i] = b.Read(grp, 1, deps...)
-		}
-		s := b.MustBuild()
-		s.FilterAccesses(func(_ string, a Access) bool {
-			return keepMask&(1<<uint(a.ID)) != 0
-		})
-		return s.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

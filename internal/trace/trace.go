@@ -207,14 +207,6 @@ func (r *Recorder) Pop() {
 	r.stack = r.stack[:n-1]
 }
 
-// Scope returns the full label of the innermost active scope ("" at root).
-func (r *Recorder) Scope() string {
-	if r == nil {
-		return ""
-	}
-	return r.names[r.cur]
-}
-
 func (r *Recorder) stats(array string) *ArrayStats {
 	s := r.arrays[array]
 	if s == nil {

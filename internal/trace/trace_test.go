@@ -61,17 +61,17 @@ func TestScopeAttribution(t *testing.T) {
 
 func TestScopeNesting(t *testing.T) {
 	r := NewRecorder()
-	if r.Scope() != "" {
-		t.Fatalf("root scope = %q", r.Scope())
+	if r.names[r.cur] != "" {
+		t.Fatalf("root scope = %q", r.names[r.cur])
 	}
 	r.Push("l1")
 	r.Push("l2")
-	if r.Scope() != "l1/l2" {
-		t.Fatalf("scope = %q, want l1/l2", r.Scope())
+	if r.names[r.cur] != "l1/l2" {
+		t.Fatalf("scope = %q, want l1/l2", r.names[r.cur])
 	}
 	r.Pop()
-	if r.Scope() != "l1" {
-		t.Fatalf("scope after pop = %q", r.Scope())
+	if r.names[r.cur] != "l1" {
+		t.Fatalf("scope after pop = %q", r.names[r.cur])
 	}
 }
 
@@ -94,9 +94,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	r.Pop()
 	if r.TotalAccesses() != 0 || r.Arrays() != nil {
 		t.Fatal("nil recorder recorded something")
-	}
-	if r.Scope() != "" {
-		t.Fatal("nil recorder has a scope")
 	}
 	if !strings.Contains(r.Report(), "disabled") {
 		t.Fatal("nil recorder report should say disabled")
@@ -389,8 +386,8 @@ func TestScopePathsShareTallies(t *testing.T) {
 	r.Push("a")
 	r.Push("b")
 	r.Read("x")
-	if r.Scope() != "a/b" {
-		t.Fatalf("scope = %q, want a/b", r.Scope())
+	if r.names[r.cur] != "a/b" {
+		t.Fatalf("scope = %q, want a/b", r.names[r.cur])
 	}
 	r.Pop()
 	r.Pop()
@@ -401,8 +398,8 @@ func TestScopePathsShareTallies(t *testing.T) {
 	r.Read("x") // scope "", shared with the root
 	r.Push("c")
 	r.Read("x") // scope "/c"
-	if r.Scope() != "/c" {
-		t.Fatalf("scope = %q, want /c", r.Scope())
+	if r.names[r.cur] != "/c" {
+		t.Fatalf("scope = %q, want /c", r.names[r.cur])
 	}
 	r.Pop()
 	r.Pop()
