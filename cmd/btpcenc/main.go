@@ -37,6 +37,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *quant < 1 || *quant > 64 {
+		fmt.Fprintf(stderr, "btpcenc: -q %d out of range [1, 64]\n", *quant)
+		fs.Usage()
+		return 2
+	}
 
 	var src *img.Gray
 	var outName string

@@ -78,6 +78,15 @@ func TestEncodeUsageErrors(t *testing.T) {
 			t.Fatalf("-synth %s: stderr %q lacks the range message", synth, stderr.String())
 		}
 	}
+	for _, q := range []string{"0", "-3", "65"} {
+		stderr.Reset()
+		if code := run([]string{"-synth", "8", "-q", q}, &stdout, &stderr); code != 2 {
+			t.Fatalf("-q %s: exit %d, want 2", q, code)
+		}
+		if !strings.Contains(stderr.String(), "-q "+q+" out of range") || !strings.Contains(stderr.String(), "Usage") {
+			t.Fatalf("-q %s: stderr %q lacks the range message or the usage", q, stderr.String())
+		}
+	}
 	stderr.Reset()
 	if code := run([]string{filepath.Join(t.TempDir(), "missing.pgm")}, &stdout, &stderr); code != 1 {
 		t.Fatalf("missing input: exit %d, want 1", code)

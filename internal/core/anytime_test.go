@@ -2,11 +2,16 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/btpc"
+	"repro/internal/img"
 	"repro/internal/pool"
+	"repro/internal/reuse"
 	"repro/internal/sbd"
+	"repro/internal/trace"
 )
 
 // TestEvaluateContextCanceled: a canceled context must still produce a
@@ -118,6 +123,52 @@ func TestExploreAllocationsContextCanceledKeepsFirst(t *testing.T) {
 		}
 		if len(vs) != 1 || len(ok) != 1 || ok[0] != counts[0] {
 			t.Fatalf("canceled sweep (pool %v) returned counts %v, want just %d", workers != nil, ok, counts[0])
+		}
+	}
+}
+
+// TestRunAllReuseStreamCanceled: under a context that is dead from the start
+// or expires mid-stream, at pool widths 1 and 2, RunAllContext still
+// completes the profiling encode — the pruned spec is the live run's — and
+// the image reuse profile is that of a processed prefix of the image read
+// trace, ending at a poll point of the analysis.
+func TestRunAllReuseStreamCanceled(t *testing.T) {
+	const size = 128
+	rec := trace.NewRecorder()
+	rec.EnableAddressTrace("image")
+	if _, _, err := btpc.Encode(img.Synthetic(size, size, 1), btpc.Params{Quant: 1}, rec); err != nil {
+		t.Fatal(err)
+	}
+	flat := rec.Addresses("image")
+	const poll = 64 * 1024 // the analysis's cancellation-poll stride
+	if len(flat) <= poll {
+		t.Fatalf("trace of %d addresses ends before the first poll point", len(flat))
+	}
+	live, err := BuildDemonstrator(DemoConfig{Size: size})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		for _, timeout := range []time.Duration{0, time.Millisecond} {
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			ep := DefaultEvalParams().ScaleTo(size)
+			ep.Workers = pool.New(workers)
+			res, err := RunAllContext(ctx, DemoConfig{Size: size}, ep)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Demo.Spec, live.Spec) {
+				t.Fatalf("workers %d, timeout %v: the pruned spec differs from the live run's", workers, timeout)
+			}
+			p := res.Demo.ImageProfile
+			n := int(p.Total())
+			if n > len(flat) || (n%poll != 0 && n != len(flat)) || (timeout == 0 && n != poll) {
+				t.Fatalf("workers %d, timeout %v: profiled %d of %d addresses", workers, timeout, n, len(flat))
+			}
+			if want := reuse.AnalyzeContext(context.Background(), [][]int32{flat[:n]}, nil); !reflect.DeepEqual(p, want) {
+				t.Fatalf("workers %d, timeout %v: the profile is not that of the %d-address prefix", workers, timeout, n)
+			}
 		}
 	}
 }

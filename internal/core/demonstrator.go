@@ -69,30 +69,32 @@ type Demonstrator struct {
 // exactly the paper's §4.1 flow (manual pruning skeleton + automatic
 // instrumentation counts).
 func BuildDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
-	d, err := profileDemonstrator(cfg, nil)
+	an := reuse.NewStream(context.Background(), nil)
+	d, err := profileDemonstrator(cfg, nil, an)
+	prof := an.Profile()
 	if err != nil {
 		return nil, err
 	}
-	d.ImageProfile = reuse.AnalyzeContext(context.Background(), d.Rec.AddressChunks("image"), nil)
+	d.ImageProfile = prof
 	return d, nil
 }
 
-// profileDemonstrator is BuildDemonstrator without the reuse analysis: it
-// runs the profiling encode, which captures the image array's read
-// addresses in the recorder's chunked trace, and derives the pruned
+// profileDemonstrator runs the profiling encode and derives the pruned
 // specification, each in a child span under parent (nil parent disables the
-// telemetry). It leaves ImageProfile nil: only the memory hierarchy step
-// reads the profile, so RunAllContext analyzes the trace's chunks, uncopied,
-// beside the structuring step. The encode is not cancelable (the codec has
-// no cancellation points); use small image sizes when operating under tight
+// telemetry). The image array's read addresses stream, chunk by chunk, into
+// an, which analyzes them while the encode runs; profileDemonstrator closes
+// an after the encode, and leaves ImageProfile nil for the caller to fill
+// from an.Profile(). The encode is not cancelable (the codec has no
+// cancellation points); use small image sizes when operating under tight
 // deadlines.
-func profileDemonstrator(cfg DemoConfig, parent *obs.Span) (*Demonstrator, error) {
+func profileDemonstrator(cfg DemoConfig, parent *obs.Span, an *reuse.Stream) (*Demonstrator, error) {
 	cfg.normalize()
 	rec := trace.NewRecorder()
-	rec.EnableAddressTrace("image")
+	rec.StreamAddressTrace("image", an)
 	src := img.Synthetic(cfg.Size, cfg.Size, cfg.Seed)
 	esp := parent.Child("profile.encode")
 	_, stats, err := btpc.Encode(src, btpc.Params{Quant: cfg.Quant}, rec)
+	rec.CloseAddressTrace("image")
 	if esp != nil {
 		esp.SetInt("size", int64(cfg.Size))
 		esp.SetInt("accesses", int64(rec.TotalAccesses()))

@@ -50,10 +50,16 @@ func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results
 	root, ep := ep.startSpan("run_all")
 	defer root.End()
 
+	// The image array's reuse analysis streams beside the profiling encode,
+	// on its own goroutine, and finishes the trace's tail beside step 1.
+	// Under a dead ctx it truncates; the encode and the structuring baseline
+	// always run.
+	an := reuse.NewStream(ctx, root)
 	psp := root.Child("profile")
-	demo, err := profileDemonstrator(cfg, psp)
+	demo, err := profileDemonstrator(cfg, psp, an)
 	psp.End()
 	if err != nil {
+		an.Profile()
 		return nil, err
 	}
 	ep = ep.ScaleTo(demo.Config.Size)
@@ -70,23 +76,12 @@ func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results
 
 	// Step 1: basic group structuring (Table 1). Decision: total power.
 	// Structuring reads only the spec and the cycle budget; the image
-	// array's reuse profile is first read by the hierarchy step, so the
-	// analysis runs beside it. The pool runs both items even under a dead
-	// ctx: the analysis then truncates, and the structuring baseline is
-	// always evaluated.
-	chunks := demo.Rec.AddressChunks("image")
-	var prof *reuse.Profile
-	ep.Workers.ForEach(context.Background(), 2, func(i int) {
-		if i == 0 {
-			prof = reuse.AnalyzeContext(ctx, chunks, root)
-			return
-		}
-		r.Structuring, err = ExploreStructuringContext(ctx, demo, ep)
-	})
+	// array's reuse profile is first read by the hierarchy step.
+	r.Structuring, err = ExploreStructuringContext(ctx, demo, ep)
+	demo.ImageProfile = an.Profile()
 	if err != nil {
 		return nil, err
 	}
-	demo.ImageProfile = prof
 	r.StructChoice = minPower(r.Structuring)
 
 	// Step 2: memory hierarchy (Table 2).

@@ -2,8 +2,11 @@
 // hierarchy transformation of the paper's memory hierarchy decision step
 // (§4.4, Figure 3).
 //
-// The analysis computes exact LRU stack distances of a profiled read
-// address trace (Fenwick-tree algorithm, O(n log n)); the miss ratio of any
+// The analysis computes exact LRU stack distances, up to a cap of 2^17
+// words, of a profiled read address trace. It keeps a bounded recency
+// window of the most recently used addresses, not the whole trace, so it
+// can run chunk by chunk beside the instrumented application (Stream) as
+// well as over a recorded trace (AnalyzeContext). The miss ratio of any
 // candidate layer size then follows from the distance histogram, and by
 // LRU's inclusion property a stack of layers is analyzed with the same
 // histogram.
@@ -20,7 +23,6 @@ package reuse
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/obs"
 	"repro/internal/spec"
@@ -37,22 +39,23 @@ type Profile struct {
 	cap   int
 }
 
-// maxTracked caps the histogram; candidate layers larger than this are not
-// meaningful on-chip copy layers anyway.
+// maxTracked caps the histogram and the recency window; candidate layers
+// larger than this are not meaningful on-chip copy layers anyway.
 const maxTracked = 1 << 17
 
 // analyzeCheckInterval is the cancellation-poll stride of the stack-distance
-// loop: with ~100 ns per position, 64Ki positions keep the deadline honored
-// within ~10 ms, and the loop between two polls runs unchecked.
+// loop: with about 30-60 ns per position, 64Ki positions keep the deadline
+// honored within ~4 ms, and the loop between two polls runs unchecked.
 const analyzeCheckInterval = 64 * 1024
 
 // AnalyzeContext computes the reuse profile of a read address trace given
 // as a list of chunks (trace.Recorder.AddressChunks), which together form
-// the trace in order; chunk boundaries do not affect the result. When ctx
-// expires mid-trace, the profile of the prefix processed so far is returned
-// (Total reports the truncated length, so miss ratios stay consistent).
-// Stack distances are a property of the trace prefix, so a truncated
-// profile is a valid — just lower-confidence — reuse estimate.
+// the trace in order; chunk boundaries do not affect the result. It is the
+// batch entry point to the engine a Stream feeds while the trace is being
+// recorded. When ctx expires mid-trace, the profile of the prefix processed
+// so far is returned (Total reports the truncated length, so miss ratios
+// stay consistent). Stack distances are a property of the trace prefix, so
+// a truncated profile is a valid — just lower-confidence — reuse estimate.
 //
 // Under a non-nil parent the computation runs in a "reuse.analyze" span
 // recording the trace length and the cold and far counts; a nil parent
@@ -60,62 +63,22 @@ const analyzeCheckInterval = 64 * 1024
 func AnalyzeContext(ctx context.Context, chunks [][]int32, parent *obs.Span) *Profile {
 	sp := parent.Child("reuse.analyze")
 	defer sp.End()
-	p := analyze(ctx, chunks)
-	if sp != nil {
-		n := traceLen(chunks)
-		sp.SetInt("trace_len", int64(n))
-		sp.SetInt("cold", int64(p.cold))
-		sp.SetInt("far", int64(p.far))
-		if p.total < uint64(n) {
-			sp.SetInt("truncated_at", int64(p.total))
-		}
-		sp.Observer().Counter("reuse.analyzed_accesses").Add(int64(p.total))
-	}
-	return p
+	return analyze(ctx, chunks, maxTracked).finish(sp)
 }
 
-func analyze(ctx context.Context, chunks [][]int32) *Profile {
-	n := traceLen(chunks)
-	p := &Profile{hist: make([]uint64, 1), cap: maxTracked, total: uint64(n)}
-	if n == 0 {
-		return p
-	}
-	// Fenwick tree over trace positions; a 1 marks the most recent
-	// occurrence of each distinct address.
-	bit := make(fenwick, n+1)
-	done := ctx.Done()
+// analyze runs chunks through a window tracking distances up to tracked.
+func analyze(ctx context.Context, chunks [][]int32, tracked int) *window {
 	last := newLastSeen(chunks...)
-	base := 0 // trace position of the next chunk segment
-	for _, c := range chunks {
-		for len(c) > 0 {
-			if done != nil && base > 0 && base%analyzeCheckInterval == 0 {
-				select {
-				case <-done:
-					p.total = uint64(base) // profile of the processed prefix
-					return p
-				default:
-				}
-			}
-			// Run unchecked up to the next poll position or the chunk's end.
-			seg := c[:min(len(c), analyzeCheckInterval-base%analyzeCheckInterval)]
-			c = c[len(seg):]
-			for j, a := range seg {
-				t := base + j
-				if lt := last.swap(a, t); lt >= 0 {
-					// Distinct addresses touched strictly between lt and
-					// t, plus the element's own stack slot.
-					d := int(bit.sum(t-1)-bit.sum(lt)) + 1
-					p.record(d)
-					bit.add(lt, -1)
-				} else {
-					p.cold++
-				}
-				bit.add(t, 1)
-			}
-			base += len(seg)
-		}
+	// The window holds at most the trace's distinct addresses.
+	words := traceLen(chunks)
+	if last.dense != nil {
+		words = min(words, len(last.dense))
 	}
-	return p
+	w := newWindow(ctx, tracked, words, last)
+	for _, c := range chunks {
+		w.feed(c)
+	}
+	return w
 }
 
 // traceLen returns the number of addresses in a chunk list.
@@ -125,83 +88,6 @@ func traceLen(chunks [][]int32) int {
 		n += len(c)
 	}
 	return n
-}
-
-// fenwick is a binary indexed tree over trace positions 0..len-2.
-type fenwick []int32
-
-func (f fenwick) add(i int, v int32) {
-	for i++; i < len(f); i += i & (-i) {
-		f[i] += v
-	}
-}
-
-// sum returns the prefix sum over positions [0, i].
-func (f fenwick) sum(i int) int32 {
-	var s int32
-	for i++; i > 0; i -= i & (-i) {
-		s += f[i]
-	}
-	return s
-}
-
-// denseSpanFactor bounds the dense last-seen table: it is used while the
-// trace's address span is at most this many times the trace length.
-const denseSpanFactor = 4
-
-// lastSeen maps each address to the trace position of its latest access.
-// Address traces are mostly dense ranges (image rows, buffers), so the
-// table is a slice indexed by address - min holding position + 1 (0 for
-// unseen); a sparse trace whose span exceeds denseSpanFactor × its length
-// falls back to a map.
-type lastSeen struct {
-	min   int64
-	dense []int
-	byMap map[int32]int
-}
-
-// newLastSeen sizes the table for the trace formed by chunks, which must
-// hold at least one address.
-func newLastSeen(chunks ...[]int32) lastSeen {
-	n := traceLen(chunks)
-	var lo, hi int32 = math.MaxInt32, math.MinInt32
-	for _, c := range chunks {
-		for _, a := range c {
-			lo, hi = min(lo, a), max(hi, a)
-		}
-	}
-	if span := int64(hi) - int64(lo) + 1; span <= denseSpanFactor*int64(n) {
-		return lastSeen{min: int64(lo), dense: make([]int, span)}
-	}
-	return lastSeen{byMap: make(map[int32]int, 1024)}
-}
-
-// swap records position t for address a and returns a's previous position,
-// or -1 on its first access.
-func (l *lastSeen) swap(a int32, t int) int {
-	if l.byMap == nil {
-		i := int64(a) - l.min
-		prev := l.dense[i] - 1
-		l.dense[i] = t + 1
-		return prev
-	}
-	prev, seen := l.byMap[a]
-	l.byMap[a] = t
-	if !seen {
-		return -1
-	}
-	return prev
-}
-
-func (p *Profile) record(d int) {
-	if d > p.cap {
-		p.far++
-		return
-	}
-	for len(p.hist) <= d {
-		p.hist = append(p.hist, 0)
-	}
-	p.hist[d]++
 }
 
 // Total returns the number of accesses in the trace.

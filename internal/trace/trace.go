@@ -42,12 +42,30 @@ type ArrayStats struct {
 // never regrows or copies a buffer.
 const ChunkLen = 16 * 1024
 
+// An AddressSink consumes the read-address trace of one array chunk by
+// chunk, in trace order, in place of the in-memory chunk list, so the trace
+// need never be held whole (reuse.Stream analyzes it as it arrives).
+type AddressSink interface {
+	// Extent is called when an array is created under the traced name,
+	// before any of its reads, with its size in words: each of its
+	// addresses lies in [0, words).
+	Extent(words int)
+	// Chunk takes over c; the recorder never touches it again. It returns
+	// an empty chunk of capacity ChunkLen to fill next, or nil to have one
+	// allocated.
+	Chunk(c []int32) []int32
+	// Close is called after the last chunk.
+	Close()
+}
+
 // addressTrace is the read-address trace of one array. Addresses go into
-// the open chunk; when it is full, spill hands it to the sink (here the
-// in-memory chunk list) and the next access starts a fresh chunk.
+// the open chunk; when it is full, spill hands it to the sink — the
+// in-memory chunk list, or an AddressSink — and the next access starts a
+// fresh chunk.
 type addressTrace struct {
-	open   []int32   // chunk being filled, capacity ChunkLen; nil until the next access
-	chunks [][]int32 // the in-memory sink: every handed-over chunk, in trace order
+	open   []int32     // chunk being filled, capacity ChunkLen; nil until the next access
+	chunks [][]int32   // the in-memory sink: every handed-over chunk, in trace order
+	sink   AddressSink // when set, takes the chunks instead of the list
 }
 
 func (t *addressTrace) add(a int32) {
@@ -58,17 +76,26 @@ func (t *addressTrace) add(a int32) {
 }
 
 func (t *addressTrace) spill() {
-	t.flush()
-	t.open = make([]int32, 0, ChunkLen)
+	t.open = t.flush()
+	if t.open == nil {
+		t.open = make([]int32, 0, ChunkLen)
+	}
 }
 
-// flush hands the partial tail chunk to the sink; the next access starts a
-// fresh chunk, so a chunk is never written after it has been handed over.
-func (t *addressTrace) flush() {
-	if len(t.open) > 0 {
-		t.chunks = append(t.chunks, t.open)
-		t.open = nil
+// flush hands the partial tail chunk to the sink and returns the empty
+// chunk an AddressSink gave back, if any; the next access starts a fresh
+// chunk, so a chunk is never written after it has been handed over.
+func (t *addressTrace) flush() []int32 {
+	if len(t.open) == 0 {
+		return nil
 	}
+	c := t.open
+	t.open = nil
+	if t.sink != nil {
+		return t.sink.Chunk(c)
+	}
+	t.chunks = append(t.chunks, c)
+	return nil
 }
 
 // scopeKey names a pushed scope by its parent's id (-1 at the root) and its
@@ -121,14 +148,38 @@ func (r *Recorder) EnableAddressTrace(array string) {
 	}
 }
 
+// StreamAddressTrace turns on read-address capture for the named array,
+// like EnableAddressTrace, but hands every chunk to sink instead of keeping
+// it: AddressChunks and Addresses then return nil. CloseAddressTrace ends
+// the trace.
+func (r *Recorder) StreamAddressTrace(array string, sink AddressSink) {
+	if r == nil {
+		return
+	}
+	r.EnableAddressTrace(array)
+	r.addrs[array].sink = sink
+}
+
+// CloseAddressTrace hands the named array's partial tail chunk to its sink
+// and closes the sink; the array must not be read afterwards. It does
+// nothing for an array whose trace is not streamed.
+func (r *Recorder) CloseAddressTrace(array string) {
+	if r == nil || r.addrs[array] == nil || r.addrs[array].sink == nil {
+		return
+	}
+	t := r.addrs[array]
+	t.flush()
+	t.sink.Close()
+}
+
 // AddressChunks returns the captured read-address trace of the named array
-// as its list of chunks, in trace order (nil when tracing was not enabled).
-// It first flushes the partial tail chunk. The chunks are shared with the
-// recorder, which never writes a chunk again once it has been handed over;
-// callers must not modify them. Reads recorded afterwards go into new
-// chunks that a later call returns.
+// as its list of chunks, in trace order (nil when tracing was not enabled
+// or is streamed to a sink). It first flushes the partial tail chunk. The
+// chunks are shared with the recorder, which never writes a chunk again
+// once it has been handed over; callers must not modify them. Reads
+// recorded afterwards go into new chunks that a later call returns.
 func (r *Recorder) AddressChunks(array string) [][]int32 {
-	if r == nil || r.addrs[array] == nil {
+	if r == nil || r.addrs[array] == nil || r.addrs[array].sink != nil {
 		return nil
 	}
 	t := r.addrs[array]
@@ -137,10 +188,11 @@ func (r *Recorder) AddressChunks(array string) [][]int32 {
 }
 
 // Addresses returns the captured read-address trace of the named array as
-// one flat slice (nil when tracing was not enabled). It is a copy the
-// caller owns; AddressChunks reads the same trace without copying it.
+// one flat slice (nil when tracing was not enabled or is streamed). It is a
+// copy the caller owns; AddressChunks reads the same trace without copying
+// it.
 func (r *Recorder) Addresses(array string) []int32 {
-	if r == nil || r.addrs[array] == nil {
+	if r == nil || r.addrs[array] == nil || r.addrs[array].sink != nil {
 		return nil
 	}
 	chunks := r.AddressChunks(array)
@@ -372,6 +424,9 @@ func NewArray2D(rec *Recorder, name string, w, h int) *Array2D {
 	a := &Array2D{Name: name, W: w, H: h, data: make([]int32, w*h), h: rec.NewHandle(name)}
 	if rec != nil && rec.addrs != nil {
 		a.addr = rec.addrs[name]
+		if a.addr != nil && a.addr.sink != nil {
+			a.addr.sink.Extent(w * h)
+		}
 	}
 	return a
 }

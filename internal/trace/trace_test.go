@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -489,4 +490,61 @@ func TestAddressChunks(t *testing.T) {
 	if nr.AddressChunks("m") != nil {
 		t.Fatal("nil recorder has chunks")
 	}
+}
+
+// fakeSink records what a streamed trace hands it and gives each full
+// chunk back as the next one to fill.
+type fakeSink struct {
+	extents []int
+	flat    []int32
+	lens    []int
+	backing map[*int32]bool // first elements of the chunks handed over
+	closed  bool
+}
+
+func (s *fakeSink) Extent(words int) { s.extents = append(s.extents, words) }
+
+func (s *fakeSink) Chunk(c []int32) []int32 {
+	s.flat = append(s.flat, c...)
+	s.lens = append(s.lens, len(c))
+	s.backing[&c[:1][0]] = true
+	return c[:0]
+}
+
+func (s *fakeSink) Close() { s.closed = true }
+
+// TestStreamAddressTrace: a streamed trace learns the array's extent at
+// creation, hands over full ChunkLen chunks and, at CloseAddressTrace, the
+// tail, in order; it refills the chunk the sink gives back instead of
+// allocating one, and keeps no chunk list of its own.
+func TestStreamAddressTrace(t *testing.T) {
+	r := NewRecorder()
+	s := &fakeSink{backing: map[*int32]bool{}}
+	r.StreamAddressTrace("m", s)
+	a := NewArray2D(r, "m", 64, 1024)
+	n := 3*ChunkLen + 5
+	for i := 0; i < n; i++ {
+		a.Get(i%64, (i/64)%1024)
+	}
+	r.CloseAddressTrace("m")
+	if len(s.extents) != 1 || s.extents[0] != 64*1024 || !s.closed {
+		t.Fatalf("extents %v, closed %v; want [%d], true", s.extents, s.closed, 64*1024)
+	}
+	if want := []int{ChunkLen, ChunkLen, ChunkLen, 5}; !slices.Equal(s.lens, want) {
+		t.Fatalf("chunk lengths %v, want %v", s.lens, want)
+	}
+	for i, v := range s.flat {
+		if v != int32(i%(64*1024)) {
+			t.Fatalf("address %d = %d", i, v)
+		}
+	}
+	if len(s.backing) != 1 {
+		t.Fatalf("%d chunk buffers for a sink that gives every chunk back, want 1", len(s.backing))
+	}
+	if r.AddressChunks("m") != nil || r.Addresses("m") != nil {
+		t.Fatal("a streamed trace kept chunks")
+	}
+	var nr *Recorder
+	nr.StreamAddressTrace("m", s)
+	nr.CloseAddressTrace("m")
 }
