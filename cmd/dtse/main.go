@@ -79,26 +79,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *cache != "on" && *cache != "off" {
-		fmt.Fprintf(stderr, "dtse: -cache %q invalid (want on or off)\n", *cache)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
 		fs.Usage()
 		return 2
 	}
-	if *workers < 1 {
-		fmt.Fprintf(stderr, "dtse: -workers %d out of range (must be >= 1)\n", *workers)
-		fs.Usage()
-		return 2
+	switch {
+	case *cache != "on" && *cache != "off":
+		return usage("dtse: -cache %q invalid (want on or off)", *cache)
+	case *workers < 1:
+		return usage("dtse: -workers %d out of range (must be >= 1)", *workers)
+	case *size < 2:
+		return usage("dtse: -size %d out of range (must be >= 2)", *size)
+	case *quant < 1 || *quant > 64:
+		return usage("dtse: -quant %d out of range [1, 64]", *quant)
+	case *timeout < 0:
+		return usage("dtse: -timeout %v out of range (must be >= 0)", *timeout)
 	}
-
 	if err := validateSelection(*table, *figure); err != nil {
-		fmt.Fprintln(stderr, err)
-		fs.Usage()
-		return 2
-	}
-	if *timeout < 0 {
-		fmt.Fprintf(stderr, "dtse: -timeout %v out of range (must be >= 0)\n", *timeout)
-		fs.Usage()
-		return 2
+		return usage("%v", err)
 	}
 
 	// Disk result cache: the key pins every flag that shapes stdout; a hit

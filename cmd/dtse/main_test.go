@@ -132,14 +132,23 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-timeout", "-1s"},
 		{"-workers", "0"},
 		{"-workers", "-4"},
+		{"-size", "-4"},
+		{"-size", "0"},
+		{"-size", "1"},
+		{"-quant", "-3"},
+		{"-quant", "0"},
+		{"-quant", "65"},
 		{"-nosuchflag"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)
 		}
-		if stderr.Len() == 0 {
-			t.Errorf("%v: no usage message on stderr", args)
+		if !strings.Contains(stderr.String(), "Usage of dtse") {
+			t.Errorf("%v: no usage message on stderr:\n%s", args, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote stdout despite the usage error", args)
 		}
 	}
 }

@@ -30,8 +30,8 @@ func validateFlags(size int, quant int) error {
 	if size < 2 {
 		return fmt.Errorf("memprof: -size %d out of range (must be >= 2)", size)
 	}
-	if quant < 1 {
-		return fmt.Errorf("memprof: -quant %d out of range (must be >= 1)", quant)
+	if quant < 1 || quant > 64 {
+		return fmt.Errorf("memprof: -quant %d out of range [1, 64]", quant)
 	}
 	return nil
 }
@@ -53,9 +53,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	rec := trace.NewRecorder()
-	rec.EnableAddressTrace("image")
+	an := reuse.NewStream(context.Background(), nil)
+	rec.StreamAddressTrace("image", an)
 	src := img.Synthetic(*size, *size, *seed)
 	_, stats, err := btpc.Encode(src, btpc.Params{Quant: *quant}, rec)
+	rec.CloseAddressTrace("image")
+	prof := an.Profile()
 	if err != nil {
 		fmt.Fprintln(stderr, "memprof:", err)
 		return 1
@@ -65,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*size, *size, *quant, stats.BitsPerPixel())
 	fmt.Fprint(stdout, rec.Report())
 
-	prof := reuse.AnalyzeContext(context.Background(), rec.AddressChunks("image"), nil)
 	fmt.Fprintf(stdout, "\nimage array reuse (LRU miss ratio by buffer size):\n")
 	for _, s := range []int64{4, 12, 64, 256, 1024, 5 * int64(*size), 4 * int64(*size) * int64(*size) / 100} {
 		fmt.Fprintf(stdout, "  %8d words: %5.1f%%\n", s, 100*prof.MissRatio(s))

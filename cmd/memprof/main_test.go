@@ -22,6 +22,8 @@ func TestValidateFlags(t *testing.T) {
 		{"zero size", 0, 1, true},
 		{"zero quant", 64, 0, true},
 		{"negative quant", 64, -2, true},
+		{"largest quant", 64, 64, false},
+		{"quant too large", 64, 65, true},
 	}
 	for _, c := range cases {
 		err := validateFlags(c.size, c.quant)
@@ -73,12 +75,16 @@ func TestRunFlagErrors(t *testing.T) {
 	cases := [][]string{
 		{"-size", "1"},
 		{"-quant", "0"},
+		{"-quant", "65"},
 		{"-nosuchflag"},
 	}
 	for _, args := range cases {
 		var out, errB bytes.Buffer
 		if code := run(args, &out, &errB); code != 2 {
 			t.Errorf("run(%v) = %d, want 2 (stderr: %s)", args, code, errB.String())
+		}
+		if !strings.Contains(errB.String(), "Usage of memprof") {
+			t.Errorf("run(%v) printed no usage:\n%s", args, errB.String())
 		}
 		if out.Len() != 0 {
 			t.Errorf("run(%v) wrote output despite flag error:\n%s", args, out.String())

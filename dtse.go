@@ -21,7 +21,7 @@
 //	// v.Cost has the on-chip area / on-chip power / off-chip power triple.
 //
 // Transformations (basic group structuring, custom memory hierarchies) are
-// available through Compact, Merge, AnalyzeReuse, PlanHierarchy and
+// available through Compact, Merge, NewReuseStream, PlanHierarchy and
 // ApplyHierarchy; profiling support lives in NewRecorder and the
 // instrumented arrays.
 //
@@ -110,6 +110,10 @@ type (
 	Recorder = trace.Recorder
 	// ReuseProfile is the LRU reuse-distance histogram of a read trace.
 	ReuseProfile = reuse.Profile
+	// ReuseStream analyzes a read-address trace while it is recorded: pass
+	// it to Recorder.StreamAddressTrace before creating the traced array,
+	// call Recorder.CloseAddressTrace after the last read, then Profile.
+	ReuseStream = reuse.Stream
 	// Layer is one candidate copy layer of a memory hierarchy.
 	Layer = reuse.Layer
 	// Hierarchy is a planned memory hierarchy for one array.
@@ -194,10 +198,10 @@ func Merge(s *Spec, a, b, merged string) (*Spec, error) {
 	return bgstruct.Merge(s, a, b, merged)
 }
 
-// AnalyzeReuse computes the LRU reuse profile of a read address trace.
-func AnalyzeReuse(addrs []int32) *ReuseProfile {
-	return reuse.AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
-}
+// NewReuseStream starts the LRU reuse analysis of one traced array's read
+// addresses. When ctx expires mid-trace, the profile is that of the prefix
+// analyzed so far.
+func NewReuseStream(ctx context.Context) *ReuseStream { return reuse.NewStream(ctx, nil) }
 
 // PlanHierarchy derives a memory hierarchy (with trace-driven miss ratios)
 // for the array from candidate copy layers, innermost first.

@@ -97,7 +97,11 @@ func TestFacadeHierarchyFlow(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	prof := AnalyzeReuse(addrs)
+	an := NewReuseStream(context.Background())
+	an.Extent(32)
+	an.Chunk(addrs)
+	an.Close()
+	prof := an.Profile()
 	h, err := PlanHierarchy("cur", []Layer{{Name: "win", Words: 48}}, prof)
 	if err != nil {
 		t.Fatal(err)

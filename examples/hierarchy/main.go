@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,10 +22,12 @@ const (
 )
 
 // runConvolution executes an instrumented 5x5 convolution and returns the
-// recorder with counts and the input-array read trace.
-func runConvolution() *trace.Recorder {
+// recorder with counts and the reuse profile of the input-array read
+// trace, analyzed while the kernel runs.
+func runConvolution() (*trace.Recorder, *dtse.ReuseProfile) {
 	rec := trace.NewRecorder()
-	rec.EnableAddressTrace("in")
+	an := dtse.NewReuseStream(context.Background())
+	rec.StreamAddressTrace("in", an)
 	in := trace.NewArray2D(rec, "in", w, h)
 	out := trace.NewArray2D(rec, "out", w, h)
 	coef := trace.NewArray1D(rec, "coef", k*k)
@@ -49,7 +52,8 @@ func runConvolution() *trace.Recorder {
 		}
 	}
 	rec.Pop()
-	return rec
+	rec.CloseAddressTrace("in")
+	return rec, an.Profile()
 }
 
 // buildSpec writes the pruned convolution specification with the profiled
@@ -79,9 +83,8 @@ func buildSpec(rec *trace.Recorder) *dtse.Spec {
 }
 
 func main() {
-	rec := runConvolution()
+	rec, prof := runConvolution()
 	s := buildSpec(rec)
-	prof := dtse.AnalyzeReuse(rec.Addresses("in"))
 
 	fmt.Printf("5x5 convolution on %dx%d: %d accesses profiled\n", w, h, rec.TotalAccesses())
 	fmt.Println("input-array LRU miss ratio by candidate layer size:")

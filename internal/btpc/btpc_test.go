@@ -492,48 +492,55 @@ func TestQuickLosslessRoundTrip(t *testing.T) {
 	}
 }
 
+// countingSink is a trace.AddressSink that counts the addresses and hands
+// each chunk straight back to be refilled.
+type countingSink struct{ n int }
+
+func (s *countingSink) Extent(int)              {}
+func (s *countingSink) Chunk(c []int32) []int32 { s.n += len(c); return c[:0] }
+func (s *countingSink) Close()                  {}
+
 // TestTracedEncodeAllocs pins the cost of capturing the image address
-// trace: a traced 256² encode may allocate at most 10 % more than the
-// trace's own 4 bytes per address, plus one chunk, beyond a counts-only
-// encode. A trace buffer that regrows by doubling, or a copy of it, breaks
-// the bound.
+// trace: with a sink that hands every chunk straight back, a traced 256²
+// encode may allocate at most one trace.ChunkLen chunk, plus slack for the
+// trace's bookkeeping, beyond a counts-only encode. A recorder that keeps or
+// copies a chunk, or allocates a fresh one per spill, breaks the bound.
 func TestTracedEncodeAllocs(t *testing.T) {
 	src := img.Synthetic(256, 256, 1)
 	// alloc returns the fewest bytes one encode allocated over three tries
 	// (a stray runtime allocation can only add), and the trace length.
 	alloc := func(traced bool) (uint64, int) {
-		best, n := uint64(math.MaxUint64), 0
+		best := uint64(math.MaxUint64)
+		sink := &countingSink{}
 		for try := 0; try < 3; try++ {
 			rec := trace.NewRecorder()
+			sink.n = 0
 			if traced {
-				rec.EnableAddressTrace("image")
+				rec.StreamAddressTrace("image", sink)
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			if _, _, err := Encode(src, Params{}, rec); err != nil {
 				t.Fatal(err)
 			}
-			n = 0
-			for _, c := range rec.AddressChunks("image") {
-				n += len(c)
-			}
+			rec.CloseAddressTrace("image")
 			runtime.ReadMemStats(&after)
 			best = min(best, after.TotalAlloc-before.TotalAlloc)
 		}
-		return best, n
+		return best, sink.n
 	}
 	counted, _ := alloc(false)
 	traced, n := alloc(true)
-	if n == 0 {
-		t.Fatal("empty image address trace")
+	if n <= trace.ChunkLen {
+		t.Fatalf("image address trace of %d addresses fits one chunk; want several", n)
 	}
 	extra := int64(traced) - int64(counted)
-	limit := int64(1.1*4*float64(n)) + 4*trace.ChunkLen
+	limit := int64(4*trace.ChunkLen + 4096)
 	t.Logf("trace %d addresses (%d B); traced encode allocates %d B more than counts only (limit %d B)",
 		n, 4*n, extra, limit)
 	if extra > limit {
-		t.Fatalf("traced encode allocates %d B more than counts only; limit %d B for a %d-address trace",
-			extra, limit, n)
+		t.Fatalf("traced encode allocates %d B more than counts only; limit %d B (one chunk plus slack)",
+			extra, limit)
 	}
 }
 
@@ -560,25 +567,23 @@ func BenchmarkEncodeProfiled256(b *testing.B) {
 }
 
 // BenchmarkEncodeTraced256 is the profiling encode the methodology runs:
-// access counts plus the image read-address trace, which is then read back
-// chunk by chunk. With BenchmarkEncode256 (bare) and
-// BenchmarkEncodeProfiled256 (counts only) it gives the three-way cost of
-// the instrumentation.
+// access counts plus the image read-address trace, handed chunk by chunk
+// to a sink that counts it and gives each chunk back. With
+// BenchmarkEncode256 (bare) and BenchmarkEncodeProfiled256 (counts only)
+// it gives the three-way cost of the instrumentation.
 func BenchmarkEncodeTraced256(b *testing.B) {
 	src := img.Synthetic(256, 256, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := trace.NewRecorder()
-		rec.EnableAddressTrace("image")
+		sink := &countingSink{}
+		rec.StreamAddressTrace("image", sink)
 		if _, _, err := Encode(src, Params{}, rec); err != nil {
 			b.Fatal(err)
 		}
-		n := 0
-		for _, c := range rec.AddressChunks("image") {
-			n += len(c)
-		}
-		if n == 0 {
+		rec.CloseAddressTrace("image")
+		if sink.n == 0 {
 			b.Fatal("empty image address trace")
 		}
 	}

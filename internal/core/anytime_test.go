@@ -127,6 +127,14 @@ func TestExploreAllocationsContextCanceledKeepsFirst(t *testing.T) {
 	}
 }
 
+// flatSink is a trace.AddressSink that copies the trace it is handed and
+// gives each chunk back to be refilled.
+type flatSink struct{ flat []int32 }
+
+func (s *flatSink) Extent(int)              {}
+func (s *flatSink) Chunk(c []int32) []int32 { s.flat = append(s.flat, c...); return c[:0] }
+func (s *flatSink) Close()                  {}
+
 // TestRunAllReuseStreamCanceled: under a context that is dead from the start
 // or expires mid-stream, at pool widths 1 and 2, RunAllContext still
 // completes the profiling encode — the pruned spec is the live run's — and
@@ -135,11 +143,13 @@ func TestExploreAllocationsContextCanceledKeepsFirst(t *testing.T) {
 func TestRunAllReuseStreamCanceled(t *testing.T) {
 	const size = 128
 	rec := trace.NewRecorder()
-	rec.EnableAddressTrace("image")
+	var sink flatSink
+	rec.StreamAddressTrace("image", &sink)
 	if _, _, err := btpc.Encode(img.Synthetic(size, size, 1), btpc.Params{Quant: 1}, rec); err != nil {
 		t.Fatal(err)
 	}
-	flat := rec.Addresses("image")
+	rec.CloseAddressTrace("image")
+	flat := sink.flat
 	const poll = 64 * 1024 // the analysis's cancellation-poll stride
 	if len(flat) <= poll {
 		t.Fatalf("trace of %d addresses ends before the first poll point", len(flat))
@@ -166,7 +176,11 @@ func TestRunAllReuseStreamCanceled(t *testing.T) {
 			if n > len(flat) || (n%poll != 0 && n != len(flat)) || (timeout == 0 && n != poll) {
 				t.Fatalf("workers %d, timeout %v: profiled %d of %d addresses", workers, timeout, n, len(flat))
 			}
-			if want := reuse.AnalyzeContext(context.Background(), [][]int32{flat[:n]}, nil); !reflect.DeepEqual(p, want) {
+			an := reuse.NewStream(context.Background(), nil)
+			an.Extent(size * size)
+			an.Chunk(flat[:n])
+			an.Close()
+			if want := an.Profile(); !reflect.DeepEqual(p, want) {
 				t.Fatalf("workers %d, timeout %v: the profile is not that of the %d-address prefix", workers, timeout, n)
 			}
 		}

@@ -261,11 +261,14 @@ func BuildDecoderDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
 		return nil, fmt.Errorf("core: encode for decoder profiling failed: %w", err)
 	}
 	rec := trace.NewRecorder()
-	rec.EnableAddressTrace("out")
-	if _, err := btpc.Decode(data, rec); err != nil {
+	an := reuse.NewStream(context.Background(), nil)
+	rec.StreamAddressTrace("out", an)
+	_, err = btpc.Decode(data, rec)
+	rec.CloseAddressTrace("out")
+	prof := an.Profile()
+	if err != nil {
 		return nil, fmt.Errorf("core: profiling decode failed: %w", err)
 	}
-	prof := reuse.AnalyzeContext(context.Background(), rec.AddressChunks("out"), nil)
 	s, err := buildDecoderSpec(cfg, rec, stats)
 	if err != nil {
 		return nil, err

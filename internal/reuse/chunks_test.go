@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -54,8 +55,8 @@ func randomCuts(rng *rand.Rand, n, k int) []int {
 }
 
 // randomTrace draws a trace of n addresses mixing short- and long-distance
-// reuse; sparse traces exercise the map last-seen table.
-func randomTrace(rng *rand.Rand, n int, sparse bool) []int32 {
+// reuse; a spread trace scatters them over an extent 97 times as large.
+func randomTrace(rng *rand.Rand, n int, spread bool) []int32 {
 	flat := make([]int32, n)
 	span := int32(1 + rng.Intn(4096))
 	for i := range flat {
@@ -65,11 +66,52 @@ func randomTrace(rng *rand.Rand, n int, sparse bool) []int32 {
 		default:
 			flat[i] = rng.Int31n(span)
 		}
-		if sparse {
-			flat[i] *= 1_000_003
+	}
+	if spread {
+		for i := range flat {
+			flat[i] *= 97
 		}
 	}
 	return flat
+}
+
+// extentOf returns the smallest array extent that holds every address of
+// chunks.
+func extentOf(chunks ...[]int32) int {
+	words := 0
+	for _, c := range chunks {
+		for _, a := range c {
+			words = max(words, int(a)+1)
+		}
+	}
+	return words
+}
+
+// streamProfile hands chunks to a Stream under ctx, as the recorder hands
+// over the trace of an array of words words, and returns its profile. It
+// fails if a chunk the stream gives back to refill is not empty.
+func streamProfile(tb testing.TB, ctx context.Context, words int, chunks ...[]int32) *Profile {
+	tb.Helper()
+	s := NewStream(ctx, nil)
+	s.Extent(words)
+	for _, c := range chunks {
+		if f := s.Chunk(c); len(f) != 0 {
+			tb.Fatalf("stream gave back a chunk of length %d to refill", len(f))
+		}
+	}
+	s.Close()
+	return s.Profile()
+}
+
+// batchProfile runs the trace formed by chunks through a window on the
+// calling goroutine, with no queue in between: the reference run the
+// stream's plumbing must not change.
+func batchProfile(ctx context.Context, chunks ...[]int32) *Profile {
+	w := newWindow(ctx, maxTracked, extentOf(chunks...))
+	for _, c := range chunks {
+		w.feed(c)
+	}
+	return w.finish(nil)
 }
 
 // TestChunkedMatchesFlat: the reuse profile of a trace split into chunks
@@ -84,17 +126,17 @@ func TestChunkedMatchesFlat(t *testing.T) {
 		}
 		flat := randomTrace(rng, n, i%4 == 3)
 		chunks := splitAt(flat, randomCuts(rng, n, rng.Intn(12)))
-		got := AnalyzeContext(context.Background(), chunks, nil)
-		if want := AnalyzeContext(context.Background(), [][]int32{flat}, nil); !reflect.DeepEqual(got, want) {
+		got := batchProfile(context.Background(), chunks...)
+		if want := batchProfile(context.Background(), flat); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: %d addresses in %d chunks: chunked profile %+v, flat %+v",
 				i, n, len(chunks), got, want)
 		}
 	}
 }
 
-// TestChunkedDeadContextIsPrefix: under an expired context the chunked
-// analysis stops at the first poll point and returns exactly the profile of
-// the processed prefix.
+// TestChunkedDeadContextIsPrefix: under an expired context a stream stops
+// at the first poll point and returns exactly the profile of the processed
+// prefix, wherever the chunk boundaries fall.
 func TestChunkedDeadContextIsPrefix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -102,42 +144,55 @@ func TestChunkedDeadContextIsPrefix(t *testing.T) {
 	for i, n := range []int{0, 1, 500, analyzeCheckInterval, analyzeCheckInterval + 1, 2*analyzeCheckInterval + 77} {
 		flat := randomTrace(rng, n, false)
 		chunks := splitAt(flat, randomCuts(rng, n, 6))
-		got := AnalyzeContext(ctx, chunks, nil)
+		got := streamProfile(t, ctx, extentOf(flat), chunks...)
 		done := min(n, analyzeCheckInterval)
 		if got.Total() != uint64(done) {
 			t.Fatalf("case %d: dead-context total %d, want %d", i, got.Total(), done)
 		}
-		if want := AnalyzeContext(context.Background(), [][]int32{flat[:done]}, nil); !reflect.DeepEqual(got, want) {
+		if want := batchProfile(context.Background(), flat[:done]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: dead-context profile %+v, want the %d-address prefix's %+v", i, got, done, want)
 		}
 	}
 }
 
-// encodeTrace captures the image read trace of one 256² BTPC encode.
-func encodeTrace(tb testing.TB, seed uint64, quant int) *trace.Recorder {
+// collector is a trace.AddressSink that keeps every chunk it is handed.
+type collector struct {
+	words  int
+	chunks [][]int32
+}
+
+func (c *collector) Extent(words int)         { c.words = words }
+func (c *collector) Chunk(ch []int32) []int32 { c.chunks = append(c.chunks, ch); return nil }
+func (c *collector) Close()                   {}
+
+// encodeTrace captures the image read trace of one 256² BTPC encode, in
+// the chunks the recorder handed over.
+func encodeTrace(tb testing.TB, seed uint64, quant int) *collector {
 	tb.Helper()
+	col := &collector{}
 	rec := trace.NewRecorder()
-	rec.EnableAddressTrace("image")
-	if _, _, err := btpc.Encode(img.Synthetic(256, 256, seed), btpc.Params{Quant: quant}, rec); err != nil {
+	rec.StreamAddressTrace("image", col)
+	_, _, err := btpc.Encode(img.Synthetic(256, 256, seed), btpc.Params{Quant: quant}, rec)
+	rec.CloseAddressTrace("image")
+	if err != nil {
 		tb.Fatal(err)
 	}
-	return rec
+	return col
 }
 
 // TestEncodeTraceChunkedMatchesFlat: for the traces the methodology
 // analyzes (images 1-4 at quantizers 1, 4, 7 and 10, 256²), the profile of
-// the recorder's chunks equals the profile of the flat copy.
+// the recorder's chunks equals the profile of the flat trace.
 func TestEncodeTraceChunkedMatchesFlat(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		for _, quant := range []int{1, 4, 7, 10} {
 			t.Run(fmt.Sprintf("image%d/q%d", seed, quant), func(t *testing.T) {
-				rec := encodeTrace(t, seed, quant)
-				chunks := rec.AddressChunks("image")
+				chunks := encodeTrace(t, seed, quant).chunks
 				if len(chunks) < 2 {
 					t.Fatalf("trace is %d chunk(s); want several", len(chunks))
 				}
-				got := AnalyzeContext(context.Background(), chunks, nil)
-				if want := AnalyzeContext(context.Background(), [][]int32{rec.Addresses("image")}, nil); !reflect.DeepEqual(got, want) {
+				got := batchProfile(context.Background(), chunks...)
+				if want := batchProfile(context.Background(), slices.Concat(chunks...)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("chunked profile (total %d, cold %d) differs from flat (total %d, cold %d)",
 						got.Total(), got.Cold(), want.Total(), want.Cold())
 				}
@@ -149,12 +204,12 @@ func TestEncodeTraceChunkedMatchesFlat(t *testing.T) {
 var benchProfile *Profile
 
 // BenchmarkAnalyzeEncode256 times the stack-distance analysis of the 256²
-// encode's image trace, read from the recorder's chunks.
+// encode's image trace, handed to a Stream in the recorder's chunks.
 func BenchmarkAnalyzeEncode256(b *testing.B) {
-	chunks := encodeTrace(b, 1, 1).AddressChunks("image")
+	col := encodeTrace(b, 1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchProfile = AnalyzeContext(context.Background(), chunks, nil)
+		benchProfile = streamProfile(b, context.Background(), col.words, col.chunks...)
 	}
 }

@@ -3,7 +3,6 @@ package reuse
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -80,61 +79,35 @@ func naiveProfile(addrs []int32, tracked int) *Profile {
 	return p
 }
 
-// TestWindowMatchesReference: the window's profile equals the whole-trace
-// reference on random dense traces, sparse traces and traces of negative
-// and full-int32-range addresses, the last two through the map last-seen
-// table, and for random chunk splits of each.
+// TestWindowMatchesReference: the profile a Stream computes equals the
+// whole-trace reference on random traces, dense or spread over a large
+// extent, handed over in random chunk splits.
 func TestWindowMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var dense, sparse int
 	for i := 0; i < 200; i++ {
 		n := rng.Intn(3000)
 		if i%20 == 0 {
 			n = analyzeCheckInterval + rng.Intn(5000)
 		}
-		flat := randomTrace(rng, n, false)
-		switch i % 4 {
-		case 1: // sparse
-			for j := range flat {
-				flat[j] *= 1_000_003
-			}
-		case 2: // negative, at the bottom of the int32 range
-			for j := range flat {
-				flat[j] = math.MinInt32 + flat[j]%64
-			}
-		case 3: // the whole int32 range
-			for j := range flat {
-				flat[j] = []int32{math.MinInt32, -1, 0, 1, math.MaxInt32, 7}[flat[j]%6] + flat[j]%3
-			}
-		}
-		if n > 0 {
-			if newLastSeen(flat).byMap == nil {
-				dense++
-			} else {
-				sparse++
-			}
-		}
+		flat := randomTrace(rng, n, i%2 == 1)
 		want := analyzeReference([][]int32{flat})
 		chunks := splitAt(flat, randomCuts(rng, n, rng.Intn(8)))
-		if got := AnalyzeContext(context.Background(), chunks, nil); !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: %d addresses: window %+v, reference %+v", i, n, got, want)
+		if got := streamProfile(t, context.Background(), extentOf(flat), chunks...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: %d addresses: stream %+v, reference %+v", i, n, got, want)
 		}
-	}
-	if dense == 0 || sparse == 0 {
-		t.Fatalf("last-seen table paths: %d dense, %d map; want both exercised", dense, sparse)
 	}
 }
 
 // TestEncodeTraceMatchesReference: for the 16 image × quantizer traces the
-// methodology analyzes at 256², the window's profile equals the reference.
+// methodology analyzes at 256², the profile streamed beside the encode
+// equals the reference.
 func TestEncodeTraceMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		for _, quant := range []int{1, 4, 7, 10} {
 			t.Run(fmt.Sprintf("image%d/q%d", seed, quant), func(t *testing.T) {
-				chunks := encodeTrace(t, seed, quant).AddressChunks("image")
-				got := AnalyzeContext(context.Background(), chunks, nil)
-				if want := analyzeReference(chunks); !reflect.DeepEqual(got, want) {
-					t.Fatalf("window profile (total %d, cold %d, far %d, %d distances) differs from the reference (total %d, cold %d, far %d, %d distances)",
+				got, flat := streamEncode(t, context.Background(), seed, quant)
+				if want := analyzeReference([][]int32{flat}); !reflect.DeepEqual(got, want) {
+					t.Fatalf("streamed profile (total %d, cold %d, far %d, %d distances) differs from the reference (total %d, cold %d, far %d, %d distances)",
 						got.total, got.cold, got.far, len(got.hist), want.total, want.cold, want.far, len(want.hist))
 				}
 			})
@@ -157,11 +130,13 @@ func TestSmallWindowMatchesNaiveLRU(t *testing.T) {
 		for j := range flat {
 			flat[j] = rng.Int31n(span)
 			if i%2 == 1 {
-				flat[j] = flat[j]*7919 - 1<<30 // sparse: the map table
+				flat[j] *= 7919 // spread over a large extent
 			}
 		}
-		chunks := splitAt(flat, randomCuts(rng, n, rng.Intn(5)))
-		w := analyze(context.Background(), chunks, tracked)
+		w := newWindow(context.Background(), tracked, extentOf(flat))
+		for _, c := range splitAt(flat, randomCuts(rng, n, rng.Intn(5))) {
+			w.feed(c)
+		}
 		evictions += int(w.p.far)
 		if n > len(w.addr) {
 			compactions++

@@ -4,12 +4,11 @@
 //
 // The analysis computes exact LRU stack distances, up to a cap of 2^17
 // words, of a profiled read address trace. It keeps a bounded recency
-// window of the most recently used addresses, not the whole trace, so it
-// can run chunk by chunk beside the instrumented application (Stream) as
-// well as over a recorded trace (AnalyzeContext). The miss ratio of any
-// candidate layer size then follows from the distance histogram, and by
-// LRU's inclusion property a stack of layers is analyzed with the same
-// histogram.
+// window of the most recently used addresses, not the whole trace, and
+// runs chunk by chunk beside the instrumented application: a Stream is the
+// trace.AddressSink of the traced array. The miss ratio of any candidate
+// layer size then follows from the distance histogram, and by LRU's
+// inclusion property a stack of layers is analyzed with the same histogram.
 //
 // The transformation rewrites a specification for a chosen hierarchy: read
 // sites of the target array are redirected to the innermost copy layer, and
@@ -21,7 +20,6 @@
 package reuse
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/obs"
@@ -47,48 +45,6 @@ const maxTracked = 1 << 17
 // loop: with about 30-60 ns per position, 64Ki positions keep the deadline
 // honored within ~4 ms, and the loop between two polls runs unchecked.
 const analyzeCheckInterval = 64 * 1024
-
-// AnalyzeContext computes the reuse profile of a read address trace given
-// as a list of chunks (trace.Recorder.AddressChunks), which together form
-// the trace in order; chunk boundaries do not affect the result. It is the
-// batch entry point to the engine a Stream feeds while the trace is being
-// recorded. When ctx expires mid-trace, the profile of the prefix processed
-// so far is returned (Total reports the truncated length, so miss ratios
-// stay consistent). Stack distances are a property of the trace prefix, so
-// a truncated profile is a valid — just lower-confidence — reuse estimate.
-//
-// Under a non-nil parent the computation runs in a "reuse.analyze" span
-// recording the trace length and the cold and far counts; a nil parent
-// records nothing.
-func AnalyzeContext(ctx context.Context, chunks [][]int32, parent *obs.Span) *Profile {
-	sp := parent.Child("reuse.analyze")
-	defer sp.End()
-	return analyze(ctx, chunks, maxTracked).finish(sp)
-}
-
-// analyze runs chunks through a window tracking distances up to tracked.
-func analyze(ctx context.Context, chunks [][]int32, tracked int) *window {
-	last := newLastSeen(chunks...)
-	// The window holds at most the trace's distinct addresses.
-	words := traceLen(chunks)
-	if last.dense != nil {
-		words = min(words, len(last.dense))
-	}
-	w := newWindow(ctx, tracked, words, last)
-	for _, c := range chunks {
-		w.feed(c)
-	}
-	return w
-}
-
-// traceLen returns the number of addresses in a chunk list.
-func traceLen(chunks [][]int32) int {
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
-	}
-	return n
-}
 
 // Total returns the number of accesses in the trace.
 func (p *Profile) Total() uint64 { return p.total }

@@ -9,8 +9,15 @@ import (
 	"repro/internal/spec"
 )
 
+// profileOf streams addrs, as one chunk of the trace of the smallest array
+// that holds them, through a Stream and returns its profile.
+func profileOf(t *testing.T, addrs []int32) *Profile {
+	t.Helper()
+	return streamProfile(t, context.Background(), extentOf(addrs), addrs)
+}
+
 func TestAnalyzeEmpty(t *testing.T) {
-	p := AnalyzeContext(context.Background(), [][]int32{nil}, nil)
+	p := profileOf(t, nil)
 	if p.Total() != 0 || p.MissRatio(16) != 0 {
 		t.Fatalf("empty trace profile: total %d miss %.2f", p.Total(), p.MissRatio(16))
 	}
@@ -27,7 +34,7 @@ func TestCyclicTraceMissBoundary(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	p := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+	p := profileOf(t, addrs)
 	if p.Cold() != k {
 		t.Fatalf("cold = %d, want %d", p.Cold(), k)
 	}
@@ -42,7 +49,7 @@ func TestCyclicTraceMissBoundary(t *testing.T) {
 
 func TestImmediateReuse(t *testing.T) {
 	addrs := []int32{5, 5, 5, 5}
-	p := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+	p := profileOf(t, addrs)
 	if got := p.MissRatio(1); math.Abs(got-0.25) > 1e-9 {
 		t.Fatalf("MissRatio(1) = %v, want 0.25 (one cold access)", got)
 	}
@@ -53,7 +60,7 @@ func TestSequentialStreamAlwaysMisses(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = int32(i)
 	}
-	p := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+	p := profileOf(t, addrs)
 	if got := p.MissRatio(64); got != 1.0 {
 		t.Fatalf("streaming MissRatio = %v, want 1.0", got)
 	}
@@ -66,7 +73,7 @@ func TestMissRatioMonotone(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		addrs = append(addrs, int32(i), int32(i/2), int32(i%37))
 	}
-	p := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+	p := profileOf(t, addrs)
 	prev := 2.0
 	for _, s := range []int64{1, 2, 4, 8, 16, 64, 256, 1024, 4096} {
 		m := p.MissRatio(s)
@@ -81,7 +88,7 @@ func TestMissRatioMonotone(t *testing.T) {
 }
 
 func TestMissRatioEdgeSizes(t *testing.T) {
-	p := AnalyzeContext(context.Background(), [][]int32{{1, 2, 1, 2}}, nil)
+	p := profileOf(t, []int32{1, 2, 1, 2})
 	if p.MissRatio(0) != 1.0 {
 		t.Fatal("size 0 should always miss")
 	}
@@ -116,35 +123,24 @@ func naiveMissRatio(addrs []int32, size int) float64 {
 	return float64(misses) / float64(len(addrs))
 }
 
-// Property: the Fenwick analysis agrees with a naive LRU simulation, on
-// small dense traces, traces of negative addresses (down to MinInt32),
-// sparse traces and traces spanning the whole int32 range — so both the
-// dense last-seen table and its map fallback are checked.
+// Property: the streamed analysis agrees with a naive LRU simulation, on
+// small dense traces, traces at the top of a large extent and traces spread
+// over one.
 func TestQuickMatchesNaiveLRU(t *testing.T) {
-	var dense, sparse int
 	f := func(raw []byte, shape, sizeSeed uint8) bool {
 		addrs := make([]int32, len(raw))
 		for i, b := range raw {
 			v := int32(b % 16)
-			switch shape % 4 {
+			switch shape % 3 {
 			case 0: // small dense range
 				addrs[i] = v
-			case 1: // negative, at the bottom of the int32 range
-				addrs[i] = math.MinInt32 + v*int32(1+shape%3)
-			case 2: // sparse: far apart addresses
-				addrs[i] = (v - 8) * 1_000_003
-			case 3: // the whole int32 range
-				addrs[i] = []int32{math.MinInt32, -1, 0, 1, math.MaxInt32, 7}[b%6] + v%2
+			case 1: // the top of a large extent
+				addrs[i] = 1<<16 + v*int32(1+shape/3%3)
+			case 2: // spread: far apart addresses
+				addrs[i] = v * 1_009
 			}
 		}
-		if len(addrs) > 0 {
-			if newLastSeen(addrs).byMap == nil {
-				dense++
-			} else {
-				sparse++
-			}
-		}
-		p := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+		p := profileOf(t, addrs)
 		size := int(sizeSeed)%12 + 1
 		for s := 1; s <= size; s++ {
 			if got, want := p.MissRatio(int64(s)), naiveMissRatio(addrs, s); math.Abs(got-want) >= 1e-9 {
@@ -156,9 +152,6 @@ func TestQuickMatchesNaiveLRU(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Fatal(err)
-	}
-	if dense == 0 || sparse == 0 {
-		t.Fatalf("last-seen table paths: %d dense, %d map; want both exercised", dense, sparse)
 	}
 }
 
@@ -186,7 +179,7 @@ func TestPlanAndApplyTwoLayers(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	prof := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+	prof := profileOf(t, addrs)
 	h, err := Plan("image", []Layer{{"ylocal", 12}, {"yhier", 128}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +225,7 @@ func TestApplySingleLayer(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	prof := AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+	prof := profileOf(t, addrs)
 	h, err := Plan("image", []Layer{{"buf", 32}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +259,7 @@ func TestApplyNoHierarchyIsClone(t *testing.T) {
 }
 
 func TestPlanErrors(t *testing.T) {
-	prof := AnalyzeContext(context.Background(), [][]int32{{1, 2, 3}}, nil)
+	prof := profileOf(t, []int32{1, 2, 3})
 	if _, err := Plan("x", []Layer{{"a", 64}, {"b", 32}}, prof, nil); err == nil {
 		t.Fatal("non-increasing layer sizes accepted")
 	}
@@ -274,7 +267,7 @@ func TestPlanErrors(t *testing.T) {
 
 func TestApplyErrors(t *testing.T) {
 	s := imageSpec(t)
-	prof := AnalyzeContext(context.Background(), [][]int32{{1, 2, 3}}, nil)
+	prof := profileOf(t, []int32{1, 2, 3})
 	h, err := Plan("ghost", []Layer{{"a", 64}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)

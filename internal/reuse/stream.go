@@ -16,13 +16,17 @@ const streamDepth = 4
 // recorded, on a goroutine of its own (not a pool item, so a one-worker
 // pool cannot deadlock it). It is a trace.AddressSink: the recorder hands
 // it each full chunk over a bounded queue and takes consumed chunks back
-// from a free list, so the trace is never held whole. When ctx expires the
-// goroutine keeps draining the queue, so the recorder never blocks on it,
-// and the profile is that of the prefix processed so far, as with
-// AnalyzeContext.
+// from a free list, so the trace is never held whole.
 //
-// Under a non-nil parent the analysis runs in a "reuse.analyze" span, as
-// AnalyzeContext's does.
+// When ctx expires mid-trace, the goroutine keeps draining the queue, so
+// the recorder never blocks on it, and the profile is that of the prefix
+// processed so far (Total reports the truncated length, so miss ratios
+// stay consistent). Stack distances are a property of the trace prefix, so
+// a truncated profile is a valid — just lower-confidence — reuse estimate.
+//
+// Under a non-nil parent the analysis runs in a "reuse.analyze" span
+// recording the trace length and the cold and far counts; a nil parent
+// records nothing.
 type Stream struct {
 	words int           // extent of the traced array; set before the first chunk
 	queue chan []int32  // full chunks, in trace order
@@ -76,19 +80,15 @@ func (s *Stream) run(ctx context.Context, parent *obs.Span) {
 	defer close(s.done)
 	sp := parent.Child("reuse.analyze")
 	defer sp.End()
-	var w *window
-	for c := range s.queue {
-		if w == nil {
-			w = newWindow(ctx, maxTracked, s.words, lastSeen{dense: make([]int32, s.words)})
-		}
+	// Extent precedes the first chunk, and the close of an unread trace.
+	c, ok := <-s.queue
+	w := newWindow(ctx, maxTracked, s.words)
+	for ; ok; c, ok = <-s.queue {
 		w.feed(c)
 		select {
 		case s.free <- c:
 		default:
 		}
-	}
-	if w == nil {
-		w = newWindow(ctx, maxTracked, 0, lastSeen{})
 	}
 	s.prof = w.finish(sp)
 }

@@ -13,35 +13,43 @@ import (
 	"repro/internal/trace"
 )
 
-// streamEncode runs one 256² encode of image seed with the image read trace
-// streamed into a Stream under ctx, and returns the stream's profile.
-func streamEncode(t *testing.T, ctx context.Context, seed uint64) *Profile {
+// tee is a Stream that also keeps a copy of the trace it is handed.
+type tee struct {
+	*Stream
+	flat []int32
+}
+
+func (t *tee) Chunk(c []int32) []int32 {
+	t.flat = append(t.flat, c...)
+	return t.Stream.Chunk(c)
+}
+
+// streamEncode runs one 256² encode of image seed at quantizer quant with
+// the image read trace streamed into a Stream under ctx, and returns the
+// stream's profile and a copy of the trace.
+func streamEncode(t *testing.T, ctx context.Context, seed uint64, quant int) (*Profile, []int32) {
 	t.Helper()
-	s := NewStream(ctx, nil)
+	s := &tee{Stream: NewStream(ctx, nil)}
 	rec := trace.NewRecorder()
 	rec.StreamAddressTrace("image", s)
-	_, _, err := btpc.Encode(img.Synthetic(256, 256, seed), btpc.Params{Quant: 1}, rec)
+	_, _, err := btpc.Encode(img.Synthetic(256, 256, seed), btpc.Params{Quant: quant}, rec)
 	rec.CloseAddressTrace("image")
 	p := s.Profile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.AddressChunks("image") != nil {
-		t.Fatal("a streamed trace also kept its chunks")
-	}
-	return p
+	return p, s.flat
 }
 
 // TestStreamMatchesBatch: for images 1-4, the profile streamed beside the
-// encode equals the batch profile of the recorded trace. The image read
-// trace does not depend on the pixel values, so all four are one trace
-// reached through four different encodes; the profiles are not cached.
+// encode equals the batch run of the recorded trace. The image read trace
+// does not depend on the pixel values, so all four are one trace reached
+// through four different encodes; the profiles are not cached.
 func TestStreamMatchesBatch(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("image%d", seed), func(t *testing.T) {
-			got := streamEncode(t, context.Background(), seed)
-			want := AnalyzeContext(context.Background(), encodeTrace(t, seed, 1).AddressChunks("image"), nil)
-			if !reflect.DeepEqual(got, want) {
+			got, flat := streamEncode(t, context.Background(), seed, 1)
+			if want := batchProfile(context.Background(), flat); !reflect.DeepEqual(got, want) {
 				t.Fatalf("streamed profile (total %d, cold %d, %d distances) differs from batch (total %d, cold %d, %d distances)",
 					got.total, got.cold, len(got.hist), want.total, want.cold, len(want.hist))
 			}
@@ -52,21 +60,20 @@ func TestStreamMatchesBatch(t *testing.T) {
 // TestStreamDeadContextIsPrefix: under a context that is dead from the
 // start or expires mid-stream, the encode completes (the stream drains
 // every chunk) and the streamed profile is that of a processed prefix,
-// ending at a poll point, as the batch analysis's is.
+// ending at a poll point, as the batch run's is.
 func TestStreamDeadContextIsPrefix(t *testing.T) {
-	flat := encodeTrace(t, 1, 1).Addresses("image")
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	got := streamEncode(t, dead, 1)
+	got, flat := streamEncode(t, dead, 1, 1)
 	if got.Total() != analyzeCheckInterval {
 		t.Fatalf("dead-context total %d, want %d", got.Total(), analyzeCheckInterval)
 	}
-	if want := AnalyzeContext(dead, [][]int32{flat}, nil); !reflect.DeepEqual(got, want) {
+	if want := batchProfile(dead, flat); !reflect.DeepEqual(got, want) {
 		t.Fatalf("dead-context streamed profile differs from the batch one")
 	}
 	for _, d := range []time.Duration{time.Microsecond, time.Millisecond, 5 * time.Millisecond} {
 		ctx, cancel := context.WithTimeout(context.Background(), d)
-		got := streamEncode(t, ctx, 1)
+		got, flat := streamEncode(t, ctx, 1, 1)
 		cancel()
 		n := got.Total()
 		if n > uint64(len(flat)) || (n%analyzeCheckInterval != 0 && n != uint64(len(flat))) {
@@ -80,25 +87,15 @@ func TestStreamDeadContextIsPrefix(t *testing.T) {
 
 // TestStreamChunksMatchBatch feeds a Stream directly, with chunks of random
 // lengths and a slow consumer's worth of queued chunks, and compares it with
-// the batch analysis; the free list's chunks come back empty.
+// the batch run; the free list's chunks come back empty.
 func TestStreamChunksMatchBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20; i++ {
 		n := rng.Intn(3 * trace.ChunkLen)
 		flat := randomTrace(rng, n, false)
-		words := 0
-		for _, a := range flat {
-			words = max(words, int(a)+1)
-		}
-		s := NewStream(context.Background(), nil)
-		s.Extent(words)
-		for _, c := range splitAt(flat, randomCuts(rng, n, rng.Intn(10))) {
-			if f := s.Chunk(append([]int32(nil), c...)); f != nil && len(f) != 0 {
-				t.Fatalf("case %d: free chunk of length %d", i, len(f))
-			}
-		}
-		s.Close()
-		if got, want := s.Profile(), AnalyzeContext(context.Background(), [][]int32{flat}, nil); !reflect.DeepEqual(got, want) {
+		chunks := splitAt(flat, randomCuts(rng, n, rng.Intn(10)))
+		got := streamProfile(t, context.Background(), extentOf(flat), chunks...)
+		if want := batchProfile(context.Background(), flat); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: streamed %+v, batch %+v", i, got, want)
 		}
 	}

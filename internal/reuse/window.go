@@ -8,26 +8,27 @@ import (
 	"repro/internal/obs"
 )
 
-// window is the stack-distance engine behind both entry points, the batch
-// AnalyzeContext and the streamed Stream. It keeps the top of the LRU stack
-// — the at most p.cap most recently used distinct addresses — as marks in a
-// recency-ordered slot array: every access takes the next free slot, and
-// each live address's latest slot is marked in a bitset. The stack distance
-// of a re-access is the number of marks after its previous slot plus its
-// own, live − rank(previous) + 1, where rank counts marks up to a slot: one
-// walk of a Fenwick tree over the bitset's 64-slot words plus a popcount.
-// The word that next falls in enters the tree only once it is full, so
-// marking a new slot costs no tree walk.
+// window is the stack-distance engine a Stream feeds. It keeps the top of
+// the LRU stack — the at most p.cap most recently used distinct addresses —
+// as marks in a recency-ordered slot array: every access takes the next
+// free slot, and each live address's latest slot is marked in a bitset.
+// The stack distance of a re-access is the number of marks after its
+// previous slot plus its own, live − rank(previous) + 1, where rank counts
+// marks up to a slot: one walk of a Fenwick tree over the bitset's 64-slot
+// words plus a popcount. The word that next falls in enters the tree only
+// once it is full, so marking a new slot costs no tree walk.
 //
-// With 2 × min(p.cap, distinct addresses) slots, the slots run out only
+// With 2 × min(p.cap, array words) slots, the slots run out only
 // when at least half of them are dead; compact then moves the live marks to
 // the front and rebuilds the tree in linear time. When a new address would
 // make p.cap+1 live ones, the oldest is evicted: p.cap distinct addresses
 // follow it, so its next access has a distance beyond p.cap and counts as
 // far. Every distance up to p.cap is therefore exact.
 type window struct {
-	p    *Profile // p.cap is the largest distance tracked
-	last lastSeen // address -> latest slot
+	p *Profile // p.cap is the largest distance tracked
+	// last maps each address to 0 before its first access, its latest
+	// slot + 1 while it is live, and evicted after it left the window.
+	last []int32
 	addr []int32  // slot -> the address that took it
 	bits []uint64 // bit s marks slot s as its address's latest
 	tree fenwick  // marked slots per full bitset word (the words below next's)
@@ -39,15 +40,15 @@ type window struct {
 	stop bool // ctx expired: feed ignores the rest of the trace
 }
 
-// newWindow sizes a window that tracks distances up to tracked for a trace
-// of at most words distinct addresses, with last-seen table last. It polls
-// ctx's expiry every analyzeCheckInterval addresses.
-func newWindow(ctx context.Context, tracked, words int, last lastSeen) *window {
-	w := min(tracked, words)
+// newWindow sizes a window that tracks distances up to tracked for the
+// trace of an array of words words, whose addresses lie in [0, words). It
+// polls ctx's expiry every analyzeCheckInterval addresses.
+func newWindow(ctx context.Context, tracked, words int) *window {
+	w := min(tracked, words) // the window holds at most the array's words
 	nw := (2*w + 63) / 64
 	return &window{
 		p:    &Profile{hist: make([]uint64, w+1), cap: tracked},
-		last: last,
+		last: make([]int32, words),
 		addr: make([]int32, 2*w),
 		bits: make([]uint64, nw),
 		tree: make(fenwick, nw+1),
@@ -86,7 +87,9 @@ func (w *window) run(seg []int32) {
 			w.compact()
 		}
 		t := w.next
-		switch prev := w.last.swap(a, int32(t)+1); {
+		prev := w.last[a]
+		w.last[a] = int32(t) + 1
+		switch {
 		case prev > 0: // live at slot prev-1
 			s := int(prev - 1)
 			p.hist[w.live-w.rank(s)+1]++
@@ -129,7 +132,7 @@ func (w *window) admit() {
 		w.old = (w.old | 63) + 1
 	}
 	w.unmark(w.old)
-	w.last.set(w.addr[w.old], evicted)
+	w.last[w.addr[w.old]] = evicted
 }
 
 // unmark clears slot s, which is below next.
@@ -148,7 +151,7 @@ func (w *window) compact() {
 		for ; b != 0; b &= b - 1 {
 			a := w.addr[i<<6+bits.TrailingZeros64(b)]
 			w.addr[k] = a
-			w.last.set(a, int32(k)+1)
+			w.last[a] = int32(k) + 1
 			k++
 		}
 	}
@@ -216,60 +219,5 @@ func (f fenwick) build() {
 	}
 }
 
-// denseSpanFactor bounds the dense last-seen table: it is used while the
-// trace's address span is at most this many times the trace length.
-const denseSpanFactor = 4
-
 // evicted is the last-seen entry of an address pushed out of the window.
 const evicted = -1
-
-// lastSeen maps each address to its entry: 0 before its first access, its
-// latest slot + 1 while it is live, and evicted after it left the window.
-// Address traces are mostly dense ranges (image rows, buffers), so the
-// table is a slice indexed by address - min; a sparse trace whose span
-// exceeds denseSpanFactor × its length falls back to a map.
-type lastSeen struct {
-	min   int64
-	dense []int32
-	byMap map[int32]int32
-}
-
-// newLastSeen sizes the table for the trace formed by chunks.
-func newLastSeen(chunks ...[]int32) lastSeen {
-	n := traceLen(chunks)
-	if n == 0 {
-		return lastSeen{}
-	}
-	var lo, hi int32 = math.MaxInt32, math.MinInt32
-	for _, c := range chunks {
-		for _, a := range c {
-			lo, hi = min(lo, a), max(hi, a)
-		}
-	}
-	if span := int64(hi) - int64(lo) + 1; span <= denseSpanFactor*int64(n) {
-		return lastSeen{min: int64(lo), dense: make([]int32, span)}
-	}
-	return lastSeen{byMap: make(map[int32]int32, 1024)}
-}
-
-// swap stores v as a's entry and returns the previous one.
-func (l *lastSeen) swap(a int32, v int32) int32 {
-	if l.byMap == nil {
-		i := int64(a) - l.min
-		prev := l.dense[i]
-		l.dense[i] = v
-		return prev
-	}
-	prev := l.byMap[a]
-	l.byMap[a] = v
-	return prev
-}
-
-// set stores v as a's entry.
-func (l *lastSeen) set(a int32, v int32) {
-	if l.byMap == nil {
-		l.dense[int64(a)-l.min] = v
-		return
-	}
-	l.byMap[a] = v
-}

@@ -7,7 +7,9 @@
 // A Recorder counts reads and writes per named array (basic group),
 // attributed to the innermost active scope (loop label). Instrumented array
 // wrappers (Array1D, Array2D) make instrumenting an algorithm a mechanical
-// substitution of indexing syntax.
+// substitution of indexing syntax. The read addresses of a chosen 2-D
+// array stream, chunk by chunk, to an AddressSink (StreamAddressTrace);
+// the data-reuse analysis is such a sink, so the trace is never held whole.
 package trace
 
 import (
@@ -43,8 +45,8 @@ type ArrayStats struct {
 const ChunkLen = 16 * 1024
 
 // An AddressSink consumes the read-address trace of one array chunk by
-// chunk, in trace order, in place of the in-memory chunk list, so the trace
-// need never be held whole (reuse.Stream analyzes it as it arrives).
+// chunk, in trace order, so the trace need never be held whole
+// (reuse.Stream analyzes it as it arrives).
 type AddressSink interface {
 	// Extent is called when an array is created under the traced name,
 	// before any of its reads, with its size in words: each of its
@@ -59,13 +61,11 @@ type AddressSink interface {
 }
 
 // addressTrace is the read-address trace of one array. Addresses go into
-// the open chunk; when it is full, spill hands it to the sink — the
-// in-memory chunk list, or an AddressSink — and the next access starts a
-// fresh chunk.
+// the open chunk; when it is full, spill hands it to the sink and the next
+// access fills the chunk the sink gave back, or a fresh one.
 type addressTrace struct {
-	open   []int32     // chunk being filled, capacity ChunkLen; nil until the next access
-	chunks [][]int32   // the in-memory sink: every handed-over chunk, in trace order
-	sink   AddressSink // when set, takes the chunks instead of the list
+	open []int32 // chunk being filled, capacity ChunkLen; nil until the next access
+	sink AddressSink
 }
 
 func (t *addressTrace) add(a int32) {
@@ -76,26 +76,19 @@ func (t *addressTrace) add(a int32) {
 }
 
 func (t *addressTrace) spill() {
-	t.open = t.flush()
+	t.flush()
 	if t.open == nil {
 		t.open = make([]int32, 0, ChunkLen)
 	}
 }
 
-// flush hands the partial tail chunk to the sink and returns the empty
-// chunk an AddressSink gave back, if any; the next access starts a fresh
-// chunk, so a chunk is never written after it has been handed over.
-func (t *addressTrace) flush() []int32 {
-	if len(t.open) == 0 {
-		return nil
+// flush hands the partial tail chunk to the sink and keeps the empty chunk
+// the sink gave back, if any, so a chunk is never written after it has been
+// handed over.
+func (t *addressTrace) flush() {
+	if len(t.open) > 0 {
+		t.open = t.sink.Chunk(t.open)
 	}
-	c := t.open
-	t.open = nil
-	if t.sink != nil {
-		return t.sink.Chunk(c)
-	}
-	t.chunks = append(t.chunks, c)
-	return nil
 }
 
 // scopeKey names a pushed scope by its parent's id (-1 at the root) and its
@@ -132,79 +125,31 @@ func NewRecorder() *Recorder {
 	}
 }
 
-// EnableAddressTrace turns on read-address capture for the named array.
-// It must be called before the instrumented array is created; arrays
-// created earlier are not traced. Address traces feed the data-reuse
-// analysis of the memory hierarchy step.
-func (r *Recorder) EnableAddressTrace(array string) {
+// StreamAddressTrace turns on read-address capture for the named array:
+// its reads are handed to sink chunk by chunk, in trace order, and
+// CloseAddressTrace ends the trace. It must be called before the
+// instrumented array is created; arrays created earlier are not traced.
+// Address traces feed the data-reuse analysis of the memory hierarchy step.
+func (r *Recorder) StreamAddressTrace(array string, sink AddressSink) {
 	if r == nil {
 		return
 	}
 	if r.addrs == nil {
 		r.addrs = make(map[string]*addressTrace)
 	}
-	if r.addrs[array] == nil {
-		r.addrs[array] = &addressTrace{}
-	}
-}
-
-// StreamAddressTrace turns on read-address capture for the named array,
-// like EnableAddressTrace, but hands every chunk to sink instead of keeping
-// it: AddressChunks and Addresses then return nil. CloseAddressTrace ends
-// the trace.
-func (r *Recorder) StreamAddressTrace(array string, sink AddressSink) {
-	if r == nil {
-		return
-	}
-	r.EnableAddressTrace(array)
-	r.addrs[array].sink = sink
+	r.addrs[array] = &addressTrace{sink: sink}
 }
 
 // CloseAddressTrace hands the named array's partial tail chunk to its sink
 // and closes the sink; the array must not be read afterwards. It does
-// nothing for an array whose trace is not streamed.
+// nothing for an array whose trace is not captured.
 func (r *Recorder) CloseAddressTrace(array string) {
-	if r == nil || r.addrs[array] == nil || r.addrs[array].sink == nil {
+	if r == nil || r.addrs[array] == nil {
 		return
 	}
 	t := r.addrs[array]
 	t.flush()
 	t.sink.Close()
-}
-
-// AddressChunks returns the captured read-address trace of the named array
-// as its list of chunks, in trace order (nil when tracing was not enabled
-// or is streamed to a sink). It first flushes the partial tail chunk. The
-// chunks are shared with the recorder, which never writes a chunk again
-// once it has been handed over; callers must not modify them. Reads
-// recorded afterwards go into new chunks that a later call returns.
-func (r *Recorder) AddressChunks(array string) [][]int32 {
-	if r == nil || r.addrs[array] == nil || r.addrs[array].sink != nil {
-		return nil
-	}
-	t := r.addrs[array]
-	t.flush()
-	return t.chunks[:len(t.chunks):len(t.chunks)]
-}
-
-// Addresses returns the captured read-address trace of the named array as
-// one flat slice (nil when tracing was not enabled or is streamed). It is a
-// copy the caller owns; AddressChunks reads the same trace without copying
-// it.
-func (r *Recorder) Addresses(array string) []int32 {
-	if r == nil || r.addrs[array] == nil || r.addrs[array].sink != nil {
-		return nil
-	}
-	chunks := r.AddressChunks(array)
-	n := 0
-	for _, c := range chunks {
-		n += len(c)
-	}
-	out := make([]int32, 0, n)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out
 }
 
 // Push enters a scope (e.g. a loop label). Scope names nest with "/".
@@ -412,7 +357,7 @@ type Array2D struct {
 	W, H int
 	data []int32
 	h    *Handle
-	addr *addressTrace // read-address capture, nil unless enabled
+	addr *addressTrace // read-address capture, nil unless streamed
 }
 
 // NewArray2D allocates an instrumented W×H array recording into rec
@@ -422,9 +367,8 @@ func NewArray2D(rec *Recorder, name string, w, h int) *Array2D {
 		panic(fmt.Sprintf("trace: invalid array dimensions %dx%d", w, h))
 	}
 	a := &Array2D{Name: name, W: w, H: h, data: make([]int32, w*h), h: rec.NewHandle(name)}
-	if rec != nil && rec.addrs != nil {
-		a.addr = rec.addrs[name]
-		if a.addr != nil && a.addr.sink != nil {
+	if rec != nil {
+		if a.addr = rec.addrs[name]; a.addr != nil {
 			a.addr.sink.Extent(w * h)
 		}
 	}

@@ -237,41 +237,40 @@ func TestNilHandle(t *testing.T) {
 	h.Write(5)
 }
 
+// TestAddressTrace: only reads of an array created under the traced name
+// after StreamAddressTrace reach the sink; a nil recorder traces nothing.
 func TestAddressTrace(t *testing.T) {
 	r := NewRecorder()
-	r.EnableAddressTrace("m")
-	r.EnableAddressTrace("m") // idempotent
+	s := &fakeSink{backing: map[*int32]bool{}}
+	r.StreamAddressTrace("m", s)
 	a := NewArray2D(r, "m", 4, 4)
+	other := NewArray2D(r, "other", 4, 4)
 	a.Set(1, 2, 7) // writes are not traced
 	_ = a.Get(1, 2)
+	_ = other.Get(0, 0) // untraced array
 	_ = a.Get(3, 0)
-	got := r.Addresses("m")
-	want := []int32{2*4 + 1, 3}
-	if len(got) != len(want) {
-		t.Fatalf("trace = %v, want %v", got, want)
+	r.CloseAddressTrace("m")
+	r.CloseAddressTrace("other") // not traced: no-op
+	if want := []int32{2*4 + 1, 3}; !slices.Equal(s.flat, want) {
+		t.Fatalf("trace = %v, want %v", s.flat, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("trace = %v, want %v", got, want)
-		}
-	}
-	// Untraced arrays return nil.
-	if r.Addresses("other") != nil {
-		t.Fatal("untraced array has addresses")
-	}
-	// Arrays created before enabling are not traced.
+	// Arrays created before the trace is turned on are not traced.
 	r2 := NewRecorder()
+	late := &fakeSink{backing: map[*int32]bool{}}
 	b := NewArray2D(r2, "late", 2, 2)
-	r2.EnableAddressTrace("late")
+	r2.StreamAddressTrace("late", late)
 	_ = b.Get(0, 0)
-	if len(r2.Addresses("late")) != 0 {
-		t.Fatal("pre-enable array captured addresses")
+	r2.CloseAddressTrace("late")
+	if len(late.flat) != 0 || len(late.extents) != 0 {
+		t.Fatalf("pre-trace array reached the sink: extents %v, trace %v", late.extents, late.flat)
 	}
 	// Nil recorder paths.
 	var nr *Recorder
-	nr.EnableAddressTrace("x")
-	if nr.Addresses("x") != nil {
-		t.Fatal("nil recorder has addresses")
+	nr.StreamAddressTrace("x", s)
+	nr.CloseAddressTrace("x")
+	NewArray2D(nr, "x", 2, 2).Get(1, 1)
+	if len(s.flat) != 2 {
+		t.Fatal("nil recorder traced an address")
 	}
 }
 
@@ -342,39 +341,6 @@ func TestQuickScopeSumsMatchTotal(t *testing.T) {
 	}
 }
 
-// TestAddressesReturnsCopy is a regression test: Addresses must hand out a
-// copy of the capture buffer, not the live internal slice. Mutating the
-// returned slice — or recording further reads — must not corrupt (or be
-// visible through) an earlier snapshot.
-func TestAddressesReturnsCopy(t *testing.T) {
-	r := NewRecorder()
-	r.EnableAddressTrace("img")
-	a := NewArray2D(r, "img", 4, 4)
-	a.Set(0, 0, 7)
-	a.Get(0, 0)
-	a.Get(1, 0)
-
-	snap := r.Addresses("img")
-	if len(snap) != 2 || snap[0] != 0 || snap[1] != 1 {
-		t.Fatalf("trace = %v, want [0 1]", snap)
-	}
-
-	// Mutating the caller's slice must not reach the recorder.
-	snap[0] = 99
-	if got := r.Addresses("img"); got[0] != 0 {
-		t.Fatalf("internal trace corrupted by caller mutation: %v", got)
-	}
-
-	// Further recording must not grow the earlier snapshot.
-	a.Get(2, 0)
-	if len(snap) != 2 {
-		t.Fatalf("snapshot aliased the live buffer: len=%d", len(snap))
-	}
-	if got := r.Addresses("img"); len(got) != 3 || got[2] != 2 {
-		t.Fatalf("post-mutation trace = %v, want [0 1 2]", got)
-	}
-}
-
 // TestScopePathsShareTallies: scope tallies are keyed by the full path, so
 // the same path reached by different pushes ("a/b" at the root, or "b"
 // inside "a") shares one tally, and a child of an empty label nests under
@@ -436,59 +402,53 @@ func TestScopeBeforeArray(t *testing.T) {
 	}
 }
 
+// keeper is an AddressSink that keeps every chunk it is handed, uncopied,
+// and never gives one back.
+type keeper struct {
+	extents []int
+	chunks  [][]int32
+}
+
+func (k *keeper) Extent(words int)        { k.extents = append(k.extents, words) }
+func (k *keeper) Chunk(c []int32) []int32 { k.chunks = append(k.chunks, c); return nil }
+func (k *keeper) Close()                  {}
+
 // TestAddressChunks: a trace longer than one chunk is delivered as full
-// ChunkLen chunks plus the flushed tail, in order; a chunk handed out is
-// never written again; and every array created under a traced name feeds
-// the same trace.
+// ChunkLen chunks plus the flushed tail, in order; a chunk the sink keeps
+// is never written again, so the kept chunks still hold the whole trace at
+// the end; and every array created under a traced name feeds the same
+// trace.
 func TestAddressChunks(t *testing.T) {
 	r := NewRecorder()
-	r.EnableAddressTrace("m")
+	k := &keeper{}
+	r.StreamAddressTrace("m", k)
 	a := NewArray2D(r, "m", 64, 1024) // 64Ki elements
 	n := 2*ChunkLen + 5
 	for i := 0; i < n; i++ {
 		a.Get(i%64, i/64)
 	}
-	chunks := r.AddressChunks("m")
-	if len(chunks) != 3 || len(chunks[0]) != ChunkLen || len(chunks[1]) != ChunkLen || len(chunks[2]) != 5 {
-		lens := make([]int, len(chunks))
-		for i, c := range chunks {
-			lens[i] = len(c)
-		}
-		t.Fatalf("chunk lengths %v, want [%d %d 5]", lens, ChunkLen, ChunkLen)
-	}
-	want := int32(0)
-	for _, c := range chunks {
-		for _, v := range c {
-			if v != want {
-				t.Fatalf("address %d = %d", want, v)
-			}
-			want++
-		}
-	}
-	// Reads after the flush start a new chunk; the tail handed out above
-	// keeps its contents, including its spare capacity.
-	tail := chunks[2][:cap(chunks[2])]
 	b := NewArray2D(r, "m", 64, 1024) // same name: same trace
 	b.Get(7, 0)
 	a.Get(9, 0)
-	for i := 5; i < len(tail); i++ {
-		if tail[i] != 0 {
-			t.Fatalf("handed-out chunk written at %d after the flush", i)
+	r.CloseAddressTrace("m")
+	lens := make([]int, len(k.chunks))
+	for i, c := range k.chunks {
+		lens[i] = len(c)
+	}
+	if want := []int{ChunkLen, ChunkLen, 7}; !slices.Equal(lens, want) {
+		t.Fatalf("chunk lengths %v, want %v", lens, want)
+	}
+	if want := []int{64 * 1024, 64 * 1024}; !slices.Equal(k.extents, want) {
+		t.Fatalf("extents %v, want %v", k.extents, want)
+	}
+	flat := slices.Concat(k.chunks...)
+	for i, v := range flat[:n] {
+		if v != int32(i) {
+			t.Fatalf("address %d = %d", i, v)
 		}
 	}
-	again := r.AddressChunks("m")
-	if len(again) != 4 || len(again[3]) != 2 || again[3][0] != 7 || again[3][1] != 9 {
-		t.Fatalf("post-flush chunks: %d chunks, last %v; want 4, [7 9]", len(again), again[len(again)-1])
-	}
-	if got := r.Addresses("m"); len(got) != n+2 || got[n] != 7 || got[n+1] != 9 {
-		t.Fatalf("flat trace has %d addresses, want %d ending 7 9", len(got), n+2)
-	}
-	if r.AddressChunks("untraced") != nil {
-		t.Fatal("untraced array has chunks")
-	}
-	var nr *Recorder
-	if nr.AddressChunks("m") != nil {
-		t.Fatal("nil recorder has chunks")
+	if flat[n] != 7 || flat[n+1] != 9 {
+		t.Fatalf("trace ends %v, want [7 9]", flat[n:])
 	}
 }
 
@@ -515,8 +475,8 @@ func (s *fakeSink) Close() { s.closed = true }
 
 // TestStreamAddressTrace: a streamed trace learns the array's extent at
 // creation, hands over full ChunkLen chunks and, at CloseAddressTrace, the
-// tail, in order; it refills the chunk the sink gives back instead of
-// allocating one, and keeps no chunk list of its own.
+// tail, in order, and it refills the chunk the sink gives back instead of
+// allocating one.
 func TestStreamAddressTrace(t *testing.T) {
 	r := NewRecorder()
 	s := &fakeSink{backing: map[*int32]bool{}}
@@ -540,9 +500,6 @@ func TestStreamAddressTrace(t *testing.T) {
 	}
 	if len(s.backing) != 1 {
 		t.Fatalf("%d chunk buffers for a sink that gives every chunk back, want 1", len(s.backing))
-	}
-	if r.AddressChunks("m") != nil || r.Addresses("m") != nil {
-		t.Fatal("a streamed trace kept chunks")
 	}
 	var nr *Recorder
 	nr.StreamAddressTrace("m", s)

@@ -88,7 +88,11 @@ func TestMotionEstimationHierarchyHelps(t *testing.T) {
 			}
 		}
 	}
-	prof := reuse.AnalyzeContext(context.Background(), [][]int32{addrs}, nil)
+	an := reuse.NewStream(context.Background(), nil)
+	an.Extent(int(addrs[len(addrs)-1]) + 1)
+	an.Chunk(addrs)
+	an.Close()
+	prof := an.Profile()
 	h, err := reuse.Plan("ref", []reuse.Layer{{Name: "window", Words: int64(windowWords)}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)
