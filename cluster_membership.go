@@ -45,16 +45,6 @@ type digestWire struct {
 // maxDigestBody bounds a membership digest read (thousands of members fit).
 const maxDigestBody = 1 << 20
 
-// routeKeyOfCacheKey recovers the routing fingerprint from a Requests
-// dedup key: spec keys route by their canonical spec JSON (budget/knob
-// variants co-locate), demo keys by the full key — exactly routeKey's rule.
-func routeKeyOfCacheKey(key string) uint64 {
-	if canon, ok := canonOfKey(key); ok {
-		return memo.Fingerprint64(canon)
-	}
-	return memo.Fingerprint64(key)
-}
-
 // handleClusterJoin admits a joining node: merge its digest (which contains
 // at least itself, alive, at a fresh incarnation) and answer with ours. The
 // joiner learns the full member set from the response; everyone else learns
@@ -232,10 +222,11 @@ func (s *Server) syncMembership() {
 
 // --- shard handoff ---
 
-// handoffRec is one cached record on the wire ([]byte marshals as base64).
+// handoffRec is one cached record on the wire: the key as hex (its word is
+// the ring fingerprint the receiver gates on), the value as base64.
 type handoffRec struct {
-	Key string `json:"key"`
-	Val []byte `json:"val"`
+	Key memo.Key `json:"key"`
+	Val []byte   `json:"val"`
 }
 
 // handoffWire is the POST /v1/internal/handoff body: the records one
@@ -275,18 +266,18 @@ func (s *Server) runHandoff(old, next *cluster.Ring) {
 	// Cached responses: from the disk tier when there is one (the durable
 	// superset), else from the memory tier.
 	if s.opts.Disk != nil {
-		s.opts.Disk.Export(memo.Requests, func(key string) bool {
-			_, ok := moved(routeKeyOfCacheKey(key))
+		s.opts.Disk.Export(memo.Requests, func(key memo.Key) bool {
+			_, ok := moved(key.Word())
 			return ok
-		}, func(key string, val []byte) bool {
-			target, _ := moved(routeKeyOfCacheKey(key))
+		}, func(key memo.Key, val []byte) bool {
+			target, _ := moved(key.Word())
 			w := wireFor(target)
 			w.Records = append(w.Records, handoffRec{Key: key, Val: append([]byte(nil), val...)})
 			return true
 		})
 	} else if s.memo != nil {
-		s.memo.Range(memo.Requests, func(key string, val any) bool {
-			target, ok := moved(routeKeyOfCacheKey(key))
+		s.memo.Range(memo.Requests, func(key memo.Key, val any) bool {
+			target, ok := moved(key.Word())
 			if !ok {
 				return true
 			}
@@ -367,7 +358,7 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	}
 	var entries, refused int64
 	for _, rec := range wire.Records {
-		if !cs.router.Owns(routeKeyOfCacheKey(rec.Key)) {
+		if !cs.router.Owns(rec.Key.Word()) {
 			refused++
 			continue
 		}

@@ -3,6 +3,7 @@ package dtse
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/memo"
 	"repro/internal/obs"
+	"repro/internal/spec"
 )
 
 // obsOpts builds nodes with a live Observer so the handoff counters the
@@ -235,21 +237,79 @@ func newHandoffNode(tb testing.TB, opts ServeOptions) *Server {
 	return s
 }
 
-// handoffKeys returns one Requests key the node owns and one it does not.
-func handoffKeys(tb testing.TB, s *Server) (owned, foreign string) {
+// handoffKeys returns one Requests key the node owns and one it does not,
+// both keys of demo requests.
+func handoffKeys(tb testing.TB, s *Server) (owned, foreign memo.Key) {
 	tb.Helper()
-	for size := 16; owned == "" || foreign == ""; size++ {
+	var haveOwned, haveForeign bool
+	for size := 16; !haveOwned || !haveForeign; size++ {
 		if size > 4096 {
 			tb.Fatal("no demo key on one side of the ring; vnode layout changed?")
 		}
-		key := fmt.Sprintf("demo|%d|1|1", size)
-		if s.cluster.router.Owns(routeKeyOfCacheKey(key)) {
-			owned = key
+		p, err := parseExplore(strings.NewReader(fmt.Sprintf(`{"demo":{"size":%d,"seed":1,"quant":1}}`, size)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if s.cluster.router.Owns(routeKey(p)) {
+			owned, haveOwned = p.key, true
 		} else {
-			foreign = key
+			foreign, haveForeign = p.key, true
 		}
 	}
 	return owned, foreign
+}
+
+// TestCacheKeyCarriesRouteKey pins routing placement under digest keys: a
+// Requests key's word, which handoff export and import place the key by,
+// is the request's ring fingerprint — FNV-1a of the canonical spec JSON
+// for spec requests, so budget and knob variants co-locate while keeping
+// distinct keys, and of the dedup string for demo requests.
+func TestCacheKeyCarriesRouteKey(t *testing.T) {
+	body := randClusterSpec(t, 7)
+	parse := func(body string) *parsedRequest {
+		t.Helper()
+		p, err := parseExplore(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if routeKey(p) != p.key.Word() {
+			t.Fatalf("%.60s: routeKey %x, key word %x", body, routeKey(p), p.key.Word())
+		}
+		return p
+	}
+	base := parse(body)
+	canon, err := spec.AppendJSON(nil, base.spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := memo.Fingerprint64(canon); routeKey(base) != want {
+		t.Fatalf("spec route %x, want FNV-1a of the canonical spec %x", routeKey(base), want)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(body), "", "\t"); err != nil {
+		t.Fatal(err)
+	}
+	if p := parse(indented.String()); p.key != base.key {
+		t.Fatal("reformatting the request body changed its key")
+	}
+	variants := []string{
+		strings.Replace(body, `"budget": `, `"budget": 1`, 1),
+		strings.Replace(body, `"budget": `, `"params": {"onchip": 2, "inplace": true}, "budget": `, 1),
+		strings.Replace(body, `"budget": `, `"params": {"threshold": 0, "frame": 0.5}, "budget": `, 1),
+	}
+	for _, v := range variants {
+		p := parse(v)
+		if routeKey(p) != routeKey(base) {
+			t.Errorf("%.60s: variant routes to %x, want the spec's %x", v, routeKey(p), routeKey(base))
+		}
+		if p.key == base.key {
+			t.Errorf("%.60s: variant shares the base request's key", v)
+		}
+	}
+	demo := parse(`{"demo": {"size": 16, "seed": 1, "quant": 1}}`)
+	if want := memo.Fingerprint64("demo|16|1|1"); routeKey(demo) != want {
+		t.Fatalf("demo route %x, want FNV-1a of its dedup string %x", routeKey(demo), want)
+	}
 }
 
 // postHandoff drives handleHandoff with one raw body.
@@ -288,12 +348,12 @@ func TestHandoffIgnoresLegacySeeds(t *testing.T) {
 	if n := s.obs.Counter("cluster.handoff_refused").Value(); n != 1 {
 		t.Fatalf("handoff_refused = %d, want 1", n)
 	}
-	var keys []string
-	s.memo.Range(memo.Requests, func(key string, _ any) bool {
+	var keys []memo.Key
+	s.memo.Range(memo.Requests, func(key memo.Key, _ any) bool {
 		keys = append(keys, key)
 		return true
 	})
 	if len(keys) != 1 || keys[0] != owned {
-		t.Fatalf("imported keys = %q, want only the owned %q", keys, owned)
+		t.Fatalf("imported keys = %v, want only the owned %v", keys, owned)
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/memo"
 )
 
 // clusterInternalHeader marks node-to-node requests. A request carrying it
@@ -132,16 +131,11 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 	return nil
 }
 
-// routeKey is the consistent-hash routing fingerprint. Spec requests hash
-// the canonical spec JSON alone — not the full dedup key — so budget and
-// knob variants of one spec co-locate on one node. Demo requests have no
-// canon and hash the dedup key.
-func routeKey(p *parsedRequest) uint64 {
-	if p.mode == "spec" {
-		return memo.Fingerprint64(p.canon)
-	}
-	return memo.Fingerprint64(p.key)
-}
+// routeKey is the consistent-hash routing fingerprint, the word of the
+// request's dedup key (see parseExplore): spec requests route by their
+// canonical spec JSON alone, so budget and knob variants of one spec
+// co-locate on one node; demo requests by the whole dedup key.
+func routeKey(p *parsedRequest) uint64 { return p.key.Word() }
 
 // internalHeaders builds the header set for one forwarded request.
 func internalHeaders(tid string) http.Header {

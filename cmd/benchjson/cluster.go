@@ -54,12 +54,13 @@ const (
 	// clusterBatchItems is the /v1/explore/batch size the drivers post.
 	clusterBatchItems = 8
 	// clusterCacheBytes caps each node's session-cache keyspaces. A cached
-	// response retains ~3KB (body + dedup key), so the full working set
-	// (~30 entries at ~3.5KB ≈ 105KB, accessed cyclically — the pattern CLOCK eviction
-	// cannot hold) overflows one node, while a ring shard (even a skewed
-	// 47% one, ~49KB) fits. That window is the experiment: the ring turns
-	// one thrashing cache into three fitting ones.
-	clusterCacheBytes = 56 << 10
+	// response is accounted at ~1.15KB (body, fixed-size key, entry
+	// overhead), so the full working set (30 entries ≈ 34.7KB, accessed
+	// cyclically — the pattern CLOCK eviction cannot hold) overflows one
+	// node, while a ring shard (even a skewed 47% one, ~16.3KB) fits. That
+	// window is the experiment: the ring turns one thrashing cache into
+	// three fitting ones.
+	clusterCacheBytes = 18 << 10
 	// clusterHedge keeps cold-start hedging out of the throughput
 	// measurement: with no latency history every p99 estimate is the
 	// floor, and a floor below the cache-miss latency would duplicate

@@ -105,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// (non-degraded) runs are stored, so replayed output is always the
 	// full-exploration output.
 	var disk *memo.DiskTier
-	var diskKey string
+	var diskKey memo.Key
 	var captured *bytes.Buffer
 	if *cacheDir != "" {
 		d, err := memo.OpenDiskTier(*cacheDir)
@@ -115,8 +115,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer d.Close()
 		disk = d
-		diskKey = fmt.Sprintf("dtse|1|%d|%d|%d|%d|%d|%t|%t|%t",
+		key := fmt.Appendf(nil, "dtse|1|%d|%d|%d|%d|%d|%t|%t|%t",
 			*size, *seed, *quant, *table, *figure, *verbose, *ablations, *inplaceF)
+		diskKey = memo.NewKey(key, memo.Fingerprint64(key))
 		if body, ok := disk.Get(memo.Requests, diskKey); ok {
 			stdout.Write(body)
 			fmt.Fprintf(stderr, "(result served from %s)\n", disk.Path())

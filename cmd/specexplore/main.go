@@ -116,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// file cannot defeat a hit. Only proven-optimal completed runs are
 	// stored; a hit replays their stdout byte-for-byte.
 	var disk *memo.DiskTier
-	var diskKey string
+	var diskKey memo.Key
 	var captured *bytes.Buffer
 	if *cacheDir != "" {
 		var canon bytes.Buffer
@@ -131,8 +131,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer d.Close()
 		disk = d
-		diskKey = fmt.Sprintf("specexplore|1|%d|%d|%d|%g|%t|%t|%t|%s",
-			*budget, *onchip, *threshold, *frame, *inplaceF, *interconnect, *lifetimes, canon.String())
+		key := fmt.Appendf(nil, "specexplore|1|%d|%d|%d|%g|%t|%t|%t|%s",
+			*budget, *onchip, *threshold, *frame, *inplaceF, *interconnect, *lifetimes, canon.Bytes())
+		diskKey = memo.NewKey(key, memo.Fingerprint64(key))
 		if body, ok := disk.Get(memo.Requests, diskKey); ok {
 			stdout.Write(body)
 			fmt.Fprintf(stderr, "(result served from %s)\n", disk.Path())

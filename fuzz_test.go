@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,21 +19,32 @@ import (
 // a cluster node. The import contract under fuzz: the handler never panics
 // or answers 5xx, a body that is not one valid handoff object is a 400 and
 // anything else a 204, and no key the live ring assigns to another node is
-// ever imported.
+// ever imported. Each body is also posted to a node with a disk tier: what
+// it imports must survive a close and reopen of the tier — replayed with
+// no byte truncated, every indexed record loading, every key owned.
 func FuzzHandoffImport(f *testing.F) {
 	s := newHandoffNode(f, ServeOptions{Obs: NewObserver()})
 	owned, foreign := handoffKeys(f, s)
+	ownedHex, _ := owned.MarshalText()
+	foreignHex, _ := foreign.MarshalText()
 	val, _ := encodeServed(&servedResponse{status: http.StatusOK, body: []byte("{}\n")})
 	f.Add(mustMarshal(handoffWire{From: "http://peer.test", Records: []handoffRec{
 		{Key: owned, Val: val}, {Key: foreign, Val: val},
 	}}))
-	f.Add([]byte(`{"from":"x","records":[{"key":"` + foreign + `","val":"AAAA"}],"seeds":[{"canon":"c","assign":{"g":0}}]}`))
-	f.Add([]byte(`{"records":[{"key":"` + owned + `","val":"not base64"}]}`))
+	f.Add([]byte(`{"from":"x","records":[{"key":"` + string(foreignHex) + `","val":"AAAA"}],"seeds":[{"canon":"c","assign":{"g":0}}]}`))
+	f.Add([]byte(`{"records":[{"key":"` + string(ownedHex) + `","val":"not base64"}]}`))
 	f.Add([]byte(`{"records":null}`))
 	f.Add([]byte(`{} {}`))
 	f.Add([]byte(`{"from":`))
 	f.Add([]byte(`null`))
 	f.Add([]byte{})
+	// Digest keys on the wire: a duplicated owned key (the last record
+	// wins), an empty value, a key one digit short, a string key of the
+	// format before keys were digests, and a key that is not hex.
+	f.Add([]byte(`{"records":[{"key":"` + string(ownedHex) + `","val":"AAAA"},{"key":"` + string(ownedHex) + `","val":""}]}`))
+	f.Add([]byte(`{"records":[{"key":"` + string(ownedHex[1:]) + `","val":"AAAA"}]}`))
+	f.Add([]byte(`{"records":[{"key":"demo|16|1|1","val":"AAAA"}]}`))
+	f.Add([]byte(`{"records":[{"key":"` + strings.Repeat("zz", len(ownedHex)/2) + `","val":"AAAA"}]}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		code := postHandoff(s, body).Code
@@ -46,12 +58,49 @@ func FuzzHandoffImport(f *testing.F) {
 		if code != want {
 			t.Fatalf("status %d, want %d", code, want)
 		}
-		s.memo.Range(memo.Requests, func(key string, _ any) bool {
-			if !s.cluster.router.Owns(routeKeyOfCacheKey(key)) {
-				t.Fatalf("imported key %q is owned by another node", key)
+		s.memo.Range(memo.Requests, func(key memo.Key, _ any) bool {
+			if !s.cluster.router.Owns(key.Word()) {
+				t.Fatalf("imported key %v is owned by another node", key)
 			}
 			return true
 		})
+
+		dir := t.TempDir()
+		tier, err := memo.OpenDiskTier(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newHandoffNode(t, ServeOptions{Obs: NewObserver(), Disk: tier})
+		if code := postHandoff(d, body).Code; code != want {
+			t.Fatalf("disk-tier node: status %d, want %d", code, want)
+		}
+		if err := tier.Close(); err != nil {
+			t.Fatal(err)
+		}
+		written := tier.Stats()
+		if written.Dropped != 0 || written.Writes != written.Imported {
+			t.Fatalf("disk tier after import: %+v, want every import written", written)
+		}
+		reopened, err := memo.OpenDiskTier(dir)
+		if err != nil {
+			t.Fatalf("reopen after import: %v", err)
+		}
+		defer reopened.Close()
+		st := reopened.Stats()
+		if st.Truncated != 0 || st.Replayed != written.Writes {
+			t.Fatalf("replay after import: %+v, want %d records and nothing truncated", st, written.Writes)
+		}
+		loaded := 0
+		reopened.Range(memo.Requests, func(key memo.Key, _ []byte) bool {
+			if !d.cluster.router.Owns(key.Word()) {
+				t.Fatalf("imported key %v is owned by another node", key)
+			}
+			loaded++
+			return true
+		})
+		if loaded != st.Records || reopened.Stats().ReadErrs != 0 {
+			t.Fatalf("%d of %d indexed records load (stats %+v)", loaded, st.Records, reopened.Stats())
+		}
 	})
 }
 
@@ -92,7 +141,8 @@ func parseExploreReference(body io.Reader) (*parsedRequest, error) {
 		if d.Quant < 0 {
 			return nil, fmt.Errorf("demo.quant %d out of range (must be >= 0)", d.Quant)
 		}
-		p.key = fmt.Sprintf("demo|%d|%d|%d", d.Size, d.Seed, d.Quant)
+		key := fmt.Sprintf("demo|%d|%d|%d", d.Size, d.Seed, d.Quant)
+		p.key = memo.NewKey([]byte(key), memo.Fingerprint64(key))
 		p.mode = "demo"
 		p.label = fmt.Sprintf("size=%d", d.Size)
 		return p, nil
@@ -113,9 +163,9 @@ func parseExploreReference(body io.Reader) (*parsedRequest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invalid spec: %v", err)
 	}
-	p.key = fmt.Sprintf("spec|%d|%d|%d|%g|%t|%t|%s",
+	key := fmt.Sprintf("spec|%d|%d|%d|%g|%t|%t|%s",
 		req.Budget, k.OnChip, k.Threshold, k.Frame, k.InPlace, k.Interconnect, canon)
-	p.canon = canon
+	p.key = memo.NewKey([]byte(key), memo.Fingerprint64(canon))
 	p.mode = "spec"
 	p.label = sp.Name
 	return p, nil
@@ -222,9 +272,8 @@ func FuzzExploreRequest(f *testing.F) {
 			if err.Error() != wantErr.Error() {
 				t.Fatalf("parse error %q, reference error %q", err, wantErr)
 			}
-		} else if got.key != want.key || got.canon != want.canon ||
-			got.mode != want.mode || got.label != want.label {
-			t.Fatalf("parse differs from the reference:\n got key %q label %q\nwant key %q label %q",
+		} else if got.key != want.key || got.mode != want.mode || got.label != want.label {
+			t.Fatalf("parse differs from the reference:\n got key %v label %q\nwant key %v label %q",
 				got.key, got.label, want.key, want.label)
 		}
 		if err == nil && got.mode == "demo" && (got.req.Demo.Size == 0 || got.req.Demo.Size > 32) {

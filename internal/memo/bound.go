@@ -27,16 +27,16 @@ type Sized interface {
 	CacheBytes() int
 }
 
-// entryOverhead approximates the fixed per-entry cost: the map slot, the
-// entry struct and its done channel.
-const entryOverhead = 160
+// entryOverhead approximates the fixed per-entry cost: the map slot with
+// its Key, the entry struct and its done channel.
+const entryOverhead = 160 + keyLen
 
 // defaultValueSize is the estimate for values that are neither Sized nor a
 // byte/string payload (schedules).
 const defaultValueSize = 256
 
-func sizeOf(key string, val any) int64 {
-	n := int64(len(key)) + entryOverhead
+func sizeOf(val any) int64 {
+	n := int64(entryOverhead)
 	switch v := val.(type) {
 	case Sized:
 		return n + int64(v.CacheBytes())
@@ -72,13 +72,13 @@ func (s *space) touch(e *entry) {
 // than the cap, or everything resident is in flight — the entry is removed
 // from the map instead: waiters still read its value (ok is true), later
 // callers recompute. No-op for unbounded spaces.
-func (s *space) retain(key string, e *entry) {
+func (s *space) retain(key Key, e *entry) {
 	if s.capBytes <= 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.admit(key, e) && s.m[key] == e {
+	if !s.admit(e) && s.m[key] == e {
 		delete(s.m, key)
 	}
 }
@@ -86,8 +86,8 @@ func (s *space) retain(key string, e *entry) {
 // admit accounts entry e against the byte cap, making room first. Called
 // under mu on a bounded space. Returns false, counting an oversize drop,
 // when room cannot be made; the caller must then not keep e resident.
-func (s *space) admit(key string, e *entry) bool {
-	size := sizeOf(key, e.val)
+func (s *space) admit(e *entry) bool {
+	size := sizeOf(e.val)
 	if !s.makeRoom(size) {
 		s.oversize++
 		return false

@@ -19,10 +19,10 @@ func TestBoundAccountingExact(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("key%03d", i)
 		val := strings.Repeat("x", i)
-		if got := c.Do(Schedule, key, func() (any, bool) { return val, true }); got != val {
+		if got := c.Do(Schedule, tkey(key), func() (any, bool) { return val, true }); got != val {
 			t.Fatalf("Do(%q) = %v, want %q", key, got, val)
 		}
-		want += sizeOf(key, val)
+		want += sizeOf(val)
 	}
 	st := c.Stats(Schedule)
 	if st.BytesHeld != want {
@@ -43,8 +43,8 @@ func (s sizedVal) CacheBytes() int { return s.n }
 func TestBoundSizedValuesUseReportedBytes(t *testing.T) {
 	c := New()
 	c.Bound(Requests, 1<<20)
-	c.Do(Requests, "k", func() (any, bool) { return sizedVal{n: 1000}, true })
-	want := int64(len("k")) + entryOverhead + 1000
+	c.Do(Requests, tkey("k"), func() (any, bool) { return sizedVal{n: 1000}, true })
+	want := int64(entryOverhead) + 1000
 	if st := c.Stats(Requests); st.BytesHeld != want {
 		t.Fatalf("BytesHeld = %d, want Sized-reported %d", st.BytesHeld, want)
 	}
@@ -56,14 +56,14 @@ func TestBoundSizedValuesUseReportedBytes(t *testing.T) {
 // matches the entries that left.
 func TestBoundEvictionKeepsAccountingConsistent(t *testing.T) {
 	c := New()
-	key := func(i int) string { return fmt.Sprintf("key%04d", i) } // fixed-size keys
+	key := func(i int) string { return fmt.Sprintf("key%04d", i) }
 	val := make([]byte, 100)
-	per := sizeOf(key(0), val)
+	per := sizeOf(val)
 	cap := 20 * per
 	c.Bound(Schedule, cap)
 	const n = 200
 	for i := 0; i < n; i++ {
-		c.Do(Schedule, key(i), func() (any, bool) { return val, true })
+		c.Do(Schedule, tkey(key(i)), func() (any, bool) { return val, true })
 	}
 	st := c.Stats(Schedule)
 	if st.BytesHeld > cap {
@@ -94,7 +94,7 @@ func TestQuickBytesHeldNeverExceedsCap(t *testing.T) {
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op%64)
 			size := int(op) % 2048
-			c.Do(Schedule, key, func() (any, bool) { return make([]byte, size), true })
+			c.Do(Schedule, tkey(key), func() (any, bool) { return make([]byte, size), true })
 			if held := c.Stats(Schedule).BytesHeld; held > cap {
 				t.Logf("cap %d: bytes_held %d after inserting %d bytes under key %q",
 					cap, held, size, key)
@@ -143,7 +143,7 @@ func TestBoundCapHeldUnderConcurrency(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				key := fmt.Sprintf("g%dk%d", g, rng.Intn(200))
 				size := rng.Intn(512)
-				c.Do(Schedule, key, func() (any, bool) { return make([]byte, size), true })
+				c.Do(Schedule, tkey(key), func() (any, bool) { return make([]byte, size), true })
 			}
 		}(g)
 	}
@@ -175,7 +175,7 @@ func TestBoundEvictionNeverDropsInflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.Do(Schedule, "slow", func() (any, bool) {
+			results[i] = c.Do(Schedule, tkey("slow"), func() (any, bool) {
 				computes.Add(1)
 				close(started)
 				<-release
@@ -186,7 +186,7 @@ func TestBoundEvictionNeverDropsInflight(t *testing.T) {
 	<-started
 	// Eviction storm while "slow" is in flight: far more bytes than the cap.
 	for i := 0; i < 500; i++ {
-		c.Do(Schedule, fmt.Sprintf("flood%d", i), func() (any, bool) { return make([]byte, 128), true })
+		c.Do(Schedule, tkey(fmt.Sprintf("flood%d", i)), func() (any, bool) { return make([]byte, 128), true })
 	}
 	if st := c.Stats(Schedule); st.Evictions == 0 {
 		t.Fatalf("flood caused no evictions (stats %+v); test is not exercising the sweep", st)
@@ -210,7 +210,7 @@ func TestBoundOversizeValueServedButNotRetained(t *testing.T) {
 	c.Bound(Requests, 512)
 	calls := 0
 	big := func() (any, bool) { calls++; return make([]byte, 4096), true }
-	v := c.Do(Requests, "big", big)
+	v := c.Do(Requests, tkey("big"), big)
 	if b, ok := v.([]byte); !ok || len(b) != 4096 {
 		t.Fatalf("oversize Do = %T(%v), want the 4096-byte value", v, v)
 	}
@@ -219,7 +219,7 @@ func TestBoundOversizeValueServedButNotRetained(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 oversize drop, nothing resident", st)
 	}
 	// Not retained: the next call recomputes.
-	c.Do(Requests, "big", big)
+	c.Do(Requests, tkey("big"), big)
 	if calls != 2 {
 		t.Fatalf("compute ran %d times, want 2 (oversize value must not be retained)", calls)
 	}
@@ -237,7 +237,7 @@ func TestQuickBoundedMatchesUnbounded(t *testing.T) {
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op%16)
 			mk := func() (any, bool) { return "v:" + key, true }
-			if bounded.Do(Schedule, key, mk) != unbounded.Do(Schedule, key, mk) {
+			if bounded.Do(Schedule, tkey(key), mk) != unbounded.Do(Schedule, tkey(key), mk) {
 				return false
 			}
 		}
@@ -258,7 +258,7 @@ func TestBoundNilAndNonPositiveAreNoOps(t *testing.T) {
 	c.Bound(Schedule, 0)
 	c.Bound(Requests, -1)
 	for i := 0; i < 100; i++ {
-		c.Do(Schedule, fmt.Sprintf("k%d", i), func() (any, bool) { return make([]byte, 1024), true })
+		c.Do(Schedule, tkey(fmt.Sprintf("k%d", i)), func() (any, bool) { return make([]byte, 1024), true })
 	}
 	st := c.Stats(Schedule)
 	if st.CapBytes != 0 || st.Evictions != 0 || st.BytesHeld != 0 || st.Entries != 100 {

@@ -3,12 +3,24 @@ package memo
 // Disk tier: an optional, durable second level under the session cache.
 //
 // The tier is a single append-only log (cache.log under the cache dir) of
-// checksummed records keyed by the same canonical fingerprints as the
-// memory tier. Recovery is truncation-tolerant: replay stops at the first
-// torn or corrupt record (a kill -9 mid-append leaves exactly that) and
-// truncates the file back to the last good byte, so the log stays
-// appendable. Duplicate keys are legal — the last record wins, which is
-// what sequential appends naturally produce.
+// checksummed records keyed by the same fixed-size Keys as the memory
+// tier. The log starts with the magic "dtsecl2\n"; each record is
+//
+//	[4B payload length][4B CRC32-IEEE of payload][1B space][32B key][value]
+//
+// with the key in its Key encoding (192-bit digest, 64-bit word) and the
+// payload being everything after the CRC. The in-memory index holds one
+// Key and one file reference per record, never the canonical bytes the key
+// was made from.
+//
+// Recovery is truncation-tolerant: replay stops at the first torn or
+// corrupt record (a kill -9 mid-append leaves exactly that) and truncates
+// the file back to the last good byte, so the log stays appendable.
+// Duplicate keys are legal — the last record wins, which is what
+// sequential appends naturally produce. A log written in the earlier
+// dtsecl1 format (string keys) cannot be addressed by digest keys; it is
+// reset to an empty dtsecl2 log on open and its bytes are counted as
+// truncated. The cache loses those entries; it never answers from them.
 //
 // Writes are write-behind: Put only enqueues; a single background writer
 // appends, coalesces whatever queued meanwhile, then fsyncs once — the
@@ -32,7 +44,9 @@ import (
 
 const (
 	logName  = "cache.log"
-	logMagic = "dtsecl1\n"
+	logMagic = "dtsecl2\n"
+	// logMagicV1 is the string-keyed format; such a log is reset on open.
+	logMagicV1 = "dtsecl1\n"
 
 	// maxRecordSize bounds one record's payload; a length beyond it during
 	// replay is treated as corruption. 64 MiB is far above any rendered
@@ -40,9 +54,9 @@ const (
 	maxRecordSize = 64 << 20
 
 	// recordHeader is [4B payload length][4B CRC32-IEEE of payload]; the
-	// payload is [1B space][4B key length][key][value].
+	// payload is [1B space][keyLen key][value].
 	recordHeader = 8
-	payloadMin   = 5
+	payloadMin   = 1 + keyLen
 
 	// writeQueueLen is the write-behind queue depth; overflow drops the
 	// write instead of blocking the hot path.
@@ -74,8 +88,8 @@ type DiskTier struct {
 	path string
 	f    *os.File
 
-	mu    sync.RWMutex                   // guards index
-	index map[Space]map[string]recordRef // one map per live keyspace
+	mu    sync.RWMutex                // guards index
+	index map[Space]map[Key]recordRef // one map per live keyspace
 
 	writeCh chan diskRecord
 	writerD chan struct{} // closed when the background writer exits
@@ -89,7 +103,7 @@ type DiskTier struct {
 
 type diskRecord struct {
 	sp  Space
-	key string
+	key Key
 	val []byte
 }
 
@@ -106,9 +120,9 @@ func OpenDiskTier(dir string) (*DiskTier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memo: cache log: %w", err)
 	}
-	d := &DiskTier{path: path, f: f, index: make(map[Space]map[string]recordRef, len(Spaces))}
+	d := &DiskTier{path: path, f: f, index: make(map[Space]map[Key]recordRef, len(Spaces))}
 	for _, sp := range Spaces {
-		d.index[sp] = make(map[string]recordRef)
+		d.index[sp] = make(map[Key]recordRef)
 	}
 	if err := d.replay(); err != nil {
 		f.Close()
@@ -123,25 +137,35 @@ func OpenDiskTier(dir string) (*DiskTier, error) {
 // replay scans the log sequentially, indexing every verified record (last
 // write per key wins) and stopping at the first torn or corrupt one; the
 // file is truncated back to the last good byte so appends stay readable.
+// Every record is read into one buffer, grown to the largest record; the
+// index keeps only each record's Key and file reference.
 func (d *DiskTier) replay() error {
 	st, err := d.f.Stat()
 	if err != nil {
 		return err
 	}
 	if st.Size() == 0 {
-		if _, err := d.f.Write([]byte(logMagic)); err != nil {
-			return err
-		}
-		d.end.Store(int64(len(logMagic)))
-		return d.f.Sync()
+		return d.startLog()
 	}
 	r := bufio.NewReader(io.NewSectionReader(d.f, 0, st.Size()))
-	magic := make([]byte, len(logMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != logMagic {
+	var magic [len(logMagic)]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		return fmt.Errorf("memo: %s is not a cache log", d.path)
+	}
+	switch string(magic[:]) {
+	case logMagic:
+	case logMagicV1: // string keys: no digest key can address its records
+		d.truncated.Add(st.Size())
+		if err := d.f.Truncate(0); err != nil {
+			return err
+		}
+		return d.startLog()
+	default:
 		return fmt.Errorf("memo: %s is not a cache log", d.path)
 	}
 	off := int64(len(logMagic))
 	var hdr [recordHeader]byte
+	var buf []byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			break // clean end of log, or a torn header
@@ -151,7 +175,10 @@ func (d *DiskTier) replay() error {
 		if n < payloadMin || n > maxRecordSize {
 			break
 		}
-		payload := make([]byte, n)
+		if int(n) > cap(buf) {
+			buf = make([]byte, n)
+		}
+		payload := buf[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
 			break // torn payload
 		}
@@ -176,25 +203,30 @@ func (d *DiskTier) replay() error {
 	return nil
 }
 
-func parsePayload(p []byte) (sp Space, key string, val []byte, ok bool) {
+// startLog writes the magic of an empty log.
+func (d *DiskTier) startLog() error {
+	if _, err := d.f.WriteAt([]byte(logMagic), 0); err != nil {
+		return err
+	}
+	d.end.Store(int64(len(logMagic)))
+	return d.f.Sync()
+}
+
+func parsePayload(p []byte) (sp Space, key Key, val []byte, ok bool) {
 	if len(p) < payloadMin {
-		return 0, "", nil, false
+		return 0, Key{}, nil, false
 	}
 	sp = Space(p[0])
 	if !sp.live() {
-		return 0, "", nil, false
+		return 0, Key{}, nil, false
 	}
-	kn := binary.LittleEndian.Uint32(p[1:payloadMin])
-	if uint64(kn) > uint64(len(p)-payloadMin) {
-		return 0, "", nil, false
-	}
-	return sp, string(p[payloadMin : payloadMin+kn]), p[payloadMin+kn:], true
+	return sp, keyFrom(p[1:payloadMin]), p[payloadMin:], true
 }
 
 // load reads and re-verifies one indexed record. A record that fails
 // verification is dropped from the index (counted in ReadErrs) — the
 // caller sees a plain miss.
-func (d *DiskTier) load(sp Space, key string) ([]byte, bool) {
+func (d *DiskTier) load(sp Space, key Key) ([]byte, bool) {
 	d.mu.RLock()
 	ref, ok := d.index[sp][key]
 	d.mu.RUnlock()
@@ -220,7 +252,7 @@ func (d *DiskTier) load(sp Space, key string) ([]byte, bool) {
 	return val, true
 }
 
-func (d *DiskTier) dropRef(sp Space, key string, ref recordRef) {
+func (d *DiskTier) dropRef(sp Space, key Key, ref recordRef) {
 	d.readErrs.Add(1)
 	d.mu.Lock()
 	if cur, ok := d.index[sp][key]; ok && cur == ref {
@@ -231,7 +263,7 @@ func (d *DiskTier) dropRef(sp Space, key string, ref recordRef) {
 
 // Get returns the stored value for key, verifying its checksum. Safe on a
 // nil tier (always a miss).
-func (d *DiskTier) Get(sp Space, key string) ([]byte, bool) {
+func (d *DiskTier) Get(sp Space, key Key) ([]byte, bool) {
 	if d == nil {
 		return nil, false
 	}
@@ -247,11 +279,11 @@ func (d *DiskTier) Get(sp Space, key string) ([]byte, bool) {
 // Put queues a record for the background writer; it never blocks. Returns
 // false when the record was dropped (tier closed, value beyond the record
 // size bound, or queue full). Safe on a nil tier.
-func (d *DiskTier) Put(sp Space, key string, val []byte) bool {
+func (d *DiskTier) Put(sp Space, key Key, val []byte) bool {
 	if d == nil {
 		return false
 	}
-	if payloadMin+len(key)+len(val) > maxRecordSize {
+	if payloadMin+len(val) > maxRecordSize {
 		d.dropped.Add(1)
 		return false
 	}
@@ -299,17 +331,15 @@ func (d *DiskTier) writer() {
 
 // append writes one record at the current end offset and publishes it in
 // the index only after the write succeeded, so readers can never chase an
-// offset that was not fully written.
+// offset that was not fully written. The record is built in place in one
+// buffer: header, then the payload the CRC covers.
 func (d *DiskTier) append(rec diskRecord) {
-	payload := make([]byte, payloadMin+len(rec.key)+len(rec.val))
-	payload[0] = byte(rec.sp)
-	binary.LittleEndian.PutUint32(payload[1:payloadMin], uint32(len(rec.key)))
-	copy(payload[payloadMin:], rec.key)
-	copy(payload[payloadMin+len(rec.key):], rec.val)
-	buf := make([]byte, recordHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeader:], payload)
+	buf := make([]byte, recordHeader, recordHeader+payloadMin+len(rec.val))
+	buf = append(buf, byte(rec.sp))
+	buf = appendKey(buf, rec.key)
+	buf = append(buf, rec.val...)
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(buf)-recordHeader))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[recordHeader:]))
 	off := d.end.Load()
 	if _, err := d.f.WriteAt(buf, off); err != nil {
 		d.dropped.Add(1)
@@ -325,12 +355,12 @@ func (d *DiskTier) append(rec diskRecord) {
 // Range calls fn for every live record of one keyspace (the last write per
 // key, checksum-verified; order unspecified) until fn returns false. Export
 // reads the handoff stream through it. Safe on a nil tier.
-func (d *DiskTier) Range(sp Space, fn func(key string, val []byte) bool) {
+func (d *DiskTier) Range(sp Space, fn func(key Key, val []byte) bool) {
 	if d == nil {
 		return
 	}
 	d.mu.RLock()
-	keys := make([]string, 0, len(d.index[sp]))
+	keys := make([]Key, 0, len(d.index[sp]))
 	for k := range d.index[sp] {
 		keys = append(keys, k)
 	}

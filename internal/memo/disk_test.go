@@ -29,18 +29,30 @@ var regenCorpus = flag.Bool("regen-corpus", false, "rewrite testdata/cachecorpus
 
 const corpusDir = "testdata/cachecorpus"
 
-// corpusRecord builds one well-formed log record.
+// corpusRecord builds one well-formed log record under the key tkey(key).
 func corpusRecord(sp Space, key, val string) []byte {
-	payload := make([]byte, payloadMin+len(key)+len(val))
-	payload[0] = byte(sp)
-	binary.LittleEndian.PutUint32(payload[1:payloadMin], uint32(len(key)))
-	copy(payload[payloadMin:], key)
-	copy(payload[payloadMin+len(key):], val)
-	buf := make([]byte, recordHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeader:], payload)
-	return buf
+	return corpusRecordKey(sp, tkey(key), val)
+}
+
+// corpusRecordKey builds one well-formed log record.
+func corpusRecordKey(sp Space, key Key, val string) []byte {
+	payload := appendKey([]byte{byte(sp)}, key)
+	return framed(append(payload, val...))
+}
+
+// corpusRecordV1 builds one record of the string-keyed dtsecl1 format:
+// the payload was [1B space][4B key length][key][value].
+func corpusRecordV1(sp Space, key, val string) []byte {
+	payload := binary.LittleEndian.AppendUint32([]byte{byte(sp)}, uint32(len(key)))
+	payload = append(append(payload, key...), val...)
+	return framed(payload)
+}
+
+// framed prefixes a payload with its record header.
+func framed(payload []byte) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
 }
 
 // corpusCase is one committed log with its expected recovery outcome.
@@ -82,13 +94,17 @@ func corpusCases() map[string]corpusCase {
 	flipTail[len(flipTail)-300] ^= 0x01 // inside r3's payload: CRC must catch it
 
 	flipMid := append([]byte{}, valid...)
-	flipMid[len(logMagic)+len(r1)+recordHeader+payloadMin] ^= 0x01 // r2's key byte
+	flipMid[len(logMagic)+len(r1)+recordHeader+1] ^= 0x01 // r2's first key byte
 
 	badLen := append([]byte(logMagic), r1...)
 	var badHdr [recordHeader]byte
 	binary.LittleEndian.PutUint32(badHdr[0:4], maxRecordSize+1)
 	badLen = append(badLen, badHdr[:]...)
 	badLen = append(badLen, bytes.Repeat([]byte{0xbb}, 10)...)
+
+	// A log written before keys were digests: the whole file is dropped.
+	v1 := append([]byte(logMagicV1), corpusRecordV1(Schedule, "alpha", "value-alpha")...)
+	v1 = append(v1, corpusRecordV1(Requests, "beta", "value-beta")...)
 
 	return map[string]corpusCase{
 		"valid.log": {data: valid, replayed: 3, live: validLive},
@@ -111,6 +127,7 @@ func corpusCases() map[string]corpusCase {
 		"magiconly.log": {data: []byte(logMagic)},
 		"empty.log":     {data: []byte{}},
 		"badmagic.log":  {data: []byte("NOTACACHELOG\n"), openErr: true},
+		"v1.log":        {data: v1, truncated: int64(len(v1))},
 	}
 }
 
@@ -200,7 +217,7 @@ func TestCacheCorpusReplay(t *testing.T) {
 			for sp, kv := range c.live {
 				wantLive += len(kv)
 				for key, val := range kv {
-					got, ok := d.Get(sp, key)
+					got, ok := d.Get(sp, tkey(key))
 					if !ok || string(got) != val {
 						t.Fatalf("Get(%v, %q) = %q, %v; want %q", sp, key, got, ok, val)
 					}
@@ -211,7 +228,7 @@ func TestCacheCorpusReplay(t *testing.T) {
 			}
 			// The recovered log stays appendable, and the append survives a
 			// second replay alongside the recovered records.
-			if !d.Put(Requests, "post-recovery", []byte("pr")) {
+			if !d.Put(Requests, tkey("post-recovery"), []byte("pr")) {
 				t.Fatal("Put on recovered log refused")
 			}
 			if err := d.Close(); err != nil {
@@ -222,12 +239,12 @@ func TestCacheCorpusReplay(t *testing.T) {
 				t.Fatalf("reopen after recovery+append: %v", err)
 			}
 			defer d2.Close()
-			if v, ok := d2.Get(Requests, "post-recovery"); !ok || string(v) != "pr" {
+			if v, ok := d2.Get(Requests, tkey("post-recovery")); !ok || string(v) != "pr" {
 				t.Fatal("record appended after recovery was lost")
 			}
 			for sp, kv := range c.live {
 				for key, val := range kv {
-					if got, ok := d2.Get(sp, key); !ok || string(got) != val {
+					if got, ok := d2.Get(sp, tkey(key)); !ok || string(got) != val {
 						t.Fatalf("after reopen: Get(%v, %q) = %q, %v; want %q", sp, key, got, ok, val)
 					}
 				}
@@ -245,11 +262,11 @@ func TestDiskTierPutGetAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if !d.Put(Requests, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))) {
+		if !d.Put(Requests, tkey(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i))) {
 			t.Fatalf("Put %d refused", i)
 		}
 	}
-	d.Put(Requests, "k3", []byte("v3-rewritten")) // duplicate key: last wins
+	d.Put(Requests, tkey("k3"), []byte("v3-rewritten")) // duplicate key: last wins
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +284,13 @@ func TestDiskTierPutGetAcrossReopen(t *testing.T) {
 	if st.Replayed != 21 || st.Records != 20 || st.Truncated != 0 {
 		t.Fatalf("reopen stats %+v, want 21 replayed, 20 live, 0 truncated", st)
 	}
-	if v, ok := d2.Get(Requests, "k3"); !ok || string(v) != "v3-rewritten" {
+	if v, ok := d2.Get(Requests, tkey("k3")); !ok || string(v) != "v3-rewritten" {
 		t.Fatalf("Get(k3) = %q, %v; want the last write", v, ok)
 	}
-	if v, ok := d2.Get(Requests, "k7"); !ok || string(v) != "v7" {
+	if v, ok := d2.Get(Requests, tkey("k7")); !ok || string(v) != "v7" {
 		t.Fatalf("Get(k7) = %q, %v", v, ok)
 	}
-	if _, ok := d2.Get(Schedule, "k7"); ok {
+	if _, ok := d2.Get(Schedule, tkey("k7")); ok {
 		t.Fatal("key leaked across keyspaces")
 	}
 }
@@ -287,7 +304,7 @@ func TestDiskTierReadTimeCorruptionIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Put(Requests, "key", []byte("pristine-value"))
+	d.Put(Requests, tkey("key"), []byte("pristine-value"))
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +322,7 @@ func TestDiskTierReadTimeCorruptionIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valOff := int64(len(logMagic) + recordHeader + payloadMin + len("key"))
+	valOff := int64(len(logMagic) + recordHeader + payloadMin)
 	buf := []byte{0}
 	if _, err := f.ReadAt(buf, valOff); err != nil {
 		t.Fatal(err)
@@ -316,14 +333,14 @@ func TestDiskTierReadTimeCorruptionIsAMiss(t *testing.T) {
 	}
 	f.Close()
 
-	if v, ok := d2.Get(Requests, "key"); ok {
+	if v, ok := d2.Get(Requests, tkey("key")); ok {
 		t.Fatalf("Get returned %q from a corrupted record", v)
 	}
 	st := d2.Stats()
 	if st.ReadErrs != 1 || st.Records != 0 {
 		t.Fatalf("stats %+v, want 1 read error and the record dropped", st)
 	}
-	if _, ok := d2.Get(Requests, "key"); ok {
+	if _, ok := d2.Get(Requests, tkey("key")); ok {
 		t.Fatal("dropped record came back")
 	}
 }
@@ -335,7 +352,7 @@ func TestDiskTierOversizeRecordDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if d.Put(Requests, "huge", make([]byte, maxRecordSize)) {
+	if d.Put(Requests, tkey("huge"), make([]byte, maxRecordSize)) {
 		t.Fatal("Put accepted a record beyond maxRecordSize")
 	}
 	if st := d.Stats(); st.Dropped != 1 {
@@ -345,13 +362,13 @@ func TestDiskTierOversizeRecordDropped(t *testing.T) {
 
 func TestDiskTierNilSafe(t *testing.T) {
 	var d *DiskTier
-	if _, ok := d.Get(Schedule, "k"); ok {
+	if _, ok := d.Get(Schedule, tkey("k")); ok {
 		t.Fatal("nil Get hit")
 	}
-	if d.Put(Schedule, "k", nil) {
+	if d.Put(Schedule, tkey("k"), nil) {
 		t.Fatal("nil Put accepted")
 	}
-	d.Range(Schedule, func(string, []byte) bool { t.Fatal("nil Range called fn"); return false })
+	d.Range(Schedule, func(Key, []byte) bool { t.Fatal("nil Range called fn"); return false })
 	if d.Len(Schedule) != 0 || d.Path() != "" {
 		t.Fatal("nil Len/Path nonzero")
 	}
@@ -374,7 +391,7 @@ func TestDiskTierCloseIdempotentAndPutAfterClose(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Put(Requests, "k", []byte("v")) {
+	if d.Put(Requests, tkey("k"), []byte("v")) {
 		t.Fatal("Put accepted after Close")
 	}
 }
@@ -385,9 +402,9 @@ func TestDiskTierRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.Put(Requests, "a", []byte("1"))
-	d.Put(Requests, "b", []byte("2"))
-	d.Put(Schedule, "c", []byte("3"))
+	d.Put(Requests, tkey("a"), []byte("1"))
+	d.Put(Requests, tkey("b"), []byte("2"))
+	d.Put(Schedule, tkey("c"), []byte("3"))
 	// Writes are write-behind; poll until the background writer has indexed
 	// them (bounded, so a stuck writer fails instead of hanging).
 	deadline := time.Now().Add(5 * time.Second)
@@ -397,13 +414,13 @@ func TestDiskTierRange(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	got := map[string]string{}
-	d.Range(Requests, func(k string, v []byte) bool { got[k] = string(v); return true })
-	if len(got) != 2 || got["a"] != "1" || got["b"] != "2" {
+	got := map[Key]string{}
+	d.Range(Requests, func(k Key, v []byte) bool { got[k] = string(v); return true })
+	if len(got) != 2 || got[tkey("a")] != "1" || got[tkey("b")] != "2" {
 		t.Fatalf("Range(Requests) = %v", got)
 	}
 	n := 0
-	d.Range(Requests, func(string, []byte) bool { n++; return false })
+	d.Range(Requests, func(Key, []byte) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("Range ignored fn returning false (visited %d)", n)
 	}
@@ -431,7 +448,7 @@ func TestAttachDiskPromotion(t *testing.T) {
 	c := New()
 	c.AttachDisk(Requests, d, enc, dec)
 	computes := 0
-	v := c.Do(Requests, "k", func() (any, bool) { computes++; return []byte("hello"), true })
+	v := c.Do(Requests, tkey("k"), func() (any, bool) { computes++; return []byte("hello"), true })
 	if string(v.([]byte)) != "hello" || computes != 1 {
 		t.Fatalf("first Do = %q (computes %d)", v, computes)
 	}
@@ -450,7 +467,7 @@ func TestAttachDiskPromotion(t *testing.T) {
 	defer d2.Close()
 	c2 := New()
 	c2.AttachDisk(Requests, d2, enc, dec)
-	v2 := c2.Do(Requests, "k", func() (any, bool) {
+	v2 := c2.Do(Requests, tkey("k"), func() (any, bool) {
 		t.Error("compute ran despite a disk record")
 		return nil, false
 	})
@@ -463,7 +480,7 @@ func TestAttachDiskPromotion(t *testing.T) {
 	}
 	// Promoted: the next Do is a pure memory hit, no disk read.
 	before := d2.Stats().Hits
-	c2.Do(Requests, "k", func() (any, bool) { t.Error("recompute after promotion"); return nil, false })
+	c2.Do(Requests, tkey("k"), func() (any, bool) { t.Error("recompute after promotion"); return nil, false })
 	if st := c2.Stats(Requests); st.Hits != 1 {
 		t.Fatalf("after promotion: Hits = %d, want 1", st.Hits)
 	}
@@ -483,7 +500,7 @@ func TestAttachDiskEncDeclines(t *testing.T) {
 	enc := func(any) ([]byte, bool) { return nil, false }
 	_, dec := byteCodec()
 	c.AttachDisk(Schedule, d, enc, dec)
-	c.Do(Schedule, "k", func() (any, bool) { return []byte("v"), true })
+	c.Do(Schedule, tkey("k"), func() (any, bool) { return []byte("v"), true })
 	if st := c.Stats(Schedule); st.DiskWrites != 0 {
 		t.Fatalf("DiskWrites = %d for a declined value", st.DiskWrites)
 	}

@@ -29,18 +29,18 @@ func FuzzCacheLogReplay(f *testing.F) {
 			return // rejecting a foreign file is fine; panicking is not
 		}
 		for _, sp := range Spaces {
-			d.Range(sp, func(key string, val []byte) bool {
+			d.Range(sp, func(key Key, val []byte) bool {
 				got, ok := d.Get(sp, key)
 				if !ok {
-					t.Fatalf("replayed record (space %v, key %q) fails re-verification", sp, key)
+					t.Fatalf("replayed record (space %v, key %v) fails re-verification", sp, key)
 				}
 				if string(got) != string(val) {
-					t.Fatalf("Get(%v, %q) disagrees with Range", sp, key)
+					t.Fatalf("Get(%v, %v) disagrees with Range", sp, key)
 				}
 				return true
 			})
 		}
-		if !d.Put(Schedule, "fuzz-probe", []byte("probe-val")) {
+		if !d.Put(Schedule, tkey("fuzz-probe"), []byte("probe-val")) {
 			t.Fatal("Put refused on a recovered log")
 		}
 		if err := d.Close(); err != nil {
@@ -51,7 +51,7 @@ func FuzzCacheLogReplay(f *testing.F) {
 			t.Fatalf("reopen after recovery+append: %v", err)
 		}
 		defer d2.Close()
-		if v, ok := d2.Get(Schedule, "fuzz-probe"); !ok || string(v) != "probe-val" {
+		if v, ok := d2.Get(Schedule, tkey("fuzz-probe")); !ok || string(v) != "probe-val" {
 			t.Fatal("record appended after recovery was lost on replay")
 		}
 	})

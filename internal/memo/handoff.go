@@ -5,18 +5,19 @@ package memo
 // its records for the moved keys and the new owner imports them, so the
 // receiving node starts hot instead of recomputing a shard's worth of
 // cache. The memo layer stays cluster-agnostic: callers express "owned" as
-// a key predicate.
+// a key predicate, which reads the ring fingerprint from the key's word
+// without needing the bytes the key was made from.
 
 // Export calls fn for every live record of one keyspace whose key satisfies
 // pred (checksum-verified, last write per key, order unspecified) until fn
 // returns false. Returns the number of records fn accepted. Safe on a nil
 // tier.
-func (d *DiskTier) Export(sp Space, pred func(key string) bool, fn func(key string, val []byte) bool) int {
+func (d *DiskTier) Export(sp Space, pred func(key Key) bool, fn func(key Key, val []byte) bool) int {
 	if d == nil {
 		return 0
 	}
 	n := 0
-	d.Range(sp, func(key string, val []byte) bool {
+	d.Range(sp, func(key Key, val []byte) bool {
 		if pred != nil && !pred(key) {
 			return true
 		}
@@ -30,7 +31,7 @@ func (d *DiskTier) Export(sp Space, pred func(key string) bool, fn func(key stri
 // the log, but counted separately (DiskStats.Imported) so handoff
 // effectiveness is observable apart from organic write traffic. Safe on a
 // nil tier.
-func (d *DiskTier) Import(sp Space, key string, val []byte) bool {
+func (d *DiskTier) Import(sp Space, key Key, val []byte) bool {
 	if d == nil {
 		return false
 	}
@@ -47,7 +48,7 @@ func (d *DiskTier) Import(sp Space, key string, val []byte) bool {
 // fresher local result or break a singleflight in progress. The entry is
 // byte-accounted like any computed result, so bounded spaces keep their
 // cap. Returns true when the value was installed. Safe on a nil Cache.
-func (c *Cache) Seed(sp Space, key string, val any) bool {
+func (c *Cache) Seed(sp Space, key Key, val any) bool {
 	if c == nil {
 		return false
 	}
@@ -59,7 +60,7 @@ func (c *Cache) Seed(sp Space, key string, val any) bool {
 	if _, exists := s.m[key]; exists {
 		return false
 	}
-	if s.capBytes > 0 && !s.admit(key, e) {
+	if s.capBytes > 0 && !s.admit(e) {
 		return false
 	}
 	s.touch(e)
@@ -72,13 +73,13 @@ func (c *Cache) Seed(sp Space, key string, val any) bool {
 // In-flight entries are skipped (their value does not exist yet); entries
 // completing concurrently may or may not be seen. Values are shared and
 // must be treated as immutable. Safe on a nil Cache.
-func (c *Cache) Range(sp Space, fn func(key string, val any) bool) {
+func (c *Cache) Range(sp Space, fn func(key Key, val any) bool) {
 	if c == nil {
 		return
 	}
 	s := c.space(sp)
 	s.mu.Lock()
-	keys := make([]string, 0, len(s.m))
+	keys := make([]Key, 0, len(s.m))
 	entries := make([]*entry, 0, len(s.m))
 	for k, e := range s.m {
 		keys = append(keys, k)

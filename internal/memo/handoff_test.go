@@ -13,9 +13,11 @@ func TestDiskExportFiltersByPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	// The key's word places it, as the ring fingerprint does on a node.
+	const owned, other = 1, 2
 	for i := 0; i < 10; i++ {
-		d.Put(Requests, fmt.Sprintf("owned-%d", i), []byte("v"))
-		d.Put(Requests, fmt.Sprintf("other-%d", i), []byte("v"))
+		d.Put(Requests, NewKey([]byte(fmt.Sprintf("owned-%d", i)), owned), []byte("v"))
+		d.Put(Requests, NewKey([]byte(fmt.Sprintf("other-%d", i)), other), []byte("v"))
 	}
 	// Drain the write-behind queue so the index is populated.
 	if err := d.Close(); err != nil {
@@ -27,8 +29,8 @@ func TestDiskExportFiltersByPredicate(t *testing.T) {
 	}
 	defer d.Close()
 
-	var got []string
-	n := d.Export(Requests, func(key string) bool { return strings.HasPrefix(key, "owned-") }, func(key string, val []byte) bool {
+	var got []Key
+	n := d.Export(Requests, func(key Key) bool { return key.Word() == owned }, func(key Key, val []byte) bool {
 		got = append(got, key)
 		return true
 	})
@@ -36,12 +38,12 @@ func TestDiskExportFiltersByPredicate(t *testing.T) {
 		t.Fatalf("export matched %d records (callback saw %d), want 10", n, len(got))
 	}
 	for _, k := range got {
-		if !strings.HasPrefix(k, "owned-") {
-			t.Fatalf("export leaked unowned key %q", k)
+		if k.Word() != owned {
+			t.Fatalf("export leaked unowned key %v", k)
 		}
 	}
 	// Early stop: fn returning false halts the walk.
-	n = d.Export(Requests, nil, func(key string, val []byte) bool { return false })
+	n = d.Export(Requests, nil, func(key Key, val []byte) bool { return false })
 	if n != 1 {
 		t.Fatalf("early-stopped export should count 1 accepted record, got %d", n)
 	}
@@ -60,8 +62,8 @@ func TestDiskImportCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.Put(Requests, "organic", []byte("a"))
-	if !d.Import(Requests, "handoff", []byte("b")) {
+	d.Put(Requests, tkey("organic"), []byte("a"))
+	if !d.Import(Requests, tkey("handoff"), []byte("b")) {
 		t.Fatal("import should succeed")
 	}
 	if got := d.Stats().Imported; got != 1 {
@@ -70,7 +72,7 @@ func TestDiskImportCounted(t *testing.T) {
 	// The append is write-behind; poll until the background writer lands it.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if v, ok := d.Get(Requests, "handoff"); ok {
+		if v, ok := d.Get(Requests, tkey("handoff")); ok {
 			if string(v) != "b" {
 				t.Fatalf("imported record = %q, want \"b\"", v)
 			}
@@ -85,15 +87,15 @@ func TestDiskImportCounted(t *testing.T) {
 
 func TestCacheSeedAndRange(t *testing.T) {
 	c := New()
-	if !c.Seed(Requests, "k1", "v1") {
+	if !c.Seed(Requests, tkey("k1"), "v1") {
 		t.Fatal("seeding an empty slot should succeed")
 	}
-	if c.Seed(Requests, "k1", "clobber") {
+	if c.Seed(Requests, tkey("k1"), "clobber") {
 		t.Fatal("seeding over an existing entry must be refused")
 	}
 	// A seeded entry serves hits without recomputing.
 	ran := false
-	got := c.Do(Requests, "k1", func() (any, bool) { ran = true; return "computed", true })
+	got := c.Do(Requests, tkey("k1"), func() (any, bool) { ran = true; return "computed", true })
 	if ran || got != "v1" {
 		t.Fatalf("seeded value must serve the hit: got %v ran=%v", got, ran)
 	}
@@ -102,14 +104,14 @@ func TestCacheSeedAndRange(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan any)
 	go func() {
-		done <- c.Do(Requests, "k2", func() (any, bool) {
+		done <- c.Do(Requests, tkey("k2"), func() (any, bool) {
 			close(started)
 			<-release
 			return "slow", true
 		})
 	}()
 	<-started
-	if c.Seed(Requests, "k2", "fast") {
+	if c.Seed(Requests, tkey("k2"), "fast") {
 		t.Fatal("seed must not replace an in-flight entry")
 	}
 	close(release)
@@ -118,12 +120,12 @@ func TestCacheSeedAndRange(t *testing.T) {
 	}
 
 	// Range sees both completed entries and no in-flight ones.
-	seen := map[string]any{}
-	c.Range(Requests, func(key string, val any) bool {
+	seen := map[Key]any{}
+	c.Range(Requests, func(key Key, val any) bool {
 		seen[key] = val
 		return true
 	})
-	if len(seen) != 2 || seen["k1"] != "v1" || seen["k2"] != "slow" {
+	if len(seen) != 2 || seen[tkey("k1")] != "v1" || seen[tkey("k2")] != "slow" {
 		t.Fatalf("Range saw %v", seen)
 	}
 }
@@ -132,12 +134,12 @@ func TestCacheSeedRespectsBound(t *testing.T) {
 	c := New()
 	c.Bound(Requests, 1<<10)
 	big := make([]byte, 1<<20)
-	if c.Seed(Requests, "big", big) {
+	if c.Seed(Requests, tkey("big"), big) {
 		t.Fatal("an over-cap seed should be declined by retain")
 	}
 	// The entry must not be resident afterwards.
 	resident := 0
-	c.Range(Requests, func(string, any) bool { resident++; return true })
+	c.Range(Requests, func(Key, any) bool { resident++; return true })
 	if resident != 0 {
 		t.Fatalf("over-cap seed leaked %d resident entries", resident)
 	}

@@ -8,8 +8,10 @@
 // variants — a loop untouched by the transform balances to the same
 // schedule, a budget point that clamps a loop to its minimum re-derives the
 // same curve, a repeated request renders the same response. This package
-// memoizes those results in a per-session cache keyed by canonical
-// fingerprints, so a sweep pays for each distinct subproblem once.
+// memoizes those results in a per-session cache, so a sweep pays for each
+// distinct subproblem once. Every tier is keyed by a fixed-size Key, a
+// SHA-256 digest of the subproblem's canonical bytes (see key.go): the
+// cache holds 32 bytes per key, however long the fingerprint it came from.
 //
 // The cache is concurrency-safe and deduplicates in-flight computations
 // (singleflight): when the parallel sweep goroutines request the same key
@@ -29,22 +31,23 @@ import (
 	"repro/internal/obs"
 )
 
-// Space is one keyspace of the cache. Keys from different spaces never
-// collide even when their strings are equal. The value is also the space
-// byte of every disk-tier record, so it never changes once assigned.
+// Space is one keyspace of the cache: equal Keys in different spaces
+// address different entries. The value is also the space byte of every
+// disk-tier record, so it never changes once assigned.
 type Space int
 
 // The keyspaces of the exploration session cache. Ids 1-3 belonged to
 // deleted keyspaces and stay unassigned.
 const (
 	// Schedule caches the per-loop schedules sbd.DistributeContext
-	// computes, keyed by the loop's structural fingerprint and the
-	// per-iteration budget.
+	// computes, keyed by the digest of the loop's structural fingerprint
+	// with the per-iteration budget as the key's word.
 	Schedule Space = 0
 	// Requests caches whole serving-path responses (rendered tables and
-	// figures, cost JSON) keyed by the canonical request body, so identical
-	// concurrent requests singleflight through one exploration and identical
-	// later requests are answered from the session. Only responses whose
+	// figures, cost JSON) keyed by the digest of the canonical request,
+	// with its ring fingerprint as the key's word, so identical concurrent
+	// requests singleflight through one exploration and identical later
+	// requests are answered from the session. Only responses whose
 	// exploration ran to completion (context never canceled) may be stored.
 	Requests Space = 4
 )
@@ -132,7 +135,7 @@ type space struct {
 	id Space
 
 	mu sync.Mutex
-	m  map[string]*entry
+	m  map[Key]*entry
 
 	hits, misses, waits atomic.Int64
 
@@ -153,10 +156,10 @@ type space struct {
 	diskHits, diskWrites atomic.Int64
 }
 
-// Fingerprint64 is the cache's canonical 64-bit key fingerprint: FNV-1a
-// over the key bytes. Cluster mode routes requests by it on the
-// consistent-hash ring. Generic over the key form so neither string nor
-// byte keys allocate a conversion.
+// Fingerprint64 is the ring fingerprint of canonical bytes: FNV-1a over
+// them. Cluster mode routes requests by it on the consistent-hash ring, and
+// a Requests Key carries it as its word. Generic over the input form so
+// neither strings nor byte slices allocate a conversion.
 func Fingerprint64[K ~string | ~[]byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -181,7 +184,7 @@ func New() *Cache {
 	c := &Cache{}
 	for i, sp := range Spaces {
 		c.spaces[i].id = sp
-		c.spaces[i].m = make(map[string]*entry)
+		c.spaces[i].m = make(map[Key]*entry)
 	}
 	return c
 }
@@ -207,36 +210,7 @@ func (c *Cache) space(sp Space) *space {
 //
 // Safe on a nil Cache: compute runs unconditionally and nothing is
 // recorded.
-//
-//go:noinline
-func (c *Cache) Do(sp Space, key string, compute func() (val any, cacheable bool)) any {
-	return do(c, sp, key, compute)
-}
-
-// DoKey is Do with the key passed as bytes. The evaluation hot paths build
-// their canonical fingerprints into reusable scratch buffers; DoKey answers
-// a hit without ever materializing a string, and copies the bytes into a
-// map key only when an entry must be created. Key bytes are not retained:
-// the caller may reuse the buffer as soon as DoKey returns. Do and DoKey
-// with equal key bytes address the same entry.
-//
-// Safe on a nil Cache, like Do.
-//
-//go:noinline
-func (c *Cache) DoKey(sp Space, key []byte, compute func() (val any, cacheable bool)) any {
-	return do(c, sp, key, compute)
-}
-
-// do is the body of Do and DoKey, generic over the key form (methods cannot
-// be). The m[string(key)] lookup is the compiler-recognized no-allocation
-// form, so a hit on a byte key allocates nothing; string(key) is copied
-// into a map key only on the miss that creates the entry.
-//
-// Do and DoKey are noinline on purpose: inlined into a caller in another
-// package, they leave it calling this generic function, and the compiler
-// then moves its compute closure to the heap, one allocation per lookup.
-// Kept as calls, compute stays on the caller's stack (TestDoHitAllocs).
-func do[K ~string | ~[]byte](c *Cache, sp Space, key K, compute func() (val any, cacheable bool)) any {
+func (c *Cache) Do(sp Space, key Key, compute func() (val any, cacheable bool)) any {
 	if c == nil {
 		v, _ := compute()
 		return v
@@ -248,14 +222,13 @@ func do[K ~string | ~[]byte](c *Cache, sp Space, key K, compute func() (val any,
 	}
 
 	s.mu.Lock()
-	e, found := s.m[string(key)]
+	e, found := s.m[key]
 	if !found {
 		e = &entry{done: make(chan struct{})}
-		ks := string(key)
-		s.m[ks] = e
+		s.m[key] = e
 		s.mu.Unlock()
 		s.misses.Add(1)
-		return s.runCompute(ks, e, compute)
+		return s.runCompute(key, e, compute)
 	}
 	select {
 	case <-e.done: // finished: a plain hit, or an uncacheable chain to walk
@@ -271,13 +244,13 @@ func do[K ~string | ~[]byte](c *Cache, sp Space, key K, compute func() (val any,
 		s.mu.Unlock()
 		s.waits.Add(1)
 	}
-	return s.doSlow(string(key), e, compute)
+	return s.doSlow(key, e, compute)
 }
 
 // doSlow resolves a Do call that could not be answered from the fast path:
 // e is either finished-but-uncacheable (walk its successor chain) or in
 // flight with this caller registered as a waiter.
-func (s *space) doSlow(key string, e *entry, compute func() (val any, cacheable bool)) any {
+func (s *space) doSlow(key Key, e *entry, compute func() (val any, cacheable bool)) any {
 	for {
 		<-e.done
 		if e.ok {
@@ -326,7 +299,7 @@ func (s *space) doSlow(key string, e *entry, compute func() (val any, cacheable 
 // cacheable result stays in the map (subject to the byte cap — see retain);
 // an uncacheable one is removed, handing the slot to exactly one blocked
 // waiter (via a successor entry) when any are registered.
-func (s *space) runCompute(key string, e *entry, compute func() (any, bool)) any {
+func (s *space) runCompute(key Key, e *entry, compute func() (any, bool)) any {
 	if dc := s.disk; dc != nil {
 		if b, ok := dc.tier.Get(s.id, key); ok {
 			if v, ok := dc.dec(b); ok {

@@ -15,14 +15,14 @@ func TestDoCachesPerSpaceAndKey(t *testing.T) {
 	calls := 0
 	compute := func() (any, bool) { calls++; return calls, true }
 
-	if v := c.Do(Schedule, "k", compute); v != 1 {
+	if v := c.Do(Schedule, tkey("k"), compute); v != 1 {
 		t.Fatalf("first Do = %v, want 1", v)
 	}
-	if v := c.Do(Schedule, "k", compute); v != 1 {
+	if v := c.Do(Schedule, tkey("k"), compute); v != 1 {
 		t.Fatalf("second Do = %v, want cached 1", v)
 	}
 	// Same key in a different space is a distinct slot.
-	if v := c.Do(Requests, "k", compute); v != 2 {
+	if v := c.Do(Requests, tkey("k"), compute); v != 2 {
 		t.Fatalf("other-space Do = %v, want fresh 2", v)
 	}
 	st := c.Stats(Schedule)
@@ -34,34 +34,14 @@ func TestDoCachesPerSpaceAndKey(t *testing.T) {
 	}
 }
 
-// TestDoKeyMatchesDo: Do and DoKey with equal key bytes address the same
-// entry, so the string and byte paths share hits and singleflight.
-func TestDoKeyMatchesDo(t *testing.T) {
-	c := New()
-	calls := 0
-	compute := func() (any, bool) { calls++; return calls, true }
-	if v := c.Do(Schedule, "k", compute); v != 1 {
-		t.Fatalf("Do = %v, want 1", v)
-	}
-	if v := c.DoKey(Schedule, []byte("k"), compute); v != 1 {
-		t.Fatalf("DoKey after Do = %v, want cached 1", v)
-	}
-	if v := c.DoKey(Schedule, []byte("j"), compute); v != 2 {
-		t.Fatalf("DoKey on a new key = %v, want fresh 2", v)
-	}
-	if v := c.Do(Schedule, "j", compute); v != 2 {
-		t.Fatalf("Do after DoKey = %v, want cached 2", v)
-	}
-}
-
 func TestDoUncacheableIsNotStored(t *testing.T) {
 	c := New()
 	calls := 0
 	uncacheable := func() (any, bool) { calls++; return calls, false }
-	if v := c.Do(Schedule, "k", uncacheable); v != 1 {
+	if v := c.Do(Schedule, tkey("k"), uncacheable); v != 1 {
 		t.Fatalf("Do = %v, want 1", v)
 	}
-	if v := c.Do(Schedule, "k", uncacheable); v != 2 {
+	if v := c.Do(Schedule, tkey("k"), uncacheable); v != 2 {
 		t.Fatalf("Do after uncacheable = %v, want recomputed 2", v)
 	}
 	st := c.Stats(Schedule)
@@ -81,7 +61,7 @@ func TestDoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.Do(Schedule, "shared", func() (any, bool) {
+			results[i] = c.Do(Schedule, tkey("shared"), func() (any, bool) {
 				computes.Add(1)
 				<-release // hold the computer until every waiter queued
 				return "value", true
@@ -122,7 +102,7 @@ func TestDoSingleflightUncacheableWaitersRecompute(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		c.Do(Schedule, "k", func() (any, bool) {
+		c.Do(Schedule, tkey("k"), func() (any, bool) {
 			close(firstIn)
 			<-release
 			return "degraded", false // e.g. canceled-context result
@@ -131,7 +111,7 @@ func TestDoSingleflightUncacheableWaitersRecompute(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-firstIn // guarantee we arrive while the first compute is in flight
-		secondVal = c.Do(Schedule, "k", func() (any, bool) {
+		secondVal = c.Do(Schedule, tkey("k"), func() (any, bool) {
 			return "fresh", true
 		})
 	}()
@@ -143,7 +123,7 @@ func TestDoSingleflightUncacheableWaitersRecompute(t *testing.T) {
 		t.Fatalf("waiter got %v, want recomputed \"fresh\"", secondVal)
 	}
 	// The fresh result must now be cached.
-	v := c.Do(Schedule, "k", func() (any, bool) { return "wrong", true })
+	v := c.Do(Schedule, tkey("k"), func() (any, bool) { return "wrong", true })
 	if v != "fresh" {
 		t.Fatalf("third Do = %v, want cached \"fresh\"", v)
 	}
@@ -164,7 +144,7 @@ func TestDoUncacheableHandoffSingleTakeover(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.Do(Schedule, "k", func() (any, bool) {
+		c.Do(Schedule, tkey("k"), func() (any, bool) {
 			close(firstIn)
 			<-release
 			return "degraded", false
@@ -176,7 +156,7 @@ func TestDoUncacheableHandoffSingleTakeover(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.Do(Schedule, "k", func() (any, bool) {
+			results[i] = c.Do(Schedule, tkey("k"), func() (any, bool) {
 				takeoverComputes.Add(1)
 				return "fresh", true
 			})
@@ -198,7 +178,7 @@ func TestDoUncacheableHandoffSingleTakeover(t *testing.T) {
 		}
 	}
 	// The takeover's cacheable result must now serve hits.
-	if v := c.Do(Schedule, "k", func() (any, bool) { return "wrong", true }); v != "fresh" {
+	if v := c.Do(Schedule, tkey("k"), func() (any, bool) { return "wrong", true }); v != "fresh" {
 		t.Fatalf("post-handoff Do = %v, want cached \"fresh\"", v)
 	}
 }
@@ -216,7 +196,7 @@ func TestDoAllUncacheableChain(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.Do(Schedule, "k", func() (any, bool) {
+			results[i] = c.Do(Schedule, tkey("k"), func() (any, bool) {
 				computes.Add(1)
 				runtime.Gosched()
 				return i, false
@@ -241,7 +221,7 @@ func TestNilCacheRuns(t *testing.T) {
 	var c *Cache
 	calls := 0
 	for i := 0; i < 3; i++ {
-		if v := c.Do(Schedule, "k", func() (any, bool) { calls++; return calls, true }); v != i+1 {
+		if v := c.Do(Schedule, tkey("k"), func() (any, bool) { calls++; return calls, true }); v != i+1 {
 			t.Fatalf("nil-cache Do #%d = %v, want %d", i, v, i+1)
 		}
 	}
@@ -256,8 +236,8 @@ func TestNilCacheRuns(t *testing.T) {
 
 func TestPublishGauges(t *testing.T) {
 	c := New()
-	c.Do(Schedule, "a", func() (any, bool) { return 1, true })
-	c.Do(Schedule, "a", func() (any, bool) { return 1, true })
+	c.Do(Schedule, tkey("a"), func() (any, bool) { return 1, true })
+	c.Do(Schedule, tkey("a"), func() (any, bool) { return 1, true })
 	o := obs.New()
 	c.Publish(o)
 	snap := o.Counters()
@@ -281,8 +261,8 @@ func TestPublishGauges(t *testing.T) {
 
 func TestStatsString(t *testing.T) {
 	c := New()
-	c.Do(Requests, "a", func() (any, bool) { return 1, true })
-	c.Do(Requests, "a", func() (any, bool) { return 1, true })
+	c.Do(Requests, tkey("a"), func() (any, bool) { return 1, true })
+	c.Do(Requests, tkey("a"), func() (any, bool) { return 1, true })
 	s := c.StatsString()
 	for _, want := range []string{"schedule", "requests", "50.0%"} {
 		if !strings.Contains(s, want) {

@@ -148,13 +148,15 @@ type Pattern struct {
 // on/off-chip classification that sets durations and penalties), and the
 // normalized balancer parameters. Loops with equal fingerprints balance to
 // identical schedules at equal budgets, so the session cache's schedule
-// keyspace is keyed by fingerprint plus budget. The on/off-chip threshold
+// keyspace is keyed by the fingerprint's digest (hashed once per cost
+// curve) with the budget as the key's word. The on/off-chip threshold
 // itself is deliberately absent: it only acts through the per-group
 // classification, so budget points that move the threshold without
 // reclassifying any referenced group still hit.
 //
-// The byte layout reproduces the historical fmt-based format exactly, so
-// disk-tier caches written by earlier builds stay addressable. names is a
+// The bytes are only hash input: no tier stores them (and only the
+// Requests keyspace is backed by a disk tier), so the layout may change
+// freely as long as distinct loops keep distinct fingerprints. names is a
 // reusable scratch slice (returned grown, like dst).
 func appendLoopFingerprint(dst []byte, l *spec.Loop, groups map[string]spec.BasicGroup, p Params, names []string) ([]byte, []string) {
 	dst = strconv.AppendQuote(dst, l.Name)
@@ -1267,7 +1269,7 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 
 	type curve struct {
 		loop   *spec.Loop
-		fp     []byte          // schedule-cache fingerprint (when p.Memo is set)
+		key    memo.Key        // schedule-cache key of the curve (when p.Memo is set)
 		min    int             // weighted critical path
 		max    int             // budget beyond which cost is zero anyway
 		scheds []*LoopSchedule // index: budget - min; the points built so far
@@ -1277,7 +1279,7 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		built  bool
 	}
 	curves := make([]*curve, 0, len(s.Loops))
-	fpNames := ar.Strings(16)[:0]
+	fp, fpNames := ar.Buf(512), ar.Strings(16)[:0]
 	var minTotal uint64
 	for i := range s.Loops {
 		l := &s.Loops[i]
@@ -1286,7 +1288,8 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		}
 		cv := &curve{loop: l, min: weightedCP(l, groups, p, ar)}
 		if p.Memo != nil {
-			cv.fp, fpNames = appendLoopFingerprint(ar.Buf(512), l, groups, p, fpNames)
+			fp, fpNames = appendLoopFingerprint(fp[:0], l, groups, p, fpNames)
+			cv.key = memo.NewKey(fp, 0)
 		}
 		if p.Pipelined {
 			// Modulo scheduling: the initiation interval may drop below the
@@ -1341,7 +1344,6 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		sc  *LoopSchedule
 		err error
 	}
-	kb := ar.Buf(1024)
 	compute := func(cv *curve, b int) (*LoopSchedule, error) {
 		if !cv.built {
 			cv.body, cv.built = newLoopBody(cv.loop, groups, p, ar), true
@@ -1354,10 +1356,7 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		if p.Memo == nil {
 			return compute(cv, b)
 		}
-		kb = append(kb[:0], cv.fp...)
-		kb = append(kb, '#')
-		kb = strconv.AppendInt(kb, int64(b), 10)
-		r := p.Memo.DoKey(memo.Schedule, kb, func() (any, bool) {
+		r := p.Memo.Do(memo.Schedule, cv.key.WithWord(uint64(b)), func() (any, bool) {
 			sc, err := compute(cv, b)
 			return schedResult{sc, err}, err != nil || !sc.Degraded
 		}).(schedResult)

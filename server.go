@@ -21,6 +21,7 @@ import (
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/scratch"
 	"repro/internal/spec"
 )
 
@@ -298,8 +299,7 @@ type errorResponse struct {
 type parsedRequest struct {
 	req   *exploreRequest
 	spec  *spec.Spec     // spec mode only
-	key   string         // canonical dedup key (deadline excluded)
-	canon string         // canonical spec JSON (spec mode): the routing fingerprint
+	key   memo.Key       // dedup key (deadline excluded); its word is the ring fingerprint
 	mode  string         // "spec" or "demo", for introspection
 	label string         // spec name or demo size, for introspection
 	peer  string         // serving cluster node, when routed here by a peer
@@ -342,7 +342,8 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 		if d.Quant < 0 {
 			return nil, fmt.Errorf("demo.quant %d out of range (must be >= 0)", d.Quant)
 		}
-		p.key = fmt.Sprintf("demo|%d|%d|%d", d.Size, d.Seed, d.Quant)
+		key := fmt.Appendf(nil, "demo|%d|%d|%d", d.Size, d.Seed, d.Quant)
+		p.key = memo.NewKey(key, memo.Fingerprint64(key))
 		p.mode = "demo"
 		p.label = fmt.Sprintf("size=%d", d.Size)
 		return p, nil
@@ -360,22 +361,26 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 		return nil, err
 	}
 	p.knobs = k
-	// The key pins every input that shapes the response — the budget, the
-	// tool knobs, and the spec in its canonical serialization (request-side
-	// whitespace and field order must not defeat deduplication):
+	// The key is the digest of every input that shapes the response — the
+	// budget, the tool knobs, and the spec in its canonical serialization
+	// (request-side whitespace and field order must not defeat
+	// deduplication):
 	//
 	//	spec|budget|onchip|threshold|frame|inplace|interconnect|canonical spec
 	//
-	// The deadline is deliberately excluded: only completed explorations
-	// are cached, and a completed result is valid under any deadline.
-	key := fmt.Appendf(make([]byte, 0, 128+5*len(req.Spec)/2), "spec|%d|%d|%d|%g|%t|%t|",
+	// Its word, the ring fingerprint, hashes the canonical spec alone, so
+	// budget and knob variants of one spec co-locate on one node. The
+	// deadline is deliberately excluded: only completed explorations are
+	// cached, and a completed result is valid under any deadline.
+	ar := scratch.Get() // the canonical bytes are garbage once hashed
+	defer scratch.Put(ar)
+	key := fmt.Appendf(ar.Buf(128+5*len(req.Spec)/2), "spec|%d|%d|%d|%g|%t|%t|",
 		req.Budget, k.OnChip, k.Threshold, k.Frame, k.InPlace, k.Interconnect)
 	prefix := len(key)
 	if key, err = spec.AppendJSON(key, sp); err != nil {
 		return nil, fmt.Errorf("invalid spec: %v", err)
 	}
-	p.key = string(key)
-	p.canon = p.key[prefix:]
+	p.key = memo.NewKey(key, memo.Fingerprint64(key[prefix:]))
 	p.mode = "spec"
 	p.label = sp.Name
 	return p, nil
@@ -445,20 +450,6 @@ func decodeServed(b []byte) (any, bool) {
 		return nil, false
 	}
 	return &servedResponse{status: http.StatusOK, body: b[4:]}, true
-}
-
-// canonOfKey recovers the canonical spec JSON from a Requests dedup key
-// (its eighth |-separated field; the seven leading knob fields never
-// contain a pipe).
-func canonOfKey(key string) (string, bool) {
-	if !strings.HasPrefix(key, "spec|") {
-		return "", false
-	}
-	parts := strings.SplitN(key, "|", 8)
-	if len(parts) != 8 {
-		return "", false
-	}
-	return parts[7], true
 }
 
 // beginRequest assigns the request's trace id before any early exit, so
