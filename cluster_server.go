@@ -4,13 +4,13 @@ package dtse
 // runs the same code with the same member list; any node accepts any
 // request. The items of a request — one for a single POST, up to 64 for a
 // batch — are grouped by the peer their canonical fingerprints hash to,
-// and each group goes to its peer as one internal sub-batch (hedged retries
+// and each group goes to its peer as one internal sub-batch (failing over
 // down the ring walk of the group's first key, see internal/cluster), so
 // each node's session cache and disk tier stay hot for its shard of the
-// keyspace. When the owner is down or slow the group falls through to the
-// next ring member, and when no peer can answer the receiving node
-// computes the items itself — a dead cluster degrades to N independent
-// single nodes, never to failed requests.
+// keyspace. When the owner fails the group falls through to the next ring
+// member, and when no peer answers within the forward deadline the
+// receiving node computes the items itself — a dead or hung cluster
+// degrades to N independent single nodes, never to failed requests.
 //
 // Node-to-node requests are marked internal by header, are never
 // re-forwarded (no request loops are possible) and are never admitted (the
@@ -47,9 +47,9 @@ type ClusterOptions struct {
 	// views disagree and requests bounce (correct — internal requests are
 	// served where they land — but wasteful).
 	Peers []string
-	// HedgeDelay is the hedge floor: a forwarded request slower than
-	// max(HedgeDelay, peer p99) gets a hedge against the next ring node.
-	// 0 means the internal/cluster default (50ms).
+	// HedgeDelay is how long a forward waits before the items run
+	// locally; 0 = 2 s. The attempt it cuts off counts as a failure of
+	// the peer it waited on.
 	HedgeDelay time.Duration
 	// EjectAfter consecutive peer failures eject it from the ring walk
 	// for EjectFor; zero values use the internal/cluster defaults.
@@ -99,12 +99,12 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 		return errors.New("cluster: already joined")
 	}
 	router, err := cluster.New(cluster.Config{
-		Self:       opts.Self,
-		Peers:      opts.Peers,
-		HedgeDelay: opts.HedgeDelay,
-		EjectAfter: opts.EjectAfter,
-		EjectFor:   opts.EjectFor,
-		Obs:        s.obs,
+		Self:           opts.Self,
+		Peers:          opts.Peers,
+		ForwardTimeout: opts.HedgeDelay,
+		EjectAfter:     opts.EjectAfter,
+		EjectFor:       opts.EjectFor,
+		Obs:            s.obs,
 	})
 	if err != nil {
 		return err
@@ -183,12 +183,13 @@ func (s *Server) planBatch(items []exploreItem) []batchGroup {
 }
 
 // forwardBatchGroup sends one owner's items as a sub-batch down the ring
-// walk of its first item's key (Router.Forward hedges to the next member),
-// under a serve.forward span named by the group's trace id. Forwarded
-// items that errored, degraded or ran slow go to the flight recorder with
-// the peer that answered. On any failure the items stay unanswered and
-// serveItems recomputes them locally, so a mid-request peer death costs
-// latency, never failed items.
+// walk of its first item's key (Router.Forward fails over to the next
+// member), under a serve.forward span named by the group's trace id.
+// Forwarded items that errored, degraded or ran slow go to the flight
+// recorder with the peer that answered. On any failure or an expired
+// forward deadline the items stay unanswered and serveItems recomputes
+// them locally, so a mid-request peer death or hang costs latency, never
+// failed items.
 func (s *Server) forwardBatchGroup(ctx context.Context, g batchGroup, gtid string, items []exploreItem) {
 	start := time.Now()
 	sp := s.obs.Start("serve.forward")
@@ -211,9 +212,6 @@ func (s *Server) forwardBatchGroup(ctx context.Context, g batchGroup, gtid strin
 		return
 	}
 	sp.SetStr("peer", res.Peer)
-	if res.Hedged {
-		sp.SetInt("hedged", 1)
-	}
 	sp.SetInt("status", int64(res.Status))
 	s.obs.Counter("cluster.routed").Add(1)
 	s.obs.Counter("cluster.routed_items").Add(int64(len(g.idxs)))

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/memo"
 	"repro/internal/obs"
 )
 
@@ -34,6 +36,14 @@ type testCluster struct {
 // shared, with Self/Peers filled in per node.
 func newTestCluster(t *testing.T, n int, optsFor func(i int) ServeOptions, copts ClusterOptions) *testCluster {
 	t.Helper()
+	return newWrappedTestCluster(t, n, optsFor, copts, nil)
+}
+
+// newWrappedTestCluster is newTestCluster with node i's handler passed
+// through wrap(i, handler) when wrap is non-nil, so a test can slow down or
+// break one member at the HTTP layer.
+func newWrappedTestCluster(t *testing.T, n int, optsFor func(i int) ServeOptions, copts ClusterOptions, wrap func(i int, h http.Handler) http.Handler) *testCluster {
+	t.Helper()
 	tc := &testCluster{
 		servers: make([]*Server, n),
 		https:   make([]*httptest.Server, n),
@@ -41,7 +51,11 @@ func newTestCluster(t *testing.T, n int, optsFor func(i int) ServeOptions, copts
 	}
 	for i := 0; i < n; i++ {
 		tc.servers[i] = NewServer(optsFor(i))
-		tc.https[i] = httptest.NewServer(tc.servers[i].Handler())
+		h := tc.servers[i].Handler()
+		if wrap != nil {
+			h = wrap(i, h)
+		}
+		tc.https[i] = httptest.NewServer(h)
 		tc.urls[i] = tc.https[i].URL
 	}
 	for i := 0; i < n; i++ {
@@ -132,15 +146,15 @@ func postURL(t *testing.T, url, path, body string) (*http.Response, []byte) {
 
 // TestClusterDeterminismAnyNodeCount is the acceptance pin: for a demo
 // run, small random specs and 10–13-group specs shaped like the ring_batch
-// benchmark's, every front node of a 3-node cluster (routing and hedging
-// live) returns byte-identical response bodies to a plain single node.
+// benchmark's, every front node of a 3-node cluster with default options
+// returns byte-identical response bodies to a plain single node.
 func TestClusterDeterminismAnyNodeCount(t *testing.T) {
 	solo := NewServer(ServeOptions{})
 	soloTS := httptest.NewServer(solo.Handler())
 	defer soloTS.Close()
 	defer solo.Abort()
 
-	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{HedgeDelay: 20 * time.Millisecond})
+	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{})
 
 	bodies := []string{`{"demo": {"size": 16, "seed": 9}}`}
 	for seed := int64(0); seed < 5; seed++ {
@@ -267,34 +281,49 @@ func TestClusterPeerKillZeroFailures(t *testing.T) {
 	}
 }
 
-// TestClusterHedgedCompletion: a member that accepts connections but never
-// answers (the gray-failure case ejection alone cannot catch) is hedged
-// around — requests it owns still complete, marked by the hedged counter.
-func TestClusterHedgedCompletion(t *testing.T) {
+// TestClusterHungPeerCompletes: a member that accepts connections but never
+// answers (the gray failure a transport error never reveals) holds each
+// forward for the forward deadline only. Every request it owns completes
+// from a local fallback with the single-node bytes, and after EjectAfter
+// timed-out forwards the member is ejected, so later requests run locally
+// without waiting on it.
+func TestClusterHungPeerCompletes(t *testing.T) {
 	hang := make(chan struct{})
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-hang
+		select {
+		case <-hang:
+		case <-r.Context().Done():
+		}
 	}))
 	defer stub.Close()
 	defer close(hang) // unblock the stub handler before Close waits on it
 
+	solo := NewServer(ServeOptions{})
+	soloTS := httptest.NewServer(solo.Handler())
+	defer soloTS.Close()
+	defer solo.Abort()
+
+	const ejectAfter = 2
 	node := NewServer(ServeOptions{Obs: obs.New()})
 	nodeTS := httptest.NewServer(node.Handler())
 	defer nodeTS.Close()
 	defer node.Abort()
 	if err := node.JoinCluster(ClusterOptions{
-		Self:       nodeTS.URL,
-		Peers:      []string{stub.URL},
-		HedgeDelay: 10 * time.Millisecond,
+		Self:           nodeTS.URL,
+		Peers:          []string{stub.URL},
+		HedgeDelay:     20 * time.Millisecond,
+		EjectAfter:     ejectAfter,
+		EjectFor:       time.Hour,
+		GossipInterval: -1, // only forwards may judge the stub
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	// Find a spec the stub owns, as seen from the live node.
-	var body string
-	for seed := int64(100); ; seed++ {
-		if seed > 400 {
-			t.Fatal("no stub-owned spec found")
+	// Specs the stub owns, as seen from the live node.
+	var bodies []string
+	for seed := int64(100); len(bodies) < 8; seed++ {
+		if seed > 700 {
+			t.Fatalf("only %d stub-owned specs found", len(bodies))
 		}
 		b := randClusterSpec(t, seed)
 		p, err := parseExplore(strings.NewReader(b))
@@ -302,20 +331,106 @@ func TestClusterHedgedCompletion(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !node.cluster.router.Owns(routeKey(p)) {
-			body = b
-			break
+			bodies = append(bodies, b)
 		}
 	}
-	resp, got := postURL(t, nodeTS.URL, "/v1/explore", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	for i, body := range bodies {
+		_, ref := postURL(t, soloTS.URL, "/v1/explore", body)
+		resp, got := postURL(t, nodeTS.URL, "/v1/explore", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("request %d diverged from single node\n got: %s\nwant: %s", i, got, ref)
+		}
 	}
-	snap := node.obs.Snapshot()
-	if snap.Counters["cluster.hedged"] == 0 {
-		t.Fatalf("request owned by a hung peer completed without a hedge; counters: %v", snap.Counters)
+	c := node.obs.Counters()
+	timeouts, fallback := c["cluster.forward_timeouts"], c["cluster.fallback_local"]
+	if timeouts == 0 || timeouts > ejectAfter {
+		t.Fatalf("%d forward timeouts; want 1..%d, after which ejection stops the waits (counters %v)", timeouts, ejectAfter, c)
 	}
-	if snap.Counters["cluster.fallback_local"] == 0 {
-		t.Fatalf("with only a hung peer, the fallback must be local; counters: %v", snap.Counters)
+	if fallback != timeouts || c["cluster.routed"] != 0 || fallback+c["cluster.local"] != int64(len(bodies)) {
+		t.Fatalf("counters %v; want every timed-out forward to fall back locally and the rest to run locally", c)
+	}
+	resp, err := http.Get(nodeTS.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	prom, _ := io.ReadAll(resp.Body)
+	if want := fmt.Sprintf("dtse_cluster_forward_timeouts_total %d", timeouts); !strings.Contains(string(prom), want) {
+		t.Fatalf("/metrics lacks %q:\n%s", want, prom)
+	}
+}
+
+// TestClusterGrayPeer: with default options, a member that answers every
+// request 20 ms late is waited for, not raced. Cold demo and ring_batch-
+// shaped requests posted to the two healthy fronts each run exactly one
+// exploration in the whole ring, and every body equals a single node's.
+func TestClusterGrayPeer(t *testing.T) {
+	const grayDelay = 20 * time.Millisecond
+	tc := newWrappedTestCluster(t, 3, plainOpts, ClusterOptions{}, func(i int, h http.Handler) http.Handler {
+		if i != 2 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			time.Sleep(grayDelay)
+			h.ServeHTTP(w, r)
+		})
+	})
+	solo := NewServer(ServeOptions{})
+	soloTS := httptest.NewServer(solo.Handler())
+	defer soloTS.Close()
+	defer solo.Abort()
+
+	// A cold demo at 128 takes 140-320 ms, far inside the 2 s forward
+	// deadline. Under -race it takes about 4 s (and smaller demos longer),
+	// past the deadline, so the race build posts large specs only.
+	demos := 8
+	if raceEnabled {
+		demos = 0
+	}
+	var bodies []string
+	for seed := 1; seed <= demos; seed++ {
+		bodies = append(bodies, fmt.Sprintf(`{"demo": {"size": 128, "seed": %d}}`, seed))
+	}
+	for seed := int64(300); len(bodies) < 32; seed++ {
+		bodies = append(bodies, largeClusterSpec(t, seed))
+	}
+	refs := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		_, refs[i] = postURL(t, soloTS.URL, "/v1/explore", body)
+	}
+	took := make([]time.Duration, len(bodies))
+	for i, body := range bodies {
+		start := time.Now()
+		resp, got := postURL(t, tc.urls[i%2], "/v1/explore", body)
+		took[i] = time.Since(start)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("body %d: status %d: %s", i, resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, refs[i]) {
+			t.Fatalf("body %d diverged from single node\n got: %s\nwant: %s", i, got, refs[i])
+		}
+	}
+	var explored int64
+	for _, srv := range tc.servers {
+		explored += srv.memo.Stats(memo.Requests).Misses
+	}
+	for _, class := range []struct {
+		name  string
+		times []time.Duration
+	}{{"demo 128", took[:demos]}, {"large spec", took[demos:]}} {
+		if len(class.times) == 0 {
+			continue
+		}
+		ts := slices.Clone(class.times)
+		slices.Sort(ts)
+		t.Logf("%s: p50 %v, max %v", class.name, ts[len(ts)/2].Round(time.Millisecond), ts[len(ts)-1].Round(time.Millisecond))
+	}
+	t.Logf("%d explorations for %d distinct bodies", explored, len(bodies))
+	if explored != int64(len(bodies)) {
+		t.Fatalf("%d explorations for %d distinct bodies: %d duplicated", explored, len(bodies), explored-int64(len(bodies)))
 	}
 }
 
@@ -439,15 +554,13 @@ func TestClusterInternalEndpoints404Solo(t *testing.T) {
 // --- cluster metrics exposition ---
 
 func TestClusterMetricsFamilies(t *testing.T) {
-	// A long hedge floor: on a loaded host a forward slower than the default
-	// 50 ms would fall back to local compute and never count as routed.
 	o := obs.New()
 	tc := newTestCluster(t, 2, func(i int) ServeOptions {
 		if i == 0 {
 			return ServeOptions{Obs: o}
 		}
 		return ServeOptions{Obs: obs.New()}
-	}, ClusterOptions{HedgeDelay: 2 * time.Second})
+	}, ClusterOptions{})
 	// Drive traffic until at least one request routed each way. Ownership
 	// hashes the random-port URLs, so a fixed handful of specs can all land
 	// on one side.
@@ -474,13 +587,14 @@ func TestClusterMetricsFamilies(t *testing.T) {
 			t.Fatalf("/metrics missing %s after cluster traffic:\n%s", family, prom)
 		}
 	}
-	// No family of the deleted incumbent board, subtree distribution or
-	// warm-start seeding.
+	// No family of the deleted incumbent board, subtree distribution,
+	// warm-start seeding or timer hedging.
 	for _, family := range []string{
 		"dtse_cluster_incumbents", "dtse_cluster_incumbent_", "dtse_cluster_subtree_",
 		"dtse_assign_pruned_external", "dtse_assign_distributed_searches",
 		"dtse_server_warm_seeds", "dtse_assign_incumbent_seeded",
 		"dtse_assign_seed_rejected", "dtse_cluster_handoff_seeds",
+		"dtse_cluster_hedged",
 	} {
 		if strings.Contains(string(prom), family) {
 			t.Fatalf("/metrics still has %s after cluster traffic:\n%s", family, prom)
@@ -557,7 +671,7 @@ func TestClusterBatchRoutingForwardSpans(t *testing.T) {
 			return ServeOptions{Obs: o}
 		}
 		return ServeOptions{}
-	}, ClusterOptions{HedgeDelay: 2 * time.Second})
+	}, ClusterOptions{})
 
 	// Pick specs until the front owns one and each peer owns one.
 	router := tc.servers[0].cluster.router

@@ -28,6 +28,8 @@ import (
 	"time"
 
 	dtse "repro"
+	"repro/internal/cluster"
+	"repro/internal/memo"
 )
 
 // ClusterPoint is one leg of the -cluster serving sweep.
@@ -53,26 +55,15 @@ const (
 	clusterClients = 4
 	// clusterBatchItems is the /v1/explore/batch size the drivers post.
 	clusterBatchItems = 8
-	// clusterCacheBytes caps each node's session-cache keyspaces. A cached
-	// response is accounted at ~1.15KB (body, fixed-size key, entry
-	// overhead), so the full working set (30 entries ≈ 34.7KB, accessed
-	// cyclically — the pattern CLOCK eviction cannot hold) overflows one
-	// node, while a ring shard (even a skewed 47% one, ~16.3KB) fits. That
-	// window is the experiment: the ring turns one thrashing cache into
-	// three fitting ones.
-	clusterCacheBytes = 18 << 10
-	// clusterHedge keeps cold-start hedging out of the throughput
-	// measurement: with no latency history every p99 estimate is the
-	// floor, and a floor below the cache-miss latency would duplicate
-	// every miss. Failover on transport errors (the peer-kill leg) does
-	// not wait for this.
-	clusterHedge = 2 * time.Second
 )
 
-// clusterWorkload builds the fixed spec-request set. Deterministic seeds:
-// every leg sees byte-identical bodies.
-func clusterWorkload() ([]string, error) {
+// clusterWorkload builds the fixed spec-request set and each request's
+// ring fingerprint, the FNV-1a of its canonical spec (WriteSpecJSON writes
+// the canonical form the server derives). Deterministic seeds: every leg
+// sees byte-identical bodies.
+func clusterWorkload() ([]string, []uint64, error) {
 	bodies := make([]string, 0, clusterSpecs)
+	routes := make([]uint64, 0, clusterSpecs)
 	for seed := 0; seed < clusterSpecs; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		b := dtse.NewSpec(fmt.Sprintf("cw%d", seed))
@@ -93,35 +84,85 @@ func clusterWorkload() ([]string, error) {
 		}
 		s, err := b.Build()
 		if err != nil {
-			return nil, fmt.Errorf("workload spec %d: %w", seed, err)
+			return nil, nil, fmt.Errorf("workload spec %d: %w", seed, err)
 		}
 		var buf strings.Builder
 		if err := dtse.WriteSpecJSON(s, &buf); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		routes = append(routes, memo.Fingerprint64(buf.String()))
 		// The cycle budget is generous so that every spec is feasible: an
 		// infeasible budget answers 422, which is never cached, and the
 		// sweep would measure recompute on every leg.
 		bodies = append(bodies, fmt.Sprintf(`{"spec": %s, "budget": 20000000}`, buf.String()))
 	}
-	return bodies, nil
+	return bodies, routes, nil
 }
 
-// clusterNodes builds n servers behind in-process listeners and, for n > 1,
-// joins them into one ring. Returns the servers, their URLs, and a stop
-// function index (stop(i) kills node i's listener and aborts it).
-func clusterNodes(n int) ([]*dtse.Server, []string, func(i int), func(), error) {
+// clusterCacheBytes derives the per-node cap on each session-cache
+// keyspace from the measured working set: every request's accounted bytes,
+// read off one node whose cap nothing reaches (an unbounded keyspace keeps
+// no byte accounting), summed over the whole set and over the largest
+// shard any of rings gives one member. The cap sits a quarter of the way
+// from the largest shard to the whole set, so every ring shard fits while
+// the whole set, accessed cyclically (the pattern CLOCK eviction cannot
+// hold), overflows one node by a wide margin: at the halfway point one
+// node still hit on 43-46 % of requests. That window is the experiment:
+// the ring turns one thrashing cache into three fitting ones.
+func clusterCacheBytes(bodies []string, routes []uint64, rings [][]string) (int64, error) {
+	srv := dtse.NewServer(dtse.ServeOptions{MaxConcurrent: 2, CacheBytes: 1 << 40})
+	hs := httptest.NewServer(srv.Handler())
+	defer func() { hs.Close(); srv.Abort() }()
+	sizes := make([]int64, len(bodies))
+	var whole int64
+	for i, body := range bodies {
+		resp, err := http.Post(hs.URL+"/v1/explore", "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return 0, fmt.Errorf("sizing request %d: status %d", i, resp.StatusCode)
+		}
+		held, err := requestStats(hs.URL)
+		if err != nil {
+			return 0, err
+		}
+		sizes[i], whole = held.BytesHeld-whole, held.BytesHeld
+	}
+	var shard int64
+	for _, members := range rings {
+		ring := cluster.NewRing(members)
+		owned := map[string]int64{}
+		for i, key := range routes {
+			owned[ring.Owner(key)] += sizes[i]
+		}
+		for _, b := range owned {
+			shard = max(shard, b)
+		}
+	}
+	if whole-shard < 2 {
+		return 0, fmt.Errorf("the largest ring shard (%d B) does not fit under the whole working set (%d B): no cache cap lets one node thrash while every shard fits", shard, whole)
+	}
+	return shard + (whole-shard+3)/4, nil
+}
+
+// clusterNodes serves one node on each listener, capped at cacheBytes
+// per keyspace, and for more than one node joins them into one ring.
+// Returns a stop function (stop(i) kills node i's listener and aborts it)
+// and one that stops them all.
+func clusterNodes(https []*httptest.Server, urls []string, cacheBytes int64) (func(i int), func(), error) {
+	n := len(https)
 	servers := make([]*dtse.Server, n)
-	https := make([]*httptest.Server, n)
-	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		servers[i] = dtse.NewServer(dtse.ServeOptions{
 			MaxConcurrent: 2,
 			MaxQueue:      256,
-			CacheBytes:    clusterCacheBytes,
+			CacheBytes:    cacheBytes,
 		})
-		https[i] = httptest.NewServer(servers[i].Handler())
-		urls[i] = https[i].URL
+		https[i].Config.Handler = servers[i].Handler()
+		https[i].Start()
 	}
 	if n > 1 {
 		for i := 0; i < n; i++ {
@@ -131,13 +172,8 @@ func clusterNodes(n int) ([]*dtse.Server, []string, func(i int), func(), error) 
 					peers = append(peers, urls[j])
 				}
 			}
-			err := servers[i].JoinCluster(dtse.ClusterOptions{
-				Self:       urls[i],
-				Peers:      peers,
-				HedgeDelay: clusterHedge,
-			})
-			if err != nil {
-				return nil, nil, nil, nil, err
+			if err := servers[i].JoinCluster(dtse.ClusterOptions{Self: urls[i], Peers: peers}); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
@@ -155,7 +191,7 @@ func clusterNodes(n int) ([]*dtse.Server, []string, func(i int), func(), error) 
 			stop(i)
 		}
 	}
-	return servers, urls, stop, closeAll, nil
+	return stop, closeAll, nil
 }
 
 // driveCluster posts the workload as /v1/explore/batch requests of
@@ -221,37 +257,46 @@ func driveCluster(fronts []string, bodies []string, kill func()) (int, time.Dura
 	return int(failed.Load()), time.Since(start), nil
 }
 
-// requestCacheLine reports a node's Requests-keyspace behaviour after a
-// leg — the evidence that the single node thrashed while the shards fit.
-func requestCacheLine(url string) string {
-	req, err := http.NewRequest(http.MethodGet, url+"/metrics.json", nil)
+// cacheStats is one node's Requests-keyspace counters, read off
+// /metrics.json.
+type cacheStats struct {
+	Hits, Misses, Evictions int64
+	Entries                 int64
+	BytesHeld               int64
+}
+
+// requestStats reads the node at url's Requests-keyspace counters.
+func requestStats(url string) (cacheStats, error) {
+	resp, err := http.Get(url + "/metrics.json")
 	if err != nil {
-		return err.Error()
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err.Error()
+		return cacheStats{}, err
 	}
 	defer resp.Body.Close()
 	var m struct {
-		Memo map[string]struct {
-			Hits, Misses, Evictions int64
-			Entries                 int64
-			BytesHeld               int64
-		} `json:"memo"`
+		Memo map[string]cacheStats `json:"memo"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		return cacheStats{}, err
+	}
+	return m.Memo["requests"], nil
+}
+
+// requestCacheLine reports a node's Requests-keyspace behaviour after a
+// leg — the evidence that the single node thrashed while the shards fit.
+func requestCacheLine(url string) string {
+	r, err := requestStats(url)
+	if err != nil {
 		return err.Error()
 	}
-	r := m.Memo["requests"]
 	return fmt.Sprintf("requests cache: %d hits, %d misses, %d evictions, %d entries (%d bytes held)",
 		r.Hits, r.Misses, r.Evictions, r.Entries, r.BytesHeld)
 }
 
 // clusterSweep runs the three legs and computes speedups against the
-// single-node leg.
+// single-node leg. Every leg's listeners open first, so the cache cap is
+// derived from the rings the legs will run on.
 func clusterSweep(stderr io.Writer) ([]ClusterPoint, error) {
-	bodies, err := clusterWorkload()
+	bodies, routes, err := clusterWorkload()
 	if err != nil {
 		return nil, err
 	}
@@ -261,24 +306,49 @@ func clusterSweep(stderr io.Writer) ([]ClusterPoint, error) {
 		name  string
 		nodes int
 		kill  bool
+		https []*httptest.Server
+		urls  []string
 	}
 	legs := []leg{
-		{"single", 1, false},
-		{"cluster3", 3, false},
-		{"cluster3_peer_kill", 3, true},
+		{name: "single", nodes: 1},
+		{name: "cluster3", nodes: 3},
+		{name: "cluster3_peer_kill", nodes: 3, kill: true},
 	}
+	var rings [][]string
+	for i, l := range legs {
+		for range l.nodes {
+			h := httptest.NewUnstartedServer(nil)
+			legs[i].https = append(legs[i].https, h)
+			legs[i].urls = append(legs[i].urls, "http://"+h.Listener.Addr().String())
+		}
+		if l.nodes > 1 {
+			rings = append(rings, legs[i].urls)
+		}
+	}
+	defer func() {
+		for _, l := range legs {
+			for _, h := range l.https {
+				h.Close()
+			}
+		}
+	}()
+	cacheBytes, err := clusterCacheBytes(bodies, routes, rings)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(stderr, "per-node cache cap %d bytes per keyspace\n", cacheBytes)
 	var pts []ClusterPoint
 	for _, l := range legs {
-		_, urls, stop, closeAll, err := clusterNodes(l.nodes)
+		stop, closeAll, err := clusterNodes(l.https, l.urls, cacheBytes)
 		if err != nil {
 			return nil, err
 		}
-		fronts := urls
+		fronts := l.urls
 		var kill func()
 		if l.kill {
 			// Drive the survivors only; the killed node's keys must fail
 			// over via ejection without a single lost request.
-			fronts = urls[:2]
+			fronts = l.urls[:2]
 			kill = func() {
 				fmt.Fprintln(stderr, "  killing node 2 mid-run...")
 				stop(2)

@@ -44,3 +44,27 @@ func TestRunBadOutPath(t *testing.T) {
 		t.Fatalf("a cluster leg ran before the bad path failed:\n%s", stderr.String())
 	}
 }
+
+// TestClusterCacheBytes: a three-member ring gets a cap of the working
+// set's order, and a one-member ring, whose one shard is the whole set,
+// fails the sweep with the shard-does-not-fit error.
+func TestClusterCacheBytes(t *testing.T) {
+	bodies, routes, err := clusterWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies, routes = bodies[:6], routes[:6]
+	ring := []string{"http://n1", "http://n2", "http://n3"}
+	capBytes, err := clusterCacheBytes(bodies, routes, [][]string{ring})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = clusterCacheBytes(bodies, routes, [][]string{{"http://n1"}})
+	if err == nil || !strings.Contains(err.Error(), "does not fit") {
+		t.Fatalf("a one-member ring derived a cap (err %v); want the shard-does-not-fit error", err)
+	}
+	// Six responses are accounted at 1-2 KB each.
+	if capBytes < 1<<10 || capBytes >= 12<<10 {
+		t.Fatalf("cap %d bytes for six responses", capBytes)
+	}
+}

@@ -10,16 +10,16 @@
 //	      [-trace out.jsonl] [-cache on|off] [-cache-dir DIR]
 //	      [-cache-bytes N] [-flight N] [-slow 0]
 //	      [-cluster on|off] [-self URL] [-peers URL,URL,...] [-join URL,...]
-//	      [-hedge-ms N] [-gossip 1s] [-suspicion 10s]
+//	      [-forward-timeout 2s] [-gossip 1s] [-suspicion 10s]
 //
 // With -cluster on (requires -self, this node's advertised base URL, plus
 // -peers and/or -join) the daemon joins a multi-node ring: any node
 // accepts any request, routes it to the consistent-hash owner of its
 // canonical fingerprint (so each node's caches stay hot for its shard),
-// hedges to the next ring node when the owner is slower than its p99
-// (-hedge-ms floors the delay), and ejects unhealthy peers. Every search
-// runs whole on the node that serves it. Responses are byte-identical at
-// any node count.
+// fails over to the next ring node when the owner errors, computes the
+// request itself when no peer answers within -forward-timeout, and ejects
+// unhealthy peers. Every search runs whole on the node that serves it.
+// Responses are byte-identical at any node count.
 //
 // Membership is dynamic: -join URLs are seed nodes handshaked once the
 // listener is up — the seed's digest supplies the rest of the member set, so
@@ -117,7 +117,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	self := fs.String("self", "", "this node's advertised base URL in cluster mode, e.g. http://10.0.0.1:8321")
 	peers := fs.String("peers", "", "comma-separated peer base URLs (static members known at startup)")
 	join := fs.String("join", "", "comma-separated seed URLs to handshake for dynamic membership (alternative or addition to -peers)")
-	hedgeMS := fs.Int("hedge-ms", 0, "hedge-delay floor in milliseconds for forwarded requests (0 = default 50)")
+	forwardTimeout := fs.Duration("forward-timeout", 0, "how long a forwarded request waits before it runs locally (0 = default 2s)")
 	gossip := fs.Duration("gossip", 0, "membership gossip/probe interval (0 = default 1s)")
 	suspicion := fs.Duration("suspicion", 0, "how long an unreachable member stays suspect before removal (0 = default 10s)")
 	if err := fs.Parse(args); err != nil {
@@ -153,13 +153,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *hedgeMS < 0 {
-		fmt.Fprintln(stderr, "dtsed: -hedge-ms must be >= 0")
-		fs.Usage()
-		return 2
-	}
-	if *gossip < 0 || *suspicion < 0 {
-		fmt.Fprintln(stderr, "dtsed: -gossip and -suspicion must be >= 0")
+	if *gossip < 0 || *suspicion < 0 || *forwardTimeout < 0 {
+		fmt.Fprintln(stderr, "dtsed: -gossip, -suspicion and -forward-timeout must be >= 0")
 		fs.Usage()
 		return 2
 	}
@@ -235,7 +230,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Self:             *self,
 			Peers:            peerList,
 			Seeds:            seedList,
-			HedgeDelay:       time.Duration(*hedgeMS) * time.Millisecond,
+			HedgeDelay:       *forwardTimeout,
 			GossipInterval:   *gossip,
 			SuspicionTimeout: *suspicion,
 		}); err != nil {

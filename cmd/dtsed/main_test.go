@@ -103,6 +103,8 @@ func TestRunBadFlags(t *testing.T) {
 		{"-cluster", "on", "-self", "http://x:1"}, // no -peers or -join
 		{"-join", "http://x:1"},                   // -join without -cluster on
 		{"-cluster", "on", "-self", "http://x:1", "-gossip", "-1s"},
+		{"-cluster", "on", "-self", "http://x:1", "-peers", "http://y:1", "-forward-timeout", "-1s"},
+		{"-hedge-ms", "50"}, // replaced by -forward-timeout
 		{"-nonsense"},
 	}
 	for _, args := range cases {

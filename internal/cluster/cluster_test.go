@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/memo"
+	"repro/internal/obs"
 )
 
 // --- ring ---
@@ -107,34 +108,58 @@ func TestForwardRoutesToOwner(t *testing.T) {
 	if !ok {
 		t.Fatal("forward failed")
 	}
-	if res.Peer != a.URL || string(res.Body) != "from-a" || res.Hedged {
-		t.Fatalf("got peer=%s body=%q hedged=%v; want the owner a, unhedged", res.Peer, res.Body, res.Hedged)
+	if res.Peer != a.URL || string(res.Body) != "from-a" {
+		t.Fatalf("got peer=%s body=%q; want the owner a", res.Peer, res.Body)
 	}
 	if hitB.Load() != 0 {
 		t.Fatalf("non-owner served %d requests", hitB.Load())
 	}
 }
 
-func TestForwardHedgesSlowPeer(t *testing.T) {
+// TestForwardTimesOutOnHungOwner: an owner that accepts the request but
+// never answers holds the forward for its deadline only. Forward gives up
+// with ok=false (the caller computes locally), charges the owner one
+// failure and counts the timeout; the next candidate is not tried.
+func TestForwardTimesOutOnHungOwner(t *testing.T) {
 	release := make(chan struct{})
 	a := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-release // the owner hangs until the test ends
-		w.Write([]byte("from-a"))
+		select { // the owner hangs until the attempt is cancelled
+		case <-release:
+		case <-r.Context().Done():
+		}
 	}))
 	defer a.Close()
 	defer close(release)
+	var hitB atomic.Int64
 	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hitB.Add(1)
 		w.Write([]byte("from-b"))
 	}))
 	defer b.Close()
-	r := newTestRouter(t, []string{a.URL, b.URL}, Config{HedgeDelay: 10 * time.Millisecond})
+	o := obs.New()
+	const deadline = 50 * time.Millisecond
+	r := newTestRouter(t, []string{a.URL, b.URL}, Config{ForwardTimeout: deadline, Obs: o})
 	key := keyOwnedBy(t, r, a.URL)
+	start := time.Now()
 	res, ok := r.Forward(context.Background(), key, http.MethodPost, "/x", []byte("{}"), nil)
-	if !ok {
-		t.Fatal("forward failed")
+	if took := time.Since(start); took > deadline+time.Second {
+		t.Fatalf("forward to a hung owner took %v; want about %v", took, deadline)
 	}
-	if res.Peer != b.URL || !res.Hedged {
-		t.Fatalf("got peer=%s hedged=%v; want the hedge target b", res.Peer, res.Hedged)
+	if ok {
+		t.Fatalf("forward to a hung owner answered %+v; want ok=false", res)
+	}
+	if hitB.Load() != 0 {
+		t.Fatalf("the next candidate served %d requests after the deadline", hitB.Load())
+	}
+	pa := r.peers[a.URL]
+	pa.mu.Lock()
+	fails := pa.fails
+	pa.mu.Unlock()
+	if fails != 1 {
+		t.Fatalf("hung owner charged %d failures, want 1", fails)
+	}
+	if c := o.Counters(); c["cluster.forward_timeouts"] != 1 || c["cluster.peer_errors"] != 0 {
+		t.Fatalf("counters %v; want one forward timeout and no peer error", c)
 	}
 }
 
@@ -160,8 +185,8 @@ func TestForwardFailsOverAndEjects(t *testing.T) {
 	}
 	// An ejected owner's keys fall through the walk without contacting it.
 	res, ok := r.Forward(context.Background(), key, http.MethodPost, "/x", []byte("{}"), nil)
-	if !ok || res.Hedged {
-		t.Fatalf("post-ejection forward: ok=%v res=%+v; want a direct (unhedged) answer from b", ok, res)
+	if !ok || res.Peer != b.URL {
+		t.Fatalf("post-ejection forward: ok=%v res=%+v; want an answer from b", ok, res)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package cluster implements the multi-node serving layer: a consistent-hash
 // ring that shards request keys across dtsed nodes, a router that forwards
-// requests to their ring owner with hedged retries and health-gated peer
-// ejection, and SWIM-style membership with shard handoff.
+// requests to their ring owner with failover under one deadline and
+// health-gated peer ejection, and SWIM-style membership with shard handoff.
 //
 // The ring hashes with memo.Fingerprint64, the session cache's canonical
 // key fingerprint, so a key's ring owner is also the node whose session and
@@ -98,7 +98,7 @@ func (r *Ring) Owner(key uint64) string {
 
 // Walk returns every member in ring order starting at key's owner: the
 // owner first, then each distinct member in the order their vnodes appear
-// clockwise. This is the hedge/failover preference order — when the owner
+// clockwise. This is the failover preference order — when the owner
 // is down, the next member in the walk inherits the key, on every node
 // that shares the ring.
 func (r *Ring) Walk(key uint64) []string {

@@ -13,17 +13,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Defaults for the health/hedging policy. All are overridable via Config.
+// Defaults for the forwarding and health policy. All are overridable via
+// Config.
 const (
-	// defaultHedgeDelay is the hedge floor/fallback: with too few latency
-	// samples for a p99 the router hedges after this long.
-	defaultHedgeDelay = 50 * time.Millisecond
-	// maxHedgeDelay caps the p99-derived hedge delay so one pathological
-	// request cannot disable hedging for the rest of the run.
-	maxHedgeDelay = 2 * time.Second
-	// hedgeMinSamples is the per-peer sample count below which the p99 is
-	// noise and the configured floor is used instead.
-	hedgeMinSamples = 16
+	// defaultForwardTimeout bounds one whole forward, failover included;
+	// past it the caller computes the request itself.
+	defaultForwardTimeout = 2 * time.Second
 	// defaultEjectAfter consecutive failures mark a peer down.
 	defaultEjectAfter = 3
 	// defaultEjectFor is how long a down peer stays out of the ring walk
@@ -40,10 +35,10 @@ type Config struct {
 	// Peers is the full cluster membership, self included or not (it is
 	// added). Every node must be configured with the same set.
 	Peers []string
-	// HedgeDelay is the hedge floor and small-sample fallback; 0 means
-	// defaultHedgeDelay. The live delay per peer is max(HedgeDelay,
-	// that peer's observed p99), capped at maxHedgeDelay.
-	HedgeDelay time.Duration
+	// ForwardTimeout bounds one Forward, failover included; 0 means
+	// defaultForwardTimeout. An attempt cut off by it counts as a failure
+	// of the peer it was waiting on.
+	ForwardTimeout time.Duration
 	// EjectAfter / EjectFor tune health-gated ejection; 0 means defaults.
 	EjectAfter int
 	EjectFor   time.Duration
@@ -132,26 +127,10 @@ func (p *Peer) fail(after int, window time.Duration, now time.Time) bool {
 	return false
 }
 
-// hedgeDelay derives the peer's hedge delay from its observed p99, clamped
-// to [floor, maxHedgeDelay]. Few samples → floor.
-func (p *Peer) hedgeDelay(floor time.Duration) time.Duration {
-	snap := p.hist.Snapshot()
-	if snap.Count < hedgeMinSamples {
-		return floor
-	}
-	d := time.Duration(snap.P99US) * time.Microsecond
-	if d < floor {
-		d = floor
-	}
-	if d > maxHedgeDelay {
-		d = maxHedgeDelay
-	}
-	return d
-}
-
 // Router owns the ring view plus per-peer health, and forwards requests to
-// their owners with hedged retries. The ring and peer map mutate under mu
-// when membership changes; Peer health state is independently locked.
+// their owners, failing over down the ring walk. The ring and peer map
+// mutate under mu when membership changes; Peer health state is
+// independently locked.
 type Router struct {
 	cfg    Config
 	self   string
@@ -169,8 +148,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: self URL must be set")
 	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = defaultHedgeDelay
+	if cfg.ForwardTimeout <= 0 {
+		cfg.ForwardTimeout = defaultForwardTimeout
 	}
 	if cfg.EjectAfter <= 0 {
 		cfg.EjectAfter = defaultEjectAfter
@@ -351,7 +330,6 @@ type PeerResult struct {
 	Status int
 	Body   []byte
 	Peer   string // member URL that answered
-	Hedged bool   // a hedge or retry fired before this answer
 }
 
 // counter bumps a cluster counter when telemetry is wired.
@@ -361,13 +339,16 @@ func (r *Router) counter(name string, n int64) {
 	}
 }
 
-// Forward sends the request to key's owner with hedged retries down the
-// ring walk: the preferred peer first, the next ring node when the peer is
-// slower than its p99-derived hedge delay, the next again on transport
-// errors or 5xx/429, until a peer answers or the candidate list is
-// exhausted. ok=false means no peer could answer — the caller falls back
-// to running the request locally, so a fully-dead peer set degrades to
-// single-node behaviour instead of failing requests.
+// Forward sends the request to key's owner, failing over down the ring
+// walk: the preferred peer first, the next ring node on a transport error,
+// a 5xx or a 429, until a peer answers or the candidates run out. One
+// attempt is in flight at a time, and ForwardTimeout bounds the whole walk:
+// when it expires the attempt is cancelled and counted as its peer's
+// failure, so a peer that accepts connections but never answers is ejected
+// after EjectAfter timeouts instead of stalling every request. ok=false
+// means no peer answered in time — the caller runs the request locally, so
+// a dead or hung peer set degrades to single-node behaviour instead of
+// failing requests.
 //
 // A response with status < 500 (other than 429) is an answer: 4xx from a
 // peer is the deterministic response to a bad request, not a peer failure.
@@ -376,103 +357,57 @@ func (r *Router) Forward(ctx context.Context, key uint64, method, path string, b
 	if len(cands) == 0 {
 		return nil, false
 	}
-	type attempt struct {
-		peer  *Peer
-		res   *PeerResult
-		err   error
-		start time.Time
-	}
-	actx, acancel := context.WithCancel(ctx)
-	defer acancel() // kill the losing attempts
-	ch := make(chan attempt, len(cands))
-	launched := 0
-	launch := func(p *Peer) {
-		launched++
-		go func() {
-			start := time.Now()
-			req, err := http.NewRequestWithContext(actx, method, p.id+path, bytes.NewReader(body))
-			if err != nil {
-				ch <- attempt{peer: p, err: err, start: start}
-				return
-			}
-			for k, vs := range hdr {
-				req.Header[k] = vs
-			}
-			resp, err := r.client.Do(req)
-			if err != nil {
-				ch <- attempt{peer: p, err: err, start: start}
-				return
-			}
-			b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse))
-			resp.Body.Close()
-			if err != nil {
-				ch <- attempt{peer: p, err: err, start: start}
-				return
-			}
-			if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-				ch <- attempt{peer: p, err: fmt.Errorf("peer status %d", resp.StatusCode), start: start}
-				return
-			}
-			ch <- attempt{peer: p, res: &PeerResult{Status: resp.StatusCode, Body: b, Peer: p.id}, start: start}
-		}()
-	}
-	launch(cands[0])
-	timer := time.NewTimer(cands[0].hedgeDelay(r.cfg.HedgeDelay))
-	defer timer.Stop()
-	hedged := false
-	for done := 0; done < launched || launched < len(cands); {
-		select {
-		case <-ctx.Done():
-			return nil, false
-		case <-timer.C:
-			if launched < len(cands) {
-				hedged = true
-				r.counter("cluster.hedged", 1)
-				next := cands[launched]
-				launch(next)
-				timer.Reset(next.hedgeDelay(r.cfg.HedgeDelay))
-				continue
-			}
-			// The candidate list ends where self enters the ring walk, so
-			// the hedge past the last candidate is a hedge to self: give up
-			// on forwarding (canceling the stragglers) and let the caller
-			// run the request locally. This is what guarantees completion
-			// when every preceding peer is gray-failed — accepting
-			// connections but never answering — which ejection alone cannot
-			// detect.
-			r.counter("cluster.hedged", 1)
-			return nil, false
-		case a := <-ch:
-			done++
-			if a.err == nil {
-				a.peer.ok(time.Since(a.start))
-				a.res.Hedged = hedged
-				return a.res, true
-			}
-			if ctx.Err() != nil {
-				return nil, false
-			}
+	fctx, cancel := context.WithTimeout(ctx, r.cfg.ForwardTimeout)
+	defer cancel()
+	for _, p := range cands {
+		if fctx.Err() != nil {
+			break
+		}
+		start := time.Now()
+		res, err := r.send(fctx, p, method, path, body, hdr)
+		if err == nil {
+			p.ok(time.Since(start))
+			return res, true
+		}
+		if ctx.Err() != nil {
+			return nil, false // the caller gave up; no peer is to blame
+		}
+		if p.fail(r.cfg.EjectAfter, r.cfg.EjectFor, time.Now()) {
+			r.counter("cluster.ejected", 1)
+		}
+		if fctx.Err() == nil {
 			r.counter("cluster.peer_errors", 1)
-			if a.peer.fail(r.cfg.EjectAfter, r.cfg.EjectFor, time.Now()) {
-				r.counter("cluster.ejected", 1)
-			}
-			if launched < len(cands) {
-				hedged = true
-				next := cands[launched]
-				launch(next)
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				timer.Reset(next.hedgeDelay(r.cfg.HedgeDelay))
-			} else if done == launched {
-				return nil, false
-			}
 		}
 	}
+	if ctx.Err() == nil && fctx.Err() != nil {
+		r.counter("cluster.forward_timeouts", 1)
+	}
 	return nil, false
+}
+
+// send is one forwarding attempt against peer p. A transport error, a 5xx
+// or a 429 is an error.
+func (r *Router) send(ctx context.Context, p *Peer, method, path string, body []byte, hdr http.Header) (*PeerResult, error) {
+	req, err := http.NewRequestWithContext(ctx, method, p.id+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	for k, vs := range hdr {
+		req.Header[k] = vs
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse))
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
+		return nil, fmt.Errorf("peer status %d", resp.StatusCode)
+	}
+	return &PeerResult{Status: resp.StatusCode, Body: b, Peer: p.id}, nil
 }
 
 // AlivePeers returns the alive remote peers in id order.
@@ -493,6 +428,6 @@ func (r *Router) AlivePeers() []*Peer {
 	return out
 }
 
-// Client exposes the pooled forwarding client for auxiliary traffic
-// (membership gossip, joins, goodbyes, shard handoff).
+// Client exposes the pooled forwarding client for the membership traffic
+// (gossip, joins, goodbyes, shard handoff), which sets its own deadlines.
 func (r *Router) Client() *http.Client { return r.client }
