@@ -107,6 +107,18 @@ func TestBatchExploreValidation(t *testing.T) {
 	if resp, _, _ := postBatch(t, ts, `not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed batch: status %d", resp.StatusCode)
 	}
+	// Trailing data after the envelope is refused, not silently dropped.
+	one := batchBody(`{"demo": {"size": 8}}`)
+	for name, body := range map[string]string{
+		"trailing text": one + ` trailing`,
+		"two envelopes": one + one,
+		"stray bracket": one + `]`,
+	} {
+		resp, _, raw := postBatch(t, ts, body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "invalid batch body: trailing data after the JSON object") {
+			t.Errorf("%s: status %d (%s), want 400 for trailing data", name, resp.StatusCode, raw)
+		}
+	}
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/explore/batch", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -18,8 +18,8 @@ package dtse
 // change degrades to a dropped warm-up, never a mis-sharded cache. The
 // gossip exchange doubles as the health prober: a reachable member revives
 // its Router ejection state (PeerOK), an unreachable one feeds it
-// (PeerFail), which is what rejoins a recovered peer now that the serving
-// path's half-open probe admits only one caller.
+// (PeerFail). An ejected peer gets no forwards, so a gossip round is the
+// only way it rejoins the ring walk.
 
 import (
 	"bytes"
@@ -266,11 +266,11 @@ func (s *Server) runHandoff(old, next *cluster.Ring) {
 	// Cached responses: from the disk tier when there is one (the durable
 	// superset), else from the memory tier.
 	if s.opts.Disk != nil {
-		s.opts.Disk.Export(memo.Requests, func(key memo.Key) bool {
-			_, ok := moved(key.Word())
-			return ok
-		}, func(key memo.Key, val []byte) bool {
-			target, _ := moved(key.Word())
+		s.opts.Disk.Range(memo.Requests, func(key memo.Key, val []byte) bool {
+			target, ok := moved(key.Word())
+			if !ok {
+				return true
+			}
 			w := wireFor(target)
 			w.Records = append(w.Records, handoffRec{Key: key, Val: append([]byte(nil), val...)})
 			return true
@@ -347,10 +347,8 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	var wire handoffWire
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxHandoffBody))
 	err := dec.Decode(&wire)
-	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
-			err = errors.New("trailing data after the handoff object")
-		}
+	if err == nil && !atEnd(dec) {
+		err = errors.New("trailing data after the handoff object")
 	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid handoff body: "+err.Error())

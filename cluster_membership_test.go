@@ -220,7 +220,7 @@ func TestClusterLeaveMidRunByteIdentical(t *testing.T) {
 }
 
 // newHandoffNode builds a cluster node from opts that shares the ring with
-// one fake peer. Gossip is off, so the peer is never contacted: it only
+// one fake peer. Gossip runs hourly, so the peer is never contacted: it only
 // splits the keyspace, which makes the receiver's ownership gate refuse
 // some keys.
 func newHandoffNode(tb testing.TB, opts ServeOptions) *Server {
@@ -229,7 +229,7 @@ func newHandoffNode(tb testing.TB, opts ServeOptions) *Server {
 	if err := s.JoinCluster(ClusterOptions{
 		Self:           "http://self.test",
 		Peers:          []string{"http://peer.test"},
-		GossipInterval: -1,
+		GossipInterval: time.Hour,
 	}); err != nil {
 		tb.Fatal(err)
 	}

@@ -51,19 +51,15 @@ type ClusterOptions struct {
 	// locally; 0 = 2 s. The attempt it cuts off counts as a failure of
 	// the peer it waited on.
 	HedgeDelay time.Duration
-	// EjectAfter consecutive peer failures eject it from the ring walk
-	// for EjectFor; zero values use the internal/cluster defaults.
-	EjectAfter int
-	EjectFor   time.Duration
 	// Seeds are member URLs to contact via /v1/internal/join after the
 	// listener is up (JoinSeeds). Unlike Peers they need not be the full
 	// member set — the handshake returns the seed's membership digest and
 	// gossip converges the rest. A node may start with no Peers and only
 	// Seeds.
 	Seeds []string
-	// GossipInterval is the membership gossip/probe period. 0 means
-	// defaultGossipInterval; negative disables the loop (membership then
-	// only changes via explicit join/leave handshakes — mostly for tests).
+	// GossipInterval is the membership gossip period; ≤ 0 means
+	// defaultGossipInterval. The loop always runs: its rounds are also
+	// what readmits a peer that failed forwards and was ejected.
 	GossipInterval time.Duration
 	// SuspicionTimeout is how long a member stays suspect (unreachable by
 	// gossip) before it is confirmed dead and removed from the ring. 0
@@ -86,7 +82,7 @@ type clusterState struct {
 	// Dynamic membership: the SWIM-lite table feeding the ring, and the
 	// mutex serializing ring swaps + handoff launches against each other.
 	members     *cluster.Membership
-	gossipEvery time.Duration // <0: loop disabled
+	gossipEvery time.Duration
 	suspectFor  time.Duration
 	topoMu      sync.Mutex
 	handoffs    sync.WaitGroup // in-flight outbound handoff streams
@@ -102,8 +98,6 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 		Self:           opts.Self,
 		Peers:          opts.Peers,
 		ForwardTimeout: opts.HedgeDelay,
-		EjectAfter:     opts.EjectAfter,
-		EjectFor:       opts.EjectFor,
 		Obs:            s.obs,
 	})
 	if err != nil {
@@ -114,7 +108,7 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 	// from there via join handshakes, gossip digests, and suspicion expiry.
 	cs.members = cluster.NewMembership(opts.Self, append(append([]string{}, opts.Peers...), opts.Seeds...))
 	cs.gossipEvery = opts.GossipInterval
-	if cs.gossipEvery == 0 {
+	if cs.gossipEvery <= 0 {
 		cs.gossipEvery = defaultGossipInterval
 	}
 	cs.suspectFor = opts.SuspicionTimeout
@@ -125,9 +119,7 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 	// Align the ring with the initial membership view (Peers ∪ Seeds): a
 	// seed is a member we trust to exist before the first handshake.
 	router.SetMembers(cs.members.Alive())
-	if cs.gossipEvery > 0 {
-		go s.gossipLoop()
-	}
+	go s.gossipLoop()
 	return nil
 }
 

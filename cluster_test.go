@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,8 +254,6 @@ func TestClusterPeerKillZeroFailures(t *testing.T) {
 
 	tc := newTestCluster(t, 3, plainOpts, ClusterOptions{
 		HedgeDelay: 15 * time.Millisecond,
-		EjectAfter: 1,
-		EjectFor:   time.Hour,
 	})
 
 	var bodies, refs []string
@@ -284,7 +283,7 @@ func TestClusterPeerKillZeroFailures(t *testing.T) {
 // TestClusterHungPeerCompletes: a member that accepts connections but never
 // answers (the gray failure a transport error never reveals) holds each
 // forward for the forward deadline only. Every request it owns completes
-// from a local fallback with the single-node bytes, and after EjectAfter
+// from a local fallback with the single-node bytes, and after three
 // timed-out forwards the member is ejected, so later requests run locally
 // without waiting on it.
 func TestClusterHungPeerCompletes(t *testing.T) {
@@ -303,7 +302,7 @@ func TestClusterHungPeerCompletes(t *testing.T) {
 	defer soloTS.Close()
 	defer solo.Abort()
 
-	const ejectAfter = 2
+	const ejectAfter = 3
 	node := NewServer(ServeOptions{Obs: obs.New()})
 	nodeTS := httptest.NewServer(node.Handler())
 	defer nodeTS.Close()
@@ -312,9 +311,7 @@ func TestClusterHungPeerCompletes(t *testing.T) {
 		Self:           nodeTS.URL,
 		Peers:          []string{stub.URL},
 		HedgeDelay:     20 * time.Millisecond,
-		EjectAfter:     ejectAfter,
-		EjectFor:       time.Hour,
-		GossipInterval: -1, // only forwards may judge the stub
+		GossipInterval: time.Hour, // only forwards may judge the stub
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -360,6 +357,103 @@ func TestClusterHungPeerCompletes(t *testing.T) {
 	prom, _ := io.ReadAll(resp.Body)
 	if want := fmt.Sprintf("dtse_cluster_forward_timeouts_total %d", timeouts); !strings.Contains(string(prom), want) {
 		t.Fatalf("/metrics lacks %q:\n%s", want, prom)
+	}
+}
+
+// TestClusterEjectedPeerRejoinsByGossip: gossip is the only way back for
+// an ejected peer. Node 1 fails every request, gossip included, until it is
+// released. Once failed gossip rounds eject it, no explore or batch request
+// reaches it for ten more rounds, its keys run locally on the front, and
+// the outage counts as one ejection. After the release a gossip round
+// readmits it, and the next request for its key is routed to it again.
+func TestClusterEjectedPeerRejoinsByGossip(t *testing.T) {
+	var failing atomic.Bool
+	var served atomic.Int64 // explore and batch requests node 1 answered while failing
+	failing.Store(true)
+	tc := newWrappedTestCluster(t, 2, func(int) ServeOptions { return ServeOptions{Obs: obs.New()} },
+		ClusterOptions{GossipInterval: 50 * time.Millisecond},
+		func(i int, h http.Handler) http.Handler {
+			if i != 1 {
+				return h
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if failing.Load() {
+					if strings.HasPrefix(r.URL.Path, "/v1/explore") {
+						served.Add(1)
+					}
+					http.Error(w, "failing", http.StatusServiceUnavailable)
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		})
+	front := tc.servers[0]
+	router := front.cluster.router
+	counters := front.obs.Counters
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s (counters %v)", what, counters())
+			}
+		}
+	}
+
+	// Specs whose ring owner is node 1.
+	var bodies []string
+	for seed := int64(500); len(bodies) < 24; seed++ {
+		if seed > 2000 {
+			t.Fatalf("only %d specs owned by node 1 found", len(bodies))
+		}
+		b := randClusterSpec(t, seed)
+		p, err := parseExplore(strings.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if router.Ring().Owner(routeKey(p)) == tc.urls[1] {
+			bodies = append(bodies, b)
+		}
+	}
+	p, err := parseExplore(strings.NewReader(bodies[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := routeKey(p)
+
+	waitFor("node 1's ejection", func() bool { return counters()["cluster.ejected"] == 1 })
+	rounds := counters()["cluster.gossip_failed"]
+	posted := int64(0)
+	for next := 1; counters()["cluster.gossip_failed"] < rounds+10; next += 2 {
+		if next+1 >= len(bodies) {
+			t.Fatalf("ran out of node-1 specs after %d gossip rounds", counters()["cluster.gossip_failed"]-rounds)
+		}
+		if resp, got := postURL(t, tc.urls[0], "/v1/explore", bodies[next]); resp.StatusCode != http.StatusOK {
+			t.Fatalf("explore during the outage: status %d: %s", resp.StatusCode, got)
+		}
+		if resp, got := postURL(t, tc.urls[0], "/v1/explore/batch", batchBody(bodies[next+1])); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch during the outage: status %d: %s", resp.StatusCode, got)
+		}
+		posted += 2
+		if c := counters(); c["cluster.ejected"] != 1 {
+			t.Fatalf("cluster.ejected %d during one continuous outage, want 1", c["cluster.ejected"])
+		}
+		seen := counters()["cluster.gossip_failed"]
+		waitFor("a failed gossip round", func() bool { return counters()["cluster.gossip_failed"] > seen })
+	}
+	if n := served.Load(); n != 0 {
+		t.Fatalf("%d explore or batch requests reached the ejected node", n)
+	}
+	if c := counters(); c["cluster.local"] != posted || c["cluster.routed"] != 0 || c["cluster.fallback_local"] != 0 {
+		t.Fatalf("counters %v; want all %d outage requests run locally without a forward attempt", c, posted)
+	}
+
+	failing.Store(false)
+	waitFor("a gossip round to readmit node 1", func() bool { return !router.Owns(key) })
+	if resp, got := postURL(t, tc.urls[0], "/v1/explore", bodies[0]); resp.StatusCode != http.StatusOK {
+		t.Fatalf("explore after readmission: status %d: %s", resp.StatusCode, got)
+	}
+	if c := counters(); c["cluster.routed"] != 1 || c["cluster.ejected"] != 1 {
+		t.Fatalf("counters %v; want the request after readmission routed to node 1 and one ejection in all", c)
 	}
 }
 

@@ -70,6 +70,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "\nimage array reuse (LRU miss ratio by buffer size):\n")
 	for _, s := range []int64{4, 12, 64, 256, 1024, 5 * int64(*size), 4 * int64(*size) * int64(*size) / 100} {
+		if !prof.Exact(s) {
+			fmt.Fprintf(stdout, "  %8d words: n/a (beyond the %d-word tracked depth)\n", s, prof.Depth())
+			continue
+		}
 		fmt.Fprintf(stdout, "  %8d words: %5.1f%%\n", s, 100*prof.MissRatio(s))
 	}
 

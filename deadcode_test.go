@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"maps"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -37,26 +38,9 @@ var testOnlyExports = map[string]string{
 // testOnlyExports list. The check is by name, so a name used anywhere
 // counts as used; it catches code only tests reach, not every dead method.
 func TestNoTestOnlyExports(t *testing.T) {
-	fset := token.NewFileSet()
 	used := map[string]bool{}
 	var decls []string // "pkg.Func" or "pkg.Type.Method"
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
+	forEachNonTestFile(t, func(path string, f *ast.File) {
 		declared := map[*ast.Ident]bool{}
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -64,7 +48,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 				continue
 			}
 			declared[fd.Name] = true
-			if !fd.Name.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+			if !fd.Name.IsExported() || !strings.HasPrefix(path, "internal/") {
 				continue
 			}
 			key := f.Name.Name + "." + fd.Name.Name
@@ -79,11 +63,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pending := maps.Clone(testOnlyExports)
 	var unused []string
 	for _, key := range decls {
@@ -105,6 +85,95 @@ func TestNoTestOnlyExports(t *testing.T) {
 	sort.Strings(unused)
 	for _, key := range unused {
 		t.Errorf("%s is exported but only tests use it: delete it, or unexport it and reach it from export_test.go", key)
+	}
+}
+
+// TestNoTestOnlyOptions fails on any exported field of ServeOptions or
+// ClusterOptions that no composite literal of that type in a non-test Go
+// file of the tree sets; cmd/dtsebench counts. A knob only tests set is
+// one no caller can turn. Literals of other types that pass a field on,
+// such as a cluster.Config built from ClusterOptions, do not count.
+func TestNoTestOnlyOptions(t *testing.T) {
+	set := map[string]map[string]bool{}
+	forEachNonTestFile(t, func(path string, f *ast.File) {
+		root := !strings.Contains(path, "/")
+		qualifier := "" // the root package's name in this file, when imported
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro"` {
+				qualifier = "dtse"
+				if imp.Name != nil {
+					qualifier = imp.Name.Name
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			var typ string
+			switch x := lit.Type.(type) {
+			case *ast.Ident:
+				if root {
+					typ = x.Name
+				}
+			case *ast.SelectorExpr:
+				if pkg, ok := x.X.(*ast.Ident); ok && qualifier != "" && pkg.Name == qualifier {
+					typ = x.Sel.Name
+				}
+			}
+			if typ == "" {
+				return true
+			}
+			if set[typ] == nil {
+				set[typ] = map[string]bool{}
+			}
+			for _, e := range lit.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok {
+						set[typ][key.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	})
+	for _, typ := range []reflect.Type{reflect.TypeFor[ServeOptions](), reflect.TypeFor[ClusterOptions]()} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() && !set[typ.Name()][f.Name] {
+				t.Errorf("%s.%s is set only by tests: delete it, or give a real caller a use for it", typ.Name(), f.Name)
+			}
+		}
+	}
+}
+
+// forEachNonTestFile parses every non-test Go file of the tree, hidden and
+// testdata directories skipped, and calls fn with its slash-separated path.
+func forEachNonTestFile(t *testing.T, fn func(path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -89,6 +89,10 @@ func main() {
 	fmt.Printf("5x5 convolution on %dx%d: %d accesses profiled\n", w, h, rec.TotalAccesses())
 	fmt.Println("input-array LRU miss ratio by candidate layer size:")
 	for _, size := range []int64{k, k * k, 2 * w, k * w, 8 * w} {
+		if !prof.Exact(size) {
+			fmt.Printf("  %6d words: n/a (beyond the %d-word tracked depth)\n", size, prof.Depth())
+			continue
+		}
 		fmt.Printf("  %6d words: %5.1f%%\n", size, 100*prof.MissRatio(size))
 	}
 

@@ -104,12 +104,50 @@ func FuzzHandoffImport(f *testing.F) {
 	})
 }
 
+// checkEnvelope posts body to the batch handler h as the whole envelope.
+// It must not answer 5xx; a body that is not exactly one JSON object must
+// get a 400; a 200 must carry one item per envelope item, in index order.
+// An envelope holding a long demo is not posted.
+func checkEnvelope(t *testing.T, h http.Handler, body []byte) {
+	t.Helper()
+	var env batchRequest
+	if json.Unmarshal(body, &env) == nil {
+		for _, raw := range env.Items {
+			if p, err := parseExplore(bytes.NewReader(raw)); err == nil && p.mode == "demo" && (p.req.Demo.Size == 0 || p.req.Demo.Size > 32) {
+				return
+			}
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explore/batch", bytes.NewReader(body)))
+	if rec.Code >= 500 {
+		t.Fatalf("envelope: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	trimmed := bytes.TrimLeft(body, " \t\r\n")
+	if (!json.Valid(body) || trimmed[0] != '{') && rec.Code != http.StatusBadRequest {
+		t.Fatalf("envelope that is not one JSON object: status %d, want 400: %s", rec.Code, rec.Body.Bytes())
+	}
+	if rec.Code != http.StatusOK {
+		return
+	}
+	var out batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out.Items) != len(env.Items) {
+		t.Fatalf("envelope of %d items answered %d items (%v): %s", len(env.Items), len(out.Items), err, rec.Body.Bytes())
+	}
+	for i, it := range out.Items {
+		if it.Index != i {
+			t.Fatalf("envelope item %d carries index %d", i, it.Index)
+		}
+	}
+}
+
 // parseExploreReference is the request parser as it was before the spec
 // was decoded once and canonicalized by spec.AppendJSON: the spec bytes go
 // through a second Decoder, and the canonical form is the reflective
 // encoding of the spec schema, indented. It stays as the oracle for
-// FuzzExploreRequest. The one deliberate difference from the old parser
-// is the null-spec line (TestExploreNullSpec).
+// FuzzExploreRequest. The deliberate differences from the old parser are
+// the null-spec line (TestExploreNullSpec) and the end-of-body check,
+// which also refuses a stray ']' or '}' after the object.
 func parseExploreReference(body io.Reader) (*parsedRequest, error) {
 	dec := json.NewDecoder(io.LimitReader(body, maxRequestBody))
 	dec.DisallowUnknownFields()
@@ -117,7 +155,7 @@ func parseExploreReference(body io.Reader) (*parsedRequest, error) {
 	if err := dec.Decode(req); err != nil {
 		return nil, fmt.Errorf("invalid request body: %v", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
 	}
 	if string(req.Spec) == "null" {
@@ -235,7 +273,8 @@ func reflectCanonical(s *spec.Spec) (string, error) {
 // 5xx. A body that is one JSON value is also posted as a one-item batch to
 // a second server, and the item must carry the single POST's status and
 // body whenever neither request ran long enough for the deadline to cut
-// it. Requests that would run a long demo are parsed but not posted.
+// it. Each raw body is also posted as a batch envelope (checkEnvelope).
+// Requests that would run a long demo are parsed but not posted.
 func FuzzExploreRequest(f *testing.F) {
 	const deadline = 50 * time.Millisecond
 	srv := NewServer(ServeOptions{MaxTimeout: deadline})
@@ -261,6 +300,10 @@ func FuzzExploreRequest(f *testing.F) {
 	f.Add([]byte(`{"spec":{},"budget":1,"bogus":true}`))
 	f.Add([]byte(`{"spec":`))
 	f.Add([]byte{})
+	f.Add([]byte(`{"items":[{"demo":{"size":8}}]} trailing`))
+	f.Add([]byte(`{"items":[{"demo":{"size":8}}]}{"items":[{"demo":{"size":8}}]}`))
+	f.Add([]byte(`{"items":[{"demo":{"size":8}},{"budget":1}]}`))
+	f.Add([]byte(`{"items":[{"demo":{"size":8}}]}]`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, err := parseExplore(bytes.NewReader(body))
@@ -276,6 +319,7 @@ func FuzzExploreRequest(f *testing.F) {
 			t.Fatalf("parse differs from the reference:\n got key %v label %q\nwant key %v label %q",
 				got.key, got.label, want.key, want.label)
 		}
+		checkEnvelope(t, bh, body)
 		if err == nil && got.mode == "demo" && (got.req.Demo.Size == 0 || got.req.Demo.Size > 32) {
 			return // a valid demo this large is minutes of profiling
 		}

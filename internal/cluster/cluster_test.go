@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,6 +76,13 @@ func keyOwnedBy(t *testing.T, r *Router, member string) uint64 {
 	}
 	t.Fatalf("no key owned by %s found", member)
 	return 0
+}
+
+// eject charges p the failures that take it out of the ring walk.
+func eject(p *Peer) {
+	for i := 0; i < ejectAfter; i++ {
+		p.fail()
+	}
 }
 
 func newTestRouter(t *testing.T, peers []string, cfg Config) *Router {
@@ -172,7 +178,7 @@ func TestForwardFailsOverAndEjects(t *testing.T) {
 		w.Write([]byte("from-b"))
 	}))
 	defer b.Close()
-	r := newTestRouter(t, []string{a.URL, b.URL}, Config{EjectAfter: 3, EjectFor: time.Hour})
+	r := newTestRouter(t, []string{a.URL, b.URL}, Config{})
 	key := keyOwnedBy(t, r, a.URL)
 	for i := 0; i < 3; i++ {
 		res, ok := r.Forward(context.Background(), key, http.MethodPost, "/x", []byte("{}"), nil)
@@ -180,7 +186,7 @@ func TestForwardFailsOverAndEjects(t *testing.T) {
 			t.Fatalf("attempt %d: ok=%v peer=%v; want failover to b", i, ok, res)
 		}
 	}
-	if r.peers[a.URL].alive(time.Now()) {
+	if r.peers[a.URL].alive() {
 		t.Fatal("peer a should be ejected after 3 consecutive failures")
 	}
 	// An ejected owner's keys fall through the walk without contacting it.
@@ -190,155 +196,14 @@ func TestForwardFailsOverAndEjects(t *testing.T) {
 	}
 }
 
-func TestPeerRejoinsAfterWindow(t *testing.T) {
-	p := &Peer{id: "x"}
-	now := time.Now()
-	for i := 0; i < 3; i++ {
-		p.fail(3, 50*time.Millisecond, now)
-	}
-	if p.alive(now) {
-		t.Fatal("peer should be down right after ejection")
-	}
-	after := now.Add(100 * time.Millisecond)
-	if p.alive(after) {
-		t.Fatal("an expired window must not read as alive until a probe succeeds")
-	}
-	if !p.probeAlive(after) {
-		t.Fatal("the first caller after the window should win the half-open probe")
-	}
-	if p.probeAlive(after) {
-		t.Fatal("a second caller must not get a concurrent probe")
-	}
-	p.ok(time.Millisecond)
-	if !p.alive(now) {
-		t.Fatal("a successful probe should fully revive the peer")
-	}
-	if !p.probeAlive(now) {
-		t.Fatal("a revived peer should be freely routable")
-	}
-}
-
-// TestHalfOpenSingleProbe is the concurrency regression for the probing
-// flag: after the ejection window expires, exactly one of N concurrent
-// callers may contact the peer; the rest keep treating it as down. On the
-// pre-fix Router every caller flipped alive at once (a rejoin stampede).
-func TestHalfOpenSingleProbe(t *testing.T) {
-	p := &Peer{id: "x"}
-	now := time.Now()
-	p.fail(1, 10*time.Millisecond, now)
-	after := now.Add(20 * time.Millisecond)
-
-	const callers = 64
-	var wg sync.WaitGroup
-	var won int64
-	start := make(chan struct{})
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			if p.probeAlive(after) {
-				atomic.AddInt64(&won, 1)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if won != 1 {
-		t.Fatalf("exactly one caller should win the half-open probe, got %d", won)
-	}
-
-	// A failed probe re-ejects; the slot is only re-winnable after the
-	// new window, and again by exactly one caller.
-	p.fail(1, 10*time.Millisecond, after)
-	if p.probeAlive(after.Add(time.Millisecond)) {
-		t.Fatal("peer should be fully down again after a failed probe")
-	}
-	later := after.Add(20 * time.Millisecond)
-	if !p.probeAlive(later) {
-		t.Fatal("next window should re-open a probe slot")
-	}
-	if p.probeAlive(later) {
-		t.Fatal("second probe in the same window should be refused")
-	}
-
-	// ok() clears the flag and fully revives.
-	p.ok(time.Millisecond)
-	var aliveN int64
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if p.probeAlive(later) {
-				atomic.AddInt64(&aliveN, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if aliveN != callers {
-		t.Fatalf("a revived peer should admit everyone, got %d/%d", aliveN, callers)
-	}
-}
-
-// TestHalfOpenStaleProbeExpires pins that an abandoned probe claim (winner
-// never reported back) does not wedge the peer down forever.
-func TestHalfOpenStaleProbeExpires(t *testing.T) {
-	p := &Peer{id: "x"}
-	now := time.Now()
-	p.fail(1, 10*time.Millisecond, now)
-	after := now.Add(20 * time.Millisecond)
-	if !p.probeAlive(after) {
-		t.Fatal("first caller should win the probe")
-	}
-	if p.probeAlive(after.Add(5 * time.Millisecond)) {
-		t.Fatal("probe slot should still be held within the window")
-	}
-	if !p.probeAlive(after.Add(15 * time.Millisecond)) {
-		t.Fatal("a stale probe claim should expire and be re-winnable")
-	}
-}
-
-// TestRouterHalfOpenNoStampede drives the same property through the
-// Router's forwarding path: a down peer whose window has expired shows up
-// in at most one concurrent caller's candidate list.
-func TestRouterHalfOpenNoStampede(t *testing.T) {
-	r := newTestRouter(t, []string{"http://a.invalid"}, Config{EjectAfter: 1, EjectFor: 5 * time.Millisecond})
-	key := keyOwnedBy(t, r, "http://a.invalid")
-	r.peer("http://a.invalid").fail(1, 5*time.Millisecond, time.Now())
-	time.Sleep(20 * time.Millisecond) // let the ejection window expire
-
-	const callers = 32
-	var wg sync.WaitGroup
-	var sawPeer int64
-	start := make(chan struct{})
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			if len(r.candidates(key)) > 0 {
-				atomic.AddInt64(&sawPeer, 1)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if sawPeer != 1 {
-		t.Fatalf("exactly one caller should see the half-open peer as a candidate, got %d", sawPeer)
-	}
-	if r.Owns(key) != true {
-		t.Fatal("Owns must keep reading the peer as down while the probe is out")
-	}
-}
-
 func TestSetMembersReentrant(t *testing.T) {
-	r := newTestRouter(t, []string{"http://a.invalid"}, Config{EjectAfter: 1, EjectFor: time.Hour})
+	r := newTestRouter(t, []string{"http://a.invalid"}, Config{})
 	pa := r.peer("http://a.invalid")
 	if pa == nil {
 		t.Fatal("initial peer missing")
 	}
 	// Eject a, then remove it from the membership.
-	pa.fail(1, time.Hour, time.Now())
+	eject(pa)
 	added, removed := r.SetMembers([]string{r.Self()})
 	if len(added) != 0 || len(removed) != 1 || removed[0] != "http://a.invalid" {
 		t.Fatalf("unexpected membership delta: added=%v removed=%v", added, removed)
@@ -353,8 +218,8 @@ func TestSetMembersReentrant(t *testing.T) {
 		t.Fatalf("unexpected rejoin delta: added=%v removed=%v", added, removed)
 	}
 	back := r.peer("http://a.invalid")
-	if back == nil || !back.alive(time.Now()) {
-		t.Fatal("rejoined member must start alive, not inherit downUntil")
+	if back == nil || !back.alive() {
+		t.Fatal("rejoined member must start alive, not inherit the ejection")
 	}
 	if back == pa {
 		t.Fatal("rejoined member should get fresh Peer state")
@@ -365,12 +230,12 @@ func TestSetMembersReentrant(t *testing.T) {
 		t.Fatalf("idempotent SetMembers should report no delta, got added=%v removed=%v", added, removed)
 	}
 	// Retained members keep health state across unrelated changes.
-	back.fail(1, time.Hour, time.Now())
+	eject(back)
 	r.SetMembers([]string{"http://a.invalid", "http://b.invalid"})
 	if r.peer("http://a.invalid") != back {
 		t.Fatal("retained member should keep its Peer state across a ring change")
 	}
-	if back.alive(time.Now()) {
+	if back.alive() {
 		t.Fatal("retained member's ejection must survive the ring change")
 	}
 }
@@ -389,14 +254,13 @@ func TestPeersReturnsCopy(t *testing.T) {
 }
 
 func TestOwnershipShiftsWithLiveness(t *testing.T) {
-	r := newTestRouter(t, []string{"http://a.invalid", "http://b.invalid"}, Config{EjectAfter: 1, EjectFor: time.Hour})
+	r := newTestRouter(t, []string{"http://a.invalid", "http://b.invalid"}, Config{})
 	key := keyOwnedBy(t, r, "http://a.invalid")
 	if r.Owns(key) {
 		t.Fatal("self should not own a peer's key while the peer is up")
 	}
-	now := time.Now()
-	r.peers["http://a.invalid"].fail(1, time.Hour, now)
-	r.peers["http://b.invalid"].fail(1, time.Hour, now)
+	eject(r.peers["http://a.invalid"])
+	eject(r.peers["http://b.invalid"])
 	if !r.Owns(key) {
 		t.Fatal("self should inherit the key once every preceding walk member is down")
 	}

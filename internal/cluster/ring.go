@@ -2,6 +2,8 @@
 // ring that shards request keys across dtsed nodes, a router that forwards
 // requests to their ring owner with failover under one deadline and
 // health-gated peer ejection, and SWIM-style membership with shard handoff.
+// An ejected peer gets no forwards; the membership gossip round that next
+// reaches it (Router.PeerOK) is what puts it back into the ring walk.
 //
 // The ring hashes with memo.Fingerprint64, the session cache's canonical
 // key fingerprint, so a key's ring owner is also the node whose session and

@@ -13,17 +13,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Defaults for the forwarding and health policy. All are overridable via
-// Config.
+// The forwarding and health policy.
 const (
 	// defaultForwardTimeout bounds one whole forward, failover included;
 	// past it the caller computes the request itself.
 	defaultForwardTimeout = 2 * time.Second
-	// defaultEjectAfter consecutive failures mark a peer down.
-	defaultEjectAfter = 3
-	// defaultEjectFor is how long a down peer stays out of the ring walk
-	// before a half-open probe may rejoin it.
-	defaultEjectFor = 2 * time.Second
+	// ejectAfter consecutive failures mark a peer down until a successful
+	// exchange with it, in practice a gossip round (PeerOK).
+	ejectAfter = 3
 	// maxPeerResponse bounds a forwarded response body read.
 	maxPeerResponse = 32 << 20
 )
@@ -39,9 +36,6 @@ type Config struct {
 	// defaultForwardTimeout. An attempt cut off by it counts as a failure
 	// of the peer it was waiting on.
 	ForwardTimeout time.Duration
-	// EjectAfter / EjectFor tune health-gated ejection; 0 means defaults.
-	EjectAfter int
-	EjectFor   time.Duration
 	// Obs receives the dtse_cluster_* counters and per-peer latency
 	// histograms; nil disables that telemetry.
 	Obs *obs.Observer
@@ -52,79 +46,40 @@ type Peer struct {
 	id   string
 	hist *obs.Histogram // forwarded-request RTT, microseconds
 
-	mu        sync.Mutex
-	fails     int // consecutive failures
-	downUntil time.Time
-	window    time.Duration // last ejection window (bounds probe staleness)
-	probing   bool          // one half-open probe in flight
-	probeAt   time.Time     // when the in-flight probe was claimed
+	mu    sync.Mutex
+	fails int  // consecutive failures
+	down  bool // ejected: skipped by the ring walk until a successful exchange
 }
 
 // ID returns the peer's member URL.
 func (p *Peer) ID() string { return p.id }
 
-// alive reports whether the peer is routable without claiming a probe: up,
-// or fully revived by a successful probe. A peer whose ejection window has
-// passed but whose half-open probe has not yet succeeded still reads as
-// down here — every caller keeps treating it as sick until the one probe
-// in flight (claimed via probeAlive) comes back ok. This is what prevents
-// a rejoin stampede onto a still-sick peer.
-func (p *Peer) alive(now time.Time) bool {
+// alive reports whether the peer is in the ring walk.
+func (p *Peer) alive() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.downUntil.IsZero()
-}
-
-// probeAlive is alive for callers about to contact the peer: when the
-// ejection window has expired it lets exactly one caller through as the
-// half-open probe (probing is set until ok or fail clears it) and keeps
-// everyone else out. A probe whose owner never reports back — claimed but
-// the request was never launched — goes stale after the ejection window
-// and the slot can be re-won.
-func (p *Peer) probeAlive(now time.Time) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.downUntil.IsZero() {
-		return true
-	}
-	if !now.After(p.downUntil) {
-		return false
-	}
-	window := p.window
-	if window <= 0 {
-		window = defaultEjectFor
-	}
-	if p.probing && now.Before(p.probeAt.Add(window)) {
-		return false // someone else holds the half-open probe
-	}
-	p.probing = true
-	p.probeAt = now
-	return true
+	return !p.down
 }
 
 func (p *Peer) ok(rtt time.Duration) {
 	p.hist.ObserveUS(rtt.Microseconds())
 	p.mu.Lock()
 	p.fails = 0
-	p.downUntil = time.Time{}
-	p.probing = false
+	p.down = false
 	p.mu.Unlock()
 }
 
 // fail records one failure; it returns true when this failure ejected the
-// peer (crossed the threshold while previously alive).
-func (p *Peer) fail(after int, window time.Duration, now time.Time) bool {
+// peer (crossed the threshold while it was alive).
+func (p *Peer) fail() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.probing = false // a failed probe re-ejects; the next window may re-probe
 	p.fails++
-	if p.fails >= after {
-		wasUp := p.downUntil.IsZero() || now.After(p.downUntil)
-		p.downUntil = now.Add(window)
-		p.window = window
-		return wasUp
+	if p.fails < ejectAfter || p.down {
+		return false
 	}
-	return false
+	p.down = true
+	return true
 }
 
 // Router owns the ring view plus per-peer health, and forwards requests to
@@ -150,12 +105,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.ForwardTimeout <= 0 {
 		cfg.ForwardTimeout = defaultForwardTimeout
-	}
-	if cfg.EjectAfter <= 0 {
-		cfg.EjectAfter = defaultEjectAfter
-	}
-	if cfg.EjectFor <= 0 {
-		cfg.EjectFor = defaultEjectFor
 	}
 	r := &Router{
 		cfg:   cfg,
@@ -187,7 +136,7 @@ func (r *Router) newPeer(m string) *Peer {
 // SetMembers replaces the member set (self is always included) and rebuilds
 // the ring. Retained peers keep their health state; removed peers are
 // dropped entirely, so a member that returns later — e.g. with a new
-// incarnation — starts with fresh fails/downUntil rather than inheriting a
+// incarnation — starts with fresh health state rather than inheriting a
 // stale ejection. Re-entrant: calling with the current set is a no-op.
 // Returns the members added and removed, self excluded.
 func (r *Router) SetMembers(members []string) (added, removed []string) {
@@ -259,8 +208,10 @@ func (r *Router) Peers() map[string]*Peer {
 	return out
 }
 
-// PeerOK records an out-of-band successful exchange with member id (the
-// gossip loop doubles as the half-open prober). Unknown ids are ignored.
+// PeerOK records an out-of-band successful exchange with member id. The
+// gossip loop calls it each round a peer answers, and it is the only way
+// an ejected peer gets back into the ring walk, since a down peer gets no
+// forwards. Unknown ids are ignored.
 func (r *Router) PeerOK(id string, rtt time.Duration) {
 	if p := r.peer(id); p != nil {
 		p.ok(rtt)
@@ -271,9 +222,14 @@ func (r *Router) PeerOK(id string, rtt time.Duration) {
 // the same ejection policy as forwarded requests.
 func (r *Router) PeerFail(id string) {
 	if p := r.peer(id); p != nil {
-		if p.fail(r.cfg.EjectAfter, r.cfg.EjectFor, time.Now()) {
-			r.counter("cluster.ejected", 1)
-		}
+		r.fail(p)
+	}
+}
+
+// fail charges p one failure and counts the ejection it may cause.
+func (r *Router) fail(p *Peer) {
+	if p.fail() {
+		r.counter("cluster.ejected", 1)
 	}
 }
 
@@ -287,38 +243,26 @@ func (r *Router) Owns(key uint64) bool {
 }
 
 // PreferredPeer returns the first alive remote peer in key's ring walk
-// before self, if any: the owner a request's items are grouped by. Unlike
-// Forward it never claims a down peer's half-open probe, so planning a
-// request leaves the probe to the forward that follows.
+// before self, if any: the owner a request's items are grouped by and the
+// first peer Forward contacts.
 func (r *Router) PreferredPeer(key uint64) (string, bool) {
-	ring, peers := r.snapshot()
-	now := time.Now()
-	for _, m := range ring.Walk(key) {
-		if m == r.self {
-			break
-		}
-		if p := peers[m]; p != nil && p.alive(now) {
-			return m, true
-		}
+	if cands := r.candidates(key); len(cands) > 0 {
+		return cands[0].id, true
 	}
 	return "", false
 }
 
-// candidates returns the remote peers preceding self in key's ring walk
-// that may be contacted right now — the forwarding preference order. This
-// uses probeAlive, so a down peer whose window expired is included for at
-// most one concurrent caller (the half-open probe); everyone else skips it.
-// Empty means self owns the key (or every preceding peer is down and the
-// key fell through to self).
+// candidates returns the alive remote peers preceding self in key's ring
+// walk — the forwarding preference order. Empty means self owns the key
+// (or every preceding peer is down and the key fell through to self).
 func (r *Router) candidates(key uint64) []*Peer {
 	ring, peers := r.snapshot()
-	now := time.Now()
 	var out []*Peer
 	for _, m := range ring.Walk(key) {
 		if m == r.self {
 			break
 		}
-		if p := peers[m]; p != nil && p.probeAlive(now) {
+		if p := peers[m]; p != nil && p.alive() {
 			out = append(out, p)
 		}
 	}
@@ -345,7 +289,7 @@ func (r *Router) counter(name string, n int64) {
 // attempt is in flight at a time, and ForwardTimeout bounds the whole walk:
 // when it expires the attempt is cancelled and counted as its peer's
 // failure, so a peer that accepts connections but never answers is ejected
-// after EjectAfter timeouts instead of stalling every request. ok=false
+// after ejectAfter timeouts instead of stalling every request. ok=false
 // means no peer answered in time — the caller runs the request locally, so
 // a dead or hung peer set degrades to single-node behaviour instead of
 // failing requests.
@@ -372,9 +316,7 @@ func (r *Router) Forward(ctx context.Context, key uint64, method, path string, b
 		if ctx.Err() != nil {
 			return nil, false // the caller gave up; no peer is to blame
 		}
-		if p.fail(r.cfg.EjectAfter, r.cfg.EjectFor, time.Now()) {
-			r.counter("cluster.ejected", 1)
-		}
+		r.fail(p)
 		if fctx.Err() == nil {
 			r.counter("cluster.peer_errors", 1)
 		}
@@ -413,10 +355,9 @@ func (r *Router) send(ctx context.Context, p *Peer, method, path string, body []
 // AlivePeers returns the alive remote peers in id order.
 func (r *Router) AlivePeers() []*Peer {
 	_, peers := r.snapshot()
-	now := time.Now()
 	ids := make([]string, 0, len(peers))
 	for id, p := range peers {
-		if p.alive(now) {
+		if p.alive() {
 			ids = append(ids, id)
 		}
 	}

@@ -353,8 +353,8 @@ func (d *DiskTier) append(rec diskRecord) {
 }
 
 // Range calls fn for every live record of one keyspace (the last write per
-// key, checksum-verified; order unspecified) until fn returns false. Export
-// reads the handoff stream through it. Safe on a nil tier.
+// key, checksum-verified; order unspecified) until fn returns false. Shard
+// handoff reads the moved keys through it. Safe on a nil tier.
 func (d *DiskTier) Range(sp Space, fn func(key Key, val []byte) bool) {
 	if d == nil {
 		return

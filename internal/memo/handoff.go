@@ -1,31 +1,12 @@
 package memo
 
 // Shard handoff support: when cluster ownership of a fingerprint range
-// moves (a node joins, leaves, or is confirmed dead), the old owner exports
-// its records for the moved keys and the new owner imports them, so the
-// receiving node starts hot instead of recomputing a shard's worth of
-// cache. The memo layer stays cluster-agnostic: callers express "owned" as
-// a key predicate, which reads the ring fingerprint from the key's word
-// without needing the bytes the key was made from.
-
-// Export calls fn for every live record of one keyspace whose key satisfies
-// pred (checksum-verified, last write per key, order unspecified) until fn
-// returns false. Returns the number of records fn accepted. Safe on a nil
-// tier.
-func (d *DiskTier) Export(sp Space, pred func(key Key) bool, fn func(key Key, val []byte) bool) int {
-	if d == nil {
-		return 0
-	}
-	n := 0
-	d.Range(sp, func(key Key, val []byte) bool {
-		if pred != nil && !pred(key) {
-			return true
-		}
-		n++
-		return fn(key, val)
-	})
-	return n
-}
+// moves (a node joins, leaves, or is confirmed dead), the old owner ranges
+// over its records (DiskTier.Range, Cache.Range) for the moved keys and the
+// new owner imports them, so the receiving node starts hot instead of
+// recomputing a shard's worth of cache. The memo layer stays
+// cluster-agnostic: the caller reads the ring fingerprint from each key's
+// word without needing the bytes the key was made from.
 
 // Import appends one record received via shard handoff. Identical to Put on
 // the log, but counted separately (DiskStats.Imported) so handoff

@@ -1,60 +1,9 @@
 package memo
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
-
-func TestDiskExportFiltersByPredicate(t *testing.T) {
-	d, err := OpenDiskTier(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	// The key's word places it, as the ring fingerprint does on a node.
-	const owned, other = 1, 2
-	for i := 0; i < 10; i++ {
-		d.Put(Requests, NewKey([]byte(fmt.Sprintf("owned-%d", i)), owned), []byte("v"))
-		d.Put(Requests, NewKey([]byte(fmt.Sprintf("other-%d", i)), other), []byte("v"))
-	}
-	// Drain the write-behind queue so the index is populated.
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d, err = OpenDiskTier(d.dirOfPath())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	var got []Key
-	n := d.Export(Requests, func(key Key) bool { return key.Word() == owned }, func(key Key, val []byte) bool {
-		got = append(got, key)
-		return true
-	})
-	if n != 10 || len(got) != 10 {
-		t.Fatalf("export matched %d records (callback saw %d), want 10", n, len(got))
-	}
-	for _, k := range got {
-		if k.Word() != owned {
-			t.Fatalf("export leaked unowned key %v", k)
-		}
-	}
-	// Early stop: fn returning false halts the walk.
-	n = d.Export(Requests, nil, func(key Key, val []byte) bool { return false })
-	if n != 1 {
-		t.Fatalf("early-stopped export should count 1 accepted record, got %d", n)
-	}
-}
-
-// dirOfPath recovers the tier directory from the log path (test helper).
-func (d *DiskTier) dirOfPath() string {
-	p := d.Path()
-	i := strings.LastIndexByte(p, '/')
-	return p[:i]
-}
 
 func TestDiskImportCounted(t *testing.T) {
 	d, err := OpenDiskTier(t.TempDir())

@@ -52,8 +52,18 @@ func (p *Profile) Total() uint64 { return p.total }
 // Cold returns the number of first-touch accesses.
 func (p *Profile) Cold() uint64 { return p.cold }
 
+// Depth returns the largest stack distance the profile tracks exactly.
+func (p *Profile) Depth() int { return p.cap }
+
+// Exact reports whether MissRatio(size) is the exact LRU miss ratio. Sizes
+// beyond Depth are clamped to it, which is exact only when no access
+// reused an address from beyond the tracked depth; otherwise the clamped
+// ratio is an upper bound.
+func (p *Profile) Exact(size int64) bool { return size <= int64(p.cap) || p.far == 0 }
+
 // MissRatio returns the fraction of accesses that miss an LRU buffer of the
-// given size (in words). Sizes beyond the tracked cap are clamped to it.
+// given size (in words). Sizes beyond the tracked cap are clamped to it
+// (see Exact).
 func (p *Profile) MissRatio(size int64) float64 {
 	if p.total == 0 {
 		return 0

@@ -97,6 +97,33 @@ func TestMissRatioEdgeSizes(t *testing.T) {
 	}
 }
 
+// TestExactBeyondTrackedDepth: past the tracked depth MissRatio clamps,
+// which is exact only while no access came from beyond that depth.
+func TestExactBeyondTrackedDepth(t *testing.T) {
+	profile := func(tracked int, addrs []int32) *Profile {
+		w := newWindow(context.Background(), tracked, extentOf(addrs))
+		w.feed(addrs)
+		return w.finish(nil)
+	}
+	// The second access to 0 has stack distance 3, beyond a depth of 2.
+	p := profile(2, []int32{0, 1, 2, 0})
+	if p.far != 1 || p.Depth() != 2 {
+		t.Fatalf("far %d depth %d, want 1 and 2", p.far, p.Depth())
+	}
+	if !p.Exact(2) || p.Exact(3) {
+		t.Fatalf("Exact(2) %v Exact(3) %v; want true, false", p.Exact(2), p.Exact(3))
+	}
+	// Clamped to 2 words, the ratio at 3 is 1.0: an upper bound on the
+	// true 0.75 (three cold misses in four accesses).
+	if got := p.MissRatio(3); got != 1.0 {
+		t.Fatalf("clamped MissRatio(3) = %v, want 1.0", got)
+	}
+	// With every reuse inside the depth, the clamp is exact at any size.
+	if p := profile(2, []int32{0, 1, 0, 1}); p.far != 0 || !p.Exact(1<<30) {
+		t.Fatalf("far %d, Exact(1<<30) %v; want 0, true", p.far, p.Exact(1<<30))
+	}
+}
+
 // naiveStackDistance recomputes miss counts with an O(n²) reference LRU.
 func naiveMissRatio(addrs []int32, size int) float64 {
 	if len(addrs) == 0 {

@@ -258,7 +258,7 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Abort()
-	if err := srv.JoinCluster(ClusterOptions{Self: ts.URL, GossipInterval: -1}); err != nil {
+	if err := srv.JoinCluster(ClusterOptions{Self: ts.URL, GossipInterval: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 

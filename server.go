@@ -308,6 +308,13 @@ type parsedRequest struct {
 
 const maxRequestBody = 8 << 20
 
+// atEnd reports whether only whitespace follows the value dec decoded.
+// Decoder.More alone would miss a stray ']' or '}'.
+func atEnd(dec *json.Decoder) bool {
+	_, err := dec.Token()
+	return err == io.EOF
+}
+
 // parseExplore decodes and validates the request body. Error strings are
 // client-facing.
 func parseExplore(body io.Reader) (*parsedRequest, error) {
@@ -317,7 +324,7 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 	if err := dec.Decode(req); err != nil {
 		return nil, fmt.Errorf("invalid request body: %v", err)
 	}
-	if dec.More() {
+	if !atEnd(dec) {
 		return nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
 	}
 	// A JSON null spec is an absent spec, like a null demo.
@@ -759,7 +766,11 @@ func (s *Server) handleExploreBatch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	var breq batchRequest
-	if err := dec.Decode(&breq); err != nil {
+	err := dec.Decode(&breq)
+	if err == nil && !atEnd(dec) {
+		err = errors.New("trailing data after the JSON object")
+	}
+	if err != nil {
 		s.obs.Counter("server.bad_requests").Add(1)
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid batch body: %v", err))
 		return

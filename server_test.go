@@ -121,6 +121,8 @@ func TestServerBadRequests(t *testing.T) {
 		"demo with params":    `{"demo": {"size": 64}, "params": {"onchip": 2}}`,
 		"bad params":          specBody(specJSON, budget, `"params": {"onchip": -1}`),
 		"oversized demo":      `{"demo": {"size": 100000}}`,
+		"two objects":         `{"demo": {"size": 64}} {"demo": {"size": 64}}`,
+		"stray brace":         `{"demo": {"size": 64}}}`,
 	}
 	for name, body := range cases {
 		resp, b := postExplore(t, ts, body)
@@ -610,7 +612,7 @@ func TestServerInternalRequestNotAdmitted(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Abort()
-	if err := srv.JoinCluster(ClusterOptions{Self: ts.URL, GossipInterval: -1}); err != nil {
+	if err := srv.JoinCluster(ClusterOptions{Self: ts.URL, GossipInterval: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	srv.sem <- struct{}{}
