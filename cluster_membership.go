@@ -3,12 +3,15 @@ package dtse
 // Dynamic cluster membership and shard handoff.
 //
 // PR 9's ring was frozen at startup (-peers). Here the member set is a
-// SWIM-lite table (internal/cluster.Membership): nodes join by handshaking
-// a seed over POST /v1/internal/join, every node gossips its full digest to
-// a peer each interval over POST /v1/internal/gossip, an unreachable member
-// is suspected and only removed after a suspicion timeout, and incarnation
-// numbers let a live member refute stale claims about itself — a flapping
-// node cannot be erased by one dropped probe.
+// SWIM-lite table (internal/cluster.Membership) and gossip is its only
+// exchange: the table starts from the configured peers, every node gossips
+// its full digest to each member every interval over POST
+// /v1/internal/gossip, and the answering digest teaches it the members it
+// did not know — so a node joins a live ring by naming any one reachable
+// member. An unreachable member is suspected and only removed after a
+// suspicion timeout, and incarnation numbers let a live member refute stale
+// claims about itself — a flapping node cannot be erased by one dropped
+// probe.
 //
 // On any ring change the node re-derives ownership and runs shard handoff:
 // for every cached record whose route fingerprint this node owned under the
@@ -35,8 +38,8 @@ import (
 	"repro/internal/memo"
 )
 
-// digestWire is the join/gossip exchange body in both directions: the
-// sender's identity plus its full membership digest.
+// digestWire is the gossip exchange body in both directions: the sender's
+// identity plus its full membership digest.
 type digestWire struct {
 	From   string                `json:"from"`
 	Digest []cluster.MemberEntry `json:"digest"`
@@ -45,21 +48,10 @@ type digestWire struct {
 // maxDigestBody bounds a membership digest read (thousands of members fit).
 const maxDigestBody = 1 << 20
 
-// handleClusterJoin admits a joining node: merge its digest (which contains
-// at least itself, alive, at a fresh incarnation) and answer with ours. The
-// joiner learns the full member set from the response; everyone else learns
-// about the joiner from gossip.
-func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	s.handleDigestExchange(w, r, "cluster.joins")
-}
-
 // handleClusterGossip is one push-pull gossip round: merge the caller's
-// digest, answer with ours.
+// digest, answer with ours. A node that has just joined learns the rest of
+// the member set from the answer; the others learn about it from gossip.
 func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
-	s.handleDigestExchange(w, r, "")
-}
-
-func (s *Server) handleDigestExchange(w http.ResponseWriter, r *http.Request, joinCounter string) {
 	cs := s.cluster
 	if cs == nil {
 		http.NotFound(w, r)
@@ -71,12 +63,14 @@ func (s *Server) handleDigestExchange(w http.ResponseWriter, r *http.Request, jo
 		return
 	}
 	var in digestWire
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxDigestBody)).Decode(&in); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxDigestBody))
+	err := dec.Decode(&in)
+	if err == nil && !atEnd(dec) {
+		err = errors.New("trailing data after the JSON object")
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "invalid digest body: "+err.Error())
 		return
-	}
-	if joinCounter != "" {
-		s.obs.Counter(joinCounter).Add(1)
 	}
 	if cs.members.Merge(in.Digest) {
 		s.syncMembership()
@@ -89,43 +83,14 @@ func (s *Server) handleDigestExchange(w http.ResponseWriter, r *http.Request, jo
 	s.writeResponse(w, &servedResponse{status: http.StatusOK, body: append(body, '\n')})
 }
 
-// JoinSeeds handshakes each configured seed once: push our digest, merge
-// the response. One reachable seed is enough; with none reachable the node
-// keeps its static view and gossip keeps retrying reachable members.
-func (s *Server) JoinSeeds(ctx context.Context, seeds []string) error {
-	cs := s.cluster
-	if cs == nil {
-		return errors.New("cluster: not joined")
-	}
-	var lastErr error
-	joined := false
-	for _, seed := range seeds {
-		if seed == "" || seed == cs.router.Self() {
-			continue
-		}
-		digest, err := s.exchangeDigest(ctx, seed, "/v1/internal/join")
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		joined = true
-		if cs.members.Merge(digest) {
-			s.syncMembership()
-		}
-	}
-	if !joined && lastErr != nil {
-		return fmt.Errorf("cluster: no seed reachable: %w", lastErr)
-	}
-	return nil
-}
-
-// exchangeDigest POSTs our digest to one member and returns its digest.
-func (s *Server) exchangeDigest(ctx context.Context, member, path string) ([]cluster.MemberEntry, error) {
+// exchangeDigest POSTs our digest to one member's gossip endpoint and
+// returns its digest.
+func (s *Server) exchangeDigest(ctx context.Context, member string) ([]cluster.MemberEntry, error) {
 	cs := s.cluster
 	body := mustMarshal(digestWire{From: cs.router.Self(), Digest: cs.members.Digest()})
 	rctx, cancel := context.WithTimeout(ctx, gossipRequestTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, member+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, member+"/v1/internal/gossip", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +135,7 @@ func (s *Server) gossipLoop() {
 				continue
 			}
 			start := time.Now()
-			digest, err := s.exchangeDigest(s.baseCtx, m, "/v1/internal/gossip")
+			digest, err := s.exchangeDigest(s.baseCtx, m)
 			if err != nil {
 				if s.baseCtx.Err() != nil {
 					return
@@ -295,9 +260,9 @@ func (s *Server) runHandoff(old, next *cluster.Ring) {
 	}
 }
 
-// sendHandoff ships one new owner's records. Best-effort with one retry:
-// the likeliest failure is a joiner whose listener is a beat behind its
-// join handshake.
+// sendHandoff ships one new owner's records. Best-effort with one retry
+// after a short pause, so a transient refusal (a dropped connection, a
+// receiver briefly overloaded) does not cost the whole stream.
 func (s *Server) sendHandoff(target string, wire *handoffWire) {
 	body := mustMarshal(wire)
 	for attempt := 0; attempt < 2; attempt++ {
@@ -392,24 +357,14 @@ func (s *Server) LeaveCluster(ctx context.Context) error {
 	if cs == nil {
 		return errors.New("cluster: not joined")
 	}
-	goodbye := cs.members.Leave()
-	body := mustMarshal(digestWire{From: cs.router.Self(), Digest: goodbye})
-	peers := cs.router.AlivePeers()
+	// After Leave our digest is the goodbye: one gossip exchange per peer
+	// delivers it.
+	cs.members.Leave()
 	announced := 0
-	for _, p := range peers {
-		rctx, cancel := context.WithTimeout(ctx, gossipRequestTimeout)
-		req, err := http.NewRequestWithContext(rctx, http.MethodPost, p.ID()+"/v1/internal/gossip", bytes.NewReader(body))
-		if err == nil {
-			req.Header = internalHeaders("")
-			if resp, err := cs.router.Client().Do(req); err == nil {
-				io.Copy(io.Discard, io.LimitReader(resp.Body, maxDigestBody))
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					announced++
-				}
-			}
+	for _, p := range cs.router.AlivePeers() {
+		if _, err := s.exchangeDigest(ctx, p.ID()); err == nil {
+			announced++
 		}
-		cancel()
 	}
 	s.obs.Counter("cluster.leaves").Add(1)
 	// Hand the shard over: old ring includes self, new ring is the

@@ -56,7 +56,7 @@ func movedSpecs(t *testing.T, cur, next *cluster.Ring, to string, want int) []st
 }
 
 // TestClusterJoinMidRunByteIdentical is the tentpole e2e: a third node
-// joins a live 2-node cluster via a seed handshake; membership converges
+// joins a live 2-node cluster knowing one member; membership converges
 // on every node, the old owners stream the moved shard to the joiner, and
 // the joiner then answers the moved requests byte-identically to the solo
 // baseline — serving them from its disk tier, which only handoff could
@@ -103,15 +103,12 @@ func TestClusterJoinMidRunByteIdentical(t *testing.T) {
 		refs[i] = ref
 	}
 
-	// Join mid-run, knowing only seed A.
+	// Join mid-run, knowing only member A.
 	if err := joiner.JoinCluster(ClusterOptions{
 		Self:           joinTS.URL,
-		Seeds:          []string{tc.urls[0]},
+		Peers:          []string{tc.urls[0]},
 		GossipInterval: 50 * time.Millisecond,
 	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := joiner.JoinSeeds(context.Background(), []string{tc.urls[0]}); err != nil {
 		t.Fatal(err)
 	}
 	all := append([]*Server{joiner}, tc.servers...)

@@ -1,8 +1,8 @@
 package dtse
 
 // Cluster mode: scale-out serving over a consistent-hash ring. Every node
-// runs the same code with the same member list; any node accepts any
-// request. The items of a request — one for a single POST, up to 64 for a
+// runs the same code, and gossip converges them on one member list (see
+// cluster_membership.go); any node accepts any request. The items of a request — one for a single POST, up to 64 for a
 // batch — are grouped by the peer their canonical fingerprints hash to,
 // and each group goes to its peer as one internal sub-batch (failing over
 // down the ring walk of the group's first key, see internal/cluster), so
@@ -42,21 +42,14 @@ type ClusterOptions struct {
 	// Self is this node's advertised base URL (scheme://host:port); peers
 	// must be able to reach it.
 	Self string
-	// Peers are the other members' base URLs. Every node must be
-	// configured with the same member set (self ∪ peers), or the ring
-	// views disagree and requests bounce (correct — internal requests are
-	// served where they land — but wasteful).
+	// Peers are the members this node starts from. Any reachable one is
+	// enough: the first gossip round with it returns its membership
+	// digest, and gossip supplies the rest of the member set.
 	Peers []string
 	// HedgeDelay is how long a forward waits before the items run
 	// locally; 0 = 2 s. The attempt it cuts off counts as a failure of
 	// the peer it waited on.
 	HedgeDelay time.Duration
-	// Seeds are member URLs to contact via /v1/internal/join after the
-	// listener is up (JoinSeeds). Unlike Peers they need not be the full
-	// member set — the handshake returns the seed's membership digest and
-	// gossip converges the rest. A node may start with no Peers and only
-	// Seeds.
-	Seeds []string
 	// GossipInterval is the membership gossip period; ≤ 0 means
 	// defaultGossipInterval. The loop always runs: its rounds are also
 	// what readmits a peer that failed forwards and was ejected.
@@ -96,7 +89,6 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 	}
 	router, err := cluster.New(cluster.Config{
 		Self:           opts.Self,
-		Peers:          opts.Peers,
 		ForwardTimeout: opts.HedgeDelay,
 		Obs:            s.obs,
 	})
@@ -104,9 +96,9 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 		return err
 	}
 	cs := &clusterState{router: router}
-	// Membership starts as the static config (Peers ∪ Seeds) and evolves
-	// from there via join handshakes, gossip digests, and suspicion expiry.
-	cs.members = cluster.NewMembership(opts.Self, append(append([]string{}, opts.Peers...), opts.Seeds...))
+	// Membership starts from Peers and evolves from there via gossip
+	// digests and suspicion expiry.
+	cs.members = cluster.NewMembership(opts.Self, opts.Peers)
 	cs.gossipEvery = opts.GossipInterval
 	if cs.gossipEvery <= 0 {
 		cs.gossipEvery = defaultGossipInterval
@@ -116,8 +108,8 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 		cs.suspectFor = defaultSuspicionTimeout
 	}
 	s.cluster = cs
-	// Align the ring with the initial membership view (Peers ∪ Seeds): a
-	// seed is a member we trust to exist before the first handshake.
+	// The membership table is the ring's one source of members: a peer is
+	// trusted to exist before the first gossip round reaches it.
 	router.SetMembers(cs.members.Alive())
 	go s.gossipLoop()
 	return nil

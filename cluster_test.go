@@ -615,9 +615,9 @@ func TestClusterTracePropagation(t *testing.T) {
 
 // --- internal endpoints ---
 
-// TestClusterInternalEndpoints404Solo: no node serves an incumbent or
-// subtree endpoint; both paths answer 404 on a solo server and on a
-// clustered node alike.
+// TestClusterInternalEndpoints404Solo: no node serves an incumbent,
+// subtree or join endpoint; each path answers 404 on a solo server and on
+// a clustered node alike.
 func TestClusterInternalEndpoints404Solo(t *testing.T) {
 	solo := NewServer(ServeOptions{})
 	ts := httptest.NewServer(solo.Handler())
@@ -625,7 +625,7 @@ func TestClusterInternalEndpoints404Solo(t *testing.T) {
 	defer solo.Abort()
 	tc := newTestCluster(t, 2, plainOpts, ClusterOptions{})
 	for _, url := range []string{ts.URL, tc.urls[0]} {
-		for _, path := range []string{"/v1/internal/incumbent", "/v1/internal/subtree"} {
+		for _, path := range []string{"/v1/internal/incumbent", "/v1/internal/subtree", "/v1/internal/join"} {
 			req, err := http.NewRequest(http.MethodPost, url+path, strings.NewReader("{}"))
 			if err != nil {
 				t.Fatal(err)
@@ -642,6 +642,51 @@ func TestClusterInternalEndpoints404Solo(t *testing.T) {
 				t.Fatalf("%s%s: status %d, want 404", url, path, resp.StatusCode)
 			}
 		}
+	}
+}
+
+// TestClusterGossipBodyValidation: the gossip endpoint takes exactly one
+// JSON object. Trailing data is a 400 and merges nothing, even when the
+// object before it is a well-formed digest naming a new member; the same
+// digest alone is a 200 and adds the member.
+func TestClusterGossipBodyValidation(t *testing.T) {
+	srv := NewServer(ServeOptions{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Abort()
+	if err := srv.JoinCluster(ClusterOptions{Self: ts.URL, GossipInterval: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	members := func() float64 {
+		t.Helper()
+		v, ok := parseProm(t, string(getBody(t, ts.URL+"/metrics"))).samples["dtse_cluster_members"]
+		if !ok {
+			t.Fatal("no dtse_cluster_members sample")
+		}
+		return v
+	}
+	gossip := func(body string, want int) {
+		t.Helper()
+		resp, got := postURL(t, ts.URL, "/v1/internal/gossip", body)
+		if resp.StatusCode != want {
+			t.Fatalf("gossip %q: status %d, want %d: %s", body, resp.StatusCode, want, got)
+		}
+		if want == http.StatusBadRequest && !bytes.Contains(got, []byte("invalid digest body: trailing data after the JSON object")) {
+			t.Fatalf("gossip %q: error body %s", body, got)
+		}
+	}
+
+	gossip(`{"from":"","digest":[]} trailing garbage`, http.StatusBadRequest)
+	gossip(`{"from":"","digest":[]}}`, http.StatusBadRequest)
+
+	digest := `{"from":"http://new.test","digest":[{"id":"http://new.test","inc":"1","state":0}]}`
+	gossip(digest+" trailing", http.StatusBadRequest)
+	if n := members(); n != 1 {
+		t.Fatalf("dtse_cluster_members = %v after a rejected digest, want 1", n)
+	}
+	gossip(digest, http.StatusOK)
+	if n := members(); n != 2 {
+		t.Fatalf("dtse_cluster_members = %v after the digest alone, want 2", n)
 	}
 }
 

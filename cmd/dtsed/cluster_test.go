@@ -52,7 +52,7 @@ func waitForMetric(t *testing.T, url, pattern string, timeout time.Duration) {
 }
 
 // TestDaemonDynamicJoinAndLeave boots a two-node cluster, joins a third
-// node mid-run via -join (seed handshake), checks the ring converges on
+// node mid-run that names only A in -peers, checks the ring converges on
 // every node and that the joiner answers byte-identically, then shuts the
 // joiner down gracefully and checks the survivors see the departure.
 func TestDaemonDynamicJoinAndLeave(t *testing.T) {
@@ -83,10 +83,10 @@ func TestDaemonDynamicJoinAndLeave(t *testing.T) {
 		t.Fatalf("baseline explore: status %d: %s", status, ref)
 	}
 
-	// Third node joins mid-run knowing only seed A.
+	// Third node joins mid-run knowing only member A.
 	_, stopC, exitC, _ := startDaemon(t, append([]string{
 		"-addr", fmt.Sprintf("127.0.0.1:%d", portC),
-		"-cluster", "on", "-self", urlC, "-join", urlA}, common...)...)
+		"-cluster", "on", "-self", urlC, "-peers", urlA}, common...)...)
 	for _, u := range []string{urlA, urlB, urlC} {
 		waitForMetric(t, u, `dtse_cluster_members 3`, 15*time.Second)
 	}

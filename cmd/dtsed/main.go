@@ -9,24 +9,24 @@
 //	      [-timeout 0] [-max-timeout 0] [-workers N] [-drain 5s]
 //	      [-trace out.jsonl] [-cache on|off] [-cache-dir DIR]
 //	      [-cache-bytes N] [-flight N] [-slow 0]
-//	      [-cluster on|off] [-self URL] [-peers URL,URL,...] [-join URL,...]
+//	      [-cluster on|off] [-self URL] [-peers URL,URL,...]
 //	      [-forward-timeout 2s] [-gossip 1s] [-suspicion 10s]
 //
 // With -cluster on (requires -self, this node's advertised base URL, plus
-// -peers and/or -join) the daemon joins a multi-node ring: any node
-// accepts any request, routes it to the consistent-hash owner of its
-// canonical fingerprint (so each node's caches stay hot for its shard),
+// -peers) the daemon joins a multi-node ring: any node accepts any
+// request, routes it to the consistent-hash owner of its canonical
+// fingerprint (so each node's caches stay hot for its shard),
 // fails over to the next ring node when the owner errors, computes the
 // request itself when no peer answers within -forward-timeout, and ejects
 // unhealthy peers. Every search runs whole on the node that serves it.
 // Responses are byte-identical at any node count.
 //
-// Membership is dynamic: -join URLs are seed nodes handshaked once the
-// listener is up — the seed's digest supplies the rest of the member set, so
-// a joining node needs one reachable seed, not the full -peers list. Every
-// -gossip interval the daemon exchanges membership digests with its peers;
-// an unreachable member is suspected and removed after -suspicion, while
-// incarnation numbers let a live member refute stale claims about itself. On
+// Membership is dynamic: -peers are the members the daemon starts from, and
+// any one reachable member is enough — the first gossip round returns its
+// digest, which supplies the rest of the member set. Every -gossip interval
+// the daemon exchanges membership digests with its peers; an unreachable
+// member is suspected and removed after -suspicion, while incarnation
+// numbers let a live member refute stale claims about itself. On
 // any ring change the node streams the cached records it no longer owns to
 // their new owner (/v1/internal/handoff), so rebalanced shards start hot. On
 // shutdown the daemon announces its departure and hands its shard over
@@ -115,8 +115,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	slow := fs.Duration("slow", 0, "flight-record healthy requests at least this slow (0 = off)")
 	clusterMode := fs.String("cluster", "off", "cluster mode: on or off (requires -self and -peers)")
 	self := fs.String("self", "", "this node's advertised base URL in cluster mode, e.g. http://10.0.0.1:8321")
-	peers := fs.String("peers", "", "comma-separated peer base URLs (static members known at startup)")
-	join := fs.String("join", "", "comma-separated seed URLs to handshake for dynamic membership (alternative or addition to -peers)")
+	peers := fs.String("peers", "", "comma-separated member base URLs to start from (any reachable one is enough; gossip supplies the rest)")
 	forwardTimeout := fs.Duration("forward-timeout", 0, "how long a forwarded request waits before it runs locally (0 = default 2s)")
 	gossip := fs.Duration("gossip", 0, "membership gossip/probe interval (0 = default 1s)")
 	suspicion := fs.Duration("suspicion", 0, "how long an unreachable member stays suspect before removal (0 = default 10s)")
@@ -167,7 +166,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return out
 	}
-	var peerList, seedList []string
+	var peerList []string
 	if *clusterMode == "on" {
 		if *self == "" {
 			fmt.Fprintln(stderr, "dtsed: -cluster on requires -self")
@@ -175,14 +174,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		peerList = splitURLs(*peers)
-		seedList = splitURLs(*join)
-		if len(peerList) == 0 && len(seedList) == 0 {
-			fmt.Fprintln(stderr, "dtsed: -cluster on requires at least one URL in -peers or -join")
+		if len(peerList) == 0 {
+			fmt.Fprintln(stderr, "dtsed: -cluster on requires at least one URL in -peers")
 			fs.Usage()
 			return 2
 		}
-	} else if *self != "" || *peers != "" || *join != "" {
-		fmt.Fprintln(stderr, "dtsed: -self, -peers, and -join require -cluster on")
+	} else if *self != "" || *peers != "" {
+		fmt.Fprintln(stderr, "dtsed: -self and -peers require -cluster on")
 		fs.Usage()
 		return 2
 	}
@@ -229,7 +227,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if err := srv.JoinCluster(dtse.ClusterOptions{
 			Self:             *self,
 			Peers:            peerList,
-			Seeds:            seedList,
 			HedgeDelay:       *forwardTimeout,
 			GossipInterval:   *gossip,
 			SuspicionTimeout: *suspicion,
@@ -237,7 +234,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "dtsed:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "dtsed: cluster mode, self %s, %d peer(s), %d seed(s)\n", *self, len(peerList), len(seedList))
+		fmt.Fprintf(stdout, "dtsed: cluster mode, self %s, %d peer(s)\n", *self, len(peerList))
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -250,19 +247,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	// Seed handshake only after the listener is up, so the seeds (and the
-	// gossip that follows) can reach us for digests and shard handoff.
-	if len(seedList) > 0 {
-		joinCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		err := srv.JoinSeeds(joinCtx, seedList)
-		cancel()
-		if err != nil {
-			fmt.Fprintln(stderr, "dtsed:", err)
-		} else {
-			fmt.Fprintf(stdout, "dtsed: joined via seed(s)\n")
-		}
-	}
 
 	select {
 	case err := <-serveErr:

@@ -100,8 +100,8 @@ func TestRunBadFlags(t *testing.T) {
 		{"-queue", "-1"},
 		{"-slow", "-1s"},
 		{"-cluster", "on"},                        // no -self
-		{"-cluster", "on", "-self", "http://x:1"}, // no -peers or -join
-		{"-join", "http://x:1"},                   // -join without -cluster on
+		{"-cluster", "on", "-self", "http://x:1"}, // no -peers
+		{"-join", "http://x:1"},                   // unknown flag: a joiner names a member in -peers
 		{"-cluster", "on", "-self", "http://x:1", "-gossip", "-1s"},
 		{"-cluster", "on", "-self", "http://x:1", "-peers", "http://y:1", "-forward-timeout", "-1s"},
 		{"-hedge-ms", "50"}, // replaced by -forward-timeout

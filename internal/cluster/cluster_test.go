@@ -88,11 +88,11 @@ func eject(p *Peer) {
 func newTestRouter(t *testing.T, peers []string, cfg Config) *Router {
 	t.Helper()
 	cfg.Self = "http://self.invalid"
-	cfg.Peers = peers
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.SetMembers(peers)
 	return r
 }
 

@@ -67,20 +67,20 @@ type Membership struct {
 }
 
 // NewMembership builds a table containing self (alive, incarnation 1) and
-// any seed members (alive, incarnation 0 — a real digest from them wins
-// immediately).
-func NewMembership(self string, seeds []string) *Membership {
+// the peers it starts from (alive, incarnation 0 — a real digest from them
+// wins immediately).
+func NewMembership(self string, peers []string) *Membership {
 	m := &Membership{
 		self: self,
 		rows: map[string]*memberRow{
 			self: {inc: 1, state: StateAlive, changed: time.Now()},
 		},
 	}
-	for _, s := range seeds {
-		if s == "" || s == self {
+	for _, p := range peers {
+		if p == "" || p == self {
 			continue
 		}
-		m.rows[s] = &memberRow{inc: 0, state: StateAlive, changed: time.Now()}
+		m.rows[p] = &memberRow{inc: 0, state: StateAlive, changed: time.Now()}
 	}
 	return m
 }

@@ -17,10 +17,11 @@ func buildViews(t *testing.T, members []string) map[string]*Router {
 				peers = append(peers, m)
 			}
 		}
-		r, err := New(Config{Self: self, Peers: peers})
+		r, err := New(Config{Self: self})
 		if err != nil {
 			t.Fatal(err)
 		}
+		r.SetMembers(peers)
 		views[self] = r
 	}
 	return views
@@ -71,10 +72,11 @@ func TestAtMostOneOwnerAcrossConsistentViews(t *testing.T) {
 		}
 		r.SetMembers(rest)
 	}
-	joined, err := New(Config{Self: "http://n6.test", Peers: next[:4]})
+	joined, err := New(Config{Self: "http://n6.test"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	joined.SetMembers(next[:4])
 	views["http://n6.test"] = joined
 	check("post-churn view (leave + join)")
 

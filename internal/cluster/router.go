@@ -29,9 +29,6 @@ const (
 type Config struct {
 	// Self is this node's advertised base URL (scheme://host:port).
 	Self string
-	// Peers is the full cluster membership, self included or not (it is
-	// added). Every node must be configured with the same set.
-	Peers []string
 	// ForwardTimeout bounds one Forward, failover included; 0 means
 	// defaultForwardTimeout. An attempt cut off by it counts as a failure
 	// of the peer it was waiting on.
@@ -97,8 +94,8 @@ type Router struct {
 	peers map[string]*Peer // remote members only
 }
 
-// New builds a Router. Self must be non-empty; the member set is
-// peers ∪ {self} and must contain at least self.
+// New builds a Router whose ring holds self alone. Self must be non-empty;
+// SetMembers supplies the other members.
 func New(cfg Config) (*Router, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: self URL must be set")
@@ -116,7 +113,7 @@ func New(cfg Config) (*Router, error) {
 			IdleConnTimeout:     90 * time.Second,
 		}},
 	}
-	r.SetMembers(append([]string{cfg.Self}, cfg.Peers...))
+	r.SetMembers(nil)
 	return r, nil
 }
 
@@ -370,5 +367,5 @@ func (r *Router) AlivePeers() []*Peer {
 }
 
 // Client exposes the pooled forwarding client for the membership traffic
-// (gossip, joins, goodbyes, shard handoff), which sets its own deadlines.
+// (gossip, goodbyes, shard handoff), which sets its own deadlines.
 func (r *Router) Client() *http.Client { return r.client }

@@ -1,6 +1,7 @@
 package reuse
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"math/rand"
@@ -79,6 +80,28 @@ func naiveProfile(addrs []int32, tracked int) *Profile {
 	return p
 }
 
+// lruMisses simulates a fully associative LRU buffer of capacity words
+// over addrs and counts its misses: a map from address to its element in a
+// recency list, most recent at the front, evicting from the back. It shares
+// no code or data structure with the stack-distance engines.
+func lruMisses(addrs []int32, capacity int) uint64 {
+	order := list.New()
+	where := make(map[int32]*list.Element, capacity)
+	var misses uint64
+	for _, a := range addrs {
+		if e, ok := where[a]; ok {
+			order.MoveToFront(e)
+			continue
+		}
+		misses++
+		if order.Len() == capacity {
+			delete(where, order.Remove(order.Back()).(int32))
+		}
+		where[a] = order.PushFront(a)
+	}
+	return misses
+}
+
 // TestWindowMatchesReference: the profile a Stream computes equals the
 // whole-trace reference on random traces, dense or spread over a large
 // extent, handed over in random chunk splits.
@@ -100,7 +123,11 @@ func TestWindowMatchesReference(t *testing.T) {
 
 // TestEncodeTraceMatchesReference: for the 16 image × quantizer traces the
 // methodology analyzes at 256², the profile streamed beside the encode
-// equals the reference.
+// equals the reference, and it predicts the misses of a simulated LRU
+// buffer exactly. By Mattson's inclusion property a buffer of C words
+// misses on the cold accesses and on every re-access at stack distance
+// above C; the sizes are the 12-word and 1 280-word hierarchy layers at
+// 256² and a 4 096-word buffer.
 func TestEncodeTraceMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		for _, quant := range []int{1, 4, 7, 10} {
@@ -109,6 +136,16 @@ func TestEncodeTraceMatchesReference(t *testing.T) {
 				if want := analyzeReference([][]int32{flat}); !reflect.DeepEqual(got, want) {
 					t.Fatalf("streamed profile (total %d, cold %d, far %d, %d distances) differs from the reference (total %d, cold %d, far %d, %d distances)",
 						got.total, got.cold, got.far, len(got.hist), want.total, want.cold, want.far, len(want.hist))
+				}
+				for _, words := range []int{12, 1280, 4096} {
+					want := lruMisses(flat, words)
+					predicted := got.cold + got.far
+					for d := words + 1; d < len(got.hist); d++ {
+						predicted += got.hist[d]
+					}
+					if predicted != want {
+						t.Fatalf("%d-word LRU: the profile predicts %d misses, the simulation counts %d", words, predicted, want)
+					}
 				}
 			})
 		}

@@ -218,8 +218,7 @@ func NewServer(opts ServeOptions) *Server {
 	s.mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) { writeJSON(w, s.metrics()) })
 	s.mux.HandleFunc("/debug/explorations", s.handleExplorations)
 	s.mux.HandleFunc("/debug/flightrecorder", s.handleFlightRecorder)
-	// Cluster-internal endpoints; 404 until JoinCluster.
-	s.mux.HandleFunc("/v1/internal/join", s.handleClusterJoin)
+	// Cluster-internal gossip and shard handoff; 404 until JoinCluster.
 	s.mux.HandleFunc("/v1/internal/gossip", s.handleClusterGossip)
 	s.mux.HandleFunc("/v1/internal/handoff", s.handleHandoff)
 	return s
