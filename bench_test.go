@@ -12,11 +12,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
 	"repro/internal/assign"
 	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/sbd"
@@ -528,8 +531,42 @@ func BenchmarkParseExplore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := parseExplore(bytes.NewReader(bodies[i%len(bodies)])); err != nil {
+		if _, _, err := parseExplore(bodies[i%len(bodies)]); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeHotHit measures a repeated spec request through the
+// handler, the hot path of the spec_hot workload without the loopback
+// HTTP: a server warmed with specHotBodies(16) answers every post from the
+// Aliases keyspace (no parse) and the Requests memory tier. It fails when
+// a post misses either, so losing the alias path shows even at
+// -benchtime=1x.
+func BenchmarkServeHotHit(b *testing.B) {
+	bodies := specHotBodies(16)
+	srv := NewServer(ServeOptions{})
+	b.Cleanup(srv.Abort)
+	h := srv.Handler()
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explore", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	for _, body := range bodies {
+		post(body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(bodies[i%len(bodies)])
+	}
+	b.StopTimer()
+	for _, sp := range []memo.Space{memo.Aliases, memo.Requests} {
+		if st := srv.memo.Stats(sp); st.Hits != int64(b.N) || st.Misses != int64(len(bodies)) {
+			b.Fatalf("%v: %d hits and %d misses, want %d and %d", sp, st.Hits, st.Misses, b.N, len(bodies))
 		}
 	}
 }

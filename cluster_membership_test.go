@@ -40,7 +40,7 @@ func movedSpecs(t *testing.T, cur, next *cluster.Ring, to string, want int) []st
 	var out []string
 	for seed := int64(0); seed < 200 && len(out) < want; seed++ {
 		body := randClusterSpec(t, seed)
-		p, err := parseExplore(strings.NewReader(body))
+		p, _, err := parseExplore([]byte(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func handoffKeys(tb testing.TB, s *Server) (owned, foreign memo.Key) {
 		if size > 4096 {
 			tb.Fatal("no demo key on one side of the ring; vnode layout changed?")
 		}
-		p, err := parseExplore(strings.NewReader(fmt.Sprintf(`{"demo":{"size":%d,"seed":1,"quant":1}}`, size)))
+		p, _, err := parseExplore([]byte(fmt.Sprintf(`{"demo":{"size":%d,"seed":1,"quant":1}}`, size)))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -263,19 +263,19 @@ func handoffKeys(tb testing.TB, s *Server) (owned, foreign memo.Key) {
 // distinct keys, and of the dedup string for demo requests.
 func TestCacheKeyCarriesRouteKey(t *testing.T) {
 	body := randClusterSpec(t, 7)
-	parse := func(body string) *parsedRequest {
+	parse := func(body string) (*parsedRequest, *spec.Spec) {
 		t.Helper()
-		p, err := parseExplore(strings.NewReader(body))
+		p, sp, err := parseExplore([]byte(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if routeKey(p) != p.key.Word() {
 			t.Fatalf("%.60s: routeKey %x, key word %x", body, routeKey(p), p.key.Word())
 		}
-		return p
+		return p, sp
 	}
-	base := parse(body)
-	canon, err := spec.AppendJSON(nil, base.spec)
+	base, baseSpec := parse(body)
+	canon, err := spec.AppendJSON(nil, baseSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestCacheKeyCarriesRouteKey(t *testing.T) {
 	if err := json.Indent(&indented, []byte(body), "", "\t"); err != nil {
 		t.Fatal(err)
 	}
-	if p := parse(indented.String()); p.key != base.key {
+	if p, _ := parse(indented.String()); p.key != base.key {
 		t.Fatal("reformatting the request body changed its key")
 	}
 	variants := []string{
@@ -295,7 +295,7 @@ func TestCacheKeyCarriesRouteKey(t *testing.T) {
 		strings.Replace(body, `"budget": `, `"params": {"threshold": 0, "frame": 0.5}, "budget": `, 1),
 	}
 	for _, v := range variants {
-		p := parse(v)
+		p, _ := parse(v)
 		if routeKey(p) != routeKey(base) {
 			t.Errorf("%.60s: variant routes to %x, want the spec's %x", v, routeKey(p), routeKey(base))
 		}
@@ -303,7 +303,7 @@ func TestCacheKeyCarriesRouteKey(t *testing.T) {
 			t.Errorf("%.60s: variant shares the base request's key", v)
 		}
 	}
-	demo := parse(`{"demo": {"size": 16, "seed": 1, "quant": 1}}`)
+	demo, _ := parse(`{"demo": {"size": 16, "seed": 1, "quant": 1}}`)
 	if want := memo.Fingerprint64("demo|16|1|1"); routeKey(demo) != want {
 		t.Fatalf("demo route %x, want FNV-1a of its dedup string %x", routeKey(demo), want)
 	}

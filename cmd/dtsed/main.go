@@ -36,7 +36,8 @@
 // completed response is appended (write-behind, checksummed) to
 // DIR/cache.log and survives restarts — a fresh process answers previously
 // seen requests byte-identically from disk. -cache-bytes caps each
-// in-memory keyspace, evicting cold entries CLOCK-wise; the disk tier
+// in-memory keyspace, evicting cold entries CLOCK-wise (the request
+// aliases are capped at 8 MiB even without it); the disk tier
 // still holds everything appended. The disk tier belongs to the session
 // cache, so -cache off with -cache-dir is a usage error.
 //
@@ -110,7 +111,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	traceOut := fs.String("trace", "", "write the exploration telemetry (JSONL spans + counters) to this file")
 	cache := fs.String("cache", "on", "session cache: on or off (responses are identical either way)")
 	cacheDir := fs.String("cache-dir", "", "persist completed responses to an append-only log in this directory (disk cache tier, survives restarts)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "byte cap per session-cache keyspace, evicting beyond it (0 = unbounded)")
+	cacheBytes := fs.Int64("cache-bytes", 0, "byte cap per session-cache keyspace, evicting beyond it (0 = unbounded, request aliases 8 MiB)")
 	flight := fs.Int("flight", 64, "flight-recorder capacity: last N slow/degraded/errored requests (-1 disables)")
 	slow := fs.Duration("slow", 0, "flight-record healthy requests at least this slow (0 = off)")
 	clusterMode := fs.String("cluster", "off", "cluster mode: on or off (requires -self and -peers)")

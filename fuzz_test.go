@@ -113,7 +113,7 @@ func checkEnvelope(t *testing.T, h http.Handler, body []byte) {
 	var env batchRequest
 	if json.Unmarshal(body, &env) == nil {
 		for _, raw := range env.Items {
-			if p, err := parseExplore(bytes.NewReader(raw)); err == nil && p.mode == "demo" && (p.req.Demo.Size == 0 || p.req.Demo.Size > 32) {
+			if p, _, err := parseExplore(raw); err == nil && longDemo(p) {
 				return
 			}
 		}
@@ -141,6 +141,12 @@ func checkEnvelope(t *testing.T, h http.Handler, body []byte) {
 	}
 }
 
+// longDemo reports whether a parsed request is a demo too large to post
+// under fuzzing.
+func longDemo(p *parsedRequest) bool {
+	return p.mode == "demo" && (p.demo.Size == 0 || p.demo.Size > 32)
+}
+
 // parseExploreReference is the request parser as it was before the spec
 // was decoded once and canonicalized by spec.AppendJSON: the spec bytes go
 // through a second Decoder, and the canonical form is the reflective
@@ -149,6 +155,15 @@ func checkEnvelope(t *testing.T, h http.Handler, body []byte) {
 // the null-spec line (TestExploreNullSpec) and the end-of-body check,
 // which also refuses a stray ']' or '}' after the object.
 func parseExploreReference(body io.Reader) (*parsedRequest, error) {
+	// The envelope as it was, with the spec kept as raw bytes. It shadows
+	// the serving type's name, which decode errors print.
+	type exploreRequest struct {
+		Spec      json.RawMessage `json:"spec,omitempty"`
+		Budget    uint64          `json:"budget,omitempty"`
+		Demo      *demoRequest    `json:"demo,omitempty"`
+		TimeoutMS int64           `json:"timeout_ms,omitempty"`
+		Params    *paramsRequest  `json:"params,omitempty"`
+	}
 	dec := json.NewDecoder(io.LimitReader(body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	req := &exploreRequest{}
@@ -167,7 +182,7 @@ func parseExploreReference(body io.Reader) (*parsedRequest, error) {
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("timeout_ms %d out of range (must be >= 0)", req.TimeoutMS)
 	}
-	p := &parsedRequest{req: req}
+	p := &parsedRequest{timeoutMS: req.TimeoutMS}
 	if req.Demo != nil {
 		d := req.Demo
 		if req.Budget != 0 || req.Params != nil {
@@ -183,6 +198,7 @@ func parseExploreReference(body io.Reader) (*parsedRequest, error) {
 		p.key = memo.NewKey([]byte(key), memo.Fingerprint64(key))
 		p.mode = "demo"
 		p.label = fmt.Sprintf("size=%d", d.Size)
+		p.demo.Size, p.demo.Seed, p.demo.Quant = d.Size, d.Seed, d.Quant
 		return p, nil
 	}
 	if req.Budget == 0 {
@@ -192,11 +208,11 @@ func parseExploreReference(body io.Reader) (*parsedRequest, error) {
 	if err := json.NewDecoder(bytes.NewReader(req.Spec)).Decode(&sp); err != nil {
 		return nil, fmt.Errorf("invalid spec: %v", err)
 	}
-	p.spec = &sp
 	k, err := specParams(req.Params)
 	if err != nil {
 		return nil, err
 	}
+	p.budget, p.knobs = req.Budget, k
 	canon, err := reflectCanonical(&sp)
 	if err != nil {
 		return nil, fmt.Errorf("invalid spec: %v", err)
@@ -268,12 +284,18 @@ func reflectCanonical(s *spec.Spec) (string, error) {
 
 // FuzzExploreRequest feeds arbitrary bodies to the request parser and the
 // explore handler. parseExplore must agree with the reference parser on
-// every body: the same dedup key, routing fingerprint, mode and label, or
-// the same client-facing error. Posting the body must never panic or answer
-// 5xx. A body that is one JSON value is also posted as a one-item batch to
-// a second server, and the item must carry the single POST's status and
-// body whenever neither request ran long enough for the deadline to cut
-// it. Each raw body is also posted as a batch envelope (checkEnvelope).
+// every body: the same parsed request (dedup key, routing fingerprint,
+// mode, label, deadline, budget, knobs and demo), or the same
+// client-facing error. Posting the body must never panic or answer 5xx.
+// Every body is posted twice: the second answer, which a parsed body gets
+// through the Aliases keyspace, must carry the first one's status, and its
+// bytes unless the first took as long as its deadline. A cut answer
+// depends on where the deadline fell, and its body need not say so: a cut
+// assignment reads "optimal":false with "degraded":false. A
+// body that is one JSON value is also posted as a one-item batch to a
+// second server, and the item must carry the single POST's status and body
+// whenever neither request ran long enough for the deadline to cut it.
+// Each raw body is also posted as a batch envelope (checkEnvelope).
 // Requests that would run a long demo are parsed but not posted.
 func FuzzExploreRequest(f *testing.F) {
 	const deadline = 50 * time.Millisecond
@@ -306,7 +328,7 @@ func FuzzExploreRequest(f *testing.F) {
 	f.Add([]byte(`{"items":[{"demo":{"size":8}}]}]`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, err := parseExplore(bytes.NewReader(body))
+		got, _, err := parseExplore(body)
 		want, wantErr := parseExploreReference(bytes.NewReader(body))
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("parse error %v, reference error %v", err, wantErr)
@@ -315,12 +337,11 @@ func FuzzExploreRequest(f *testing.F) {
 			if err.Error() != wantErr.Error() {
 				t.Fatalf("parse error %q, reference error %q", err, wantErr)
 			}
-		} else if got.key != want.key || got.mode != want.mode || got.label != want.label {
-			t.Fatalf("parse differs from the reference:\n got key %v label %q\nwant key %v label %q",
-				got.key, got.label, want.key, want.label)
+		} else if *got != *want {
+			t.Fatalf("parse differs from the reference:\n got %+v\nwant %+v", *got, *want)
 		}
 		checkEnvelope(t, bh, body)
-		if err == nil && got.mode == "demo" && (got.req.Demo.Size == 0 || got.req.Demo.Size > 32) {
+		if err == nil && longDemo(got) {
 			return // a valid demo this large is minutes of profiling
 		}
 		start := time.Now()
@@ -329,6 +350,15 @@ func FuzzExploreRequest(f *testing.F) {
 		single := time.Since(start)
 		if rec.Code >= 500 {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		again := httptest.NewRecorder()
+		h.ServeHTTP(again, httptest.NewRequest(http.MethodPost, "/v1/explore", bytes.NewReader(body)))
+		if again.Code != rec.Code {
+			t.Fatalf("posted again: status %d, first %d: %s", again.Code, rec.Code, again.Body.Bytes())
+		}
+		cut := err == nil && single >= srv.effectiveTimeout(got.timeoutMS)
+		if !cut && again.Body.String() != rec.Body.String() {
+			t.Fatalf("posted again: %q, first %q", again.Body.Bytes(), rec.Body.Bytes())
 		}
 		if !json.Valid(body) {
 			return // not one JSON value, so it cannot be a batch item

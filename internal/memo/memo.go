@@ -13,6 +13,11 @@
 // SHA-256 digest of the subproblem's canonical bytes (see key.go): the
 // cache holds 32 bytes per key, however long the fingerprint it came from.
 //
+// Three keyspaces exist: Schedule (per-loop schedules), Requests (whole
+// serving-path responses, keyed by the canonical request) and Aliases (the
+// raw bytes of a request mapped to its Requests key, so a repeated request
+// skips the parse that derives the canonical form).
+//
 // The cache is concurrency-safe and deduplicates in-flight computations
 // (singleflight): when the parallel sweep goroutines request the same key
 // simultaneously, one computes and the others wait for its result instead
@@ -50,11 +55,20 @@ const (
 	// requests are answered from the session. Only responses whose
 	// exploration ran to completion (context never canceled) may be stored.
 	Requests Space = 4
+	// Aliases maps the digest of one request's raw bytes to what a
+	// successful parse of those bytes produced — its Requests key, mode,
+	// label, deadline and knobs, never the decoded spec — so a repeated
+	// body reaches the Requests keyspace without being decoded again. The
+	// key is NewKey(raw, 0): SHA-256, because the bytes come from
+	// untrusted clients and a collision would answer one request with
+	// another's response. Bodies that fail to parse are never stored, and
+	// the space has no disk tier.
+	Aliases Space = 5
 )
 
 // Spaces lists the live keyspaces sorted by name, the order every stats
 // view renders them in.
-var Spaces = [...]Space{Requests, Schedule}
+var Spaces = [...]Space{Aliases, Requests, Schedule}
 
 // String names the keyspace (used for telemetry labels).
 func (s Space) String() string {
@@ -63,6 +77,8 @@ func (s Space) String() string {
 		return "schedule"
 	case Requests:
 		return "requests"
+	case Aliases:
+		return "aliases"
 	default:
 		return fmt.Sprintf("space%d", int(s))
 	}

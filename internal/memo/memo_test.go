@@ -272,7 +272,7 @@ func TestStatsString(t *testing.T) {
 }
 
 func TestSpaceString(t *testing.T) {
-	names := map[Space]string{Schedule: "schedule", Requests: "requests"}
+	names := map[Space]string{Schedule: "schedule", Requests: "requests", Aliases: "aliases"}
 	for sp, want := range names {
 		if got := sp.String(); got != want {
 			t.Fatalf("Space(%d).String() = %q, want %q", sp, got, want)

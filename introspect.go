@@ -144,7 +144,8 @@ func wantsSSE(r *http.Request) bool {
 // disconnect cancels the exploration through ctx — it degrades to its
 // anytime result (never cached), the stream just has no one left to read
 // it.
-func (s *Server) serveSSE(ctx context.Context, w http.ResponseWriter, p *parsedRequest, tid string, prog *obs.Progress) {
+func (s *Server) serveSSE(ctx context.Context, w http.ResponseWriter, it *exploreItem, prog *obs.Progress) {
+	tid := it.tid
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		s.writeError(w, http.StatusNotImplemented, "response writer does not support streaming")
@@ -157,7 +158,7 @@ func (s *Server) serveSSE(ctx context.Context, w http.ResponseWriter, p *parsedR
 	w.WriteHeader(http.StatusOK)
 
 	done := make(chan *servedResponse, 1)
-	go func() { done <- s.runExploration(ctx, p, tid, prog) }()
+	go func() { done <- s.runExploration(ctx, it, prog) }()
 
 	emit := func(event string, data []byte) {
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/memo"
@@ -54,11 +55,12 @@ import (
 //	                            their span trees and search positions
 //
 // Both explore endpoints take one serving path, serveItems: a single POST
-// is a request of one item, a batch a request of N. It parses each item,
-// holds one admission slot for an external request's whole life, forwards
-// the items peers own in cluster mode and runs the rest on the session
-// worker pool. An SSE stream is a thin local wrapper over the same
-// exploration.
+// is a request of one item, a batch a request of N. It resolves each
+// item's raw bytes through the Aliases keyspace (bytes seen before skip
+// the parse), holds one admission slot for an external request's whole
+// life, forwards the items peers own in cluster mode and runs the rest on
+// the session worker pool. An SSE stream is a thin local wrapper over the
+// same exploration.
 //
 // Every response carries an X-Trace-Id header naming the request's root
 // span in the telemetry stream. Response bodies are deterministic functions
@@ -93,9 +95,10 @@ type ServeOptions struct {
 	// NoCache disables the session cache: every request recomputes.
 	// Responses are byte-identical either way.
 	NoCache bool
-	// CacheBytes caps each session-cache keyspace at this many bytes;
-	// entries beyond it are evicted CLOCK-wise. <= 0 leaves the cache
-	// unbounded (the pre-bound behaviour).
+	// CacheBytes caps each session-cache keyspace (schedules, responses
+	// and request aliases) at this many bytes; entries beyond it are
+	// evicted CLOCK-wise. <= 0 leaves schedules and responses unbounded
+	// and caps the aliases at defaultAliasBytes (8 MiB).
 	CacheBytes int64
 	// Disk is an optional disk-backed second cache tier (memo.OpenDiskTier):
 	// completed request responses are persisted write-behind and survive
@@ -189,10 +192,11 @@ func NewServer(opts ServeOptions) *Server {
 	}
 	if !opts.NoCache {
 		s.memo = memo.New()
-		if opts.CacheBytes > 0 {
-			for _, sp := range memo.Spaces {
-				s.memo.Bound(sp, opts.CacheBytes)
-			}
+		for _, sp := range memo.Spaces {
+			s.memo.Bound(sp, opts.CacheBytes) // a no-op when <= 0
+		}
+		if opts.CacheBytes <= 0 {
+			s.memo.Bound(memo.Aliases, defaultAliasBytes)
 		}
 		if opts.Disk != nil {
 			s.memo.AttachDisk(memo.Requests, opts.Disk, encodeServed, decodeServed)
@@ -250,8 +254,8 @@ type exploreRequest struct {
 	// Spec is a pruned application specification in the internal/spec JSON
 	// format; Budget is its storage cycle budget per frame (required with
 	// Spec).
-	Spec   json.RawMessage `json:"spec,omitempty"`
-	Budget uint64          `json:"budget,omitempty"`
+	Spec   specField `json:"spec,omitempty"`
+	Budget uint64    `json:"budget,omitempty"`
 
 	// Demo selects the built-in BTPC methodology run instead; the response
 	// then carries the regenerated tables and figures.
@@ -265,6 +269,26 @@ type exploreRequest struct {
 	// Params are the spec-mode tool knobs (ignored in demo mode, which uses
 	// the calibrated defaults so its output matches cmd/dtse exactly).
 	Params *paramsRequest `json:"params,omitempty"`
+}
+
+// specField decodes the spec member of a request where the decoder meets
+// it, so its bytes are never copied out of the decoder's buffer. A spec
+// that fails to parse keeps its error for parseExplore, whose checks of
+// the request around it come first. A JSON null spec is an absent spec,
+// like a null demo.
+type specField struct {
+	set  bool
+	spec *spec.Spec
+	err  error
+}
+
+func (f *specField) UnmarshalJSON(b []byte) error {
+	*f = specField{}
+	if string(b) != "null" {
+		f.set = true
+		f.spec, f.err = spec.ParseJSON(b)
+	}
+	return nil
 }
 
 type demoRequest struct {
@@ -293,19 +317,57 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// parsedRequest is a validated explore request with its spec decoded and
-// its deduplication key derived.
+// parsedRequest is what a successful parse of one request body yields:
+// its deduplication key and everything serving needs besides the decoded
+// spec. It is the value of the Aliases keyspace, shared by every later
+// request with the same bytes, so nothing modifies it after parseExplore.
 type parsedRequest struct {
-	req   *exploreRequest
-	spec  *spec.Spec     // spec mode only
-	key   memo.Key       // dedup key (deadline excluded); its word is the ring fingerprint
-	mode  string         // "spec" or "demo", for introspection
-	label string         // spec name or demo size, for introspection
-	peer  string         // serving cluster node, when routed here by a peer
-	knobs core.SpecKnobs // spec mode: the resolved tool knobs
+	key       memo.Key        // dedup key (deadline excluded); its word is the ring fingerprint
+	mode      string          // "spec" or "demo", for introspection
+	label     string          // spec name or demo size, for introspection
+	timeoutMS int64           // the request's own deadline; 0 uses the server default
+	budget    uint64          // spec mode: the storage cycle budget per frame
+	knobs     core.SpecKnobs  // spec mode: the resolved tool knobs
+	demo      core.DemoConfig // demo mode: the methodology run
 }
 
+// CacheBytes implements memo.Sized: the struct plus its label.
+func (p *parsedRequest) CacheBytes() int { return int(unsafe.Sizeof(*p)) + len(p.label) }
+
 const maxRequestBody = 8 << 20
+
+// defaultAliasBytes caps the Aliases keyspace when ServeOptions.CacheBytes
+// leaves the cache unbounded: about 25 000 aliases of some 330 bytes each.
+// An alias is keyed by raw request bytes, which a client can vary without
+// end (whitespace, field order, timeout_ms), so that space is never left
+// unbounded.
+const defaultAliasBytes = 8 << 20
+
+// readBody reads a request body whole into a buffer sized from its
+// Content-Length, so a body of known length costs one allocation. At most
+// maxRequestBody bytes are read; a longer body is cut there, and the parse
+// of the cut bytes fails.
+func readBody(r *http.Request) ([]byte, error) {
+	size := int64(512) // unknown length: grown as it arrives
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, maxRequestBody)
+	}
+	body := io.LimitReader(r.Body, maxRequestBody)
+	buf := make([]byte, 0, size+1) // the spare byte reads EOF without growing
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
 
 // atEnd reports whether only whitespace follows the value dec decoded.
 // Decoder.More alone would miss a stray ']' or '}'.
@@ -314,59 +376,56 @@ func atEnd(dec *json.Decoder) bool {
 	return err == io.EOF
 }
 
-// parseExplore decodes and validates the request body. Error strings are
-// client-facing.
-func parseExplore(body io.Reader) (*parsedRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(body, maxRequestBody))
+// parseExplore decodes and validates one request body, returning with
+// the parsed request the spec it decoded (nil in demo mode). Error strings
+// are client-facing.
+func parseExplore(raw []byte) (*parsedRequest, *spec.Spec, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	req := &exploreRequest{}
 	if err := dec.Decode(req); err != nil {
-		return nil, fmt.Errorf("invalid request body: %v", err)
+		return nil, nil, fmt.Errorf("invalid request body: %v", err)
 	}
 	if !atEnd(dec) {
-		return nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
+		return nil, nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
 	}
-	// A JSON null spec is an absent spec, like a null demo.
-	if string(req.Spec) == "null" {
-		req.Spec = nil
-	}
-	if (req.Spec == nil) == (req.Demo == nil) {
-		return nil, fmt.Errorf("exactly one of spec or demo must be set")
+	if req.Spec.set == (req.Demo != nil) {
+		return nil, nil, fmt.Errorf("exactly one of spec or demo must be set")
 	}
 	if req.TimeoutMS < 0 {
-		return nil, fmt.Errorf("timeout_ms %d out of range (must be >= 0)", req.TimeoutMS)
+		return nil, nil, fmt.Errorf("timeout_ms %d out of range (must be >= 0)", req.TimeoutMS)
 	}
-	p := &parsedRequest{req: req}
+	p := &parsedRequest{timeoutMS: req.TimeoutMS}
 	if req.Demo != nil {
 		d := req.Demo
 		if req.Budget != 0 || req.Params != nil {
-			return nil, fmt.Errorf("budget and params apply to spec mode only")
+			return nil, nil, fmt.Errorf("budget and params apply to spec mode only")
 		}
 		if d.Size < 0 || d.Size > 4096 {
-			return nil, fmt.Errorf("demo.size %d out of range [0, 4096]", d.Size)
+			return nil, nil, fmt.Errorf("demo.size %d out of range [0, 4096]", d.Size)
 		}
 		if d.Quant < 0 {
-			return nil, fmt.Errorf("demo.quant %d out of range (must be >= 0)", d.Quant)
+			return nil, nil, fmt.Errorf("demo.quant %d out of range (must be >= 0)", d.Quant)
 		}
 		key := fmt.Appendf(nil, "demo|%d|%d|%d", d.Size, d.Seed, d.Quant)
 		p.key = memo.NewKey(key, memo.Fingerprint64(key))
 		p.mode = "demo"
 		p.label = fmt.Sprintf("size=%d", d.Size)
-		return p, nil
+		p.demo = core.DemoConfig{Size: d.Size, Seed: d.Seed, Quant: d.Quant}
+		return p, nil, nil
 	}
 	if req.Budget == 0 {
-		return nil, fmt.Errorf("budget is required with spec")
+		return nil, nil, fmt.Errorf("budget is required with spec")
 	}
-	sp, err := spec.ParseJSON(req.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("invalid spec: %v", err)
+	sp := req.Spec.spec
+	if err := req.Spec.err; err != nil {
+		return nil, nil, fmt.Errorf("invalid spec: %v", err)
 	}
-	p.spec = sp
 	k, err := specParams(req.Params)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p.knobs = k
+	p.budget, p.knobs = req.Budget, k
 	// The key is the digest of every input that shapes the response — the
 	// budget, the tool knobs, and the spec in its canonical serialization
 	// (request-side whitespace and field order must not defeat
@@ -380,16 +439,16 @@ func parseExplore(body io.Reader) (*parsedRequest, error) {
 	// cached, and a completed result is valid under any deadline.
 	ar := scratch.Get() // the canonical bytes are garbage once hashed
 	defer scratch.Put(ar)
-	key := fmt.Appendf(ar.Buf(128+5*len(req.Spec)/2), "spec|%d|%d|%d|%g|%t|%t|",
+	key := fmt.Appendf(ar.Buf(128+5*len(raw)/2), "spec|%d|%d|%d|%g|%t|%t|",
 		req.Budget, k.OnChip, k.Threshold, k.Frame, k.InPlace, k.Interconnect)
 	prefix := len(key)
 	if key, err = spec.AppendJSON(key, sp); err != nil {
-		return nil, fmt.Errorf("invalid spec: %v", err)
+		return nil, nil, fmt.Errorf("invalid spec: %v", err)
 	}
 	p.key = memo.NewKey(key, memo.Fingerprint64(key[prefix:]))
 	p.mode = "spec"
 	p.label = sp.Name
-	return p, nil
+	return p, sp, nil
 }
 
 // specParams resolves the spec-mode knobs to their cmd/specexplore
@@ -514,17 +573,11 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		s.exploreSSE(w, r, tid)
 		return
 	}
-	// In cluster mode the body is buffered so that the item can be
-	// forwarded to its ring owner; elsewhere it is parsed off the wire.
-	it := exploreItem{body: r.Body}
-	if s.cluster != nil && !internal {
-		raw, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
-		if err != nil {
-			it.err = fmt.Errorf("read error: %v", err)
-		}
-		it.body, it.raw = bytes.NewReader(raw), raw
+	raw, err := readBody(r)
+	if err != nil {
+		err = fmt.Errorf("read error: %v", err)
 	}
-	items := []exploreItem{it}
+	items := []exploreItem{{raw: raw, err: err}}
 	if s.serveItems(w, r, tid, internal, true, items) {
 		if items[0].tid != tid {
 			w.Header().Set("X-Trace-Id", items[0].tid)
@@ -538,7 +591,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 // as serveItems. Streams are never forwarded to a peer, since progress
 // events do not proxy usefully.
 func (s *Server) exploreSSE(w http.ResponseWriter, r *http.Request, tid string) {
-	body := io.Reader(r.Body)
+	var raw []byte
+	var err error
 	if r.Method == http.MethodGet {
 		// EventSource clients cannot POST; they pass the request JSON in the
 		// query string instead.
@@ -548,9 +602,16 @@ func (s *Server) exploreSSE(w http.ResponseWriter, r *http.Request, tid string) 
 			s.writeError(w, http.StatusBadRequest, "GET requires the request JSON in ?request=")
 			return
 		}
-		body = strings.NewReader(q)
+		raw = []byte(q)
+	} else if raw, err = readBody(r); err != nil {
+		err = fmt.Errorf("read error: %v", err)
 	}
-	p, err := parseExplore(body)
+	// Streams are never hot, so a stream parses its own bytes and leaves
+	// no alias.
+	it := &exploreItem{raw: raw, tid: tid}
+	if err == nil {
+		it.p, it.spec, err = parseExplore(raw)
+	}
 	if err != nil {
 		s.obs.Counter("server.bad_requests").Add(1)
 		s.writeError(w, http.StatusBadRequest, err.Error())
@@ -561,11 +622,11 @@ func (s *Server) exploreSSE(w http.ResponseWriter, r *http.Request, tid string) 
 		return
 	}
 	defer done()
-	ctx, cancel := s.itemContext(ctx, p)
+	ctx, cancel := s.itemContext(ctx, it.p)
 	defer cancel()
-	prog := s.registerLive(tid, p)
+	prog := s.registerLive(tid, it.p)
 	defer s.unregisterLive(tid)
-	s.serveSSE(ctx, w, p, tid, prog)
+	s.serveSSE(ctx, w, it, prog)
 }
 
 // --- the request core ---
@@ -573,19 +634,20 @@ func (s *Server) exploreSSE(w http.ResponseWriter, r *http.Request, tid string) 
 // exploreItem is one exploration of a request: a single POST carries one
 // item, a batch up to maxBatchItems.
 type exploreItem struct {
-	body   io.Reader // the item's request JSON
-	raw    []byte    // the same bytes, kept when the item may be forwarded
-	err    error     // the body could not be read or parsed: the item is a 400
-	p      *parsedRequest
-	remote bool   // forwarded to a peer by planBatch
-	tid    string // the item's trace id
+	raw    []byte         // the item's request JSON
+	err    error          // the body could not be read or parsed: the item is a 400
+	p      *parsedRequest // from the Aliases keyspace: shared, read only
+	spec   *spec.Spec     // spec mode: decoded when this item's own parse ran, else nil
+	peer   string         // serving cluster node, when routed here by a peer
+	remote bool           // forwarded to a peer by planBatch
+	tid    string         // the item's trace id
 	resp   *servedResponse
 }
 
-// serveItems answers every item of one request. It parses each item; in
-// cluster mode it groups the items owned by live peers by owner
-// (planBatch) and forwards each group, runs the rest on the session pool,
-// and recomputes locally any item a peer failed to answer.
+// serveItems answers every item of one request. It resolves each item's
+// parse (resolve); in cluster mode it groups the items owned by live peers
+// by owner (planBatch) and forwards each group, runs the rest on the
+// session pool, and recomputes locally any item a peer failed to answer.
 //
 // An external request with anything to explore holds one admission slot
 // for its whole life, the time its items spend on peers included. An
@@ -609,7 +671,7 @@ func (s *Server) serveItems(w http.ResponseWriter, r *http.Request, tid string, 
 			it.tid = fmt.Sprintf("%s.%d", tid, i)
 		}
 		if it.err == nil {
-			it.p, it.err = parseExplore(it.body)
+			it.err = s.resolve(it)
 		}
 		if it.err != nil {
 			s.obs.Counter("server.bad_requests").Add(1)
@@ -617,7 +679,7 @@ func (s *Server) serveItems(w http.ResponseWriter, r *http.Request, tid string, 
 			continue
 		}
 		if internal {
-			it.p.peer = s.cluster.router.Self()
+			it.peer = s.cluster.router.Self()
 		}
 		anyValid = true
 	}
@@ -657,6 +719,25 @@ func (s *Server) serveItems(w http.ResponseWriter, r *http.Request, tid string, 
 		}
 	}
 	return true
+}
+
+// resolve sets it.p through the Aliases keyspace, keyed by the digest of
+// the item's raw bytes: bytes seen before skip the parse, and new bytes are
+// parsed, with only a successful parse stored (a 400 is uncacheable, so it
+// never enters). The spec a parse decodes stays with this item (it.spec),
+// so an exploration it goes on to run need not decode it again.
+func (s *Server) resolve(it *exploreItem) error {
+	var err error
+	v := s.memo.Do(memo.Aliases, memo.NewKey(it.raw, 0), func() (any, bool) {
+		var p *parsedRequest
+		p, it.spec, err = parseExplore(it.raw)
+		return p, err == nil
+	})
+	if err != nil {
+		return err
+	}
+	it.p = v.(*parsedRequest)
+	return nil
 }
 
 // admitRequest derives a request's context, canceled by client disconnect
@@ -702,14 +783,14 @@ func (s *Server) runItems(ctx context.Context, items []exploreItem, idxs []int) 
 		defer cancel()
 		prog := s.registerLive(it.tid, it.p)
 		defer s.unregisterLive(it.tid)
-		it.resp = s.runExploration(ictx, it.p, it.tid, prog)
+		it.resp = s.runExploration(ictx, it, prog)
 	})
 }
 
 // itemContext applies the item's deadline, which starts when the item
 // starts exploring, not when its request joined the queue.
 func (s *Server) itemContext(ctx context.Context, p *parsedRequest) (context.Context, context.CancelFunc) {
-	if d := s.effectiveTimeout(p.req.TimeoutMS); d > 0 {
+	if d := s.effectiveTimeout(p.timeoutMS); d > 0 {
 		return context.WithTimeout(ctx, d)
 	}
 	return ctx, func() {}
@@ -788,7 +869,7 @@ func (s *Server) handleExploreBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	items := make([]exploreItem, n)
 	for i, raw := range breq.Items {
-		items[i] = exploreItem{body: bytes.NewReader(raw), raw: raw}
+		items[i] = exploreItem{raw: raw}
 	}
 	if !s.serveItems(w, r, tid, internal, internal && n == 1, items) {
 		return
@@ -815,23 +896,23 @@ func (s *Server) handleExploreBatch(w http.ResponseWriter, r *http.Request) {
 
 // runExploration runs one admitted exploration under its telemetry span,
 // capturing the span subtree when the flight recorder might want it.
-func (s *Server) runExploration(ctx context.Context, p *parsedRequest, tid string, prog *obs.Progress) *servedResponse {
+func (s *Server) runExploration(ctx context.Context, it *exploreItem, prog *obs.Progress) *servedResponse {
 	start := time.Now()
 	sp := s.obs.Start("serve.explore")
-	sp.SetStr("trace_id", tid)
-	if p.peer != "" {
-		sp.SetStr("peer", p.peer)
+	sp.SetStr("trace_id", it.tid)
+	if it.peer != "" {
+		sp.SetStr("peer", it.peer)
 	}
 	var capture *obs.Collector
 	if s.flight != nil {
 		capture = s.obs.CaptureSubtree(sp)
 	}
-	resp := s.dedup(ctx, p, sp, prog)
+	resp := s.dedup(ctx, it, sp, prog)
 	sp.SetInt("status", int64(resp.status))
 	sp.End()
 	if s.flight != nil {
 		s.obs.ReleaseSubtree(sp)
-		if e := s.flightEntry(tid, p, resp, start); e != nil {
+		if e := s.flightEntry(it.tid, it.p, resp, start); e != nil {
 			e.Search = prog.Snapshot()
 			if capture != nil { // nil without an observer
 				e.Spans = capture.Records()
@@ -879,12 +960,12 @@ func (s *Server) flightEntry(tid string, p *parsedRequest, resp *servedResponse,
 // Abort) publishes uncacheable, so it is returned only to the request that
 // ran it — concurrent duplicates with live deadlines take over and
 // recompute rather than inherit a degraded response.
-func (s *Server) dedup(ctx context.Context, p *parsedRequest, sp *obs.Span, prog *obs.Progress) *servedResponse {
+func (s *Server) dedup(ctx context.Context, it *exploreItem, sp *obs.Span, prog *obs.Progress) *servedResponse {
 	hit := true
 	prog.SetStage("dedup")
-	v := s.memo.Do(memo.Requests, p.key, func() (any, bool) {
+	v := s.memo.Do(memo.Requests, it.p.key, func() (any, bool) {
 		hit = false
-		resp := s.explore(ctx, p, sp, prog)
+		resp := s.explore(ctx, it, sp, prog)
 		cacheable := resp.status == http.StatusOK && ctx.Err() == nil
 		return resp, cacheable
 	})
@@ -898,7 +979,7 @@ func (s *Server) dedup(ctx context.Context, p *parsedRequest, sp *obs.Span, prog
 // explore runs the exploration and serializes the response. The body is a
 // deterministic function of the parsed request (trace IDs and timing live
 // in headers and telemetry only), which is what makes caching sound.
-func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, prog *obs.Progress) *servedResponse {
+func (s *Server) explore(ctx context.Context, it *exploreItem, sp *obs.Span, prog *obs.Progress) *servedResponse {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 	if s.holdExplore != nil {
@@ -912,10 +993,10 @@ func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, pr
 	ep.Workers = s.workers
 	ep.Progress = prog
 
+	p := it.p
 	env := &exploreResponse{}
-	if p.req.Demo != nil {
-		d := p.req.Demo
-		res, err := core.RunAllContext(ctx, core.DemoConfig{Size: d.Size, Seed: d.Seed, Quant: d.Quant}, ep)
+	if p.mode == "demo" {
+		res, err := core.RunAllContext(ctx, p.demo, ep)
 		if err != nil {
 			return errResponse(http.StatusUnprocessableEntity, err)
 		}
@@ -925,7 +1006,16 @@ func (s *Server) explore(ctx context.Context, p *parsedRequest, sp *obs.Span, pr
 		}
 		env.Results = wire
 	} else {
-		v, err := core.EvaluateContext(ctx, p.spec, p.req.Budget, p.spec.Name, ep.WithSpecKnobs(p.knobs))
+		spc := it.spec
+		if spc == nil {
+			// The item's parse came from the Aliases keyspace and its
+			// response from no tier: decode the spec again.
+			var err error
+			if _, spc, err = parseExplore(it.raw); err != nil {
+				return errResponse(http.StatusBadRequest, err)
+			}
+		}
+		v, err := core.EvaluateContext(ctx, spc, p.budget, spc.Name, ep.WithSpecKnobs(p.knobs))
 		if err != nil {
 			return errResponse(http.StatusUnprocessableEntity, err)
 		}

@@ -2,6 +2,7 @@ package dtse
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,7 +188,7 @@ func TestParseExploreAllocs(t *testing.T) {
 	bodies := specHotBodies(16)
 	perBody := testing.AllocsPerRun(20, func() {
 		for _, b := range bodies {
-			if _, err := parseExplore(bytes.NewReader(b)); err != nil {
+			if _, _, err := parseExplore(b); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -670,5 +672,231 @@ func TestServerNoCacheIgnoresDisk(t *testing.T) {
 	}
 	if _, ok := snap["disk"]; ok {
 		t.Fatalf("/metrics.json carries a disk block under NoCache: %s", snap["disk"])
+	}
+}
+
+// serveBody posts body to path through srv's handler.
+func serveBody(srv *Server, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	return rec
+}
+
+// checkStats fails unless keyspace sp of srv's cache counts the given
+// hits, misses and resident entries.
+func checkStats(t *testing.T, srv *Server, sp memo.Space, hits, misses int64, entries int) {
+	t.Helper()
+	if st := srv.memo.Stats(sp); st.Hits != hits || st.Misses != misses || st.Entries != entries {
+		t.Fatalf("%v: %d hits, %d misses, %d entries; want %d, %d, %d",
+			sp, st.Hits, st.Misses, st.Entries, hits, misses, entries)
+	}
+}
+
+// TestServerAliasRepeat: a repeated body is answered from the Aliases
+// keyspace (no parse) and the Requests keyspace, byte for byte.
+func TestServerAliasRepeat(t *testing.T) {
+	_, specJSON, budget := serviceSpec(t)
+	srv := NewServer(ServeOptions{})
+	body := []byte(specBody(specJSON, budget, ""))
+	first := serveBody(srv, "/v1/explore", body)
+	second := serveBody(srv, "/v1/explore", body)
+	if first.Code != http.StatusOK || second.Code != first.Code || second.Body.String() != first.Body.String() {
+		t.Fatalf("repeat answered %d %.200q, first %d %.200q", second.Code, second.Body, first.Code, first.Body)
+	}
+	checkStats(t, srv, memo.Aliases, 1, 1, 1)
+	checkStats(t, srv, memo.Requests, 1, 1, 1)
+}
+
+// TestServerAliasReformattedBody: reindenting the body or reordering its
+// fields makes new bytes, so a new alias, of the same Requests entry.
+func TestServerAliasReformattedBody(t *testing.T) {
+	_, specJSON, budget := serviceSpec(t)
+	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	body := []byte(specBody(specJSON, budget, ""))
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, body); err != nil {
+		t.Fatal(err)
+	}
+	bodies := [][]byte{body, compact.Bytes(), fmt.Appendf(nil, `{"budget": %d, "spec": %s}`, budget, specJSON)}
+	want := serveBody(srv, "/v1/explore", body).Body.String()
+	for i, b := range bodies {
+		if got := serveBody(srv, "/v1/explore", b); got.Code != http.StatusOK || got.Body.String() != want {
+			t.Fatalf("body %d answered %d %.200q, want %.200q", i, got.Code, got.Body, want)
+		}
+	}
+	checkStats(t, srv, memo.Aliases, 1, 3, 3)
+	checkStats(t, srv, memo.Requests, 3, 1, 1)
+	if n := srv.obs.Counter("server.dedup_hits").Value(); n != 3 {
+		t.Fatalf("dedup_hits = %d, want 3", n)
+	}
+}
+
+// TestServerAliasTimeoutVariants: timeout_ms is part of the raw bytes, so
+// deadline variants are separate aliases of one Requests entry: only
+// completed explorations are cached, and one is valid under any deadline.
+func TestServerAliasTimeoutVariants(t *testing.T) {
+	_, specJSON, budget := serviceSpec(t)
+	srv := NewServer(ServeOptions{})
+	want := serveBody(srv, "/v1/explore", []byte(specBody(specJSON, budget, ""))).Body.String()
+	for _, ms := range []int{60000, 120000} {
+		got := serveBody(srv, "/v1/explore", []byte(specBody(specJSON, budget, fmt.Sprintf(`"timeout_ms": %d`, ms))))
+		if got.Code != http.StatusOK || got.Body.String() != want {
+			t.Fatalf("timeout_ms %d answered %d %.200q, want %.200q", ms, got.Code, got.Body, want)
+		}
+	}
+	checkStats(t, srv, memo.Aliases, 0, 3, 3)
+	checkStats(t, srv, memo.Requests, 2, 1, 1)
+}
+
+// TestServerAliasBadBodiesNotStored: a body that fails to parse never
+// enters the Aliases keyspace, so every post of it parses and fails again.
+func TestServerAliasBadBodiesNotStored(t *testing.T) {
+	_, specJSON, budget := serviceSpec(t)
+	srv := NewServer(ServeOptions{})
+	bad := []string{
+		`{"demo": {"size": 16}`,
+		`{"demo": {"size": 16}} trailing`,
+		`{"spec": null, "budget": 5}`,
+		specBody(specJSON, budget, `"params": {"onchip": -1}`),
+	}
+	for _, b := range bad {
+		first := serveBody(srv, "/v1/explore", []byte(b))
+		again := serveBody(srv, "/v1/explore", []byte(b))
+		if first.Code != http.StatusBadRequest || again.Code != first.Code || again.Body.String() != first.Body.String() {
+			t.Fatalf("%.60s: answered %d %q then %d %q, want the same 400 twice", b, first.Code, first.Body, again.Code, again.Body)
+		}
+	}
+	checkStats(t, srv, memo.Aliases, 0, int64(2*len(bad)), 0)
+	checkStats(t, srv, memo.Requests, 0, 0, 0)
+}
+
+// TestServerAliasEvictedResponse: when a live alias points at a response
+// evicted from memory (there is no disk tier), the item is parsed again
+// from its raw bytes and explored, and it answers the bytes of a fresh
+// server.
+func TestServerAliasEvictedResponse(t *testing.T) {
+	_, specJSON, budget := serviceSpec(t)
+	a := []byte(specBody(specJSON, budget, ""))
+	b := []byte(specBody(specJSON, budget+1, ""))
+	want := serveBody(NewServer(ServeOptions{NoCache: true}), "/v1/explore", a).Body.String()
+
+	// Size the cap from one response: room for one, not two. The aliases,
+	// a few hundred bytes each, all stay.
+	probe := NewServer(ServeOptions{CacheBytes: 1 << 30})
+	serveBody(probe, "/v1/explore", a)
+	held := probe.memo.Stats(memo.Requests).BytesHeld
+	srv := NewServer(ServeOptions{CacheBytes: held + held/2})
+	serveBody(srv, "/v1/explore", a)
+	serveBody(srv, "/v1/explore", b)
+	if st := srv.memo.Stats(memo.Requests); st.Evictions != 1 || st.Entries != 1 {
+		t.Fatalf("requests after two responses: %+v, want one evicted and one held", st)
+	}
+	got := serveBody(srv, "/v1/explore", a)
+	if got.Code != http.StatusOK || got.Body.String() != want {
+		t.Fatalf("evicted response answered %d %.200q, want %.200q", got.Code, got.Body, want)
+	}
+	checkStats(t, srv, memo.Aliases, 1, 2, 2)
+	if st := srv.memo.Stats(memo.Requests); st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("requests: %d hits, %d misses; want 0 and 3", st.Hits, st.Misses)
+	}
+}
+
+// TestServerAliasBatchItems: a batch item aliases by its own raw bytes, so
+// an item repeating a single POST's bytes skips the parse, and a batch
+// answers each item as the single POST does.
+func TestServerAliasBatchItems(t *testing.T) {
+	_, specJSON, budget := serviceSpec(t)
+	srv := NewServer(ServeOptions{})
+	var a, b bytes.Buffer
+	json.Compact(&a, []byte(specBody(specJSON, budget, "")))
+	json.Compact(&b, []byte(specBody(specJSON, budget+1, "")))
+	single := serveBody(srv, "/v1/explore", a.Bytes()).Body.String()
+	rec := serveBody(srv, "/v1/explore/batch", []byte(batchBody(a.String(), b.String(), a.String())))
+	var env batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusOK || len(env.Items) != 3 {
+		t.Fatalf("batch answered %d (%v): %.200q", rec.Code, err, rec.Body)
+	}
+	if got := string(env.Items[0].Body) + "\n"; got != single || string(env.Items[2].Body) != string(env.Items[0].Body) {
+		t.Fatalf("batch item bodies %.100q and %.100q, single POST %.100q", env.Items[0].Body, env.Items[2].Body, single)
+	}
+	checkStats(t, srv, memo.Aliases, 2, 2, 2)
+	if want := serveBody(srv, "/v1/explore", b.Bytes()).Body.String(); string(env.Items[1].Body)+"\n" != want {
+		t.Fatalf("batch item %.100q, single POST %.100q", env.Items[1].Body, want)
+	}
+	checkStats(t, srv, memo.Aliases, 3, 2, 2)
+}
+
+// TestServerAliasDemo: a demo-mode body aliases like a spec-mode one.
+func TestServerAliasDemo(t *testing.T) {
+	srv := NewServer(ServeOptions{})
+	body := []byte(`{"demo": {"size": 16}}`)
+	first := serveBody(srv, "/v1/explore", body)
+	second := serveBody(srv, "/v1/explore", body)
+	if first.Code != http.StatusOK || second.Body.String() != first.Body.String() {
+		t.Fatalf("demo repeat answered %d %.200q, first %d %.200q", second.Code, second.Body, first.Code, first.Body)
+	}
+	checkStats(t, srv, memo.Aliases, 1, 1, 1)
+	checkStats(t, srv, memo.Requests, 1, 1, 1)
+}
+
+// TestServerAliasConcurrentColdBodies: N identical cold bodies posted at
+// once parse once through the Aliases keyspace and run one exploration;
+// the exploration is held until the other N-1 wait on it.
+func TestServerAliasConcurrentColdBodies(t *testing.T) {
+	const n = 8
+	_, specJSON, budget := serviceSpec(t)
+	srv := NewServer(ServeOptions{MaxConcurrent: n})
+	var explorations atomic.Int64
+	srv.holdExplore = func(context.Context) {
+		explorations.Add(1)
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.memo.Stats(memo.Requests).InflightWaits < n-1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	body := []byte(specBody(specJSON, budget, ""))
+	answers := make([]*httptest.ResponseRecorder, n)
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i] = serveBody(srv, "/v1/explore", body)
+		}()
+	}
+	wg.Wait()
+	for i, a := range answers {
+		if a.Code != http.StatusOK || a.Body.String() != answers[0].Body.String() {
+			t.Fatalf("post %d answered %d %.200q, post 0 %.200q", i, a.Code, a.Body, answers[0].Body)
+		}
+	}
+	if got := explorations.Load(); got != 1 {
+		t.Fatalf("%d explorations, want 1", got)
+	}
+	checkStats(t, srv, memo.Aliases, n-1, 1, 1)
+	if st := srv.memo.Stats(memo.Requests); st.Misses != 1 || st.InflightWaits != n-1 {
+		t.Fatalf("requests: %+v, want 1 miss and %d waits", st, n-1)
+	}
+}
+
+// TestServerAliasBounded: the Aliases keyspace is capped by CacheBytes, or
+// by defaultAliasBytes when CacheBytes leaves the cache unbounded, so a
+// client that varies only whitespace cannot grow it without limit.
+func TestServerAliasBounded(t *testing.T) {
+	if got := NewServer(ServeOptions{}).memo.Stats(memo.Aliases).CapBytes; got != defaultAliasBytes {
+		t.Fatalf("unbounded cache: aliases capped at %d, want %d", got, defaultAliasBytes)
+	}
+	const capBytes = 4096
+	_, specJSON, budget := serviceSpec(t)
+	srv := NewServer(ServeOptions{CacheBytes: capBytes})
+	for i := 0; i < 40; i++ {
+		body := specBody(specJSON, budget, "") + strings.Repeat(" ", i)
+		if rec := serveBody(srv, "/v1/explore", []byte(body)); rec.Code != http.StatusOK {
+			t.Fatalf("variant %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	st := srv.memo.Stats(memo.Aliases)
+	if st.CapBytes != capBytes || st.BytesHeld > capBytes || st.Evictions == 0 {
+		t.Fatalf("aliases after 40 whitespace variants: %+v, want evictions under a %d-byte cap", st, capBytes)
 	}
 }
