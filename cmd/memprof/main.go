@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/btpc"
@@ -52,8 +53,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// The reuse summary's rows, in words; the analysis tracks the largest.
+	rows := []int64{4, 12, 64, 256, 1024, 5 * int64(*size), 4 * int64(*size) * int64(*size) / 100}
 	rec := trace.NewRecorder()
-	an := reuse.NewStream(context.Background(), nil)
+	an := reuse.NewStream(context.Background(), nil, int(slices.Max(rows)))
 	rec.StreamAddressTrace("image", an)
 	src := img.Synthetic(*size, *size, *seed)
 	_, stats, err := btpc.Encode(src, btpc.Params{Quant: *quant}, rec)
@@ -69,12 +72,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprint(stdout, rec.Report())
 
 	fmt.Fprintf(stdout, "\nimage array reuse (LRU miss ratio by buffer size):\n")
-	for _, s := range []int64{4, 12, 64, 256, 1024, 5 * int64(*size), 4 * int64(*size) * int64(*size) / 100} {
-		if !prof.Exact(s) {
-			fmt.Fprintf(stdout, "  %8d words: n/a (beyond the %d-word tracked depth)\n", s, prof.Depth())
-			continue
+	for _, s := range rows {
+		m, err := prof.MissRatio(s)
+		if err != nil {
+			fmt.Fprintln(stderr, "memprof:", err)
+			return 1
 		}
-		fmt.Fprintf(stdout, "  %8d words: %5.1f%%\n", s, 100*prof.MissRatio(s))
+		fmt.Fprintf(stdout, "  %8d words: %5.1f%%\n", s, 100*m)
 	}
 
 	if *scopes {

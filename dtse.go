@@ -199,12 +199,16 @@ func Merge(s *Spec, a, b, merged string) (*Spec, error) {
 }
 
 // NewReuseStream starts the LRU reuse analysis of one traced array's read
-// addresses. When ctx expires mid-trace, the profile is that of the prefix
-// analyzed so far.
-func NewReuseStream(ctx context.Context) *ReuseStream { return reuse.NewStream(ctx, nil) }
+// addresses, exact up to depth words: the largest layer the caller will
+// plan, which must be positive. When ctx expires mid-trace, the profile is
+// that of the prefix analyzed so far.
+func NewReuseStream(ctx context.Context, depth int) *ReuseStream {
+	return reuse.NewStream(ctx, nil, depth)
+}
 
 // PlanHierarchy derives a memory hierarchy (with trace-driven miss ratios)
-// for the array from candidate copy layers, innermost first.
+// for the array from candidate copy layers, innermost first. A layer larger
+// than the profile's depth is an error.
 func PlanHierarchy(array string, layers []Layer, prof *ReuseProfile) (*Hierarchy, error) {
 	return reuse.Plan(array, layers, prof, nil)
 }

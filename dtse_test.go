@@ -97,7 +97,7 @@ func TestFacadeHierarchyFlow(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	an := NewReuseStream(context.Background())
+	an := NewReuseStream(context.Background(), 48)
 	an.Extent(32)
 	an.Chunk(addrs)
 	an.Close()
@@ -108,6 +108,11 @@ func TestFacadeHierarchyFlow(t *testing.T) {
 	}
 	if h.MissRatios[0] > 0.05 {
 		t.Fatalf("48-word buffer on a 32-cyclic trace should mostly hit: %v", h.MissRatios)
+	}
+	// A layer past the stream's 48-word depth is refused, not clamped.
+	_, err = PlanHierarchy("cur", []Layer{{Name: "win", Words: 12}, {Name: "lines", Words: 49}}, prof)
+	if err == nil || !strings.Contains(err.Error(), `"lines"`) || !strings.Contains(err.Error(), "48-word depth") {
+		t.Fatalf("layer past the depth: err %v, want one naming layer \"lines\" and the 48-word depth", err)
 	}
 	sp := buildVideoSpec(t)
 	applied, err := ApplyHierarchy(sp, h, 8)

@@ -23,10 +23,11 @@ const (
 
 // runConvolution executes an instrumented 5x5 convolution and returns the
 // recorder with counts and the reuse profile of the input-array read
-// trace, analyzed while the kernel runs.
+// trace, analyzed while the kernel runs up to the largest layer size main
+// prints, 8 rows.
 func runConvolution() (*trace.Recorder, *dtse.ReuseProfile) {
 	rec := trace.NewRecorder()
-	an := dtse.NewReuseStream(context.Background())
+	an := dtse.NewReuseStream(context.Background(), 8*w)
 	rec.StreamAddressTrace("in", an)
 	in := trace.NewArray2D(rec, "in", w, h)
 	out := trace.NewArray2D(rec, "out", w, h)
@@ -89,11 +90,11 @@ func main() {
 	fmt.Printf("5x5 convolution on %dx%d: %d accesses profiled\n", w, h, rec.TotalAccesses())
 	fmt.Println("input-array LRU miss ratio by candidate layer size:")
 	for _, size := range []int64{k, k * k, 2 * w, k * w, 8 * w} {
-		if !prof.Exact(size) {
-			fmt.Printf("  %6d words: n/a (beyond the %d-word tracked depth)\n", size, prof.Depth())
-			continue
+		m, err := prof.MissRatio(size)
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("  %6d words: %5.1f%%\n", size, 100*prof.MissRatio(size))
+		fmt.Printf("  %6d words: %5.1f%%\n", size, 100*m)
 	}
 
 	ep := dtse.DefaultParams()

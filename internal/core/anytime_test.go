@@ -176,7 +176,10 @@ func TestRunAllReuseStreamCanceled(t *testing.T) {
 			if n > len(flat) || (n%poll != 0 && n != len(flat)) || (timeout == 0 && n != poll) {
 				t.Fatalf("workers %d, timeout %v: profiled %d of %d addresses", workers, timeout, n, len(flat))
 			}
-			an := reuse.NewStream(context.Background(), nil)
+			// The run's stream is as deep as its yhier layer; DeepEqual
+			// compares the depth too.
+			_, yhier := HierarchyLayers(size)
+			an := reuse.NewStream(context.Background(), nil, int(yhier.Words))
 			an.Extent(size * size)
 			an.Chunk(flat[:n])
 			an.Close()

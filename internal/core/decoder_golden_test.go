@@ -50,7 +50,11 @@ func TestDecoderCountsGolden(t *testing.T) {
 		p := d.ImageProfile
 		fmt.Fprintf(&b, "out reuse: total %d cold %d", p.Total(), p.Cold())
 		for _, s := range []int64{1, 4, 12, 64, 256, 1024, int64(5 * size)} {
-			fmt.Fprintf(&b, " miss(%d)=%.12f", s, p.MissRatio(s))
+			m, err := p.MissRatio(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, " miss(%d)=%.12f", s, m)
 		}
 		b.WriteString("\n")
 	}

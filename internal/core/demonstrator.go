@@ -69,7 +69,9 @@ type Demonstrator struct {
 // exactly the paper's §4.1 flow (manual pruning skeleton + automatic
 // instrumentation counts).
 func BuildDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
-	an := reuse.NewStream(context.Background(), nil)
+	cfg.normalize()
+	_, yhier := HierarchyLayers(cfg.Size)
+	an := reuse.NewStream(context.Background(), nil, int(yhier.Words))
 	d, err := profileDemonstrator(cfg, nil, an)
 	prof := an.Profile()
 	if err != nil {
@@ -261,7 +263,9 @@ func BuildDecoderDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
 		return nil, fmt.Errorf("core: encode for decoder profiling failed: %w", err)
 	}
 	rec := trace.NewRecorder()
-	an := reuse.NewStream(context.Background(), nil)
+	// No exploration step reads this profile; it tracks every distance the
+	// reconstruction's size admits.
+	an := reuse.NewStream(context.Background(), nil, cfg.Size*cfg.Size)
 	rec.StreamAddressTrace("out", an)
 	_, err = btpc.Decode(data, rec)
 	rec.CloseAddressTrace("out")

@@ -53,8 +53,11 @@ func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results
 	// The image array's reuse analysis streams beside the profiling encode,
 	// on its own goroutine, and finishes the trace's tail beside step 1.
 	// Under a dead ctx it truncates; the encode and the structuring baseline
-	// always run.
-	an := reuse.NewStream(ctx, root)
+	// always run. It tracks the depth the hierarchy step reads: the yhier
+	// layer, the larger of the two.
+	cfg.normalize()
+	_, yhier := HierarchyLayers(cfg.Size)
+	an := reuse.NewStream(ctx, root, int(yhier.Words))
 	psp := root.Child("profile")
 	demo, err := profileDemonstrator(cfg, psp, an)
 	psp.End()

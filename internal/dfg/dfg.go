@@ -16,14 +16,27 @@ import (
 	"repro/internal/spec"
 )
 
+// Succs is the successor lists of a loop's dependence DAG in CSR form: one
+// flat edge array plus per-access offsets. Each access's successors appear
+// in the order of their accesses in the loop body.
+type Succs struct {
+	flat, off []int
+}
+
+// Of returns the successor IDs of access id. Its capacity ends at its
+// length, so an append cannot overwrite the next access's list.
+func (s Succs) Of(id int) []int {
+	return s.flat[s.off[id]:s.off[id+1]:s.off[id+1]]
+}
+
 // TopoOrderScratch returns the access IDs of l in a topological order of
-// the dependence DAG. The spec is assumed validated (acyclic). All working
-// state (and the returned order itself) is carved from the arena, so the
-// budget-distribution inner loop — which re-derives orders constantly —
-// allocates nothing. The returned slice is only valid until the arena is
-// reset; pass a nil arena for plain heap allocation. The successor lists are built in flat CSR form
-// (one edge array plus offsets) instead of per-node slices.
-func TopoOrderScratch(l *spec.Loop, a *scratch.Arena) []int {
+// the dependence DAG, and the successor lists it walked. The spec is
+// assumed validated (acyclic). All working state (and the returned order
+// and lists) is carved from the arena, so the budget-distribution inner
+// loop — which re-derives orders constantly — allocates nothing. The
+// results are only valid until the arena is reset; pass a nil arena for
+// plain heap allocation.
+func TopoOrderScratch(l *spec.Loop, a *scratch.Arena) ([]int, Succs) {
 	n := len(l.Accesses)
 	edges := 0
 	for i := range l.Accesses {
@@ -76,7 +89,7 @@ func TopoOrderScratch(l *spec.Loop, a *scratch.Arena) []int {
 	if len(order) != n {
 		panic(fmt.Sprintf("dfg: loop %q has a dependence cycle", l.Name))
 	}
-	return order
+	return order, Succs{flat, off}
 }
 
 // CriticalPath returns the length (in storage cycles) of the longest
@@ -90,7 +103,8 @@ func CriticalPath(l *spec.Loop) int {
 	defer scratch.Put(a)
 	depth := a.Ints(len(l.Accesses))
 	longest := 0
-	for _, id := range TopoOrderScratch(l, a) {
+	order, _ := TopoOrderScratch(l, a)
+	for _, id := range order {
 		d := 1
 		for _, dep := range l.Accesses[id].Deps {
 			if depth[dep]+1 > d {

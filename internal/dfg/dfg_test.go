@@ -86,7 +86,7 @@ func TestMACPSumsLoops(t *testing.T) {
 
 func TestTopoOrderRespectsDeps(t *testing.T) {
 	s := diamondLoop(t)
-	order := TopoOrderScratch(&s.Loops[0], nil)
+	order, _ := TopoOrderScratch(&s.Loops[0], nil)
 	pos := make(map[int]int)
 	for i, id := range order {
 		pos[id] = i

@@ -124,19 +124,14 @@ func (s Stats) HitRate() float64 {
 // finished, after val (and ok, the cacheable flag) were written — the
 // close/receive pair orders the reads.
 //
-// When a compute finishes uncacheable while callers are blocked on it, the
-// computer installs a successor entry (next) in the map before closing
-// done: exactly one waiter claims the successor (the claimed CAS) and
-// becomes its computer; the rest re-singleflight onto it. This replaces the
-// old behaviour where every waiter looped back through the map and raced to
-// become the next computer.
+// An uncacheable compute deletes its entry from the map before closing
+// done, so an entry found in the map is in flight or holds a cacheable
+// value. The callers blocked on it re-enter through the map, where the
+// first becomes the next computer and the rest singleflight onto it.
 type entry struct {
-	done    chan struct{}
-	val     any
-	ok      bool
-	next    *entry       // successor installed on uncacheable completion
-	waiters atomic.Int64 // callers blocked on done (registered under lock)
-	claimed atomic.Bool  // successor takeover: first CAS winner computes
+	done chan struct{}
+	val  any
+	ok   bool
 
 	// Bounded-tier state: bytes is the accounted size, written under the
 	// space mutex by retain before done is closed (0 marks the entry in
@@ -221,8 +216,8 @@ func (c *Cache) space(sp Space) *space {
 // degraded by a canceled context must report false, so that later callers
 // with a live context recompute it. Concurrent Do calls with the same key
 // share one compute (singleflight); when that compute turns out
-// uncacheable, exactly one waiter takes over as the next computer and the
-// remaining waiters singleflight onto it.
+// uncacheable, its waiters retry through the map, so exactly one of them
+// takes over as the next computer and the rest singleflight onto it.
 //
 // Safe on a nil Cache: compute runs unconditionally and nothing is
 // recorded.
@@ -237,75 +232,29 @@ func (c *Cache) Do(sp Space, key Key, compute func() (val any, cacheable bool)) 
 		defer func() { h.Observe(time.Since(start)) }()
 	}
 
-	s.mu.Lock()
-	e, found := s.m[key]
-	if !found {
-		e = &entry{done: make(chan struct{})}
-		s.m[key] = e
-		s.mu.Unlock()
-		s.misses.Add(1)
-		return s.runCompute(key, e, compute)
-	}
-	select {
-	case <-e.done: // finished: a plain hit, or an uncacheable chain to walk
-		s.mu.Unlock()
-		if e.ok {
-			s.hits.Add(1)
-			s.touch(e)
-			return e.val
-		}
-	default: // in flight: register as waiter before releasing the lock, so
-		// the computer's handoff decision cannot miss us
-		e.waiters.Add(1)
-		s.mu.Unlock()
-		s.waits.Add(1)
-	}
-	return s.doSlow(key, e, compute)
-}
-
-// doSlow resolves a Do call that could not be answered from the fast path:
-// e is either finished-but-uncacheable (walk its successor chain) or in
-// flight with this caller registered as a waiter.
-func (s *space) doSlow(key Key, e *entry, compute func() (val any, cacheable bool)) any {
 	for {
-		<-e.done
-		if e.ok {
-			s.hits.Add(1)
-			s.touch(e)
-			return e.val
-		}
-		if next := e.next; next != nil {
-			// Uncacheable result with a successor: exactly one waiter takes
-			// over the compute, the rest wait on the successor.
-			if next.claimed.CompareAndSwap(false, true) {
-				s.misses.Add(1)
-				return s.runCompute(key, next, compute)
-			}
-			next.waiters.Add(1)
-			s.waits.Add(1)
-			e = next
-			continue
-		}
-		// Uncacheable with no successor (no waiter was registered when the
-		// computer finished): re-enter through the map.
 		s.mu.Lock()
-		e2, found := s.m[key]
+		e, found := s.m[key]
 		if !found {
-			e2 = &entry{done: make(chan struct{})}
-			s.m[key] = e2
+			e = &entry{done: make(chan struct{})}
+			s.m[key] = e
 			s.mu.Unlock()
 			s.misses.Add(1)
-			return s.runCompute(key, e2, compute)
+			return s.runCompute(key, e, compute)
 		}
+		s.mu.Unlock()
 		select {
-		case <-e2.done:
-			s.mu.Unlock()
-		default:
-			e2.waiters.Add(1)
-			s.mu.Unlock()
+		case <-e.done:
+		default: // in flight
 			s.waits.Add(1)
+			<-e.done
 		}
-		e = e2
+		if e.ok {
+			s.hits.Add(1)
+			s.touch(e)
+			return e.val
+		}
+		// Uncacheable: its computer deleted it; retry through the map.
 	}
 }
 
@@ -313,8 +262,8 @@ func (s *space) doSlow(key Key, e *entry, compute func() (val any, cacheable boo
 // result. With a disk tier attached, the tier is consulted first: a decoded
 // record is promoted into the memory tier without running compute. A
 // cacheable result stays in the map (subject to the byte cap — see retain);
-// an uncacheable one is removed, handing the slot to exactly one blocked
-// waiter (via a successor entry) when any are registered.
+// an uncacheable one is removed before done closes, so its waiters find
+// the slot free.
 func (s *space) runCompute(key Key, e *entry, compute func() (any, bool)) any {
 	if dc := s.disk; dc != nil {
 		if b, ok := dc.tier.Get(s.id, key); ok {
@@ -338,11 +287,7 @@ func (s *space) runCompute(key Key, e *entry, compute func() (any, bool)) any {
 		}
 	} else {
 		s.mu.Lock()
-		if e.waiters.Load() > 0 {
-			next := &entry{done: make(chan struct{})}
-			e.next = next
-			s.m[key] = next
-		} else if s.m[key] == e {
+		if s.m[key] == e {
 			delete(s.m, key)
 		}
 		s.mu.Unlock()

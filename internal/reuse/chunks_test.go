@@ -87,12 +87,12 @@ func extentOf(chunks ...[]int32) int {
 	return words
 }
 
-// streamProfile hands chunks to a Stream under ctx, as the recorder hands
-// over the trace of an array of words words, and returns its profile. It
-// fails if a chunk the stream gives back to refill is not empty.
-func streamProfile(tb testing.TB, ctx context.Context, words int, chunks ...[]int32) *Profile {
+// streamProfile hands chunks to a Stream depth words deep under ctx, as the
+// recorder hands over the trace of an array of words words, and returns its
+// profile. It fails if a chunk the stream gives back to refill is not empty.
+func streamProfile(tb testing.TB, ctx context.Context, depth, words int, chunks ...[]int32) *Profile {
 	tb.Helper()
-	s := NewStream(ctx, nil)
+	s := NewStream(ctx, nil, depth)
 	s.Extent(words)
 	for _, c := range chunks {
 		if f := s.Chunk(c); len(f) != 0 {
@@ -103,11 +103,11 @@ func streamProfile(tb testing.TB, ctx context.Context, words int, chunks ...[]in
 	return s.Profile()
 }
 
-// batchProfile runs the trace formed by chunks through a window on the
-// calling goroutine, with no queue in between: the reference run the
-// stream's plumbing must not change.
-func batchProfile(ctx context.Context, chunks ...[]int32) *Profile {
-	w := newWindow(ctx, maxTracked, extentOf(chunks...))
+// batchProfile runs the trace formed by chunks through a window depth words
+// deep on the calling goroutine, with no queue in between: the reference
+// run the stream's plumbing must not change.
+func batchProfile(ctx context.Context, depth int, chunks ...[]int32) *Profile {
+	w := newWindow(ctx, depth, extentOf(chunks...))
 	for _, c := range chunks {
 		w.feed(c)
 	}
@@ -124,10 +124,11 @@ func TestChunkedMatchesFlat(t *testing.T) {
 		if i%10 == 0 {
 			n = analyzeCheckInterval*(1+i%3) + rng.Intn(2000) // long: crosses poll points
 		}
+		depth := 1 + rng.Intn(5000)
 		flat := randomTrace(rng, n, i%4 == 3)
 		chunks := splitAt(flat, randomCuts(rng, n, rng.Intn(12)))
-		got := batchProfile(context.Background(), chunks...)
-		if want := batchProfile(context.Background(), flat); !reflect.DeepEqual(got, want) {
+		got := batchProfile(context.Background(), depth, chunks...)
+		if want := batchProfile(context.Background(), depth, flat); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: %d addresses in %d chunks: chunked profile %+v, flat %+v",
 				i, n, len(chunks), got, want)
 		}
@@ -144,12 +145,12 @@ func TestChunkedDeadContextIsPrefix(t *testing.T) {
 	for i, n := range []int{0, 1, 500, analyzeCheckInterval, analyzeCheckInterval + 1, 2*analyzeCheckInterval + 77} {
 		flat := randomTrace(rng, n, false)
 		chunks := splitAt(flat, randomCuts(rng, n, 6))
-		got := streamProfile(t, ctx, extentOf(flat), chunks...)
+		got := streamProfile(t, ctx, depth256, extentOf(flat), chunks...)
 		done := min(n, analyzeCheckInterval)
 		if got.Total() != uint64(done) {
 			t.Fatalf("case %d: dead-context total %d, want %d", i, got.Total(), done)
 		}
-		if want := batchProfile(context.Background(), flat[:done]); !reflect.DeepEqual(got, want) {
+		if want := batchProfile(context.Background(), depth256, flat[:done]); !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d: dead-context profile %+v, want the %d-address prefix's %+v", i, got, done, want)
 		}
 	}
@@ -191,8 +192,8 @@ func TestEncodeTraceChunkedMatchesFlat(t *testing.T) {
 				if len(chunks) < 2 {
 					t.Fatalf("trace is %d chunk(s); want several", len(chunks))
 				}
-				got := batchProfile(context.Background(), chunks...)
-				if want := batchProfile(context.Background(), slices.Concat(chunks...)); !reflect.DeepEqual(got, want) {
+				got := batchProfile(context.Background(), depth256, chunks...)
+				if want := batchProfile(context.Background(), depth256, slices.Concat(chunks...)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("chunked profile (total %d, cold %d) differs from flat (total %d, cold %d)",
 						got.Total(), got.Cold(), want.Total(), want.Cold())
 				}
@@ -204,12 +205,13 @@ func TestEncodeTraceChunkedMatchesFlat(t *testing.T) {
 var benchProfile *Profile
 
 // BenchmarkAnalyzeEncode256 times the stack-distance analysis of the 256²
-// encode's image trace, handed to a Stream in the recorder's chunks.
+// encode's image trace at the methodology's depth, handed to a Stream in
+// the recorder's chunks.
 func BenchmarkAnalyzeEncode256(b *testing.B) {
 	col := encodeTrace(b, 1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchProfile = streamProfile(b, context.Background(), col.words, col.chunks...)
+		benchProfile = streamProfile(b, context.Background(), depth256, col.words, col.chunks...)
 	}
 }

@@ -2,13 +2,15 @@
 // hierarchy transformation of the paper's memory hierarchy decision step
 // (§4.4, Figure 3).
 //
-// The analysis computes exact LRU stack distances, up to a cap of 2^17
-// words, of a profiled read address trace. It keeps a bounded recency
-// window of the most recently used addresses, not the whole trace, and
-// runs chunk by chunk beside the instrumented application: a Stream is the
-// trace.AddressSink of the traced array. The miss ratio of any candidate
-// layer size then follows from the distance histogram, and by LRU's
-// inclusion property a stack of layers is analyzed with the same histogram.
+// The analysis computes exact LRU stack distances of a profiled read
+// address trace up to a depth its consumer chooses: the largest buffer
+// size it will query. It keeps a recency window of that many most recently
+// used addresses, not the whole trace, and runs chunk by chunk beside the
+// instrumented application: a Stream is the trace.AddressSink of the traced
+// array. The miss ratio of any candidate layer size up to the depth then
+// follows from the distance histogram, and by LRU's inclusion property a
+// stack of layers is analyzed with the same histogram. A query past the
+// depth is an error.
 //
 // The transformation rewrites a specification for a chosen hierarchy: read
 // sites of the target array are redirected to the innermost copy layer, and
@@ -32,14 +34,10 @@ type Profile struct {
 	// distinct intervening address). Index 0 is unused.
 	hist  []uint64
 	cold  uint64 // first-touch accesses (infinite distance)
-	far   uint64 // distances beyond the tracked cap
+	far   uint64 // distances beyond depth
 	total uint64
-	cap   int
+	depth int // the largest buffer size MissRatio answers
 }
-
-// maxTracked caps the histogram and the recency window; candidate layers
-// larger than this are not meaningful on-chip copy layers anyway.
-const maxTracked = 1 << 17
 
 // analyzeCheckInterval is the cancellation-poll stride of the stack-distance
 // loop: with about 30-60 ns per position, 64Ki positions keep the deadline
@@ -52,33 +50,24 @@ func (p *Profile) Total() uint64 { return p.total }
 // Cold returns the number of first-touch accesses.
 func (p *Profile) Cold() uint64 { return p.cold }
 
-// Depth returns the largest stack distance the profile tracks exactly.
-func (p *Profile) Depth() int { return p.cap }
-
-// Exact reports whether MissRatio(size) is the exact LRU miss ratio. Sizes
-// beyond Depth are clamped to it, which is exact only when no access
-// reused an address from beyond the tracked depth; otherwise the clamped
-// ratio is an upper bound.
-func (p *Profile) Exact(size int64) bool { return size <= int64(p.cap) || p.far == 0 }
-
 // MissRatio returns the fraction of accesses that miss an LRU buffer of the
-// given size (in words). Sizes beyond the tracked cap are clamped to it
-// (see Exact).
-func (p *Profile) MissRatio(size int64) float64 {
+// given size (in words). It is exact up to the depth the stream was
+// started with; a larger size is an error.
+func (p *Profile) MissRatio(size int64) (float64, error) {
+	if size > int64(p.depth) {
+		return 0, fmt.Errorf("reuse: %d words is past the %d-word depth the profile tracks", size, p.depth)
+	}
 	if p.total == 0 {
-		return 0
+		return 0, nil
 	}
 	if size <= 0 {
-		return 1
-	}
-	if size > int64(p.cap) {
-		size = int64(p.cap)
+		return 1, nil
 	}
 	misses := p.cold + p.far
 	for d := int(size) + 1; d < len(p.hist); d++ {
 		misses += p.hist[d]
 	}
-	return float64(misses) / float64(p.total)
+	return float64(misses) / float64(p.total), nil
 }
 
 // Layer is one candidate copy layer, innermost (closest to the datapath)
@@ -125,7 +114,12 @@ func plan(array string, layers []Layer, prof *Profile) (*Hierarchy, error) {
 				l.Name, l.Words, prev)
 		}
 		prev = l.Words
-		h.MissRatios = append(h.MissRatios, prof.MissRatio(l.Words))
+		m, err := prof.MissRatio(l.Words)
+		if err != nil {
+			return nil, fmt.Errorf("reuse: layer %q (%d words) is past the %d-word depth the profile tracks",
+				l.Name, l.Words, prof.depth)
+		}
+		h.MissRatios = append(h.MissRatios, m)
 	}
 	return h, nil
 }

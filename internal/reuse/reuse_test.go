@@ -3,6 +3,7 @@ package reuse
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -10,16 +11,27 @@ import (
 )
 
 // profileOf streams addrs, as one chunk of the trace of the smallest array
-// that holds them, through a Stream and returns its profile.
-func profileOf(t *testing.T, addrs []int32) *Profile {
+// that holds them, through a Stream depth words deep and returns its
+// profile.
+func profileOf(t *testing.T, depth int, addrs []int32) *Profile {
 	t.Helper()
-	return streamProfile(t, context.Background(), extentOf(addrs), addrs)
+	return streamProfile(t, context.Background(), depth, extentOf(addrs), addrs)
+}
+
+// missRatio is p.MissRatio(size), failing the test on an error.
+func missRatio(t *testing.T, p *Profile, size int64) float64 {
+	t.Helper()
+	m, err := p.MissRatio(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
-	p := profileOf(t, nil)
-	if p.Total() != 0 || p.MissRatio(16) != 0 {
-		t.Fatalf("empty trace profile: total %d miss %.2f", p.Total(), p.MissRatio(16))
+	p := profileOf(t, 16, nil)
+	if m := missRatio(t, p, 16); p.Total() != 0 || m != 0 {
+		t.Fatalf("empty trace profile: total %d miss %.2f", p.Total(), m)
 	}
 }
 
@@ -34,23 +46,23 @@ func TestCyclicTraceMissBoundary(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	p := profileOf(t, addrs)
+	p := profileOf(t, k, addrs)
 	if p.Cold() != k {
 		t.Fatalf("cold = %d, want %d", p.Cold(), k)
 	}
 	coldFrac := float64(k) / float64(len(addrs))
-	if got := p.MissRatio(k); math.Abs(got-coldFrac) > 1e-9 {
+	if got := missRatio(t, p, k); math.Abs(got-coldFrac) > 1e-9 {
 		t.Fatalf("MissRatio(%d) = %v, want only cold misses %v", k, got, coldFrac)
 	}
-	if got := p.MissRatio(k - 1); math.Abs(got-1.0) > 1e-9 {
+	if got := missRatio(t, p, k-1); math.Abs(got-1.0) > 1e-9 {
 		t.Fatalf("MissRatio(%d) = %v, want 1.0", k-1, got)
 	}
 }
 
 func TestImmediateReuse(t *testing.T) {
 	addrs := []int32{5, 5, 5, 5}
-	p := profileOf(t, addrs)
-	if got := p.MissRatio(1); math.Abs(got-0.25) > 1e-9 {
+	p := profileOf(t, 1, addrs)
+	if got := missRatio(t, p, 1); math.Abs(got-0.25) > 1e-9 {
 		t.Fatalf("MissRatio(1) = %v, want 0.25 (one cold access)", got)
 	}
 }
@@ -60,8 +72,8 @@ func TestSequentialStreamAlwaysMisses(t *testing.T) {
 	for i := range addrs {
 		addrs[i] = int32(i)
 	}
-	p := profileOf(t, addrs)
-	if got := p.MissRatio(64); got != 1.0 {
+	p := profileOf(t, 64, addrs)
+	if got := missRatio(t, p, 64); got != 1.0 {
 		t.Fatalf("streaming MissRatio = %v, want 1.0", got)
 	}
 }
@@ -73,10 +85,10 @@ func TestMissRatioMonotone(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		addrs = append(addrs, int32(i), int32(i/2), int32(i%37))
 	}
-	p := profileOf(t, addrs)
+	p := profileOf(t, 4096, addrs)
 	prev := 2.0
 	for _, s := range []int64{1, 2, 4, 8, 16, 64, 256, 1024, 4096} {
-		m := p.MissRatio(s)
+		m := missRatio(t, p, s)
 		if m > prev+1e-12 {
 			t.Fatalf("miss ratio increased at size %d: %v -> %v", s, prev, m)
 		}
@@ -88,39 +100,28 @@ func TestMissRatioMonotone(t *testing.T) {
 }
 
 func TestMissRatioEdgeSizes(t *testing.T) {
-	p := profileOf(t, []int32{1, 2, 1, 2})
-	if p.MissRatio(0) != 1.0 {
+	p := profileOf(t, 2, []int32{1, 2, 1, 2})
+	if missRatio(t, p, 0) != 1.0 {
 		t.Fatal("size 0 should always miss")
-	}
-	if p.MissRatio(1<<30) > p.MissRatio(2) {
-		t.Fatal("clamped huge size worse than small size")
 	}
 }
 
-// TestExactBeyondTrackedDepth: past the tracked depth MissRatio clamps,
-// which is exact only while no access came from beyond that depth.
-func TestExactBeyondTrackedDepth(t *testing.T) {
-	profile := func(tracked int, addrs []int32) *Profile {
-		w := newWindow(context.Background(), tracked, extentOf(addrs))
-		w.feed(addrs)
-		return w.finish(nil)
-	}
+// TestMissRatioPastDepth: a profile answers up to the depth its stream was
+// started with, where a reuse from beyond the depth is a miss, and refuses
+// any larger size, even on an empty trace.
+func TestMissRatioPastDepth(t *testing.T) {
 	// The second access to 0 has stack distance 3, beyond a depth of 2.
-	p := profile(2, []int32{0, 1, 2, 0})
-	if p.far != 1 || p.Depth() != 2 {
-		t.Fatalf("far %d depth %d, want 1 and 2", p.far, p.Depth())
+	p := profileOf(t, 2, []int32{0, 1, 2, 0})
+	if p.far != 1 {
+		t.Fatalf("far %d, want 1", p.far)
 	}
-	if !p.Exact(2) || p.Exact(3) {
-		t.Fatalf("Exact(2) %v Exact(3) %v; want true, false", p.Exact(2), p.Exact(3))
+	if got := missRatio(t, p, 2); got != 1.0 {
+		t.Fatalf("MissRatio(2) = %v, want 1.0", got)
 	}
-	// Clamped to 2 words, the ratio at 3 is 1.0: an upper bound on the
-	// true 0.75 (three cold misses in four accesses).
-	if got := p.MissRatio(3); got != 1.0 {
-		t.Fatalf("clamped MissRatio(3) = %v, want 1.0", got)
-	}
-	// With every reuse inside the depth, the clamp is exact at any size.
-	if p := profile(2, []int32{0, 1, 0, 1}); p.far != 0 || !p.Exact(1<<30) {
-		t.Fatalf("far %d, Exact(1<<30) %v; want 0, true", p.far, p.Exact(1<<30))
+	for _, p := range []*Profile{p, profileOf(t, 2, nil)} {
+		if m, err := p.MissRatio(3); err == nil || !strings.Contains(err.Error(), "2-word depth") {
+			t.Fatalf("MissRatio(3) at depth 2 = %v, %v; want an error naming the depth", m, err)
+		}
 	}
 }
 
@@ -167,10 +168,10 @@ func TestQuickMatchesNaiveLRU(t *testing.T) {
 				addrs[i] = v * 1_009
 			}
 		}
-		p := profileOf(t, addrs)
+		p := profileOf(t, 12, addrs)
 		size := int(sizeSeed)%12 + 1
 		for s := 1; s <= size; s++ {
-			if got, want := p.MissRatio(int64(s)), naiveMissRatio(addrs, s); math.Abs(got-want) >= 1e-9 {
+			if got, want := missRatio(t, p, int64(s)), naiveMissRatio(addrs, s); math.Abs(got-want) >= 1e-9 {
 				t.Logf("trace %v size %d: MissRatio %v, naive LRU %v", addrs, s, got, want)
 				return false
 			}
@@ -206,7 +207,7 @@ func TestPlanAndApplyTwoLayers(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	prof := profileOf(t, addrs)
+	prof := profileOf(t, 128, addrs)
 	h, err := Plan("image", []Layer{{"ylocal", 12}, {"yhier", 128}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +232,8 @@ func TestPlanAndApplyTwoLayers(t *testing.T) {
 	if math.Abs(ylocalReads-5000) > 1 {
 		t.Fatalf("ylocal accesses = %v, want ~5000", ylocalReads)
 	}
-	// Backing image: input writes + copy reads at miss(128 -> clamp 64
-	// boundary): miss(128) counts only cold ≈ 64/6400 = 1%.
+	// Backing image: input writes + copy reads at miss(128), which is past
+	// the 64-address cycle and counts only cold ≈ 64/6400 = 1%.
 	imgAcc := float64(out.AccessesPerFrame("image"))
 	want := 1024*1024 + 2.5*0.01*1000
 	if math.Abs(imgAcc-want)/want > 0.05 {
@@ -252,7 +253,7 @@ func TestApplySingleLayer(t *testing.T) {
 			addrs = append(addrs, a)
 		}
 	}
-	prof := profileOf(t, addrs)
+	prof := profileOf(t, 32, addrs)
 	h, err := Plan("image", []Layer{{"buf", 32}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -286,15 +287,19 @@ func TestApplyNoHierarchyIsClone(t *testing.T) {
 }
 
 func TestPlanErrors(t *testing.T) {
-	prof := profileOf(t, []int32{1, 2, 3})
+	prof := profileOf(t, 64, []int32{1, 2, 3})
 	if _, err := Plan("x", []Layer{{"a", 64}, {"b", 32}}, prof, nil); err == nil {
 		t.Fatal("non-increasing layer sizes accepted")
+	}
+	_, err := Plan("x", []Layer{{"a", 16}, {"b", 65}}, prof, nil)
+	if err == nil || !strings.Contains(err.Error(), `"b"`) || !strings.Contains(err.Error(), "64-word depth") {
+		t.Fatalf("layer past the depth: err %v, want one naming layer \"b\" and the 64-word depth", err)
 	}
 }
 
 func TestApplyErrors(t *testing.T) {
 	s := imageSpec(t)
-	prof := profileOf(t, []int32{1, 2, 3})
+	prof := profileOf(t, 64, []int32{1, 2, 3})
 	h, err := Plan("ghost", []Layer{{"a", 64}}, prof, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package reuse
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/obs"
 )
@@ -28,6 +29,7 @@ const streamDepth = 4
 // recording the trace length and the cold and far counts; a nil parent
 // records nothing.
 type Stream struct {
+	depth int           // the largest distance tracked exactly
 	words int           // extent of the traced array; set before the first chunk
 	queue chan []int32  // full chunks, in trace order
 	free  chan []int32  // consumed chunks for the recorder to refill
@@ -37,8 +39,14 @@ type Stream struct {
 
 // NewStream starts the analysis goroutine, which exits once the stream is
 // closed (trace.Recorder.CloseAddressTrace closes it) and its queue drained.
-func NewStream(ctx context.Context, parent *obs.Span) *Stream {
+// depth is the largest buffer size, in words, the consumer will pass to the
+// profile's MissRatio; it must be positive.
+func NewStream(ctx context.Context, parent *obs.Span, depth int) *Stream {
+	if depth < 1 {
+		panic(fmt.Sprintf("reuse: stream depth %d is not positive", depth))
+	}
 	s := &Stream{
+		depth: depth,
 		queue: make(chan []int32, streamDepth),
 		// Room for every chunk the queue and the analysis can hold, so no
 		// consumed chunk is dropped.
@@ -82,7 +90,7 @@ func (s *Stream) run(ctx context.Context, parent *obs.Span) {
 	defer sp.End()
 	// Extent precedes the first chunk, and the close of an unread trace.
 	c, ok := <-s.queue
-	w := newWindow(ctx, maxTracked, s.words)
+	w := newWindow(ctx, s.depth, s.words)
 	for ; ok; c, ok = <-s.queue {
 		w.feed(c)
 		select {

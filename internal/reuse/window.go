@@ -9,7 +9,7 @@ import (
 )
 
 // window is the stack-distance engine a Stream feeds. It keeps the top of
-// the LRU stack — the at most p.cap most recently used distinct addresses —
+// the LRU stack — the at most p.depth most recently used distinct addresses —
 // as marks in a recency-ordered slot array: every access takes the next
 // free slot, and each live address's latest slot is marked in a bitset.
 // The stack distance of a re-access is the number of marks after its
@@ -18,14 +18,14 @@ import (
 // words plus a popcount. The word that next falls in enters the tree only
 // once it is full, so marking a new slot costs no tree walk.
 //
-// With 2 × min(p.cap, array words) slots, the slots run out only
+// With 2 × min(p.depth, array words) slots, the slots run out only
 // when at least half of them are dead; compact then moves the live marks to
 // the front and rebuilds the tree in linear time. When a new address would
-// make p.cap+1 live ones, the oldest is evicted: p.cap distinct addresses
-// follow it, so its next access has a distance beyond p.cap and counts as
-// far. Every distance up to p.cap is therefore exact.
+// make p.depth+1 live ones, the oldest is evicted: p.depth distinct addresses
+// follow it, so its next access has a distance beyond p.depth and counts as
+// far. Every distance up to p.depth is therefore exact.
 type window struct {
-	p *Profile // p.cap is the largest distance tracked
+	p *Profile // p.depth is the largest distance tracked
 	// last maps each address to 0 before its first access, its latest
 	// slot + 1 while it is live, and evicted after it left the window.
 	last []int32
@@ -40,14 +40,14 @@ type window struct {
 	stop bool // ctx expired: feed ignores the rest of the trace
 }
 
-// newWindow sizes a window that tracks distances up to tracked for the
+// newWindow sizes a window that tracks distances up to depth for the
 // trace of an array of words words, whose addresses lie in [0, words). It
 // polls ctx's expiry every analyzeCheckInterval addresses.
-func newWindow(ctx context.Context, tracked, words int) *window {
-	w := min(tracked, words) // the window holds at most the array's words
+func newWindow(ctx context.Context, depth, words int) *window {
+	w := min(depth, words) // the window holds at most the array's words
 	nw := (2*w + 63) / 64
 	return &window{
-		p:    &Profile{hist: make([]uint64, w+1), cap: tracked},
+		p:    &Profile{hist: make([]uint64, w+1), depth: depth},
 		last: make([]int32, words),
 		addr: make([]int32, 2*w),
 		bits: make([]uint64, nw),
@@ -118,9 +118,9 @@ func (w *window) rank(s int) int {
 }
 
 // admit makes room for one more live address, evicting the oldest when
-// p.cap are live.
+// p.depth are live.
 func (w *window) admit() {
-	if w.live < w.p.cap {
+	if w.live < w.p.depth {
 		w.live++
 		return
 	}

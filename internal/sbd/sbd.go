@@ -256,13 +256,12 @@ func groupsOf(s *spec.Spec) map[string]spec.BasicGroup {
 // it at successive budgets from its critical path up, so the distributor
 // builds the body once per curve and only the occupancy state once per point.
 type loopBody struct {
-	l       *spec.Loop
-	p       Params
-	dur     []int // per access
-	maxDur  int
-	order   []int // one topological order, shared by windows and placement
-	succ    []int // successor lists in CSR form: succ[succOff[i]:succOff[i+1]]
-	succOff []int
+	l      *spec.Loop
+	p      Params
+	dur    []int // per access
+	maxDur int
+	order  []int     // one topological order, shared by windows and placement
+	succ   dfg.Succs // successor lists, from the same walk as order
 
 	ng, nb   int       // distinct groups / branch tags (slot 0 = common)
 	gid, bid []int     // per access -> group / branch index
@@ -290,29 +289,7 @@ func newLoopBody(l *spec.Loop, groups map[string]spec.BasicGroup, p Params, ar *
 		gid:    ar.Ints(n),
 		bid:    ar.Ints(n),
 	}
-	b.order = dfg.TopoOrderScratch(l, ar)
-	// Successor lists, CSR: count per node, prefix-sum, fill. The fill
-	// visits accesses in slice order, so each node's successors appear in
-	// the same order the old per-node append produced.
-	edges := 0
-	for i := range l.Accesses {
-		edges += len(l.Accesses[i].Deps)
-	}
-	b.succOff = ar.Ints(n + 1)
-	b.succ = ar.Ints(edges)
-	cur := ar.Ints(n)
-	for i := range l.Accesses {
-		for _, d := range l.Accesses[i].Deps {
-			cur[d]++
-		}
-	}
-	sum := 0
-	for i := 0; i < n; i++ {
-		b.succOff[i] = sum
-		sum += cur[i]
-		cur[i] = b.succOff[i]
-	}
-	b.succOff[n] = sum
+	b.order, b.succ = dfg.TopoOrderScratch(l, ar)
 	gnames := ar.Strings(n)[:0]
 	bnames := ar.Strings(n + 1)[:0]
 	bnames = append(bnames, "")
@@ -321,10 +298,6 @@ func newLoopBody(l *spec.Loop, groups map[string]spec.BasicGroup, p Params, ar *
 		b.dur[i] = p.Duration(groups[a.Group])
 		if b.dur[i] > b.maxDur {
 			b.maxDur = b.dur[i]
-		}
-		for _, d := range a.Deps {
-			b.succ[cur[d]] = a.ID
-			cur[d]++
 		}
 		gi := -1
 		for j, gn := range gnames {
@@ -374,11 +347,6 @@ func newLoopBody(l *spec.Loop, groups map[string]spec.BasicGroup, p Params, ar *
 		}
 	}
 	return b
-}
-
-// succs returns the successor IDs of access id.
-func (b *loopBody) succs(id int) []int {
-	return b.succ[b.succOff[id]:b.succOff[id+1]:b.succOff[id+1]]
 }
 
 // scheduler is the working state for balancing one loop body at one budget.
@@ -758,7 +726,7 @@ func (s *scheduler) window(id int, asap, alap []int) (lo, hi int) {
 			lo = s.start[d] + s.dur[d]
 		}
 	}
-	for _, sc := range s.succs(id) {
+	for _, sc := range s.succ.Of(id) {
 		if s.start[sc] >= 0 && s.start[sc]-s.dur[id] < hi {
 			hi = s.start[sc] - s.dur[id]
 		}
@@ -803,7 +771,7 @@ func (s *scheduler) asapAlap() (asap, alap []int, err error) {
 	for i := n - 1; i >= 0; i-- {
 		id := s.order[i]
 		la := s.budget - s.dur[id]
-		for _, sc := range s.succs(id) {
+		for _, sc := range s.succ.Of(id) {
 			if v := alap[sc] - s.dur[id]; v < la {
 				la = v
 			}
@@ -831,7 +799,8 @@ func WeightedCP(l *spec.Loop, groups map[string]spec.BasicGroup, p Params) int {
 func weightedCP(l *spec.Loop, groups map[string]spec.BasicGroup, p Params, ar *scratch.Arena) int {
 	longest := 0
 	finish := ar.Ints(len(l.Accesses))
-	for _, id := range dfg.TopoOrderScratch(l, ar) {
+	order, _ := dfg.TopoOrderScratch(l, ar)
+	for _, id := range order {
 		st := 0
 		for _, d := range l.Accesses[id].Deps {
 			if finish[d] > st {

@@ -88,7 +88,7 @@ func TestMotionEstimationHierarchyHelps(t *testing.T) {
 			}
 		}
 	}
-	an := reuse.NewStream(context.Background(), nil)
+	an := reuse.NewStream(context.Background(), nil, windowWords)
 	an.Extent(int(addrs[len(addrs)-1]) + 1)
 	an.Chunk(addrs)
 	an.Close()
