@@ -491,29 +491,35 @@ func BenchmarkDistribute(b *testing.B) {
 	}
 }
 
+// benchSpec draws a seeded single-loop spec shaped like the dtsebench
+// spec-mode traffic: lo to hi on-chip groups of 128-1024 words, each read
+// once or twice per iteration and written half the time, with no
+// dependences.
+func benchSpec(rng *rand.Rand, name string, lo, hi int) *Spec {
+	b := NewSpec(name)
+	names := make([]string, lo+rng.Intn(hi-lo+1))
+	for j := range names {
+		names[j] = fmt.Sprintf("g%d", j)
+		b.Group(names[j], int64(128<<uint(rng.Intn(4))), 4+2*rng.Intn(6))
+	}
+	b.Loop("body", 2048+uint64(rng.Intn(2048)))
+	for _, name := range names {
+		b.Read(name, float64(1+rng.Intn(2)))
+		if rng.Intn(2) == 0 {
+			b.Write(name, 1)
+		}
+	}
+	return b.MustBuild()
+}
+
 // specHotBodies builds n seeded spec-mode request bodies shaped like the
-// dtsebench spec_hot traffic: a compact single-loop spec of 8 to 12
-// on-chip groups, each read once or twice and written half the time, plus
-// a budget.
+// dtsebench spec_hot traffic: a benchSpec of 8 to 12 groups plus a budget.
 func specHotBodies(n int) [][]byte {
 	rng := rand.New(rand.NewSource(7))
 	bodies := make([][]byte, n)
 	for i := range bodies {
-		b := NewSpec(fmt.Sprintf("hot%d", i))
-		names := make([]string, 8+rng.Intn(5))
-		for j := range names {
-			names[j] = fmt.Sprintf("g%d", j)
-			b.Group(names[j], int64(128<<uint(rng.Intn(4))), 4+2*rng.Intn(6))
-		}
-		b.Loop("body", 2048+uint64(rng.Intn(2048)))
-		for _, name := range names {
-			b.Read(name, float64(1+rng.Intn(2)))
-			if rng.Intn(2) == 0 {
-				b.Write(name, 1)
-			}
-		}
 		var indented, compact bytes.Buffer
-		if err := WriteSpecJSON(b.MustBuild(), &indented); err != nil {
+		if err := WriteSpecJSON(benchSpec(rng, fmt.Sprintf("hot%d", i), 8, 12), &indented); err != nil {
 			panic(err)
 		}
 		if err := json.Compact(&compact, indented.Bytes()); err != nil {
@@ -569,4 +575,42 @@ func BenchmarkServeHotHit(b *testing.B) {
 			b.Fatalf("%v: %d hits and %d misses, want %d and %d", sp, st.Hits, st.Misses, b.N, len(bodies))
 		}
 	}
+}
+
+// BenchmarkSpecCold measures one cold spec-mode evaluation per op, as the
+// server runs it for a never-seen request: a seeded benchSpec of 12 or 13
+// groups (the dtsebench spec_cold shape) through core.EvaluateContext at a
+// 20M-cycle budget under the spec-mode defaults. It reports the balancings
+// and assignment search nodes per op, and fails when a distribution
+// resolves more than two cost-curve points per loop: every such spec
+// qualifies for the jump to the conflict-free end (sbd.DistributeContext),
+// so losing it shows even at a small -benchtime.
+//
+//	go test -run '^$' -bench '^BenchmarkSpecCold$' -benchtime 200x -benchmem .
+func BenchmarkSpecCold(b *testing.B) {
+	rng := rand.New(rand.NewSource(11))
+	specs := make([]*Spec, b.N)
+	for i := range specs {
+		specs[i] = benchSpec(rng, fmt.Sprintf("cold%d", i), 12, 13)
+	}
+	c := obs.NewCollector()
+	o := obs.New(c)
+	ep := core.DefaultEvalParams().WithSpecKnobs(core.DefaultSpecKnobs())
+	ep.Obs = o
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, s := range specs {
+		if _, err := core.EvaluateContext(context.Background(), s, 20_000_000, s.Name, ep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	for _, r := range c.Find("sbd.distribute") {
+		if points, loops := r.Fields["curve_points"].(int64), r.Fields["loops"].(int64); points > 2*loops {
+			b.Fatalf("a distribution resolved %d curve points for %d loops, want at most 2 per loop", points, loops)
+		}
+	}
+	counters := o.Counters()
+	b.ReportMetric(float64(counters["sbd.balance_calls"])/float64(b.N), "balance_calls/op")
+	b.ReportMetric(float64(counters["assign.nodes"])/float64(b.N), "nodes/op")
 }

@@ -42,19 +42,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// validateFlags rejects parameter values that would otherwise produce
-// silent nonsense downstream (a zero-memory allocation, a negative
-// threshold classifying everything off-chip, a non-positive frame period
-// breaking every access rate).
+// validateFlags rejects knob values that would otherwise produce silent
+// nonsense downstream (core.SpecKnobs.Check), worded as flags.
 func validateFlags(onchip int, threshold int64, frame float64) error {
-	if onchip <= 0 {
-		return fmt.Errorf("specexplore: -onchip %d out of range (must be >= 1)", onchip)
-	}
-	if threshold < 0 {
-		return fmt.Errorf("specexplore: -threshold %d out of range (must be >= 0)", threshold)
-	}
-	if frame <= 0 {
-		return fmt.Errorf("specexplore: -frame %g out of range (must be > 0)", frame)
+	if r := (core.SpecKnobs{OnChip: onchip, Threshold: threshold, Frame: frame}).Check(); r != nil {
+		return fmt.Errorf("specexplore: -%s %s out of range (%s)", r.Knob, r.Value, r.Rule)
 	}
 	return nil
 }
@@ -63,9 +55,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("specexplore", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	budget := fs.Uint64("budget", 0, "storage cycle budget per frame (required)")
-	onchip := fs.Int("onchip", 4, "number of on-chip memories to allocate")
-	threshold := fs.Int64("threshold", 64*1024, "words above which a group lives off-chip")
-	frame := fs.Float64("frame", 1.0, "frame period in seconds (for access rates)")
+	def := core.DefaultSpecKnobs()
+	onchip := fs.Int("onchip", def.OnChip, "number of on-chip memories to allocate")
+	threshold := fs.Int64("threshold", def.Threshold, "words above which a group lives off-chip")
+	frame := fs.Float64("frame", def.Frame, "frame period in seconds (for access rates)")
 	timeout := fs.Duration("timeout", 0, "bound the exploration; on expiry results degrade to best-effort (0 = none)")
 	inplaceF := fs.Bool("inplace", false, "enable the in-place mapping extension")
 	interconnect := fs.Bool("interconnect", false, "enable the bus interconnect model")

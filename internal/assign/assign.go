@@ -575,13 +575,21 @@ func offChipBinds(pr *problem, bestParts [][]int) ([]Binding, error) {
 // components separate.
 const areaWeight = 0.3
 
+// boundSlack is the relative margin by which the peripheral-area bound
+// must clear the incumbent before it prunes: far above the rounding of the
+// float sums it is compared across (a few ulps per term), far below any
+// real cost difference.
+const boundSlack = 1e-12
+
 // bbPre is the search-independent precomputation of the branch-and-bound:
-// the decision order, the admissible lower-bound tail sums, and the
-// per-empty-memory bound term.
+// the decision order, the admissible lower-bound tail sums, the
+// per-empty-memory bound term, and the peripheral-area bound's inputs.
 type bbPre struct {
 	order     []int     // decision order: group indices, decreasing weight
 	lbTail    []float64 // lbTail[i]: lower bound of groups order[i:]
 	emptyTerm float64   // bound contribution of each still-empty memory
+	sizeTail  []float64 // sizeTail[i]: Σ words·bits of groups order[i:]
+	periph    float64   // areaWeight·PeriphArea; 0 in in-place mode (no bound)
 }
 
 // bbPrecompute builds the precomputation.
@@ -599,6 +607,18 @@ type bbPre struct {
 // members with disjoint lifetimes share storage there, so a memory's
 // cells are not the sum of its members' — only the power floor remains
 // admissible.
+//
+// The peripheral area adds a second, node-dependent term. A memory's area
+// is (FixedArea + CellArea·x + PeriphArea·√x)·portF with x = words·bits and
+// portF >= 1 never falling as members join, so adding members that raise x
+// by Δ adds at least PeriphArea·(√(x+Δ) − √x) on top of the cell-area and
+// energy floors lbTail already holds and the fixed area emptyTerm holds.
+// Outside in-place mode placing the remaining groups raises the memories'
+// Σx by at least R = Σ words·bits over them (a member's words add whole and
+// the width only grows). √(x+Δ) − √x is concave in Δ and falls as x grows,
+// so however the Δs split, their sum of increments is at least √(Xmax+R) −
+// √Xmax, with Xmax the largest x of any current memory (an empty one counts
+// as 0). sizeTail holds R per decision step.
 func (pr *problem) bbPrecompute() bbPre {
 	n := len(pr.groups)
 	order := make([]int, n)
@@ -623,13 +643,19 @@ func (pr *problem) bbPrecompute() bbPre {
 		}
 		return v
 	}
+	sizeTail := make([]float64, n+1)
 	for i := n - 1; i >= 0; i-- {
 		lbTail[i] = lbTail[i+1] + lbOf(order[i])
+		sizeTail[i] = sizeTail[i+1] + float64(pr.groups[order[i]].BitSize())
 	}
 	// Every still-empty memory must end up used (mustOpen enforces it), and
 	// its future members pay its instance overhead on top of their floors.
 	emptyTerm := pr.tech.SRAM.StaticPower + areaWeight*pr.tech.SRAM.FixedArea
-	return bbPre{order: order, lbTail: lbTail, emptyTerm: emptyTerm}
+	pre := bbPre{order: order, lbTail: lbTail, emptyTerm: emptyTerm, sizeTail: sizeTail}
+	if !pr.p.InPlace {
+		pre.periph = areaWeight * pr.tech.SRAM.PeriphArea
+	}
+	return pre
 }
 
 // greedyIncumbent runs the greedy first-fit assignment: each group (in
@@ -689,6 +715,18 @@ func greedyIncumbent(pr *problem, maxMem int, pre *bbPre) (assign []int, cost fl
 // Both cases report optimal=false, and so does a search that runs out of
 // node budget: it stops on node NodeBudget+1, which it counts but does not
 // expand.
+//
+// A node is pruned when its bound reaches the incumbent's cost. The bound
+// is curCost plus the groups' floors and the empty memories' overhead, and
+// then, as a second test, plus the peripheral-area term (bbPrecompute),
+// which must clear the incumbent by the relative boundSlack. Both terms are
+// admissible, so a pruned subtree holds no leaf strictly cheaper than the
+// incumbent at that point: the incumbent sequence, and so the answer of a
+// search that completes, is the one the first test alone gives, from a
+// subset of its nodes. That needs a leaf's float cost to depend on its path
+// alone, which is why curCost is restored rather than decremented on the
+// way back: a running sum that drifts with every visited node would let a
+// pruned subtree move which of two equal-cost leaves compares cheaper.
 func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) ([]Binding, float64, float64, bool, error) {
 	n := len(pr.groups)
 	if n == 0 {
@@ -743,8 +781,9 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 		default:
 		}
 	}
-	var dfs func(step int)
-	dfs = func(step int) {
+	// xmax is the largest words·bits of any memory on the current path.
+	var dfs func(step int, xmax float64)
+	dfs = func(step int, xmax float64) {
 		if exhausted || stopped {
 			return
 		}
@@ -774,7 +813,8 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 			return
 		}
 		v := curCost + lbTail[step] + float64(emptyCnt)*emptyTerm
-		if v >= bestCost {
+		if v >= bestCost || pre.periph > 0 &&
+			v+pre.periph*(math.Sqrt(xmax+pre.sizeTail[step])-math.Sqrt(xmax)) >= bestCost*(1+boundSlack) {
 			prunedLB++
 			return
 		}
@@ -794,14 +834,15 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 				if wasEmpty {
 					emptyCnt--
 				}
-				oldCost := memCost[m]
+				// Restored, not decremented, on the way back (see above).
+				oldCost, parentCost := memCost[m], curCost
 				memCost[m] = power + areaWeight*area
 				curCost += memCost[m] - oldCost
 				curAssign[gi] = m
 				members[m] = append(members[m], gi)
-				dfs(step + 1)
+				dfs(step+1, max(xmax, float64(mems[m].words)*float64(mems[m].bits)))
 				members[m] = members[m][:len(members[m])-1]
-				curCost -= memCost[m] - oldCost
+				curCost = parentCost
 				memCost[m] = oldCost
 				if wasEmpty {
 					emptyCnt++
@@ -813,7 +854,7 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 		}
 	}
 	if !stopped {
-		dfs(0)
+		dfs(0, 0)
 	}
 	prog.AddNodes(int64(nodes % cancelCheckInterval))
 	if sp != nil {

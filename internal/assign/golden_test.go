@@ -101,7 +101,8 @@ func offChipInstance(seed int64) (*spec.Spec, []sbd.Pattern) {
 // AssignContext and Greedy results — every binding's memory, member groups and
 // the float64 bits of its power and area, each Cost field's bits and the
 // Optimal flag, or the error text of an infeasible case — and the same rows
-// for the off-chip corpus (seeds 0–23, one on-chip memory). Any change to the
+// for the off-chip corpus (seeds 0–23, one on-chip memory) and the
+// conflict-free corpus (seeds 0–23, on-chip count 3–4). Any change to the
 // search order, the bound, the cost accumulation or the tie-breaking shows
 // up here. Regenerate with -update only after a deliberate change to the
 // assignment results.
@@ -150,7 +151,44 @@ func TestAssignGolden(t *testing.T) {
 			row(fmt.Sprintf("offchip seed=%d", seed), s, pats, 1, inPlace)
 		}
 	}
+	for seed := int64(0); seed < 24; seed++ {
+		s, pats := conflictFreeInstance(seed)
+		for count := 3; count <= 4; count++ {
+			for _, inPlace := range []bool{false, true} {
+				row(fmt.Sprintf("conflict-free seed=%d", seed), s, pats, count, inPlace)
+			}
+		}
+	}
 	checkGolden(t, "assign.golden", buf.Bytes())
+}
+
+// conflictFreeInstance builds a problem shaped like a cold spec-mode
+// request after a loose-budget distribution: 12 or 13 on-chip groups of
+// 128-1024 words and 4-14 bits in one loop of 2048-4095 iterations, each
+// read once or twice and written half the time, and the conflict-free
+// schedule's patterns, one single-access pattern per group. Deterministic
+// per seed.
+func conflictFreeInstance(seed int64) (*spec.Spec, []sbd.Pattern) {
+	rng := rand.New(rand.NewSource(seed))
+	b := spec.NewBuilder(fmt.Sprintf("free%d", seed))
+	names := make([]string, 12+rng.Intn(2))
+	for i := range names {
+		names[i] = fmt.Sprintf("g%d", i)
+		b.Group(names[i], int64(128<<uint(rng.Intn(4))), 4+2*rng.Intn(6))
+	}
+	iters := 2048 + uint64(rng.Intn(2048))
+	b.Loop("body", iters)
+	for _, n := range names {
+		b.Read(n, float64(1+rng.Intn(2)))
+		if rng.Intn(2) == 0 {
+			b.Write(n, 1)
+		}
+	}
+	pats := make([]sbd.Pattern, len(names))
+	for i, n := range names {
+		pats[i] = sbd.Pattern{Access: map[string]int{n: 1}, Weight: iters}
+	}
+	return b.MustBuild(), pats
 }
 
 // checkGolden compares got with testdata/name, or rewrites the file under

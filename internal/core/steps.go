@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/assign"
 	"repro/internal/bgstruct"
@@ -139,13 +140,43 @@ func (ep EvalParams) ScaleTo(size int) EvalParams {
 }
 
 // SpecKnobs are the spec-mode tool knobs: cmd/specexplore's flags and the
-// server's request "params". Callers validate them before applying.
+// server's request "params". Callers start from DefaultSpecKnobs and
+// Check them before applying.
 type SpecKnobs struct {
 	OnChip       int     // on-chip memories to allocate
 	Threshold    int64   // words above which a group lives off-chip; 0 selects 64Ki
 	Frame        float64 // frame period [s], for access rates
 	InPlace      bool    // the in-place mapping extension
 	Interconnect bool    // the bus interconnect model
+}
+
+// DefaultSpecKnobs returns the spec-mode defaults: four on-chip memories,
+// the 64Ki-word threshold and a one-second frame.
+func DefaultSpecKnobs() SpecKnobs {
+	return SpecKnobs{OnChip: 4, Threshold: 64 * 1024, Frame: 1.0}
+}
+
+// KnobRange names a spec-mode knob outside its range. Each caller words it
+// in its own terms (a flag, a request field) around Knob, Value and Rule.
+type KnobRange struct {
+	Knob  string // onchip, threshold or frame
+	Value string // the value as given
+	Rule  string // the range, as "must be >= 1"
+}
+
+// Check returns the first knob outside its range, or nil: a zero-memory
+// allocation, a negative threshold classifying everything off-chip, or a
+// non-positive frame period breaking every access rate.
+func (k SpecKnobs) Check() *KnobRange {
+	switch {
+	case k.OnChip < 1:
+		return &KnobRange{"onchip", strconv.Itoa(k.OnChip), "must be >= 1"}
+	case k.Threshold < 0:
+		return &KnobRange{"threshold", strconv.FormatInt(k.Threshold, 10), "must be >= 0"}
+	case k.Frame <= 0:
+		return &KnobRange{"frame", strconv.FormatFloat(k.Frame, 'g', -1, 64), "must be > 0"}
+	}
+	return nil
 }
 
 // WithSpecKnobs returns ep with the spec-mode knobs applied to its

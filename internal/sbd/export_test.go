@@ -1,6 +1,7 @@
 package sbd
 
 import (
+	"context"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,4 +54,10 @@ func FingerprintPatterns(pats []Pattern) string {
 		b.WriteByte('|')
 	}
 	return b.String()
+}
+
+// distributeFullScan is DistributeContext without the jump to the
+// conflict-free end: every curve is built point by point.
+func distributeFullScan(ctx context.Context, s *spec.Spec, budget uint64, p Params) (*Distribution, error) {
+	return distribute(ctx, s, budget, p, false)
 }

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -155,8 +156,10 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // methodology's scaled sbd parameters. One line per (spec, budget, mode)
 // gives the committed per-loop budgets, Used, Degraded, the exact bits of
 // Cost, and the number of conflict patterns with a SHA-256 prefix of their
-// FingerprintPatterns. Regenerate with -update only after a deliberate
-// change to the distributions.
+// FingerprintPatterns. A last block pins 24 loose-budget coldSpec
+// distributions, where every loop reaches its conflict-free end.
+// Regenerate with -update only after a deliberate change to the
+// distributions.
 func TestDistributionsGolden(t *testing.T) {
 	d, err := core.BuildDemonstrator(core.DemoConfig{Size: 256})
 	if err != nil {
@@ -215,17 +218,59 @@ func TestDistributionsGolden(t *testing.T) {
 					t.Fatalf("%s %s budget %d: %v", v.name, sw.mode, budget, err)
 				}
 				fmt.Fprintf(&buf, "%s %s budget=%d loops=", v.name, sw.mode, budget)
-				for i, ls := range dist.Loops {
-					if i > 0 {
-						buf.WriteByte(',')
-					}
-					fmt.Fprintf(&buf, "%s:%d", ls.Loop, ls.Budget)
-				}
-				fp := sha256.Sum256([]byte(sbd.FingerprintPatterns(dist.Patterns)))
-				fmt.Fprintf(&buf, " used=%d degraded=%t cost=%016x patterns=%d/%x\n",
-					dist.Used, dist.Degraded, math.Float64bits(dist.Cost), len(dist.Patterns), fp[:8])
+				appendDistribution(&buf, dist)
 			}
 		}
 	}
+	// The loose-budget block: spec-mode requests shaped like the benchmark's
+	// cold traffic, distributed at its 20M-cycle budget with the spec-mode
+	// threshold, so every loop can reach its conflict-free end.
+	for seed := int64(1); seed <= 24; seed++ {
+		s := coldSpec(seed)
+		const budget = 20_000_000
+		dist, err := sbd.DistributeContext(context.Background(), s, budget, sbd.Params{OnChipMaxWords: 64 * 1024})
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		fmt.Fprintf(&buf, "%s linear budget=%d loops=", s.Name, budget)
+		appendDistribution(&buf, dist)
+	}
 	checkGolden(t, "distributions.golden", buf.Bytes())
+}
+
+// appendDistribution ends a distributions.golden line: the committed
+// per-loop budgets, Used, Degraded, the exact bits of Cost, and the number
+// of conflict patterns with a SHA-256 prefix of their FingerprintPatterns.
+func appendDistribution(buf *bytes.Buffer, dist *sbd.Distribution) {
+	for i, ls := range dist.Loops {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		fmt.Fprintf(buf, "%s:%d", ls.Loop, ls.Budget)
+	}
+	fp := sha256.Sum256([]byte(sbd.FingerprintPatterns(dist.Patterns)))
+	fmt.Fprintf(buf, " used=%d degraded=%t cost=%016x patterns=%d/%x\n",
+		dist.Used, dist.Degraded, math.Float64bits(dist.Cost), len(dist.Patterns), fp[:8])
+}
+
+// coldSpec builds a seeded spec shaped like the benchmark's cold spec-mode
+// requests: one loop of 2048-4095 iterations over 12 or 13 on-chip groups,
+// each read once or twice per iteration and written half the time, with no
+// dependences.
+func coldSpec(seed int64) *spec.Spec {
+	rng := rand.New(rand.NewSource(seed))
+	b := spec.NewBuilder(fmt.Sprintf("cold%d", seed))
+	names := make([]string, 12+rng.Intn(2))
+	for i := range names {
+		names[i] = fmt.Sprintf("g%d", i)
+		b.Group(names[i], int64(128<<uint(rng.Intn(4))), 4+2*rng.Intn(6))
+	}
+	b.Loop("body", 2048+uint64(rng.Intn(2048)))
+	for _, n := range names {
+		b.Read(n, float64(1+rng.Intn(2)))
+		if rng.Intn(2) == 0 {
+			b.Write(n, 1)
+		}
+	}
+	return b.MustBuild()
 }

@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 
@@ -1215,18 +1216,135 @@ func (d *Distribution) ExtraCycles() uint64 { return d.TotalBudget - d.Used }
 // still errors regardless of the context.
 //
 // Cost curves are built on demand. Each curve starts with its minimum-budget
-// point; the marginal-gain greedy balances point j of a curve only when its
-// scan reaches j, the spend still fits the remaining budget, and the point
-// could still win the round. That last test is exact, not a heuristic:
-// schedule costs are never negative, and IEEE subtraction and division are
-// monotone, so with c0 the cost at the chosen point, point j's gain c0 - c_j
-// is at most c0 and its ratio at most c0/spend_j. That bound only falls as j
-// (and so spend_j) grows, and the round's best ratio only rises, so once
-// c0/spend_j <= bestRatio+1e-12 no later point of the curve can beat the
-// round's best. Every round therefore picks exactly the point a scan over
-// fully built curves picks, and the committed distribution is the same; the
-// points past the bound are never balanced.
+// point; the marginal-gain greedy balances the next budget of a curve only
+// when its scan reaches it, the spend still fits the remaining budget, and
+// the point could still win the round. That last test is exact, not a
+// heuristic: schedule costs are never negative, and IEEE subtraction and
+// division are monotone, so with c0 the cost at the chosen point, a later
+// point's gain c0 - c_j is at most c0 and its ratio at most c0/spend_j.
+// That bound only falls as the point's budget (and so spend_j) grows, and
+// the round's best ratio only rises, so once c0/spend_j <= bestRatio+1e-12
+// no later point of the curve can beat the round's best. Every round
+// therefore picks exactly the point a scan over fully built curves picks,
+// and the committed distribution is the same; the points past the bound are
+// never balanced.
+//
+// A curve may also jump from its minimum straight to its end, max = Σ
+// durations, where the serial schedule is conflict-free. The jump needs
+// three facts about every curve still open after its minimum point:
+//
+//   - It qualifies (everyOverlapCosts): linear mode, no access under a
+//     branch tag, and all of the loop's groups of one kind. Then any two
+//     accesses sharing a storage cycle cost more than zero: two of one group
+//     pay the self penalty, two of distinct groups the pair penalty of one
+//     kind, and no branch exclusivity makes an overlap free. Each such term
+//     is at least 0.05, since proxy >= 1 for a group of at least one word
+//     and bit. Below max some cycle holds two accesses (pigeonhole), so
+//     every point of the curve before max costs at least 0.05 × iterations,
+//     and only max can cost 0.
+//   - The remaining budget covers Σ (max - min) × iterations over the open
+//     curves. A curve never spends past its own max, so no spend the scan
+//     considers ever exceeds what remains: the budget cannot stop the scan.
+//   - Balancing each at max yields a complete schedule (not Degraded) of
+//     cost 0.
+//
+// Then the scan over fully built curves ends every open curve at max. A
+// curve at a point before max costs c0 >= 0.05 × iterations, and moving
+// to max gains all of c0 for a spend of at most (max - min) × iterations:
+// a ratio of at least 0.05/(max - min). That clears the scan's 1e-12
+// cut-off for any loop of fewer than 5·10^10 access cycles (max - min <
+// Σ durations), so the c0/spend_j bound never stops the curve before max,
+// and max is a candidate of ratio above 1e-12 in every round the curve
+// sits below it: each round commits a move until every curve sits at max,
+// where its curve ends. Monotonizing keeps the max schedule itself there,
+// its cost 0 being below every earlier point's. This holds whatever the
+// order of the scan's rounds, which is why the jump asks all open curves
+// to qualify at once: a curve that does not qualify may end where the
+// 1e-12 slack between near-equal ratios leaves it, which can depend on the
+// other curves' moves. So the jump builds each open curve's max point
+// right after the minimum points and, when all come out clean, hands the
+// scan curves of two points; the scan commits the same max schedules
+// without balancing the points between. When one end does not come out
+// clean (the balancer missed the conflict-free schedule, or cancellation
+// cut it short), the jump is dropped for every curve and the scan builds
+// them point by point as before.
 func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p Params) (*Distribution, error) {
+	return distribute(ctx, s, totalBudget, p, true)
+}
+
+// curvePoint is one resolved point of a loop's cost curve: the
+// per-iteration budget it stands at, and the schedule committed there
+// (monotonized: the cheapest schedule found at that budget or below it).
+type curvePoint struct {
+	budget int
+	sc     *LoopSchedule
+}
+
+// curve is one loop's cost curve as far as the distributor has built it:
+// its points in ascending budget, one per budget from min on while the scan
+// extends it, or just min and max after a jump.
+type curve struct {
+	loop   *spec.Loop
+	key    memo.Key // schedule-cache key of the curve (when p.Memo is set)
+	min    int      // weighted critical path
+	max    int      // budget beyond which cost is zero anyway
+	pts    []curvePoint
+	ended  bool     // pts reaches the curve's end
+	chosen int      // index into pts
+	body   loopBody // built on the first curve point not cached
+	built  bool
+}
+
+// budgetAt is the budget of point j, or of the next point the scan would
+// build when j == len(pts).
+func (cv *curve) budgetAt(j int) int {
+	if j < len(cv.pts) {
+		return cv.pts[j].budget
+	}
+	return cv.pts[len(cv.pts)-1].budget + 1
+}
+
+// everyOverlapCosts reports whether every two accesses of the loop that
+// share a storage cycle cost more than zero: the loop is scheduled
+// linearly, no access carries a branch tag, and its groups are all on-chip
+// or all off-chip (a cross-kind pair is free).
+func everyOverlapCosts(l *spec.Loop, groups map[string]spec.BasicGroup, p Params) bool {
+	if p.Pipelined {
+		return false
+	}
+	for i := range l.Accesses {
+		a := &l.Accesses[i]
+		if a.Branch != "" || p.offChip(groups[a.Group]) != p.offChip(groups[l.Accesses[0].Group]) {
+			return false
+		}
+	}
+	return true
+}
+
+// spansCovered reports whether every curve still open qualifies for the
+// jump and remaining covers Σ (max - min) × iterations over them.
+func spansCovered(curves []*curve, remaining uint64, groups map[string]spec.BasicGroup, p Params) bool {
+	var need uint64
+	for _, cv := range curves {
+		if cv.ended {
+			continue
+		}
+		if !everyOverlapCosts(cv.loop, groups, p) {
+			return false
+		}
+		hi, span := bits.Mul64(uint64(cv.max-cv.min), cv.loop.Iterations)
+		var carry uint64
+		need, carry = bits.Add64(need, span, 0)
+		if hi != 0 || carry != 0 || need > remaining {
+			return false
+		}
+	}
+	return true
+}
+
+// distribute is DistributeContext; jump=false always builds the curves
+// point by point, the reference the jump is tested against.
+func distribute(ctx context.Context, s *spec.Spec, totalBudget uint64, p Params, jump bool) (*Distribution, error) {
 	p.normalize()
 	sp := p.Obs.Child("sbd.distribute")
 	defer sp.End()
@@ -1236,17 +1354,6 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 	ar := scratch.Get()
 	defer scratch.Put(ar)
 
-	type curve struct {
-		loop   *spec.Loop
-		key    memo.Key        // schedule-cache key of the curve (when p.Memo is set)
-		min    int             // weighted critical path
-		max    int             // budget beyond which cost is zero anyway
-		scheds []*LoopSchedule // index: budget - min; the points built so far
-		ended  bool            // scheds holds the whole curve
-		chosen int             // index into scheds
-		body   loopBody        // built on the first curve point not cached
-		built  bool
-	}
 	curves := make([]*curve, 0, len(s.Loops))
 	fp, fpNames := ar.Buf(512), ar.Strings(16)[:0]
 	var minTotal uint64
@@ -1313,6 +1420,7 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		sc  *LoopSchedule
 		err error
 	}
+	points := 0 // curve points resolved, kept or not
 	compute := func(cv *curve, b int) (*LoopSchedule, error) {
 		if !cv.built {
 			cv.body, cv.built = newLoopBody(cv.loop, groups, p, ar), true
@@ -1322,6 +1430,7 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		return cv.body.balance(ctx, b, pa)
 	}
 	balance := func(cv *curve, b int) (*LoopSchedule, error) {
+		points++
 		if p.Memo == nil {
 			return compute(cv, b)
 		}
@@ -1339,20 +1448,23 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		if cv.ended {
 			return false, nil
 		}
-		b := cv.min + len(cv.scheds)
-		if len(cv.scheds) > 0 && canceled() {
-			degraded = true
-			return false, nil
+		b := cv.min
+		if len(cv.pts) > 0 {
+			if canceled() {
+				degraded = true
+				return false, nil
+			}
+			b = cv.budgetAt(len(cv.pts))
 		}
 		sc, err := balance(cv, b)
 		if err != nil {
 			return false, err
 		}
 		cv.ended = sc.Cost == 0 || b >= cv.max
-		if j := len(cv.scheds); j > 0 && sc.Cost >= cv.scheds[j-1].Cost {
-			sc = cv.scheds[j-1]
+		if j := len(cv.pts); j > 0 && sc.Cost >= cv.pts[j-1].sc.Cost {
+			sc = cv.pts[j-1].sc
 		}
-		cv.scheds = append(cv.scheds, sc)
+		cv.pts = append(cv.pts, curvePoint{b, sc})
 		return true, nil
 	}
 	// The minimum-budget point is always built, whatever the context: it is
@@ -1363,6 +1475,37 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		}
 	}
 	remaining := totalBudget - minTotal
+	// The jump (see the doc comment): build every open curve's max point
+	// now, and keep them only if all came out complete and conflict-free.
+	if jump && spansCovered(curves, remaining, groups, p) {
+		ends := make([]*LoopSchedule, len(curves))
+		clean := true
+		for i, cv := range curves {
+			if cv.ended {
+				continue
+			}
+			if canceled() {
+				degraded = true
+				clean = false
+				break
+			}
+			sc, err := balance(cv, cv.max)
+			if err != nil {
+				return nil, err
+			}
+			if sc.Cost != 0 || sc.Degraded {
+				clean = false
+				break
+			}
+			ends[i] = sc
+		}
+		for i, cv := range curves {
+			if clean && ends[i] != nil {
+				cv.pts = append(cv.pts, curvePoint{cv.max, ends[i]})
+				cv.ended = true
+			}
+		}
+	}
 	// Marginal-gain allocation with look-ahead (the cost curves need not be
 	// convex): repeatedly advance the loop whose next profitable curve
 	// point buys the largest cost reduction per global cycle spent. Points
@@ -1372,13 +1515,13 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 		best, bestJ := -1, 0
 		bestRatio := 0.0
 		for i, cv := range curves {
-			c0 := cv.scheds[cv.chosen].Cost
+			c0, b0 := cv.pts[cv.chosen].sc.Cost, cv.pts[cv.chosen].budget
 			for j := cv.chosen + 1; ; j++ {
-				spend := uint64(j-cv.chosen) * cv.loop.Iterations
+				spend := uint64(cv.budgetAt(j)-b0) * cv.loop.Iterations
 				if spend > remaining || c0/float64(spend) <= bestRatio+1e-12 {
 					break
 				}
-				if j == len(cv.scheds) {
+				if j == len(cv.pts) {
 					ok, err := extend(cv)
 					if err != nil {
 						return nil, err
@@ -1387,7 +1530,7 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 						break
 					}
 				}
-				gain := c0 - cv.scheds[j].Cost
+				gain := c0 - cv.pts[j].sc.Cost
 				if gain <= 0 {
 					continue
 				}
@@ -1404,8 +1547,9 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 			degraded = true // a profitable move existed but was skipped
 			break
 		}
-		remaining -= uint64(bestJ-curves[best].chosen) * curves[best].loop.Iterations
-		curves[best].chosen = bestJ
+		cv := curves[best]
+		remaining -= uint64(cv.pts[bestJ].budget-cv.pts[cv.chosen].budget) * cv.loop.Iterations
+		cv.chosen = bestJ
 	}
 
 	// A committed schedule that was itself cut short degrades the whole
@@ -1414,7 +1558,7 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 	// minimum schedule without tripping the sweep-level checks above.
 	d := &Distribution{TotalBudget: totalBudget}
 	for _, cv := range curves {
-		sc := cv.scheds[cv.chosen]
+		sc := cv.pts[cv.chosen].sc
 		if sc.Degraded {
 			degraded = true
 		}
@@ -1425,12 +1569,8 @@ func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p 
 	d.Degraded = degraded
 	d.Patterns = patternsOf(s, d.Loops, groups, p)
 	if sp != nil {
-		points := 0
-		for _, cv := range curves {
-			points += len(cv.scheds)
-		}
 		sp.SetInt("loops", int64(len(curves)))
-		sp.SetInt("curve_points", int64(points)) // the points built, not the curves' lengths
+		sp.SetInt("curve_points", int64(points))
 		sp.SetInt("patterns", int64(len(d.Patterns)))
 		sp.SetInt("conflict_groups", int64(len(RequiredPorts(d.Patterns))))
 		sp.SetInt("used", int64(d.Used))

@@ -453,10 +453,10 @@ func parseExplore(raw []byte) (*parsedRequest, *spec.Spec, error) {
 
 // specParams resolves the spec-mode knobs to their cmd/specexplore
 // defaults and validates them.
-func specParams(pr *paramsRequest) (k core.SpecKnobs, err error) {
-	k = core.SpecKnobs{OnChip: 4, Threshold: 64 * 1024, Frame: 1.0}
+func specParams(pr *paramsRequest) (core.SpecKnobs, error) {
+	k := core.DefaultSpecKnobs()
 	if pr == nil {
-		return
+		return k, nil
 	}
 	if pr.OnChip != 0 {
 		k.OnChip = pr.OnChip
@@ -468,15 +468,10 @@ func specParams(pr *paramsRequest) (k core.SpecKnobs, err error) {
 		k.Frame = pr.Frame
 	}
 	k.InPlace, k.Interconnect = pr.InPlace, pr.Interconnect
-	switch {
-	case k.OnChip < 1:
-		err = fmt.Errorf("params.onchip %d out of range (must be >= 1)", k.OnChip)
-	case k.Threshold < 0:
-		err = fmt.Errorf("params.threshold %d out of range (must be >= 0)", k.Threshold)
-	case k.Frame <= 0:
-		err = fmt.Errorf("params.frame %g out of range (must be > 0)", k.Frame)
+	if r := k.Check(); r != nil {
+		return k, fmt.Errorf("params.%s %s out of range (%s)", r.Knob, r.Value, r.Rule)
 	}
-	return
+	return k, nil
 }
 
 // --- handlers ---
