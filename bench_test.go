@@ -582,9 +582,12 @@ func BenchmarkServeHotHit(b *testing.B) {
 // groups (the dtsebench spec_cold shape) through core.EvaluateContext at a
 // 20M-cycle budget under the spec-mode defaults. It reports the balancings
 // and assignment search nodes per op, and fails when a distribution
-// resolves more than two cost-curve points per loop: every such spec
-// qualifies for the jump to the conflict-free end (sbd.DistributeContext),
-// so losing it shows even at a small -benchtime.
+// resolves more than two cost-curve points per loop (every such spec
+// qualifies for the jump to the conflict-free end, sbd.DistributeContext)
+// or the search visits more than 4 000 nodes per op (about 2 900 with the
+// width-waste term and the twin rule of assign's branch-and-bound, 6 200
+// without them). Both counts are deterministic per seed, so losing either
+// shows even at a small -benchtime.
 //
 //	go test -run '^$' -bench '^BenchmarkSpecCold$' -benchtime 200x -benchmem .
 func BenchmarkSpecCold(b *testing.B) {
@@ -611,6 +614,10 @@ func BenchmarkSpecCold(b *testing.B) {
 		}
 	}
 	counters := o.Counters()
+	nodes := float64(counters["assign.nodes"]) / float64(b.N)
+	if nodes > 4000 {
+		b.Fatalf("the assignment search visited %.0f nodes per op, want at most 4000", nodes)
+	}
 	b.ReportMetric(float64(counters["sbd.balance_calls"])/float64(b.N), "balance_calls/op")
-	b.ReportMetric(float64(counters["assign.nodes"])/float64(b.N), "nodes/op")
+	b.ReportMetric(nodes, "nodes/op")
 }

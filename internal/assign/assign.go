@@ -295,14 +295,13 @@ func (m *memState) pop(pr *problem, gi int, u memUndo) {
 	m.words, m.bits, m.ports, m.acc, m.nGroups = u.words, u.bits, u.ports, u.acc, u.nGroups
 }
 
-func (m *memState) add(pr *problem, gi int) { m.push(pr, gi) }
-
-// recompute rebuilds the aggregate from scratch for the given member set
-// (used on removal; simpler and safe for the small sizes involved).
+// recompute rebuilds the aggregate from scratch for the given member set:
+// the off-chip partition scan and the final bindings price whole member
+// lists this way.
 func (m *memState) recompute(pr *problem, members []int) {
 	m.reset()
 	for _, gi := range members {
-		m.add(pr, gi)
+		m.push(pr, gi)
 	}
 }
 
@@ -373,9 +372,17 @@ func partition(s *spec.Spec, tech *memlib.Tech) (on, off []spec.BasicGroup) {
 // never an error. Cancellation is polled every cancelCheckInterval search
 // nodes, so an uncancellable context costs nothing in the hot loop.
 func AssignContext(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, onChipCount int, p Params) (*Assignment, error) {
+	a, _, err := assignWith(ctx, s, pats, tech, onChipCount, p, true)
+	return a, err
+}
+
+// assignWith is AssignContext, returning the on-chip search's effort too;
+// tight=false switches the width-waste term and the twin rule off
+// (branchAndBound), the reference they are tested against.
+func assignWith(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, onChipCount int, p Params, tight bool) (*Assignment, searchStats, error) {
 	p.normalize()
 	if onChipCount < 1 {
-		return nil, fmt.Errorf("assign: on-chip count %d out of range", onChipCount)
+		return nil, searchStats{}, fmt.Errorf("assign: on-chip count %d out of range", onChipCount)
 	}
 	sp := p.Obs.Child("assign")
 	defer sp.End()
@@ -390,16 +397,16 @@ func AssignContext(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *
 	offPr := buildProblem(s, offG, pats, tech, p)
 	offBind, offPower, offOptimal, err := bestOffChip(ctx, offPr, sp)
 	if err != nil {
-		return nil, err
+		return nil, searchStats{}, err
 	}
 	a.OffChip = offBind
 	a.Cost.OffChipPower = offPower
 
 	// On-chip: branch and bound.
 	onPr := buildProblem(s, onG, pats, tech, p)
-	bind, area, power, onOptimal, err := branchAndBound(ctx, onPr, onChipCount, sp)
+	bind, area, power, onOptimal, st, err := branchAndBound(ctx, onPr, onChipCount, sp, tight)
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	a.OnChip = bind
 	a.Cost.OnChipArea = area
@@ -432,7 +439,7 @@ func AssignContext(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *
 			a.GroupMem[g] = b.Mem.Name
 		}
 	}
-	return a, nil
+	return a, st, nil
 }
 
 // bestOffChip searches all set partitions of the off-chip groups (at most a
@@ -575,24 +582,40 @@ func offChipBinds(pr *problem, bestParts [][]int) ([]Binding, error) {
 // components separate.
 const areaWeight = 0.3
 
-// boundSlack is the relative margin by which the peripheral-area bound
-// must clear the incumbent before it prunes: far above the rounding of the
-// float sums it is compared across (a few ulps per term), far below any
-// real cost difference.
+// boundSlack is the relative margin by which the peripheral-area and
+// width-waste bounds must clear the incumbent before they prune: far above
+// the rounding of the float sums they are compared across (a few ulps per
+// term), far below any real cost difference.
 const boundSlack = 1e-12
 
 // bbPre is the search-independent precomputation of the branch-and-bound:
 // the decision order, the admissible lower-bound tail sums, the
-// per-empty-memory bound term, and the peripheral-area bound's inputs.
+// per-empty-memory bound term, the peripheral-area and width-waste bounds'
+// inputs, and the twin rule's links.
 type bbPre struct {
 	order     []int     // decision order: group indices, decreasing weight
 	lbTail    []float64 // lbTail[i]: lower bound of groups order[i:]
 	emptyTerm float64   // bound contribution of each still-empty memory
 	sizeTail  []float64 // sizeTail[i]: Σ words·bits of groups order[i:]
 	periph    float64   // areaWeight·PeriphArea; 0 in in-place mode (no bound)
+	// waste[i] prices the width waste of group order[i]; nil in in-place
+	// mode, or when the search runs without it (no bound).
+	waste []wasteTerm
+	// twin[i] is the step of the nearest earlier twin of group order[i], or
+	// -1; nil when no group has a twin, or the search runs without the rule.
+	twin []int
 }
 
-// bbPrecompute builds the precomputation.
+// wasteTerm is one group's input to the width-waste bound: a memory of
+// width w > bits holding the group costs at least coef·(w − bits) beyond
+// the group's floor.
+type wasteTerm struct {
+	coef float64 // areaWeight·CellArea·words·portF, portF from selfPorts
+	bits int
+}
+
+// bbPrecompute builds the precomputation; tight=false leaves out the
+// width-waste term and the twin rule.
 //
 // Groups are ordered by decreasing weight (accesses × width): decide the
 // expensive groups first for stronger pruning.
@@ -619,7 +642,42 @@ type bbPre struct {
 // so however the Δs split, their sum of increments is at least √(Xmax+R) −
 // √Xmax, with Xmax the largest x of any current memory (an empty one counts
 // as 0). sizeTail holds R per decision step.
-func (pr *problem) bbPrecompute() bbPre {
+//
+// The width waste adds a third term once no memory is empty. Then every
+// remaining group g joins a current memory, whose width is at least bmin,
+// the narrowest current width, and never falls as members join. So g ends
+// in a memory of final width B >= max(b_g, bmin), final word count W and
+// port factor P >= portF_g, whose cells grow from W_c·B_c·P_c (the current
+// members') to W·B·P. With W − W_c the words of the joining groups (outside
+// in-place mode they add whole), B >= B_c and P >= P_c, that growth is at
+// least (W − W_c)·B·P >= Σ over the joining g of words_g·max(b_g, bmin)·
+// portF_g. lbTail prices words_g·b_g·portF_g of it, so each g adds at least
+// CellArea·words_g·(bmin − b_g)⁺·portF_g more cell area. The term is the
+// cell part of the area and the peripheral term its √ part, so the two add
+// without counting anything twice. In-place mode skips it with the cell
+// floor.
+//
+// The twin rule removes mirrors. Groups a and b are twins when swapping
+// them maps the problem onto itself (twins): equal words, width, accesses
+// per frame and, in in-place mode, lifetime, and a pattern set the swap
+// permutes. A memory's price depends only on its words (or live words),
+// width, accesses and ports, the largest per-pattern sum of its members'
+// multiplicities, so swapping the memories of two twins keeps the cost of
+// every solution; so does any permutation of a twin class, since the
+// transpositions generate them all. Take any optimum and, among its images
+// under twin permutations and memory relabelings, the lexicographically
+// smallest string of memory indices in decision order whose memories open
+// left to right (the search's other symmetry rule). Suppose twins a before
+// b had memory(a) > memory(b). Memories open left to right, so memory(b)
+// opened before memory(a) did, before a's step. Swapping the two twins
+// keeps the string before a, puts the already open memory(b) at a, and
+// relabeling the memories to open left to right again keeps that prefix:
+// a smaller image, a contradiction. So the smallest image gives every later
+// twin a memory index at least its earlier twin's, and a search restricted
+// to such strings keeps an optimum. Only the answer's cost is kept
+// exactly: where mirrors tie, the restricted search may reach the other
+// one first.
+func (pr *problem) bbPrecompute(tight bool) bbPre {
 	n := len(pr.groups)
 	order := make([]int, n)
 	for i := range order {
@@ -632,14 +690,13 @@ func (pr *problem) bbPrecompute() bbPre {
 	})
 
 	lbTail := make([]float64, n+1)
+	portF := func(gi int) float64 { return 1 + pr.tech.SRAM.PortArea*float64(pr.selfPorts(gi)-1) }
 	lbOf := func(gi int) float64 {
 		g := pr.groups[gi]
-		k := pr.selfPorts(gi)
-		e := pr.tech.SRAM.EnergyPerAccess(g.Words, g.Bits, k)
+		e := pr.tech.SRAM.EnergyPerAccess(g.Words, g.Bits, pr.selfPorts(gi))
 		v := e * (float64(pr.acc[gi]) / pr.tech.FramePeriod) * 1e-6 // nJ × 1/s → mW
 		if !pr.p.InPlace {
-			portF := 1 + pr.tech.SRAM.PortArea*float64(k-1)
-			v += areaWeight * pr.tech.SRAM.CellArea * float64(g.BitSize()) * portF
+			v += areaWeight * pr.tech.SRAM.CellArea * float64(g.BitSize()) * portF(gi)
 		}
 		return v
 	}
@@ -655,7 +712,100 @@ func (pr *problem) bbPrecompute() bbPre {
 	if !pr.p.InPlace {
 		pre.periph = areaWeight * pr.tech.SRAM.PeriphArea
 	}
+	if !tight {
+		return pre
+	}
+	if !pr.p.InPlace {
+		pre.waste = make([]wasteTerm, n)
+		for i, gi := range order {
+			g := pr.groups[gi]
+			pre.waste[i] = wasteTerm{areaWeight * pr.tech.SRAM.CellArea * float64(g.Words) * portF(gi), g.Bits}
+		}
+	}
+	pre.twin = pr.twins(order)
 	return pre
+}
+
+// wasteFrom is the width-waste bound of the groups order[step:] when no
+// memory is empty (bbPrecompute).
+func (pre *bbPre) wasteFrom(step int, mems []*memState) float64 {
+	bmin := mems[0].bits
+	for _, m := range mems[1:] {
+		bmin = min(bmin, m.bits)
+	}
+	w := 0.0
+	for _, t := range pre.waste[step:] {
+		if t.bits < bmin {
+			w += t.coef * float64(bmin-t.bits)
+		}
+	}
+	return w
+}
+
+// twins links every group to its nearest earlier twin in the decision
+// order: twin[i] is that twin's step, or -1. Two groups are twins when
+// they have equal words, width, accesses per frame and (in in-place mode)
+// lifetime, and swapping them maps the pattern set onto itself: every
+// pattern in which their multiplicities differ has its swapped image among
+// the patterns. A group's pattern columns need not match its twin's, so
+// single-access patterns {a:k} and {b:k} are each other's images. It
+// returns nil when no group has a twin.
+func (pr *problem) twins(order []int) []int {
+	var twin []int
+	for i, a := range order {
+		for j := i - 1; j >= 0; j-- {
+			b := order[j]
+			ga, gb := pr.groups[a], pr.groups[b]
+			if ga.Words != gb.Words || ga.Bits != gb.Bits || pr.acc[a] != pr.acc[b] ||
+				pr.p.InPlace && pr.life[a] != pr.life[b] {
+				continue
+			}
+			swapped := true
+			for p := 0; p < pr.nPat && swapped; p++ {
+				swapped = pr.patVec[a][p] == pr.patVec[b][p] || pr.hasSwapImage(p, a, b)
+			}
+			if !swapped {
+				continue
+			}
+			if twin == nil {
+				twin = make([]int, len(order))
+				for k := range twin {
+					twin[k] = -1
+				}
+			}
+			twin[i] = j
+			break
+		}
+	}
+	return twin
+}
+
+// hasSwapImage reports whether some pattern q is pattern p with the
+// multiplicities of groups a and b swapped. The image holds b's
+// multiplicity at a and a's at b, and the two differ, so one of them is
+// nonzero: q is among that group's nonzero patterns.
+func (pr *problem) hasSwapImage(p, a, b int) bool {
+	cands := pr.patIdx[a]
+	if pr.patVec[b][p] == 0 {
+		cands = pr.patIdx[b]
+	}
+	for _, q := range cands {
+		image := true
+		for gi := 0; gi < len(pr.groups) && image; gi++ {
+			src := gi
+			switch gi {
+			case a:
+				src = b
+			case b:
+				src = a
+			}
+			image = pr.patVec[gi][q] == pr.patVec[src][p]
+		}
+		if image {
+			return true
+		}
+	}
+	return false
 }
 
 // greedyIncumbent runs the greedy first-fit assignment: each group (in
@@ -704,6 +854,16 @@ func greedyIncumbent(pr *problem, maxMem int, pre *bbPre) (assign []int, cost fl
 	return curAssign, curCost, true
 }
 
+// searchStats is one branch-and-bound's effort, emitted as the assign.*
+// counters when the search ends.
+type searchStats struct {
+	nodes       int // assign.nodes
+	pruned      int // assign.pruned_bound: subtrees cut by a bound or the twin rule
+	wastePruned int // of pruned: cut only once the width-waste term was added
+	twinSkipped int // of pruned: children the twin rule skipped
+	portRejects int // assign.port_rejections
+}
+
 // branchAndBound finds the cheapest assignment of pr.groups into exactly
 // maxMem on-chip memories (clamped to the group count: the designer
 // allocated them, the tool uses them — Table 4's sweep axis).
@@ -716,38 +876,41 @@ func greedyIncumbent(pr *problem, maxMem int, pre *bbPre) (assign []int, cost fl
 // node budget: it stops on node NodeBudget+1, which it counts but does not
 // expand.
 //
+// Two symmetry rules keep the search off equivalent branches: memories
+// open left to right (a group may take only the first still-empty
+// memory), and a group with an earlier twin takes no memory below that
+// twin's (bbPrecompute).
+//
 // A node is pruned when its bound reaches the incumbent's cost. The bound
 // is curCost plus the groups' floors and the empty memories' overhead, and
-// then, as a second test, plus the peripheral-area term (bbPrecompute),
-// which must clear the incumbent by the relative boundSlack. Both terms are
-// admissible, so a pruned subtree holds no leaf strictly cheaper than the
-// incumbent at that point: the incumbent sequence, and so the answer of a
-// search that completes, is the one the first test alone gives, from a
-// subset of its nodes. That needs a leaf's float cost to depend on its path
-// alone, which is why curCost is restored rather than decremented on the
-// way back: a running sum that drifts with every visited node would let a
-// pruned subtree move which of two equal-cost leaves compares cheaper.
-func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) ([]Binding, float64, float64, bool, error) {
+// then, as a second test, plus the peripheral-area term and, once no memory
+// is empty, the width-waste term (bbPrecompute), which must clear the
+// incumbent by the relative boundSlack. Every term is admissible, so a
+// pruned subtree holds no leaf strictly cheaper than the incumbent at that
+// point: without the twin rule, the incumbent sequence, and so the answer
+// of a search that completes, is the one the first test alone gives, from
+// a subset of its nodes. That needs a leaf's float cost to depend on its
+// path alone, which is why curCost is restored rather than decremented on
+// the way back: a running sum that drifts with every visited node would let
+// a pruned subtree move which of two equal-cost leaves compares cheaper.
+// With the twin rule the answer is the same one or, where mirrors tie
+// exactly, its mirror at the same cost. tight=false runs the search without
+// the width-waste term and the twin rule.
+func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span, tight bool) ([]Binding, float64, float64, bool, searchStats, error) {
+	var st searchStats
 	n := len(pr.groups)
 	if n == 0 {
-		return nil, 0, 0, true, nil
+		return nil, 0, 0, true, st, nil
 	}
 	if maxMem > n {
 		maxMem = n
 	}
-	pre := pr.bbPrecompute()
+	pre := pr.bbPrecompute(tight)
 	order, lbTail, emptyTerm := pre.order, pre.lbTail, pre.emptyTerm
 	prog := pr.p.Progress
 	prog.SetBound(lbTail[0] + float64(maxMem)*pre.emptyTerm)
 
 	mems := newMemStates(pr, maxMem)
-	// members[m] grows one entry per descent level; total membership never
-	// exceeds n, so one flat n-per-memory backing absorbs every append.
-	members := make([][]int, maxMem)
-	memberBuf := make([]int, maxMem*n)
-	for i := range members {
-		members[i] = memberBuf[i*n : i*n : (i+1)*n]
-	}
 	memCost := make([]float64, maxMem) // area+power of each memory
 	var curCost float64
 	emptyCnt := maxMem // memories with no member yet, maintained incrementally
@@ -762,11 +925,9 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 		prog.SetIncumbent(gCost)
 	}
 
-	// Search-effort counters: plain locals inside the hot loop, emitted once
-	// at the end so the instrumented search runs at full speed.
-	nodes := 0
-	prunedLB := 0
-	portRejects := 0
+	// The search-effort counters in st are plain fields inside the hot
+	// loop, emitted once at the end so the instrumented search runs at full
+	// speed.
 	exhausted := false
 	stopped := false // ctx deadline/cancellation hit (vs. node-budget exhaustion)
 	done := ctx.Done()
@@ -787,12 +948,12 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 		if exhausted || stopped {
 			return
 		}
-		nodes++
-		if nodes > pr.p.NodeBudget {
+		st.nodes++
+		if st.nodes > pr.p.NodeBudget {
 			exhausted = true
 			return
 		}
-		if nodes%cancelCheckInterval == 0 {
+		if st.nodes%cancelCheckInterval == 0 {
 			prog.AddNodes(cancelCheckInterval)
 			if done != nil {
 				cancelChecks++
@@ -813,14 +974,34 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 			return
 		}
 		v := curCost + lbTail[step] + float64(emptyCnt)*emptyTerm
-		if v >= bestCost || pre.periph > 0 &&
-			v+pre.periph*(math.Sqrt(xmax+pre.sizeTail[step])-math.Sqrt(xmax)) >= bestCost*(1+boundSlack) {
-			prunedLB++
+		if v >= bestCost {
+			st.pruned++
 			return
+		}
+		if pre.periph > 0 {
+			v += pre.periph * (math.Sqrt(xmax+pre.sizeTail[step]) - math.Sqrt(xmax))
+			limit := bestCost * (1 + boundSlack)
+			if v >= limit {
+				st.pruned++
+				return
+			}
+			if emptyCnt == 0 && pre.waste != nil && v+pre.wasteFrom(step, mems) >= limit {
+				st.pruned++
+				st.wastePruned++
+				return
+			}
 		}
 		gi := order[step]
 		mustOpen := n-step <= emptyCnt
-		for m := 0; m < maxMem; m++ {
+		lo := 0
+		if pre.twin != nil && pre.twin[step] >= 0 {
+			lo = curAssign[order[pre.twin[step]]]
+			if !mustOpen {
+				st.pruned += lo
+				st.twinSkipped += lo
+			}
+		}
+		for m := lo; m < maxMem; m++ {
 			if mems[m].nGroups == 0 && m > 0 && mems[m-1].nGroups == 0 {
 				break // symmetry breaking: open memories left to right
 			}
@@ -839,16 +1020,14 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 				memCost[m] = power + areaWeight*area
 				curCost += memCost[m] - oldCost
 				curAssign[gi] = m
-				members[m] = append(members[m], gi)
 				dfs(step+1, max(xmax, float64(mems[m].words)*float64(mems[m].bits)))
-				members[m] = members[m][:len(members[m])-1]
 				curCost = parentCost
 				memCost[m] = oldCost
 				if wasEmpty {
 					emptyCnt++
 				}
 			} else {
-				portRejects++
+				st.portRejects++
 			}
 			mems[m].pop(pr, gi, u)
 		}
@@ -856,20 +1035,20 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 	if !stopped {
 		dfs(0, 0)
 	}
-	prog.AddNodes(int64(nodes % cancelCheckInterval))
+	prog.AddNodes(int64(st.nodes % cancelCheckInterval))
 	if sp != nil {
-		sp.SetInt("nodes", int64(nodes))
-		sp.SetInt("pruned_bound", int64(prunedLB))
-		sp.SetInt("port_rejections", int64(portRejects))
+		sp.SetInt("nodes", int64(st.nodes))
+		sp.SetInt("pruned_bound", int64(st.pruned))
+		sp.SetInt("port_rejections", int64(st.portRejects))
 		opt := int64(1)
 		if exhausted || stopped {
 			opt = 0
 		}
 		sp.SetInt("optimal", opt)
 		o := sp.Observer()
-		o.Counter("assign.nodes").Add(int64(nodes))
-		o.Counter("assign.pruned_bound").Add(int64(prunedLB))
-		o.Counter("assign.port_rejections").Add(int64(portRejects))
+		o.Counter("assign.nodes").Add(int64(st.nodes))
+		o.Counter("assign.pruned_bound").Add(int64(st.pruned))
+		o.Counter("assign.port_rejections").Add(int64(st.portRejects))
 		if cancelChecks > 0 {
 			o.Counter("assign.cancel_points").Add(int64(cancelChecks))
 		}
@@ -878,15 +1057,15 @@ func branchAndBound(ctx context.Context, pr *problem, maxMem int, sp *obs.Span) 
 		}
 	}
 	if math.IsInf(bestCost, 1) {
-		return nil, 0, 0, false, fmt.Errorf(
+		return nil, 0, 0, false, st, fmt.Errorf(
 			"assign: no feasible on-chip assignment with %d memories (conflicts demand more)", maxMem)
 	}
 
 	binds, totalArea, totalPower, err := materializeOnChip(pr, maxMem, bestAssign)
 	if err != nil {
-		return nil, 0, 0, false, err
+		return nil, 0, 0, false, st, err
 	}
-	return binds, totalArea, totalPower, !exhausted && !stopped, nil
+	return binds, totalArea, totalPower, !exhausted && !stopped, st, nil
 }
 
 // materializeOnChip turns the winning assignment vector into memory

@@ -100,7 +100,8 @@ func offChipInstance(seed int64) (*spec.Spec, []sbd.Pattern) {
 // random instance (seeds 0–23), on-chip count 1–3 and in-place mode, the
 // AssignContext and Greedy results — every binding's memory, member groups and
 // the float64 bits of its power and area, each Cost field's bits and the
-// Optimal flag, or the error text of an infeasible case — and the same rows
+// Optimal flag, or the error text of an infeasible case, each answer first
+// passing checkAssignment — and the same rows
 // for the off-chip corpus (seeds 0–23, one on-chip memory) and the
 // conflict-free corpus (seeds 0–23, on-chip count 3–4). Any change to the
 // search order, the bound, the cost accumulation or the tie-breaking shows
@@ -122,6 +123,9 @@ func TestAssignGolden(t *testing.T) {
 			if err != nil {
 				fmt.Fprintf(&buf, " error=%q\n", err.Error())
 				continue
+			}
+			if err := checkAssignment(s, pats, tech, count, p, a); err != nil {
+				t.Fatalf("%s count=%d inplace=%v %s: %v", label, count, inPlace, mode.name, err)
 			}
 			c := a.Cost
 			fmt.Fprintf(&buf, " area=%x power=%x offpower=%x optimal=%v\n",

@@ -174,3 +174,35 @@ func TestJumpMatchesFullScan(t *testing.T) {
 		t.Fatal("the jump never fired")
 	}
 }
+
+// TestDroppedJumpBalancesEndOnce pins jumpSpec seeds whose loops all
+// qualify for the jump but whose balancer misses the conflict-free
+// schedule at the bound, so the jump is dropped and the scan runs point by
+// point up to max. Without a session cache the distributor must commit
+// what the full scan commits and resolve exactly as many points: the max
+// schedule the jump balanced is reused, not balanced a second time.
+func TestDroppedJumpBalancesEndOnce(t *testing.T) {
+	var p Params
+	p.normalize()
+	for _, seed := range []int64{17, 58, 89, 213, 288} {
+		s := jumpSpec(seed)
+		groups := groupsOf(s)
+		for i := range s.Loops {
+			if !everyOverlapCosts(&s.Loops[i], groups, p) {
+				t.Fatalf("%s: loop %s does not qualify for the jump", s.Name, s.Loops[i].Name)
+			}
+		}
+		bound := jumpBound(s)
+		got, n := countPoints(t, context.Background(), s, bound, Params{}, DistributeContext)
+		want, full := countPoints(t, context.Background(), s, bound, Params{}, distributeFullScan)
+		if diff := identical(got, want); diff != "" {
+			t.Fatalf("%s: %s", s.Name, diff)
+		}
+		if n <= 2*len(s.Loops) {
+			t.Fatalf("%s: %d points for %d loops, the jump was not dropped", s.Name, n, len(s.Loops))
+		}
+		if n != full {
+			t.Fatalf("%s: resolved %d curve points, the full scan %d", s.Name, n, full)
+		}
+	}
+}

@@ -1267,7 +1267,9 @@ func (d *Distribution) ExtraCycles() uint64 { return d.TotalBudget - d.Used }
 // without balancing the points between. When one end does not come out
 // clean (the balancer missed the conflict-free schedule, or cancellation
 // cut it short), the jump is dropped for every curve and the scan builds
-// them point by point as before.
+// them point by point as before, except that a curve reaching max takes the
+// complete schedule the jump balanced there instead of balancing it again
+// (balancing is deterministic under a live context).
 func DistributeContext(ctx context.Context, s *spec.Spec, totalBudget uint64, p Params) (*Distribution, error) {
 	return distribute(ctx, s, totalBudget, p, true)
 }
@@ -1289,9 +1291,10 @@ type curve struct {
 	min    int      // weighted critical path
 	max    int      // budget beyond which cost is zero anyway
 	pts    []curvePoint
-	ended  bool     // pts reaches the curve's end
-	chosen int      // index into pts
-	body   loopBody // built on the first curve point not cached
+	end    *LoopSchedule // balanced at max by a dropped jump, for the scan to reuse
+	ended  bool          // pts reaches the curve's end
+	chosen int           // index into pts
+	body   loopBody      // built on the first curve point not cached
 	built  bool
 }
 
@@ -1456,9 +1459,12 @@ func distribute(ctx context.Context, s *spec.Spec, totalBudget uint64, p Params,
 			}
 			b = cv.budgetAt(len(cv.pts))
 		}
-		sc, err := balance(cv, b)
-		if err != nil {
-			return false, err
+		sc := cv.end
+		if b != cv.max || sc == nil {
+			var err error
+			if sc, err = balance(cv, b); err != nil {
+				return false, err
+			}
 		}
 		cv.ended = sc.Cost == 0 || b >= cv.max
 		if j := len(cv.pts); j > 0 && sc.Cost >= cv.pts[j-1].sc.Cost {
@@ -1477,6 +1483,8 @@ func distribute(ctx context.Context, s *spec.Spec, totalBudget uint64, p Params,
 	remaining := totalBudget - minTotal
 	// The jump (see the doc comment): build every open curve's max point
 	// now, and keep them only if all came out complete and conflict-free.
+	// When the jump is dropped, the complete max schedules it built wait in
+	// cv.end, so the scan does not balance them a second time.
 	if jump && spansCovered(curves, remaining, groups, p) {
 		ends := make([]*LoopSchedule, len(curves))
 		clean := true
@@ -1493,16 +1501,24 @@ func distribute(ctx context.Context, s *spec.Spec, totalBudget uint64, p Params,
 			if err != nil {
 				return nil, err
 			}
-			if sc.Cost != 0 || sc.Degraded {
+			if sc.Degraded {
 				clean = false
 				break
 			}
 			ends[i] = sc
+			if sc.Cost != 0 {
+				clean = false
+				break
+			}
 		}
 		for i, cv := range curves {
-			if clean && ends[i] != nil {
+			switch {
+			case ends[i] == nil:
+			case clean:
 				cv.pts = append(cv.pts, curvePoint{cv.max, ends[i]})
 				cv.ended = true
+			default:
+				cv.end = ends[i]
 			}
 		}
 	}
