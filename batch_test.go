@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/memo"
+	"repro/internal/obs"
 )
 
 func postBatch(t *testing.T, ts *httptest.Server, body string) (*http.Response, *batchResponse, []byte) {
@@ -43,7 +44,7 @@ func batchBody(items ...string) string {
 // own trace id under the batch's.
 func TestBatchExplore(t *testing.T) {
 	_, specJSON, budget := serviceSpec(t)
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	srv := NewServer(ServeOptions{Obs: obs.New()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -181,7 +182,7 @@ func TestBatchExploreCanceledMidBatch(t *testing.T) {
 // scratch would corrupt.
 func TestBatchExploreConcurrentSharedScratch(t *testing.T) {
 	_, specJSON, budget := serviceSpec(t)
-	srv := NewServer(ServeOptions{Obs: NewObserver(), NoCache: true})
+	srv := NewServer(ServeOptions{Obs: obs.New(), NoCache: true})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -18,11 +18,13 @@ import (
 	"testing"
 
 	"repro/internal/assign"
+	"repro/internal/bgstruct"
 	"repro/internal/core"
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/sbd"
+	"repro/internal/workloads"
 )
 
 // benchSize is the demonstrator scale used by the benchmark harness. The
@@ -164,11 +166,11 @@ func BenchmarkFigure2Structuring(b *testing.B) {
 	printTables(res)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := Compact(demo.Spec, "ridge", 3)
+		c, err := bgstruct.Compact(demo.Spec, "ridge", 3)
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := Merge(demo.Spec, "ridge", "pyr", "pyrridge")
+		m, err := bgstruct.Merge(demo.Spec, "ridge", "pyr", "pyrridge")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -336,10 +338,10 @@ func BenchmarkWorkloadExploration(b *testing.B) {
 		mk   func() (*Spec, WorkloadContext, error)
 	}{
 		{"MotionEstimation", func() (*Spec, WorkloadContext, error) {
-			return MotionEstimationWorkload(176, 144, 16, 7)
+			return workloads.MotionEstimation(176, 144, 16, 7)
 		}},
-		{"Wavelet", func() (*Spec, WorkloadContext, error) { return WaveletWorkload(512, 512, 4) }},
-		{"FIR", func() (*Spec, WorkloadContext, error) { return FIRWorkload(48_000, 64) }},
+		{"Wavelet", func() (*Spec, WorkloadContext, error) { return workloads.Wavelet(512, 512, 4) }},
+		{"FIR", func() (*Spec, WorkloadContext, error) { return workloads.FIRFilter(48_000, 64) }},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -451,10 +453,10 @@ func BenchmarkExploreWorkers(b *testing.B) {
 func BenchmarkExploreObserved(b *testing.B) {
 	b.ReportAllocs()
 	var last *core.Results
-	var collector *SpanCollector
+	var collector *obs.Collector
 	for i := 0; i < b.N; i++ {
-		collector = NewCollectorSink()
-		o := NewObserver(collector)
+		collector = obs.NewCollector()
+		o := obs.New(collector)
 		ep := core.DefaultEvalParams()
 		ep.Obs = o
 		res, err := core.RunAll(core.DemoConfig{Size: 256}, ep)

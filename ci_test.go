@@ -2,6 +2,7 @@ package dtse
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -60,6 +61,24 @@ func TestCheckRunSelectorsReportsMissing(t *testing.T) {
 		if !strings.Contains(problems[i], w) {
 			t.Errorf("problem %d = %q, want it to name %s", i, problems[i], w)
 		}
+	}
+}
+
+// TestTestFuncsPattern: a "dir/..." argument yields the tests every
+// package below dir declares, so a name only some of them have is reported.
+func TestTestFuncsPattern(t *testing.T) {
+	funcs, err := testFuncs("./examples/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !funcs["TestStdoutGolden"] {
+		t.Errorf("./examples/... tests %v lack TestStdoutGolden", funcs)
+	}
+	if funcs, err := testFuncs("./cmd/..."); err != nil || funcs["TestRunDigests"] {
+		t.Errorf("./cmd/... yields %v (err %v); TestRunDigests is only cmd/dtse's", funcs, err)
+	}
+	if _, err := testFuncs("./testdata/..."); err == nil {
+		t.Error("a pattern without test files was accepted")
 	}
 }
 
@@ -146,8 +165,38 @@ func hasTest(funcs map[string]bool, name string, prefix bool) bool {
 }
 
 // testFuncs returns the names of the test functions in dir's _test.go
-// files.
+// files. For a "dir/..." pattern it returns the names that every package
+// with test files below dir declares, so a selector over the pattern must
+// name a test of each.
 func testFuncs(dir string) (map[string]bool, error) {
+	if root, ok := strings.CutSuffix(dir, "/..."); ok {
+		var common map[string]bool
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			funcs, err := testFuncs(p)
+			if err != nil {
+				return nil // no test files here
+			}
+			if common == nil {
+				common = funcs
+			}
+			for name := range common {
+				if !funcs[name] {
+					delete(common, name)
+				}
+			}
+			return nil
+		})
+		if err == nil && common == nil {
+			err = fmt.Errorf("no test files under %s", root)
+		}
+		return common, err
+	}
 	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
 	if err != nil || len(files) == 0 {
 		return nil, fmt.Errorf("no test files in %s", dir)

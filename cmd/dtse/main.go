@@ -85,6 +85,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch {
+	case fs.NArg() > 0:
+		return usage("dtse: unexpected arguments %q", fs.Args())
 	case *cache != "on" && *cache != "off":
 		return usage("dtse: -cache %q invalid (want on or off)", *cache)
 	case *workers < 1:

@@ -123,8 +123,9 @@ func TestRunDigests(t *testing.T) {
 	}
 }
 
-// TestRunUsageErrors: invalid selectors and a negative timeout are usage
-// errors (exit 2) rejected before any work.
+// TestRunUsageErrors: invalid selectors, a negative timeout and a stray
+// positional argument (with every flag after it, which the flag parser
+// stops at) are usage errors (exit 2) rejected before any work.
 func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-table", "5"},
@@ -139,6 +140,8 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-quant", "0"},
 		{"-quant", "65"},
 		{"-nosuchflag"},
+		{"stray"},
+		{"-size", "16", "stray", "-table", "9"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

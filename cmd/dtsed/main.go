@@ -123,6 +123,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "dtsed: unexpected arguments %q\n", fs.Args())
+		fs.Usage()
+		return 2
+	}
 	if *cache != "on" && *cache != "off" {
 		fmt.Fprintf(stderr, "dtsed: -cache %q invalid (want on or off)\n", *cache)
 		fs.Usage()

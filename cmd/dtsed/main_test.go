@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
@@ -111,6 +112,32 @@ func TestRunBadFlags(t *testing.T) {
 		var out bytes.Buffer
 		if code := run(context.Background(), args, &out, &out); code != 2 {
 			t.Errorf("args %v: exit %d, want 2\n%s", args, code, out.String())
+		}
+	}
+}
+
+// TestRunStrayArguments: a positional argument is a usage error, caught
+// before the daemon listens. Its address is taken, so a daemon that got as
+// far as listening fails with exit 1 instead.
+func TestRunStrayArguments(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	for _, args := range [][]string{
+		{"-addr", taken.Addr().String(), "stray"},
+		{"-addr", taken.Addr().String(), "stray", "-concurrency", "0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), args, &stdout, &stderr); code != 2 {
+			t.Errorf("args %v: exit %d, want 2\n%s", args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), `unexpected arguments ["stray"`) || !strings.Contains(stderr.String(), "Usage of dtsed") {
+			t.Errorf("args %v: stderr does not name the stray argument and print the usage:\n%s", args, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("args %v: wrote stdout despite the usage error:\n%s", args, stdout.String())
 		}
 	}
 }

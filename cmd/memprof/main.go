@@ -47,6 +47,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "memprof: unexpected arguments %q\n", fs.Args())
+		fs.Usage()
+		return 2
+	}
 	if err := validateFlags(*size, *quant); err != nil {
 		fmt.Fprintln(stderr, err)
 		fs.Usage()

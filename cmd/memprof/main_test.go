@@ -70,13 +70,16 @@ func TestRunScopes(t *testing.T) {
 	}
 }
 
-// TestRunFlagErrors: invalid flags exit 2 without producing a profile.
+// TestRunFlagErrors: invalid flags and a stray positional argument exit 2
+// without producing a profile.
 func TestRunFlagErrors(t *testing.T) {
 	cases := [][]string{
 		{"-size", "1"},
 		{"-quant", "0"},
 		{"-quant", "65"},
 		{"-nosuchflag"},
+		{"stray"},
+		{"-size", "16", "stray", "-quant", "0"},
 	}
 	for _, args := range cases {
 		var out, errB bytes.Buffer

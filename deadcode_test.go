@@ -6,86 +6,151 @@ import (
 	"go/token"
 	"io/fs"
 	"maps"
+	"path"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// testOnlyExports names the exported functions and methods under internal/
-// that no non-test code calls but that stay on purpose, keyed
-// "pkg.Func" or "pkg.Type.Method", each with the reason it stays.
+// testOnlyExports names the exported functions and methods of the root
+// package and under internal/ that no non-test code calls but that stay on
+// purpose, keyed "pkg.Func" or "pkg.Type.Method", each with the reason it
+// stays.
 var testOnlyExports = map[string]string{
 	"memlib.Tech.Scale":                   "backs the relative-comparisons-survive-rescaling test (DESIGN §2)",
 	"img.Gradient":                        "synthetic image fixture for the btpc and core tests",
 	"img.Noise":                           "synthetic image fixture for the btpc and core tests",
 	"img.Flat":                            "synthetic image fixture for the btpc and core tests",
 	"core.ExploreBudgetsPipelinedContext": "the only path to Table 3's off-chip jump (EXPERIMENTS.md Table 3)",
+	"core.BuildDemonstrator":              "fixture of the sbd schedules/distributions goldens and of spec's canonical.golden",
 	"spec.Spec.GroupNames":                "spec fixture helper shared by several test packages",
 	"reuse.Profile.Cold":                  "printed into internal/core's decoder.golden; export_test.go cannot reach across packages",
 	"obs.Collector.Find":                  "span lookup fixture used by the root, core, sbd and obs tests",
 	"inplace.PeakWords":                   "independent in-place word bound, kept for a certificate checker of assign",
 	"inplace.SumWords":                    "independent in-place word bound, kept for a certificate checker of assign",
+	"workloads.MotionEstimation":          "builds rows of the byte-pinned explore.golden and canonical.golden",
+	"workloads.Wavelet":                   "builds rows of the byte-pinned explore.golden and canonical.golden",
+	"workloads.FIRFilter":                 "builds rows of the byte-pinned explore.golden and canonical.golden",
 	"spec.Spec.MarshalJSON":               "called by encoding/json",
 	"spec.Spec.UnmarshalJSON":             "called by encoding/json",
+	"dtse.specField.UnmarshalJSON":        "called by encoding/json",
 	"memo.Key.MarshalText":                "called by encoding/json (handoff record keys)",
 	"memo.Key.UnmarshalText":              "called by encoding/json (handoff record keys)",
 }
 
-// TestNoTestOnlyExports fails on any exported function or method under
-// internal/ whose name no non-test Go file in the module uses, outside the
-// testOnlyExports list. The check is by name, so a name used anywhere
-// counts as used; it catches code only tests reach, not every dead method.
+// TestNoTestOnlyExports fails on any exported function or method of the
+// root package or under internal/ that no non-test Go file in the module
+// uses, outside the testOnlyExports list. A package-level function counts
+// as used only where it is named as that package's function: through a
+// selector on an import of its package (core.RunAll), or as a bare
+// identifier inside its own package. So a wrapper does not keep its target
+// alive by sharing its name, nor a method call by sharing a function's
+// name. A method counts as used wherever its name appears, so the check
+// catches code only tests reach, not every dead method.
 func TestNoTestOnlyExports(t *testing.T) {
-	used := map[string]bool{}
-	var decls []string // "pkg.Func" or "pkg.Type.Method"
-	forEachNonTestFile(t, func(path string, f *ast.File) {
+	type srcFile struct {
+		dir string
+		f   *ast.File
+	}
+	var files []srcFile
+	pkgName := map[string]string{} // directory → package name
+	forEachNonTestFile(t, func(p string, f *ast.File) {
+		files = append(files, srcFile{path.Dir(p), f})
+		pkgName[path.Dir(p)] = f.Name.Name
+	})
+	type export struct {
+		key string // "pkg.Func" or "pkg.Type.Method"
+		use string // "dir.Func" for a function, the bare name for a method
+	}
+	var exports []export
+	used := map[string]bool{} // "dir.Func" of functions, bare names of methods
+	for _, sf := range files {
+		imports := map[string]string{} // local name → directory, module imports only
+		for _, imp := range sf.f.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			dir, ok := moduleDir(ip)
+			if !ok {
+				continue
+			}
+			name := pkgName[dir]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = dir
+		}
+		checked := sf.dir == "." || strings.HasPrefix(sf.dir, "internal/")
 		declared := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
+		for _, d := range sf.f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
 			declared[fd.Name] = true
-			if !fd.Name.IsExported() || !strings.HasPrefix(path, "internal/") {
+			if !checked || !fd.Name.IsExported() {
 				continue
 			}
-			key := f.Name.Name + "." + fd.Name.Name
-			if fd.Recv != nil {
-				key = f.Name.Name + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name
+			if fd.Recv == nil {
+				exports = append(exports, export{sf.f.Name.Name + "." + fd.Name.Name, sf.dir + "." + fd.Name.Name})
+			} else {
+				exports = append(exports, export{sf.f.Name.Name + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name, fd.Name.Name})
 			}
-			decls = append(decls, key)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
+		selected := map[*ast.Ident]bool{} // the Sel of every selector
+		ast.Inspect(sf.f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				selected[x.Sel] = true
+				if id, ok := x.X.(*ast.Ident); ok {
+					if dir, ok := imports[id.Name]; ok {
+						used[dir+"."+x.Sel.Name] = true
+					}
+				}
+			case *ast.Ident:
+				if declared[x] {
+					break
+				}
+				used[x.Name] = true
+				if !selected[x] {
+					used[sf.dir+"."+x.Name] = true
+				}
 			}
 			return true
 		})
-	})
+	}
 	pending := maps.Clone(testOnlyExports)
 	var unused []string
-	for _, key := range decls {
-		name := key[strings.LastIndexByte(key, '.')+1:]
-		if _, keep := testOnlyExports[key]; keep {
-			if used[name] {
-				t.Errorf("%s is listed in testOnlyExports but non-test code uses it; drop the entry", key)
+	for _, e := range exports {
+		if _, keep := testOnlyExports[e.key]; keep {
+			if used[e.use] {
+				t.Errorf("%s is listed in testOnlyExports but non-test code uses it; drop the entry", e.key)
 			}
-			delete(pending, key)
+			delete(pending, e.key)
 			continue
 		}
-		if !used[name] {
-			unused = append(unused, key)
+		if !used[e.use] {
+			unused = append(unused, e.key)
 		}
 	}
 	for key := range pending {
-		t.Errorf("testOnlyExports lists %s, which is not declared under internal/", key)
+		t.Errorf("testOnlyExports lists %s, which is not declared in the root package or under internal/", key)
 	}
 	sort.Strings(unused)
 	for _, key := range unused {
 		t.Errorf("%s is exported but only tests use it: delete it, or unexport it and reach it from export_test.go", key)
 	}
+}
+
+// moduleDir returns the slash-separated directory, relative to the module
+// root, of an import path inside module repro.
+func moduleDir(importPath string) (string, bool) {
+	if importPath == "repro" {
+		return ".", true
+	}
+	rest, ok := strings.CutPrefix(importPath, "repro/")
+	return rest, ok
 }
 
 // TestNoTestOnlyOptions fails on any exported field of ServeOptions or

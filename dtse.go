@@ -20,10 +20,10 @@
 //	v, err := dtse.Explore(s, 20*640*480, dtse.DefaultParams())
 //	// v.Cost has the on-chip area / on-chip power / off-chip power triple.
 //
-// Transformations (basic group structuring, custom memory hierarchies) are
-// available through Compact, Merge, NewReuseStream, PlanHierarchy and
-// ApplyHierarchy; profiling support lives in NewRecorder and the
-// instrumented arrays.
+// Custom memory hierarchies are planned through NewReuseStream,
+// PlanHierarchy and ApplyHierarchy, and ReduceMACP rebalances accumulation
+// chains whose critical path overruns the cycle budget; profiling support
+// lives in NewRecorder and the instrumented arrays.
 //
 // # Reproducing the paper
 //
@@ -44,15 +44,11 @@ import (
 	"io"
 
 	"repro/internal/assign"
-	"repro/internal/bgstruct"
 	"repro/internal/btpc"
 	"repro/internal/core"
 	"repro/internal/img"
-	"repro/internal/inplace"
 	"repro/internal/looptrafo"
 	"repro/internal/memlib"
-	"repro/internal/obs"
-	"repro/internal/pareto"
 	"repro/internal/reuse"
 	"repro/internal/sbd"
 	"repro/internal/spec"
@@ -100,8 +96,6 @@ type (
 	Results = core.Results
 	// DemoConfig configures the BTPC demonstrator.
 	DemoConfig = core.DemoConfig
-	// ParetoPoint is one cost point for Pareto filtering.
-	ParetoPoint = pareto.Point
 )
 
 // Profiling and reuse analysis.
@@ -120,33 +114,6 @@ type (
 	Hierarchy = reuse.Hierarchy
 )
 
-// Exploration telemetry.
-type (
-	// Observer is the root of one telemetry session; nil disables all
-	// instrumentation (set EvalParams.Obs to enable it for an exploration).
-	Observer = obs.Observer
-	// Span is one timed region of the exploration span tree.
-	Span = obs.Span
-	// SpanRecord is one finished span as delivered to sinks.
-	SpanRecord = obs.SpanRecord
-	// Sink receives finished spans and the final counter snapshot.
-	Sink = obs.Sink
-	// SpanCollector is an in-memory sink for tests and benchmarks.
-	SpanCollector = obs.Collector
-)
-
-// NewObserver returns a telemetry observer emitting into the given sinks.
-func NewObserver(sinks ...Sink) *Observer { return obs.New(sinks...) }
-
-// NewJSONLSink returns a sink writing one JSON object per line to w.
-func NewJSONLSink(w io.Writer) Sink { return obs.NewJSONL(w) }
-
-// NewCollectorSink returns an in-memory span collector.
-func NewCollectorSink() *SpanCollector { return obs.NewCollector() }
-
-// SpanStats renders the per-step summary table of a collected span set.
-func SpanStats(recs []*SpanRecord) string { return obs.StatsTable(recs) }
-
 // Image substrate and demonstrator codec.
 type (
 	// Image is an 8-bit grayscale image.
@@ -163,9 +130,6 @@ func NewSpec(name string) *SpecBuilder { return spec.NewBuilder(name) }
 // NewRecorder returns an access-count recorder for profiling.
 func NewRecorder() *Recorder { return trace.NewRecorder() }
 
-// DefaultTech returns the calibrated memory technology models.
-func DefaultTech() *Tech { return memlib.Default() }
-
 // DefaultParams returns the calibrated tool parameters.
 func DefaultParams() EvalParams { return core.DefaultEvalParams() }
 
@@ -174,28 +138,7 @@ func DefaultParams() EvalParams { return core.DefaultEvalParams() }
 // specification, returning the evaluated organization with its accurate
 // cost feedback.
 func Explore(s *Spec, cycleBudget uint64, ep EvalParams) (*Variant, error) {
-	return ExploreContext(context.Background(), s, cycleBudget, ep)
-}
-
-// ExploreContext is Explore with deadline and cancellation support. The
-// exploration is *anytime*: when ctx expires or is canceled, each stage
-// returns its best result found so far (the assignment falls back to its
-// greedy incumbent, flagged with Assignment.Optimal=false) instead of an
-// error, so a feasible specification always yields a valid organization.
-func ExploreContext(ctx context.Context, s *Spec, cycleBudget uint64, ep EvalParams) (*Variant, error) {
-	return core.EvaluateContext(ctx, s, cycleBudget, s.Name, ep)
-}
-
-// Compact applies basic group compaction (§4.3): factor words packed into
-// one wider word.
-func Compact(s *Spec, group string, factor int) (*Spec, error) {
-	return bgstruct.Compact(s, group, factor)
-}
-
-// Merge applies basic group merging (§4.3): two equal-length arrays become
-// one array of records.
-func Merge(s *Spec, a, b, merged string) (*Spec, error) {
-	return bgstruct.Merge(s, a, b, merged)
+	return core.EvaluateContext(context.Background(), s, cycleBudget, s.Name, ep)
 }
 
 // NewReuseStream starts the LRU reuse analysis of one traced array's read
@@ -218,42 +161,11 @@ func ApplyHierarchy(s *Spec, h *Hierarchy, bits int) (*Spec, error) {
 	return reuse.Apply(s, h, bits)
 }
 
-// ParetoFront filters design points to the Pareto-optimal subset.
-func ParetoFront(points []ParetoPoint) []ParetoPoint { return pareto.Front(points) }
-
 // ReproduceBTPC runs the paper's complete stepwise feedback methodology on
 // the BTPC demonstrator: profile, prune, structure (Table 1), hierarchy
 // (Table 2, Figure 3), cycle budget (Table 3), allocation (Table 4).
 func ReproduceBTPC(cfg DemoConfig) (*Results, error) {
 	return core.RunAll(cfg, core.DefaultEvalParams())
-}
-
-// ReproduceBTPCContext runs the methodology of ReproduceBTPC under ep
-// (start from DefaultParams). When ctx expires the remaining exploration
-// degrades to best-effort results (sweeps keep their reference rows,
-// searches return incumbents flagged non-optimal) and a complete Results is
-// still returned. With ep.Obs set, spans and counters are recorded into the
-// observer's sinks (see NewObserver); the counters
-// assign.deadline_fallbacks, assign.cancel_points, sbd.deadline_fallbacks
-// and assign.result{optimal=...} record where the budget went when a run
-// degrades.
-func ReproduceBTPCContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results, error) {
-	return core.RunAllContext(ctx, cfg, ep)
-}
-
-// Demonstrator is a profiled BTPC application with its pruned spec.
-type Demonstrator = core.Demonstrator
-
-// EncoderDemonstrator profiles the BTPC encoder and derives its pruned
-// specification (the paper's design target).
-func EncoderDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
-	return core.BuildDemonstrator(cfg)
-}
-
-// DecoderDemonstrator profiles the BTPC decoder — the system's other half,
-// explored as an extension beyond the paper's encoder-only scope.
-func DecoderDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
-	return core.BuildDecoderDemonstrator(cfg)
 }
 
 // EncodeBTPC compresses an image with the demonstrator coder, optionally
@@ -267,34 +179,11 @@ func DecodeBTPC(data []byte, rec *Recorder) (*Image, error) {
 	return btpc.Decode(data, rec)
 }
 
-// DecodeBTPCProgressive reconstructs an approximation from a pyramid
-// prefix: levels below stopLevel are filled by prediction alone
-// (progressive transmission; stopLevel 0 equals DecodeBTPC).
-func DecodeBTPCProgressive(data []byte, stopLevel int, rec *Recorder) (*Image, error) {
-	return btpc.DecodeProgressive(data, stopLevel, rec)
-}
-
 // SyntheticImage builds a deterministic test image with the structures the
 // BTPC predictor distinguishes.
 func SyntheticImage(w, h int, seed uint64) *Image { return img.Synthetic(w, h, seed) }
 
 // --- Loop and data-flow transformations (§4.2) ---
-
-// TreeifyChain rebalances an associative accumulation chain into a
-// logarithmic-depth tree, shortening the memory access critical path.
-func TreeifyChain(s *Spec, loop, group string) (*Spec, error) {
-	return looptrafo.ChainTreeify(s, loop, group)
-}
-
-// SplitLoop splits a loop body at a dependence-closed frontier.
-func SplitLoop(s *Spec, loop string, firstHalf []int) (*Spec, error) {
-	return looptrafo.SplitLoop(s, loop, firstHalf)
-}
-
-// FuseLoops fuses two equal-iteration loops into one body.
-func FuseLoops(s *Spec, a, b, fused string) (*Spec, error) {
-	return looptrafo.FuseLoops(s, a, b, fused)
-}
 
 // ReduceMACP applies chain rebalancing until the unit MACP fits the target
 // (the paper's §4.2 escape hatch when the constraint is violated).
@@ -307,31 +196,7 @@ func ReduceMACP(s *Spec, target uint64) (*Spec, []string, error) {
 // WriteSpecJSON serializes a specification (indented JSON).
 func WriteSpecJSON(s *Spec, w io.Writer) error { return s.WriteJSON(w) }
 
-// ReadSpecJSON parses and validates a specification.
-func ReadSpecJSON(r io.Reader) (*Spec, error) { return spec.ReadJSON(r) }
-
-// --- In-place mapping (the deferred stage, as an extension) ---
-
-// LifetimeReport renders the basic-group lifetime analysis and the
-// storage-sharing opportunities of a specification.
-func LifetimeReport(s *Spec) string { return inplace.Report(s) }
-
 // --- Workload generators ---
 
 // WorkloadContext is the real-time setting of a generated workload.
 type WorkloadContext = workloads.Context
-
-// MotionEstimationWorkload builds a full-search block-matching spec.
-func MotionEstimationWorkload(w, h, block, searchRange int) (*Spec, WorkloadContext, error) {
-	return workloads.MotionEstimation(w, h, block, searchRange)
-}
-
-// WaveletWorkload builds an in-place lifting wavelet spec.
-func WaveletWorkload(w, h, levels int) (*Spec, WorkloadContext, error) {
-	return workloads.Wavelet(w, h, levels)
-}
-
-// FIRWorkload builds an n-sample, T-tap FIR filter spec.
-func FIRWorkload(samples, taps int) (*Spec, WorkloadContext, error) {
-	return workloads.FIRFilter(samples, taps)
-}

@@ -4,6 +4,15 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/bgstruct"
+	"repro/internal/btpc"
+	"repro/internal/core"
+	"repro/internal/inplace"
+	"repro/internal/looptrafo"
+	"repro/internal/obs"
+	"repro/internal/spec"
+	"repro/internal/workloads"
 )
 
 // buildVideoSpec is a small but non-trivial spec used across the facade
@@ -68,7 +77,7 @@ func TestFacadeTransformsCompose(t *testing.T) {
 	sp := buildVideoSpec(t)
 	// Merge the two frames into a record (cur, ref are co-indexed in the
 	// diff loop via their counts, not sites, so accesses just retarget).
-	m, err := Merge(sp, "cur", "ref", "frames")
+	m, err := bgstruct.Merge(sp, "cur", "ref", "frames")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +85,7 @@ func TestFacadeTransformsCompose(t *testing.T) {
 		t.Fatal("merged group missing")
 	}
 	// Then compact the small threshold table.
-	c, err := Compact(m, "thresh", 2)
+	c, err := bgstruct.Compact(m, "thresh", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +162,6 @@ func TestFacadeRecorder(t *testing.T) {
 	}
 }
 
-func TestFacadeParetoFront(t *testing.T) {
-	pts := []ParetoPoint{
-		{Label: "a", Area: 1, Power: 9},
-		{Label: "b", Area: 9, Power: 1},
-		{Label: "c", Area: 9, Power: 9},
-	}
-	f := ParetoFront(pts)
-	if len(f) != 2 {
-		t.Fatalf("front = %v", f)
-	}
-}
-
 func TestFacadeReproduceBTPCSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full methodology run skipped in -short mode")
@@ -190,20 +187,21 @@ func TestFacadeReproduceBTPCSmall(t *testing.T) {
 	}
 }
 
-// TestFacadeReproduceBTPCContextObserved: an observer travels as ep.Obs.
-// The run records one run_all root with the methodology steps under it,
-// and the telemetry leaves Tables 1-4 byte-equal to ReproduceBTPC's.
+// TestFacadeReproduceBTPCContextObserved: an observer travels as ep.Obs
+// into core.RunAllContext, the engine behind ReproduceBTPC. The run records
+// one run_all root with the methodology steps under it, and the telemetry
+// leaves Tables 1-4 byte-equal to ReproduceBTPC's.
 func TestFacadeReproduceBTPCContextObserved(t *testing.T) {
 	cfg := DemoConfig{Size: 64}
 	plain, err := ReproduceBTPC(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollectorSink()
-	o := NewObserver(c)
+	c := obs.NewCollector()
+	o := obs.New(c)
 	ep := DefaultParams()
 	ep.Obs = o
-	observed, err := ReproduceBTPCContext(context.Background(), cfg, ep)
+	observed, err := core.RunAllContext(context.Background(), cfg, ep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +239,7 @@ func TestFacadeLoopTransformations(t *testing.T) {
 		prev = b.Read("g", 1, prev)
 	}
 	s := b.MustBuild()
-	out, err := TreeifyChain(s, "l", "g")
+	out, err := looptrafo.ChainTreeify(s, "l", "g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,20 +253,6 @@ func TestFacadeLoopTransformations(t *testing.T) {
 	if len(log) == 0 || reduced.Validate() != nil {
 		t.Fatalf("ReduceMACP: log %v", log)
 	}
-	split, err := SplitLoop(s, "l", []int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(split.Loops) != 2 {
-		t.Fatal("split did not split")
-	}
-	fused, err := FuseLoops(split, "l.a", "l.b", "l")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fused.Loops) != 1 {
-		t.Fatal("fusion did not fuse")
-	}
 }
 
 func TestFacadeSpecJSON(t *testing.T) {
@@ -277,7 +261,7 @@ func TestFacadeSpecJSON(t *testing.T) {
 	if err := WriteSpecJSON(s, &buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSpecJSON(strings.NewReader(buf.String()))
+	got, err := spec.ReadJSON(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,16 +272,16 @@ func TestFacadeSpecJSON(t *testing.T) {
 
 func TestFacadeLifetimeReport(t *testing.T) {
 	s := buildVideoSpec(t)
-	if !strings.Contains(LifetimeReport(s), "cur") {
+	if !strings.Contains(inplace.Report(s), "cur") {
 		t.Fatal("lifetime report missing arrays")
 	}
 }
 
 func TestFacadeWorkloads(t *testing.T) {
 	for _, mk := range []func() (*Spec, WorkloadContext, error){
-		func() (*Spec, WorkloadContext, error) { return MotionEstimationWorkload(64, 64, 16, 3) },
-		func() (*Spec, WorkloadContext, error) { return WaveletWorkload(128, 128, 2) },
-		func() (*Spec, WorkloadContext, error) { return FIRWorkload(1000, 32) },
+		func() (*Spec, WorkloadContext, error) { return workloads.MotionEstimation(64, 64, 16, 3) },
+		func() (*Spec, WorkloadContext, error) { return workloads.Wavelet(128, 128, 2) },
+		func() (*Spec, WorkloadContext, error) { return workloads.FIRFilter(1000, 32) },
 	} {
 		s, ctx, err := mk()
 		if err != nil {
@@ -318,7 +302,7 @@ func TestFacadeProgressiveDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := DecodeBTPCProgressive(data, stats.TopLevel/2, nil)
+	coarse, err := btpc.DecodeProgressive(data, stats.TopLevel/2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +316,7 @@ func TestFacadeProgressiveDecode(t *testing.T) {
 }
 
 func TestDefaultTechIsUsable(t *testing.T) {
-	tech := DefaultTech()
+	tech := DefaultParams().Tech
 	m := Memory{Name: "x", Kind: 0, Words: 1024, Bits: 8, Ports: 1}
 	if _, err := tech.Area(m); err != nil {
 		t.Fatal(err)
@@ -341,11 +325,11 @@ func TestDefaultTechIsUsable(t *testing.T) {
 
 // TestFacadeObservedExplore checks the telemetry surface of the facade: an
 // Explore with EvalParams.Obs set records an evaluate span with its engine
-// children into the collector sink, and SpanStats renders them.
+// children into the collector sink, and obs.StatsTable renders them.
 func TestFacadeObservedExplore(t *testing.T) {
 	sp := buildVideoSpec(t)
-	c := NewCollectorSink()
-	o := NewObserver(c)
+	c := obs.NewCollector()
+	o := obs.New(c)
 	ep := DefaultParams()
 	ep.Obs = o
 	if _, err := Explore(sp, 20*176*144, ep); err != nil {
@@ -363,8 +347,8 @@ func TestFacadeObservedExplore(t *testing.T) {
 	if c.Counters()["core.evaluations"] != 1 {
 		t.Fatalf("core.evaluations = %d, want 1", c.Counters()["core.evaluations"])
 	}
-	out := SpanStats(c.Records())
+	out := obs.StatsTable(c.Records())
 	if !strings.Contains(out, "total (evaluate)") {
-		t.Fatalf("SpanStats output missing the evaluate root:\n%s", out)
+		t.Fatalf("StatsTable output missing the evaluate root:\n%s", out)
 	}
 }

@@ -13,8 +13,9 @@ import (
 	dtse "repro"
 )
 
+var size = flag.Int("size", 256, "image side length (1024 = the paper's constraint size)")
+
 func main() {
-	size := flag.Int("size", 256, "image side length (1024 = the paper's constraint size)")
 	flag.Parse()
 
 	// 1. The application itself: lossless compression round trip.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/memo"
+	"repro/internal/obs"
 	"repro/internal/spec"
 )
 
@@ -23,7 +24,7 @@ import (
 // it imports must survive a close and reopen of the tier — replayed with
 // no byte truncated, every indexed record loading, every key owned.
 func FuzzHandoffImport(f *testing.F) {
-	s := newHandoffNode(f, ServeOptions{Obs: NewObserver()})
+	s := newHandoffNode(f, ServeOptions{Obs: obs.New()})
 	owned, foreign := handoffKeys(f, s)
 	ownedHex, _ := owned.MarshalText()
 	foreignHex, _ := foreign.MarshalText()
@@ -70,7 +71,7 @@ func FuzzHandoffImport(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := newHandoffNode(t, ServeOptions{Obs: NewObserver(), Disk: tier})
+		d := newHandoffNode(t, ServeOptions{Obs: obs.New(), Disk: tier})
 		if code := postHandoff(d, body).Code; code != want {
 			t.Fatalf("disk-tier node: status %d, want %d", code, want)
 		}

@@ -277,7 +277,7 @@ func TestLossyProfileExplores(t *testing.T) {
 }
 
 func TestDecoderDemonstratorExplores(t *testing.T) {
-	d, err := BuildDecoderDemonstrator(DemoConfig{Size: 128})
+	d, err := buildDecoderDemonstrator(DemoConfig{Size: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/assign"
 	"repro/internal/obs"
 )
 
@@ -483,5 +484,31 @@ func TestRunAllTelemetrySpans(t *testing.T) {
 	}
 	if got := counters["core.evaluations"]; got != int64(len(evals)) {
 		t.Fatalf("core.evaluations = %d but %d evaluate spans", got, len(evals))
+	}
+}
+
+// TestWeightedBest pins the allocation pick of RunAllContext: the lowest
+// weighted area + power sum wins, and an exact tie goes to the smaller
+// label, whatever the input order.
+func TestWeightedBest(t *testing.T) {
+	variant := func(label string, area, power float64) *Variant {
+		return &Variant{Label: label, Cost: assign.Cost{OnChipArea: area, OnChipPower: power}}
+	}
+	powerHog, balanced := variant("powerHog", 1, 100), variant("balanced", 10, 10)
+	for _, c := range []struct {
+		name          string
+		vs            []*Variant
+		wArea, wPower float64
+		want          string
+	}{
+		{"best", []*Variant{powerHog, balanced}, 1, 1, "balanced"},
+		{"area only", []*Variant{powerHog, balanced}, 1, 0, "powerHog"},
+		{"tie breaks on label", []*Variant{variant("zeta", 1, 1), variant("alpha", 1, 1)}, 1, 1, "alpha"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := weightedBest(c.vs, c.wArea, c.wPower); got.Label != c.want {
+				t.Fatalf("weightedBest = %q, want %q", got.Label, c.want)
+			}
+		})
 	}
 }

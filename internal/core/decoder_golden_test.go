@@ -33,7 +33,7 @@ func decoderScopes() []string {
 func TestDecoderCountsGolden(t *testing.T) {
 	var b bytes.Buffer
 	for _, size := range []int{64, 256} {
-		d, err := BuildDecoderDemonstrator(DemoConfig{Size: size})
+		d, err := buildDecoderDemonstrator(DemoConfig{Size: size})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -250,12 +250,12 @@ func buildPrunedSpec(cfg DemoConfig, rec *trace.Recorder, stats *btpc.Stats) (*s
 	return b.Build()
 }
 
-// BuildDecoderDemonstrator profiles the BTPC *decoder* and derives its
+// buildDecoderDemonstrator profiles the BTPC *decoder* and derives its
 // pruned specification — the other half of the codec system. The paper
 // designs the encoder; the decoder's memory behaviour is similar but
 // lighter (no neighbourhood prefetch of an input array: predictions read
 // the reconstruction in place), so its exploration is a natural extension.
-func BuildDecoderDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
+func buildDecoderDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
 	cfg.normalize()
 	src := img.Synthetic(cfg.Size, cfg.Size, cfg.Seed)
 	data, stats, err := btpc.Encode(src, btpc.Params{Quant: cfg.Quant}, nil)

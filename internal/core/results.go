@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/pareto"
 	"repro/internal/report"
 	"repro/internal/reuse"
 )
@@ -115,16 +114,7 @@ func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results
 		return nil, err
 	}
 	fsp := root.Child("step.final")
-	pts := make([]pareto.Point, len(r.Allocations))
-	for i, v := range r.Allocations {
-		pts[i] = pareto.Point{Label: v.Label, Area: v.Cost.OnChipArea, Power: v.Cost.TotalPower()}
-	}
-	bestPt, _ := pareto.Best(pts, 0.5, 1, 0)
-	for _, v := range r.Allocations {
-		if v.Label == bestPt.Label {
-			r.AllocChoice = v
-		}
-	}
+	r.AllocChoice = weightedBest(r.Allocations, 0.5, 1)
 	r.Final = r.AllocChoice
 	if fsp != nil {
 		fsp.SetStr("choice", r.Final.Label)
@@ -146,6 +136,20 @@ func minPower(vs []*Variant) *Variant {
 	for _, v := range vs[1:] {
 		if v.Cost.TotalPower() < best.Cost.TotalPower() {
 			best = v
+		}
+	}
+	return best
+}
+
+// weightedBest returns the variant minimizing wArea·on-chip area +
+// wPower·total power; ties break on label for determinism.
+func weightedBest(vs []*Variant, wArea, wPower float64) *Variant {
+	best := vs[0]
+	bestV := wArea*best.Cost.OnChipArea + wPower*best.Cost.TotalPower()
+	for _, v := range vs[1:] {
+		score := wArea*v.Cost.OnChipArea + wPower*v.Cost.TotalPower()
+		if score < bestV || (score == bestV && v.Label < best.Label) {
+			best, bestV = v, score
 		}
 	}
 	return best

@@ -5,20 +5,14 @@
 // transformations are essential") and cites the strategies of De Greef et
 // al. and the DTSE book's chapter 8; BTPC itself did not need them, so the
 // paper treats them as a preceding, separately-published step. This package
-// provides the three workhorses on the pruned-specification level:
+// provides the workhorse on the pruned-specification level: ChainTreeify
+// rebalances a sequential chain of accesses (an accumulation) into a
+// logarithmic-depth tree — the classic associativity-based data-flow
+// transformation that shortens the MACP — and ReduceMACP applies it until
+// the critical path fits.
 //
-//   - ChainTreeify: rebalance a sequential chain of accesses (an
-//     accumulation) into a logarithmic-depth tree — the classic
-//     associativity-based data-flow transformation that shortens the MACP.
-//   - SplitLoop: split one loop body into two sequential bodies at a
-//     dependence frontier, giving the storage-cycle-budget distributor
-//     finer allocation granularity.
-//   - FuseLoops: fuse two adjacent loops with equal iteration counts,
-//     letting the balancer overlap their accesses in one body.
-//
-// All transformations return modified clones and preserve per-frame access
-// counts exactly; only the dependence structure (and hence the critical
-// path) changes.
+// Both return modified clones and preserve per-frame access counts exactly;
+// only the dependence structure (and hence the critical path) changes.
 package looptrafo
 
 import (
@@ -162,121 +156,6 @@ func dedupe(sorted []int) []int {
 		}
 	}
 	return out
-}
-
-// SplitLoop splits the named loop into two sequential loops: the accesses
-// whose IDs are in firstHalf (which must be dependence-closed: no member
-// may depend on a non-member) stay in "<name>.a", the rest move to
-// "<name>.b" with cross dependences dropped (the bodies execute in
-// sequence, so the ordering is preserved by construction).
-func SplitLoop(s *spec.Spec, loopName string, firstHalf []int) (*spec.Spec, error) {
-	li, err := findLoop(s, loopName)
-	if err != nil {
-		return nil, err
-	}
-	out := s.Clone()
-	out.Name = fmt.Sprintf("%s+split(%s)", s.Name, loopName)
-	l := out.Loops[li]
-
-	inFirst := make(map[int]bool, len(firstHalf))
-	for _, id := range firstHalf {
-		if id < 0 || id >= len(l.Accesses) {
-			return nil, fmt.Errorf("looptrafo: split ID %d out of range", id)
-		}
-		inFirst[id] = true
-	}
-	if len(inFirst) == 0 || len(inFirst) == len(l.Accesses) {
-		return nil, fmt.Errorf("looptrafo: split of %q must be proper (got %d of %d accesses)",
-			loopName, len(inFirst), len(l.Accesses))
-	}
-	for _, a := range l.Accesses {
-		if !inFirst[a.ID] {
-			continue
-		}
-		for _, d := range a.Deps {
-			if !inFirst[d] {
-				return nil, fmt.Errorf(
-					"looptrafo: access %d in the first half depends on %d in the second", a.ID, d)
-			}
-		}
-	}
-	mk := func(keep func(id int) bool, suffix string) spec.Loop {
-		nl := spec.Loop{Name: l.Name + suffix, Iterations: l.Iterations}
-		remap := make(map[int]int)
-		for _, a := range l.Accesses {
-			if !keep(a.ID) {
-				continue
-			}
-			na := a
-			na.Deps = nil
-			for _, d := range a.Deps {
-				if keep(d) {
-					na.Deps = append(na.Deps, d)
-				}
-			}
-			remap[a.ID] = len(nl.Accesses)
-			na.ID = len(nl.Accesses)
-			nl.Accesses = append(nl.Accesses, na)
-		}
-		for i := range nl.Accesses {
-			for di, d := range nl.Accesses[i].Deps {
-				nl.Accesses[i].Deps[di] = remap[d]
-			}
-			sort.Ints(nl.Accesses[i].Deps)
-		}
-		return nl
-	}
-	first := mk(func(id int) bool { return inFirst[id] }, ".a")
-	second := mk(func(id int) bool { return !inFirst[id] }, ".b")
-
-	out.Loops = append(out.Loops[:li], append([]spec.Loop{first, second}, out.Loops[li+1:]...)...)
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("looptrafo: split produced invalid spec: %w", err)
-	}
-	return out, nil
-}
-
-// FuseLoops fuses two loops with identical iteration counts into one body
-// named fused. Accesses of b are appended after a's with their dependence
-// IDs offset; an artificial ordering edge is NOT added — the balancer may
-// overlap the two phases, which is the point of fusion.
-func FuseLoops(s *spec.Spec, aName, bName, fused string) (*spec.Spec, error) {
-	ai, err := findLoop(s, aName)
-	if err != nil {
-		return nil, err
-	}
-	bi, err := findLoop(s, bName)
-	if err != nil {
-		return nil, err
-	}
-	if ai == bi {
-		return nil, fmt.Errorf("looptrafo: cannot fuse %q with itself", aName)
-	}
-	out := s.Clone()
-	out.Name = fmt.Sprintf("%s+fuse(%s,%s)", s.Name, aName, bName)
-	la, lb := out.Loops[ai], out.Loops[bi]
-	if la.Iterations != lb.Iterations {
-		return nil, fmt.Errorf("looptrafo: iteration mismatch %d vs %d", la.Iterations, lb.Iterations)
-	}
-	nl := spec.Loop{Name: fused, Iterations: la.Iterations}
-	nl.Accesses = append(nl.Accesses, la.Accesses...)
-	off := len(la.Accesses)
-	for _, a := range lb.Accesses {
-		na := a
-		na.ID += off
-		na.Deps = append([]int(nil), a.Deps...)
-		for i := range na.Deps {
-			na.Deps[i] += off
-		}
-		nl.Accesses = append(nl.Accesses, na)
-	}
-	// Replace a by the fused loop, delete b.
-	out.Loops[ai] = nl
-	out.Loops = append(out.Loops[:bi], out.Loops[bi+1:]...)
-	if err := out.Validate(); err != nil {
-		return nil, fmt.Errorf("looptrafo: fusion produced invalid spec: %w", err)
-	}
-	return out, nil
 }
 
 // ReduceMACP greedily applies ChainTreeify to the loops dominating the MACP

@@ -112,107 +112,6 @@ func TestChainTreeifyErrors(t *testing.T) {
 	}
 }
 
-func TestSplitLoop(t *testing.T) {
-	s := chainSpec(t, 4)
-	// First half: producer + first two acc reads (IDs 0,1,2).
-	out, err := SplitLoop(s, "body", []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Loops) != 2 {
-		t.Fatalf("%d loops after split, want 2", len(out.Loops))
-	}
-	if out.Loops[0].Name != "body.a" || out.Loops[1].Name != "body.b" {
-		t.Fatalf("loop names %q, %q", out.Loops[0].Name, out.Loops[1].Name)
-	}
-	if len(out.Loops[0].Accesses) != 3 || len(out.Loops[1].Accesses) != 3 {
-		t.Fatalf("split sizes %d/%d, want 3/3",
-			len(out.Loops[0].Accesses), len(out.Loops[1].Accesses))
-	}
-	if out.TotalAccesses() != s.TotalAccesses() {
-		t.Fatal("split changed access counts")
-	}
-	// Splitting shortens the per-body CP (its purpose for distribution
-	// granularity).
-	if cp := dfg.CriticalPath(&out.Loops[0]); cp >= dfg.CriticalPath(&s.Loops[0]) {
-		t.Fatalf("first half CP %d not below original", cp)
-	}
-}
-
-func TestSplitLoopRejectsNonClosedCut(t *testing.T) {
-	s := chainSpec(t, 4)
-	// ID 2 depends on 1; putting 2 without 1 in the first half is invalid.
-	if _, err := SplitLoop(s, "body", []int{0, 2}); err == nil {
-		t.Fatal("non-dependence-closed cut accepted")
-	}
-	if _, err := SplitLoop(s, "body", nil); err == nil {
-		t.Fatal("empty cut accepted")
-	}
-	all := []int{0, 1, 2, 3, 4, 5}
-	if _, err := SplitLoop(s, "body", all); err == nil {
-		t.Fatal("total cut accepted")
-	}
-	if _, err := SplitLoop(s, "body", []int{99}); err == nil {
-		t.Fatal("out-of-range ID accepted")
-	}
-}
-
-func TestFuseLoops(t *testing.T) {
-	b := spec.NewBuilder("two")
-	b.Group("a", 64, 8).Group("b", 64, 8)
-	b.Loop("l1", 500)
-	r := b.Read("a", 1)
-	b.Write("a", 1, r)
-	b.Loop("l2", 500)
-	r2 := b.Read("b", 1)
-	b.Write("b", 1, r2)
-	s := b.MustBuild()
-
-	out, err := FuseLoops(s, "l1", "l2", "fused")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Loops) != 1 || out.Loops[0].Name != "fused" {
-		t.Fatalf("loops after fusion: %+v", out.Loops)
-	}
-	if len(out.Loops[0].Accesses) != 4 {
-		t.Fatalf("%d accesses after fusion, want 4", len(out.Loops[0].Accesses))
-	}
-	if out.TotalAccesses() != s.TotalAccesses() {
-		t.Fatal("fusion changed access counts")
-	}
-	// The fused CP is the max of the parts, not the sum: fusion enables
-	// overlap.
-	if cp := dfg.CriticalPath(&out.Loops[0]); cp != 2 {
-		t.Fatalf("fused CP = %d, want 2", cp)
-	}
-}
-
-func TestFuseLoopsErrors(t *testing.T) {
-	b := spec.NewBuilder("two")
-	b.Group("a", 64, 8)
-	b.Loop("l1", 500)
-	b.Read("a", 1)
-	b.Loop("l2", 100) // different iteration count
-	b.Read("a", 1)
-	s := b.MustBuild()
-	if _, err := FuseLoops(s, "l1", "l2", "f"); err == nil {
-		t.Error("iteration mismatch accepted")
-	}
-	if _, err := FuseLoops(s, "l1", "l1", "f"); err == nil {
-		t.Error("self fusion accepted")
-	}
-	if _, err := FuseLoops(s, "ghost", "l2", "f"); err == nil {
-		t.Error("unknown loop accepted")
-	}
-}
-
 func TestReduceMACPReachesTarget(t *testing.T) {
 	s := chainSpec(t, 16) // CP 18, MACP 18000
 	target := uint64(9000)

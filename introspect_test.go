@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/memo"
+	"repro/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the exposition golden files")
@@ -34,7 +35,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the exposition golden fil
 // The pool width is set, since dtse_pool_workers would otherwise read
 // GOMAXPROCS.
 func TestMetricsPromGolden(t *testing.T) {
-	srv := NewServer(ServeOptions{Obs: NewObserver(), Workers: 2})
+	srv := NewServer(ServeOptions{Obs: obs.New(), Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -106,7 +107,7 @@ func diffLines(want, got []byte) string {
 // gauge in the exposition reads 0 — no gauge may keep the value it had
 // while the request ran.
 func TestMetricsInflightSettles(t *testing.T) {
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	srv := NewServer(ServeOptions{Obs: obs.New()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -144,7 +145,7 @@ func TestMetricsInflightSettles(t *testing.T) {
 // metric-name contract: the families dashboards depend on exist, and every
 // family matches the naming convention.
 func TestMetricsPromStableNames(t *testing.T) {
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	srv := NewServer(ServeOptions{Obs: obs.New()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -270,7 +271,7 @@ func TestMetricsPromConcurrentScrapes(t *testing.T) {
 	const n = 8
 	// Queue room for every client: the default queue (2 × GOMAXPROCS) is
 	// smaller than the burst on a small host and would answer 429.
-	srv := NewServer(ServeOptions{Obs: NewObserver(), MaxQueue: n})
+	srv := NewServer(ServeOptions{Obs: obs.New(), MaxQueue: n})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -382,7 +383,7 @@ func parseSSE(t *testing.T, body string) []sseEvent {
 // plain-POST response body. The GET form (?request=) serves EventSource
 // clients the same way.
 func TestSSEExplore(t *testing.T) {
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	srv := NewServer(ServeOptions{Obs: obs.New()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -484,7 +485,7 @@ func TestSSEExplore(t *testing.T) {
 // so the disconnect always lands mid-exploration however fast or slowly
 // the host schedules it.
 func TestSSECancelMidExploration(t *testing.T) {
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	srv := NewServer(ServeOptions{Obs: obs.New()})
 	var held atomic.Bool
 	entered := make(chan struct{})
 	srv.holdExplore = func(ctx context.Context) {
@@ -558,7 +559,7 @@ func TestSSECancelMidExploration(t *testing.T) {
 // /debug/explorations with its trace id and progress, and disappears once
 // it completes.
 func TestExplorationsRegistry(t *testing.T) {
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	srv := NewServer(ServeOptions{Obs: obs.New()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -623,7 +624,7 @@ func TestExplorationsRegistry(t *testing.T) {
 // reconstructable from /debug/flightrecorder — reason, status, search
 // position, and the span tree.
 func TestFlightRecorderDegraded(t *testing.T) {
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	srv := NewServer(ServeOptions{Obs: obs.New()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/memo"
+	"repro/internal/obs"
 )
 
 // promPaths maps every fixed Prometheus sample the server renders to its
@@ -254,7 +255,7 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	srv := NewServer(ServeOptions{Obs: NewObserver(), Disk: disk, SlowRequest: time.Nanosecond})
+	srv := NewServer(ServeOptions{Obs: obs.New(), Disk: disk, SlowRequest: time.Nanosecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Abort()
@@ -394,7 +395,7 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 // snapshot carries no memo.* or pool.* counter or gauge — the cache and
 // the pool own those and are served from their live reads.
 func TestMetricsPoolAndCacheReadLive(t *testing.T) {
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	srv := NewServer(ServeOptions{Obs: obs.New()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	_, specJSON, budget := serviceSpec(t)

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memo"
+	"repro/internal/obs"
 )
 
 // serviceSpec is a small but non-trivial pruned specification for the
@@ -362,7 +363,7 @@ func TestServerDemoConcurrentMatchesCmd(t *testing.T) {
 func TestServerConcurrentObserverSafety(t *testing.T) {
 	_, specJSON, budget := serviceSpec(t)
 	var buf syncBuffer
-	observer := NewObserver(NewJSONLSink(&buf))
+	observer := obs.New(obs.NewJSONL(&buf))
 	const n = 8
 	// A queue seat for every client: on a host with few CPUs the default
 	// queue (twice GOMAXPROCS) is smaller than n, and an overload 429 is
@@ -651,7 +652,7 @@ func TestServerNoCacheIgnoresDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	s := newHandoffNode(t, ServeOptions{Obs: NewObserver(), NoCache: true, Disk: disk})
+	s := newHandoffNode(t, ServeOptions{Obs: obs.New(), NoCache: true, Disk: disk})
 	owned, _ := handoffKeys(t, s)
 	val, _ := encodeServed(&servedResponse{status: http.StatusOK, body: []byte("{}\n")})
 	body := mustMarshal(handoffWire{From: "http://peer.test", Records: []handoffRec{{Key: owned, Val: val}}})
@@ -711,7 +712,7 @@ func TestServerAliasRepeat(t *testing.T) {
 // fields makes new bytes, so a new alias, of the same Requests entry.
 func TestServerAliasReformattedBody(t *testing.T) {
 	_, specJSON, budget := serviceSpec(t)
-	srv := NewServer(ServeOptions{Obs: NewObserver()})
+	srv := NewServer(ServeOptions{Obs: obs.New()})
 	body := []byte(specBody(specJSON, budget, ""))
 	var compact bytes.Buffer
 	if err := json.Compact(&compact, body); err != nil {
