@@ -381,7 +381,8 @@ func BenchmarkExplore(b *testing.B) {
 
 // BenchmarkExploreUncached is BenchmarkExplore with the session evaluation
 // cache disabled: the gap against BenchmarkExplore is the cross-variant
-// memoization win (the per-loop schedule, pattern, and prune caches).
+// memoization win (the loop-schedule keyspace and the run's table of
+// assignment answers).
 func BenchmarkExploreUncached(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

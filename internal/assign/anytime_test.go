@@ -69,8 +69,9 @@ func checkValid(t *testing.T, p anytimeProblem, a *Assignment) {
 	if len(a.OnChip) > p.count {
 		t.Fatalf("%d on-chip memories, allocated %d", len(a.OnChip), p.count)
 	}
-	for _, g := range p.spec.Groups {
-		if p.spec.AccessesPerFrame(g.Name) == 0 {
+	acc := p.spec.FrameAccesses()
+	for i, g := range p.spec.Groups {
+		if acc[i] == 0 {
 			continue
 		}
 		if a.GroupMem[g.Name] == "" {

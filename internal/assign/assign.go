@@ -111,22 +111,21 @@ type problem struct {
 	patVec [][]int           // group -> per-pattern multiplicity
 	patIdx [][]int           // group -> indices of its nonzero patterns
 	patVal [][]int           // group -> multiplicities at those indices
-	patW   []uint64          // pattern weights (unused in cost, kept for reports)
 	nPat   int
 	nLoops int                // for in-place live-word profiles
 	life   []inplace.Interval // per group; valid when p.InPlace
 }
 
-func buildProblem(s *spec.Spec, groups []spec.BasicGroup, pats []sbd.Pattern, tech *memlib.Tech, p Params) *problem {
+// buildProblem precomputes the search state of the groups of s at the
+// given indices; acc holds every group's accesses per frame, indexed like
+// s.Groups.
+func buildProblem(s *spec.Spec, idx []int, acc []uint64, pats []sbd.Pattern, tech *memlib.Tech, p Params) *problem {
+	groups := make([]spec.BasicGroup, len(idx))
 	pr := &problem{tech: tech, p: p, groups: groups, nPat: len(pats), nLoops: len(s.Loops)}
 	pr.acc = make([]uint64, len(groups))
 	pr.patVec = make([][]int, len(groups))
 	pr.patIdx = make([][]int, len(groups))
 	pr.patVal = make([][]int, len(groups))
-	pr.patW = make([]uint64, len(pats))
-	for i, pt := range pats {
-		pr.patW[i] = pt.Weight
-	}
 	var lifetimes map[string]inplace.Interval
 	if p.InPlace {
 		lifetimes = inplace.Lifetimes(s)
@@ -136,8 +135,10 @@ func buildProblem(s *spec.Spec, groups []spec.BasicGroup, pats []sbd.Pattern, te
 	// group's columns: three allocations total instead of three per group.
 	vecs := make([]int, len(groups)*len(pats))
 	nz := 0
-	for gi, g := range groups {
-		pr.acc[gi] = s.AccessesPerFrame(g.Name)
+	for gi, si := range idx {
+		g := s.Groups[si]
+		groups[gi] = g
+		pr.acc[gi] = acc[si]
 		vec := vecs[gi*len(pats) : (gi+1)*len(pats) : (gi+1)*len(pats)]
 		for pi, pt := range pats {
 			vec[pi] = pt.Access[g.Name]
@@ -342,21 +343,18 @@ func (pr *problem) offChipCost(m *memState) (power float64, err error) {
 		float64(m.acc)/pr.tech.FramePeriod)
 }
 
-// partition splits the spec's groups by the technology's on/off-chip
-// threshold; zero selects the default 64Ki, as in the budget step.
-func partition(s *spec.Spec, tech *memlib.Tech) (on, off []spec.BasicGroup) {
-	limit := tech.OnChipMaxWords
-	if limit == 0 {
-		limit = 64 * 1024
-	}
-	for _, g := range s.Groups {
-		if s.AccessesPerFrame(g.Name) == 0 {
+// partition splits the indices of the spec's accessed groups (acc holds
+// their accesses per frame) by the technology's on/off-chip threshold.
+func partition(s *spec.Spec, acc []uint64, tech *memlib.Tech) (on, off []int) {
+	limit := tech.OnChipLimit()
+	for i := range s.Groups {
+		if acc[i] == 0 {
 			continue // pruned away: never accessed
 		}
-		if g.Words > limit {
-			off = append(off, g)
+		if s.Groups[i].Words > limit {
+			off = append(off, i)
 		} else {
-			on = append(on, g)
+			on = append(on, i)
 		}
 	}
 	return on, off
@@ -387,14 +385,15 @@ func assignWith(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *mem
 	sp := p.Obs.Child("assign")
 	defer sp.End()
 	p.Progress.SetStage("assign")
-	onG, offG := partition(s, tech)
+	acc := s.FrameAccesses()
+	onG, offG := partition(s, acc, tech)
 	sp.SetInt("count", int64(onChipCount))
 	sp.SetInt("groups_onchip", int64(len(onG)))
 	sp.SetInt("groups_offchip", int64(len(offG)))
 	a := &Assignment{GroupMem: make(map[string]string)}
 
 	// Off-chip: exhaustive partition search over the (few) large groups.
-	offPr := buildProblem(s, offG, pats, tech, p)
+	offPr := buildProblem(s, offG, acc, pats, tech, p)
 	offBind, offPower, offOptimal, err := bestOffChip(ctx, offPr, sp)
 	if err != nil {
 		return nil, searchStats{}, err
@@ -403,7 +402,7 @@ func assignWith(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *mem
 	a.Cost.OffChipPower = offPower
 
 	// On-chip: branch and bound.
-	onPr := buildProblem(s, onG, pats, tech, p)
+	onPr := buildProblem(s, onG, acc, pats, tech, p)
 	bind, area, power, onOptimal, st, err := branchAndBound(ctx, onPr, onChipCount, sp, tight)
 	if err != nil {
 		return nil, st, err
@@ -421,8 +420,8 @@ func assignWith(ctx context.Context, s *spec.Spec, pats []sbd.Pattern, tech *mem
 	// than inside the assignment objective.
 	if tech.Bus.Enabled() {
 		var onAcc uint64
-		for gi := range onG {
-			onAcc += s.AccessesPerFrame(onG[gi].Name)
+		for _, si := range onG {
+			onAcc += acc[si]
 		}
 		n := len(a.OnChip)
 		a.Cost.OnChipArea += tech.Bus.Area(n)

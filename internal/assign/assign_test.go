@@ -432,7 +432,7 @@ func TestInPlaceSearchStateRestoration(t *testing.T) {
 	// Recompute each memory's words from scratch and compare.
 	for _, bind := range full.OnChip {
 		var st memState
-		pr := buildProblem(s, onGroups(s, bind.Groups), nil, memlib.Default(), Params{InPlace: true, MaxPorts: 8, NodeBudget: 1000})
+		pr := buildProblem(s, groupIndices(s, bind.Groups), s.FrameAccesses(), nil, memlib.Default(), Params{InPlace: true, MaxPorts: 8, NodeBudget: 1000})
 		members := make([]int, len(bind.Groups))
 		for i := range members {
 			members[i] = i
@@ -445,11 +445,15 @@ func TestInPlaceSearchStateRestoration(t *testing.T) {
 	}
 }
 
-func onGroups(s *spec.Spec, names []string) []spec.BasicGroup {
-	var out []spec.BasicGroup
+// groupIndices returns the indices in s.Groups of the named groups.
+func groupIndices(s *spec.Spec, names []string) []int {
+	var out []int
 	for _, n := range names {
-		g, _ := s.Group(n)
-		out = append(out, g)
+		for i := range s.Groups {
+			if s.Groups[i].Name == n {
+				out = append(out, i)
+			}
+		}
 	}
 	return out
 }
@@ -460,11 +464,12 @@ func onGroups(s *spec.Spec, names []string) []spec.BasicGroup {
 func bruteForceOnChip(t *testing.T, s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, maxMem int, p Params) (float64, bool) {
 	t.Helper()
 	p.normalize()
-	onG, _ := partition(s, tech)
+	acc := s.FrameAccesses()
+	onG, _ := partition(s, acc, tech)
 	if maxMem > len(onG) {
 		maxMem = len(onG)
 	}
-	pr := buildProblem(s, onG, pats, tech, p)
+	pr := buildProblem(s, onG, acc, pats, tech, p)
 	n := len(onG)
 	assignTo := make([]int, n)
 	best := -1.0

@@ -28,16 +28,18 @@ func checkAssignment(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, count 
 		limit = 64 * 1024
 	}
 	groups := make(map[string]spec.BasicGroup, len(s.Groups))
-	for _, g := range s.Groups {
-		groups[g.Name] = g
+	frame := make(map[string]uint64, len(s.Groups))
+	for i, n := range s.FrameAccesses() {
+		groups[s.Groups[i].Name] = s.Groups[i]
+		frame[s.Groups[i].Name] = n
 	}
 	bound := map[string]string{}
 	nOn := 0
 	var onAcc uint64
 	for _, g := range s.Groups {
-		if s.AccessesPerFrame(g.Name) > 0 && g.Words <= limit {
+		if frame[g.Name] > 0 && g.Words <= limit {
 			nOn++
-			onAcc += s.AccessesPerFrame(g.Name)
+			onAcc += frame[g.Name]
 		}
 	}
 	if want := min(count, nOn); len(a.OnChip) != want {
@@ -61,13 +63,13 @@ func checkAssignment(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, count 
 					return fmt.Errorf("memory %s holds unknown group %s", b.Mem.Name, name)
 				case bound[name] != "":
 					return fmt.Errorf("group %s bound to %s and %s", name, bound[name], b.Mem.Name)
-				case s.AccessesPerFrame(name) == 0:
+				case frame[name] == 0:
 					return fmt.Errorf("unaccessed group %s bound to %s", name, b.Mem.Name)
 				case (g.Words <= limit) != side.onChip:
 					return fmt.Errorf("group %s of %d words on the wrong side of the %d-word threshold", name, g.Words, limit)
 				}
 				bound[name] = b.Mem.Name
-				acc += s.AccessesPerFrame(name)
+				acc += frame[name]
 				bits = max(bits, g.Bits)
 			}
 			words := inplace.SumWords(s, b.Groups)
@@ -120,7 +122,7 @@ func checkAssignment(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, count 
 		}
 	}
 	for _, g := range s.Groups {
-		if s.AccessesPerFrame(g.Name) > 0 && bound[g.Name] == "" {
+		if frame[g.Name] > 0 && bound[g.Name] == "" {
 			return fmt.Errorf("accessed group %s is unbound", g.Name)
 		}
 	}

@@ -48,8 +48,9 @@ func TestPushPopMatchesRecompute(t *testing.T) {
 	for _, inPlace := range []bool{false, true} {
 		p := Params{InPlace: inPlace}
 		p.normalize()
-		onG, _ := partition(s, memlib.Default())
-		pr := buildProblem(s, onG, pats, memlib.Default(), p)
+		acc := s.FrameAccesses()
+		onG, _ := partition(s, acc, memlib.Default())
+		pr := buildProblem(s, onG, acc, pats, memlib.Default(), p)
 
 		var m memState
 		var members []int
@@ -103,10 +104,11 @@ func TestSelfPortsFloor(t *testing.T) {
 	s, pats := conflictSpec(t)
 	p := Params{}
 	p.normalize()
-	onG, _ := partition(s, memlib.Default())
-	pr := buildProblem(s, onG, pats, memlib.Default(), p)
+	acc := s.FrameAccesses()
+	onG, _ := partition(s, acc, memlib.Default())
+	pr := buildProblem(s, onG, acc, pats, memlib.Default(), p)
 	want := map[string]int{"a": 2, "b": 1, "c": 1, "d": 1, "e": 2}
-	for gi, g := range onG {
+	for gi, g := range pr.groups {
 		if got := pr.selfPorts(gi); got != want[g.Name] {
 			t.Fatalf("selfPorts(%s) = %d, want %d", g.Name, got, want[g.Name])
 		}

@@ -52,18 +52,19 @@ func requestPatterns(t *testing.T, s *spec.Spec) []sbd.Pattern {
 // same key differ only by swapping twins and relabeling memories.
 func mirrorKey(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, p Params, a *Assignment) string {
 	p.normalize()
-	on, _ := partition(s, tech)
-	pr := buildProblem(s, on, pats, tech, p)
+	acc := s.FrameAccesses()
+	on, _ := partition(s, acc, tech)
+	pr := buildProblem(s, on, acc, pats, tech, p)
 	order := make([]int, len(on))
 	for i := range order {
 		order[i] = i
 	}
 	twin := pr.twins(order)
 	class := make(map[string]string, len(on))
-	for i, g := range on {
+	for i, g := range pr.groups {
 		class[g.Name] = g.Name
 		if twin != nil && twin[i] >= 0 {
-			class[g.Name] = class[on[twin[i]].Name]
+			class[g.Name] = class[pr.groups[twin[i]].Name]
 		}
 	}
 	mems := make([]string, len(a.OnChip))

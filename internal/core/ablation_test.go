@@ -296,7 +296,7 @@ func TestDecoderDemonstratorExplores(t *testing.T) {
 			t.Errorf("%s: no profiled accesses", g)
 			continue
 		}
-		ratio := float64(d.Spec.AccessesPerFrame(g)) / float64(prof)
+		ratio := float64(accessesPerFrame(d.Spec, g)) / float64(prof)
 		if ratio < 0.97 || ratio > 1.03 {
 			t.Errorf("%s: spec/profile ratio %.3f", g, ratio)
 		}

@@ -279,9 +279,10 @@ func TestDegradedRunDoesNotPoisonSessionCache(t *testing.T) {
 }
 
 // TestParallelRunMatchesSerial: the worker pool must only change wall-clock
-// time, never results. A strictly sequential run (workers=1) and a wide
-// parallel run (workers=8) of the full methodology must render byte-identical
-// tables and figures — with the session cache on and off.
+// time, never results. A strictly sequential run (workers=1) and parallel
+// runs (workers=2, the width where the caller and one helper share every
+// fan-out, and workers=8) of the full methodology must render
+// byte-identical tables and figures — with the session cache on and off.
 func TestParallelRunMatchesSerial(t *testing.T) {
 	run := func(workers int, cache bool) *Results {
 		t.Helper()
@@ -298,28 +299,19 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 	}
 	for _, cache := range []bool{true, false} {
 		serial := run(1, cache)
-		wide := run(8, cache)
-		renders := []struct {
-			name         string
-			serial, wide string
-		}{
-			{"Table1", serial.Table1().Render(), wide.Table1().Render()},
-			{"Table2", serial.Table2().Render(), wide.Table2().Render()},
-			{"Table3", serial.Table3().Render(), wide.Table3().Render()},
-			{"Table4", serial.Table4().Render(), wide.Table4().Render()},
-			{"Figure1", serial.Figure1(), wide.Figure1()},
-			{"Figure2", serial.Figure2(), wide.Figure2()},
-			{"Figure3", serial.Figure3(), wide.Figure3()},
-		}
-		for _, r := range renders {
-			if r.serial != r.wide {
-				t.Errorf("cache=%v: %s differs between workers=1 and workers=8:\nserial:\n%s\nparallel:\n%s",
-					cache, r.name, r.serial, r.wide)
+		want := renderAll(serial)
+		for _, workers := range []int{2, 8} {
+			wide := run(workers, cache)
+			for name, got := range renderAll(wide) {
+				if got != want[name] {
+					t.Errorf("cache=%v: %s differs between workers=1 and workers=%d:\nserial:\n%s\nparallel:\n%s",
+						cache, name, workers, want[name], got)
+				}
 			}
-		}
-		if serial.Final.Asgn.Optimal != wide.Final.Asgn.Optimal {
-			t.Errorf("cache=%v: final Optimal flag differs: serial=%v parallel=%v",
-				cache, serial.Final.Asgn.Optimal, wide.Final.Asgn.Optimal)
+			if serial.Final.Asgn.Optimal != wide.Final.Asgn.Optimal {
+				t.Errorf("cache=%v: final Optimal flag differs: workers=1 %v, workers=%d %v",
+					cache, serial.Final.Asgn.Optimal, workers, wide.Final.Asgn.Optimal)
+			}
 		}
 	}
 }

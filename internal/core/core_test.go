@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/obs"
+	"repro/internal/spec"
 )
 
 // fullResults runs the complete methodology once at the paper's 1024×1024
@@ -84,7 +85,7 @@ func TestSpecCountsMatchProfile(t *testing.T) {
 	// counts (within rounding of the per-iteration averages).
 	for _, g := range d.Spec.GroupNames() {
 		prof := d.Rec.Array(g).Total()
-		specTotal := d.Spec.AccessesPerFrame(g)
+		specTotal := accessesPerFrame(d.Spec, g)
 		if prof == 0 {
 			t.Errorf("%s: no profiled accesses", g)
 			continue
@@ -511,4 +512,14 @@ func TestWeightedBest(t *testing.T) {
 			}
 		})
 	}
+}
+
+// accessesPerFrame returns the named group's accesses per frame.
+func accessesPerFrame(s *spec.Spec, name string) uint64 {
+	for i := range s.Groups {
+		if s.Groups[i].Name == name {
+			return s.FrameAccesses()[i]
+		}
+	}
+	return 0
 }

@@ -65,6 +65,9 @@ func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results
 		return nil, err
 	}
 	ep = ep.ScaleTo(demo.Config.Size)
+	if ep.Memo != nil {
+		ep.searches = newSearchTable(ep.Tech)
+	}
 	r := &Results{Demo: demo}
 
 	msp := root.Child("step.macp")

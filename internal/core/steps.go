@@ -45,28 +45,34 @@ type EvalParams struct {
 	// are memoized by canonical fingerprints, so sweeps that re-evaluate
 	// nearly identical subproblems (structuring and hierarchy variants that
 	// leave most loops untouched, budget points that clamp a loop to its
-	// minimum) pay for each distinct subproblem once. DefaultEvalParams attaches a fresh cache; set to nil
-	// to disable caching (the -cache=off path). Results are byte-identical
-	// either way — the cache only removes redundant work.
+	// minimum) pay for each distinct subproblem once. With a cache set,
+	// RunAllContext also keeps a run-scoped table of assignment answers, so
+	// each distinct assignment problem of the run is searched once.
+	// DefaultEvalParams attaches a fresh cache; set to nil to disable both
+	// (the -cache=off path). Results are byte-identical either way — the
+	// cache and the table only remove redundant work.
 	Memo *memo.Cache
 
 	// Workers is the session-wide bounded worker pool shared by every
-	// parallel stage: the hierarchy/budget/allocation sweeps fan their
-	// candidates out on it, and each candidate's assignment search runs
-	// sequentially on the worker that evaluates it. One pool bounds the
-	// whole session's concurrency, and its inline-run fallback keeps it
-	// deadlock-free however callers share or nest it. DefaultEvalParams
-	// attaches a GOMAXPROCS-wide pool; nil (or a 1-wide pool) runs
-	// everything sequentially. Results are byte-identical at any width —
-	// the sweeps collect by index.
+	// parallel stage: the structuring, hierarchy, budget and allocation
+	// sweeps fan their candidates out on it, the caller and its helpers
+	// taking the next candidate as they come free, and each candidate's
+	// assignment search runs sequentially on the worker that evaluates it.
+	// One pool bounds the whole session's concurrency, and since a fan-out
+	// never waits for a helper slot it stays deadlock-free however callers
+	// share or nest it. DefaultEvalParams attaches a GOMAXPROCS-wide pool;
+	// nil (or a 1-wide pool) runs everything sequentially. Results are
+	// byte-identical at any width — the sweeps collect by index.
 	Workers *pool.Pool
 
 	// pipelined enables software pipelining in the budget step (the
 	// Table 3 extension sweep); structuralWeight is its sbd.Params
-	// namesake (-1: the structural-cost ablation). Only this package sets
-	// them.
+	// namesake (-1: the structural-cost ablation); searches is the run's
+	// table of assignment answers (nil: search every time). Only this
+	// package sets them.
 	pipelined        bool
 	structuralWeight float64
+	searches         *searchTable
 }
 
 // sbdParams derives the storage-cycle-budget step's parameters: the
@@ -235,7 +241,7 @@ func EvaluateContext(ctx context.Context, s *spec.Spec, budget uint64, label str
 	var asgn *assign.Assignment
 	retries := 0
 	for count := ep.OnChipCount; count <= ep.OnChipCount+6; count++ {
-		asgn, err = assign.AssignContext(ctx, s, pats, ep.Tech, count, asgnP)
+		asgn, err = ep.searches.assign(ctx, s, pats, ep.Tech, count, asgnP)
 		if err == nil {
 			break
 		}
@@ -259,41 +265,40 @@ func EvaluateContext(ctx context.Context, s *spec.Spec, budget uint64, label str
 
 // ExploreStructuringContext evaluates the basic group structuring
 // alternatives of §4.3 (Table 1): untouched, ridge compacted, and ridge+pyr
-// merged. The untouched variant is always evaluated (it is the baseline
-// every other step can fall back to); under an expired context the
-// structured alternatives are skipped.
+// merged, one per pool item; each item builds its own variant. The
+// untouched variant is item 0, so it is always evaluated (it is the
+// baseline every other step can fall back to); alternatives not launched
+// before the context expired are dropped.
 func ExploreStructuringContext(ctx context.Context, d *Demonstrator, ep EvalParams) ([]*Variant, error) {
 	sp, ep := ep.startSpan("step.structuring")
 	defer sp.End()
-	out := make([]*Variant, 0, 3)
-	v, err := EvaluateContext(ctx, d.Spec, d.CycleBudget, "No structuring", ep)
-	if err != nil {
-		return nil, err
+	options := []struct {
+		label string
+		build func() (*spec.Spec, error)
+	}{
+		{"No structuring", func() (*spec.Spec, error) { return d.Spec, nil }},
+		{"ridge compacted", func() (*spec.Spec, error) { return bgstruct.Compact(d.Spec, "ridge", 3) }},
+		{"ridge and pyr merged", func() (*spec.Spec, error) { return bgstruct.Merge(d.Spec, "ridge", "pyr", "pyrridge") }},
 	}
-	out = append(out, v)
-
-	if ctx.Err() == nil {
-		compacted, err := bgstruct.Compact(d.Spec, "ridge", 3)
+	variants := make([]*Variant, len(options))
+	errs := make([]error, len(options))
+	ep.Workers.ForEach(ctx, len(options), func(i int) {
+		s, err := options[i].build()
+		if err == nil {
+			variants[i], err = EvaluateContext(ctx, s, d.CycleBudget, options[i].label, ep)
+		}
+		errs[i] = err
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		v, err = EvaluateContext(ctx, compacted, d.CycleBudget, "ridge compacted", ep)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
 	}
-
-	if ctx.Err() == nil {
-		merged, err := bgstruct.Merge(d.Spec, "ridge", "pyr", "pyrridge")
-		if err != nil {
-			return nil, err
+	out := variants[:0]
+	for _, v := range variants {
+		if v != nil {
+			out = append(out, v)
 		}
-		v, err = EvaluateContext(ctx, merged, d.CycleBudget, "ridge and pyr merged", ep)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
 	}
 	sp.SetInt("variants", int64(len(out)))
 	return out, nil
@@ -467,7 +472,7 @@ func ExploreAllocationsContext(ctx context.Context, s *spec.Spec, dist *sbd.Dist
 	asgns := make([]*assign.Assignment, len(counts))
 	ap := ep.assignParams()
 	ep.Workers.ForEach(ctx, len(counts), func(i int) {
-		if a, err := assign.AssignContext(ctx, s, pats, ep.Tech, counts[i], ap); err == nil {
+		if a, err := ep.searches.assign(ctx, s, pats, ep.Tech, counts[i], ap); err == nil {
 			asgns[i] = a
 		}
 	})

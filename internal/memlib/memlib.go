@@ -255,6 +255,15 @@ func Default() *Tech {
 	}
 }
 
+// OnChipLimit returns the allocation threshold in words: OnChipMaxWords,
+// or the default 64Ki when it is zero.
+func (t *Tech) OnChipLimit() int64 {
+	if t.OnChipMaxWords == 0 {
+		return 64 * 1024
+	}
+	return t.OnChipMaxWords
+}
+
 // Scale returns a copy of the technology with on-chip area and energy
 // scaled by the given factors — a crude process shrink (e.g. 0.5, 0.6 for a
 // 0.7 µm → 0.5 µm move). The paper argues its conclusions rest only on

@@ -2,15 +2,21 @@
 // exploration engine.
 //
 // The exploration pipeline parallelizes at the level of its candidates: the
-// structuring step overlaps with the reuse analysis, and the
-// hierarchy/budget/allocation sweeps fan out over their candidates, each of
-// which runs its assignment search sequentially. A server session runs many
-// such explorations at once on one shared pool, so spawning one goroutine
-// per item per request would burst into far more goroutines than the
-// machine has cores. The pool caps the whole session at a fixed number of
-// workers instead and stays safe under nesting by construction: a task that
-// cannot get a worker slot runs inline on the goroutine that submitted it,
-// so saturation can never deadlock and the caller always makes progress.
+// structuring, hierarchy, budget and allocation sweeps fan out over their
+// candidates, each of which runs its assignment search sequentially, and
+// the reuse analysis streams beside them on its own goroutine. A server
+// session runs many such explorations at once on one shared pool, so
+// spawning one goroutine per item per request would burst into far more
+// goroutines than the machine has cores. The pool caps the whole session at
+// a fixed number of workers instead and stays safe under nesting by
+// construction: a fan-out takes helper slots only when they are free and
+// never waits for one, and the submitting goroutine works through the items
+// itself, so saturation can never deadlock and the caller always makes
+// progress.
+//
+// Items are handed out on demand: the caller and its helpers each take the
+// next unlaunched index from one shared counter until none is left, so no
+// worker idles while another is busy with a long item and work remains.
 //
 // The caller counts as one of the workers: a pool of W workers hands out at
 // most W-1 helper slots, so -workers=1 means strictly sequential execution
@@ -38,8 +44,8 @@ type Pool struct {
 	sem     chan struct{} // helper slots: capacity workers-1
 	workers int
 
-	spawns atomic.Int64 // items handed to a helper goroutine
-	inline atomic.Int64 // items run on the submitting goroutine (saturation or single-item fast path)
+	spawns atomic.Int64 // items run on a helper goroutine
+	inline atomic.Int64 // items run on the submitting goroutine
 
 	// hist, when set by Observe, records each ForEach item's duration
 	// (pool.task). Opt-in so bare library use pays nothing.
@@ -65,9 +71,10 @@ func (p *Pool) Workers() int {
 }
 
 // Stats returns how many items ran on helper goroutines and how many ran
-// inline on the submitting goroutine — because the pool was saturated (the
-// nesting-safety fallback) or because a ForEach had a single item. Every
-// ForEach item lands in exactly one of the two counters.
+// inline on the submitting goroutine — its share of a fan-out, all of it
+// when the pool was saturated (the nesting-safety fallback) or a ForEach had
+// a single item. Every ForEach item lands in exactly one of the two
+// counters.
 func (p *Pool) Stats() (spawns, inline int64) {
 	if p == nil {
 		return 0, 0
@@ -75,11 +82,12 @@ func (p *Pool) Stats() (spawns, inline int64) {
 	return p.spawns.Load(), p.inline.Load()
 }
 
-// ForEach runs f(0), ..., f(n-1), each item either on a pooled helper
-// goroutine or inline on the caller when no helper slot is free, and
-// returns when all launched items finished. Items must communicate results
-// through index-addressed slots; ForEach guarantees nothing about execution
-// order.
+// ForEach runs f(0), ..., f(n-1) and returns when all launched items
+// finished. The caller recruits a helper goroutine for each free helper
+// slot while at least two items are left, and the caller and its helpers
+// each take the next unlaunched index until none is left. Items must
+// communicate results through index-addressed slots; ForEach guarantees
+// nothing about execution order.
 //
 // Cancellation propagates at launch time, preserving the sweep contract of
 // the exploration steps: item 0 always runs — it is each sweep's reference
@@ -96,56 +104,73 @@ func (p *Pool) ForEach(ctx context.Context, n int, f func(i int)) {
 		}
 	}
 	if n == 1 {
-		// Single item: both branches below would run f(0) unconditionally on
-		// the caller (item 0 is never gated on ctx), so skip the WaitGroup and
-		// slot machinery entirely. Still counted, so Stats covers every item.
+		// Single item: it runs on the caller unconditionally (item 0 is never
+		// gated on ctx), so skip the counter and slot machinery entirely.
+		// Still counted, so Stats covers every item.
 		if p != nil {
 			p.inline.Add(1)
 		}
 		f(0)
 		return
 	}
-	if p == nil {
-		for i := 0; i < n; i++ {
-			if i > 0 && done != nil {
-				select {
-				case <-done:
-					return
-				default:
-				}
+	var next atomic.Int64 // the next unlaunched index
+	// take claims the next index; false once none is left or ctx is done.
+	take := func() (int, bool) {
+		i := int(next.Add(1) - 1)
+		if i >= n {
+			return 0, false
+		}
+		if i > 0 && done != nil {
+			select {
+			case <-done:
+				return 0, false
+			default:
 			}
+		}
+		return i, true
+	}
+	if p == nil {
+		for i, ok := take(); ok; i, ok = take() {
 			f(i)
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if i > 0 && done != nil {
+	helpers := 0
+	// recruit starts a helper for each free slot while items are left
+	// beyond the one the caller takes next. Slots are only ever taken
+	// without blocking: this is what makes nested ForEach calls
+	// deadlock-free — the caller never waits for a slot another ForEach
+	// might be holding.
+	recruit := func() {
+		for helpers < n-1 && next.Load() < int64(n-1) {
 			select {
-			case <-done:
-				wg.Wait()
-				return
+			case p.sem <- struct{}{}:
 			default:
+				return
 			}
-		}
-		select {
-		case p.sem <- struct{}{}:
-			p.spawns.Add(1)
+			helpers++
 			wg.Add(1)
-			go func(i int) {
+			go func() {
 				defer func() {
 					<-p.sem
 					wg.Done()
 				}()
-				f(i)
-			}(i)
-		default:
-			// Saturated: run on the submitting goroutine. This is what makes
-			// nested ForEach calls deadlock-free — the caller never blocks
-			// waiting for a slot another ForEach might be holding.
-			p.inline.Add(1)
-			f(i)
+				for i, ok := take(); ok; i, ok = take() {
+					p.spawns.Add(1)
+					f(i)
+				}
+			}()
 		}
+	}
+	for {
+		recruit()
+		i, ok := take()
+		if !ok {
+			break
+		}
+		p.inline.Add(1)
+		f(i)
 	}
 	wg.Wait()
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -88,6 +89,43 @@ func TestNestingDoesNotDeadlock(t *testing.T) {
 	rec(5) // 3^5 leaf items through a 2-wide pool
 	if got := total.Load(); got != 243 {
 		t.Fatalf("ran %d leaf items, want 243", got)
+	}
+}
+
+// TestForEachHandsOutOnDemand: the first item to start blocks until every
+// other item has finished, so the fan-out completes only if another worker
+// keeps taking items meanwhile. Item 0 waits for another item to start, so
+// the blocked item is never one a helper took first while the caller went
+// on: a caller that alone launches items, and runs one inline when the only
+// helper slot is busy, would block inside it with the rest unlaunched.
+func TestForEachHandsOutOnDemand(t *testing.T) {
+	p := New(2)
+	const n = 8
+	var started, finished atomic.Int64
+	otherStarted := make(chan struct{})
+	allOthersDone := make(chan struct{})
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		p.ForEach(context.Background(), n, func(i int) {
+			if i == 0 {
+				<-otherStarted
+			}
+			first := started.Add(1) == 1
+			if i != 0 && first {
+				close(otherStarted)
+				<-allOthersDone
+				return
+			}
+			if finished.Add(1) == n-1 {
+				close(allOthersDone)
+			}
+		})
+	}()
+	select {
+	case <-ran:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("fan-out stalled: %d of %d items started, %d finished", started.Load(), n, finished.Load())
 	}
 }
 

@@ -223,10 +223,10 @@ func TestPlanAndApplyTwoLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reads redirected: ylocal carries the original 2.5 reads/iter.
-	if got := out.AccessesPerFrame("ylocal"); got == 0 {
+	if got := accessesPerFrame(out, "ylocal"); got == 0 {
 		t.Fatal("no accesses on inner layer")
 	}
-	ylocalReads := float64(out.AccessesPerFrame("ylocal"))
+	ylocalReads := float64(accessesPerFrame(out, "ylocal"))
 	// ylocal gets 2.5 redirected reads + copy writes at miss(12)=1.0:
 	// 2.5 + 2.5 = 5 per iter → 5000.
 	if math.Abs(ylocalReads-5000) > 1 {
@@ -234,7 +234,7 @@ func TestPlanAndApplyTwoLayers(t *testing.T) {
 	}
 	// Backing image: input writes + copy reads at miss(128), which is past
 	// the 64-address cycle and counts only cold ≈ 64/6400 = 1%.
-	imgAcc := float64(out.AccessesPerFrame("image"))
+	imgAcc := float64(accessesPerFrame(out, "image"))
 	want := 1024*1024 + 2.5*0.01*1000
 	if math.Abs(imgAcc-want)/want > 0.05 {
 		t.Fatalf("image accesses = %v, want ~%v", imgAcc, want)
@@ -268,7 +268,7 @@ func TestApplySingleLayer(t *testing.T) {
 	}
 	// miss(32) on a 16-cycle trace = cold only = 16/160 = 10%.
 	// image copy reads = 2.5 × 0.1 × 1000 = 250 + 1M input writes.
-	imgAcc := out.AccessesPerFrame("image")
+	imgAcc := accessesPerFrame(out, "image")
 	if imgAcc < 1024*1024+200 || imgAcc > 1024*1024+300 {
 		t.Fatalf("image accesses = %d, want 1M + ~250", imgAcc)
 	}
@@ -327,4 +327,14 @@ func TestDescribe(t *testing.T) {
 	if d == "" || d == "image: no hierarchy" {
 		t.Fatalf("Describe = %q", d)
 	}
+}
+
+// accessesPerFrame returns the named group's accesses per frame.
+func accessesPerFrame(s *spec.Spec, name string) uint64 {
+	for i := range s.Groups {
+		if s.Groups[i].Name == name {
+			return s.FrameAccesses()[i]
+		}
+	}
+	return 0
 }

@@ -103,8 +103,8 @@ func TestJSONHandWrittenSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.AccessesPerFrame("buf") != 15000 {
-		t.Fatalf("accesses = %d, want 15000", s.AccessesPerFrame("buf"))
+	if accessesPerFrame(s, "buf") != 15000 {
+		t.Fatalf("accesses = %d, want 15000", accessesPerFrame(s, "buf"))
 	}
 	if !s.Loops[0].Accesses[1].Write {
 		t.Fatal("write flag lost")

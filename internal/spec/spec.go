@@ -61,8 +61,8 @@ type Loop struct {
 // one body iteration.
 func (l *Loop) AccessesPerIteration() float64 {
 	var s float64
-	for _, a := range l.Accesses {
-		s += a.Count
+	for i := range l.Accesses {
+		s += l.Accesses[i].Count
 	}
 	return s
 }
@@ -93,25 +93,37 @@ func (s *Spec) GroupNames() []string {
 	return names
 }
 
-// AccessesPerFrame returns the expected number of accesses to the named
-// group over one frame (the quantity power estimation needs).
-func (s *Spec) AccessesPerFrame(group string) uint64 {
-	var total float64
-	for _, l := range s.Loops {
-		for _, a := range l.Accesses {
-			if a.Group == group {
-				total += a.Count * float64(l.Iterations)
+// FrameAccesses returns the expected number of accesses to each basic
+// group over one frame (the quantity power estimation needs), indexed like
+// s.Groups, from one pass over the loops.
+func (s *Spec) FrameAccesses() []uint64 {
+	col := make(map[string]int, len(s.Groups))
+	for i := range s.Groups {
+		col[s.Groups[i].Name] = i
+	}
+	totals := make([]float64, len(s.Groups))
+	for li := range s.Loops {
+		l := &s.Loops[li]
+		for ai := range l.Accesses {
+			a := &l.Accesses[ai]
+			if i, ok := col[a.Group]; ok {
+				totals[i] += a.Count * float64(l.Iterations)
 			}
 		}
 	}
-	return uint64(math.Round(total))
+	out := make([]uint64, len(s.Groups))
+	for i := range s.Groups {
+		// Groups sharing a name (which Validate rejects) share its total.
+		out[i] = uint64(math.Round(totals[col[s.Groups[i].Name]]))
+	}
+	return out
 }
 
 // TotalAccesses returns the expected accesses per frame across all groups.
 func (s *Spec) TotalAccesses() uint64 {
 	var total float64
-	for _, l := range s.Loops {
-		total += l.AccessesPerIteration() * float64(l.Iterations)
+	for li := range s.Loops {
+		total += s.Loops[li].AccessesPerIteration() * float64(s.Loops[li].Iterations)
 	}
 	return uint64(math.Round(total))
 }

@@ -40,10 +40,10 @@ func TestBuilderBasics(t *testing.T) {
 
 func TestAccessesPerFrame(t *testing.T) {
 	s := buildSmall(t)
-	if got := s.AccessesPerFrame("a"); got != 2000 {
+	if got := accessesPerFrame(s, "a"); got != 2000 {
 		t.Fatalf("a accesses = %d, want 2000", got)
 	}
-	if got := s.AccessesPerFrame("b"); got != 500 {
+	if got := accessesPerFrame(s, "b"); got != 500 {
 		t.Fatalf("b accesses = %d, want 500", got)
 	}
 	if got := s.TotalAccesses(); got != 2500 {
@@ -148,9 +148,19 @@ func TestQuickCloneFaithful(t *testing.T) {
 		c := s.Clone()
 		return c.Validate() == nil &&
 			c.TotalAccesses() == s.TotalAccesses() &&
-			c.AccessesPerFrame("g") == s.AccessesPerFrame("g")
+			accessesPerFrame(c, "g") == accessesPerFrame(s, "g")
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// accessesPerFrame returns the named group's accesses per frame.
+func accessesPerFrame(s *Spec, name string) uint64 {
+	for i := range s.Groups {
+		if s.Groups[i].Name == name {
+			return s.FrameAccesses()[i]
+		}
+	}
+	return 0
 }

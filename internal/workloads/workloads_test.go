@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/reuse"
+	"repro/internal/spec"
 )
 
 // explore runs the full physical-memory-management stage on a workload.
@@ -189,10 +190,10 @@ func TestWorkloadAccessArithmetic(t *testing.T) {
 	cands := uint64(7 * 7)
 	// cur traffic: input writes + per-candidate reads (block² per cand).
 	wantCur := uint64(64*64) + blocks*cands*256
-	if got := s.AccessesPerFrame("cur"); got != wantCur {
+	if got := accessesPerFrame(s, "cur"); got != wantCur {
 		t.Fatalf("cur accesses = %d, want %d", got, wantCur)
 	}
-	if got := s.AccessesPerFrame("mv"); got != blocks {
+	if got := accessesPerFrame(s, "mv"); got != blocks {
 		t.Fatalf("mv accesses = %d, want %d", got, blocks)
 	}
 }
@@ -206,7 +207,7 @@ func TestATMSwitchAccessArithmetic(t *testing.T) {
 		t.Fatalf("cycle budget = %d", ctx.CycleBudget)
 	}
 	// Every cell writes and reads its 12 payload words once.
-	if got := shared.AccessesPerFrame("cellbuf"); got != 24*400_000 {
+	if got := accessesPerFrame(shared, "cellbuf"); got != 24*400_000 {
 		t.Fatalf("shared cellbuf accesses = %d, want %d", got, 24*400_000)
 	}
 	parted, _, err := ATMSwitch("partitioned", false)
@@ -216,7 +217,7 @@ func TestATMSwitchAccessArithmetic(t *testing.T) {
 	// The four pools are alternatives: each sees a quarter of the cells.
 	for i := 0; i < 4; i++ {
 		g := "cellbuf" + string(rune('0'+i))
-		if got := parted.AccessesPerFrame(g); got != 6*400_000 {
+		if got := accessesPerFrame(parted, g); got != 6*400_000 {
 			t.Fatalf("%s accesses = %d, want %d", g, got, 6*400_000)
 		}
 	}
@@ -224,4 +225,14 @@ func TestATMSwitchAccessArithmetic(t *testing.T) {
 		t.Fatalf("organizations disagree on traffic: %d vs %d",
 			shared.TotalAccesses(), parted.TotalAccesses())
 	}
+}
+
+// accessesPerFrame returns the named group's accesses per frame.
+func accessesPerFrame(s *spec.Spec, name string) uint64 {
+	for i := range s.Groups {
+		if s.Groups[i].Name == name {
+			return s.FrameAccesses()[i]
+		}
+	}
+	return 0
 }
