@@ -379,15 +379,14 @@ func BenchmarkExplore(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreUncached is BenchmarkExplore with the session evaluation
-// cache disabled: the gap against BenchmarkExplore is the cross-variant
-// memoization win (the loop-schedule keyspace and the run's table of
-// assignment answers).
+// BenchmarkExploreUncached is BenchmarkExplore with the run cache
+// disabled: the gap against BenchmarkExplore is the cross-variant
+// memoization win (the run's loop schedules and assignment answers).
 func BenchmarkExploreUncached(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ep := core.DefaultEvalParams()
-		ep.Memo = nil
+		ep.NoCache = true
 		if _, err := core.RunAll(core.DemoConfig{Size: 256}, ep); err != nil {
 			b.Fatal(err)
 		}

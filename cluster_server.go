@@ -118,7 +118,8 @@ func (s *Server) JoinCluster(opts ClusterOptions) error {
 // routeKey is the consistent-hash routing fingerprint, the word of the
 // request's dedup key (see parseExplore): spec requests route by their
 // canonical spec JSON alone, so budget and knob variants of one spec
-// co-locate on one node; demo requests by the whole dedup key.
+// land on one node (placement only: each explores from scratch); demo
+// requests by the whole dedup key.
 func routeKey(p *parsedRequest) uint64 { return p.key.Word() }
 
 // internalHeaders builds the header set for one forwarded request.

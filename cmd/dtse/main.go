@@ -173,9 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	ep := core.DefaultEvalParams()
 	ep.Obs = observer
-	if *cache == "off" {
-		ep.Memo = nil
-	}
+	ep.NoCache = *cache == "off"
 	ep.Workers = pool.New(*workers)
 
 	start := time.Now()
@@ -274,9 +272,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "\nExploration telemetry (per methodology step):\n%s", obs.StatsTable(collector.Records()))
 		fmt.Fprintf(stderr, "\nStage latency histograms:\n%s", obs.HistTable(observer.Snapshot()))
 		fmt.Fprintf(stderr, "\nCounters:\n%s", obs.CounterTable(observer.Snapshot()))
-	}
-	if *stats {
-		fmt.Fprintf(stderr, "\nEvaluation cache (-cache=%s):\n%s", *cache, ep.Memo.StatsString())
 	}
 	if disk != nil && ctx.Err() == nil {
 		disk.Put(memo.Requests, diskKey, captured.Bytes())

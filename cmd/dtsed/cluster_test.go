@@ -63,10 +63,10 @@ func TestDaemonDynamicJoinAndLeave(t *testing.T) {
 	common := []string{"-gossip", "100ms", "-suspicion", "5s", "-drain", "2s"}
 	_, stopA, exitA, _ := startDaemon(t, append([]string{
 		"-addr", fmt.Sprintf("127.0.0.1:%d", portA),
-		"-cluster", "on", "-self", urlA, "-peers", urlB}, common...)...)
+		"-self", urlA, "-peers", urlB}, common...)...)
 	_, stopB, exitB, _ := startDaemon(t, append([]string{
 		"-addr", fmt.Sprintf("127.0.0.1:%d", portB),
-		"-cluster", "on", "-self", urlB, "-peers", urlA}, common...)...)
+		"-self", urlB, "-peers", urlA}, common...)...)
 	defer func() {
 		stopA()
 		stopB()
@@ -86,7 +86,7 @@ func TestDaemonDynamicJoinAndLeave(t *testing.T) {
 	// Third node joins mid-run knowing only member A.
 	_, stopC, exitC, _ := startDaemon(t, append([]string{
 		"-addr", fmt.Sprintf("127.0.0.1:%d", portC),
-		"-cluster", "on", "-self", urlC, "-peers", urlA}, common...)...)
+		"-self", urlC, "-peers", urlA}, common...)...)
 	for _, u := range []string{urlA, urlB, urlC} {
 		waitForMetric(t, u, `dtse_cluster_members 3`, 15*time.Second)
 	}

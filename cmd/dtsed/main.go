@@ -1,7 +1,7 @@
 // Command dtsed is the exploration-as-a-service daemon: a long-running
-// HTTP server that owns one exploration session (shared cross-variant
-// evaluation cache, shared bounded worker pool, shared telemetry) and
-// answers exploration requests against it.
+// HTTP server that owns one exploration session (shared response cache,
+// shared bounded worker pool, shared telemetry) and answers exploration
+// requests against it.
 //
 // Usage:
 //
@@ -9,13 +9,13 @@
 //	      [-timeout 0] [-max-timeout 0] [-workers N] [-drain 5s]
 //	      [-trace out.jsonl] [-cache on|off] [-cache-dir DIR]
 //	      [-cache-bytes N] [-flight N] [-slow 0]
-//	      [-cluster on|off] [-self URL] [-peers URL,URL,...]
+//	      [-self URL -peers URL,URL,...]
 //	      [-forward-timeout 2s] [-gossip 1s] [-suspicion 10s]
 //
-// With -cluster on (requires -self, this node's advertised base URL, plus
-// -peers) the daemon joins a multi-node ring: any node accepts any
+// With -self, this node's advertised base URL (which requires at least one
+// URL in -peers), the daemon joins a multi-node ring: any node accepts any
 // request, routes it to the consistent-hash owner of its canonical
-// fingerprint (so each node's caches stay hot for its shard),
+// fingerprint (so each node's response cache stays hot for its shard),
 // fails over to the next ring node when the owner errors, computes the
 // request itself when no peer answers within -forward-timeout, and ejects
 // unhealthy peers. Every search runs whole on the node that serves it.
@@ -35,9 +35,10 @@
 // With -cache-dir the daemon keeps a disk-backed second cache tier: every
 // completed response is appended (write-behind, checksummed) to
 // DIR/cache.log and survives restarts — a fresh process answers previously
-// seen requests byte-identically from disk. -cache-bytes caps each
-// in-memory keyspace, evicting cold entries CLOCK-wise (the request
-// aliases are capped at 8 MiB even without it); the disk tier
+// seen requests byte-identically from disk. -cache-bytes caps each of the
+// two in-memory keyspaces, responses and request aliases, evicting cold
+// entries CLOCK-wise (the aliases are capped at 8 MiB even without it);
+// the disk tier
 // still holds everything appended. The disk tier belongs to the session
 // cache, so -cache off with -cache-dir is a usage error.
 //
@@ -109,13 +110,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool width shared by all explorations")
 	drain := fs.Duration("drain", 5*time.Second, "shutdown grace before in-flight explorations are degraded")
 	traceOut := fs.String("trace", "", "write the exploration telemetry (JSONL spans + counters) to this file")
-	cache := fs.String("cache", "on", "session cache: on or off (responses are identical either way)")
+	cache := fs.String("cache", "on", "response cache and each demo run's cache: on or off (responses are identical either way)")
 	cacheDir := fs.String("cache-dir", "", "persist completed responses to an append-only log in this directory (disk cache tier, survives restarts)")
-	cacheBytes := fs.Int64("cache-bytes", 0, "byte cap per session-cache keyspace, evicting beyond it (0 = unbounded, request aliases 8 MiB)")
+	cacheBytes := fs.Int64("cache-bytes", 0, "byte cap on each session-cache keyspace, responses and request aliases, evicting beyond it (0 = unbounded responses, aliases 8 MiB)")
 	flight := fs.Int("flight", 64, "flight-recorder capacity: last N slow/degraded/errored requests (-1 disables)")
 	slow := fs.Duration("slow", 0, "flight-record healthy requests at least this slow (0 = off)")
-	clusterMode := fs.String("cluster", "off", "cluster mode: on or off (requires -self and -peers)")
-	self := fs.String("self", "", "this node's advertised base URL in cluster mode, e.g. http://10.0.0.1:8321")
+	self := fs.String("self", "", "join a cluster as this advertised base URL, e.g. http://10.0.0.1:8321 (requires -peers)")
 	peers := fs.String("peers", "", "comma-separated member base URLs to start from (any reachable one is enough; gossip supplies the rest)")
 	forwardTimeout := fs.Duration("forward-timeout", 0, "how long a forwarded request waits before it runs locally (0 = default 2s)")
 	gossip := fs.Duration("gossip", 0, "membership gossip/probe interval (0 = default 1s)")
@@ -153,11 +153,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *clusterMode != "on" && *clusterMode != "off" {
-		fmt.Fprintf(stderr, "dtsed: -cluster %q invalid (want on or off)\n", *clusterMode)
-		fs.Usage()
-		return 2
-	}
 	if *gossip < 0 || *suspicion < 0 || *forwardTimeout < 0 {
 		fmt.Fprintln(stderr, "dtsed: -gossip, -suspicion and -forward-timeout must be >= 0")
 		fs.Usage()
@@ -172,21 +167,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return out
 	}
-	var peerList []string
-	if *clusterMode == "on" {
-		if *self == "" {
-			fmt.Fprintln(stderr, "dtsed: -cluster on requires -self")
-			fs.Usage()
-			return 2
-		}
-		peerList = splitURLs(*peers)
-		if len(peerList) == 0 {
-			fmt.Fprintln(stderr, "dtsed: -cluster on requires at least one URL in -peers")
-			fs.Usage()
-			return 2
-		}
-	} else if *self != "" || *peers != "" {
-		fmt.Fprintln(stderr, "dtsed: -self and -peers require -cluster on")
+	peerList := splitURLs(*peers)
+	switch {
+	case *self != "" && len(peerList) == 0:
+		fmt.Fprintln(stderr, "dtsed: -self requires at least one URL in -peers")
+		fs.Usage()
+		return 2
+	case *self == "" && *peers != "":
+		fmt.Fprintln(stderr, "dtsed: -peers requires -self")
 		fs.Usage()
 		return 2
 	}
@@ -229,7 +217,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		FlightRecorder: *flight,
 		SlowRequest:    *slow,
 	})
-	if *clusterMode == "on" {
+	if *self != "" {
 		if err := srv.JoinCluster(dtse.ClusterOptions{
 			Self:             *self,
 			Peers:            peerList,
@@ -267,7 +255,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// explorations refused), wait up to -drain for in-flight explorations,
 	// and degrade the stragglers to their anytime results — every accepted
 	// request still gets a complete response.
-	if *clusterMode == "on" {
+	if *self != "" {
 		leaveCtx, cancel := context.WithTimeout(context.Background(), *drain)
 		if err := srv.LeaveCluster(leaveCtx); err != nil {
 			fmt.Fprintln(stderr, "dtsed: leave:", err)

@@ -100,11 +100,13 @@ func TestRunBadFlags(t *testing.T) {
 		{"-drain", "-1s"},
 		{"-queue", "-1"},
 		{"-slow", "-1s"},
-		{"-cluster", "on"},                        // no -self
-		{"-cluster", "on", "-self", "http://x:1"}, // no -peers
-		{"-join", "http://x:1"},                   // unknown flag: a joiner names a member in -peers
-		{"-cluster", "on", "-self", "http://x:1", "-gossip", "-1s"},
-		{"-cluster", "on", "-self", "http://x:1", "-peers", "http://y:1", "-forward-timeout", "-1s"},
+		{"-self", "http://x:1"},                // no -peers
+		{"-self", "http://x:1", "-peers", ","}, // no URL in -peers
+		{"-peers", "http://y:1"},               // -peers without -self
+		{"-cluster", "on"},                     // unknown flag: -self alone selects cluster mode
+		{"-join", "http://x:1"},                // unknown flag: a joiner names a member in -peers
+		{"-self", "http://x:1", "-gossip", "-1s"},
+		{"-self", "http://x:1", "-peers", "http://y:1", "-forward-timeout", "-1s"},
 		{"-hedge-ms", "50"}, // replaced by -forward-timeout
 		{"-nonsense"},
 	}

@@ -6,8 +6,8 @@
 //
 //	specexplore -budget 20000000 [-onchip 4] [-threshold 65536]
 //	            [-frame 1.0] [-timeout 30s] [-inplace] [-interconnect]
-//	            [-lifetimes] [-trace out.jsonl] [-stats] [-cache on|off]
-//	            [-cache-dir DIR] spec.json
+//	            [-lifetimes] [-trace out.jsonl] [-stats] [-cache-dir DIR]
+//	            spec.json
 //
 // With -cache-dir, a proven-optimal run's output is persisted to an
 // append-only log in DIR and identical later invocations replay it
@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	lifetimes := fs.Bool("lifetimes", false, "print the lifetime analysis and exit")
 	traceOut := fs.String("trace", "", "write the exploration telemetry (JSONL spans + counters) to this file")
 	stats := fs.Bool("stats", false, "print the per-step telemetry summary to stderr")
-	cache := fs.String("cache", "on", "cross-variant evaluation cache: on or off (results are identical either way)")
 	cacheDir := fs.String("cache-dir", "", "persist completed results to an append-only log in this directory; identical later runs are answered from it")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -73,11 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if err := validateFlags(*onchip, *threshold, *frame); err != nil {
 		fmt.Fprintln(stderr, err)
-		fs.Usage()
-		return 2
-	}
-	if *cache != "on" && *cache != "off" {
-		fmt.Fprintf(stderr, "specexplore: -cache %q invalid (want on or off)\n", *cache)
 		fs.Usage()
 		return 2
 	}
@@ -183,9 +177,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		InPlace: *inplaceF, Interconnect: *interconnect,
 	})
 	ep.Obs = observer
-	if *cache == "off" {
-		ep.Memo = nil
-	}
 
 	v, err := core.EvaluateContext(ctx, s, *budget, s.Name, ep)
 	if err != nil {
@@ -223,9 +214,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "\nExploration telemetry:\n%s", obs.StatsTable(collector.Records()))
 		fmt.Fprintf(stderr, "\nStage latency histograms:\n%s", obs.HistTable(observer.Snapshot()))
 		fmt.Fprintf(stderr, "\nCounters:\n%s", obs.CounterTable(observer.Snapshot()))
-	}
-	if *stats {
-		fmt.Fprintf(stderr, "\nEvaluation cache (-cache=%s):\n%s", *cache, ep.Memo.StatsString())
 	}
 	if disk != nil && ctx.Err() == nil && v.Asgn.Optimal {
 		disk.Put(memo.Requests, diskKey, captured.Bytes())

@@ -13,6 +13,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/assign"
+	"repro/internal/btpc"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/sbd"
 )
 
 // testOnlyExports names the exported functions and methods of the root
@@ -153,60 +159,129 @@ func moduleDir(importPath string) (string, bool) {
 	return rest, ok
 }
 
-// TestNoTestOnlyOptions fails on any exported field of ServeOptions or
-// ClusterOptions that no composite literal of that type in a non-test Go
-// file of the tree sets; cmd/dtsebench counts. A knob only tests set is
-// one no caller can turn. Literals of other types that pass a field on,
-// such as a cluster.Config built from ClusterOptions, do not count.
+// optionTypes are the option and parameter structs TestNoTestOnlyOptions
+// checks, each with its package directory.
+var optionTypes = []struct {
+	dir string
+	typ reflect.Type
+}{
+	{".", reflect.TypeFor[ServeOptions]()},
+	{".", reflect.TypeFor[ClusterOptions]()},
+	{"internal/sbd", reflect.TypeFor[sbd.Params]()},
+	{"internal/assign", reflect.TypeFor[assign.Params]()},
+	{"internal/btpc", reflect.TypeFor[btpc.Params]()},
+	{"internal/core", reflect.TypeFor[core.EvalParams]()},
+	{"internal/core", reflect.TypeFor[core.SpecKnobs]()},
+	{"internal/core", reflect.TypeFor[core.DemoConfig]()},
+	{"internal/cluster", reflect.TypeFor[cluster.Config]()},
+}
+
+// TestNoTestOnlyOptions fails on any exported field of an optionTypes
+// struct that no non-test Go file of the tree sets; cmd/dtsebench counts.
+// A knob only tests set is one no caller can turn. A field counts as set
+// where a composite literal of its type, or of an alias of it such as
+// dtse.CodecParams, names it, and where an assignment x.F = … names it in
+// the type's own package or in a file that imports that package. The
+// receiver of an assignment is not resolved, so any x counts, except in a
+// normalize method, which only fills the defaults of fields nobody set.
+// Literals of other types that pass a field on, such as a cluster.Config
+// built from ClusterOptions, do not count.
 func TestNoTestOnlyOptions(t *testing.T) {
-	set := map[string]map[string]bool{}
-	forEachNonTestFile(t, func(path string, f *ast.File) {
-		root := !strings.Contains(path, "/")
-		qualifier := "" // the root package's name in this file, when imported
+	type fileInfo struct {
+		dir     string
+		f       *ast.File
+		imports map[string]string // local name → directory, module imports only
+	}
+	var files []fileInfo
+	forEachNonTestFile(t, func(p string, f *ast.File) {
+		fi := fileInfo{dir: path.Dir(p), f: f, imports: map[string]string{}}
 		for _, imp := range f.Imports {
-			if imp.Path.Value == `"repro"` {
-				qualifier = "dtse"
-				if imp.Name != nil {
-					qualifier = imp.Name.Name
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			dir, ok := moduleDir(ip)
+			if !ok {
+				continue
+			}
+			name := path.Base(ip)
+			if dir == "." {
+				name = "dtse"
+			}
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			fi.imports[name] = dir
+		}
+		files = append(files, fi)
+	})
+	// typeKey names the type an expression denotes in file fi, "" when it is
+	// not a named type of the module.
+	typeKey := func(fi fileInfo, e ast.Expr) string {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return fi.dir + "." + x.Name
+		case *ast.SelectorExpr:
+			if pkg, ok := x.X.(*ast.Ident); ok {
+				if dir, ok := fi.imports[pkg.Name]; ok {
+					return dir + "." + x.Sel.Name
 				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok {
-				return true
-			}
-			var typ string
-			switch x := lit.Type.(type) {
-			case *ast.Ident:
-				if root {
-					typ = x.Name
-				}
-			case *ast.SelectorExpr:
-				if pkg, ok := x.X.(*ast.Ident); ok && qualifier != "" && pkg.Name == qualifier {
-					typ = x.Sel.Name
-				}
-			}
-			if typ == "" {
-				return true
-			}
-			if set[typ] == nil {
-				set[typ] = map[string]bool{}
-			}
-			for _, e := range lit.Elts {
-				if kv, ok := e.(*ast.KeyValueExpr); ok {
-					if key, ok := kv.Key.(*ast.Ident); ok {
-						set[typ][key.Name] = true
+		return ""
+	}
+	aliases := map[string]string{} // alias → its target, both typeKeys
+	for _, fi := range files {
+		for _, d := range fi.f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+				for _, spec := range gd.Specs {
+					if ts := spec.(*ast.TypeSpec); ts.Assign.IsValid() {
+						aliases[fi.dir+"."+ts.Name.Name] = typeKey(fi, ts.Type)
 					}
 				}
 			}
-			return true
-		})
-	})
-	for _, typ := range []reflect.Type{reflect.TypeFor[ServeOptions](), reflect.TypeFor[ClusterOptions]()} {
-		for i := 0; i < typ.NumField(); i++ {
-			if f := typ.Field(i); f.IsExported() && !set[typ.Name()][f.Name] {
-				t.Errorf("%s.%s is set only by tests: delete it, or give a real caller a use for it", typ.Name(), f.Name)
+		}
+	}
+	set := map[string]bool{}      // "typeKey.Field" named by a literal
+	assigned := map[string]bool{} // "dir.Field" assigned in or beside package dir
+	for _, fi := range files {
+		dirs := []string{fi.dir}
+		for _, dir := range fi.imports {
+			dirs = append(dirs, dir)
+		}
+		for _, d := range fi.f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "normalize" {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CompositeLit:
+					typ := typeKey(fi, x.Type)
+					if target, ok := aliases[typ]; ok {
+						typ = target
+					}
+					for _, e := range x.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								set[typ+"."+key.Name] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range x.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							for _, dir := range dirs {
+								assigned[dir+"."+sel.Sel.Name] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, o := range optionTypes {
+		for i := 0; i < o.typ.NumField(); i++ {
+			f := o.typ.Field(i)
+			if f.IsExported() && !set[o.dir+"."+o.typ.Name()+"."+f.Name] && !assigned[o.dir+"."+f.Name] {
+				t.Errorf("%s.%s is set only by tests: delete it, or give a real caller a use for it", o.typ, f.Name)
 			}
 		}
 	}

@@ -78,11 +78,9 @@ func checkValid(t *testing.T, p anytimeProblem, a *Assignment) {
 			t.Fatalf("group %s unmapped", g.Name)
 		}
 	}
-	pp := Params{}
-	pp.normalize()
 	for _, bind := range a.OnChip {
-		if bind.Mem.Ports < 1 || bind.Mem.Ports > pp.MaxPorts {
-			t.Fatalf("memory %s has %d ports (cap %d)", bind.Mem.Name, bind.Mem.Ports, pp.MaxPorts)
+		if bind.Mem.Ports < 1 || bind.Mem.Ports > maxPorts {
+			t.Fatalf("memory %s has %d ports (cap %d)", bind.Mem.Name, bind.Mem.Ports, maxPorts)
 		}
 		// The memory's port count must cover the worst simultaneity its
 		// members see in any conflict pattern.

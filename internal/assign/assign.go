@@ -35,14 +35,15 @@ import (
 // and the deadline is still honored within a fraction of a millisecond.
 const cancelCheckInterval = 1024
 
+// maxPorts caps the ports of any single memory: tiny register files
+// legitimately take many ports, and the cost model prices them.
+const maxPorts = 8
+
 // Params configures the assignment. Within an exploration, core derives it
 // from core.EvalParams. The on/off-chip threshold is not a parameter:
 // AssignContext reads it from the technology it is given
 // (memlib.Tech.OnChipMaxWords), the value core also hands the budget step.
 type Params struct {
-	// MaxPorts caps the ports of any single memory. Default 8 (tiny register
-	// files legitimately take many ports; the cost model prices them).
-	MaxPorts int
 	// NodeBudget caps branch-and-bound nodes; on exhaustion the best
 	// solution found so far (at worst the greedy incumbent) is returned.
 	// Default 2e6.
@@ -62,9 +63,6 @@ type Params struct {
 }
 
 func (p *Params) normalize() {
-	if p.MaxPorts == 0 {
-		p.MaxPorts = 8
-	}
 	if p.NodeBudget == 0 {
 		p.NodeBudget = 2_000_000
 	}
@@ -311,8 +309,8 @@ func (pr *problem) onChipCost(m *memState) (area, power float64, err error) {
 	if m.nGroups == 0 {
 		return 0, 0, nil
 	}
-	if m.ports > pr.p.MaxPorts {
-		return 0, 0, fmt.Errorf("assign: memory needs %d ports (max %d)", m.ports, pr.p.MaxPorts)
+	if m.ports > maxPorts {
+		return 0, 0, fmt.Errorf("assign: memory needs %d ports (max %d)", m.ports, maxPorts)
 	}
 	if m.words > pr.tech.SRAM.MaxWords {
 		return 0, 0, fmt.Errorf("assign: on-chip memory of %d words exceeds generator limit", m.words)
@@ -336,8 +334,8 @@ func (pr *problem) offChipCost(m *memState) (power float64, err error) {
 	if ports < 1 {
 		ports = 1
 	}
-	if ports > pr.p.MaxPorts {
-		return 0, fmt.Errorf("assign: off-chip memory needs %d ports (max %d)", ports, pr.p.MaxPorts)
+	if ports > maxPorts {
+		return 0, fmt.Errorf("assign: off-chip memory needs %d ports (max %d)", ports, maxPorts)
 	}
 	return pr.tech.DRAM.Power(m.words, memlib.CatalogWidth(m.bits), ports,
 		float64(m.acc)/pr.tech.FramePeriod)
@@ -508,7 +506,7 @@ func bestOffChip(ctx context.Context, pr *problem, sp *obs.Span) ([]Binding, flo
 		}
 	}
 	if math.IsInf(bestPower, 1) {
-		return nil, 0, false, fmt.Errorf("assign: no feasible off-chip packing (port demand exceeds %d)", pr.p.MaxPorts)
+		return nil, 0, false, fmt.Errorf("assign: no feasible off-chip packing (port demand exceeds %d)", maxPorts)
 	}
 	binds, err := offChipBinds(pr, bestParts)
 	if err != nil {

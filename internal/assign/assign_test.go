@@ -122,35 +122,44 @@ func TestBitwidthWasteSeparation(t *testing.T) {
 }
 
 func TestConflictsForceSeparation(t *testing.T) {
-	// Two on-chip groups accessed simultaneously: with MaxPorts 1 they
-	// cannot share a memory.
-	b := spec.NewBuilder("conf")
-	b.Group("a", 256, 8)
-	b.Group("b", 256, 8)
-	b.Loop("l", 1000)
-	b.Read("a", 1)
-	b.Read("b", 1)
-	s := b.MustBuild()
-	pats := []sbd.Pattern{{Access: map[string]int{"a": 1, "b": 1}, Weight: 1000}}
+	// Two on-chip groups accessed simultaneously, five times and four
+	// times: together they need nine ports, above the cap of eight, so
+	// they cannot share a memory.
+	build := func(na, nb int) *spec.Spec {
+		b := spec.NewBuilder("conf")
+		b.Group("a", 256, 8)
+		b.Group("b", 256, 8)
+		b.Loop("l", 1000)
+		for i := 0; i < na; i++ {
+			b.Read("a", 1)
+		}
+		for i := 0; i < nb; i++ {
+			b.Read("b", 1)
+		}
+		return b.MustBuild()
+	}
 	tech := memlib.Default()
-
-	a2, err := AssignContext(context.Background(), s, pats, tech, 2, Params{MaxPorts: 1})
+	s := build(5, 4)
+	pats := []sbd.Pattern{{Access: map[string]int{"a": 5, "b": 4}, Weight: 1000}}
+	a2, err := AssignContext(context.Background(), s, pats, tech, 2, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a2.GroupMem["a"] == a2.GroupMem["b"] {
-		t.Fatal("conflicting groups share a 1-port memory")
+		t.Fatal("conflicting groups share a memory past the port cap")
 	}
-	if _, err := AssignContext(context.Background(), s, pats, tech, 1, Params{MaxPorts: 1}); err == nil {
-		t.Fatal("1 memory with MaxPorts 1 should be infeasible")
+	if _, err := AssignContext(context.Background(), s, pats, tech, 1, Params{}); err == nil {
+		t.Fatal("1 memory needing 9 ports should be infeasible")
 	}
-	// With 2 ports allowed, one memory becomes feasible but dual-ported.
-	a1, err := AssignContext(context.Background(), s, pats, tech, 1, Params{MaxPorts: 2})
+	// At four and four, one memory becomes feasible at exactly the cap.
+	s = build(4, 4)
+	pats = []sbd.Pattern{{Access: map[string]int{"a": 4, "b": 4}, Weight: 1000}}
+	a1, err := AssignContext(context.Background(), s, pats, tech, 1, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a1.OnChip[0].Mem.Ports != 2 {
-		t.Fatalf("shared memory has %d ports, want 2", a1.OnChip[0].Mem.Ports)
+	if a1.OnChip[0].Mem.Ports != maxPorts {
+		t.Fatalf("shared memory has %d ports, want %d", a1.OnChip[0].Mem.Ports, maxPorts)
 	}
 }
 
@@ -432,7 +441,7 @@ func TestInPlaceSearchStateRestoration(t *testing.T) {
 	// Recompute each memory's words from scratch and compare.
 	for _, bind := range full.OnChip {
 		var st memState
-		pr := buildProblem(s, groupIndices(s, bind.Groups), s.FrameAccesses(), nil, memlib.Default(), Params{InPlace: true, MaxPorts: 8, NodeBudget: 1000})
+		pr := buildProblem(s, groupIndices(s, bind.Groups), s.FrameAccesses(), nil, memlib.Default(), Params{InPlace: true, NodeBudget: 1000})
 		members := make([]int, len(bind.Groups))
 		for i := range members {
 			members[i] = i

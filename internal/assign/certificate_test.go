@@ -94,8 +94,8 @@ func checkAssignment(s *spec.Spec, pats []sbd.Pattern, tech *memlib.Tech, count 
 				return fmt.Errorf("memory %s is %d bits wide, want %d", b.Mem.Name, b.Mem.Bits, bits)
 			case b.Mem.Ports != ports:
 				return fmt.Errorf("memory %s has %d ports, its patterns need %d", b.Mem.Name, b.Mem.Ports, ports)
-			case ports > p.MaxPorts:
-				return fmt.Errorf("memory %s needs %d ports, above the cap %d", b.Mem.Name, ports, p.MaxPorts)
+			case ports > maxPorts:
+				return fmt.Errorf("memory %s needs %d ports, above the cap %d", b.Mem.Name, ports, maxPorts)
 			}
 			rate := float64(acc) / tech.FramePeriod
 			var wantArea, wantPower float64

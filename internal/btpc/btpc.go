@@ -62,9 +62,6 @@ type Params struct {
 	// Quant is the quantization step for prediction errors. 1 (or 0)
 	// selects lossless operation.
 	Quant int
-	// TopMin is the minimum top-lattice dimension; the pyramid stops
-	// splitting when the coarse lattice would drop below it. Default 4.
-	TopMin int
 }
 
 func (p *Params) normalize() error {
@@ -73,12 +70,6 @@ func (p *Params) normalize() error {
 	}
 	if p.Quant < 0 || p.Quant > 64 {
 		return fmt.Errorf("btpc: quantization step %d out of range [1,64]", p.Quant)
-	}
-	if p.TopMin == 0 {
-		p.TopMin = 4
-	}
-	if p.TopMin < 1 {
-		return fmt.Errorf("btpc: TopMin %d out of range", p.TopMin)
 	}
 	return nil
 }
@@ -100,8 +91,12 @@ func (s *Stats) BitsPerPixel() float64 {
 
 var errHeader = errors.New("btpc: bad or truncated header")
 
+// topMin is the minimum top-lattice dimension: the pyramid stops splitting
+// when the coarse lattice would drop below it.
+const topMin = 4
+
 // topT returns the lattice exponent t (top level L = 2t) for a w×h image.
-func topT(w, h, topMin int) int {
+func topT(w, h int) int {
 	t := 0
 	for {
 		s := 1 << (t + 1)
@@ -149,7 +144,6 @@ func (m *coderMeter) WeightWrite(n int) { m.weight.Write(uint64(n)) }
 type pipeline struct {
 	w, h   int
 	quant  int
-	t      int            // top lattice exponent; top level L = 2t
 	src    *trace.Array2D // image (encoder) / out (decoder): pixel values
 	pyr    *trace.Array2D // per-pixel coded-error magnitude (8 bit)
 	ridge  *trace.Array2D // per-pixel 2-bit activity class
@@ -159,9 +153,9 @@ type pipeline struct {
 	coders [NumContexts]*huffman.Coder
 }
 
-func newPipeline(rec *trace.Recorder, srcName string, w, h, quant, t int) *pipeline {
+func newPipeline(rec *trace.Recorder, srcName string, w, h, quant int) *pipeline {
 	p := &pipeline{
-		w: w, h: h, quant: quant, t: t,
+		w: w, h: h, quant: quant,
 		src:   trace.NewArray2D(rec, srcName, w, h),
 		pyr:   trace.NewArray2D(rec, "pyr", w, h),
 		ridge: trace.NewArray2D(rec, "ridge", w, h),
@@ -311,11 +305,8 @@ func median4(v [4]int) int {
 // number of raw-coded top-lattice pixels and, for each predicted level k
 // (index k, finest level 0), the number of pixels that are new at k. The
 // pruned-specification builder uses these as loop iteration counts.
-func LevelSizes(w, h, topMin int) (top int, levels []int) {
-	if topMin == 0 {
-		topMin = 4
-	}
-	t := topT(w, h, topMin)
+func LevelSizes(w, h int) (top int, levels []int) {
+	t := topT(w, h)
 	step := 1 << t
 	for y := 0; y < h; y += step {
 		for x := 0; x < w; x += step {
@@ -362,8 +353,8 @@ func Encode(src *img.Gray, params Params, rec *trace.Recorder) ([]byte, *Stats, 
 	if w > 0xFFFF || h > 0xFFFF {
 		return nil, nil, fmt.Errorf("btpc: image %dx%d exceeds 16-bit dimensions", w, h)
 	}
-	t := topT(w, h, params.TopMin)
-	p := newPipeline(rec, "image", w, h, params.Quant, t)
+	t := topT(w, h)
+	p := newPipeline(rec, "image", w, h, params.Quant)
 
 	// Load phase: the input image arrives in the image array.
 	rec.Push("input")
@@ -491,7 +482,7 @@ func decode(data []byte, rec *trace.Recorder, stopLevel int) (*img.Gray, error) 
 	if stopLevel > 2*t {
 		stopLevel = 2 * t // beyond the pyramid top: decode the top only
 	}
-	p := newPipeline(rec, "out", w, h, quant, t)
+	p := newPipeline(rec, "out", w, h, quant)
 
 	rec.Push("dec")
 	rec.Push("top")

@@ -158,9 +158,6 @@ func TestParamsValidation(t *testing.T) {
 	if _, _, err := Encode(src, Params{Quant: 65}, nil); err == nil {
 		t.Error("huge quant accepted")
 	}
-	if _, _, err := Encode(src, Params{TopMin: -2}, nil); err == nil {
-		t.Error("negative TopMin accepted")
-	}
 }
 
 func TestDecodeErrors(t *testing.T) {
@@ -215,7 +212,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestLatticeCoversEveryPixelOnce(t *testing.T) {
 	for _, dims := range []struct{ w, h int }{{16, 16}, {13, 9}, {32, 17}} {
 		w, h := dims.w, dims.h
-		tt := topT(w, h, 4)
+		tt := topT(w, h)
 		seen := make([]int, w*h)
 		step := 1 << tt
 		for y := 0; y < h; y += step {
@@ -235,24 +232,24 @@ func TestLatticeCoversEveryPixelOnce(t *testing.T) {
 }
 
 func TestTopT(t *testing.T) {
-	cases := []struct{ w, h, topMin, want int }{
-		{1024, 1024, 4, 8},
-		{64, 64, 4, 4},
-		{16, 16, 4, 2},
-		{4, 4, 4, 0},
-		{3, 3, 4, 0},
-		{1024, 16, 4, 2}, // limited by the short dimension
+	cases := []struct{ w, h, want int }{
+		{1024, 1024, 8},
+		{64, 64, 4},
+		{16, 16, 2},
+		{4, 4, 0},
+		{3, 3, 0},
+		{1024, 16, 2}, // limited by the short dimension
 	}
 	for _, c := range cases {
-		if got := topT(c.w, c.h, c.topMin); got != c.want {
-			t.Errorf("topT(%d,%d,%d) = %d, want %d", c.w, c.h, c.topMin, got, c.want)
+		if got := topT(c.w, c.h); got != c.want {
+			t.Errorf("topT(%d,%d) = %d, want %d", c.w, c.h, got, c.want)
 		}
 	}
 }
 
 func TestLevelSizesSumToImage(t *testing.T) {
 	for _, d := range []struct{ w, h int }{{64, 64}, {33, 17}, {128, 96}} {
-		top, levels := LevelSizes(d.w, d.h, 4)
+		top, levels := LevelSizes(d.w, d.h)
 		sum := top
 		for _, n := range levels {
 			sum += n

@@ -4,9 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/spec"
@@ -82,25 +80,22 @@ func TestAllocationRetryStopsOnDeadContext(t *testing.T) {
 	}
 }
 
-// TestCachedRunMatchesUncached: the session cache must only remove
-// redundant work. A cached and an uncached full methodology run must render
+// TestCachedRunMatchesUncached: the run cache must only remove redundant
+// work. A cached and an uncached full methodology run must render
 // byte-identical tables and figures.
 func TestCachedRunMatchesUncached(t *testing.T) {
 	epCached := DefaultEvalParams().ScaleTo(64)
-	if epCached.Memo == nil {
-		t.Fatal("DefaultEvalParams did not attach a session cache")
-	}
+	epCached.Obs = obs.New()
 	cached, err := RunAll(DemoConfig{Size: 64}, epCached)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := epCached.Memo.Stats(memo.Schedule)
-	if st.Hits == 0 {
-		t.Fatalf("cached run never hit the schedule cache: %+v", st)
+	if hits := epCached.Obs.Counters()["memo.hits{space=schedule}"]; hits == 0 {
+		t.Fatal("cached run never hit the schedule cache")
 	}
 
 	epPlain := DefaultEvalParams().ScaleTo(64)
-	epPlain.Memo = nil
+	epPlain.NoCache = true
 	plain, err := RunAll(DemoConfig{Size: 64}, epPlain)
 	if err != nil {
 		t.Fatal(err)
@@ -132,67 +127,6 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestBoundedCacheRunMatchesUnbounded: capping the session cache (with a
-// cap tight enough to force real evictions) must only change what stays
-// resident — a bounded, an unbounded, and a cache-disabled full run render
-// byte-identical tables and figures.
-func TestBoundedCacheRunMatchesUnbounded(t *testing.T) {
-	epBounded := DefaultEvalParams().ScaleTo(64)
-	if epBounded.Memo == nil {
-		t.Fatal("DefaultEvalParams did not attach a session cache")
-	}
-	const cap = 16 << 10 // tight: the demo workload far exceeds 16 KiB of entries
-	for _, sp := range memo.Spaces {
-		epBounded.Memo.Bound(sp, cap)
-	}
-	bounded, err := RunAll(DemoConfig{Size: 64}, epBounded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evictions, held := int64(0), int64(0)
-	for _, sp := range memo.Spaces {
-		st := epBounded.Memo.Stats(sp)
-		evictions += st.Evictions
-		if st.BytesHeld > held {
-			held = st.BytesHeld
-		}
-		if st.BytesHeld > cap {
-			t.Fatalf("space %v holds %d bytes over its %d cap", sp, st.BytesHeld, cap)
-		}
-	}
-	if evictions == 0 {
-		t.Fatal("the 16 KiB cap caused no evictions; the bound was not exercised")
-	}
-
-	epPlain := DefaultEvalParams().ScaleTo(64)
-	epPlain.Memo = nil
-	plain, err := RunAll(DemoConfig{Size: 64}, epPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	epFree := DefaultEvalParams().ScaleTo(64)
-	free, err := RunAll(DemoConfig{Size: 64}, epFree)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wantRenders := renderAll(plain)
-	for name, got := range renderAll(bounded) {
-		if got != wantRenders[name] {
-			t.Errorf("bounded cache changed results: %s differs from the uncached run", name)
-		}
-	}
-	for name, got := range renderAll(free) {
-		if got != wantRenders[name] {
-			t.Errorf("unbounded cache changed results: %s differs from the uncached run", name)
-		}
-	}
-	if bounded.Final.Asgn.Optimal != plain.Final.Asgn.Optimal {
-		t.Errorf("final Optimal flag differs: bounded=%v uncached=%v",
-			bounded.Final.Asgn.Optimal, plain.Final.Asgn.Optimal)
-	}
-}
-
 // renderAll renders every table and figure of a Results for byte-comparison.
 func renderAll(r *Results) map[string]string {
 	return map[string]string{
@@ -206,91 +140,17 @@ func renderAll(r *Results) map[string]string {
 	}
 }
 
-// TestDegradedRunDoesNotPoisonSessionCache is the serving-path regression
-// the exploration service depends on: a deadline-degraded exploration and a
-// full-budget exploration share one session cache (ep.Memo), and the
-// full-budget run must render byte-identical tables and figures to an
-// entirely uncached run — best-effort schedules must never be served to a
-// later request from the cache.
-func TestDegradedRunDoesNotPoisonSessionCache(t *testing.T) {
-	ep := DefaultEvalParams().ScaleTo(64)
-
-	// 1. Tight-timeout explore on the shared session (context expired before
-	// the exploration even starts — maximal degradation).
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	degraded, err := RunAllContext(ctx, DemoConfig{Size: 64}, ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if degraded.Final == nil {
-		t.Fatal("degraded run returned no final organization")
-	}
-
-	// 2. Unlimited explore on the SAME session.
-	warm, err := RunAll(DemoConfig{Size: 64}, ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// 3. Reference: an uncached run.
-	epPlain := DefaultEvalParams().ScaleTo(64)
-	epPlain.Memo = nil
-	plain, err := RunAll(DemoConfig{Size: 64}, epPlain)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wantRenders := renderAll(plain)
-	for name, got := range renderAll(warm) {
-		if got != wantRenders[name] {
-			t.Errorf("session poisoned by the degraded run: %s differs\nwarm:\n%s\nuncached:\n%s",
-				name, got, wantRenders[name])
-		}
-	}
-	if warm.Final.Asgn.Optimal != plain.Final.Asgn.Optimal {
-		t.Errorf("final Optimal flag differs after a degraded run shared the session: warm=%v uncached=%v",
-			warm.Final.Asgn.Optimal, plain.Final.Asgn.Optimal)
-	}
-
-	// Mid-flight expiry (not just dead-on-arrival): whatever prefix of the
-	// pipeline a real deadline manages to complete, the next full run on the
-	// session must still be byte-identical to the uncached reference.
-	if !testing.Short() {
-		for _, d := range []time.Duration{time.Millisecond, 5 * time.Millisecond, 25 * time.Millisecond} {
-			ep := DefaultEvalParams().ScaleTo(64)
-			dctx, dcancel := context.WithTimeout(context.Background(), d)
-			if _, err := RunAllContext(dctx, DemoConfig{Size: 64}, ep); err != nil {
-				dcancel()
-				t.Fatalf("deadline %v: %v", d, err)
-			}
-			dcancel()
-			warm, err := RunAll(DemoConfig{Size: 64}, ep)
-			if err != nil {
-				t.Fatalf("deadline %v warm run: %v", d, err)
-			}
-			for name, got := range renderAll(warm) {
-				if got != wantRenders[name] {
-					t.Errorf("deadline %v poisoned the session: %s differs", d, name)
-				}
-			}
-		}
-	}
-}
-
 // TestParallelRunMatchesSerial: the worker pool must only change wall-clock
 // time, never results. A strictly sequential run (workers=1) and parallel
 // runs (workers=2, the width where the caller and one helper share every
 // fan-out, and workers=8) of the full methodology must render
-// byte-identical tables and figures — with the session cache on and off.
+// byte-identical tables and figures — with the run cache on and off.
 func TestParallelRunMatchesSerial(t *testing.T) {
 	run := func(workers int, cache bool) *Results {
 		t.Helper()
 		ep := DefaultEvalParams().ScaleTo(64)
 		ep.Workers = pool.New(workers)
-		if !cache {
-			ep.Memo = nil
-		}
+		ep.NoCache = !cache
 		r, err := RunAll(DemoConfig{Size: 64}, ep)
 		if err != nil {
 			t.Fatalf("workers=%d cache=%v: %v", workers, cache, err)

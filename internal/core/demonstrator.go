@@ -175,7 +175,7 @@ func buildPrunedSpec(cfg DemoConfig, rec *trace.Recorder, stats *btpc.Stats) (*s
 	b.Write("ridge", perIter(rec, "ridge", "enc/top", true, top), tr)
 
 	// One loop per predicted pyramid level, finest last.
-	_, levels := btpc.LevelSizes(cfg.Size, cfg.Size, 0)
+	_, levels := btpc.LevelSizes(cfg.Size, cfg.Size)
 	for k := len(levels) - 1; k >= 0; k-- {
 		iters := uint64(levels[k])
 		if iters == 0 {
@@ -322,7 +322,7 @@ func buildDecoderSpec(cfg DemoConfig, rec *trace.Recorder, stats *btpc.Stats) (*
 	b.Write("pyr", perIter(rec, "pyr", "dec/top", true, top), tw)
 	b.Write("ridge", perIter(rec, "ridge", "dec/top", true, top), tw)
 
-	_, levels := btpc.LevelSizes(cfg.Size, cfg.Size, 0)
+	_, levels := btpc.LevelSizes(cfg.Size, cfg.Size)
 	for k := len(levels) - 1; k >= 0; k-- {
 		iters := uint64(levels[k])
 		if iters == 0 {

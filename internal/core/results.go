@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/memo"
 	"repro/internal/report"
 	"repro/internal/reuse"
 )
@@ -65,8 +66,8 @@ func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results
 		return nil, err
 	}
 	ep = ep.ScaleTo(demo.Config.Size)
-	if ep.Memo != nil {
-		ep.searches = newSearchTable(ep.Tech)
+	if !ep.NoCache {
+		ep.memo = memo.New(memo.Assignments, memo.Schedule)
 	}
 	r := &Results{Demo: demo}
 
@@ -125,11 +126,11 @@ func RunAllContext(ctx context.Context, cfg DemoConfig, ep EvalParams) (*Results
 		fsp.SetFloat("onchip_area_mm2", r.Final.Cost.OnChipArea)
 	}
 	fsp.End()
-	// Snapshot the session cache's hit rates and the worker pool's
+	// Snapshot the run cache's hit rates and the worker pool's
 	// spawn/inline counts into the telemetry session (memo.hits{space=...},
 	// pool.spawns, ...), so traces and -stats report how much of the sweep
 	// was answered from the cache and how the work was scheduled.
-	ep.Memo.Publish(ep.Obs)
+	ep.memo.Publish(ep.Obs)
 	ep.Workers.Publish(ep.Obs)
 	return r, nil
 }

@@ -1,21 +1,24 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/assign"
 	"repro/internal/memlib"
+	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/sbd"
 	"repro/internal/spec"
 )
 
-// TestSearchTableSharesAnswers: with the session cache on, a run answers
-// some assignment calls from its search table. Every call still opens an
-// assign span, the shared ones expand no nodes, so the run expands fewer
-// nodes than one without the table, and every variant's assignment equals
+// TestSearchTableSharesAnswers: with the run cache on, a run answers some
+// assignment calls from the cache's Assignments keyspace, the table of
+// answers it searched earlier. Every call still opens an assign span, the
+// shared ones expand no nodes and count as hits, so the run expands fewer
+// nodes than one without the cache, and every variant's assignment equals
 // the uncached run's.
 func TestSearchTableSharesAnswers(t *testing.T) {
 	run := func(cached bool) (*Results, *obs.Collector) {
@@ -23,9 +26,7 @@ func TestSearchTableSharesAnswers(t *testing.T) {
 		c := obs.NewCollector()
 		ep := DefaultEvalParams()
 		ep.Obs = obs.New(c)
-		if !cached {
-			ep.Memo = nil
-		}
+		ep.NoCache = !cached
 		r, err := RunAll(DemoConfig{Size: 64}, ep)
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +50,7 @@ func TestSearchTableSharesAnswers(t *testing.T) {
 	}
 	searches := len(cc.Find("assign"))
 	if got := len(pc.Find("assign")); got != searches {
-		t.Fatalf("%d assign spans with the table, %d without", searches, got)
+		t.Fatalf("%d assign spans with the cache, %d without", searches, got)
 	}
 	if n := shared(pc); n != 0 {
 		t.Fatalf("uncached run shared %d answers", n)
@@ -58,15 +59,18 @@ func TestSearchTableSharesAnswers(t *testing.T) {
 	if n == 0 {
 		t.Fatalf("no answer of %d searches was shared", searches)
 	}
+	if hits := cc.Counters()["memo.hits{space=assignments}"]; hits != int64(n) {
+		t.Fatalf("memo.hits{space=assignments} = %d, want the %d shared answers", hits, n)
+	}
 	nodes, plainNodes := cc.Counters()["assign.nodes"], pc.Counters()["assign.nodes"]
 	if nodes >= plainNodes {
 		t.Fatalf("assign.nodes %d with the table, %d without", nodes, plainNodes)
 	}
-	t.Logf("%d of %d searches shared; assign.nodes %d, %d without the table", n, searches, nodes, plainNodes)
+	t.Logf("%d of %d searches shared; assign.nodes %d, %d without the cache", n, searches, nodes, plainNodes)
 
 	for name, got := range renderAll(cached) {
 		if want := renderAll(plain)[name]; got != want {
-			t.Errorf("%s differs with the search table:\n%s\nwithout:\n%s", name, got, want)
+			t.Errorf("%s differs with the run cache:\n%s\nwithout:\n%s", name, got, want)
 		}
 	}
 	steps := []struct {
@@ -89,7 +93,7 @@ func TestSearchTableSharesAnswers(t *testing.T) {
 		}
 		for i := range st.cached {
 			if !reflect.DeepEqual(st.cached[i].Asgn, st.plain[i].Asgn) {
-				t.Errorf("%s %q: assignment differs with the search table", st.name, st.cached[i].Label)
+				t.Errorf("%s %q: assignment differs with the run cache", st.name, st.cached[i].Label)
 			}
 		}
 	}
@@ -97,7 +101,7 @@ func TestSearchTableSharesAnswers(t *testing.T) {
 
 // TestSearchKeyCanonical: the key ignores pattern order, repeats, weights
 // and rows without an access to the side's groups, and it changes with the
-// count and with any multiplicity or access count. The table hands a
+// count and with any multiplicity or access count. The run cache hands a
 // repeated problem the first answer, and never shares one a canceled
 // context cut short.
 func TestSearchKeyCanonical(t *testing.T) {
@@ -129,35 +133,35 @@ func TestSearchKeyCanonical(t *testing.T) {
 		{Access: map[string]int{"a": 2, "b": 1}, Weight: 1000},
 		{Access: map[string]int{"idle": 0}, Weight: 9},
 	}
-	if searchKey(s, same, tech, 2, p) != key {
+	if !bytes.Equal(searchKey(s, same, tech, 2, p), key) {
 		t.Fatal("reordered, repeated and reweighted patterns changed the key")
 	}
-	for name, k := range map[string]string{
+	for name, k := range map[string][]byte{
 		"count":        searchKey(s, pats, tech, 3, p),
 		"accesses":     searchKey(build(1), pats, tech, 2, p),
 		"multiplicity": searchKey(s, append(pats[:2:2], sbd.Pattern{Access: map[string]int{"big": 2}}), tech, 2, p),
 		"node budget":  searchKey(s, pats, tech, 2, assign.Params{NodeBudget: 10}),
 	} {
-		if k == key {
+		if bytes.Equal(k, key) {
 			t.Errorf("a different %s kept the key", name)
 		}
 	}
 
-	tab := newSearchTable(tech)
+	ep := EvalParams{Tech: tech, memo: memo.New(memo.Assignments)}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cut, err := tab.assign(ctx, s, pats, tech, 2, p)
+	cut, err := ep.assign(ctx, s, pats, 2, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := tab.assign(context.Background(), s, pats, tech, 2, p)
+	first, err := ep.assign(context.Background(), s, pats, 2, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first == cut {
 		t.Fatal("a canceled search's answer was shared")
 	}
-	again, err := tab.assign(context.Background(), s, same, tech, 2, p)
+	again, err := ep.assign(context.Background(), s, same, 2, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,17 +41,16 @@ type EvalParams struct {
 	// it. Nil disables it.
 	Progress *obs.Progress
 
-	// Memo is the session's cross-variant evaluation cache: loop schedules
-	// are memoized by canonical fingerprints, so sweeps that re-evaluate
-	// nearly identical subproblems (structuring and hierarchy variants that
-	// leave most loops untouched, budget points that clamp a loop to its
-	// minimum) pay for each distinct subproblem once. With a cache set,
-	// RunAllContext also keeps a run-scoped table of assignment answers, so
-	// each distinct assignment problem of the run is searched once.
-	// DefaultEvalParams attaches a fresh cache; set to nil to disable both
-	// (the -cache=off path). Results are byte-identical either way — the
-	// cache and the table only remove redundant work.
-	Memo *memo.Cache
+	// NoCache turns off the run cache: RunAllContext then searches and
+	// balances every variant afresh (the -cache=off path). Otherwise each
+	// methodology run owns one cache of its loop schedules and assignment
+	// answers, so sweeps that re-evaluate nearly identical subproblems
+	// (structuring and hierarchy variants that leave most loops untouched,
+	// budget points that leave the same conflict patterns) pay for each
+	// distinct subproblem once, and the cache goes when the run returns.
+	// An evaluation outside a run has no cache. Results are byte-identical
+	// either way: the cache only removes redundant work.
+	NoCache bool
 
 	// Workers is the session-wide bounded worker pool shared by every
 	// parallel stage: the structuring, hierarchy, budget and allocation
@@ -67,12 +66,11 @@ type EvalParams struct {
 
 	// pipelined enables software pipelining in the budget step (the
 	// Table 3 extension sweep); structuralWeight is its sbd.Params
-	// namesake (-1: the structural-cost ablation); searches is the run's
-	// table of assignment answers (nil: search every time). Only this
-	// package sets them.
+	// namesake (-1: the structural-cost ablation); memo is the run cache
+	// RunAllContext creates (nil: no cache). Only this package sets them.
 	pipelined        bool
 	structuralWeight float64
-	searches         *searchTable
+	memo             *memo.Cache
 }
 
 // sbdParams derives the storage-cycle-budget step's parameters: the
@@ -83,7 +81,7 @@ func (ep EvalParams) sbdParams() sbd.Params {
 		StructuralWeight: ep.structuralWeight,
 		Obs:              ep.Span,
 		Progress:         ep.Progress,
-		Memo:             ep.Memo,
+		Memo:             ep.memo,
 		Pipelined:        ep.pipelined,
 	}
 }
@@ -114,12 +112,11 @@ func (ep EvalParams) startSpan(name string) (*obs.Span, EvalParams) {
 }
 
 // DefaultEvalParams returns the calibrated defaults used throughout the
-// reproduction.
+// reproduction. It allocates no cache: RunAllContext creates each run's.
 func DefaultEvalParams() EvalParams {
 	return EvalParams{
 		Tech:        memlib.Default(),
 		OnChipCount: 4,
-		Memo:        memo.New(),
 		Workers:     pool.New(0),
 	}
 }
@@ -241,7 +238,7 @@ func EvaluateContext(ctx context.Context, s *spec.Spec, budget uint64, label str
 	var asgn *assign.Assignment
 	retries := 0
 	for count := ep.OnChipCount; count <= ep.OnChipCount+6; count++ {
-		asgn, err = ep.searches.assign(ctx, s, pats, ep.Tech, count, asgnP)
+		asgn, err = ep.assign(ctx, s, pats, count, asgnP)
 		if err == nil {
 			break
 		}
@@ -472,7 +469,7 @@ func ExploreAllocationsContext(ctx context.Context, s *spec.Spec, dist *sbd.Dist
 	asgns := make([]*assign.Assignment, len(counts))
 	ap := ep.assignParams()
 	ep.Workers.ForEach(ctx, len(counts), func(i int) {
-		if a, err := ep.searches.assign(ctx, s, pats, ep.Tech, counts[i], ap); err == nil {
+		if a, err := ep.assign(ctx, s, pats, counts[i], ap); err == nil {
 			asgns[i] = a
 		}
 	})

@@ -12,7 +12,7 @@ import (
 // locals, the way the evaluation hot paths call the cache: the closure must
 // stay on the caller's stack.
 func TestDoHitAllocs(t *testing.T) {
-	c := memo.New()
+	c := memo.New(memo.Schedule)
 	curve := memo.NewKey([]byte("schedule|fingerprint"), 0)
 	budget := 7
 	lookup := func() any {

@@ -3,7 +3,7 @@ package memo
 // Bounded tier: per-keyspace byte caps with second-chance eviction.
 //
 // An unbounded session cache OOMs a long-lived daemon under sustained
-// diverse traffic — every distinct spec, budget point and schedule stays
+// diverse traffic — every distinct request's response and alias stays
 // resident forever. Bound caps one keyspace at a byte budget; when a new
 // cacheable result would push the space over its cap, resident entries are
 // evicted (entries hit since the last sweep get a second chance) until it

@@ -13,7 +13,7 @@ import (
 // --- byte accounting ---
 
 func TestBoundAccountingExact(t *testing.T) {
-	c := New()
+	c := New(Schedule)
 	c.Bound(Schedule, 1<<20)
 	want := int64(0)
 	for i := 0; i < 100; i++ {
@@ -41,7 +41,7 @@ type sizedVal struct{ n int }
 func (s sizedVal) CacheBytes() int { return s.n }
 
 func TestBoundSizedValuesUseReportedBytes(t *testing.T) {
-	c := New()
+	c := New(Requests)
 	c.Bound(Requests, 1<<20)
 	c.Do(Requests, tkey("k"), func() (any, bool) { return sizedVal{n: 1000}, true })
 	want := int64(entryOverhead) + 1000
@@ -55,7 +55,7 @@ func TestBoundSizedValuesUseReportedBytes(t *testing.T) {
 // entry gave back exactly what it charged — and the eviction counter
 // matches the entries that left.
 func TestBoundEvictionKeepsAccountingConsistent(t *testing.T) {
-	c := New()
+	c := New(Schedule)
 	key := func(i int) string { return fmt.Sprintf("key%04d", i) }
 	val := make([]byte, 100)
 	per := sizeOf(val)
@@ -89,7 +89,7 @@ func TestBoundEvictionKeepsAccountingConsistent(t *testing.T) {
 func TestQuickBytesHeldNeverExceedsCap(t *testing.T) {
 	f := func(capSeed uint16, ops []uint16) bool {
 		cap := int64(capSeed)%8192 + 512
-		c := New()
+		c := New(Schedule)
 		c.Bound(Schedule, cap)
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op%64)
@@ -113,7 +113,7 @@ func TestQuickBytesHeldNeverExceedsCap(t *testing.T) {
 // space. Room is made before bytes are accounted (all under the space
 // mutex), so no interleaving may show bytes_held > cap.
 func TestBoundCapHeldUnderConcurrency(t *testing.T) {
-	c := New()
+	c := New(Schedule)
 	const cap = 8192
 	c.Bound(Schedule, cap)
 	stop := make(chan struct{})
@@ -164,7 +164,7 @@ func TestBoundCapHeldUnderConcurrency(t *testing.T) {
 // accounted bytes and must survive any eviction storm — its waiters would
 // otherwise block forever on a channel nobody closes.
 func TestBoundEvictionNeverDropsInflight(t *testing.T) {
-	c := New()
+	c := New(Schedule)
 	c.Bound(Schedule, 2048)
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -206,7 +206,7 @@ func TestBoundEvictionNeverDropsInflight(t *testing.T) {
 // --- oversize values ---
 
 func TestBoundOversizeValueServedButNotRetained(t *testing.T) {
-	c := New()
+	c := New(Requests)
 	c.Bound(Requests, 512)
 	calls := 0
 	big := func() (any, bool) { calls++; return make([]byte, 4096), true }
@@ -232,7 +232,7 @@ func TestBoundOversizeValueServedButNotRetained(t *testing.T) {
 // an unbounded one yield identical values call by call.
 func TestQuickBoundedMatchesUnbounded(t *testing.T) {
 	f := func(ops []uint8) bool {
-		bounded, unbounded := New(), New()
+		bounded, unbounded := New(Schedule), New(Schedule)
 		bounded.Bound(Schedule, 700) // tight: a few entries fit
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op%16)
@@ -254,7 +254,7 @@ func TestBoundNilAndNonPositiveAreNoOps(t *testing.T) {
 	var nilCache *Cache
 	nilCache.Bound(Schedule, 1024) // must not panic
 
-	c := New()
+	c := New(Requests, Schedule)
 	c.Bound(Schedule, 0)
 	c.Bound(Requests, -1)
 	for i := 0; i < 100; i++ {

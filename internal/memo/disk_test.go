@@ -445,7 +445,7 @@ func TestAttachDiskPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New()
+	c := New(Requests)
 	c.AttachDisk(Requests, d, enc, dec)
 	computes := 0
 	v := c.Do(Requests, tkey("k"), func() (any, bool) { computes++; return []byte("hello"), true })
@@ -465,7 +465,7 @@ func TestAttachDiskPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	c2 := New()
+	c2 := New(Requests)
 	c2.AttachDisk(Requests, d2, enc, dec)
 	v2 := c2.Do(Requests, tkey("k"), func() (any, bool) {
 		t.Error("compute ran despite a disk record")
@@ -496,7 +496,7 @@ func TestAttachDiskEncDeclines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	c := New()
+	c := New(Schedule)
 	enc := func(any) ([]byte, bool) { return nil, false }
 	_, dec := byteCodec()
 	c.AttachDisk(Schedule, d, enc, dec)

@@ -35,7 +35,7 @@ func TestDiskImportCounted(t *testing.T) {
 }
 
 func TestCacheSeedAndRange(t *testing.T) {
-	c := New()
+	c := New(Requests)
 	if !c.Seed(Requests, tkey("k1"), "v1") {
 		t.Fatal("seeding an empty slot should succeed")
 	}
@@ -80,7 +80,7 @@ func TestCacheSeedAndRange(t *testing.T) {
 }
 
 func TestCacheSeedRespectsBound(t *testing.T) {
-	c := New()
+	c := New(Requests)
 	c.Bound(Requests, 1<<10)
 	big := make([]byte, 1<<20)
 	if c.Seed(Requests, tkey("big"), big) {

@@ -18,7 +18,7 @@ func tkey(s string) Key { return NewKey([]byte(s), Fingerprint64(s)) }
 // address one entry; different bytes or a different word address another;
 // NewKey does not retain the buffer it hashed.
 func TestKeyAddressesByCanonicalBytes(t *testing.T) {
-	c := New()
+	c := New(Schedule)
 	calls := 0
 	compute := func() (any, bool) { calls++; return calls, true }
 	buf := []byte("loop-fingerprint")

@@ -1,22 +1,28 @@
-// Package memo provides the cross-variant evaluation cache of one
-// exploration session.
+// Package memo provides the single-flight memo behind every evaluation
+// cache of the exploration.
 //
 // The paper's methodology lives on fast re-evaluation: the designer changes
 // one decision (a structuring transform, a hierarchy layer, a budget point,
 // an allocation count) and the physical-memory-management stage re-derives
 // the cost feedback. Most of that work is identical between neighbouring
 // variants — a loop untouched by the transform balances to the same
-// schedule, a budget point that clamps a loop to its minimum re-derives the
-// same curve, a repeated request renders the same response. This package
-// memoizes those results in a per-session cache, so a sweep pays for each
-// distinct subproblem once. Every tier is keyed by a fixed-size Key, a
+// schedule, two budget points that leave the same conflict patterns pose
+// the same assignment problem, a repeated request renders the same
+// response. This package memoizes those results, so a sweep pays for each
+// distinct subproblem once. Every entry is keyed by a fixed-size Key, a
 // SHA-256 digest of the subproblem's canonical bytes (see key.go): the
 // cache holds 32 bytes per key, however long the fingerprint it came from.
 //
-// Three keyspaces exist: Schedule (per-loop schedules), Requests (whole
-// serving-path responses, keyed by the canonical request) and Aliases (the
-// raw bytes of a request mapped to its Requests key, so a repeated request
-// skips the parse that derives the canonical form).
+// A Cache holds only the keyspaces New was given, and each keyspace lives
+// as long as what re-reads it:
+//
+//   - one methodology run (core.RunAllContext) owns a cache of Schedule
+//     (per-loop schedules) and Assignments (assignment answers), dropped
+//     when the run returns;
+//   - the server session owns a cache of Requests (whole serving-path
+//     responses, keyed by the canonical request) and Aliases (the raw bytes
+//     of a request mapped to its Requests key, so a repeated request skips
+//     the parse that derives the canonical form).
 //
 // The cache is concurrency-safe and deduplicates in-flight computations
 // (singleflight): when the parallel sweep goroutines request the same key
@@ -28,7 +34,6 @@ package memo
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,12 +46,13 @@ import (
 // disk-tier record, so it never changes once assigned.
 type Space int
 
-// The keyspaces of the exploration session cache. Ids 1-3 belonged to
-// deleted keyspaces and stay unassigned.
+// The keyspaces. Ids 1-3 belonged to deleted keyspaces and stay
+// unassigned.
 const (
 	// Schedule caches the per-loop schedules sbd.DistributeContext
-	// computes, keyed by the digest of the loop's structural fingerprint
-	// with the per-iteration budget as the key's word.
+	// computes within one methodology run, keyed by the digest of the
+	// loop's structural fingerprint with the per-iteration budget as the
+	// key's word.
 	Schedule Space = 0
 	// Requests caches whole serving-path responses (rendered tables and
 	// figures, cost JSON) keyed by the digest of the canonical request,
@@ -64,11 +70,18 @@ const (
 	// another's response. Bodies that fail to parse are never stored, and
 	// the space has no disk tier.
 	Aliases Space = 5
+	// Assignments caches the assignment answers of one methodology run,
+	// keyed by the digest of everything the search reads (core's
+	// searchKey): the structuring winner comes back as the no-hierarchy
+	// variant, and budget points whose schedules leave the same conflict
+	// patterns pose one problem. Only answers whose search ran to
+	// completion (context never canceled) may be stored.
+	Assignments Space = 6
 )
 
-// Spaces lists the live keyspaces sorted by name, the order every stats
-// view renders them in.
-var Spaces = [...]Space{Aliases, Requests, Schedule}
+// Spaces lists every keyspace: the ones a disk tier indexes and reads
+// records of.
+var Spaces = [...]Space{Aliases, Assignments, Requests, Schedule}
 
 // String names the keyspace (used for telemetry labels).
 func (s Space) String() string {
@@ -79,6 +92,8 @@ func (s Space) String() string {
 		return "requests"
 	case Aliases:
 		return "aliases"
+	case Assignments:
+		return "assignments"
 	default:
 		return fmt.Sprintf("space%d", int(s))
 	}
@@ -110,14 +125,6 @@ type Stats struct {
 	// Disk-tier accounting (zero when no disk tier is attached).
 	DiskHits   int64 // misses answered from the disk tier instead of compute
 	DiskWrites int64 // cacheable results queued to the disk tier
-}
-
-// HitRate returns hits / (hits + misses), or 0 when the space is untouched.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // entry is one slot of a keyspace: done is closed when the computation
@@ -184,31 +191,33 @@ func Fingerprint64[K ~string | ~[]byte](key K) uint64 {
 	return h
 }
 
-// Cache is one exploration session's memoization state. Values stored in
-// the cache are shared between callers and must be treated as immutable.
+// Cache is the memoization state of one owner: a methodology run or a
+// server session. Values stored in the cache are shared between callers
+// and must be treated as immutable.
 type Cache struct {
-	spaces [len(Spaces)]space
+	spaces []space
 }
 
-// New returns an empty session cache.
-func New() *Cache {
-	c := &Cache{}
-	for i, sp := range Spaces {
+// New returns an empty cache holding the given keyspaces. Every method
+// that names a keyspace the cache does not hold panics.
+func New(spaces ...Space) *Cache {
+	c := &Cache{spaces: make([]space, len(spaces))}
+	for i, sp := range spaces {
 		c.spaces[i].id = sp
 		c.spaces[i].m = make(map[Key]*entry)
 	}
 	return c
 }
 
-// space returns the state of keyspace sp; an unknown keyspace is a bug in
-// the caller.
+// space returns the state of keyspace sp; a keyspace the cache does not
+// hold is a bug in the caller.
 func (c *Cache) space(sp Space) *space {
 	for i := range c.spaces {
 		if c.spaces[i].id == sp {
 			return &c.spaces[i]
 		}
 	}
-	panic(fmt.Sprintf("memo: unknown keyspace %v", sp))
+	panic(fmt.Sprintf("memo: keyspace %v not held", sp))
 }
 
 // Do returns the value for key in the given keyspace, running compute on a
@@ -318,16 +327,17 @@ func (c *Cache) Stats(sp Space) Stats {
 	}
 }
 
-// Publish snapshots the per-keyspace counters into the observer as gauges
-// (memo.hits{space=...}, memo.misses{...}, memo.inflight_waits{...},
-// memo.entries{...}), so traces and -stats report the session's hit
-// rates. Safe on a nil Cache or nil Observer; idempotent (gauges, not
-// counters).
+// Publish snapshots the counters of every keyspace the cache holds into
+// the observer as gauges (memo.hits{space=...}, memo.misses{...},
+// memo.inflight_waits{...}, memo.entries{...}), so traces and -stats
+// report the hit rates. Safe on a nil Cache or nil Observer; idempotent
+// (gauges, not counters).
 func (c *Cache) Publish(o *obs.Observer) {
 	if c == nil || o == nil {
 		return
 	}
-	for _, sp := range Spaces {
+	for i := range c.spaces {
+		sp := c.spaces[i].id
 		st := c.Stats(sp)
 		if st.Hits+st.Misses == 0 {
 			continue
@@ -361,22 +371,4 @@ func (c *Cache) Observe(o *obs.Observer) {
 		s := &c.spaces[i]
 		s.hist = o.Histogram(obs.Label("memo.lookup", "space", s.id.String()))
 	}
-}
-
-// StatsString renders a human-readable per-keyspace summary (the -stats
-// view of the cache).
-func (c *Cache) StatsString() string {
-	if c == nil {
-		return "(cache disabled)\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %10s %10s %10s %8s %8s %8s %10s\n",
-		"keyspace", "hits", "misses", "waits", "entries", "hit-rate", "evict", "bytes")
-	for _, sp := range Spaces {
-		st := c.Stats(sp)
-		fmt.Fprintf(&b, "%-16s %10d %10d %10d %8d %7.1f%% %8d %10d\n",
-			sp, st.Hits, st.Misses, st.InflightWaits, st.Entries, 100*st.HitRate(),
-			st.Evictions, st.BytesHeld)
-	}
-	return b.String()
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestDoCachesPerSpaceAndKey(t *testing.T) {
-	c := New()
+	c := New(Requests, Schedule)
 	calls := 0
 	compute := func() (any, bool) { calls++; return calls, true }
 
@@ -29,13 +29,10 @@ func TestDoCachesPerSpaceAndKey(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("Schedule stats = %+v, want 1 hit / 1 miss / 1 entry", st)
 	}
-	if r := st.HitRate(); r != 0.5 {
-		t.Fatalf("HitRate = %v, want 0.5", r)
-	}
 }
 
 func TestDoUncacheableIsNotStored(t *testing.T) {
-	c := New()
+	c := New(Schedule)
 	calls := 0
 	uncacheable := func() (any, bool) { calls++; return calls, false }
 	if v := c.Do(Schedule, tkey("k"), uncacheable); v != 1 {
@@ -51,7 +48,7 @@ func TestDoUncacheableIsNotStored(t *testing.T) {
 }
 
 func TestDoSingleflight(t *testing.T) {
-	c := New()
+	c := New(Schedule)
 	const goroutines = 8
 	var computes atomic.Int64
 	release := make(chan struct{})
@@ -94,7 +91,7 @@ func TestDoSingleflight(t *testing.T) {
 }
 
 func TestDoSingleflightUncacheableWaitersRecompute(t *testing.T) {
-	c := New()
+	c := New(Schedule)
 	release := make(chan struct{})
 	firstIn := make(chan struct{})
 	var secondVal any
@@ -135,7 +132,7 @@ func TestDoSingleflightUncacheableWaitersRecompute(t *testing.T) {
 // computes must be exactly 2 (the degraded original plus one takeover) and
 // every waiter must observe the takeover's value.
 func TestDoUncacheableHandoffSingleTakeover(t *testing.T) {
-	c := New()
+	c := New(Schedule)
 	const waiters = 8
 	release := make(chan struct{})
 	firstIn := make(chan struct{})
@@ -187,7 +184,7 @@ func TestDoUncacheableHandoffSingleTakeover(t *testing.T) {
 // takeover chain drains one waiter per round — each caller computes at most
 // once (no stampede, no lost caller) and nothing is left in the map.
 func TestDoAllUncacheableChain(t *testing.T) {
-	c := New()
+	c := New(Schedule)
 	const callers = 8
 	var computes atomic.Int64
 	var wg sync.WaitGroup
@@ -228,14 +225,11 @@ func TestNilCacheRuns(t *testing.T) {
 	if st := c.Stats(Schedule); st != (Stats{}) {
 		t.Fatalf("nil-cache stats = %+v, want zero", st)
 	}
-	c.Publish(nil)                                         // must not panic
-	if s := c.StatsString(); !strings.Contains(s, "dis") { // "(cache disabled)"
-		t.Fatalf("nil StatsString = %q", s)
-	}
+	c.Publish(nil) // must not panic
 }
 
 func TestPublishGauges(t *testing.T) {
-	c := New()
+	c := New(Requests, Schedule)
 	c.Do(Schedule, tkey("a"), func() (any, bool) { return 1, true })
 	c.Do(Schedule, tkey("a"), func() (any, bool) { return 1, true })
 	o := obs.New()
@@ -259,20 +253,35 @@ func TestPublishGauges(t *testing.T) {
 	}
 }
 
-func TestStatsString(t *testing.T) {
-	c := New()
+// TestCacheHoldsOnlyItsSpaces: a cache publishes and observes only the
+// keyspaces New was given, and naming any other is a bug that panics.
+func TestCacheHoldsOnlyItsSpaces(t *testing.T) {
+	c := New(Requests, Aliases)
+	o := obs.New()
+	c.Observe(o)
 	c.Do(Requests, tkey("a"), func() (any, bool) { return 1, true })
-	c.Do(Requests, tkey("a"), func() (any, bool) { return 1, true })
-	s := c.StatsString()
-	for _, want := range []string{"schedule", "requests", "50.0%"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("StatsString missing %q:\n%s", want, s)
+	c.Do(Aliases, tkey("a"), func() (any, bool) { return 1, true })
+	c.Publish(o)
+	for name := range o.Counters() {
+		if strings.Contains(name, "space=schedule") || strings.Contains(name, "space=assignments") {
+			t.Errorf("published %s from a cache without that keyspace", name)
 		}
 	}
+	for name := range o.Snapshot().Histograms {
+		if !strings.Contains(name, "space=requests") && !strings.Contains(name, "space=aliases") {
+			t.Errorf("observed %s from a cache without that keyspace", name)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Stats of a keyspace the cache does not hold did not panic")
+		}
+	}()
+	c.Stats(Schedule)
 }
 
 func TestSpaceString(t *testing.T) {
-	names := map[Space]string{Schedule: "schedule", Requests: "requests", Aliases: "aliases"}
+	names := map[Space]string{Schedule: "schedule", Requests: "requests", Aliases: "aliases", Assignments: "assignments"}
 	for sp, want := range names {
 		if got := sp.String(); got != want {
 			t.Fatalf("Space(%d).String() = %q, want %q", sp, got, want)

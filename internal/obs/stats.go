@@ -40,7 +40,6 @@ func StatsTable(recs []*SpanRecord) string {
 
 	type row struct {
 		name         string
-		startUS      int64
 		spans, count int
 		wallUS       int64
 		alloc        uint64
@@ -52,7 +51,7 @@ func StatsTable(recs []*SpanRecord) string {
 	for _, c := range direct {
 		r := byName[c.Name]
 		if r == nil {
-			r = &row{name: c.Name, startUS: c.StartUS}
+			r = &row{name: c.Name}
 			byName[c.Name] = r
 			rows = append(rows, r)
 		}

@@ -77,7 +77,7 @@ func TestDistributeContextIsFast(t *testing.T) {
 // on the same session must match a fresh, uncached one exactly.
 func TestDegradedScheduleDoesNotPoisonSession(t *testing.T) {
 	s := fanInSpec(t, 5, 10, 1000)
-	session := memo.New()
+	session := memo.New(memo.Schedule)
 
 	// 1. Tight-deadline exploration on the shared session (context already
 	// expired: every committed schedule skips its improvement passes).
@@ -132,7 +132,7 @@ func TestDegradedScheduleDoesNotPoisonSession(t *testing.T) {
 // for a curve point computed under an expired context.
 func TestDegradedScheduleNotStored(t *testing.T) {
 	s := fanInSpec(t, 3, 6, 500)
-	session := memo.New()
+	session := memo.New(memo.Schedule)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := DistributeContext(ctx, s, 20_000, Params{Memo: session}); err != nil {

@@ -69,7 +69,7 @@ func appendGolden(t *testing.T, buf *bytes.Buffer, s *spec.Spec, onChip int64) {
 		groups[g.Name] = g
 	}
 	for _, pipelined := range []bool{false, true} {
-		p := sbd.Params{OnChipMaxWords: onChip, OffChipCycles: 2, Pipelined: pipelined}
+		p := sbd.Params{OnChipMaxWords: onChip, Pipelined: pipelined}
 		mode := "linear"
 		if pipelined {
 			mode = "pipelined"
@@ -210,7 +210,7 @@ func TestDistributionsGolden(t *testing.T) {
 		for _, sw := range sweeps {
 			p := base
 			p.Pipelined = sw.mode == "pipelined"
-			p.Memo = memo.New() // shared across the sweep, as in the methodology
+			p.Memo = memo.New(memo.Schedule) // shared across the sweep, as in the methodology
 			for _, f := range sw.fracs {
 				budget := uint64(float64(d.CycleBudget) * f)
 				dist, err := sbd.DistributeContext(context.Background(), v.s, budget, p)

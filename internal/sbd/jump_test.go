@@ -135,7 +135,7 @@ func TestJumpMatchesFullScan(t *testing.T) {
 		budgets := []uint64{weightedMACP(s), bound - 1, bound, bound + 1, 2 * bound}
 		var jumpMemo, scanMemo *memo.Cache
 		if seed%2 == 0 {
-			jumpMemo, scanMemo = memo.New(), memo.New()
+			jumpMemo, scanMemo = memo.New(memo.Schedule), memo.New(memo.Schedule)
 		}
 		for _, budget := range budgets {
 			if budget < weightedMACP(s) {

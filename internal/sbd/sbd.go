@@ -40,6 +40,13 @@ import (
 	"repro/internal/spec"
 )
 
+// offChipCycles is the duration of one off-chip access in storage cycles:
+// an EDO DRAM access spans two 20 MHz cycles.
+const offChipCycles = 2
+
+// balancePasses bounds the local-search improvement passes of one balance.
+const balancePasses = 4
+
 // Params configures the balancer and the cost model it optimizes. Within
 // an exploration, core derives it from core.EvalParams; callers of core
 // never fill it.
@@ -48,11 +55,6 @@ type Params struct {
 	// duration and penalty models. Default 64Ki. core copies it from
 	// memlib.Tech.OnChipMaxWords, the value the assignment partitions by.
 	OnChipMaxWords int64
-	// OffChipCycles is the duration of one off-chip access in storage
-	// cycles (an EDO DRAM access spans multiple 20 MHz cycles). Default 2.
-	OffChipCycles int
-	// Passes bounds the local-search improvement passes. Default 4.
-	Passes int
 	// StructuralWeight scales the iteration-independent conflict term (see
 	// StructuralWeight constant). Negative disables it; zero selects the
 	// default.
@@ -65,9 +67,9 @@ type Params struct {
 	// (the serving layer's live-introspection side channel). Write-only:
 	// results are identical with or without it.
 	Progress *obs.Progress
-	// Memo is the exploration session's cross-variant cache: loop
-	// schedules are memoized by canonical fingerprints, so variants that
-	// leave a loop untouched re-use its balanced schedule instead of
+	// Memo is the methodology run's cross-variant cache: loop schedules
+	// are memoized by canonical fingerprints, so variants that leave a
+	// loop untouched re-use its balanced schedule instead of
 	// re-scheduling. Nil disables caching.
 	Memo *memo.Cache
 	// Pipelined enables software pipelining (modulo scheduling): the
@@ -83,12 +85,6 @@ func (p *Params) normalize() {
 	if p.OnChipMaxWords == 0 {
 		p.OnChipMaxWords = 64 * 1024
 	}
-	if p.OffChipCycles == 0 {
-		p.OffChipCycles = 2
-	}
-	if p.Passes == 0 {
-		p.Passes = 4
-	}
 	if p.StructuralWeight == 0 {
 		p.StructuralWeight = StructuralWeight
 	} else if p.StructuralWeight < 0 {
@@ -99,7 +95,7 @@ func (p *Params) normalize() {
 // Duration returns the number of storage cycles one access to g occupies.
 func (p Params) Duration(g spec.BasicGroup) int {
 	if g.Words > p.OnChipMaxWords {
-		return p.OffChipCycles
+		return offChipCycles
 	}
 	return 1
 }
@@ -148,7 +144,7 @@ type Pattern struct {
 // cost-relevant properties of every referenced group (words, bits, and the
 // on/off-chip classification that sets durations and penalties), and the
 // normalized balancer parameters. Loops with equal fingerprints balance to
-// identical schedules at equal budgets, so the session cache's schedule
+// identical schedules at equal budgets, so the run cache's schedule
 // keyspace is keyed by the fingerprint's digest (hashed once per cost
 // curve) with the budget as the key's word. The on/off-chip threshold
 // itself is deliberately absent: it only acts through the per-group
@@ -163,10 +159,6 @@ func appendLoopFingerprint(dst []byte, l *spec.Loop, groups map[string]spec.Basi
 	dst = strconv.AppendQuote(dst, l.Name)
 	dst = append(dst, " it="...)
 	dst = strconv.AppendUint(dst, l.Iterations, 10)
-	dst = append(dst, " oc="...)
-	dst = strconv.AppendInt(dst, int64(p.OffChipCycles), 10)
-	dst = append(dst, " ps="...)
-	dst = strconv.AppendInt(dst, int64(p.Passes), 10)
 	dst = append(dst, " sw="...)
 	dst = strconv.AppendFloat(dst, p.StructuralWeight, 'g', -1, 64)
 	dst = append(dst, " pl="...)
@@ -237,8 +229,7 @@ type LoopSchedule struct {
 	// before they converged (or before their pass budget ran out): the
 	// schedule is complete and feasible but possibly costlier than the one a
 	// full run finds. A degraded schedule must never enter the cross-variant
-	// session cache — a later full-budget run sharing the session would be
-	// poisoned by it.
+	// cache — a later caller with a live context would be poisoned by it.
 	Degraded bool
 }
 
@@ -871,7 +862,7 @@ func (b *loopBody) balance(ctx context.Context, budget int, ar *scratch.Arena) (
 	done := ctx.Done()
 	passes, moves := 0, 0
 	degraded := false
-	for pass := 0; pass < p.Passes; pass++ {
+	for pass := 0; pass < balancePasses; pass++ {
 		if done != nil {
 			select {
 			case <-done:
@@ -1410,13 +1401,13 @@ func distribute(ctx context.Context, s *spec.Spec, totalBudget uint64, p Params,
 		}
 	}
 	degraded := false
-	// balance resolves one curve point, through the session cache when one
-	// is attached. A fully converged result is deterministic and cached; one
+	// balance resolves one curve point, through the run cache when one is
+	// attached. A fully converged result is deterministic and cached; one
 	// degraded by cancellation (improvement passes cut short, reported by
 	// the schedule's own Degraded flag) is returned but not cached, so later
 	// callers with a live context redo it properly — a degraded schedule
-	// entering the session cache would poison every later full-budget run
-	// sharing the session. Deterministic infeasibility errors are cached
+	// entering the cache would poison every later caller sharing it.
+	// Deterministic infeasibility errors are cached
 	// too. Concurrent sweep points requesting the same curve share one
 	// computation (singleflight).
 	type schedResult struct {

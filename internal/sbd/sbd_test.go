@@ -767,7 +767,7 @@ func TestCachedCostsMatchDense(t *testing.T) {
 			sp = wideSpec(seed)
 		}
 		l := &sp.Loops[0]
-		p := Params{OffChipCycles: 2 + rng.Intn(3), Pipelined: rng.Intn(2) == 0}
+		p := Params{Pipelined: rng.Intn(2) == 0}
 		p.normalize()
 		budget := 1 + rng.Intn(6)
 		if !p.Pipelined {
@@ -1058,7 +1058,7 @@ func TestDistributeMatchesEager(t *testing.T) {
 			budgets = append(budgets, macp+uint64(rng.Int63n(int64(macp/2)+1)))
 		}
 		for _, pipelined := range []bool{false, true} {
-			session := memo.New()
+			session := memo.New(memo.Schedule)
 			for _, budget := range budgets {
 				p := Params{Pipelined: pipelined}
 				want, points, err := distributeEager(s, budget, p)

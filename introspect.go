@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/memo"
 	"repro/internal/obs"
 )
 
@@ -245,29 +244,34 @@ func (m *metricsResponse) writeProm(w io.Writer) {
 	if m.Memo != nil {
 		// One family at a time: exposition requires a family's samples to be
 		// consecutive, so the loops go metric-major, space-minor.
-		for _, sp := range memo.Spaces {
-			p.Counter(obs.Label("memo.hits", "space", sp.String()), m.Memo[sp.String()].Hits)
+		spaces := make([]string, 0, len(m.Memo))
+		for sp := range m.Memo {
+			spaces = append(spaces, sp)
 		}
-		for _, sp := range memo.Spaces {
-			p.Counter(obs.Label("memo.misses", "space", sp.String()), m.Memo[sp.String()].Misses)
+		sort.Strings(spaces)
+		for _, sp := range spaces {
+			p.Counter(obs.Label("memo.hits", "space", sp), m.Memo[sp].Hits)
 		}
-		for _, sp := range memo.Spaces {
-			p.Counter(obs.Label("memo.inflight_waits", "space", sp.String()), m.Memo[sp.String()].InflightWaits)
+		for _, sp := range spaces {
+			p.Counter(obs.Label("memo.misses", "space", sp), m.Memo[sp].Misses)
 		}
-		for _, sp := range memo.Spaces {
-			p.Gauge(obs.Label("memo.entries", "space", sp.String()), int64(m.Memo[sp.String()].Entries))
+		for _, sp := range spaces {
+			p.Counter(obs.Label("memo.inflight_waits", "space", sp), m.Memo[sp].InflightWaits)
 		}
-		for _, sp := range memo.Spaces {
-			p.Counter(obs.Label("memo.evictions", "space", sp.String()), m.Memo[sp.String()].Evictions)
+		for _, sp := range spaces {
+			p.Gauge(obs.Label("memo.entries", "space", sp), int64(m.Memo[sp].Entries))
 		}
-		for _, sp := range memo.Spaces {
-			p.Gauge(obs.Label("memo.bytes_held", "space", sp.String()), m.Memo[sp.String()].BytesHeld)
+		for _, sp := range spaces {
+			p.Counter(obs.Label("memo.evictions", "space", sp), m.Memo[sp].Evictions)
 		}
-		for _, sp := range memo.Spaces {
-			p.Counter(obs.Label("memo.disk_hits", "space", sp.String()), m.Memo[sp.String()].DiskHits)
+		for _, sp := range spaces {
+			p.Gauge(obs.Label("memo.bytes_held", "space", sp), m.Memo[sp].BytesHeld)
 		}
-		for _, sp := range memo.Spaces {
-			p.Counter(obs.Label("memo.disk_writes", "space", sp.String()), m.Memo[sp.String()].DiskWrites)
+		for _, sp := range spaces {
+			p.Counter(obs.Label("memo.disk_hits", "space", sp), m.Memo[sp].DiskHits)
+		}
+		for _, sp := range spaces {
+			p.Counter(obs.Label("memo.disk_writes", "space", sp), m.Memo[sp].DiskWrites)
 		}
 	}
 	if ds := m.Disk; ds != nil {

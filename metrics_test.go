@@ -374,17 +374,68 @@ func TestMetricsSurfacesAgree(t *testing.T) {
 
 	// The traffic must have reached the sources the comparison covers.
 	for key, min := range map[string]float64{
-		"dtse_http_requests_total":                         5,
-		`dtse_http_responses_total{class="4xx"}`:           2,
-		"dtse_flightrecorder_recorded_total":               1,
-		"dtse_cluster_members":                             1,
-		"dtse_diskcache_writes_total":                      1,
-		`dtse_memo_hits_total{space="requests"}`:           1,
-		"dtse_server_batch_items_total":                    3,
-		`dtse_memo_lookup_seconds_count{space="schedule"}`: 1,
+		"dtse_http_requests_total":                        5,
+		`dtse_http_responses_total{class="4xx"}`:          2,
+		"dtse_flightrecorder_recorded_total":              1,
+		"dtse_cluster_members":                            1,
+		"dtse_diskcache_writes_total":                     1,
+		`dtse_memo_hits_total{space="requests"}`:          1,
+		"dtse_server_batch_items_total":                   3,
+		`dtse_memo_lookup_seconds_count{space="aliases"}`: 1,
 	} {
 		if got.samples[key] < min {
 			t.Errorf("%s = %v, want at least %v", key, got.samples[key], min)
+		}
+	}
+}
+
+// TestSessionCacheHoldsRequestTiers: the session cache holds only the
+// request tiers, which later requests re-read. After distinct spec
+// requests and a demo request, /metrics.json lists exactly the aliases and
+// requests keyspaces and /metrics renders no other, while the demo's run
+// still published its own run cache's schedule and assignment hits into
+// the observer.
+func TestSessionCacheHoldsRequestTiers(t *testing.T) {
+	srv := NewServer(ServeOptions{Obs: obs.New()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	_, specJSON, budget := serviceSpec(t)
+	spaces := func() []string {
+		t.Helper()
+		var snap metricsResponse
+		if err := json.Unmarshal(getBody(t, ts.URL+"/metrics.json"), &snap); err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for name := range snap.Memo {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return names
+	}
+	for i := uint64(0); i < 3; i++ {
+		if resp, body := postExplore(t, ts, specBody(specJSON, budget+i, "")); resp.StatusCode != http.StatusOK {
+			t.Fatalf("spec request: %d %s", resp.StatusCode, body)
+		}
+	}
+	if got := spaces(); fmt.Sprint(got) != "[aliases requests]" {
+		t.Fatalf("after spec requests the session cache lists %v, want [aliases requests]", got)
+	}
+	if resp, body := postExplore(t, ts, `{"demo": {"size": 64}}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("demo request: %d %s", resp.StatusCode, body)
+	}
+	if got := spaces(); fmt.Sprint(got) != "[aliases requests]" {
+		t.Fatalf("after a demo request the session cache lists %v, want [aliases requests]", got)
+	}
+	for _, sp := range []string{"schedule", "assignments"} {
+		if got := srv.obs.Counters()[obs.Label("memo.hits", "space", sp)]; got == 0 {
+			t.Errorf("the demo's run published no %s hits", sp)
+		}
+	}
+	prom := string(getBody(t, ts.URL+"/metrics"))
+	for _, sp := range []string{"schedule", "assignments"} {
+		if strings.Contains(prom, `space="`+sp+`"`) {
+			t.Errorf("/metrics renders the %s keyspace, which no session holds", sp)
 		}
 	}
 }

@@ -92,13 +92,14 @@ type ServeOptions struct {
 	// instrumentation (the /metrics endpoint then reports only server
 	// gauges).
 	Obs *obs.Observer
-	// NoCache disables the session cache: every request recomputes.
-	// Responses are byte-identical either way.
+	// NoCache disables the session cache and the run cache of every demo
+	// exploration: every request recomputes. Responses are byte-identical
+	// either way.
 	NoCache bool
-	// CacheBytes caps each session-cache keyspace (schedules, responses
-	// and request aliases) at this many bytes; entries beyond it are
-	// evicted CLOCK-wise. <= 0 leaves schedules and responses unbounded
-	// and caps the aliases at defaultAliasBytes (8 MiB).
+	// CacheBytes caps each of the session cache's two keyspaces
+	// (responses and request aliases) at this many bytes; entries beyond
+	// it are evicted CLOCK-wise. <= 0 leaves responses unbounded and caps
+	// the aliases at defaultAliasBytes (8 MiB).
 	CacheBytes int64
 	// Disk is an optional disk-backed second cache tier (memo.OpenDiskTier):
 	// completed request responses are persisted write-behind and survive
@@ -191,8 +192,8 @@ func NewServer(opts ServeOptions) *Server {
 		live:    make(map[string]*liveEntry),
 	}
 	if !opts.NoCache {
-		s.memo = memo.New()
-		for _, sp := range memo.Spaces {
+		s.memo = memo.New(sessionSpaces...)
+		for _, sp := range sessionSpaces {
 			s.memo.Bound(sp, opts.CacheBytes) // a no-op when <= 0
 		}
 		if opts.CacheBytes <= 0 {
@@ -343,6 +344,11 @@ const maxRequestBody = 8 << 20
 // unbounded.
 const defaultAliasBytes = 8 << 20
 
+// sessionSpaces are the keyspaces of the session cache: the request tiers,
+// which later requests re-read. A demo exploration's schedules and
+// assignment answers live in its own run cache and go with it.
+var sessionSpaces = []memo.Space{memo.Aliases, memo.Requests}
+
 // readBody reads a request body whole into a buffer sized from its
 // Content-Length, so a body of known length costs one allocation. At most
 // maxRequestBody bytes are read; a longer body is cut there, and the parse
@@ -434,7 +440,8 @@ func parseExplore(raw []byte) (*parsedRequest, *spec.Spec, error) {
 	//	spec|budget|onchip|threshold|frame|inplace|interconnect|canonical spec
 	//
 	// Its word, the ring fingerprint, hashes the canonical spec alone, so
-	// budget and knob variants of one spec co-locate on one node. The
+	// budget and knob variants of one spec land on one node; each still
+	// explores from scratch, sharing no work with the others. The
 	// deadline is deliberately excluded: only completed explorations are
 	// cached, and a completed result is valid under any deadline.
 	ar := scratch.Get() // the canonical bytes are garbage once hashed
@@ -984,7 +991,7 @@ func (s *Server) explore(ctx context.Context, it *exploreItem, sp *obs.Span, pro
 	ep := core.DefaultEvalParams()
 	ep.Obs = s.obs
 	ep.Span = sp
-	ep.Memo = s.memo
+	ep.NoCache = s.memo == nil
 	ep.Workers = s.workers
 	ep.Progress = prog
 
@@ -1182,8 +1189,9 @@ type poolMetrics struct {
 }
 
 // metrics reads every metric the server serves, once. The observer
-// snapshot drops its memo.* and pool.* counters and gauges: the cache and
-// pool, read live here, own those; the observer's are RunAll's stale copies.
+// snapshot drops its memo.* and pool.* counters and gauges: the session
+// cache and the pool, read live here, own those names; the observer's are
+// the last demo run's copies, of its run cache and of the pool.
 func (s *Server) metrics() *metricsResponse {
 	lat := s.reqHist.Snapshot()
 	m := &metricsResponse{
@@ -1227,7 +1235,7 @@ func (s *Server) metrics() *metricsResponse {
 	}
 	if s.memo != nil {
 		m.Memo = make(map[string]memo.Stats)
-		for _, sp := range memo.Spaces {
+		for _, sp := range sessionSpaces {
 			m.Memo[sp.String()] = s.memo.Stats(sp)
 		}
 	}
