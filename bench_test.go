@@ -259,74 +259,40 @@ func BenchmarkTable4WithInterconnect(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBranchExclusivity quantifies the branch-exclusivity
-// modeling decision: how much worse the organization gets (or whether the
-// pipeline fails) when the six Huffman coders are treated as co-executing.
-func BenchmarkAblationBranchExclusivity(b *testing.B) {
+// BenchmarkAblations runs the four modeling-decision studies as one
+// (cmd/dtse -ablations) and reports what each decision is worth: the
+// branch-exclusivity power gap (-1 when the ablated pipeline fails), the
+// image memory's port demand with and without the structural conflict
+// term, the optimal and greedy on-chip power, and the area in-place
+// mapping saves.
+func BenchmarkAblations(b *testing.B) {
 	demo, _ := benchFixture(b)
 	ep := core.DefaultEvalParams().ScaleTo(benchSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := core.AblationBranchExclusivity(demo, ep)
-		if i == 0 && res.With != nil {
-			b.ReportMetric(res.With.Cost.TotalPower(), "with-mW")
-			if res.Without != nil {
-				b.ReportMetric(res.Without.Cost.TotalPower(), "without-mW")
-			} else {
-				b.ReportMetric(-1, "without-mW") // pipeline infeasible
-			}
-		}
-	}
-}
-
-// BenchmarkAblationStructuralCost quantifies the structural conflict term:
-// the port demand that cold loops force without it.
-func BenchmarkAblationStructuralCost(b *testing.B) {
-	demo, _ := benchFixture(b)
-	ep := core.DefaultEvalParams().ScaleTo(benchSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := core.AblationStructuralCost(demo, ep)
-		if i == 0 && res.With != nil && res.Without != nil {
-			b.ReportMetric(float64(sbd.RequiredPorts(res.With.Dist.Patterns)["image"]), "with-image-ports")
-			b.ReportMetric(float64(sbd.RequiredPorts(res.Without.Dist.Patterns)["image"]), "without-image-ports")
-		}
-	}
-}
-
-// BenchmarkAblationGreedyAssignment measures the optimal-vs-greedy
-// assignment gap (the greedy result is the paper's manual-designer
-// baseline).
-func BenchmarkAblationGreedyAssignment(b *testing.B) {
-	demo, _ := benchFixture(b)
-	ep := core.DefaultEvalParams().ScaleTo(benchSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.AblationGreedyAssignment(demo, ep, 8)
+		res, err := core.Ablations(context.Background(), demo, ep)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			b.ReportMetric(res.With.Cost.OnChipPower, "optimal-mW")
-			b.ReportMetric(res.Without.Cost.OnChipPower, "greedy-mW")
+		if i > 0 {
+			continue
 		}
-	}
-}
-
-// BenchmarkAblationInPlace measures the in-place mapping extension on the
-// demonstrator (expected: little savings — BTPC's arrays are frame-long).
-func BenchmarkAblationInPlace(b *testing.B) {
-	demo, _ := benchFixture(b)
-	ep := core.DefaultEvalParams().ScaleTo(benchSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.AblationInPlace(demo, ep)
-		if err != nil {
-			b.Fatal(err)
+		branch, structural, greedy, inPlace := res[0], res[1], res[2], res[3]
+		b.ReportMetric(branch.With.Cost.TotalPower(), "with-mW")
+		if branch.Without != nil {
+			b.ReportMetric(branch.Without.Cost.TotalPower(), "without-mW")
+		} else {
+			b.ReportMetric(-1, "without-mW") // pipeline infeasible
 		}
-		if i == 0 {
-			b.ReportMetric(res.Without.Cost.OnChipArea-res.With.Cost.OnChipArea, "area-saved-mm2")
+		if structural.Without != nil {
+			b.ReportMetric(float64(sbd.RequiredPorts(structural.With.Dist.Patterns)["image"]), "with-image-ports")
+			b.ReportMetric(float64(sbd.RequiredPorts(structural.Without.Dist.Patterns)["image"]), "without-image-ports")
 		}
+		b.ReportMetric(greedy.With.Cost.OnChipPower, "optimal-mW")
+		if greedy.Without != nil {
+			b.ReportMetric(greedy.Without.Cost.OnChipPower, "greedy-mW")
+		}
+		b.ReportMetric(inPlace.Without.Cost.OnChipArea-inPlace.With.Cost.OnChipArea, "area-saved-mm2")
 	}
 }
 

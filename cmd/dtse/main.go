@@ -236,26 +236,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, core.InPlaceReport(res.Demo.Spec))
 	}
 	if *ablations {
-		ep := core.DefaultEvalParams().ScaleTo(*size)
+		// The study runs to completion whatever -timeout left of the run.
+		abl, err := core.Ablations(context.Background(), res.Demo, ep.ScaleTo(*size))
+		if err != nil {
+			fmt.Fprintln(stderr, "dtse: ablations:", err)
+			return 1
+		}
 		fmt.Fprintln(stdout, "\nAblations (modeling decisions, see DESIGN.md):")
-		printAbl := func(a *core.AblationResult) {
+		for _, a := range abl {
 			fmt.Fprintf(stdout, "  %-38s", a.Name+":")
 			if a.WithoutErr != nil {
 				fmt.Fprintf(stdout, " with %7.1f mW; without: pipeline fails (%v)\n",
 					a.With.Cost.TotalPower(), a.WithoutErr)
-				return
+				continue
 			}
 			fmt.Fprintf(stdout, " with %7.1f mW / %6.1f mm², without %7.1f mW / %6.1f mm²  (%s)\n",
 				a.With.Cost.TotalPower(), a.With.Cost.OnChipArea,
 				a.Without.Cost.TotalPower(), a.Without.Cost.OnChipArea, a.Note)
-		}
-		printAbl(core.AblationBranchExclusivity(res.Demo, ep))
-		printAbl(core.AblationStructuralCost(res.Demo, ep))
-		if a, err := core.AblationGreedyAssignment(res.Demo, ep, 8); err == nil {
-			printAbl(a)
-		}
-		if a, err := core.AblationInPlace(res.Demo, ep); err == nil {
-			printAbl(a)
 		}
 	}
 

@@ -311,48 +311,84 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("/debug/explorations: err=%v count=%d", err, livelist.Count)
 	}
 
-	// Overload: with -concurrency 1 -queue 1, a slow exploration plus a
-	// queued one exhaust admission; the third gets 429 + Retry-After.
+	// Overload: with -concurrency 1 -queue 1, an exploration in flight plus
+	// a queued one exhaust admission; the third request gets 429 +
+	// Retry-After. That needs the first exploration to outlast the second
+	// request's admission, which no demo size guarantees on every host, so
+	// a pair whose first exploration answers too early is relaunched with
+	// fresh seeds.
 	type slowResult struct {
 		status int
 		body   []byte
 	}
-	slow := make(chan slowResult, 2)
-	launch := func(seed int) {
-		resp, err := http.Post(url+"/v1/explore", "application/json",
-			strings.NewReader(fmt.Sprintf(`{"demo": {"size": 256, "seed": %d}}`, seed)))
-		if err != nil {
-			slow <- slowResult{0, []byte(err.Error())}
-			return
+	const attempts = 5
+	slow := make(chan slowResult, 2*attempts)
+	launched := 0
+	// launch posts a demo in the background; the returned func reports
+	// whether it has answered.
+	launch := func(seed int) (answered func() bool) {
+		launched++
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			resp, err := http.Post(url+"/v1/explore", "application/json",
+				strings.NewReader(fmt.Sprintf(`{"demo": {"size": 256, "seed": %d}}`, seed)))
+			if err != nil {
+				slow <- slowResult{0, []byte(err.Error())}
+				return
+			}
+			defer resp.Body.Close()
+			b, _ := io.ReadAll(resp.Body)
+			slow <- slowResult{resp.StatusCode, b}
+		}()
+		return func() bool {
+			select {
+			case <-done:
+				return true
+			default:
+				return false
+			}
 		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		slow <- slowResult{resp.StatusCode, b}
 	}
-	go launch(11)
-	waitGauge(t, url, "inflight", 1)
-	go launch(12)
-	waitGauge(t, url, "queued", 1)
-	req, _ := http.NewRequest(http.MethodPost, url+"/v1/explore", strings.NewReader(`{"demo": {"size": 256, "seed": 13}}`))
-	req.Header.Set("Content-Type", "application/json")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	overloaded := false
+	for attempt := 0; attempt < attempts && !overloaded; attempt++ {
+		seed := 11 + 3*attempt
+		firstAnswered := launch(seed)
+		if !waitGauge(t, url, "inflight", 1, firstAnswered) {
+			continue
+		}
+		launch(seed + 1)
+		if !waitGauge(t, url, "queued", 1, firstAnswered) {
+			continue
+		}
+		req, _ := http.NewRequest(http.MethodPost, url+"/v1/explore",
+			strings.NewReader(fmt.Sprintf(`{"demo": {"size": 256, "seed": %d}}`, seed+2)))
+		req.Header.Set("Content-Type", "application/json")
+		resp, err = http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		overflowed, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		switch {
+		case resp.StatusCode == http.StatusTooManyRequests:
+			if resp.Header.Get("Retry-After") == "" {
+				t.Fatal("429 without Retry-After")
+			}
+			overloaded = true
+		case resp.StatusCode != http.StatusOK: // admitted once the pair drained
+			t.Fatalf("overload: status %d, want 429: %s", resp.StatusCode, overflowed)
+		}
 	}
-	overflowed, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overload: status %d, want 429: %s", resp.StatusCode, overflowed)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
+	if !overloaded {
+		t.Fatalf("no 429 in %d attempts: each first exploration answered before the third request", attempts)
 	}
 
-	// Graceful shutdown while the two slow explorations are still going:
-	// after the drain grace they are degraded, their responses complete,
+	// Graceful shutdown while the last pair is still going: after the
+	// drain grace its explorations are degraded, their responses complete,
 	// and the daemon exits 0.
 	shutdown()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < launched; i++ {
 		select {
 		case r := <-slow:
 			// The running exploration completes 200 (degraded); one that
@@ -377,8 +413,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// waitGauge polls /metrics.json until the named server gauge reaches want.
-func waitGauge(t *testing.T, url, name string, want int64) {
+// waitGauge polls /metrics.json until the named server gauge reaches want
+// (true), or until over reports that it no longer can (false).
+func waitGauge(t *testing.T, url, name string, want int64, over func() bool) bool {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -395,9 +432,13 @@ func waitGauge(t *testing.T, url, name string, want int64) {
 			t.Fatal(err)
 		}
 		if v, ok := m.Server[name].(float64); ok && int64(v) >= want {
-			return
+			return true
+		}
+		if over() {
+			return false
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("gauge %s never reached %d", name, want)
+	return false
 }

@@ -149,6 +149,86 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// testOnlyUnexported names the unexported functions and methods of the
+// root package and under internal/ that only tests call but that stay on
+// purpose, keyed like testOnlyExports, each with the reason it stays.
+var testOnlyUnexported = map[string]string{
+	"huffman.Coder.checkInvariants": "the invariant oracle the huffman tests and fuzz target check every update against",
+}
+
+// TestNoTestOnlyUnexported fails on any unexported function or method of
+// the root package or under internal/ that no non-test file of its package
+// uses, outside the testOnlyUnexported list: what only tests call belongs
+// in a _test.go file (export_test.go when an external test package needs
+// it). A function counts as used where its name appears as a bare
+// identifier in a non-test file of its package outside its own
+// declaration, so recursion does not keep it alive. A method counts as
+// used wherever its name appears in such a file, as in
+// TestNoTestOnlyExports.
+func TestNoTestOnlyUnexported(t *testing.T) {
+	type fn struct {
+		key string // "pkg.Func" or "pkg.Type.Method"
+		use string // "dir.Func" for a function, "dir#method" for a method
+	}
+	var fns []fn
+	used := map[string]bool{} // "dir.Func" of functions, "dir#method" of methods
+	forEachNonTestFile(t, func(p string, f *ast.File) {
+		dir := path.Dir(p)
+		if dir != "." && !strings.HasPrefix(dir, "internal/") {
+			return
+		}
+		for _, d := range f.Decls {
+			fd, _ := d.(*ast.FuncDecl)
+			if fd != nil && !fd.Name.IsExported() && fd.Name.Name != "init" {
+				if fd.Recv == nil {
+					fns = append(fns, fn{f.Name.Name + "." + fd.Name.Name, dir + "." + fd.Name.Name})
+				} else {
+					fns = append(fns, fn{f.Name.Name + "." + recvType(fd.Recv.List[0].Type) + "." + fd.Name.Name, dir + "#" + fd.Name.Name})
+				}
+			}
+			selected := map[*ast.Ident]bool{} // the Sel of every selector
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.SelectorExpr:
+					selected[x.Sel] = true
+				case *ast.Ident:
+					// Skip the declared name, and a function's call of
+					// itself.
+					if fd != nil && (x == fd.Name || fd.Recv == nil && x.Name == fd.Name.Name && !selected[x]) {
+						break
+					}
+					if !selected[x] {
+						used[dir+"."+x.Name] = true
+					}
+					used[dir+"#"+x.Name] = true
+				}
+				return true
+			})
+		}
+	})
+	pending := maps.Clone(testOnlyUnexported)
+	var unused []string
+	for _, f := range fns {
+		if _, keep := testOnlyUnexported[f.key]; keep {
+			if used[f.use] {
+				t.Errorf("%s is listed in testOnlyUnexported but non-test code uses it; drop the entry", f.key)
+			}
+			delete(pending, f.key)
+			continue
+		}
+		if !used[f.use] {
+			unused = append(unused, f.key)
+		}
+	}
+	for key := range pending {
+		t.Errorf("testOnlyUnexported lists %s, which is not declared in the root package or under internal/", key)
+	}
+	sort.Strings(unused)
+	for _, key := range unused {
+		t.Errorf("%s is unexported and only tests call it: delete it, or move it into a _test.go file", key)
+	}
+}
+
 // moduleDir returns the slash-separated directory, relative to the module
 // root, of an import path inside module repro.
 func moduleDir(importPath string) (string, bool) {

@@ -6,14 +6,20 @@ import (
 
 	"repro/internal/assign"
 	"repro/internal/inplace"
+	"repro/internal/memo"
 	"repro/internal/sbd"
 	"repro/internal/spec"
 )
 
 // This file quantifies the modeling decisions DESIGN.md calls out by
-// re-running the pipeline with each decision disabled. The ablations are
-// exercised by the benchmark harness (BenchmarkAblation*) and guarded by
-// direction tests.
+// re-running the pipeline with each decision disabled. Ablations runs the
+// four studies as one, against one shared baseline evaluation; cmd/dtse
+// -ablations prints it, BenchmarkAblations times it, and direction tests
+// guard it.
+
+// greedyMemories is the allocation at which the optimal and greedy
+// assignments are compared.
+const greedyMemories = 8
 
 // StripBranches returns a clone of s with all conditional-branch tags
 // removed: mutually exclusive alternatives are then treated as co-executing
@@ -39,99 +45,83 @@ type AblationResult struct {
 	WithoutErr error // set when the ablated pipeline cannot even complete
 }
 
-// AblationBranchExclusivity evaluates the demonstrator with the six-coder
-// mutual exclusion removed: every coder chain is then scheduled as real
-// parallel work, inflating the critical path and the conflict structure.
-func AblationBranchExclusivity(d *Demonstrator, ep EvalParams) *AblationResult {
-	res := &AblationResult{
+// Ablations evaluates the demonstrator once at its cycle budget and
+// compares that baseline against four modeling decisions, in this order:
+//
+//   - branch exclusivity: without mutual exclusion the six Huffman coder
+//     chains are scheduled as real parallel work, inflating the critical
+//     path and the conflict structure;
+//   - the structural conflict cost: without the iteration-independent term,
+//     cold loops are free to force high port counts on shared memories;
+//   - the exact branch-and-bound assignment against the greedy one (the
+//     organization a designer without the optimizing tool would reach), on
+//     the baseline's conflict patterns at eight memories;
+//   - the in-place mapping extension. For the BTPC demonstrator the honest
+//     expected result is ~zero savings: its large arrays live across the
+//     whole frame.
+//
+// The baseline is the "with" side of the first two and the "without" side
+// of the last. The study owns one run cache, as RunAllContext does (none
+// under ep.NoCache), so the variants share the schedules and assignment
+// answers they have in common. A failed baseline, optimal search or
+// in-place evaluation is the returned error; a failed ablated side is the
+// result's WithoutErr.
+func Ablations(ctx context.Context, d *Demonstrator, ep EvalParams) ([]*AblationResult, error) {
+	sp, ep := ep.startSpan("ablations")
+	defer sp.End()
+	if !ep.NoCache {
+		ep.memo = memo.New(memo.Assignments, memo.Schedule)
+	}
+	base, err := EvaluateContext(ctx, d.Spec, d.CycleBudget, "baseline", ep)
+	if err != nil {
+		return nil, err
+	}
+
+	branch := &AblationResult{
 		Name: "branch exclusivity",
+		With: base,
 		Note: "without mutual exclusion the six Huffman coders count as co-executing",
 	}
-	with, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "with branches", ep)
-	if err != nil {
-		res.WithoutErr = err
-		return res
-	}
-	res.With = with
-	stripped := StripBranches(d.Spec)
-	without, err := EvaluateContext(context.Background(), stripped, d.CycleBudget, "without branches", ep)
-	if err != nil {
-		res.WithoutErr = err
-		return res
-	}
-	res.Without = without
-	return res
-}
+	branch.Without, branch.WithoutErr = EvaluateContext(ctx, StripBranches(d.Spec), d.CycleBudget, "without branches", ep)
 
-// AblationStructuralCost evaluates the demonstrator without the
-// iteration-independent conflict term: cold loops are then free to force
-// high port counts on shared memories.
-func AblationStructuralCost(d *Demonstrator, ep EvalParams) *AblationResult {
-	res := &AblationResult{
+	structural := &AblationResult{
 		Name: "structural conflict cost",
+		With: base,
 		Note: "without it, rarely-executed loops force multiport memories for free",
 	}
-	with, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "with structural", ep)
-	if err != nil {
-		res.WithoutErr = err
-		return res
-	}
-	res.With = with
-	ep.structuralWeight = -1 // disabled
-	without, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "without structural", ep)
-	if err != nil {
-		res.WithoutErr = err
-		return res
-	}
-	res.Without = without
-	return res
-}
+	noStructural := ep
+	noStructural.structuralWeight = -1 // disabled
+	structural.Without, structural.WithoutErr = EvaluateContext(ctx, d.Spec, d.CycleBudget, "without structural", noStructural)
 
-// AblationGreedyAssignment compares the exact branch-and-bound assignment
-// against the greedy-only baseline (the organization a designer without the
-// optimizing tool would reach) at the given allocation.
-func AblationGreedyAssignment(d *Demonstrator, ep EvalParams, onChip int) (*AblationResult, error) {
-	dist, err := sbd.DistributeContext(context.Background(), d.Spec, d.CycleBudget, ep.sbdParams())
+	pats := sbd.PrunePatterns(base.Dist.Patterns)
+	ap := ep.assignParams()
+	opt, err := ep.assign(ctx, d.Spec, pats, greedyMemories, ap)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: optimal assignment: %w", err)
 	}
-	pats := sbd.PrunePatterns(dist.Patterns)
-	opt, err := assign.AssignContext(context.Background(), d.Spec, pats, ep.Tech, onChip, ep.assignParams())
-	if err != nil {
-		return nil, err
+	greedy := &AblationResult{
+		Name: fmt.Sprintf("optimal vs greedy assignment (%d memories)", greedyMemories),
+		With: &Variant{Label: "optimal", Spec: d.Spec, Dist: base.Dist, Asgn: opt, Cost: opt.Cost},
+		Note: "the greedy solution is the paper's manual-designer baseline",
 	}
-	gr, err := assign.Greedy(d.Spec, pats, ep.Tech, onChip, ep.assignParams())
-	if err != nil {
-		return nil, err
+	if gr, err := assign.Greedy(d.Spec, pats, ep.Tech, greedyMemories, ap); err != nil {
+		greedy.WithoutErr = err
+	} else {
+		greedy.Without = &Variant{Label: "greedy", Spec: d.Spec, Dist: base.Dist, Asgn: gr, Cost: gr.Cost}
 	}
-	return &AblationResult{
-		Name:    fmt.Sprintf("optimal vs greedy assignment (%d memories)", onChip),
-		With:    &Variant{Label: "optimal", Spec: d.Spec, Dist: dist, Asgn: opt, Cost: opt.Cost},
-		Without: &Variant{Label: "greedy", Spec: d.Spec, Dist: dist, Asgn: gr, Cost: gr.Cost},
-		Note:    "the greedy solution is the paper's manual-designer baseline",
-	}, nil
-}
 
-// AblationInPlace compares assignments with and without the in-place
-// mapping extension. For the BTPC demonstrator the honest expected result
-// is ~zero savings: its large arrays live across the whole frame.
-func AblationInPlace(d *Demonstrator, ep EvalParams) (*AblationResult, error) {
-	with := ep
-	with.InPlace = true
-	v1, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "in-place", with)
+	withInPlace := ep
+	withInPlace.InPlace = true
+	inPlace, err := EvaluateContext(ctx, d.Spec, d.CycleBudget, "in-place", withInPlace)
 	if err != nil {
 		return nil, err
 	}
-	v0, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "plain", ep)
-	if err != nil {
-		return nil, err
-	}
-	return &AblationResult{
+	return []*AblationResult{branch, structural, greedy, {
 		Name:    "in-place mapping",
-		With:    v1,
-		Without: v0,
+		With:    inPlace,
+		Without: base,
 		Note:    "BTPC's arrays live frame-long, so little sharing is expected",
-	}, nil
+	}}, nil
 }
 
 // InPlaceReport renders the lifetime analysis of the demonstrator spec.

@@ -6,7 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/assign"
+	"repro/internal/obs"
 	"repro/internal/sbd"
+	"repro/internal/spec"
 )
 
 var (
@@ -58,13 +61,28 @@ func TestStripBranches(t *testing.T) {
 	}
 }
 
-func TestAblationBranchExclusivityDirection(t *testing.T) {
+var (
+	ablStudyOnce sync.Once
+	ablStudy     []*AblationResult
+	ablStudyErr  error
+)
+
+// ablationStudy runs Ablations once on the shared demonstrator; the
+// direction tests each read their study from it.
+func ablationStudy(t *testing.T) []*AblationResult {
+	t.Helper()
 	d := ablationDemo(t)
-	ep := DefaultEvalParams().ScaleTo(128)
-	res := AblationBranchExclusivity(d, ep)
-	if res.With == nil {
-		t.Fatalf("baseline failed: %v", res.WithoutErr)
+	ablStudyOnce.Do(func() {
+		ablStudy, ablStudyErr = Ablations(context.Background(), d, DefaultEvalParams().ScaleTo(128))
+	})
+	if ablStudyErr != nil {
+		t.Fatal(ablStudyErr)
 	}
+	return ablStudy
+}
+
+func TestAblationBranchExclusivityDirection(t *testing.T) {
+	res := ablationStudy(t)[0]
 	// Without exclusivity the pipeline either fails outright (budget below
 	// the inflated MACP / infeasible allocation) or costs strictly more.
 	if res.WithoutErr != nil {
@@ -79,9 +97,7 @@ func TestAblationBranchExclusivityDirection(t *testing.T) {
 }
 
 func TestAblationStructuralCostDirection(t *testing.T) {
-	d := ablationDemo(t)
-	ep := DefaultEvalParams().ScaleTo(128)
-	res := AblationStructuralCost(d, ep)
+	res := ablationStudy(t)[1]
 	if res.WithoutErr != nil {
 		t.Fatalf("ablation failed: %v", res.WithoutErr)
 	}
@@ -106,11 +122,9 @@ func TestAblationStructuralCostDirection(t *testing.T) {
 }
 
 func TestAblationGreedyAssignment(t *testing.T) {
-	d := ablationDemo(t)
-	ep := DefaultEvalParams().ScaleTo(128)
-	res, err := AblationGreedyAssignment(d, ep, 6)
-	if err != nil {
-		t.Fatal(err)
+	res := ablationStudy(t)[2]
+	if res.WithoutErr != nil {
+		t.Fatalf("greedy assignment failed: %v", res.WithoutErr)
 	}
 	optObj := res.With.Cost.OnChipPower + 0.3*res.With.Cost.OnChipArea
 	grObj := res.Without.Cost.OnChipPower + 0.3*res.Without.Cost.OnChipArea
@@ -120,12 +134,7 @@ func TestAblationGreedyAssignment(t *testing.T) {
 }
 
 func TestAblationInPlaceOnBTPC(t *testing.T) {
-	d := ablationDemo(t)
-	ep := DefaultEvalParams().ScaleTo(128)
-	res, err := AblationInPlace(d, ep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := ablationStudy(t)[3]
 	// In-place may only help, never hurt.
 	if res.With.Cost.OnChipArea > res.Without.Cost.OnChipArea+1e-9 {
 		t.Fatalf("in-place increased area: %.2f vs %.2f",
@@ -136,6 +145,90 @@ func TestAblationInPlaceOnBTPC(t *testing.T) {
 	delta := res.Without.Cost.OnChipArea - res.With.Cost.OnChipArea
 	if delta > 0.05*res.Without.Cost.OnChipArea {
 		t.Logf("note: in-place saved %.2f mm² on BTPC (more than expected)", delta)
+	}
+}
+
+// TestAblationsShareOneBaseline: the study evaluates its baseline once and
+// reuses its schedules. At 64², four evaluations run (the baseline and
+// the three varied pipelines) where four separate studies ran six, and
+// the balance calls stay below the 617 those separate studies made.
+func TestAblationsShareOneBaseline(t *testing.T) {
+	d, err := BuildDemonstrator(DemoConfig{Size: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := obs.New()
+	ep := DefaultEvalParams().ScaleTo(64)
+	ep.Obs = o
+	if _, err := Ablations(context.Background(), d, ep); err != nil {
+		t.Fatal(err)
+	}
+	c := o.Snapshot().Counters
+	if got := c["core.evaluations"]; got != 4 {
+		t.Errorf("core.evaluations = %d, want 4", got)
+	}
+	if got := c["sbd.balance_calls"]; got == 0 || got >= 617 {
+		t.Errorf("sbd.balance_calls = %d, want in (0, 617)", got)
+	}
+}
+
+// TestAblationsMatchIndependentEvaluations: every With and Without cost of
+// the study equals an uncached evaluation, search or greedy assignment of
+// the same problem posed on its own.
+func TestAblationsMatchIndependentEvaluations(t *testing.T) {
+	d, err := BuildDemonstrator(DemoConfig{Size: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ep := DefaultEvalParams().ScaleTo(64)
+	got, err := Ablations(ctx, d, ep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := func(s *spec.Spec, ep EvalParams) assign.Cost {
+		t.Helper()
+		v, err := EvaluateContext(ctx, s, d.CycleBudget, "reference", ep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Cost
+	}
+	base := eval(d.Spec, ep)
+	noStructural := ep
+	noStructural.structuralWeight = -1
+	withInPlace := ep
+	withInPlace.InPlace = true
+	dist, err := sbd.DistributeContext(ctx, d.Spec, d.CycleBudget, ep.sbdParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats := sbd.PrunePatterns(dist.Patterns)
+	opt, err := assign.AssignContext(ctx, d.Spec, pats, ep.Tech, 8, ep.assignParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := assign.Greedy(d.Spec, pats, ep.Tech, 8, ep.assignParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][2]assign.Cost{
+		{base, eval(StripBranches(d.Spec), ep)},
+		{base, eval(d.Spec, noStructural)},
+		{opt.Cost, gr.Cost},
+		{eval(d.Spec, withInPlace), base},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d studies, want %d", len(got), len(want))
+	}
+	for i, r := range got {
+		if r.WithoutErr != nil {
+			t.Fatalf("%s: %v", r.Name, r.WithoutErr)
+		}
+		if r.With.Cost != want[i][0] || r.Without.Cost != want[i][1] {
+			t.Errorf("%s: with %+v without %+v, want %+v and %+v",
+				r.Name, r.With.Cost, r.Without.Cost, want[i][0], want[i][1])
+		}
 	}
 }
 
@@ -273,47 +366,6 @@ func TestLossyProfileExplores(t *testing.T) {
 	}
 	if v.Cost.TotalPower() <= 0 {
 		t.Fatal("degenerate lossy evaluation")
-	}
-}
-
-func TestDecoderDemonstratorExplores(t *testing.T) {
-	d, err := buildDecoderDemonstrator(DemoConfig{Size: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// 17 basic groups: the encoder's 18 minus qtab (the decoder only
-	// inverts symbols).
-	if got := len(d.Spec.Groups); got != 17 {
-		t.Fatalf("decoder spec has %d groups, want 17", got)
-	}
-	// Spec totals must reproduce the decoder profile.
-	for _, g := range d.Spec.GroupNames() {
-		prof := d.Rec.Array(g).Total()
-		if prof == 0 {
-			t.Errorf("%s: no profiled accesses", g)
-			continue
-		}
-		ratio := float64(accessesPerFrame(d.Spec, g)) / float64(prof)
-		if ratio < 0.97 || ratio > 1.03 {
-			t.Errorf("%s: spec/profile ratio %.3f", g, ratio)
-		}
-	}
-	ep := DefaultEvalParams().ScaleTo(128)
-	v, err := EvaluateContext(context.Background(), d.Spec, d.CycleBudget, "decoder", ep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Cost.OffChipPower <= 0 {
-		t.Fatal("decoder exploration found no off-chip cost")
-	}
-	// The decoder is lighter than the encoder (no input-array prefetch).
-	enc := ablationDemo(t)
-	if d.Spec.TotalAccesses() >= enc.Spec.TotalAccesses() {
-		t.Fatalf("decoder accesses %d not below encoder %d",
-			d.Spec.TotalAccesses(), enc.Spec.TotalAccesses())
 	}
 }
 

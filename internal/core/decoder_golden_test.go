@@ -2,11 +2,17 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/btpc"
+	"repro/internal/img"
+	"repro/internal/reuse"
+	"repro/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite the goldens under testdata")
@@ -25,29 +31,38 @@ func decoderScopes() []string {
 	return out
 }
 
-// TestDecoderCountsGolden pins the profiled counts of the decoder
-// demonstrator at 64² and 256²: the recorder's report over every array,
-// the per-scope tallies of the three image-sized arrays, and the reuse
-// summary of the reconstruction's read trace. Regenerate with -update only
-// after a deliberate change to the decoder or the recorder.
+// TestDecoderCountsGolden pins the profiled counts of the BTPC decoder at
+// 64² and 256²: the recorder's report over every array, the per-scope
+// tallies of the three image-sized arrays, and the reuse summary of the
+// reconstruction's read trace. Regenerate with -update only after a
+// deliberate change to the decoder or the recorder.
 func TestDecoderCountsGolden(t *testing.T) {
 	var b bytes.Buffer
 	for _, size := range []int{64, 256} {
-		d, err := buildDecoderDemonstrator(DemoConfig{Size: size})
+		data, _, err := btpc.Encode(img.Synthetic(size, size, 1), btpc.Params{Quant: 1}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder()
+		// The stream tracks every distance the reconstruction's size admits.
+		an := reuse.NewStream(context.Background(), nil, size*size)
+		rec.StreamAddressTrace("out", an)
+		_, err = btpc.Decode(data, rec)
+		rec.CloseAddressTrace("out")
+		p := an.Profile()
 		if err != nil {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&b, "== decoder %dx%d\n", size, size)
-		b.WriteString(d.Rec.Report())
+		b.WriteString(rec.Report())
 		for _, arr := range []string{"out", "pyr", "ridge"} {
 			fmt.Fprintf(&b, "%s per scope:\n", arr)
 			for _, scope := range decoderScopes() {
-				if c := d.Rec.ArrayScope(arr, scope); c.Total() > 0 {
+				if c := rec.ArrayScope(arr, scope); c.Total() > 0 {
 					fmt.Fprintf(&b, "  %-16q %12d reads %12d writes\n", scope, c.Reads, c.Writes)
 				}
 			}
 		}
-		p := d.ImageProfile
 		fmt.Fprintf(&b, "out reuse: total %d cold %d", p.Total(), p.Cold())
 		for _, s := range []int64{1, 4, 12, 64, 256, 1024, int64(5 * size)} {
 			m, err := p.MissRatio(s)

@@ -250,137 +250,6 @@ func buildPrunedSpec(cfg DemoConfig, rec *trace.Recorder, stats *btpc.Stats) (*s
 	return b.Build()
 }
 
-// buildDecoderDemonstrator profiles the BTPC *decoder* and derives its
-// pruned specification — the other half of the codec system. The paper
-// designs the encoder; the decoder's memory behaviour is similar but
-// lighter (no neighbourhood prefetch of an input array: predictions read
-// the reconstruction in place), so its exploration is a natural extension.
-func buildDecoderDemonstrator(cfg DemoConfig) (*Demonstrator, error) {
-	cfg.normalize()
-	src := img.Synthetic(cfg.Size, cfg.Size, cfg.Seed)
-	data, stats, err := btpc.Encode(src, btpc.Params{Quant: cfg.Quant}, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: encode for decoder profiling failed: %w", err)
-	}
-	rec := trace.NewRecorder()
-	// No exploration step reads this profile; it tracks every distance the
-	// reconstruction's size admits.
-	an := reuse.NewStream(context.Background(), nil, cfg.Size*cfg.Size)
-	rec.StreamAddressTrace("out", an)
-	_, err = btpc.Decode(data, rec)
-	rec.CloseAddressTrace("out")
-	prof := an.Profile()
-	if err != nil {
-		return nil, fmt.Errorf("core: profiling decode failed: %w", err)
-	}
-	s, err := buildDecoderSpec(cfg, rec, stats)
-	if err != nil {
-		return nil, err
-	}
-	return &Demonstrator{
-		Config:       cfg,
-		Spec:         s,
-		ImageProfile: prof,
-		Rec:          rec,
-		Stats:        stats,
-		CycleBudget:  uint64(CyclesPerPixel) * uint64(cfg.Size) * uint64(cfg.Size),
-	}, nil
-}
-
-// buildDecoderSpec is the decoder's pruned loop skeleton: the reconstructed
-// image plays the image array's role (named "out"), there is no qtab, and
-// the Huffman walks run on the decode side.
-func buildDecoderSpec(cfg DemoConfig, rec *trace.Recorder, stats *btpc.Stats) (*spec.Spec, error) {
-	n := int64(cfg.Size) * int64(cfg.Size)
-	b := spec.NewBuilder(fmt.Sprintf("btpc-dec-%d", cfg.Size))
-	b.Group("out", n, 8)
-	b.Group("pyr", n, 8)
-	b.Group("ridge", n, 2)
-	b.Group("iqtab", 511, 9)
-	b.Group("hist", 511, 20)
-	for i := 0; i < btpc.NumContexts; i++ {
-		b.Group(fmt.Sprintf("htree%d", i), 259, 10)
-		b.Group(fmt.Sprintf("hweight%d", i), 259, 20)
-	}
-	var totalSyms uint64
-	for _, c := range stats.SymbolsPerCtx {
-		totalSyms += c
-	}
-	ctxFrac := [btpc.NumContexts]float64{}
-	for i, c := range stats.SymbolsPerCtx {
-		if totalSyms > 0 {
-			ctxFrac[i] = float64(c) / float64(totalSyms)
-		}
-	}
-
-	b.Loop("tabinit", 511)
-	b.Write("iqtab", perIter(rec, "iqtab", "tabinit", true, 511))
-
-	top := uint64(stats.TopPixels)
-	b.Loop("top", top)
-	tw := b.Write("out", perIter(rec, "out", "dec/top", true, top))
-	b.Write("pyr", perIter(rec, "pyr", "dec/top", true, top), tw)
-	b.Write("ridge", perIter(rec, "ridge", "dec/top", true, top), tw)
-
-	_, levels := btpc.LevelSizes(cfg.Size, cfg.Size)
-	for k := len(levels) - 1; k >= 0; k-- {
-		iters := uint64(levels[k])
-		if iters == 0 {
-			continue
-		}
-		scope := fmt.Sprintf("dec/level%d", k)
-		b.Loop(fmt.Sprintf("level%d", k), iters)
-		// Neighbourhood reads come from the reconstruction itself.
-		outReads := perIter(rec, "out", scope, false, iters)
-		var fetch []int
-		for j := 0; j < 4; j++ {
-			fetch = append(fetch, b.ReadSite("out", fmt.Sprintf("nbr%d", j), outReads/4))
-		}
-		pc := b.ReadSite("pyr", "ctx", perIter(rec, "pyr", scope, false, iters))
-		rc := b.ReadSite("ridge", "ctx", perIter(rec, "ridge", scope, false, iters))
-		classifyDeps := append(append([]int(nil), fetch...), pc, rc)
-		// Entropy decoding precedes the reconstruction lookup.
-		var sym int
-		first := true
-		for i := 0; i < btpc.NumContexts; i++ {
-			tg := fmt.Sprintf("htree%d", i)
-			wg := fmt.Sprintf("hweight%d", i)
-			treeReads := perIter(rec, tg, scope, false, iters)
-			wWrites := perIter(rec, wg, scope, true, iters)
-			if treeReads == 0 && wWrites == 0 {
-				continue
-			}
-			b.Branch(fmt.Sprintf("coder%d", i))
-			chain := walkLength(treeReads, ctxFrac[i])
-			prev := b.Read(tg, treeReads/float64(chain), classifyDeps...)
-			for step := 1; step < chain; step++ {
-				prev = b.Read(tg, treeReads/float64(chain), prev)
-			}
-			if tw := perIter(rec, tg, scope, true, iters); tw > 0 {
-				prev = b.Write(tg, tw, prev)
-			}
-			if wr := perIter(rec, wg, scope, false, iters); wr > 0 {
-				prev = b.Read(wg, wr, prev)
-			}
-			if wWrites > 0 {
-				prev = b.Write(wg, wWrites, prev)
-			}
-			if first {
-				sym = prev
-				first = false
-			}
-			b.Branch("")
-		}
-		iq := b.Read("iqtab", perIter(rec, "iqtab", scope, false, iters), sym)
-		hr := b.Read("hist", perIter(rec, "hist", scope, false, iters), iq)
-		b.Write("hist", perIter(rec, "hist", scope, true, iters), hr)
-		b.WriteSite("out", "store", perIter(rec, "out", scope, true, iters), iq)
-		b.WriteSite("pyr", "store", perIter(rec, "pyr", scope, true, iters), iq)
-		b.WriteSite("ridge", "store", perIter(rec, "ridge", scope, true, iters), iq)
-	}
-	return b.Build()
-}
-
 // perIter converts a profiled scope count into an average per-iteration
 // access count.
 func perIter(rec *trace.Recorder, group, scope string, write bool, iters uint64) float64 {

@@ -2,10 +2,12 @@ package sbd
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/scratch"
 	"repro/internal/spec"
 )
 
@@ -16,6 +18,22 @@ var RandomSpec = randomSpec
 // BalanceLoop exposes the single-loop scheduler to the external golden
 // test.
 var BalanceLoop = balanceLoop
+
+// balanceLoop prepares one loop body and balances it within the given
+// per-iteration budget (see loopBody.balance).
+func balanceLoop(ctx context.Context, l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p Params) (*LoopSchedule, error) {
+	p.normalize()
+	if len(l.Accesses) == 0 {
+		return &LoopSchedule{Loop: l.Name, Budget: budget}, nil
+	}
+	if budget < 1 {
+		return nil, fmt.Errorf("sbd: loop %q: budget %d out of range", l.Name, budget)
+	}
+	ar := scratch.Get()
+	defer scratch.Put(ar)
+	body := newLoopBody(l, groups, p, ar)
+	return body.balance(ctx, budget, ar)
+}
 
 // patternsOfSpec derives the merged conflict patterns of a set of
 // schedules of s, in canonical sorted order.

@@ -807,28 +807,13 @@ func weightedCP(l *spec.Loop, groups map[string]spec.BasicGroup, p Params, ar *s
 	return longest
 }
 
-// balanceLoop schedules one loop body within the given
-// per-iteration budget (the initiation interval when pipelining is enabled)
-// and returns the schedule with its conflict cost (already weighted by the
-// loop's iteration count). When ctx is done, the local-search improvement
-// passes stop early (checked once per pass) and the current schedule —
-// always complete and feasible after the initial placement — is returned.
-func balanceLoop(ctx context.Context, l *spec.Loop, groups map[string]spec.BasicGroup, budget int, p Params) (*LoopSchedule, error) {
-	p.normalize()
-	if len(l.Accesses) == 0 {
-		return &LoopSchedule{Loop: l.Name, Budget: budget}, nil
-	}
-	if budget < 1 {
-		return nil, fmt.Errorf("sbd: loop %q: budget %d out of range", l.Name, budget)
-	}
-	ar := scratch.Get()
-	defer scratch.Put(ar)
-	body := newLoopBody(l, groups, p, ar)
-	return body.balance(ctx, budget, ar)
-}
-
-// balance is balanceLoop for a prepared body and a budget of at least
-// one; the per-budget state is carved from ar.
+// balance schedules a prepared loop body within the given per-iteration
+// budget of at least one (the initiation interval when pipelining is
+// enabled) and returns the schedule with its conflict cost, already
+// weighted by the loop's iteration count. When ctx is done, the
+// local-search improvement passes stop early (checked once per pass) and
+// the current schedule — always complete and feasible after the initial
+// placement — is returned. The per-budget state is carved from ar.
 func (b *loopBody) balance(ctx context.Context, budget int, ar *scratch.Arena) (*LoopSchedule, error) {
 	l, p := b.l, b.p
 	s := b.newScheduler(budget, ar)
