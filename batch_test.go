@@ -3,7 +3,9 @@ package dtse
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -226,6 +228,30 @@ func TestBatchExploreConcurrentSharedScratch(t *testing.T) {
 			if string(it.Body) != strings.TrimRight(string(want), "\n") {
 				t.Errorf("batch %d item %d: body differs from standalone evaluation", b, i)
 			}
+		}
+	}
+}
+
+// TestBatchReadErrorReplayed: a batch body whose read fails gets the 400
+// that a json.Decoder reading the body itself words (batchReference): a
+// syntax error met before the failure, the read error where the decoder
+// needed more bytes, and trailing data where the object was complete
+// before it.
+func TestBatchReadErrorReplayed(t *testing.T) {
+	srv := NewServer(ServeOptions{})
+	defer srv.Abort()
+	reset := errors.New("connection reset")
+	for _, prefix := range []string{`{"items":[{"demo":`, `{"items":[{"demo":{"size":8}}]}`, `{"items":[{"demo" x`, ``} {
+		body := func() io.Reader { return io.MultiReader(strings.NewReader(prefix), &errReader{reset}) }
+		_, wantErr := batchReference(body())
+		if wantErr == nil {
+			t.Fatalf("%q: the reference decoded a failed read", prefix)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explore/batch", body()))
+		want := string(mustMarshal(errorResponse{Error: wantErr.Error()})) + "\n"
+		if rec.Code != http.StatusBadRequest || rec.Body.String() != want {
+			t.Errorf("%q: %d %q, want 400 %q", prefix, rec.Code, rec.Body.String(), want)
 		}
 	}
 }

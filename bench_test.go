@@ -482,12 +482,16 @@ func benchSpec(rng *rand.Rand, name string, lo, hi int) *Spec {
 
 // specHotBodies builds n seeded spec-mode request bodies shaped like the
 // dtsebench spec_hot traffic: a benchSpec of 8 to 12 groups plus a budget.
-func specHotBodies(n int) [][]byte {
-	rng := rand.New(rand.NewSource(7))
+func specHotBodies(n int) [][]byte { return specBodies(7, "hot", n, 8, 12) }
+
+// specBodies builds n seeded spec-mode request bodies as dtsebench posts
+// them: a benchSpec of lo to hi groups, compacted, plus a budget.
+func specBodies(seed int64, prefix string, n, lo, hi int) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
 	bodies := make([][]byte, n)
 	for i := range bodies {
 		var indented, compact bytes.Buffer
-		if err := WriteSpecJSON(benchSpec(rng, fmt.Sprintf("hot%d", i), 8, 12), &indented); err != nil {
+		if err := WriteSpecJSON(benchSpec(rng, fmt.Sprintf("%s%d", prefix, i), lo, hi), &indented); err != nil {
 			panic(err)
 		}
 		if err := json.Compact(&compact, indented.Bytes()); err != nil {
@@ -505,7 +509,7 @@ func BenchmarkParseExplore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := parseExplore(bodies[i%len(bodies)]); err != nil {
+		if _, _, err := parseExplore(bodies[i%len(bodies)], nil); err != nil {
 			b.Fatal(err)
 		}
 	}

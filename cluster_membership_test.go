@@ -40,7 +40,7 @@ func movedSpecs(t *testing.T, cur, next *cluster.Ring, to string, want int) []st
 	var out []string
 	for seed := int64(0); seed < 200 && len(out) < want; seed++ {
 		body := randClusterSpec(t, seed)
-		p, _, err := parseExplore([]byte(body))
+		p, _, err := parseExplore([]byte(body), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func handoffKeys(tb testing.TB, s *Server) (owned, foreign memo.Key) {
 		if size > 4096 {
 			tb.Fatal("no demo key on one side of the ring; vnode layout changed?")
 		}
-		p, _, err := parseExplore([]byte(fmt.Sprintf(`{"demo":{"size":%d,"seed":1,"quant":1}}`, size)))
+		p, _, err := parseExplore([]byte(fmt.Sprintf(`{"demo":{"size":%d,"seed":1,"quant":1}}`, size)), nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestCacheKeyCarriesRouteKey(t *testing.T) {
 	body := randClusterSpec(t, 7)
 	parse := func(body string) (*parsedRequest, *spec.Spec) {
 		t.Helper()
-		p, sp, err := parseExplore([]byte(body))
+		p, sp, err := parseExplore([]byte(body), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -323,7 +323,7 @@ func TestClusterHungPeerCompletes(t *testing.T) {
 			t.Fatalf("only %d stub-owned specs found", len(bodies))
 		}
 		b := randClusterSpec(t, seed)
-		p, _, err := parseExplore([]byte(b))
+		p, _, err := parseExplore([]byte(b), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +406,7 @@ func TestClusterEjectedPeerRejoinsByGossip(t *testing.T) {
 			t.Fatalf("only %d specs owned by node 1 found", len(bodies))
 		}
 		b := randClusterSpec(t, seed)
-		p, _, err := parseExplore([]byte(b))
+		p, _, err := parseExplore([]byte(b), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +414,7 @@ func TestClusterEjectedPeerRejoinsByGossip(t *testing.T) {
 			bodies = append(bodies, b)
 		}
 	}
-	p, _, err := parseExplore([]byte(bodies[0]))
+	p, _, err := parseExplore([]byte(bodies[0]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +572,7 @@ func TestClusterTracePropagation(t *testing.T) {
 			t.Fatal("no peer-owned spec found")
 		}
 		b := randClusterSpec(t, seed)
-		p, _, err := parseExplore([]byte(b))
+		p, _, err := parseExplore([]byte(b), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -821,7 +821,7 @@ func TestClusterBatchRoutingForwardSpans(t *testing.T) {
 			t.Fatalf("no spec set covering every node; owners %v", owners)
 		}
 		b := randClusterSpec(t, seed)
-		p, _, err := parseExplore([]byte(b))
+		p, _, err := parseExplore([]byte(b), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -164,7 +164,9 @@ var testOnlyUnexported = map[string]string{
 // identifier in a non-test file of its package outside its own
 // declaration, so recursion does not keep it alive. A method counts as
 // used wherever its name appears in such a file, as in
-// TestNoTestOnlyExports.
+// TestNoTestOnlyExports, except inside the declaration of a method of the
+// same name, so two same-named methods calling each other keep neither
+// alive.
 func TestNoTestOnlyUnexported(t *testing.T) {
 	type fn struct {
 		key string // "pkg.Func" or "pkg.Type.Method"
@@ -192,15 +194,20 @@ func TestNoTestOnlyUnexported(t *testing.T) {
 				case *ast.SelectorExpr:
 					selected[x.Sel] = true
 				case *ast.Ident:
-					// Skip the declared name, and a function's call of
-					// itself.
-					if fd != nil && (x == fd.Name || fd.Recv == nil && x.Name == fd.Name.Name && !selected[x]) {
+					// Skip the declared name, a function's call of
+					// itself, and a method's own name anywhere in its
+					// declaration: a method calling its namesake on a
+					// field keeps neither alive.
+					self := fd != nil && x.Name == fd.Name.Name
+					if fd != nil && (x == fd.Name || self && fd.Recv == nil && !selected[x]) {
 						break
 					}
 					if !selected[x] {
 						used[dir+"."+x.Name] = true
 					}
-					used[dir+"#"+x.Name] = true
+					if !self || fd.Recv == nil {
+						used[dir+"#"+x.Name] = true
+					}
 				}
 				return true
 			})

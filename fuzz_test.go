@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -106,17 +107,27 @@ func FuzzHandoffImport(f *testing.F) {
 }
 
 // checkEnvelope posts body to the batch handler h as the whole envelope.
-// It must not answer 5xx; a body that is not exactly one JSON object must
+// parseBatch must split it into the raw items a json.Decoder decode of
+// the body holds, or fail with the same text (batchReference). Posting it
+// must not answer 5xx; a body that is not exactly one JSON object must
 // get a 400; a 200 must carry one item per envelope item, in index order.
 // An envelope holding a long demo is not posted.
 func checkEnvelope(t *testing.T, h http.Handler, body []byte) {
 	t.Helper()
-	var env batchRequest
-	if json.Unmarshal(body, &env) == nil {
-		for _, raw := range env.Items {
-			if p, _, err := parseExplore(raw); err == nil && longDemo(p) {
-				return
-			}
+	items, err := parseBatch(body, nil, nil)
+	want, wantErr := batchReference(bytes.NewReader(body))
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("batch parse error %v, reference error %v", err, wantErr)
+	}
+	if len(items) != len(want) {
+		t.Fatalf("batch parse split %d items, reference %d", len(items), len(want))
+	}
+	for i := range items {
+		if !bytes.Equal(items[i], want[i]) {
+			t.Fatalf("batch item %d split as %q, reference %q", i, items[i], want[i])
+		}
+		if p, _, err := parseExplore(items[i], nil); err == nil && longDemo(p) {
+			return
 		}
 	}
 	rec := httptest.NewRecorder()
@@ -132,14 +143,33 @@ func checkEnvelope(t *testing.T, h http.Handler, body []byte) {
 		return
 	}
 	var out batchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out.Items) != len(env.Items) {
-		t.Fatalf("envelope of %d items answered %d items (%v): %s", len(env.Items), len(out.Items), err, rec.Body.Bytes())
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || len(out.Items) != len(items) {
+		t.Fatalf("envelope of %d items answered %d items (%v): %s", len(items), len(out.Items), err, rec.Body.Bytes())
 	}
 	for i, it := range out.Items {
 		if it.Index != i {
 			t.Fatalf("envelope item %d carries index %d", i, it.Index)
 		}
 	}
+}
+
+// batchReference is the batch envelope decode as it was before the
+// one-pass split: one json.Decoder over the body, items kept as
+// json.RawMessage. It stays as the oracle for checkEnvelope.
+func batchReference(body io.Reader) ([]json.RawMessage, error) {
+	dec := json.NewDecoder(io.LimitReader(body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	var breq batchRequest
+	err := dec.Decode(&breq)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = fmt.Errorf("trailing data after the JSON object")
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("invalid batch body: %v", err)
+	}
+	return breq.Items, nil
 }
 
 // longDemo reports whether a parsed request is a demo too large to post
@@ -149,13 +179,15 @@ func longDemo(p *parsedRequest) bool {
 }
 
 // parseExploreReference is the request parser as it was before the spec
-// was decoded once and canonicalized by spec.AppendJSON: the spec bytes go
-// through a second Decoder, and the canonical form is the reflective
-// encoding of the spec schema, indented. It stays as the oracle for
+// was decoded once and canonicalized by spec.AppendJSON, and before the
+// one-pass decode: the envelope goes through a json.Decoder, the spec
+// bytes through a second Decoder, and the spec it returns and its
+// canonical form come from the reflective decode and encoding of the
+// spec schema (reflectSpec, reflectCanonical). It stays as the oracle for
 // FuzzExploreRequest. The deliberate differences from the old parser are
 // the null-spec line (TestExploreNullSpec) and the end-of-body check,
 // which also refuses a stray ']' or '}' after the object.
-func parseExploreReference(body io.Reader) (*parsedRequest, error) {
+func parseExploreReference(body io.Reader) (*parsedRequest, *spec.Spec, error) {
 	// The envelope as it was, with the spec kept as raw bytes. It shadows
 	// the serving type's name, which decode errors print.
 	type exploreRequest struct {
@@ -169,61 +201,71 @@ func parseExploreReference(body io.Reader) (*parsedRequest, error) {
 	dec.DisallowUnknownFields()
 	req := &exploreRequest{}
 	if err := dec.Decode(req); err != nil {
-		return nil, fmt.Errorf("invalid request body: %v", err)
+		return nil, nil, fmt.Errorf("invalid request body: %v", err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
+		return nil, nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
 	}
 	if string(req.Spec) == "null" {
 		req.Spec = nil
 	}
 	if (req.Spec == nil) == (req.Demo == nil) {
-		return nil, fmt.Errorf("exactly one of spec or demo must be set")
+		return nil, nil, fmt.Errorf("exactly one of spec or demo must be set")
 	}
 	if req.TimeoutMS < 0 {
-		return nil, fmt.Errorf("timeout_ms %d out of range (must be >= 0)", req.TimeoutMS)
+		return nil, nil, fmt.Errorf("timeout_ms %d out of range (must be >= 0)", req.TimeoutMS)
 	}
 	p := &parsedRequest{timeoutMS: req.TimeoutMS}
 	if req.Demo != nil {
 		d := req.Demo
 		if req.Budget != 0 || req.Params != nil {
-			return nil, fmt.Errorf("budget and params apply to spec mode only")
+			return nil, nil, fmt.Errorf("budget and params apply to spec mode only")
 		}
 		if d.Size < 0 || d.Size > 4096 {
-			return nil, fmt.Errorf("demo.size %d out of range [0, 4096]", d.Size)
+			return nil, nil, fmt.Errorf("demo.size %d out of range [0, 4096]", d.Size)
 		}
 		if d.Quant < 0 {
-			return nil, fmt.Errorf("demo.quant %d out of range (must be >= 0)", d.Quant)
+			return nil, nil, fmt.Errorf("demo.quant %d out of range (must be >= 0)", d.Quant)
 		}
 		key := fmt.Sprintf("demo|%d|%d|%d", d.Size, d.Seed, d.Quant)
 		p.key = memo.NewKey([]byte(key), memo.Fingerprint64(key))
 		p.mode = "demo"
 		p.label = fmt.Sprintf("size=%d", d.Size)
 		p.demo.Size, p.demo.Seed, p.demo.Quant = d.Size, d.Seed, d.Quant
-		return p, nil
+		return p, nil, nil
 	}
 	if req.Budget == 0 {
-		return nil, fmt.Errorf("budget is required with spec")
+		return nil, nil, fmt.Errorf("budget is required with spec")
 	}
-	var sp spec.Spec
-	if err := json.NewDecoder(bytes.NewReader(req.Spec)).Decode(&sp); err != nil {
-		return nil, fmt.Errorf("invalid spec: %v", err)
+	// A spec the reflective decode refuses is worded by spec.ParseJSON,
+	// whose errors name the schema's own types; one it takes must
+	// validate.
+	sp, err := reflectSpec(req.Spec)
+	if err == nil {
+		err = sp.Validate()
+	} else if _, perr := spec.ParseJSON(req.Spec); perr != nil {
+		err = perr
+	} else {
+		err = fmt.Errorf("spec.ParseJSON took a spec the reflective decode refuses (%v)", err)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("invalid spec: %v", err)
 	}
 	k, err := specParams(req.Params)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.budget, p.knobs = req.Budget, k
-	canon, err := reflectCanonical(&sp)
+	canon, err := reflectCanonical(sp)
 	if err != nil {
-		return nil, fmt.Errorf("invalid spec: %v", err)
+		return nil, nil, fmt.Errorf("invalid spec: %v", err)
 	}
 	key := fmt.Sprintf("spec|%d|%d|%d|%g|%t|%t|%s",
 		req.Budget, k.OnChip, k.Threshold, k.Frame, k.InPlace, k.Interconnect, canon)
 	p.key = memo.NewKey([]byte(key), memo.Fingerprint64(canon))
 	p.mode = "spec"
 	p.label = sp.Name
-	return p, nil
+	return p, sp, nil
 }
 
 // The spec JSON schema, mirrored so the reference canonicalizes by
@@ -253,6 +295,31 @@ type (
 		Branch string  `json:"branch,omitempty"`
 	}
 )
+
+// reflectSpec decodes spec bytes through the mirrored schema and builds
+// the Spec as spec.ParseJSON's reflective decode does: an empty array is a
+// nil slice, except deps, which keeps what the decoder made of it.
+func reflectSpec(raw []byte) (*spec.Spec, error) {
+	var js refSpec
+	if err := json.Unmarshal(raw, &js); err != nil {
+		return nil, err
+	}
+	s := &spec.Spec{Name: js.Name}
+	for _, g := range js.Groups {
+		s.Groups = append(s.Groups, spec.BasicGroup(g))
+	}
+	for _, jl := range js.Loops {
+		l := spec.Loop{Name: jl.Name, Iterations: jl.Iterations}
+		for i, a := range jl.Accesses {
+			l.Accesses = append(l.Accesses, spec.Access{
+				ID: i, Group: a.Group, Write: a.Write, Count: a.Count,
+				Deps: a.Deps, Site: a.Site, Branch: a.Branch,
+			})
+		}
+		s.Loops = append(s.Loops, l)
+	}
+	return s, nil
+}
 
 // reflectCanonical is the canonical spec serialization as encoding/json
 // wrote it: marshal, indent by two spaces, end with a newline.
@@ -286,8 +353,11 @@ func reflectCanonical(s *spec.Spec) (string, error) {
 // FuzzExploreRequest feeds arbitrary bodies to the request parser and the
 // explore handler. parseExplore must agree with the reference parser on
 // every body: the same parsed request (dedup key, routing fingerprint,
-// mode, label, deadline, budget, knobs and demo), or the same
-// client-facing error. Posting the body must never panic or answer 5xx.
+// mode, label, deadline, budget, knobs and demo) and the same decoded
+// spec (reflect.DeepEqual, so "deps":[] stays apart from an absent deps),
+// or the same client-facing error. The corpus holds one body of each
+// kind the one-pass decoder hands to encoding/json (handOffBodies) and
+// the edge cases it takes (onePassBodies). Posting the body must never panic or answer 5xx.
 // Every body is posted twice: the second answer, which a parsed body gets
 // through the Aliases keyspace, must carry the first one's status, and its
 // bytes unless the first took as long as its deadline. A cut answer
@@ -295,7 +365,8 @@ func reflectCanonical(s *spec.Spec) (string, error) {
 // assignment reads "optimal":false with "degraded":false. A
 // body that is one JSON value is also posted as a one-item batch to a
 // second server, and the item must carry the single POST's status and body
-// whenever neither request ran long enough for the deadline to cut it.
+// whenever neither request ran as long as its deadline (its own
+// timeout_ms, when shorter than the fuzz deadline), which could cut it.
 // Each raw body is also posted as a batch envelope (checkEnvelope).
 // Requests that would run a long demo are parsed but not posted.
 func FuzzExploreRequest(f *testing.F) {
@@ -327,10 +398,24 @@ func FuzzExploreRequest(f *testing.F) {
 	f.Add([]byte(`{"items":[{"demo":{"size":8}}]}{"items":[{"demo":{"size":8}}]}`))
 	f.Add([]byte(`{"items":[{"demo":{"size":8}},{"budget":1}]}`))
 	f.Add([]byte(`{"items":[{"demo":{"size":8}}]}]`))
+	for _, b := range append(handOffBodies, onePassBodies...) {
+		f.Add([]byte(b))
+	}
+	// Batch envelopes at the edge of the one-pass split: whitespace around
+	// items, items of every value shape, a null item, a repeated and a
+	// case-variant items key.
+	f.Add([]byte(` { "items" : [ {"demo":{"size":8}} , {"budget":1,"budget":2} ] } `))
+	f.Add([]byte(`{"items":[1,-2.5e3,"s",true,false,[],{},[{"a":[0]}]]}`))
+	f.Add([]byte(`{"items":[null]}`))
+	f.Add([]byte(`{"items":[{"demo":{"size":8}}],"items":[]}`))
+	f.Add([]byte(`{"Items":[{"demo":{"size":8}}]}`))
+	f.Add([]byte(`{"items":[]}`))
+	// A deadline shorter than the fuzz deadline cuts both answers.
+	f.Add([]byte(`{"demo":{"size":8,"seed":3,"quant":2},"tiMeout_ms":1}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		got, _, err := parseExplore(body)
-		want, wantErr := parseExploreReference(bytes.NewReader(body))
+		got, gotSpec, err := parseExplore(body, nil)
+		want, wantSpec, wantErr := parseExploreReference(bytes.NewReader(body))
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("parse error %v, reference error %v", err, wantErr)
 		}
@@ -340,6 +425,8 @@ func FuzzExploreRequest(f *testing.F) {
 			}
 		} else if *got != *want {
 			t.Fatalf("parse differs from the reference:\n got %+v\nwant %+v", *got, *want)
+		} else if !reflect.DeepEqual(gotSpec, wantSpec) {
+			t.Fatalf("decoded spec differs from the reference:\n got %+v\nwant %+v", gotSpec, wantSpec)
 		}
 		checkEnvelope(t, bh, body)
 		if err == nil && longDemo(got) {
@@ -373,8 +460,12 @@ func FuzzExploreRequest(f *testing.F) {
 		if brec.Code != http.StatusOK || json.Unmarshal(brec.Body.Bytes(), &env) != nil || len(env.Items) != 1 {
 			t.Fatalf("one-item batch: status %d: %s", brec.Code, brec.Body.Bytes())
 		}
-		if single >= deadline || batched >= deadline {
-			return // the deadline may have cut either answer
+		limit := deadline
+		if err == nil {
+			limit = srv.effectiveTimeout(got.timeoutMS)
+		}
+		if single >= limit || batched >= limit {
+			return // the request's deadline may have cut either answer
 		}
 		if it := env.Items[0]; it.Status != rec.Code || string(it.Body)+"\n" != rec.Body.String() {
 			t.Fatalf("one-item batch answered %d %q; single POST %d %q", it.Status, it.Body, rec.Code, rec.Body.Bytes())

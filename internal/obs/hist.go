@@ -129,8 +129,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // quantileUS returns the upper bound of the bucket holding the q-quantile
-// observation (nearest rank). Observations in the overflow bucket report
-// the recorded maximum.
+// observation (nearest rank), clamped to the recorded maximum, which no
+// observation exceeds: ObserveUS raises the maximum before it counts the
+// observation, and Snapshot reads the buckets first. Observations in the
+// overflow bucket report the maximum.
 func (s *HistogramSnapshot) quantileUS(q float64) int64 {
 	if s.Count == 0 {
 		return 0
@@ -141,7 +143,7 @@ func (s *HistogramSnapshot) quantileUS(q float64) int64 {
 	}
 	for i, c := range s.Cumulative {
 		if c >= rank {
-			return BucketBoundUS(i)
+			return min(BucketBoundUS(i), s.MaxUS)
 		}
 	}
 	return s.MaxUS

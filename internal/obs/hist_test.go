@@ -69,6 +69,17 @@ func TestHistogramSnapshotQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileClampedToMax: one sample inside a bucket reports
+// itself, not the bucket's upper bound, at every quantile.
+func TestHistogramQuantileClampedToMax(t *testing.T) {
+	h := NewHistogram()
+	h.ObserveUS(36_700) // in the bucket bounded by 65 536
+	s := h.Snapshot()
+	if s.P50US != 36_700 || s.P90US != 36_700 || s.P99US != 36_700 {
+		t.Errorf("p50/p90/p99 = %d/%d/%d, want the one sample 36700", s.P50US, s.P90US, s.P99US)
+	}
+}
+
 func TestHistogramOverflow(t *testing.T) {
 	h := NewHistogram()
 	big := int64(1) << 40 // ~18 minutes, beyond the largest finite bound

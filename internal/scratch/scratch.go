@@ -12,15 +12,14 @@
 //
 // Safety model: every grab returns a zeroed slice, unconditionally — the
 // zeroing happens at grab time, not at Reset time, so a recycled arena whose
-// memory still holds a previous evaluation's state (or deliberate garbage;
-// see poison) can never leak values into the next user. Grabs are valid
-// until the arena is Reset or Put; they must not be retained beyond that,
-// and must never be returned to callers outside the arena's scope. An Arena
-// is single-goroutine state: share nothing, Get one per worker.
+// memory still holds a previous evaluation's state (or the garbage the
+// tests poison it with) can never leak values into the next user. Grabs are
+// valid until the arena is Reset or Put; they must not be retained beyond
+// that, and must never be returned to callers outside the arena's scope.
+// An Arena is single-goroutine state: share nothing, Get one per worker.
 package scratch
 
 import (
-	"math"
 	"sync"
 )
 
@@ -70,15 +69,6 @@ func (c *chunked[T]) grab(n int) []T {
 // owner must not use them past this point.
 func (c *chunked[T]) reset() {
 	c.ci, c.off = 0, 0
-}
-
-// poison overwrites every backing chunk with the given sentinel.
-func (c *chunked[T]) poison(v T) {
-	for _, ch := range c.chunks {
-		for i := range ch {
-			ch[i] = v
-		}
-	}
 }
 
 // Arena hands out zeroed typed scratch slices and recycles all of them at
@@ -157,20 +147,6 @@ func (a *Arena) Reset() {
 	a.u64s.reset()
 	a.bytes.reset()
 	a.strs.reset()
-}
-
-// poison fills all backing memory with non-zero garbage (without resetting
-// the cursors). It exists for tests: a poisoned, Reset arena must still hand
-// out fully zeroed grabs, proving that no stale state can survive recycling.
-func (a *Arena) poison() {
-	if a == nil {
-		return
-	}
-	a.ints.poison(-0x5a5a5a5a)
-	a.f64s.poison(math.NaN())
-	a.u64s.poison(0x5a5a5a5a5a5a5a5a)
-	a.bytes.poison(0xa5)
-	a.strs.poison("POISON")
 }
 
 // pool keeps warm arenas for reuse across evaluations. sync.Pool is already

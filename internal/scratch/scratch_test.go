@@ -7,6 +7,29 @@ import (
 	"testing"
 )
 
+// poison fills all backing memory with non-zero garbage (without resetting
+// the cursors). A poisoned, Reset arena must still hand out fully zeroed
+// grabs, proving that no stale state can survive recycling.
+func (a *Arena) poison() {
+	if a == nil {
+		return
+	}
+	a.ints.poison(-0x5a5a5a5a)
+	a.f64s.poison(math.NaN())
+	a.u64s.poison(0x5a5a5a5a5a5a5a5a)
+	a.bytes.poison(0xa5)
+	a.strs.poison("POISON")
+}
+
+// poison overwrites every backing chunk with the given sentinel.
+func (c *chunked[T]) poison(v T) {
+	for _, ch := range c.chunks {
+		for i := range ch {
+			ch[i] = v
+		}
+	}
+}
+
 func TestGrabsAreZeroedAndDisjoint(t *testing.T) {
 	a := new(Arena)
 	x := a.Ints(8)

@@ -55,7 +55,9 @@ func specEqual(a, b *Spec) bool {
 	return true
 }
 
-// FuzzSpecJSONRoundTrip feeds arbitrary bytes to ReadJSON: it must either
+// FuzzSpecJSONRoundTrip feeds arbitrary bytes to the one-pass decode,
+// which must decode what it takes as the reflective one does
+// (checkDecodeCanonical), and to ReadJSON: it must either
 // error cleanly or produce a specification that validates, serializes to
 // exactly the reflective reference bytes, and survives a WriteJSON →
 // ReadJSON round trip unchanged.
@@ -67,6 +69,7 @@ func FuzzSpecJSONRoundTrip(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 	f.Add([]byte(`{"name":"bad","groups":[{"name":"g","words":-3,"bits":99}],"loops":[]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeCanonical(t, data)
 		s, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {
 			return // clean rejection is fine; panics are the bug class

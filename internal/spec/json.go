@@ -6,8 +6,11 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"unicode/utf8"
+
+	"repro/internal/canonjson"
 )
 
 // The JSON form of a specification, for persisting pruned specifications
@@ -50,8 +53,22 @@ type jsonAccess struct {
 }
 
 // ParseJSON decodes and validates one specification. Access IDs are
-// assigned from the array order.
+// assigned from the array order. A specification in the canonical subset
+// of JSON (package canonjson) is decoded in one pass; any other input goes
+// through encoding/json, which words every error.
 func ParseJSON(raw []byte) (*Spec, error) {
+	r := canonjson.NewReader(raw)
+	s, err := DecodeCanonical(&r)
+	if r.End() {
+		return s, err
+	}
+	return parseReflect(raw)
+}
+
+// parseReflect is ParseJSON through encoding/json and the jsonSpec schema:
+// the decode of every input outside the canonical subset, and the
+// reference DecodeCanonical is tested against.
+func parseReflect(raw []byte) (*Spec, error) {
 	var js jsonSpec
 	if err := json.Unmarshal(raw, &js); err != nil {
 		return nil, fmt.Errorf("spec: %w", err)
@@ -83,6 +100,140 @@ func ParseJSON(raw []byte) (*Spec, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// The keys of each object of the schema, as the jsonSpec types name them.
+var (
+	specKeys   = []string{"name", "groups", "loops"}
+	groupKeys  = []string{"name", "words", "bits"}
+	loopKeys   = []string{"name", "iterations", "accesses"}
+	accessKeys = []string{"group", "write", "count", "deps", "site", "branch"}
+)
+
+// DecodeCanonical reads one specification object at r in one pass and
+// validates it, building exactly the Spec that encoding/json's decode of
+// the same bytes does: an empty or absent array is a nil slice, except
+// deps, where [] is an empty one. Once r has failed, what it returns
+// means nothing: the caller decodes the bytes with encoding/json instead.
+func DecodeCanonical(r *canonjson.Reader) (*Spec, error) {
+	s := &Spec{}
+	var seen uint64
+	r.Open('{')
+	for n := 0; r.More('}', n); n++ {
+		switch r.Key(specKeys, &seen) {
+		case "name":
+			s.Name = r.String()
+		case "groups":
+			s.Groups = readGroups(r)
+		case "loops":
+			s.Loops = readLoops(r)
+		}
+	}
+	if !r.OK() {
+		return nil, nil
+	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// readGroups, readLoops, readAccesses and readDeps each fill a buffer on
+// the stack and copy it out once, so an array costs one allocation of its
+// final size.
+
+func readGroups(r *canonjson.Reader) []BasicGroup {
+	var buf [16]BasicGroup
+	gs := buf[:0]
+	r.Open('[')
+	for n := 0; r.More(']', n); n++ {
+		var g BasicGroup
+		var seen uint64
+		r.Open('{')
+		for m := 0; r.More('}', m); m++ {
+			switch r.Key(groupKeys, &seen) {
+			case "name":
+				g.Name = r.String()
+			case "words":
+				g.Words = r.Int(64)
+			case "bits":
+				g.Bits = int(r.Int(strconv.IntSize))
+			}
+		}
+		gs = append(gs, g)
+	}
+	if len(gs) == 0 {
+		return nil
+	}
+	return slices.Clone(gs)
+}
+
+func readLoops(r *canonjson.Reader) []Loop {
+	var buf [4]Loop
+	ls := buf[:0]
+	r.Open('[')
+	for n := 0; r.More(']', n); n++ {
+		var l Loop
+		var seen uint64
+		r.Open('{')
+		for m := 0; r.More('}', m); m++ {
+			switch r.Key(loopKeys, &seen) {
+			case "name":
+				l.Name = r.String()
+			case "iterations":
+				l.Iterations = r.Uint()
+			case "accesses":
+				l.Accesses = readAccesses(r)
+			}
+		}
+		ls = append(ls, l)
+	}
+	if len(ls) == 0 {
+		return nil
+	}
+	return slices.Clone(ls)
+}
+
+func readAccesses(r *canonjson.Reader) []Access {
+	var buf [32]Access
+	as := buf[:0]
+	r.Open('[')
+	for n := 0; r.More(']', n); n++ {
+		a := Access{ID: n}
+		var seen uint64
+		r.Open('{')
+		for m := 0; r.More('}', m); m++ {
+			switch r.Key(accessKeys, &seen) {
+			case "group":
+				a.Group = r.String()
+			case "write":
+				a.Write = r.Bool()
+			case "count":
+				a.Count = r.Float()
+			case "deps":
+				a.Deps = readDeps(r)
+			case "site":
+				a.Site = r.String()
+			case "branch":
+				a.Branch = r.String()
+			}
+		}
+		as = append(as, a)
+	}
+	if len(as) == 0 {
+		return nil
+	}
+	return slices.Clone(as)
+}
+
+func readDeps(r *canonjson.Reader) []int {
+	var buf [8]int
+	ds := buf[:0]
+	r.Open('[')
+	for n := 0; r.More(']', n); n++ {
+		ds = append(ds, int(r.Int(strconv.IntSize)))
+	}
+	return append([]int{}, ds...)
 }
 
 // AppendJSON appends the canonical indented serialization of s, ending in

@@ -186,8 +186,8 @@ func jsonNumber(t *testing.T, v any, what string) float64 {
 
 // checkHistogram compares one exposed histogram series with its JSON
 // summary: _count and _sum go into want, the +Inf bucket must equal the
-// count, and the nearest-rank p50/p90/p99 read off the exposed buckets
-// must equal the JSON quantiles.
+// count, and the nearest-rank p50/p90/p99 read off the exposed buckets,
+// clamped to the JSON max, must equal the JSON quantiles.
 func checkHistogram(t *testing.T, got promScrape, want map[string]float64, series string, hist any) {
 	t.Helper()
 	h, ok := hist.(map[string]any)
@@ -218,7 +218,7 @@ func checkHistogram(t *testing.T, got promScrape, want map[string]float64, serie
 			fromBuckets = num("max_us")
 			for _, b := range bs[:len(bs)-1] {
 				if b.count >= rank {
-					fromBuckets = b.leUS
+					fromBuckets = math.Min(b.leUS, num("max_us"))
 					break
 				}
 			}

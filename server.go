@@ -18,6 +18,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/canonjson"
 	"repro/internal/core"
 	"repro/internal/memo"
 	"repro/internal/obs"
@@ -272,11 +273,12 @@ type exploreRequest struct {
 	Params *paramsRequest `json:"params,omitempty"`
 }
 
-// specField decodes the spec member of a request where the decoder meets
-// it, so its bytes are never copied out of the decoder's buffer. A spec
-// that fails to parse keeps its error for parseExplore, whose checks of
-// the request around it come first. A JSON null spec is an absent spec,
-// like a null demo.
+// specField holds the spec member of a request. readExplore fills it in
+// its one pass; encoding/json decodes it where the decoder meets it, so
+// its bytes are never copied out of the decoder's buffer. A spec that
+// fails to parse keeps its error for parseExplore, whose checks of the
+// request around it come first. A JSON null spec is an absent spec, like
+// a null demo.
 type specField struct {
 	set  bool
 	spec *spec.Spec
@@ -384,16 +386,21 @@ func atEnd(dec *json.Decoder) bool {
 
 // parseExplore decodes and validates one request body, returning with
 // the parsed request the spec it decoded (nil in demo mode). Error strings
-// are client-facing.
-func parseExplore(raw []byte) (*parsedRequest, *spec.Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	req := &exploreRequest{}
-	if err := dec.Decode(req); err != nil {
-		return nil, nil, fmt.Errorf("invalid request body: %v", err)
-	}
-	if !atEnd(dec) {
-		return nil, nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
+// are client-facing. A body outside the canonical subset (readExplore)
+// counts in o's server.parse_fallbacks and is decoded by encoding/json.
+func parseExplore(raw []byte, o *obs.Observer) (*parsedRequest, *spec.Spec, error) {
+	req, ok := readExplore(raw)
+	if !ok {
+		o.Counter("server.parse_fallbacks").Add(1)
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		req = &exploreRequest{}
+		if err := dec.Decode(req); err != nil {
+			return nil, nil, fmt.Errorf("invalid request body: %v", err)
+		}
+		if !atEnd(dec) {
+			return nil, nil, fmt.Errorf("invalid request body: trailing data after the JSON object")
+		}
 	}
 	if req.Spec.set == (req.Demo != nil) {
 		return nil, nil, fmt.Errorf("exactly one of spec or demo must be set")
@@ -454,8 +461,83 @@ func parseExplore(raw []byte) (*parsedRequest, *spec.Spec, error) {
 	}
 	p.key = memo.NewKey(key, memo.Fingerprint64(key[prefix:]))
 	p.mode = "spec"
-	p.label = sp.Name
+	p.label = strings.Clone(sp.Name) // the spec's strings share one copy of the body
 	return p, sp, nil
+}
+
+// The keys of each object of a request body.
+var (
+	exploreKeys = []string{"spec", "budget", "demo", "timeout_ms", "params"}
+	demoKeys    = []string{"size", "seed", "quant"}
+	paramsKeys  = []string{"onchip", "threshold", "frame", "inplace", "interconnect"}
+	batchKeys   = []string{"items"}
+)
+
+// readExplore decodes a request body in one pass when it is in the
+// canonical subset of JSON (package canonjson), spec included. It reports
+// false for any other body, which encoding/json then decodes: what the
+// subset holds decodes to the same request either way, so encoding/json
+// alone words every malformed body's error.
+func readExplore(raw []byte) (*exploreRequest, bool) {
+	r := canonjson.NewReader(raw)
+	req := &exploreRequest{}
+	var seen uint64
+	r.Open('{')
+	for n := 0; r.More('}', n); n++ {
+		switch r.Key(exploreKeys, &seen) {
+		case "spec":
+			req.Spec.set = true
+			req.Spec.spec, req.Spec.err = spec.DecodeCanonical(&r)
+		case "budget":
+			req.Budget = r.Uint()
+		case "demo":
+			req.Demo = readDemo(&r)
+		case "timeout_ms":
+			req.TimeoutMS = r.Int(64)
+		case "params":
+			req.Params = readParams(&r)
+		}
+	}
+	return req, r.End()
+}
+
+func readDemo(r *canonjson.Reader) *demoRequest {
+	d := &demoRequest{}
+	var seen uint64
+	r.Open('{')
+	for n := 0; r.More('}', n); n++ {
+		switch r.Key(demoKeys, &seen) {
+		case "size":
+			d.Size = int(r.Int(strconv.IntSize))
+		case "seed":
+			d.Seed = r.Uint()
+		case "quant":
+			d.Quant = int(r.Int(strconv.IntSize))
+		}
+	}
+	return d
+}
+
+func readParams(r *canonjson.Reader) *paramsRequest {
+	p := &paramsRequest{}
+	var seen uint64
+	r.Open('{')
+	for n := 0; r.More('}', n); n++ {
+		switch r.Key(paramsKeys, &seen) {
+		case "onchip":
+			p.OnChip = int(r.Int(strconv.IntSize))
+		case "threshold":
+			t := r.Int(64)
+			p.Threshold = &t
+		case "frame":
+			p.Frame = r.Float()
+		case "inplace":
+			p.InPlace = r.Bool()
+		case "interconnect":
+			p.Interconnect = r.Bool()
+		}
+	}
+	return p
 }
 
 // specParams resolves the spec-mode knobs to their cmd/specexplore
@@ -612,7 +694,7 @@ func (s *Server) exploreSSE(w http.ResponseWriter, r *http.Request, tid string) 
 	// no alias.
 	it := &exploreItem{raw: raw, tid: tid}
 	if err == nil {
-		it.p, it.spec, err = parseExplore(raw)
+		it.p, it.spec, err = parseExplore(raw, s.obs)
 	}
 	if err != nil {
 		s.obs.Counter("server.bad_requests").Add(1)
@@ -732,7 +814,7 @@ func (s *Server) resolve(it *exploreItem) error {
 	var err error
 	v := s.memo.Do(memo.Aliases, memo.NewKey(it.raw, 0), func() (any, bool) {
 		var p *parsedRequest
-		p, it.spec, err = parseExplore(it.raw)
+		p, it.spec, err = parseExplore(it.raw, s.obs)
 		return p, err == nil
 	})
 	if err != nil {
@@ -845,19 +927,14 @@ func (s *Server) handleExploreBatch(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	var breq batchRequest
-	err := dec.Decode(&breq)
-	if err == nil && !atEnd(dec) {
-		err = errors.New("trailing data after the JSON object")
-	}
+	raw, err := readBody(r)
+	rawItems, err := parseBatch(raw, err, s.obs)
 	if err != nil {
 		s.obs.Counter("server.bad_requests").Add(1)
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid batch body: %v", err))
+		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	n := len(breq.Items)
+	n := len(rawItems)
 	if n == 0 {
 		s.obs.Counter("server.bad_requests").Add(1)
 		s.writeError(w, http.StatusBadRequest, "items must not be empty")
@@ -870,7 +947,7 @@ func (s *Server) handleExploreBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	items := make([]exploreItem, n)
-	for i, raw := range breq.Items {
+	for i, raw := range rawItems {
 		items[i] = exploreItem{raw: raw}
 	}
 	if !s.serveItems(w, r, tid, internal, internal && n == 1, items) {
@@ -895,6 +972,65 @@ func (s *Server) handleExploreBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeResponse(w, &servedResponse{status: http.StatusOK, body: append(body, '\n')})
 }
+
+// splitBatch splits a batch body in the canonical subset of JSON (package
+// canonjson) into the bytes of its items, exactly as json.RawMessage
+// would hold them. It reports false for any other body.
+func splitBatch(raw []byte) ([][]byte, bool) {
+	r := canonjson.NewReader(raw)
+	var items [][]byte
+	var seen uint64
+	r.Open('{')
+	for n := 0; r.More('}', n); n++ {
+		if r.Key(batchKeys, &seen) == "items" {
+			r.Open('[')
+			for m := 0; r.More(']', m); m++ {
+				items = append(items, r.Value())
+			}
+		}
+	}
+	return items, r.End()
+}
+
+// parseBatch returns the raw items of a batch body, split in one pass when
+// the body is in the canonical subset (splitBatch). Any other body counts
+// in o's server.parse_fallbacks and is decoded by encoding/json, which
+// words the error of a malformed one. A body whose read failed with
+// readErr is replayed to it as the bytes read followed by that error, as
+// the decoder would have met them reading the request. Error strings are
+// client-facing.
+func parseBatch(raw []byte, readErr error, o *obs.Observer) ([][]byte, error) {
+	if readErr == nil {
+		if items, ok := splitBatch(raw); ok {
+			return items, nil
+		}
+	}
+	o.Counter("server.parse_fallbacks").Add(1)
+	var body io.Reader = bytes.NewReader(raw)
+	if readErr != nil {
+		body = io.MultiReader(body, &errReader{readErr})
+	}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var breq batchRequest
+	err := dec.Decode(&breq)
+	if err == nil && !atEnd(dec) {
+		err = errors.New("trailing data after the JSON object")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("invalid batch body: %v", err)
+	}
+	items := make([][]byte, len(breq.Items))
+	for i, raw := range breq.Items {
+		items[i] = raw
+	}
+	return items, nil
+}
+
+// errReader is a reader that fails with err.
+type errReader struct{ err error }
+
+func (e *errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // runExploration runs one admitted exploration under its telemetry span,
 // capturing the span subtree when the flight recorder might want it.
@@ -1013,7 +1149,7 @@ func (s *Server) explore(ctx context.Context, it *exploreItem, sp *obs.Span, pro
 			// The item's parse came from the Aliases keyspace and its
 			// response from no tier: decode the spec again.
 			var err error
-			if _, spc, err = parseExplore(it.raw); err != nil {
+			if _, spc, err = parseExplore(it.raw, s.obs); err != nil {
 				return errResponse(http.StatusBadRequest, err)
 			}
 		}
